@@ -34,43 +34,32 @@ UNMAPPED = -1
 
 
 class FTLCounters:
-    """Lifetime NAND accounting for one FTL instance.
+    """Lifetime NAND accounting for one FTL instance, counted when pages
+    actually move.
 
-    ``host_pages_written`` is owned by the backend (counted when a host
-    write is *accepted*, so cache write-absorption can push WA below
-    one); everything else is counted here when pages actually move.
+    Host pages are the backend's business: it counts a host write when
+    the cache *accepts* it, so write absorption can push write
+    amplification below one (see ``SSDBackend.write_amplification``).
     """
 
     __slots__ = (
-        "host_pages_written",
         "nand_pages_programmed",
         "nand_pages_read",
         "pages_relocated",
         "blocks_erased",
-        "gc_runs",
     )
 
     def __init__(self) -> None:
-        self.host_pages_written = 0
         self.nand_pages_programmed = 0
         self.nand_pages_read = 0
         self.pages_relocated = 0
         self.blocks_erased = 0
-        self.gc_runs = 0
-
-    @property
-    def write_amplification(self) -> float:
-        """NAND pages programmed per host page written (0.0 before any
-        host write)."""
-        if self.host_pages_written == 0:
-            return 0.0
-        return self.nand_pages_programmed / self.host_pages_written
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<FTLCounters host={self.host_pages_written} "
-            f"nand={self.nand_pages_programmed} erases={self.blocks_erased} "
-            f"WA={self.write_amplification:.2f}>"
+            f"<FTLCounters nand={self.nand_pages_programmed} "
+            f"read={self.nand_pages_read} relocated={self.pages_relocated} "
+            f"erases={self.blocks_erased}>"
         )
 
 
@@ -99,10 +88,6 @@ class ProgramPlan:
         self.programs: List[int] = [0] * n_channels
         #: GC rounds triggered by this batch, in trigger order.
         self.gc_events: List[GCEvent] = []
-
-    @property
-    def pages(self) -> int:
-        return sum(self.programs)
 
 
 class PageMappedFTL:
@@ -200,24 +185,60 @@ class PageMappedFTL:
 
         Pages stripe across channels in write order.  Any GC a channel
         needs to stay above its free reserve happens (bookkeeping-wise)
-        before the page that triggered it, and is reported in the plan
-        so the backend can charge its time and energy.
+        before the page that triggered it -- before that page's old
+        copy is invalidated -- and is reported in the plan so the
+        backend can charge its time and energy.  A ``RuntimeError``
+        (logical space over-committed) leaves the FTL unusable.
         """
         plan = ProgramPlan(self.n_channels)
+        programs = plan.programs
+        l2p = self._l2p
+        p2l = self._p2l
+        valid = self._valid
+        free = self._free
+        open_blocks = self._open
+        fill = self._fill
+        per_block = self.pages_per_block
+        n_channels = self.n_channels
+        reserve = self._gc_reserve_blocks
+        channel = self._next_channel
         for logical in logical_pages:
-            channel = self._next_channel
-            self._next_channel = (self._next_channel + 1) % self.n_channels
-            self._reclaim(channel, plan.gc_events)
-            self._invalidate(logical)
-            self._program(logical, channel)
-            plan.programs[channel] += 1
-            self.counters.nand_pages_programmed += 1
+            if len(free[channel]) < reserve:
+                self._reclaim(channel, plan.gc_events)
+            old = l2p[logical]
+            if old != UNMAPPED:
+                p2l[old] = UNMAPPED
+                valid[old // per_block] -= 1
+            block = open_blocks[channel]
+            slot = fill[channel]
+            physical = block * per_block + slot
+            l2p[logical] = physical
+            p2l[physical] = logical
+            valid[block] += 1
+            if slot + 1 == per_block:
+                self._seal(channel)
+            else:
+                fill[channel] = slot + 1
+            programs[channel] += 1
+            channel += 1
+            if channel == n_channels:
+                channel = 0
+        self._next_channel = channel
+        self.counters.nand_pages_programmed += len(logical_pages)
         return plan
 
     def trim_pages(self, logical_pages: Iterable[int]) -> None:
         """Invalidate logical pages (extent overwritten or evicted)."""
+        l2p = self._l2p
+        p2l = self._p2l
+        valid = self._valid
+        per_block = self.pages_per_block
         for logical in logical_pages:
-            self._invalidate(logical)
+            physical = l2p[logical]
+            if physical != UNMAPPED:
+                l2p[logical] = UNMAPPED
+                p2l[physical] = UNMAPPED
+                valid[physical // per_block] -= 1
 
     # -- host reads --------------------------------------------------------------
 
@@ -228,44 +249,33 @@ class PageMappedFTL:
         evicted by the ring) still cost a read; they land on their
         default stripe channel (``page % n_channels``).
         """
-        reads = [0] * self.n_channels
+        n_channels = self.n_channels
+        per_block = self.pages_per_block
+        l2p = self._l2p
+        reads = [0] * n_channels
         for logical in logical_pages:
-            channel = self.channel_of(logical)
-            if channel is None:
-                channel = logical % self.n_channels
-            reads[channel] += 1
-            self.counters.nand_pages_read += 1
+            physical = l2p[logical]
+            if physical == UNMAPPED:
+                reads[logical % n_channels] += 1
+            else:
+                reads[physical // per_block % n_channels] += 1
+        self.counters.nand_pages_read += len(logical_pages)
         return reads
 
     # -- internals ---------------------------------------------------------------
 
-    def _invalidate(self, logical: int) -> None:
-        physical = self._l2p[logical]
-        if physical == UNMAPPED:
-            return
-        self._l2p[logical] = UNMAPPED
-        self._p2l[physical] = UNMAPPED
-        self._valid[physical // self.pages_per_block] -= 1
-
-    def _program(self, logical: int, channel: int) -> None:
-        """Map *logical* onto the channel's open block (space must have
-        been ensured by :meth:`_reclaim`)."""
-        block = self._open[channel]
-        slot = self._fill[channel]
-        physical = block * self.pages_per_block + slot
-        self._l2p[logical] = physical
-        self._p2l[physical] = logical
-        self._valid[block] += 1
-        self._fill[channel] = slot + 1
-        if self._fill[channel] == self.pages_per_block:
-            self._closed[channel].append(block)
-            if not self._free[channel]:
-                raise RuntimeError(
-                    f"FTL channel {channel} out of free blocks "
-                    f"(over-committed logical space?)"
-                )
-            self._open[channel] = self._free[channel].pop()
-            self._fill[channel] = 0
+    def _seal(self, channel: int) -> None:
+        """Close the channel's (just filled) open block and open the
+        next free one."""
+        self._closed[channel].append(self._open[channel])
+        free = self._free[channel]
+        if not free:
+            raise RuntimeError(
+                f"FTL channel {channel} out of free blocks "
+                f"(over-committed logical space?)"
+            )
+        self._open[channel] = free.pop()
+        self._fill[channel] = 0
 
     def _reclaim(self, channel: int, events: List[GCEvent]) -> None:
         """Run greedy GC until the channel is back above its reserve.
@@ -287,32 +297,49 @@ class PageMappedFTL:
         closed = self._closed[channel]
         if not closed:
             return None
-        victim = min(closed, key=lambda b: (self._valid[b], b))
-        if self._valid[victim] >= self.pages_per_block:
+        valid = self._valid
+        per_block = self.pages_per_block
+        n_blocks = self.n_blocks
+        # Fewest valid pages, ties to the lowest block id.
+        least, victim = divmod(min([valid[b] * n_blocks + b for b in closed]), n_blocks)
+        if least >= per_block:
             return None  # fully valid everywhere: erasing gains nothing
         closed.remove(victim)
-        base = victim * self.pages_per_block
-        survivors = [
-            self._p2l[base + slot]
-            for slot in range(self.pages_per_block)
-            if self._p2l[base + slot] != UNMAPPED
-        ]
+        p2l = self._p2l
+        base = victim * per_block
+        survivors = [lp for lp in p2l[base : base + per_block] if lp != UNMAPPED]
         # Erase first so the victim itself is a relocation destination:
         # with only the reserve block free, relocating a nearly-full
         # victim must not run the channel out of open-block space.
-        for logical in survivors:
-            self._invalidate(logical)
-        self._valid[victim] = 0
+        p2l[base : base + per_block] = [UNMAPPED] * per_block
+        valid[victim] = 0
         self.erase_counts[victim] += 1
         self._free[channel].append(victim)
-        for logical in survivors:
-            self._program(logical, channel)
+        # Relocate block-chunk by block-chunk into the open block(s).
+        l2p = self._l2p
         moved = len(survivors)
-        self.counters.pages_relocated += moved
-        self.counters.nand_pages_programmed += moved
-        self.counters.nand_pages_read += moved
-        self.counters.blocks_erased += 1
-        self.counters.gc_runs += 1
+        done = 0
+        while done < moved:
+            block = self._open[channel]
+            slot = self._fill[channel]
+            take = min(per_block - slot, moved - done)
+            physical = block * per_block + slot
+            chunk = survivors[done : done + take]
+            p2l[physical : physical + take] = chunk
+            for logical in chunk:
+                l2p[logical] = physical
+                physical += 1
+            valid[block] += take
+            done += take
+            if slot + take == per_block:
+                self._seal(channel)
+            else:
+                self._fill[channel] = slot + take
+        counters = self.counters
+        counters.pages_relocated += moved
+        counters.nand_pages_programmed += moved
+        counters.nand_pages_read += moved
+        counters.blocks_erased += 1
         return GCEvent(channel, moved, victim)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -320,6 +347,10 @@ class PageMappedFTL:
             f"<PageMappedFTL {self.n_logical_pages}p/{self.n_blocks}b "
             f"ch={self.n_channels} free={self.free_blocks} {self.counters!r}>"
         )
+
+
+#: Owner-array marker for a logical page no extent holds.
+_FREE = object()
 
 
 class ExtentMap:
@@ -331,7 +362,7 @@ class ExtentMap:
     which is how a bounded buffer tier sheds its oldest content.
     """
 
-    __slots__ = ("n_pages", "_extents", "_cursor")
+    __slots__ = ("n_pages", "_extents", "_owner", "_cursor")
 
     def __init__(self, n_pages: int) -> None:
         if n_pages < 1:
@@ -339,6 +370,8 @@ class ExtentMap:
         self.n_pages = n_pages
         #: key -> (start_page, n_pages); insertion-ordered, deterministic.
         self._extents: Dict[object, Tuple[int, int]] = {}
+        #: logical page -> key of the extent holding it (``_FREE`` if none).
+        self._owner: List[object] = [_FREE] * n_pages
         self._cursor = 0
 
     def lookup(self, key: object) -> Optional[List[int]]:
@@ -346,8 +379,7 @@ class ExtentMap:
         extent = self._extents.get(key)
         if extent is None:
             return None
-        start, count = extent
-        return [(start + i) % self.n_pages for i in range(count)]
+        return self._pages(extent[0], extent[1])
 
     def allocate(self, key: object, n_pages: int) -> Tuple[List[int], List[int]]:
         """Place (or re-place) an extent; return its logical pages and
@@ -366,26 +398,43 @@ class ExtentMap:
             )
         existing = self._extents.get(key)
         if existing is not None and existing[1] == n_pages:
-            start, count = existing
-            return [(start + i) % self.n_pages for i in range(count)], []
+            return self._pages(existing[0], n_pages), []
         evicted: List[int] = []
         if existing is not None:
             del self._extents[key]
-            start, count = existing
-            evicted.extend((start + i) % self.n_pages for i in range(count))
+            evicted.extend(self._pages(existing[0], existing[1]))
+            self._assign(existing[0], existing[1], _FREE)
         start = self._cursor
-        taken = {(start + i) % self.n_pages for i in range(n_pages)}
-        for other_key in [
-            k for k, (s, c) in self._extents.items()
-            if any((s + i) % self.n_pages in taken for i in range(c))
-        ]:
+        # Live extents lie in the ring in allocation order from the
+        # cursor on, so owners in first-seen order over the new range
+        # are the overlapped extents in ``_extents`` insertion order.
+        overlapped = dict.fromkeys(map(self._owner.__getitem__, self._pages(start, n_pages)))
+        overlapped.pop(_FREE, None)
+        for other_key in overlapped:
             other_start, other_count = self._extents.pop(other_key)
-            evicted.extend(
-                (other_start + i) % self.n_pages for i in range(other_count)
-            )
+            evicted.extend(self._pages(other_start, other_count))
+            self._assign(other_start, other_count, _FREE)
         self._extents[key] = (start, n_pages)
+        self._assign(start, n_pages, key)
         self._cursor = (start + n_pages) % self.n_pages
-        return [(start + i) % self.n_pages for i in range(n_pages)], evicted
+        return self._pages(start, n_pages), evicted
+
+    def _pages(self, start: int, count: int) -> List[int]:
+        """The ``count`` logical pages from ``start``, wrapping at the
+        ring end."""
+        end = start + count
+        if end <= self.n_pages:
+            return list(range(start, end))
+        return [*range(start, self.n_pages), *range(end - self.n_pages)]
+
+    def _assign(self, start: int, count: int, owner: object) -> None:
+        """Set the owner of the ``count`` pages from ``start``."""
+        end = start + count
+        if end <= self.n_pages:
+            self._owner[start:end] = [owner] * count
+        else:
+            self._owner[start:] = [owner] * (self.n_pages - start)
+            self._owner[: end - self.n_pages] = [owner] * (end - self.n_pages)
 
     def __contains__(self, key: object) -> bool:
         return key in self._extents

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.backend.ftl import ExtentMap, PageMappedFTL
 from repro.disk.drive import (
@@ -693,13 +693,13 @@ class SSDBackend:
             self.cache_hits += 1
             yield self.sim.timeout(self.slowdown * size / self.spec.cache_bandwidth_bps)
             return
-        pages = self.extents.lookup(key)
+        pages: Optional[Sequence[int]] = self.extents.lookup(key)
         if pages is None:
             # Content that predates the simulation (or was evicted):
             # synthesize its stripe without allocating logical space.
             count = self.spec.pages_for(size)
             span = self.ftl.n_logical_pages
-            pages = [i % span for i in range(count)]
+            pages = range(count) if count <= span else [i % span for i in range(count)]
         per_channel = self.ftl.read_pages(pages)
         jobs = [
             self._issue_job("read", channel, count, 0, request.priority, tag=key)
