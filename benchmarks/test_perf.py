@@ -64,79 +64,17 @@ def test_perf_benchmark_writes_valid_report():
     assert load_history(out) == report["history"]
 
 
-def test_history_migrates_v1_and_appends(tmp_path):
+def test_load_history_ignores_old_schemas_and_non_json(tmp_path):
     out = tmp_path / "BENCH_perf.json"
-    v1 = {
-        "schema": "eevfs-bench-perf/1",
-        "cpu_count": 4,
-        "engine": {"events": 10, "wall_s": 1.0, "events_per_s": 10.0},
-        "single_run": {"n_requests": 5, "wall_s": 0.5, "runs_per_s": 2.0},
-        "parallel": {"jobs": 2, "serial_s": 1.0, "parallel_s": 0.6,
-                     "speedup": 1.67, "identical_metrics": True},
-    }
-    out.write_text(json.dumps(v1))
+    entry = {"ts": 3.0, "engine_events_per_s": 12.0}
+    out.write_text(json.dumps({"schema": SCHEMA, "history": [entry]}))
+    assert load_history(out) == [entry]
 
-    first = run_perf_benchmark(n_requests=40, out_path=out)
-    assert len(first["history"]) == 2  # migrated v1 entry + this run
-    assert first["history"][0]["engine_events_per_s"] == 10.0
+    out.write_text(json.dumps({"schema": "eevfs-bench-perf/4", "history": [entry]}))
+    assert load_history(out) == []
 
-    second = run_perf_benchmark(n_requests=40, out_path=out)
-    assert len(second["history"]) == 3
-    assert second["history"][:2] == first["history"][:2]
-
-
-def test_history_carries_v2_forward(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    v2_entry = {"ts": 1.0, "engine_events_per_s": 9.0, "parallel_speedup": 1.5}
-    out.write_text(
-        json.dumps({"schema": "eevfs-bench-perf/2", "history": [v2_entry]})
-    )
-
-    report = run_perf_benchmark(n_requests=40, out_path=out)
-    assert report["history"][0] == v2_entry  # v2 rows survive untouched
-    assert report["history"][-1]["online_run_wall_s"] > 0
-
-
-def test_history_carries_v3_forward(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    v3_entry = {
-        "ts": 2.0,
-        "engine_events_per_s": 11.0,
-        "online_run_wall_s": 0.2,
-        "parallel_jobs": 1,
-        "parallel_speedup": 1.03,
-    }
-    out.write_text(
-        json.dumps({"schema": "eevfs-bench-perf/3", "history": [v3_entry]})
-    )
-
-    report = run_perf_benchmark(n_requests=40, out_path=out)
-    assert report["history"][0] == v3_entry  # v3 rows survive untouched
-    latest = report["history"][-1]
-    assert latest["dispatch_events_per_s"] > 0
-    assert latest["meanfield_points_per_s"] > 0
-    assert latest["parallel_pool_available"] in (True, False)
-
-
-def test_history_carries_v4_forward(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    v4_entry = {
-        "ts": 3.0,
-        "engine_events_per_s": 12.0,
-        "dispatch_events_per_s": 40.0,
-        "meanfield_points_per_s": 5.0,
-        "parallel_pool_available": True,
-        "parallel_speedup": 1.1,
-    }
-    out.write_text(
-        json.dumps({"schema": "eevfs-bench-perf/4", "history": [v4_entry]})
-    )
-
-    report = run_perf_benchmark(n_requests=40, out_path=out)
-    assert report["history"][0] == v4_entry  # v4 rows survive untouched
-    latest = report["history"][-1]
-    assert latest["ssd_run_wall_s"] > 0
-    assert latest["ssd_run_runs_per_s"] > 0
+    out.write_text("not json {")
+    assert load_history(out) == []
 
 
 def test_check_floor_flags_regressions_and_missing_keys():

@@ -1,12 +1,10 @@
 """Pluggable storage backends (the device layer behind the node).
 
-``repro.backend`` extracts the device surface the core drives -- the
-:class:`StorageBackend` protocol -- and provides two implementations:
-the paper's spinning drive (:data:`HDDBackend`, an alias of
-:class:`~repro.disk.drive.SimDisk`) and an FTL-level SSD model
-(:class:`SSDBackend`).  Backend selection is wired per tier through
-:class:`~repro.core.config.EEVFSConfig` and resolved by
-:func:`tier_spec` + :func:`build_backend`.
+Every device is a :class:`~repro.disk.drive.StorageBackend`: the
+paper's spinning drive (:class:`~repro.disk.drive.SimDisk`) or the
+FTL-level SSD model here (:class:`SSDBackend`).  Backend selection is
+wired per tier through :class:`~repro.core.config.EEVFSConfig` and
+resolved by :func:`tier_spec` + :func:`build_backend`.
 """
 
 from repro.backend.factory import (
@@ -16,23 +14,18 @@ from repro.backend.factory import (
     tier_spec,
 )
 from repro.backend.ftl import ExtentMap, FTLCounters, GCEvent, PageMappedFTL
-from repro.backend.hdd import HDDBackend
-from repro.backend.protocol import BackendSpec, StorageBackend
 from repro.backend.ssd import SATA_SSD_8GB, SATA_SSD_32GB, SSD_CATALOG, SSDBackend, SSDSpec
 
 __all__ = [
-    "BackendSpec",
     "ExtentMap",
     "FTLCounters",
     "GCEvent",
-    "HDDBackend",
     "PageMappedFTL",
     "SATA_SSD_32GB",
     "SATA_SSD_8GB",
     "SSDBackend",
     "SSDSpec",
     "SSD_CATALOG",
-    "StorageBackend",
     "TierSpec",
     "build_backend",
     "resolve_ssd_spec",

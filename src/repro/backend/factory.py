@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.backend.hdd import HDDBackend
-from repro.backend.protocol import StorageBackend
 from repro.backend.ssd import SSD_CATALOG, SSDBackend, SSDSpec
+from repro.disk.drive import SimDisk, StorageBackend
 from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.sim.engine import Simulator
@@ -65,7 +64,7 @@ def build_backend(
             rng=rng,
             record_history=record_history,
         )
-    return HDDBackend(
+    return SimDisk(
         sim,
         spec,
         name=name,

@@ -1,4 +1,4 @@
-"""The SSD backend: an FTL-level flash device behind the protocol.
+"""The SSD backend: an FTL-level flash device.
 
 Where :class:`~repro.disk.drive.SimDisk` models a spindle (positioning
 + transfer + spin-up penalties), this models a small flash device the
@@ -15,11 +15,12 @@ way the buffer tier would actually see one:
   extents, and **greedy GC** reclaims space when a channel runs low --
   relocation and erase traffic contends with host I/O on the same
   channel queues, which is exactly the write-amplification mechanism.
-* **Power states** reuse the :class:`~repro.disk.states.DiskState`
-  machine: STANDBY is DEVSLP, SPIN_UP/SPIN_DOWN are its (fast) exit and
-  entry.  The :class:`~repro.disk.energy.EnergyMeter` integrates the
-  rail power; per-operation NAND energies accrue separately and are
-  added in :meth:`SSDBackend.energy_j`.
+* **Power states** are :class:`~repro.disk.drive.StorageBackend`'s
+  :class:`~repro.disk.states.DiskState` machine: STANDBY is DEVSLP,
+  SPIN_UP/SPIN_DOWN are its (fast) exit and entry.  The
+  :class:`~repro.disk.energy.EnergyMeter` integrates the rail power;
+  per-operation NAND energies accrue separately and are added in
+  :meth:`SSDBackend.energy_j`.
 
 Observability: ``ssd.destage`` spans wrap each background extent
 write-back, ``ssd.gc`` spans each garbage-collection round, and
@@ -37,15 +38,13 @@ from repro.disk.drive import (
     DiskFailureError,
     DiskRequest,
     PRIORITY_BACKGROUND,
-    PRIORITY_DEMAND,
     RequestKind,
+    StorageBackend,
 )
-from repro.disk.energy import EnergyMeter
 from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.monitor import TallyStat
 from repro.sim.process import Interrupt
 from repro.sim.resources import PriorityStore, Store
 
@@ -60,7 +59,7 @@ class SSDSpec:
     """Physical parameters of a simulated SSD.
 
     The ``spinup_*``/``spindown_*`` properties map DEVSLP exit/entry
-    onto the :class:`~repro.backend.protocol.BackendSpec` surface, so
+    onto the :class:`~repro.disk.energy.PowerEnvelope` surface, so
     break-even analysis and the predictive power manager treat an SSD
     exactly like a (very cheap to sleep) drive.
     """
@@ -138,7 +137,7 @@ class SSDSpec:
         if self.rated_erase_cycles < 1:
             raise ValueError(f"{self.name}: rated_erase_cycles must be >= 1")
 
-    # -- BackendSpec power economics (DEVSLP mapped onto "spin") -------------------
+    # -- PowerEnvelope power economics (DEVSLP mapped onto "spin") -----------------
 
     @property
     def spinup_s(self) -> float:
@@ -237,16 +236,19 @@ class _CacheEntry:
         self.taken = False
 
 
-class SSDBackend:
+class SSDBackend(StorageBackend):
     """A flash device attached to the simulation.
 
-    Mirrors the :class:`~repro.disk.drive.SimDisk` surface (it is the
-    second implementation of
-    :class:`~repro.backend.protocol.StorageBackend`): host requests are
-    submitted with :meth:`submit` and served in priority order, the
-    power manager drives :meth:`request_sleep`/:meth:`wake`, and the
-    fault layer uses :meth:`fail`/:meth:`repair`/:meth:`set_slowdown`.
+    :class:`~repro.disk.drive.StorageBackend` supplies the host queue,
+    the DEVSLP power machine and the fault surface; this class adds the
+    write cache, destager, FTL and channels.  A controller failure
+    (:meth:`fail`) loses the write cache and fails every queued channel
+    job, and a write still on the wire fails rather than completes.
+    Slowdown scales NAND and cache operation times (thermal
+    throttling, retries).
     """
+
+    spec: SSDSpec
 
     def __init__(
         self,
@@ -258,22 +260,13 @@ class SSDBackend:
         rng: Optional["np.random.Generator"] = None,
         record_history: bool = False,
     ) -> None:
-        if auto_sleep_after is not None and auto_sleep_after < 0:
-            raise ValueError(f"auto_sleep_after must be >= 0, got {auto_sleep_after!r}")
-        if spinup_jitter < 0:
-            raise ValueError(f"spinup_jitter must be >= 0, got {spinup_jitter!r}")
-        if spinup_jitter > 0 and rng is None:
-            raise ValueError("spinup_jitter > 0 requires an rng")
-        self.sim = sim
-        self.spec = spec
-        self.name = name
-        self.auto_sleep_after = auto_sleep_after
-        self.spinup_jitter = float(spinup_jitter)
-        self._rng = rng
-        self.meter = EnergyMeter(
+        super().__init__(
+            sim,
             spec,
-            start_time=sim.now,
-            initial_state=DiskState.IDLE,
+            name,
+            auto_sleep_after=auto_sleep_after,
+            spinup_jitter=spinup_jitter,
+            rng=rng,
             record_history=record_history,
         )
         self.ftl = PageMappedFTL(
@@ -284,17 +277,10 @@ class SSDBackend:
             gc_free_fraction=spec.gc_free_fraction,
         )
         self.extents = ExtentMap(spec.n_logical_pages)
-        self.queue: Store = PriorityStore(sim, priority_key=lambda r: r.priority)
         self._channel_queues: List[Store] = [
             PriorityStore(sim, priority_key=lambda j: j.priority)
             for _ in range(spec.n_channels)
         ]
-        # Host-request surface (protocol counters).
-        self.inflight = 0
-        self.requests_served = 0
-        self.bytes_served = 0
-        self.slowdown = 1.0
-        self.service_times = TallyStat(name=f"{name}:service")
         # Flash accounting beyond the FTL's own counters.
         self.host_pages_written = 0
         self.cache_hits = 0
@@ -310,14 +296,6 @@ class SSDBackend:
         self._cache_wipes = 0
         self._cache_drained: Event = sim.event()
         self._dirty_staged: Event = sim.event()
-        # DEVSLP machinery (mirrors SimDisk's transition plumbing).
-        self._flaky_spinups = 0
-        self._flaky_backoff_s = 0.0
-        self.spinup_failures = 0
-        self._transition_done: Event = sim.event()
-        self._transition_span: Optional["Span"] = None
-        self._idle_started: Event = sim.event()
-        self._watchdog_timing = False
         #: Concurrent internal activities (host service, destage, GC);
         #: drives the ACTIVE/IDLE meter state.
         self._busy = 0
@@ -330,16 +308,7 @@ class SSDBackend:
             sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
         )
 
-    # -- public API (the StorageBackend surface) -----------------------------------
-
-    @property
-    def state(self) -> DiskState:
-        """Current power state (STANDBY = DEVSLP)."""
-        return self.meter.state
-
-    @property
-    def is_sleeping(self) -> bool:
-        return self.state in (DiskState.STANDBY, DiskState.SPIN_DOWN)
+    # -- public API ----------------------------------------------------------------
 
     @property
     def dirty_bytes(self) -> int:
@@ -353,35 +322,6 @@ class SSDBackend:
         if self.host_pages_written == 0:
             return 0.0
         return self.ftl.counters.nand_pages_programmed / self.host_pages_written
-
-    def submit(
-        self,
-        size_bytes: int,
-        kind: RequestKind = RequestKind.READ,
-        sequential: bool = False,
-        tag: object = None,
-        priority: int = PRIORITY_DEMAND,
-    ) -> DiskRequest:
-        """Enqueue a host request; same contract as ``SimDisk.submit``."""
-        request = DiskRequest(
-            size_bytes=size_bytes,
-            kind=kind,
-            sequential=sequential,
-            priority=priority,
-            tag=tag,
-            issued_at=self.sim.now,
-            done=self.sim.event(),
-        )
-        if self.state is DiskState.FAILED:
-            request.done.fail(DiskFailureError(self.name))
-            return request
-        self.inflight += 1
-        if self._watchdog_timing and self._watchdog is not None:
-            self._watchdog.interrupt("activity")
-        self.queue.put(request)
-        if self.state is DiskState.STANDBY:
-            self.wake()
-        return request
 
     def request_sleep(self) -> bool:
         """Enter DEVSLP if fully quiescent.  Returns True if begun.
@@ -399,33 +339,15 @@ class SSDBackend:
         self._begin_transition(DiskState.SPIN_DOWN, DiskState.STANDBY, self.spec.sleep_s)
         return True
 
-    def wake(self) -> bool:
-        """Exit DEVSLP.  Returns True if an exit began."""
-        if self.state is not DiskState.STANDBY:
-            return False
-        duration = self.spec.wake_s
-        if self.spinup_jitter > 0:
-            assert self._rng is not None  # enforced in __init__
-            factor = 1.0 + self._rng.normal(0.0, self.spinup_jitter)
-            duration *= min(2.0, max(0.5, factor))
-        if self._flaky_spinups > 0:
-            self._flaky_spinups -= 1
-            self.spinup_failures += 1
-            self.sim.process(self._failed_wake(duration))
-            return True
-        self._begin_transition(DiskState.SPIN_UP, DiskState.IDLE, duration)
-        return True
+    def energy_j(self) -> float:
+        """Joules consumed so far: rail power integral + NAND op energy."""
+        return self.meter.energy_j(until=self.sim.now) + self._op_energy_j
 
-    def fail(self) -> None:
-        """Controller failure: all queued host requests and channel jobs
-        fail immediately; the write cache is lost.  Idempotent."""
-        if self.state is DiskState.FAILED:
-            return
-        self._set_state(DiskState.FAILED)
-        for request in self.queue.drain():
-            self.inflight -= 1
-            assert request.done is not None
-            request.done.fail(DiskFailureError(self.name))
+    # -- internals ------------------------------------------------------------------
+
+    def _on_fail(self) -> None:
+        """Controller failure: every queued channel job fails and the
+        write cache is lost."""
         for channel_queue in self._channel_queues:
             for job in channel_queue.drain():
                 if not job.done.triggered:
@@ -440,136 +362,6 @@ class SSDBackend:
         # wait-for-dirty; both re-check state/emptiness on wake-up.
         self._fire_cache_drained()
         self._fire_dirty_staged()
-        pending = self._transition_done
-        if not pending.triggered:
-            pending.fail(DiskFailureError(self.name))
-            pending.defuse()
-
-    def repair(self) -> None:
-        """Undo a :meth:`fail`: the device reboots in DEVSLP with its
-        flash contents intact (an outage, not a media loss)."""
-        if self.state is not DiskState.FAILED:
-            return
-        self._set_state(DiskState.STANDBY)
-        if self.auto_sleep_after is not None and (
-            self._watchdog is None or self._watchdog.triggered
-        ):
-            self._watchdog = self.sim.process(self._idle_watchdog())
-
-    def set_idle_threshold(self, seconds: float) -> None:
-        """Retarget the DEVSLP idle timer (same contract as SimDisk)."""
-        if self.auto_sleep_after is None:
-            raise ValueError(f"{self.name}: no idle timer to adjust")
-        if seconds < 0:
-            raise ValueError(f"idle threshold must be >= 0, got {seconds!r}")
-        self.auto_sleep_after = float(seconds)
-
-    def set_slowdown(self, factor: float) -> None:
-        """Degrade (or restore) the device: NAND and cache operation
-        times scale by *factor* (thermal throttling, retries)."""
-        if factor < 1.0:
-            raise ValueError(f"slowdown factor must be >= 1.0, got {factor!r}")
-        self.slowdown = float(factor)
-
-    def inject_spinup_failures(self, count: int, backoff_s: float = 1.0) -> None:
-        """Arm the next *count* DEVSLP exits to fail (firmware retry)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count!r}")
-        if backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {backoff_s!r}")
-        self._flaky_spinups = count
-        self._flaky_backoff_s = float(backoff_s)
-
-    def finalize(self) -> None:
-        """Close the energy account at the current time."""
-        self.meter.finalize(self.sim.now)
-
-    def energy_j(self) -> float:
-        """Joules consumed so far: rail power integral + NAND op energy."""
-        return self.meter.energy_j(until=self.sim.now) + self._op_energy_j
-
-    @property
-    def transition_count(self) -> int:
-        """Counted DEVSLP entries + exits (the Fig. 4 metric's analog)."""
-        return self.meter.transition_count
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of elapsed time with at least one channel busy."""
-        elapsed = self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        active = self.meter.time_in_state[DiskState.ACTIVE]
-        if self.state is DiskState.ACTIVE:
-            active += elapsed - self.meter._last_time
-        return active / elapsed
-
-    # -- power-state internals (mirrors SimDisk) ------------------------------------
-
-    def _set_state(self, new_state: DiskState) -> None:
-        if new_state is self.state:
-            return
-        self.meter.transition(self.sim.now, new_state)
-
-    def _begin_transition(
-        self, via: DiskState, target: DiskState, duration: float
-    ) -> None:
-        self._set_state(via)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            span_kind = "spinup" if via is DiskState.SPIN_UP else "spindown"
-            self._transition_span = tracer.begin(
-                span_kind, self.name, target=target.value
-            )
-        self._transition_done = self.sim.event()
-        self.sim.process(self._finish_transition(target, duration))
-
-    def _end_transition_span(self, **tags: object) -> None:
-        span = self._transition_span
-        if span is not None:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.end(span, **tags)
-            self._transition_span = None
-
-    def _finish_transition(
-        self, target: DiskState, duration: float
-    ) -> Generator[Event, Any, None]:
-        done = self._transition_done
-        yield self.sim.timeout(duration)
-        if self.state is DiskState.FAILED:
-            self._end_transition_span(ok=False)
-            return
-        self._set_state(target)
-        self._end_transition_span()
-        done.succeed()
-        if target is DiskState.STANDBY and self.inflight > 0:
-            self.wake()
-
-    def _failed_wake(self, duration: float) -> Generator[Event, Any, None]:
-        """An injected DEVSLP-exit failure: full exit time and energy,
-        fall back to STANDBY, observe the back-off, release waiters."""
-        self._set_state(DiskState.SPIN_UP)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            self._transition_span = tracer.begin(
-                "spinup", self.name, injected_failure=True
-            )
-        self._transition_done = self.sim.event()
-        done = self._transition_done
-        yield self.sim.timeout(duration)
-        if self.state is DiskState.FAILED:
-            self._end_transition_span(ok=False)
-            return
-        self._set_state(DiskState.STANDBY)
-        self._end_transition_span(ok=False)
-        if self._flaky_backoff_s > 0:
-            yield self.sim.timeout(self._flaky_backoff_s)
-        if done.triggered:
-            return
-        done.succeed()
-        if self.inflight > 0 and self.state is DiskState.STANDBY:
-            self.wake()
 
     def _busy_enter(self) -> None:
         self._busy += 1
@@ -582,10 +374,6 @@ class SSDBackend:
             self._set_state(DiskState.IDLE)
             if self.inflight == 0:
                 self._signal_idle()
-
-    def _signal_idle(self) -> None:
-        event, self._idle_started = self._idle_started, self.sim.event()
-        event.succeed()
 
     def _until_serviceable(self) -> Generator[Event, Any, None]:
         """Wait out transitions / leave DEVSLP; raises on a dead device."""

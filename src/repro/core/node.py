@@ -24,7 +24,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import StorageBackend, build_backend, tier_spec
+from repro.backend import build_backend, tier_spec
 from repro.core.config import EEVFSConfig, NodeSpec
 from repro.core.metadata import NodeMetadata
 from repro.core.power import PowerManager
@@ -50,6 +50,7 @@ from repro.disk.drive import (
     PRIORITY_BACKGROUND,
     PRIORITY_PREFETCH,
     RequestKind,
+    StorageBackend,
 )
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator

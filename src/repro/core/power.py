@@ -39,7 +39,7 @@ import math
 from typing import Any, Deque, Generator, Iterable, List, Optional, Sequence
 
 from repro.core.prediction import effective_threshold
-from repro.backend.protocol import StorageBackend
+from repro.disk.drive import StorageBackend
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
 from repro.sim.events import Event

@@ -3,10 +3,11 @@
 The engine's chaos scheduler (:meth:`~repro.sim.engine.Simulator.
 set_lane_perturbation`) explores alternative-but-legal dispatch orders
 within same-``(time, priority)`` windows.  This module drives the full
-EEVFS stack through it across six representative scenarios -- one point
+EEVFS stack through it across seven representative scenarios -- one point
 from each of the four Table-II sweeps, the metadata-plane leader-crash
-drill, and an online-mode run -- and decides, per scenario, whether
-anything *illegitimate* depends on dispatch order.
+drill, an online-mode run, and an SSD buffer tier under the whole device
+fault surface -- and decides, per scenario, whether anything
+*illegitimate* depends on dispatch order.
 
 What counts as illegitimate is deliberate.  Whole-cluster metrics are
 **not** expected to be bit-invariant under perturbation: synthetic
@@ -48,6 +49,7 @@ from repro.experiments.metaplane import (
     drill_trace,
     leader_crash_schedule,
 )
+from repro.faults import FaultSchedule
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_trace
@@ -56,7 +58,7 @@ from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_tra
 #: in practice while keeping the suite inside a CI smoke budget.
 DEFAULT_RACE_SEEDS = (101, 303)
 
-#: Default request count per scenario -- small enough that all six
+#: Default request count per scenario -- small enough that all seven
 #: scenarios finish in seconds, large enough to exercise contention,
 #: prefetch, destaging and (for the drill) a full leader-crash cycle.
 DEFAULT_N_REQUESTS = 150
@@ -150,8 +152,9 @@ def metrics_fingerprint(result: RunResult) -> str:
 
 
 def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario]:
-    """The six stock scenarios: one representative point per Table-II
-    sweep, the metaplane drill, and an online-mode run."""
+    """The seven stock scenarios: one representative point per Table-II
+    sweep, the metaplane drill, an online-mode run, and an SSD buffer
+    tier under device faults."""
 
     def synthetic(**overrides: object) -> Trace:
         workload = SyntheticWorkload(n_requests=n_requests, write_fraction=0.2)
@@ -195,6 +198,26 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
     # Online mode: streaming estimator + feedback controller replanning.
     scenarios.append(
         RaceScenario("online:adaptive", synthetic(), EEVFSConfig(online_mode=True))
+    )
+    # SSD buffer tier under every device fault, on both device classes:
+    # flaky DEVSLP exits and spin-ups, a slowed SSD, and fail/repair of a
+    # buffer SSD and of a data HDD.
+    scenarios.append(
+        RaceScenario(
+            "ssd:buffer-faults",
+            synthetic(write_fraction=0.4),
+            EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
+            faults=(
+                FaultSchedule()
+                .flaky_spinups("node5/buffer", at=5, count=2, backoff_s=0.3)
+                .slow_disk("node1/buffer", at=10, factor=3.0, until=60)
+                .disk_fail("node2/buffer", at=20)
+                .disk_repair("node2/buffer", at=80)
+                .disk_fail("node3/data0", at=30)
+                .disk_repair("node3/data0", at=90)
+                .flaky_spinups("node6/data1", at=15, count=2, backoff_s=0.5)
+            ),
+        )
     )
     return scenarios
 

@@ -10,10 +10,11 @@ of the disk model defined here:
 * :mod:`repro.disk.service` -- request service-time model
   (seek + rotation + transfer),
 * :mod:`repro.disk.energy` -- energy metering and break-even analysis,
-* :mod:`repro.disk.drive` -- :class:`SimDisk`, the simulated drive process.
+* :mod:`repro.disk.drive` -- :class:`StorageBackend`, what every device
+  model shares, and :class:`SimDisk`, the simulated drive process.
 """
 
-from repro.disk.drive import DiskRequest, RequestKind, SimDisk
+from repro.disk.drive import DiskRequest, RequestKind, SimDisk, StorageBackend
 from repro.disk.energy import break_even_time, EnergyMeter, standby_power_savings
 from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import (
@@ -38,6 +39,7 @@ __all__ = [
     "SATA_120GB_SERVER",
     "ServiceTimeModel",
     "SimDisk",
+    "StorageBackend",
     "break_even_time",
     "standby_power_savings",
     "validate_transition",

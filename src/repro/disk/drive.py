@@ -1,17 +1,24 @@
-"""The simulated drive: queue, state machine, and energy account.
+"""The simulated devices: queue, power-state machine, and energy account.
 
-A :class:`SimDisk` is a process on the event engine.  Requests submitted
-with :meth:`SimDisk.submit` are served FIFO; if the disk is in standby a
-spin-up (costing :attr:`DiskSpec.spinup_s`, ~2 s for the testbed drives)
-precedes service -- this is the entire response-time penalty mechanism the
-paper analyses in §VI-C.
+:class:`StorageBackend` is what every device model shares -- the
+paper's power-state machine (§III-C: active, idle and standby, a
+spin-up paid on the next miss) plus the fault surface.
+:class:`SimDisk` is the spinning drive built on it;
+:class:`~repro.backend.ssd.SSDBackend` is the flash device.
+
+Requests submitted with :meth:`StorageBackend.submit` are served in
+priority order; if the device is in standby a spin-up (costing
+:attr:`DiskSpec.spinup_s`, ~2 s for the testbed drives) precedes
+service -- this is the entire response-time penalty mechanism the paper
+analyses in §VI-C.
 
 Power-management entry points used by the EEVFS storage node:
 
-* :meth:`request_sleep` -- begin a spin-down if (and only if) the disk is
-  idle with nothing in flight; returns whether it did.
-* :meth:`wake` -- begin a spin-up (used by predictive wake-up so a disk is
-  active again before its next predicted access).
+* :meth:`~StorageBackend.request_sleep` -- begin a spin-down if (and
+  only if) the device is idle with nothing in flight; returns whether
+  it did.
+* :meth:`~StorageBackend.wake` -- begin a spin-up (used by predictive
+  wake-up so a disk is active again before its next predicted access).
 * ``auto_sleep_after`` -- optional built-in idle timer (the fallback §IV-C
   describes for operation without application hints).
 """
@@ -22,16 +29,15 @@ from dataclasses import dataclass, field
 import enum
 import itertools
 from typing import Any, Generator, Optional, TYPE_CHECKING
-import warnings
 
-from repro.disk.energy import EnergyMeter
+from repro.disk.energy import EnergyMeter, PowerEnvelope
 from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.monitor import TallyStat
-from repro.sim.process import Interrupt
+from repro.sim.process import Interrupt, Process
 from repro.sim.resources import PriorityStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,50 +92,61 @@ class DiskRequest:
             raise ValueError(f"negative request size: {self.size_bytes!r}")
 
 
-class SimDisk:
-    """A drive attached to the simulation.
+class StorageBackend:
+    """A device attached to the simulation: what every device model shares.
+
+    The node, power manager, fault injector and report assembly program
+    against this class.  It owns the host queue and counters, the
+    :class:`~repro.disk.states.DiskState` machine with its
+    :class:`~repro.disk.energy.EnergyMeter`, spin-up/spin-down
+    transitions (an SSD reads them as DEVSLP exit/entry through its
+    spec), injected spin-up failures, and ``fail``/``repair``.
+
+    A subclass starts its own processes in ``__init__`` (server loop
+    first, idle watchdog last) and supplies:
+
+    * ``_server_loop`` -- how a request is served;
+    * :meth:`request_sleep` -- when the device may sleep;
+    * :meth:`_idle_watchdog` -- the built-in idle timer, re-armed by
+      :meth:`repair`;
+    * :meth:`_on_fail` -- device-internal state lost on :meth:`fail`.
 
     Parameters
     ----------
     sim:
-        The simulator this drive lives in.
+        The simulator this device lives in.
     spec:
-        Physical drive parameters.
+        Device parameters; the power economics are all this class reads.
     name:
         Identifier used in reports (e.g. ``"node3/data1"``).
-    service_model:
-        Service-time model; defaults to a noise-free model over *spec*.
     auto_sleep_after:
-        If set, an internal idle timer spins the disk down after this many
-        seconds of complete inactivity (the paper's *disk idle threshold*).
+        If set, the idle watchdog sleeps the device after this many
+        seconds of complete inactivity (the paper's *disk idle
+        threshold*).
+    spinup_jitter:
+        Relative sd of actual spin-up duration around the nominal value
+        -- mechanical variability a predictive wake-up cannot see.
+    rng:
+        Source of the spin-up jitter (required when it is nonzero).
     record_history:
         Keep a full ``(time, state)`` trace for debugging/plots.
     """
 
+    #: Device parameters; each subclass narrows the type.
+    spec: PowerEnvelope
+
     def __init__(
         self,
         sim: Simulator,
-        spec: DiskSpec,
-        name: str = "disk",
-        service_model: Optional[ServiceTimeModel] = None,
+        spec: PowerEnvelope,
+        name: str,
         auto_sleep_after: Optional[float] = None,
-        idle_action: str = "standby",
-        second_stage_after: Optional[float] = None,
         spinup_jitter: float = 0.0,
         rng: Optional["np.random.Generator"] = None,
         record_history: bool = False,
     ) -> None:
         if auto_sleep_after is not None and auto_sleep_after < 0:
             raise ValueError(f"auto_sleep_after must be >= 0, got {auto_sleep_after!r}")
-        if idle_action not in ("standby", "low_speed"):
-            raise ValueError(f"unknown idle_action: {idle_action!r}")
-        if idle_action == "low_speed" and spec.low_speed is None:
-            raise ValueError(f"{name}: idle_action='low_speed' needs a multi-speed spec")
-        if second_stage_after is not None:
-            if idle_action != "low_speed":
-                raise ValueError("second_stage_after requires idle_action='low_speed'")
-            if second_stage_after < 0:
-                raise ValueError("second_stage_after must be >= 0")
         if spinup_jitter < 0:
             raise ValueError(f"spinup_jitter must be >= 0, got {spinup_jitter!r}")
         if spinup_jitter > 0 and rng is None:
@@ -137,26 +154,7 @@ class SimDisk:
         self.sim = sim
         self.spec = spec
         self.name = name
-        self.service = service_model or ServiceTimeModel(spec)
-        #: Low-speed service model (multi-speed drives only).
-        self.service_low = (
-            ServiceTimeModel(
-                spec.with_overrides(
-                    bandwidth_bps=spec.low_speed.bandwidth_bps, low_speed=None
-                )
-            )
-            if spec.low_speed is not None
-            else None
-        )
         self.auto_sleep_after = auto_sleep_after
-        #: What the idle watchdog does on expiry: full standby (the
-        #: paper) or a DRPM-style shift to low speed.
-        self.idle_action = idle_action
-        #: Two-stage hybrid: after this much further idleness at low
-        #: speed, the drive proceeds to standby (None = stay low).
-        self.second_stage_after = second_stage_after
-        #: Relative sd of actual spin-up duration around the nominal value
-        #: -- mechanical variability a predictive wake-up cannot see.
         self.spinup_jitter = float(spinup_jitter)
         self._rng = rng
         self.meter = EnergyMeter(
@@ -174,7 +172,7 @@ class SimDisk:
         #: factor (1.0 = healthy; set via :meth:`set_slowdown`).
         self.slowdown = 1.0
         #: Injected spin-up failures still pending, and the back-off the
-        #: drive observes after each failed attempt before it may retry.
+        #: device observes after each failed attempt before it may retry.
         self._flaky_spinups = 0
         self._flaky_backoff_s = 0.0
         self.spinup_failures = 0
@@ -185,10 +183,7 @@ class SimDisk:
         self._transition_span: Optional["Span"] = None
         self._idle_started: Event = sim.event()
         self._watchdog_timing = False
-        self._server = sim.process(self._server_loop())
-        self._watchdog = (
-            sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
-        )
+        self._watchdog: Optional[Process] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -199,7 +194,7 @@ class SimDisk:
 
     @property
     def is_sleeping(self) -> bool:
-        """True when the disk cannot serve without a spin-up."""
+        """True when the device cannot serve without a spin-up."""
         return self.state in (DiskState.STANDBY, DiskState.SPIN_DOWN)
 
     def submit(
@@ -211,7 +206,7 @@ class SimDisk:
         priority: int = PRIORITY_DEMAND,
     ) -> DiskRequest:
         """Enqueue a request; its ``done`` event fires on completion (or
-        fails with :class:`DiskFailureError` on a dead drive).
+        fails with :class:`DiskFailureError` on a dead device).
 
         Lower ``priority`` serves first: demand I/O overtakes queued
         prefetch copies and destage write-back."""
@@ -236,15 +231,9 @@ class SimDisk:
         return request
 
     def request_sleep(self) -> bool:
-        """Spin down if idle with nothing in flight.  Returns True if begun.
-
-        Legal from full-speed IDLE and (on multi-speed drives) from
-        LOW_IDLE -- the second stage of a hybrid DRPM policy.
-        """
-        if self.state not in (DiskState.IDLE, DiskState.LOW_IDLE) or self.inflight > 0:
-            return False
-        self._begin_transition(DiskState.SPIN_DOWN, DiskState.STANDBY, self.spec.spindown_s)
-        return True
+        """Begin a spin-down if the device is quiescent.  Returns True if
+        begun.  What counts as quiescent is the subclass's call."""
+        raise NotImplementedError
 
     def wake(self) -> bool:
         """Spin up from standby.  Returns True if a spin-up began."""
@@ -277,7 +266,7 @@ class SimDisk:
         done = self._transition_done
         yield self.sim.timeout(duration)
         if self.state is DiskState.FAILED:
-            # The drive died mid-attempt; fail() settled `done`.
+            # The device died mid-attempt; fail() settled `done`.
             self._end_transition_span(ok=False)
             return
         self._set_state(DiskState.STANDBY)
@@ -285,47 +274,18 @@ class SimDisk:
         if self._flaky_backoff_s > 0:
             yield self.sim.timeout(self._flaky_backoff_s)
         if done.triggered:
-            return  # the drive failed during the back-off
+            return  # the device failed during the back-off
         done.succeed()
         if self.inflight > 0 and self.state is DiskState.STANDBY:
             self.wake()
 
-    def shift_down(self) -> bool:
-        """Drop to the low-RPM operating point (multi-speed drives).
-
-        Allowed only from IDLE with nothing in flight.  Returns True if
-        the shift began; raises if the drive is not multi-speed.
-        """
-        if self.spec.low_speed is None:
-            raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
-        if self.state is not DiskState.IDLE or self.inflight > 0:
-            return False
-        profile = self.spec.low_speed
-        self._begin_transition(DiskState.SHIFT_DOWN, DiskState.LOW_IDLE, profile.shift_s)
-        return True
-
-    def shift_up(self) -> bool:
-        """Return to the full-RPM operating point.  True if begun."""
-        if self.spec.low_speed is None:
-            raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
-        if self.state is not DiskState.LOW_IDLE:
-            return False
-        profile = self.spec.low_speed
-        self._begin_transition(DiskState.SHIFT_UP, DiskState.IDLE, profile.shift_s)
-        return True
-
-    @property
-    def shift_count(self) -> int:
-        """Speed shifts performed (multi-speed drives)."""
-        return self.meter.shift_count
-
     def fail(self) -> None:
         """Inject a permanent hardware failure.
 
-        The drive stops drawing power; every queued request fails with
+        The device stops drawing power; every queued request fails with
         :class:`DiskFailureError` immediately, as does every later
-        submit.  A request already in service completes (the head was
-        mid-transfer; simulation granularity).  Idempotent.
+        submit.  :meth:`_on_fail` then drops whatever the device held
+        internally, and a pending transition fails last.  Idempotent.
         """
         if self.state is DiskState.FAILED:
             return
@@ -334,6 +294,7 @@ class SimDisk:
             self.inflight -= 1
             assert request.done is not None
             request.done.fail(DiskFailureError(self.name))
+        self._on_fail()
         # Unblock a server loop parked on the transition (including a
         # flaky spin-up's back-off window, when the state has already
         # returned to STANDBY); defused so an unwatched transition event
@@ -343,39 +304,14 @@ class SimDisk:
             pending.fail(DiskFailureError(self.name))
             pending.defuse()
 
-    def fail_at(self, time_s: float) -> None:
-        """Schedule :meth:`fail` at an absolute simulation time.
-
-        .. deprecated::
-            Use a :class:`repro.faults.FaultSchedule` and pass it to
-            :class:`~repro.core.filesystem.EEVFSCluster` instead -- it
-            records the event in the run's fault log, supports repair,
-            and keeps fault times reproducible.  This hook will be
-            removed one release after the faults subsystem landed.
-        """
-        warnings.warn(
-            "SimDisk.fail_at is deprecated; declare failures on a "
-            "repro.faults.FaultSchedule instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if time_s < self.sim.now:
-            raise ValueError(f"cannot fail in the past ({time_s!r} < {self.sim.now!r})")
-
-        def killer() -> Generator[Event, Any, None]:
-            yield self.sim.timeout(time_s - self.sim.now)
-            self.fail()
-
-        self.sim.process(killer())
-
     def repair(self) -> None:
-        """Undo a :meth:`fail`: the drive (or its controller) is replaced
+        """Undo a :meth:`fail`: the device (or its controller) is replaced
         and comes back spun down, with a fresh (empty) queue.
 
         Data is modelled as intact after a repair -- the fault layer
         treats a failure window as a controller/power outage, not a
         media loss (media loss is what replication recovers from at the
-        cluster level).  No-op on a healthy drive.
+        cluster level).  No-op on a healthy device.
         """
         if self.state is not DiskState.FAILED:
             return
@@ -392,7 +328,7 @@ class SimDisk:
 
         Takes effect from the *next* idle period: a countdown already
         running keeps its original deadline, so an unchanged threshold
-        is behaviourally invisible.  Only valid on drives built with an
+        is behaviourally invisible.  Only valid on devices built with an
         idle timer -- the online controller must not conjure power
         management on disks whose mode never armed one.
         """
@@ -403,10 +339,11 @@ class SimDisk:
         self.auto_sleep_after = float(seconds)
 
     def set_slowdown(self, factor: float) -> None:
-        """Degrade (or restore) the drive: service times scale by *factor*.
+        """Degrade (or restore) the device: service times scale by *factor*.
 
-        Models a transiently slow disk (vibration, media retries,
-        controller resets); 1.0 restores nominal service.
+        Models a transiently slow device (vibration, media retries,
+        controller resets, thermal throttling); 1.0 restores nominal
+        service.
         """
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1.0, got {factor!r}")
@@ -416,7 +353,7 @@ class SimDisk:
         """Arm the next *count* spin-up attempts to fail.
 
         Each failed attempt costs the full spin-up time and energy, drops
-        the drive back to STANDBY, and waits *backoff_s* before waiters
+        the device back to STANDBY, and waits *backoff_s* before waiters
         may retry -- the retry/back-off loop a real driver performs.
         """
         if count < 0:
@@ -449,6 +386,16 @@ class SimDisk:
         if self.state is DiskState.ACTIVE:
             active += elapsed - self.meter._last_time
         return active / elapsed
+
+    # -- subclass hooks -----------------------------------------------------------
+
+    def _on_fail(self) -> None:
+        """Drop device-internal work on :meth:`fail`.  Runs after the host
+        queue is drained and before the pending transition fails."""
+
+    def _idle_watchdog(self) -> Generator[Event, Any, None]:
+        """Built-in idle timer (policy fallback without application hints)."""
+        raise NotImplementedError
 
     # -- internals ----------------------------------------------------------------
 
@@ -490,7 +437,7 @@ class SimDisk:
         done = self._transition_done
         yield self.sim.timeout(duration)
         if self.state is DiskState.FAILED:
-            # The drive died mid-transition; fail() settled `done`.
+            # The device died mid-transition; fail() settled `done`.
             self._end_transition_span(ok=False)
             return
         self._set_state(target)
@@ -500,6 +447,127 @@ class SimDisk:
         # wake-up immediately so it is not stranded until the next submit.
         if target is DiskState.STANDBY and self.inflight > 0:
             self.wake()
+
+    def _signal_idle(self) -> None:
+        event, self._idle_started = self._idle_started, self.sim.event()
+        event.succeed()
+
+
+class SimDisk(StorageBackend):
+    """A spinning drive attached to the simulation.
+
+    Adds to :class:`StorageBackend` the positioning + transfer service
+    model, a FIFO (priority) server loop in which a request already in
+    service completes even if the drive fails (the head was
+    mid-transfer; simulation granularity), and the DRPM-style speed
+    shifts of multi-speed drives.
+
+    Parameters
+    ----------
+    service_model:
+        Service-time model; defaults to a noise-free model over *spec*.
+    idle_action:
+        What the idle watchdog does on expiry: full ``"standby"`` (the
+        paper) or a DRPM-style shift to ``"low_speed"``.
+    second_stage_after:
+        Two-stage hybrid: after this much further idleness at low speed,
+        the drive proceeds to standby (None = stay low).
+
+    The other parameters are :class:`StorageBackend`'s.
+    """
+
+    spec: DiskSpec
+
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: DiskSpec,
+        name: str = "disk",
+        service_model: Optional[ServiceTimeModel] = None,
+        auto_sleep_after: Optional[float] = None,
+        idle_action: str = "standby",
+        second_stage_after: Optional[float] = None,
+        spinup_jitter: float = 0.0,
+        rng: Optional["np.random.Generator"] = None,
+        record_history: bool = False,
+    ) -> None:
+        if idle_action not in ("standby", "low_speed"):
+            raise ValueError(f"unknown idle_action: {idle_action!r}")
+        if idle_action == "low_speed" and spec.low_speed is None:
+            raise ValueError(f"{name}: idle_action='low_speed' needs a multi-speed spec")
+        if second_stage_after is not None:
+            if idle_action != "low_speed":
+                raise ValueError("second_stage_after requires idle_action='low_speed'")
+            if second_stage_after < 0:
+                raise ValueError("second_stage_after must be >= 0")
+        super().__init__(
+            sim,
+            spec,
+            name,
+            auto_sleep_after=auto_sleep_after,
+            spinup_jitter=spinup_jitter,
+            rng=rng,
+            record_history=record_history,
+        )
+        self.service = service_model or ServiceTimeModel(spec)
+        #: Low-speed service model (multi-speed drives only).
+        self.service_low = (
+            ServiceTimeModel(
+                spec.with_overrides(
+                    bandwidth_bps=spec.low_speed.bandwidth_bps, low_speed=None
+                )
+            )
+            if spec.low_speed is not None
+            else None
+        )
+        self.idle_action = idle_action
+        self.second_stage_after = second_stage_after
+        self._server = sim.process(self._server_loop())
+        self._watchdog = (
+            sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
+        )
+
+    def request_sleep(self) -> bool:
+        """Spin down if idle with nothing in flight.  Returns True if begun.
+
+        Legal from full-speed IDLE and (on multi-speed drives) from
+        LOW_IDLE -- the second stage of a hybrid DRPM policy.
+        """
+        if self.state not in (DiskState.IDLE, DiskState.LOW_IDLE) or self.inflight > 0:
+            return False
+        self._begin_transition(DiskState.SPIN_DOWN, DiskState.STANDBY, self.spec.spindown_s)
+        return True
+
+    def shift_down(self) -> bool:
+        """Drop to the low-RPM operating point (multi-speed drives).
+
+        Allowed only from IDLE with nothing in flight.  Returns True if
+        the shift began; raises if the drive is not multi-speed.
+        """
+        if self.spec.low_speed is None:
+            raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
+        if self.state is not DiskState.IDLE or self.inflight > 0:
+            return False
+        profile = self.spec.low_speed
+        self._begin_transition(DiskState.SHIFT_DOWN, DiskState.LOW_IDLE, profile.shift_s)
+        return True
+
+    def shift_up(self) -> bool:
+        """Return to the full-RPM operating point.  True if begun."""
+        if self.spec.low_speed is None:
+            raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
+        if self.state is not DiskState.LOW_IDLE:
+            return False
+        profile = self.spec.low_speed
+        self._begin_transition(DiskState.SHIFT_UP, DiskState.IDLE, profile.shift_s)
+        return True
+
+    @property
+    def shift_count(self) -> int:
+        """Speed shifts performed (multi-speed drives)."""
+        return self.meter.shift_count
+
+    # -- internals ----------------------------------------------------------------
 
     def _server_loop(self) -> Generator[Event, Any, None]:
         sim = self.sim
@@ -549,10 +617,6 @@ class SimDisk:
                     self._signal_idle()
             assert request.done is not None
             request.done.succeed(request)
-
-    def _signal_idle(self) -> None:
-        event, self._idle_started = self._idle_started, self.sim.event()
-        event.succeed()
 
     def _idle_watchdog(self) -> Generator[Event, Any, None]:
         """Built-in idle timer (policy fallback without application hints)."""

@@ -26,20 +26,9 @@ Numbers are machine-dependent; the JSON records the host's CPU count so
 results are comparable across commits on the same machine, not across
 machines.
 
-Schema v2 added a ``history`` list: each benchmark invocation appends a
-compact entry (headline numbers + wall-clock timestamp) while the
-latest full sections stay under the v1 top-level keys, so the bench
+Each invocation also appends a compact entry (headline numbers +
+wall-clock timestamp) to the file's ``history`` list, so the bench
 trajectory accumulates across commits instead of being overwritten.
-Schema v4 adds the ``dispatch`` and ``meanfield_run`` families and makes
-the parallel section honest about worker counts: it records the
-*requested* and *effective* job counts and whether a process pool could
-actually start (the previous schema silently benchmarked the serial
-fallback on one-CPU hosts and reported its ~1.0x as a "speedup").
-Schema v5 adds the ``ssd_run`` family (the flash buffer tier's wall
-clock next to the HDD ``single_run``).  Histories from v2/v3/v4 files
-are carried forward as-is (old entries simply lack the new columns); a
-v1 file (no history) is migrated by synthesising one entry from its
-top-level sections.
 """
 
 from __future__ import annotations
@@ -59,10 +48,6 @@ from repro.traces.cache import cached_trace
 from repro.traces.synthetic import SyntheticWorkload
 
 SCHEMA = "eevfs-bench-perf/5"
-SCHEMA_V4 = "eevfs-bench-perf/4"
-SCHEMA_V3 = "eevfs-bench-perf/3"
-SCHEMA_V2 = "eevfs-bench-perf/2"
-SCHEMA_V1 = "eevfs-bench-perf/1"
 DEFAULT_PATH = Path("BENCH_perf.json")
 #: Oldest history entries are dropped beyond this many runs.
 HISTORY_LIMIT = 100
@@ -302,41 +287,39 @@ def meanfield_run_benchmark(n_requests: int = 1000) -> Dict[str, Any]:
 
 def _history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     """Compact headline numbers of one report, for the history list."""
-    engine = report.get("engine") or {}
-    dispatch = report.get("dispatch") or {}
-    single = report.get("single_run") or {}
-    online = report.get("online_run") or {}
-    meanfield = report.get("meanfield_run") or {}
-    ssd = report.get("ssd_run") or {}
-    parallel = report.get("parallel") or {}
+    engine = report["engine"]
+    single = report["single_run"]
+    online = report["online_run"]
+    meanfield = report["meanfield_run"]
+    ssd = report["ssd_run"]
+    parallel = report["parallel"]
     return {
-        "ts": report.get("ts"),
-        "cpu_count": report.get("cpu_count"),
-        "engine_events_per_s": engine.get("events_per_s"),
-        "dispatch_events_per_s": dispatch.get("events_per_s"),
-        "single_run_n_requests": single.get("n_requests"),
-        "single_run_wall_s": single.get("wall_s"),
-        "single_run_runs_per_s": single.get("runs_per_s"),
-        "online_run_wall_s": online.get("wall_s"),
-        "online_run_runs_per_s": online.get("runs_per_s"),
-        "meanfield_points_per_s": meanfield.get("points_per_s"),
-        "meanfield_speedup_vs_discrete": meanfield.get("speedup_vs_discrete"),
-        "ssd_run_wall_s": ssd.get("wall_s"),
-        "ssd_run_runs_per_s": ssd.get("runs_per_s"),
-        "parallel_jobs": parallel.get("jobs_effective", parallel.get("jobs")),
-        "parallel_pool_available": parallel.get("pool_available"),
-        "parallel_speedup": parallel.get("speedup"),
+        "ts": report["ts"],
+        "cpu_count": report["cpu_count"],
+        "engine_events_per_s": engine["events_per_s"],
+        "dispatch_events_per_s": report["dispatch"]["events_per_s"],
+        "single_run_n_requests": single["n_requests"],
+        "single_run_wall_s": single["wall_s"],
+        "single_run_runs_per_s": single["runs_per_s"],
+        "online_run_wall_s": online["wall_s"],
+        "online_run_runs_per_s": online["runs_per_s"],
+        "meanfield_points_per_s": meanfield["points_per_s"],
+        "meanfield_speedup_vs_discrete": meanfield["speedup_vs_discrete"],
+        "ssd_run_wall_s": ssd["wall_s"],
+        "ssd_run_runs_per_s": ssd["runs_per_s"],
+        "parallel_jobs": parallel["jobs_effective"],
+        "parallel_pool_available": parallel["pool_available"],
+        "parallel_speedup": parallel["speedup"],
     }
 
 
 def load_history(out_path: os.PathLike) -> List[Dict[str, Any]]:
     """Prior run history from an existing report file (empty if none).
 
-    A v2..v4 (or current) file contributes its ``history`` list (older
-    entries simply lack the newer columns); a v1 file (no history) is migrated
-    by synthesising one entry from its top-level sections.  An
-    unreadable or alien file contributes nothing -- the benchmark must
-    never fail because an old artifact went stale.
+    Only a file in the current :data:`SCHEMA` contributes its
+    ``history`` list.  An unreadable, alien or older-schema file
+    contributes nothing -- the benchmark must never fail because an old
+    artifact went stale.
     """
     path = Path(out_path)
     if not path.exists():
@@ -345,15 +328,10 @@ def load_history(out_path: os.PathLike) -> List[Dict[str, Any]]:
         previous = json.loads(path.read_text())
     except (OSError, ValueError):
         return []
-    if not isinstance(previous, dict):
+    if not isinstance(previous, dict) or previous.get("schema") != SCHEMA:
         return []
-    schema = previous.get("schema")
-    if schema in (SCHEMA, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2):
-        history = previous.get("history")
-        return list(history) if isinstance(history, list) else []
-    if schema == SCHEMA_V1:
-        return [_history_entry(previous)]
-    return []
+    history = previous.get("history")
+    return list(history) if isinstance(history, list) else []
 
 
 def run_perf_benchmark(

@@ -42,7 +42,7 @@ from repro.sim.rng import RandomStreams
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.filesystem import EEVFSCluster
     from repro.core.node import StorageNode
-    from repro.backend.protocol import StorageBackend
+    from repro.disk.drive import StorageBackend
     from repro.metaplane.plane import MetaPlane
 
 

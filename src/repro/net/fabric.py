@@ -22,13 +22,13 @@ from repro.sim.resources import Store
 class _Delivery:
     """Continuation state machine for one message transfer.
 
-    The flat-dispatch replacement for the generator ``Fabric._deliver``:
-    each stage is a plain bound method subscribed directly to the event
+    Each stage is a plain bound method subscribed directly to the event
     it waits on (or scheduled via ``call_later``), so a delivery costs no
     Process object, no kick-off/completion events and no generator frame.
-    Every stage runs in exactly the event slot where the generator's
-    ``_resume`` would have run -- the two dispatch modes produce
-    byte-identical metrics (pinned by tests/core/test_dispatch_identity).
+    Every stage runs in exactly the event slot where a per-message
+    generator process would have resumed, so the two produce
+    byte-identical metrics (pinned by tests/core/test_dispatch_identity,
+    which keeps the generator delivery as a test oracle).
 
     ``done`` is the completion event handed back to ``Fabric.send``
     callers; ``Fabric.send_nowait`` passes ``None`` and skips the final
@@ -89,8 +89,11 @@ class _Delivery:
             )
         rate = min(sender.tx.bandwidth_bps, receiver.rx.bandwidth_bps)
         duration = fabric.latency_s + message.size_bytes / rate
-        # See Fabric._deliver for the TX/RX occupancy rationale; the hold
-        # times are identical in both dispatch modes.
+        # The sender's TX is busy for the whole (possibly rate-capped)
+        # transfer; the receiver's RX is only occupied for the time the
+        # bytes take at *its* line rate -- a fast receiver ingesting from a
+        # slow sender interleaves other flows meanwhile, as real switched
+        # Ethernet does.
         self.rx_hold = message.size_bytes / receiver.rx.bandwidth_bps
         self.remaining = duration - self.rx_hold
         self.tx_slot = sender.tx._channel.request()
@@ -178,14 +181,8 @@ class Endpoint:
 class Fabric:
     """A set of endpoints and the send primitive connecting them.
 
-    Deliveries run as flat :class:`_Delivery` continuations by default;
-    flip :attr:`use_continuations` to fall back to the legacy generator
-    ``_deliver`` path (kept for the old-vs-new byte-identity test).
+    Each delivery runs as a flat :class:`_Delivery` continuation.
     """
-
-    #: Dispatch mode for message deliveries.  Class-level so tests can
-    #: flip a single switch; both modes produce byte-identical metrics.
-    use_continuations: bool = True
 
     def __init__(
         self,
@@ -263,8 +260,6 @@ class Fabric:
             if size_bytes is None
             else Message(src=src, dst=dst, payload=payload, size_bytes=size_bytes)
         )
-        if not self.use_continuations:
-            return self.sim.process(self._deliver(sender, receiver, message))
         done = Event(self.sim)
         _Delivery(self, sender, receiver, message, done)
         return done
@@ -295,9 +290,6 @@ class Fabric:
             if size_bytes is None
             else Message(src=src, dst=dst, payload=payload, size_bytes=size_bytes)
         )
-        if not self.use_continuations:
-            self.sim.process(self._deliver(sender, receiver, message))
-            return
         _Delivery(self, sender, receiver, message, None)
 
     def connect(self, src: str, dst: str) -> Event:
@@ -305,59 +297,6 @@ class Fabric:
         self.endpoint(src)
         self.endpoint(dst)
         return self.sim.timeout(self.connect_s)
-
-    def _deliver(self, sender: Endpoint, receiver: Endpoint, message: Message):
-        message.sent_at = self.sim.now
-        tracer = self.sim.tracer
-        span = None
-        if tracer is not None:
-            request_id = getattr(message.payload, "request_id", None)
-            span = tracer.begin(
-                "net.transfer",
-                f"net:{sender.name}",
-                parent=(
-                    None if request_id is None else tracer.request_span(request_id)
-                ),
-                src=message.src,
-                dst=message.dst,
-                bytes=message.size_bytes,
-                payload=type(message.payload).__name__,
-            )
-        rate = min(sender.tx.bandwidth_bps, receiver.rx.bandwidth_bps)
-        duration = self.latency_s + message.size_bytes / rate
-        # The sender's TX is busy for the whole (possibly rate-capped)
-        # transfer; the receiver's RX is only occupied for the time the
-        # bytes take at *its* line rate -- a fast receiver ingesting from a
-        # slow sender interleaves other flows meanwhile, as real switched
-        # Ethernet does.
-        rx_hold = message.size_bytes / receiver.rx.bandwidth_bps
-        with sender.tx._channel.request() as tx_slot:
-            yield tx_slot
-            with receiver.rx._channel.request() as rx_slot:
-                yield rx_slot
-                yield self.sim.timeout(rx_hold)
-                receiver.rx.bytes_sent += message.size_bytes
-            remaining = duration - rx_hold
-            if remaining > 0:
-                yield self.sim.timeout(remaining)
-            sender.tx.bytes_sent += message.size_bytes
-            self.messages_sent += 1
-            self.bytes_sent += message.size_bytes
-        message.delivered_at = self.sim.now
-        if self._partitioned and (
-            message.src in self._partitioned or message.dst in self._partitioned
-        ):
-            # Partition check happens at delivery time so a cut that
-            # lands mid-flight still eats the message.
-            self.messages_dropped += 1
-            if span is not None and tracer is not None:
-                tracer.end(span, dropped=True)
-            return None
-        if span is not None and tracer is not None:
-            tracer.end(span)
-        receiver.messages_received += 1
-        yield receiver.inbox.put(message)
-        return message
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric endpoints={len(self._endpoints)} sent={self.messages_sent}>"

@@ -1,7 +1,9 @@
-"""HDD-behind-protocol parity: the backend refactor changed no numbers.
+"""HDD-behind-the-factory parity: the backend refactor changed no numbers.
 
 ``StorageNode`` used to construct :class:`SimDisk` directly; it now goes
-through ``tier_spec`` + ``build_backend``.  For HDD tiers that must be
+through ``tier_spec`` + ``build_backend``, and ``SimDisk`` inherits its
+power machine and fault surface from
+:class:`~repro.disk.drive.StorageBackend`.  For HDD tiers that must be
 *invisible*: every metric of a same-seed run -- energies, transitions,
 hit counters, response-time tallies down to the last bit of the floats
 -- must match the pre-refactor construction path exactly.  ``LegacyNode``
@@ -14,18 +16,12 @@ round-trips floats, so equality here is bit equality).
 
 import pytest
 
-from repro.backend import (
-    BackendSpec,
-    HDDBackend,
-    SATA_SSD_32GB,
-    SSDBackend,
-    StorageBackend,
-    build_backend,
-)
+from repro.backend import build_backend, SATA_SSD_32GB, SSDBackend
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core.filesystem import EEVFSCluster
 from repro.core.node import StorageNode
-from repro.disk.drive import SimDisk
+from repro.disk.drive import SimDisk, StorageBackend
+from repro.disk.energy import PowerEnvelope
 from repro.disk.specs import ATA_80GB_TYPE1, DiskSpec
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_trace
@@ -114,23 +110,24 @@ def test_hdd_behind_protocol_is_byte_identical(workload, config):
 
 
 def test_factory_returns_the_same_class_for_hdd():
-    # Not a subclass, not a wrapper: the HDD backend IS SimDisk, so
+    # Not a wrapper: an HDD tier gets a SimDisk itself, so
     # repr/identity/isinstance behaviour cannot drift.
     sim = Simulator()
     disk = build_backend(sim, ATA_80GB_TYPE1, name="d0")
     assert type(disk) is SimDisk
-    assert HDDBackend is SimDisk
 
 
 def test_both_backends_satisfy_the_protocol():
+    # One base class for both devices; every spec is a PowerEnvelope,
+    # which is all the break-even and power-manager math reads.
     sim = Simulator()
     hdd = build_backend(sim, ATA_80GB_TYPE1, name="hdd0")
     ssd = build_backend(sim, SATA_SSD_32GB, name="ssd0")
     assert isinstance(hdd, StorageBackend)
     assert isinstance(ssd, StorageBackend)
     assert isinstance(ssd, SSDBackend)
-    assert isinstance(ATA_80GB_TYPE1, BackendSpec)
-    assert isinstance(SATA_SSD_32GB, BackendSpec)
+    assert isinstance(ATA_80GB_TYPE1, PowerEnvelope)
+    assert isinstance(SATA_SSD_32GB, PowerEnvelope)
     assert isinstance(ATA_80GB_TYPE1, DiskSpec)
 
 

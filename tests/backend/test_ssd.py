@@ -228,14 +228,32 @@ class TestFailureSemantics:
         failed = [r for r in requests if r.done.triggered and not r.done.ok]
         assert len(failed) == 4
 
-    def test_submit_to_failed_device_fails_immediately(self):
+    def test_fail_mid_destage_drops_cache_and_queued_channel_jobs(self):
+        from repro.obs.tracer import Tracer
+
         sim = Simulator()
-        ssd = SSDBackend(sim, TINY, name="s")
+        sim.tracer = Tracer(sim)
+        spec = TINY.with_overrides(page_program_s=0.5)
+        ssd = SSDBackend(sim, spec, name="s")
+        writes = [
+            ssd.submit(256 * KiB, kind=RequestKind.WRITE, tag=("write", fid))
+            for fid in range(2)
+        ]
+        sim.run(until=sim.all_of([w.done for w in writes]))
+        # The destager is programming the first extent: one job per
+        # channel in service, the rest queued behind it.
+        sim.run(until=sim.now + 0.1)
+        assert ssd.dirty_bytes > 0
+        failed_at = sim.now
         ssd.fail()
-        request = ssd.submit(64 * KiB, kind=RequestKind.READ)
-        _watch(sim, request)
-        _settle(sim, 1.0)
-        assert request.done.triggered and not request.done.ok
+        assert ssd.dirty_bytes == 0  # the cache is lost with the controller
+        _settle(sim, 100.0)
+        late = [
+            span for span in sim.tracer.spans
+            if span.kind == "ssd.channel" and span.start_s > failed_at
+        ]
+        assert late == []  # no queued NAND work ran on the dead device
+        assert ssd.inflight == 0
 
     def test_repair_restores_service_from_standby(self):
         sim = Simulator()

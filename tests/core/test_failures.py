@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.ssd import SATA_SSD_32GB, SSDBackend
 from repro.core import EEVFSConfig
 from repro.core.filesystem import EEVFSCluster
 from repro.disk import ATA_80GB_TYPE1, DiskState, SimDisk
@@ -13,12 +14,29 @@ from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
 
 SPEC = ATA_80GB_TYPE1
+#: The default SSD at a buffer-tier size (a small FTL builds fast).
+SSD_SPEC = SATA_SSD_32GB.with_overrides(capacity_bytes=32 * MB)
 
 
-class TestDriveFailure:
+def _hdd(sim, auto_sleep_after=None):
+    return SimDisk(sim, SPEC, name="hdd", auto_sleep_after=auto_sleep_after)
+
+
+def _ssd(sim, auto_sleep_after=None):
+    return SSDBackend(sim, SSD_SPEC, name="ssd", auto_sleep_after=auto_sleep_after)
+
+
+class _SharedFailureSurface:
+    """Fault-surface behaviour every device model must show.
+
+    Subclasses bind :attr:`make` to a device factory, so the same tests
+    run against the spindle and the flash device.  Times are relative
+    to the device's own spin-up/spin-down (DEVSLP exit/entry on flash).
+    """
+
     def test_failed_disk_draws_no_power(self):
         sim = Simulator()
-        disk = SimDisk(sim, SPEC)
+        disk = self.make(sim)
 
         def proc():
             yield sim.timeout(10.0)
@@ -29,16 +47,17 @@ class TestDriveFailure:
         sim.run()
         disk.finalize()
         assert disk.state is DiskState.FAILED
-        assert disk.energy_j() == pytest.approx(10.0 * SPEC.power_idle_w)
+        assert disk.energy_j() == pytest.approx(10.0 * disk.spec.power_idle_w)
 
     def test_submit_to_failed_disk_fails_fast(self):
         sim = Simulator()
-        disk = SimDisk(sim, SPEC)
+        disk = self.make(sim)
         outcomes = []
 
         def proc():
             disk.fail()
             req = disk.submit(1 * MB)
+            assert req.done.triggered and not req.done.ok
             try:
                 yield req.done
             except DiskFailureError as exc:
@@ -47,8 +66,103 @@ class TestDriveFailure:
         sim.process(proc())
         sim.run()
         assert outcomes and "failed" in outcomes[0]
+        assert disk.inflight == 0
+
+    def test_fail_is_idempotent(self):
+        sim = Simulator()
+        disk = self.make(sim)
+        disk.fail()
+        disk.fail()
+        assert disk.state is DiskState.FAILED
+
+    def test_fail_during_spinup_settles_cleanly(self):
+        sim = Simulator()
+        disk = self.make(sim)
+        spec = disk.spec
+        outcomes = []
+
+        def proc():
+            assert disk.request_sleep()
+            yield sim.timeout(spec.spindown_s + 1.0)
+            req = disk.submit(1 * MB)  # triggers a spin-up
+            assert disk.state is DiskState.SPIN_UP
+            yield sim.timeout(spec.spinup_s / 2)  # mid-spin-up
+            disk.fail()
+            try:
+                yield req.done
+                outcomes.append("ok")
+            except DiskFailureError:
+                outcomes.append("failed")
+
+        sim.process(proc())
+        sim.run()
+        assert outcomes == ["failed"]
+        assert disk.state is DiskState.FAILED
+        assert disk.inflight == 0
+
+    def test_power_manager_ignores_failed_disk(self):
+        from repro.core.power import PowerManager
+
+        sim = Simulator()
+        disk = self.make(sim)
+        pm = PowerManager(sim, [disk], idle_threshold_s=5.0)
+        disk.fail()
+        pm.set_hints([[]], [[]])
+        sim.run(until=1.0)
+        assert disk.state is DiskState.FAILED  # no sleep attempted
+
+    def test_fail_in_spinup_backoff_then_repair_serves_and_sleeps(self):
+        sim = Simulator()
+        idle_s = 1.0
+        disk = self.make(sim, auto_sleep_after=idle_s)
+        spec = disk.spec
+        backoff_s = 3.0
+        # The idle timer puts the device to sleep first.
+        sim.run(until=idle_s + spec.spindown_s + 0.5)
+        assert disk.state is DiskState.STANDBY
+        disk.inject_spinup_failures(1, backoff_s=backoff_s)
+        doomed = disk.submit(1 * MB)
+        outcomes = []
+
+        def watch():
+            try:
+                yield doomed.done
+                outcomes.append("ok")
+            except DiskFailureError:
+                outcomes.append("failed")
+
+        sim.process(watch())
+        # The failed attempt spends a full spin-up, drops back to
+        # STANDBY, and then waits out the back-off; fail inside it.
+        sim.run(until=sim.now + spec.spinup_s + backoff_s / 2)
+        assert disk.state is DiskState.STANDBY
+        assert disk.spinup_failures == 1
+        disk.fail()
+        sim.run(until=sim.now + backoff_s)  # the back-off window closes
+        assert outcomes == ["failed"]
+        assert disk.state is DiskState.FAILED
+
+        disk.repair()
+        assert disk.state is DiskState.STANDBY
+        served = disk.submit(1 * MB)
+        sim.run(until=served.done)
+        assert served.done.ok
+        assert disk.requests_served == 1
+        assert disk.spinup_failures == 1  # the injected failure was used up
+        # Back to idle: the re-armed timer sleeps the device again.
+        sim.run(until=sim.now + idle_s + spec.spindown_s + 0.5)
+        assert disk.state is DiskState.STANDBY
+        assert disk.meter.spindown_count == 2
+        assert disk.inflight == 0
+
+
+class TestDriveFailure(_SharedFailureSurface):
+    make = staticmethod(_hdd)
 
     def test_queued_requests_fail_on_injection(self):
+        # Spindle-only: the in-service request is already on the
+        # platters when the drive dies (the SSD fails it instead; see
+        # tests/backend/test_ssd.py).
         sim = Simulator()
         disk = SimDisk(sim, SPEC)
         outcomes = []
@@ -72,55 +186,9 @@ class TestDriveFailure:
         # The in-service request completes; the two queued ones fail.
         assert sorted(outcomes) == ["failed", "failed", "ok"]
 
-    def test_fail_is_idempotent(self):
-        sim = Simulator()
-        disk = SimDisk(sim, SPEC)
-        disk.fail()
-        disk.fail()
-        assert disk.state is DiskState.FAILED
 
-    def test_fail_during_spinup_settles_cleanly(self):
-        sim = Simulator()
-        disk = SimDisk(sim, SPEC)
-        outcomes = []
-
-        def proc():
-            disk.request_sleep()
-            yield sim.timeout(SPEC.spindown_s + 1.0)
-            req = disk.submit(1 * MB)  # triggers a spin-up
-            yield sim.timeout(0.5)  # mid-spin-up
-            disk.fail()
-            try:
-                yield req.done
-                outcomes.append("ok")
-            except DiskFailureError:
-                outcomes.append("failed")
-
-        sim.process(proc())
-        sim.run()
-        assert outcomes == ["failed"]
-        assert disk.state is DiskState.FAILED
-
-    def test_fail_at_schedules_failure_but_is_deprecated(self):
-        sim = Simulator()
-        disk = SimDisk(sim, SPEC)
-        with pytest.warns(DeprecationWarning, match="FaultSchedule"):
-            disk.fail_at(25.0)
-        sim.run(until=30.0)
-        assert disk.state is DiskState.FAILED
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            disk.fail_at(1.0)  # the past
-
-    def test_power_manager_ignores_failed_disk(self):
-        from repro.core.power import PowerManager
-
-        sim = Simulator()
-        disk = SimDisk(sim, SPEC)
-        pm = PowerManager(sim, [disk], idle_threshold_s=5.0)
-        disk.fail()
-        pm.set_hints([[]], [[]])
-        sim.run(until=1.0)
-        assert disk.state is DiskState.FAILED  # no sleep attempted
+class TestSSDBackendFailure(_SharedFailureSurface):
+    make = staticmethod(_ssd)
 
 
 class TestClusterUnderFailure:

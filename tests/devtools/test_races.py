@@ -153,7 +153,7 @@ class TestScheduleInvariance:
 
 
 class TestRaceSuite:
-    def test_default_scenarios_cover_the_six_targets(self):
+    def test_default_scenarios_cover_the_seven_targets(self):
         names = [s.name for s in default_scenarios(n_requests=10)]
         assert names == [
             "sweep:data_size=20MB",
@@ -162,6 +162,7 @@ class TestRaceSuite:
             "sweep:prefetch_count=100",
             "metaplane:leader-crash",
             "online:adaptive",
+            "ssd:buffer-faults",
         ]
 
     def test_one_scenario_end_to_end(self):
@@ -172,6 +173,15 @@ class TestRaceSuite:
         assert conservation["served"] == 40
         assert conservation["failed"] == 0
         assert report.served == 40
+
+    def test_ssd_fault_scenario_end_to_end(self):
+        # Both device classes under the whole shared fault surface.
+        scenario = default_scenarios()[-1]
+        report = run_scenario(scenario, seeds=(101, 303))
+        assert report.ok, report.problems
+        conservation = json.loads(report.conservation)
+        assert conservation["served"] + conservation["failed"] == 150
+        assert conservation["failed"] > 0  # the faults bit
 
     def test_fingerprints_are_canonical_json(self):
         from repro.core import EEVFSConfig, run_eevfs
