@@ -8,6 +8,7 @@ uses 1000); ``--seed`` controls all stochastic components.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,6 +23,45 @@ from repro.experiments.figures import figure3, figure4, figure5, figure6
 from repro.experiments.sweeps import run_all_sweeps
 from repro.experiments.tables import table1, table2
 from repro.metrics.report import format_table, summary_table
+
+
+# -- argument types: bad input becomes an argparse error (exit 2) -------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _existing_path(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"no such file or directory: {text!r}")
+    return text
+
+
+def _trace_file(text: str):
+    """Read an eevfs trace file (see :mod:`repro.traces.logio`)."""
+    from repro.traces import read_trace
+
+    try:
+        return read_trace(text)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read trace {text!r}: {exc}") from None
+
+
+def _experiment_config(text: str):
+    """Load an experiment JSON as ``(config, cluster)`` (see repro.core.configio)."""
+    from repro.core.configio import load_experiment_config
+
+    try:
+        return load_experiment_config(text)
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot load config {text!r}: {exc}") from None
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
@@ -134,7 +174,6 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     import numpy as np
 
     from repro.core import EEVFSConfig, run_eevfs
-    from repro.core.configio import load_experiment_config
     from repro.metrics import compare
     from repro.metrics.breakdown import breakdown_table, compare_breakdowns
     from repro.metrics.wear import wear_report
@@ -142,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
     config, cluster = EEVFSConfig(), None
     if args.config:
-        loaded_config, cluster = load_experiment_config(args.config)
+        loaded_config, cluster = args.config
         if loaded_config is not None:
             config = loaded_config
     trace = generate_synthetic_trace(
@@ -506,17 +545,6 @@ def _cmd_faults(args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.experiments.perf import render_report, run_perf_benchmark
-
-    report = run_perf_benchmark(
-        n_requests=args.requests, jobs=args.jobs, out_path=args.out
-    )
-    print(render_report(report))
-    if args.out:
-        print(f"\nwritten to {args.out}")
-
-
 def _cmd_meanfield(args: argparse.Namespace) -> None:
     """Closed-form Table-II sweeps, optionally validated against the sim."""
     import json
@@ -601,9 +629,7 @@ def _traced_run(args: argparse.Namespace):
     from repro.core import EEVFSConfig, run_eevfs
     from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
-    workload_trace = (
-        _read_trace(args.trace) if getattr(args, "trace", None) else None
-    )
+    workload_trace = args.trace
     if workload_trace is None:
         workload_trace = generate_synthetic_trace(
             SyntheticWorkload(n_requests=args.requests),
@@ -611,12 +637,6 @@ def _traced_run(args: argparse.Namespace):
         )
     config = EEVFSConfig(prefetch_enabled=not getattr(args, "npf", False))
     return run_eevfs(workload_trace, config, seed=args.seed, obs=True)
-
-
-def _read_trace(path: str):
-    from repro.traces import read_trace
-
-    return read_trace(path)
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
@@ -689,20 +709,22 @@ def _cmd_trace_gen(args: argparse.Namespace) -> None:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> None:
-    from repro.traces import read_trace
     from repro.traces.stats import summarize
 
-    trace = read_trace(args.path)
-    for key, value in summarize(trace).items():
+    for key, value in summarize(args.trace).items():
         print(f"{key:22s} {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.config import default_cluster
+
     parser = argparse.ArgumentParser(
         prog="eevfs",
         description="Reproduce the EEVFS (ICPP 2010) evaluation.",
     )
-    parser.add_argument("--requests", type=int, default=1000, help="trace length")
+    parser.add_argument(
+        "--requests", type=_positive_int, default=1000, help="trace length"
+    )
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
         "--jobs",
@@ -742,7 +764,11 @@ def build_parser() -> argparse.ArgumentParser:
     comparer = sub.add_parser(
         "compare", help="PF vs NPF deep dive (breakdowns, wear)"
     )
-    comparer.add_argument("--config", help="experiment JSON (see repro.core.configio)")
+    comparer.add_argument(
+        "--config",
+        type=_experiment_config,
+        help="experiment JSON (see repro.core.configio)",
+    )
     comparer.set_defaults(func=_cmd_compare)
     wear = sub.add_parser("wear", help="start/stop wear projection (§VI-B)")
     wear.add_argument("--prefetch", type=int, default=70, help="prefetch depth K")
@@ -751,7 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="fault drill: availability and energy under failures"
     )
     faults.add_argument(
-        "--fail-node", default="node3", help="node to crash (default node3)"
+        "--fail-node",
+        default="node3",
+        choices=[node.name for node in default_cluster().storage_nodes],
+        metavar="NODE",
+        help="node to crash (default node3)",
     )
     faults.add_argument(
         "--at", type=float, default=60.0, help="crash time, seconds into the trace"
@@ -900,13 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the determinism fingerprint (canonical JSON) to PATH",
     )
     ssd.set_defaults(func=_cmd_ssd)
-    bench = sub.add_parser(
-        "bench", help="performance benchmark (writes BENCH_perf.json)"
-    )
-    bench.add_argument(
-        "--out", default="BENCH_perf.json", help="output JSON path"
-    )
-    bench.set_defaults(func=_cmd_bench)
     meanfield = sub.add_parser(
         "meanfield",
         help="closed-form PF/NPF estimates (no discrete simulation)",
@@ -928,7 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tracer.add_argument("--jsonl", help="also dump one JSON object per span")
     tracer.add_argument("--csv", help="also dump sampled telemetry series (CSV)")
-    tracer.add_argument("--trace", help="replay this trace file instead")
+    tracer.add_argument(
+        "--trace", type=_trace_file, help="replay this trace file instead"
+    )
     tracer.add_argument(
         "--npf", action="store_true", help="trace the NPF (no-prefetch) mode"
     )
@@ -936,7 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
     profiler = sub.add_parser(
         "profile", help="sim-time profile: busy time per component"
     )
-    profiler.add_argument("--trace", help="replay this trace file instead")
+    profiler.add_argument(
+        "--trace", type=_trace_file, help="replay this trace file instead"
+    )
     profiler.add_argument(
         "--npf", action="store_true", help="profile the NPF (no-prefetch) mode"
     )
@@ -949,13 +976,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--inter-arrival-ms", type=float, default=700.0)
     gen.set_defaults(func=_cmd_trace_gen)
     stats = sub.add_parser("trace-stats", help="summarise a trace file")
-    stats.add_argument("path", help="trace file (see repro.traces.logio)")
+    stats.add_argument(
+        "trace",
+        metavar="path",
+        type=_trace_file,
+        help="trace file (see repro.traces.logio)",
+    )
     stats.set_defaults(func=_cmd_trace_stats)
     lint = sub.add_parser(
         "lint", help="simlint: determinism & simulation-invariant checks"
     )
     lint.add_argument(
-        "paths", nargs="*", help="files/directories to check (default: src)"
+        "paths",
+        nargs="*",
+        type=_existing_path,
+        help="files/directories to check (default: src)",
     )
     lint.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"

@@ -8,8 +8,9 @@ Rules register themselves in a module-level registry via
 
 Path scoping
 ------------
-Most rules only apply to parts of the tree (wall-clock reads are fine in
-the perf harness, raw RNG construction is fine inside ``sim/rng.py``).
+Most rules only apply to parts of the tree (raw RNG construction is fine
+inside ``sim/rng.py``, iteration order only matters where it feeds the
+event loop).
 Scoping works on *posix path suffixes*: a scope of ``"repro/sim"``
 matches any file whose path contains that package directory, and
 ``"repro/sim/rng.py"`` matches exactly that module wherever the tree is
@@ -54,12 +55,6 @@ class LintConfig:
 
     #: The one module allowed to construct raw generators (DET001).
     rng_module: str = "repro/sim/rng.py"
-    #: Paths allowed to read the wall clock (DET002).
-    wallclock_allowed: tuple[str, ...] = (
-        "repro/experiments/perf.py",
-        "benchmarks",
-        "repro/cli.py",
-    )
     #: Packages whose iteration order feeds event scheduling or metric
     #: accumulation (DET003).
     ordered_packages: tuple[str, ...] = (

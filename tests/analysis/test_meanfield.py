@@ -19,6 +19,8 @@ from repro.analysis.meanfield import (
     folded_poisson_pmf,
 )
 from repro.core import EEVFSConfig
+from repro.experiments.sweeps import _config_for, _workload_for, SWEEPS
+from repro.sim import Simulator
 from repro.traces.synthetic import SyntheticWorkload
 
 
@@ -65,6 +67,24 @@ class TestAnalyze:
         low = analyze(workload, config=EEVFSConfig(prefetch_files=50))
         high = analyze(workload, config=EEVFSConfig(prefetch_files=400))
         assert high.hit_rate > low.hit_rate
+
+    def test_never_builds_a_simulator(self, monkeypatch):
+        # The backend's point is to skip discrete simulation: every
+        # Table-II point must come out of closed forms alone.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("analyze() built a discrete Simulator")
+
+        monkeypatch.setattr(Simulator, "__init__", refuse)
+        points = [
+            (sweep, value) for sweep, (_, values) in SWEEPS.items() for value in values
+        ]
+        assert len(points) == 16
+        for sweep, value in points:
+            result = analyze(
+                _workload_for(sweep, value, 1000),
+                config=_config_for(sweep, value, EEVFSConfig()),
+            )
+            assert result.pf_energy_j > 0
 
     def test_occupancy_fractions_are_sane(self):
         result = analyze(SyntheticWorkload(n_requests=1000))

@@ -1,4 +1,4 @@
-"""Known-clean fixture: the perf harness may read the wall clock."""
+"""Known-bad fixture: DET002 flags host timing in experiments/ too."""
 
 import time
 

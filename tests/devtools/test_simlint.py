@@ -53,8 +53,12 @@ class TestRuleFindings:
             ("DET002", 11),  # datetime.datetime.now()
         ]
 
-    def test_det002_exempts_the_perf_harness(self):
-        assert findings_for(fixture("repro", "experiments", "perf.py")) == []
+    def test_det002_exempts_no_module(self):
+        # experiments/ gets no exemption either.
+        assert findings_for(fixture("repro", "experiments", "perf.py")) == [
+            ("DET002", 7),  # time.perf_counter()
+            ("DET002", 8),  # time.perf_counter()
+        ]
 
     def test_det003_flags_unordered_iteration(self):
         assert findings_for(fixture("repro", "core", "det003_bad.py")) == [

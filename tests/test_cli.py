@@ -129,6 +129,41 @@ class TestCommands:
         assert "working_set" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    """Bad input at the CLI boundary is an argparse error with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lint", "{tmp}/missing"],
+            ["trace-stats", "{tmp}/missing.trace"],
+            ["trace-stats", "{tmp}/notes.md"],
+            ["compare", "--config", "{tmp}/missing.json"],
+            ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
+            ["faults", "--fail-node", "node99"],
+            ["bench"],
+        ],
+        ids=[
+            "lint-missing-path",
+            "trace-stats-missing-file",
+            "trace-stats-not-a-trace",
+            "compare-missing-config",
+            "negative-requests",
+            "faults-unknown-node",
+            "removed-bench-command",
+        ],
+    )
+    def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
+        (tmp_path / "notes.md").write_text("# not a trace\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.trace").exists()
+
+
 class TestExport:
     def test_figure_to_dict_round_trips_via_json(self, small_sweeps):
         figure = figure3(small_sweeps)
