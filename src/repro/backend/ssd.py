@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.backend.ftl import ExtentMap, PageMappedFTL
 from repro.disk.drive import (
@@ -44,7 +44,7 @@ from repro.disk.drive import (
 from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.sim.process import Interrupt
 from repro.sim.resources import PriorityStore, Store
 
@@ -281,6 +281,8 @@ class SSDBackend(StorageBackend):
             PriorityStore(sim, priority_key=lambda j: j.priority)
             for _ in range(spec.n_channels)
         ]
+        #: Open span of each channel's job (observability only).
+        self._channel_spans: List[Optional["Span"]] = [None] * spec.n_channels
         # Flash accounting beyond the FTL's own counters.
         self.host_pages_written = 0
         self.cache_hits = 0
@@ -299,11 +301,20 @@ class SSDBackend(StorageBackend):
         #: Concurrent internal activities (host service, destage, GC);
         #: drives the ACTIVE/IDLE meter state.
         self._busy = 0
-        self._server = sim.process(self._server_loop())
-        self._destager = sim.process(self._destage_loop())
-        self._channel_servers = [
-            sim.process(self._channel_loop(ch)) for ch in range(spec.n_channels)
-        ]
+        #: The host request in service or waiting, and its start time.
+        self._request: Optional[DiskRequest] = None
+        self._started = 0.0
+        #: The extent being destaged, the cache-wipe count when it was
+        #: taken, and its span.
+        self._destage_entry: Optional[_CacheEntry] = None
+        self._destage_wipes = 0
+        self._destage_span: Optional["Span"] = None
+        # Server, destager and channels are flat callbacks, each kicked
+        # off URGENT now: the slot its process would start in.
+        sim.call_soon(self._await_request, priority=URGENT)
+        sim.call_soon(self._destage_next, priority=URGENT)
+        for channel in range(spec.n_channels):
+            sim.call_soon(self._await_job, channel, priority=URGENT)
         self._watchdog = (
             sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
         )
@@ -375,14 +386,24 @@ class SSDBackend(StorageBackend):
             if self.inflight == 0:
                 self._signal_idle()
 
-    def _until_serviceable(self) -> Generator[Event, Any, None]:
-        """Wait out transitions / leave DEVSLP; raises on a dead device."""
+    def _serviceable(self, resume: Callable[[Event], None]) -> bool:
+        """True when the device can serve now.  Otherwise leave DEVSLP if
+        asleep, subscribe *resume* to the pending transition and return
+        False.  Raises :class:`DiskFailureError` on a dead device."""
         while not self.state.can_serve and self.state is not DiskState.ACTIVE:
             if self.state is DiskState.FAILED:
                 raise DiskFailureError(self.name)
             if self.state is DiskState.STANDBY:
                 self.wake()
-            yield self._transition_done
+            pending = self._transition_done
+            if pending.callbacks is not None:
+                pending.callbacks.append(resume)
+                return False
+            if not pending._ok:
+                pending._defused = True
+                assert pending._exc is not None
+                raise pending._exc
+        return True
 
     def _idle_watchdog(self) -> Generator[Event, Any, None]:
         """Built-in DEVSLP idle timer (armed via ``auto_sleep_after``)."""
@@ -409,57 +430,91 @@ class SSDBackend(StorageBackend):
 
     # -- host service ----------------------------------------------------------------
 
-    def _server_loop(self) -> Generator[Event, Any, None]:
-        sim = self.sim
-        while True:
-            request: DiskRequest = yield self.queue.get()
-            try:
-                yield from self._until_serviceable()
-            except DiskFailureError as failure:
-                self.inflight -= 1
-                assert request.done is not None
-                request.done.fail(failure)
-                continue
-            self._busy_enter()
-            started = sim.now
-            try:
-                if request.kind is RequestKind.WRITE:
-                    yield from self._serve_write(request)
-                else:
-                    yield from self._serve_read(request)
-            except DiskFailureError as failure:
-                self.inflight -= 1
-                self._busy_exit()
-                assert request.done is not None
-                if not request.done.triggered:
-                    request.done.fail(failure)
-                continue
+    def _await_request(self, _value: Any = None) -> None:
+        """Server kick-off: park :meth:`_serve` on the host queue."""
+        get = self.queue.get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._serve)
+
+    def _serve(self, event: Event) -> None:
+        """Start serving the request *event* dequeued, or the held request
+        once the transition *event* it waited on has ended."""
+        request = self._request
+        try:
+            if request is None:
+                request = self._request = event._value
+            elif not event._ok:
+                event._defused = True
+                assert event._exc is not None
+                raise event._exc
+            if not self._serviceable(self._serve):
+                return
+        except DiskFailureError as failure:
+            self._request = None
             self.inflight -= 1
-            self._busy_exit()
+            assert request is not None and request.done is not None
+            request.done.fail(failure)
+            self._await_request()
+            return
+        self._busy_enter()
+        self._started = self.sim.now
+        if request.kind is RequestKind.WRITE:
+            self._admit_write(None)
+        else:
+            self._serve_read(request)
+
+    def _finish(self, failure: Optional[BaseException]) -> None:
+        """Settle the held request -- served, or failed with *failure* --
+        and take the next one."""
+        request = self._request
+        assert request is not None and request.done is not None
+        self._request = None
+        self.inflight -= 1
+        self._busy_exit()
+        if failure is None:
             self.requests_served += 1
             self.bytes_served += request.size_bytes
-            self.service_times.record(sim.now - started)
-            assert request.done is not None
+            self.service_times.record(self.sim.now - self._started)
             request.done.succeed(request)
+        elif not request.done.triggered:
+            request.done.fail(failure)
+        get = self.queue.get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._serve)
 
-    def _serve_write(self, request: DiskRequest) -> Generator[Event, Any, None]:
-        """Accept a write into the cache (backpressure when full)."""
+    def _admit_write(self, drained: Optional[Event]) -> None:
+        """Accept the held write into the cache (backpressure when full).
+
+        Waits for destage progress until the data fits.  Extents larger
+        than the whole cache pass once it is empty -- the cache then acts
+        as a staging window, not a bound.
+        """
+        if drained is not None and self.state is DiskState.FAILED:
+            self._finish(DiskFailureError(self.name))
+            return
+        request = self._request
+        assert request is not None
         size = request.size_bytes
         spec = self.spec
-        # Backpressure: wait for destage progress until the data fits.
-        # Extents larger than the whole cache pass once it is empty --
-        # the cache then acts as a staging window, not a bound.
-        while self._cache_used > 0 and self._cache_used + size > spec.write_cache_bytes:
-            yield self._cache_drained
-            if self.state is DiskState.FAILED:
-                raise DiskFailureError(self.name)
-        yield self.sim.timeout(self.slowdown * size / spec.cache_bandwidth_bps)
+        if self._cache_used > 0 and self._cache_used + size > spec.write_cache_bytes:
+            pending = self._cache_drained
+            assert pending.callbacks is not None
+            pending.callbacks.append(self._admit_write)
+            return
+        self.sim.call_later(
+            self.slowdown * size / spec.cache_bandwidth_bps, self._cached, request
+        )
+
+    def _cached(self, request: DiskRequest) -> None:
+        """The held write has crossed the host interface into the cache."""
         if self.state is DiskState.FAILED:
             # The device died mid-transfer: the data never became durable
             # (unlike a drive, where an in-service request is already on
             # the platters at simulation granularity).
-            raise DiskFailureError(self.name)
-        self.host_pages_written += spec.pages_for(size)
+            self._finish(DiskFailureError(self.name))
+            return
+        size = request.size_bytes
+        self.host_pages_written += self.spec.pages_for(size)
         key = self._extent_key(request)
         entry = self._dirty_by_key.get(key)
         if entry is not None and not entry.taken:
@@ -472,14 +527,17 @@ class SSDBackend(StorageBackend):
             self._dirty_by_key[key] = entry
             self._cache_used += size
             self._fire_dirty_staged()
+        self._finish(None)
 
-    def _serve_read(self, request: DiskRequest) -> Generator[Event, Any, None]:
-        """Serve a read: from the cache if dirty, else from flash."""
+    def _serve_read(self, request: DiskRequest) -> None:
+        """Serve the held read: from the cache if dirty, else from flash."""
         size = request.size_bytes
         key = self._extent_key(request)
         if key in self._dirty_by_key or key in self._destaging_keys:
             self.cache_hits += 1
-            yield self.sim.timeout(self.slowdown * size / self.spec.cache_bandwidth_bps)
+            self.sim.call_later(
+                self.slowdown * size / self.spec.cache_bandwidth_bps, self._finish
+            )
             return
         pages: Optional[Sequence[int]] = self.extents.lookup(key)
         if pages is None:
@@ -494,8 +552,19 @@ class SSDBackend(StorageBackend):
             for channel, count in enumerate(per_channel)
             if count > 0
         ]
-        if jobs:
-            yield self.sim.all_of([job.done for job in jobs])
+        # A read covers at least one page, so there is always a job.
+        read = self.sim.all_of([job.done for job in jobs])
+        assert read.callbacks is not None
+        read.callbacks.append(self._flash_read)
+
+    def _flash_read(self, event: Event) -> None:
+        """The held read's channel jobs are done (or failed with the
+        device)."""
+        if event._ok:
+            self._finish(None)
+        else:
+            event._defused = True
+            self._finish(event._exc)
 
     @staticmethod
     def _extent_key(request: DiskRequest) -> object:
@@ -519,54 +588,73 @@ class SSDBackend(StorageBackend):
         event, self._cache_drained = self._cache_drained, self.sim.event()
         event.succeed()
 
-    def _destage_loop(self) -> Generator[Event, Any, None]:
-        """Drain the write cache to flash, oldest extent first."""
-        sim = self.sim
-        while True:
-            if not self._dirty:
-                yield self._dirty_staged
-                continue
+    def _destage_next(self, event: Optional[Event] = None) -> None:
+        """The destager: drain the write cache to flash, oldest extent
+        first, then park on ``_dirty_staged``.  Runs from its kick-off,
+        from ``_dirty_staged``, from the transition it waited on and
+        after each extent (:meth:`_destaged`)."""
+        if event is not None and not event._ok:
+            # The transition it waited on failed with the device.
+            event._defused = True
+            self._destage_lost()
+        while self._dirty:
             try:
-                yield from self._until_serviceable()
+                if not self._serviceable(self._destage_next):
+                    return
             except DiskFailureError:
-                # The device is dead; whatever is (or raced its way)
-                # into the cache is lost with it.  Clearing here also
-                # guarantees the loop re-parks instead of spinning.
-                self._dirty.clear()
-                self._dirty_by_key.clear()
-                self._cache_used = 0
-                self._cache_wipes += 1
+                self._destage_lost()
                 continue
-            entry = self._dirty.popleft()
+            entry = self._destage_entry = self._dirty.popleft()
             entry.taken = True
-            wipes_at_take = self._cache_wipes
+            self._destage_wipes = self._cache_wipes
             if self._dirty_by_key.get(entry.key) is entry:
                 del self._dirty_by_key[entry.key]
-            self._destaging_keys[entry.key] = (
-                self._destaging_keys.get(entry.key, 0) + 1
-            )
+            self._destaging_keys[entry.key] = self._destaging_keys.get(entry.key, 0) + 1
             self._busy_enter()
-            tracer = sim.tracer
-            span = None
+            tracer = self.sim.tracer
             if tracer is not None:
-                span = tracer.begin(
+                self._destage_span = tracer.begin(
                     "ssd.destage", self.name, key=str(entry.key), bytes=entry.size_bytes
                 )
-            try:
-                yield from self._destage_one(entry)
-            except DiskFailureError:
-                if span is not None and tracer is not None:
-                    tracer.end(span, ok=False)
-                self._busy_exit()
-                self._forget_destaging(entry.key)
-                continue
-            if span is not None and tracer is not None:
-                tracer.end(span, ok=True)
-            self._busy_exit()
-            self._forget_destaging(entry.key)
-            if self._cache_wipes == wipes_at_take:
+            programmed = self._destage_one(entry)
+            assert programmed.callbacks is not None
+            programmed.callbacks.append(self._destaged)
+            return
+        pending = self._dirty_staged
+        assert pending.callbacks is not None
+        pending.callbacks.append(self._destage_next)
+
+    def _destage_lost(self) -> None:
+        """The device is dead; whatever is (or raced its way) into the
+        cache is lost with it.  Clearing here also guarantees the
+        destager re-parks instead of spinning."""
+        self._dirty.clear()
+        self._dirty_by_key.clear()
+        self._cache_used = 0
+        self._cache_wipes += 1
+
+    def _destaged(self, event: Event) -> None:
+        """The taken extent's channel jobs are done (or failed with the
+        device); only a programmed extent frees cache."""
+        ok = event._ok
+        if not ok:
+            event._defused = True
+        entry = self._destage_entry
+        assert entry is not None
+        self._destage_entry = None
+        span = self._destage_span
+        if span is not None:
+            self._destage_span = None
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.end(span, ok=ok)
+        self._busy_exit()
+        self._forget_destaging(entry.key)
+        if ok:
+            if self._cache_wipes == self._destage_wipes:
                 self._cache_used -= entry.size_bytes
             self._fire_cache_drained()
+        self._destage_next()
 
     def _forget_destaging(self, key: object) -> None:
         remaining = self._destaging_keys.get(key, 0) - 1
@@ -575,9 +663,11 @@ class SSDBackend(StorageBackend):
         else:
             self._destaging_keys[key] = remaining
 
-    def _destage_one(self, entry: _CacheEntry) -> Generator[Event, Any, None]:
+    def _destage_one(self, entry: _CacheEntry) -> Event:
         """Program one extent: allocate logical space, run any GC the
-        allocation triggers, then program the pages per channel."""
+        allocation triggers, then program the pages per channel.  Returns
+        the event that fires when every channel job is done (an extent
+        has at least one page, so there is always a program job)."""
         # An extent larger than the device overwrites the whole logical
         # space once -- the buffer tier cannot hold more than itself.
         n_pages = min(self.spec.pages_for(entry.size_bytes), self.extents.n_pages)
@@ -599,8 +689,7 @@ class SSDBackend(StorageBackend):
             for channel, count in enumerate(plan.programs)
             if count > 0
         )
-        if jobs:
-            yield self.sim.all_of([job.done for job in jobs])
+        return self.sim.all_of([job.done for job in jobs])
 
     # -- channels --------------------------------------------------------------------
 
@@ -641,27 +730,38 @@ class SSDBackend(StorageBackend):
             + job.erases * spec.block_erase_energy_j
         )
 
-    def _channel_loop(self, channel: int) -> Generator[Event, Any, None]:
-        sim = self.sim
-        queue = self._channel_queues[channel]
-        while True:
-            job: _ChannelJob = yield queue.get()
-            self._busy_enter()
-            duration = self._job_duration_s(job)
-            tracer = sim.tracer
-            span: Optional["Span"] = None
+    def _await_job(self, channel: int) -> None:
+        """Channel kick-off: park :meth:`_run_job` on *channel*'s queue."""
+        get = self._channel_queues[channel].get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._run_job)
+
+    def _run_job(self, event: Event) -> None:
+        job: _ChannelJob = event._value
+        self._busy_enter()
+        duration = self._job_duration_s(job)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            kind = "ssd.gc" if job.op == "gc" else "ssd.channel"
+            self._channel_spans[job.channel] = tracer.begin(
+                kind, self.name, channel=job.channel, op=job.op, pages=job.pages
+            )
+        self.sim.call_later(duration, self._job_done, job)
+
+    def _job_done(self, job: _ChannelJob) -> None:
+        span = self._channel_spans[job.channel]
+        if span is not None:
+            self._channel_spans[job.channel] = None
+            tracer = self.sim.tracer
             if tracer is not None:
-                kind = "ssd.gc" if job.op == "gc" else "ssd.channel"
-                span = tracer.begin(
-                    kind, self.name, channel=channel, op=job.op, pages=job.pages
-                )
-            yield sim.timeout(duration)
-            if span is not None and tracer is not None:
                 tracer.end(span)
-            self._op_energy_j += self._job_energy_j(job)
-            self._busy_exit()
-            if not job.done.triggered:
-                job.done.succeed(job)
+        self._op_energy_j += self._job_energy_j(job)
+        self._busy_exit()
+        if not job.done.triggered:
+            job.done.succeed(job)
+        get = self._channel_queues[job.channel].get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._run_job)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

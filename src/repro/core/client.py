@@ -151,7 +151,9 @@ class ClientDriver:
         self.request_timeouts = 0
         self.requests_abandoned = 0
         self.duplicate_replies = 0
-        self._dispatcher = sim.process(self._dispatch_loop())
+        # Kicked off URGENT now: the slot a main-loop process would
+        # start in.
+        self.sim.call_soon(self._await_message, priority=URGENT)
 
     # -- public API --------------------------------------------------------------------
 
@@ -379,16 +381,20 @@ class ClientDriver:
 
     # -- the response plane ----------------------------------------------------------------
 
-    def _dispatch_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if isinstance(payload, (FileData, WriteAck)):
-                if payload.request_id in self._settled:
-                    # A superseded attempt answering after the request
-                    # already settled (e.g. a timed-out server came back).
-                    self.duplicate_replies += 1
-                    continue
+    def _await_message(self, _value: Any = None) -> None:
+        """Kick-off: park :meth:`_on_message` on the inbox."""
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _on_message(self, event: Event) -> None:
+        payload = event._value.payload
+        if isinstance(payload, (FileData, WriteAck)):
+            if payload.request_id in self._settled:
+                # A superseded attempt answering after the request
+                # already settled (e.g. a timed-out server came back).
+                self.duplicate_replies += 1
+            else:
                 issued = self._pending.pop(payload.request_id, None)
                 if issued is None:  # pragma: no cover - defensive
                     raise KeyError(f"response for unknown request {payload!r}")
@@ -416,16 +422,19 @@ class ClientDriver:
                     waiter.succeed()
                 if self._replay_finished and not self._pending:
                     self._drained.succeed()
-            elif isinstance(payload, RequestFailed):
-                if (
-                    payload.request_id in self._settled
-                    or payload.request_id not in self._pending
-                ):
-                    self.duplicate_replies += 1
-                    continue
+        elif isinstance(payload, RequestFailed):
+            if (
+                payload.request_id in self._settled
+                or payload.request_id not in self._pending
+            ):
+                self.duplicate_replies += 1
+            else:
                 if payload.reason == NOT_LEADER:
                     # Routing problem: learn where leadership went.
                     self.router.note_failure(payload.file_id, payload.hint)
                 self._failure_signal(payload.request_id, payload.reason)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"client cannot handle {payload!r}")
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"client cannot handle {payload!r}")
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)

@@ -54,7 +54,7 @@ from repro.disk.drive import (
 )
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
 
 
@@ -141,7 +141,9 @@ class StorageNode:
         #: file_id -> the RepairCommand we are executing (awaiting data).
         self._pending_repairs: Dict[int, RepairCommand] = {}
 
-        self._main = sim.process(self._main_loop())
+        # Kicked off URGENT now: the slot a main-loop process would
+        # start in.
+        self.sim.call_soon(self._await_message, priority=URGENT)
         self._destager = (
             sim.process(self._destage_loop())
             if (config.write_buffering and config.destage_enabled)
@@ -291,34 +293,44 @@ class StorageNode:
 
     # -- the node process ----------------------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if self.crashed:
-                self._refuse(payload)
-                continue
-            if isinstance(payload, CreateFile):
-                self.metadata.create(
-                    payload.file_id, payload.size_bytes, disk=payload.target_disk
-                )
-            elif isinstance(payload, PrefetchCommand):
-                # Blocking on the copy loop is intentional: the server
-                # does not release the workload until every node acks.
-                yield self.sim.process(self._do_prefetch(payload))
-            elif isinstance(payload, AccessHints):
-                self._install_hints(payload)
-            elif isinstance(payload, ForwardedRequest):
-                # Serve concurrently; different disks must overlap.
-                self.sim.process(self._serve(payload))
-            elif isinstance(payload, RepairCommand):
-                self.sim.process(self._start_repair(payload))
-            elif isinstance(payload, ReplicaPull):
-                self.sim.process(self._serve_pull(payload))
-            elif isinstance(payload, ReplicaData):
-                self.sim.process(self._finish_repair(payload))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"storage node cannot handle {payload!r}")
+    def _await_message(self, _value: Any = None) -> None:
+        """Park :meth:`_on_message` on the inbox (kick-off, and resume
+        after a blocking prefetch copy)."""
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _on_message(self, event: Event) -> None:
+        payload = event._value.payload
+        if self.crashed:
+            self._refuse(payload)
+        elif isinstance(payload, CreateFile):
+            self.metadata.create(
+                payload.file_id, payload.size_bytes, disk=payload.target_disk
+            )
+        elif isinstance(payload, PrefetchCommand):
+            # Blocking on the copy loop is intentional: the server
+            # does not release the workload until every node acks.
+            copy = self.sim.process(self._do_prefetch(payload))
+            assert copy.callbacks is not None
+            copy.callbacks.append(self._await_message)
+            return
+        elif isinstance(payload, AccessHints):
+            self._install_hints(payload)
+        elif isinstance(payload, ForwardedRequest):
+            # Serve concurrently; different disks must overlap.
+            self.sim.process(self._serve(payload))
+        elif isinstance(payload, RepairCommand):
+            self.sim.process(self._start_repair(payload))
+        elif isinstance(payload, ReplicaPull):
+            self.sim.process(self._serve_pull(payload))
+        elif isinstance(payload, ReplicaData):
+            self.sim.process(self._finish_repair(payload))
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"storage node cannot handle {payload!r}")
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
 
     # -- prefetch (Fig. 2 step 3) -----------------------------------------------------------
 

@@ -16,7 +16,7 @@ as a load balancer and access point for all of the storage nodes".  It:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.config import EEVFSConfig
 from repro.core.metadata import ServerMetadata
@@ -43,10 +43,13 @@ from repro.net.fabric import Fabric
 from repro.replication.policy import plan_replicas
 from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.sim.process import Process
 from repro.traces.logio import AccessLog
 from repro.traces.model import RequestOp, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Span
 
 SERVER_NAME = "server"
 
@@ -119,7 +122,11 @@ class StorageServer:
         self._catalog: List[int] = []
         self._prefetch_acks_pending = 0
         self._prefetch_all_acked: Optional[Event] = None
-        self._main = sim.process(self._main_loop())
+        #: Open ``server.lookup`` span of the request being routed.
+        self._lookup: Optional[Span] = None
+        # Kicked off URGENT now: the slot a main-loop process would
+        # start in.
+        self.sim.call_soon(self._await_message, priority=URGENT)
 
     @property
     def catalog(self) -> List[int]:
@@ -311,76 +318,90 @@ class StorageServer:
 
     # -- request plane (steps 5-6) -----------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            payload = message.payload
-            if isinstance(payload, FileRequest):
-                # Lookup + forward; per-request CPU overhead serialises
-                # here, which is exactly the server-bottleneck concern
-                # §III-A raises (and simplifying the server mitigates).
-                tracer = self.sim.tracer
-                lookup = None
-                if tracer is not None:
-                    lookup = tracer.begin(
-                        "server.lookup",
-                        self.name,
-                        parent=tracer.request_span(payload.request_id),
-                        file_id=payload.file_id,
-                    )
-                if self.config.server_overhead_s > 0:
-                    yield self.sim.timeout(self.config.server_overhead_s)
-                self.online_log.append(self.sim.now, payload.file_id)
-                if self.config.online_mode and self.popularity_source is not None:
-                    # Feed the streaming estimator -- the only popularity
-                    # signal the system has without the oracle.
-                    self.popularity_source.record(self.sim.now, payload.file_id)
-                holders = self.metadata.live_holders(payload.file_id)
-                if not holders:
-                    # Every holder is down: fail fast rather than strand
-                    # the client waiting on a crashed node.
-                    self.requests_unroutable += 1
+    def _await_message(self, _value: Any = None) -> None:
+        """Kick-off: park :meth:`_on_message` on the inbox."""
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _on_message(self, event: Event) -> None:
+        payload = event._value.payload
+        if isinstance(payload, FileRequest):
+            # Lookup + forward; per-request CPU overhead serialises
+            # here, which is exactly the server-bottleneck concern
+            # §III-A raises (and simplifying the server mitigates).
+            tracer = self.sim.tracer
+            if tracer is not None:
+                self._lookup = tracer.begin(
+                    "server.lookup",
+                    self.name,
+                    parent=tracer.request_span(payload.request_id),
+                    file_id=payload.file_id,
+                )
+            if self.config.server_overhead_s > 0:
+                self.sim.call_later(self.config.server_overhead_s, self._route, payload)
+            else:
+                self._route(payload)
+            return
+        if isinstance(payload, PrefetchComplete):
+            self._prefetch_acks_pending -= 1
+            if self._prefetch_acks_pending == 0 and self._prefetch_all_acked:
+                self._prefetch_all_acked.succeed()
+        elif isinstance(payload, RepairComplete):
+            if self.repairer is not None:
+                self.repairer.on_complete(payload)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"server cannot handle {payload!r}")
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _route(self, payload: FileRequest) -> None:
+        """Forward *payload* to its first live holder, then take the next
+        message."""
+        self.online_log.append(self.sim.now, payload.file_id)
+        if self.config.online_mode and self.popularity_source is not None:
+            # Feed the streaming estimator -- the only popularity
+            # signal the system has without the oracle.
+            self.popularity_source.record(self.sim.now, payload.file_id)
+        lookup, self._lookup = self._lookup, None
+        tracer = self.sim.tracer
+        holders = self.metadata.live_holders(payload.file_id)
+        if not holders:
+            # Every holder is down: fail fast rather than strand the
+            # client waiting on a crashed node.
+            self.requests_unroutable += 1
+            self.fabric.send_nowait(
+                self.name,
+                payload.client,
+                RequestFailed(
+                    request_id=payload.request_id,
+                    file_id=payload.file_id,
+                    reason="no live holder",
+                ),
+            )
+            if lookup is not None and tracer is not None:
+                tracer.end(lookup, routed=False)
+        else:
+            primary, backups = holders[0], tuple(holders[1:])
+            self.fabric.send_nowait(
+                self.name,
+                primary,
+                ForwardedRequest(request=payload, failover=backups),
+            )
+            self.requests_forwarded += 1
+            if lookup is not None and tracer is not None:
+                tracer.end(lookup, routed=True, node=primary)
+            # Replicated writes fan out silently to the other holders so
+            # replicas never go stale; only the primary replies.
+            if payload.op is RequestOp.WRITE and self.config.replicate_writes and backups:
+                for holder in backups:
                     self.fabric.send_nowait(
                         self.name,
-                        payload.client,
-                        RequestFailed(
-                            request_id=payload.request_id,
-                            file_id=payload.file_id,
-                            reason="no live holder",
-                        ),
+                        holder,
+                        ForwardedRequest(request=payload, silent=True),
                     )
-                    if lookup is not None:
-                        tracer.end(lookup, routed=False)
-                    continue
-                primary, backups = holders[0], tuple(holders[1:])
-                self.fabric.send_nowait(
-                    self.name,
-                    primary,
-                    ForwardedRequest(request=payload, failover=backups),
-                )
-                self.requests_forwarded += 1
-                if lookup is not None:
-                    tracer.end(lookup, routed=True, node=primary)
-                # Replicated writes fan out silently to the other holders
-                # so replicas never go stale; only the primary replies.
-                if (
-                    payload.op is RequestOp.WRITE
-                    and self.config.replicate_writes
-                    and backups
-                ):
-                    for holder in backups:
-                        self.fabric.send_nowait(
-                            self.name,
-                            holder,
-                            ForwardedRequest(request=payload, silent=True),
-                        )
-                        self.writes_fanned_out += 1
-            elif isinstance(payload, PrefetchComplete):
-                self._prefetch_acks_pending -= 1
-                if self._prefetch_acks_pending == 0 and self._prefetch_all_acked:
-                    self._prefetch_all_acked.succeed()
-            elif isinstance(payload, RepairComplete):
-                if self.repairer is not None:
-                    self.repairer.on_complete(payload)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"server cannot handle {payload!r}")
+                    self.writes_fanned_out += 1
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)

@@ -14,7 +14,9 @@ The hook is opt-in: an unobserved run keeps the engine's inlined hot
 loop and pays nothing (see :meth:`Simulator.add_event_hook`).  Because
 the engine dispatches to *all* installed hooks, the hasher coexists with
 other observers -- notably the :mod:`repro.obs` tracer -- on the same
-run.
+run.  :class:`ScheduleShapeHasher` folds the same stream without type names,
+so two dispatch implementations that keep every event in its
+``(time, priority, sequence)`` slot digest equal.
 
 The second half of this module is the **schedule-perturbation
 sanitizer**: it pairs the engine's chaos scheduler
@@ -44,6 +46,7 @@ from repro.sim.events import Event
 
 _PACK = struct.Struct("<dB").pack
 _PACK_BUCKET = struct.Struct("<dQQQ").pack
+_PACK_SHAPE = struct.Struct("<dQB").pack
 
 
 class DeterminismError(AssertionError):
@@ -101,6 +104,27 @@ class EventStreamHasher:
     def detach(self, sim: Simulator) -> None:
         """Remove this hasher from *sim*'s event hooks (idempotent)."""
         sim.remove_event_hook(self)
+
+
+class ScheduleShapeHasher(EventStreamHasher):
+    """Folds the *shape* of a simulator's schedule into one digest.
+
+    Per dispatched event it folds the simulated timestamp, the engine's
+    sequence counter at dispatch and whether the event succeeded --
+    never the event's type.  The counter is the number of events
+    scheduled so far, so it moves with every added or dropped event,
+    and the timestamp moves with every shifted one; but a ``Timeout``,
+    ``Request`` or kick-off ``Event`` swapped for a ``Continuation``
+    in the same ``(time, priority, sequence)`` slot digests equal.
+    That is the contract a dispatch rewrite must keep when it replaces
+    generator and grant machinery with flat callbacks.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, now: float, event: Event) -> None:
+        self._digest.update(_PACK_SHAPE(now, event.sim._seq, 1 if event._ok else 0))
+        self._count += 1
 
 
 class TimeBucketHasher:

@@ -35,7 +35,7 @@ from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.sim.monitor import TallyStat
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import PriorityStore, Store
@@ -102,10 +102,12 @@ class StorageBackend:
     transitions (an SSD reads them as DEVSLP exit/entry through its
     spec), injected spin-up failures, and ``fail``/``repair``.
 
-    A subclass starts its own processes in ``__init__`` (server loop
+    A subclass starts its own server in ``__init__`` (server kick-off
     first, idle watchdog last) and supplies:
 
-    * ``_server_loop`` -- how a request is served;
+    * the server -- flat callbacks that take requests off :attr:`queue`
+      and serve them, kicked off URGENT at construction (the slot a
+      server process's kick-off event would take);
     * :meth:`request_sleep` -- when the device may sleep;
     * :meth:`_idle_watchdog` -- the built-in idle timer, re-armed by
       :meth:`repair`;
@@ -295,7 +297,7 @@ class StorageBackend:
             assert request.done is not None
             request.done.fail(DiskFailureError(self.name))
         self._on_fail()
-        # Unblock a server loop parked on the transition (including a
+        # Unblock a server parked on the transition (including a
         # flaky spin-up's back-off window, when the state has already
         # returned to STANDBY); defused so an unwatched transition event
         # cannot crash the simulation.
@@ -457,7 +459,7 @@ class SimDisk(StorageBackend):
     """A spinning drive attached to the simulation.
 
     Adds to :class:`StorageBackend` the positioning + transfer service
-    model, a FIFO (priority) server loop in which a request already in
+    model, a FIFO (priority) server in which a request already in
     service completes even if the drive fails (the head was
     mid-transfer; simulation granularity), and the DRPM-style speed
     shifts of multi-speed drives.
@@ -522,7 +524,14 @@ class SimDisk(StorageBackend):
         )
         self.idle_action = idle_action
         self.second_stage_after = second_stage_after
-        self._server = sim.process(self._server_loop())
+        #: The request in service or waiting out a transition, with the
+        #: speed, duration and span of its service.
+        self._request: Optional[DiskRequest] = None
+        self._low = False
+        self._service_s = 0.0
+        self._span: Optional["Span"] = None
+        # Kicked off URGENT now: the slot a server process would start in.
+        sim.call_soon(self._await_request, priority=URGENT)
         self._watchdog = (
             sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
         )
@@ -569,54 +578,88 @@ class SimDisk(StorageBackend):
 
     # -- internals ----------------------------------------------------------------
 
-    def _server_loop(self) -> Generator[Event, Any, None]:
-        sim = self.sim
-        while True:
-            request: DiskRequest = yield self.queue.get()
-            # Wait out any transition in progress, then leave standby.
-            try:
-                while not self.state.can_serve:
-                    if self.state is DiskState.FAILED:
-                        raise DiskFailureError(self.name)
-                    if self.state is DiskState.STANDBY:
-                        self.wake()
-                    yield self._transition_done
-            except DiskFailureError as failure:
-                # The drive died while this request waited; fail it and
-                # go back to the queue (a repair may revive the drive).
-                self.inflight -= 1
-                assert request.done is not None
-                request.done.fail(failure)
-                continue
-            low = self.state.is_low_speed
-            self._set_state(DiskState.LOW_ACTIVE if low else DiskState.ACTIVE)
-            model = self.service_low if low else self.service
-            assert model is not None  # low implies a multi-speed spec
-            duration = self.slowdown * model.service_time(
-                request.size_bytes, sequential=request.sequential
+    def _await_request(self, _value: Any = None) -> None:
+        """Server kick-off: park :meth:`_serve` on the host queue."""
+        get = self.queue.get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._serve)
+
+    def _serve(self, event: Event) -> None:
+        """Start serving the request *event* dequeued, or the held request
+        once the transition *event* it waited on has ended."""
+        request = self._request
+        if request is None:
+            request = self._request = event._value
+        elif not event._ok:
+            event._defused = True
+            assert event._exc is not None
+            self._fail_held(event._exc)
+            return
+        # Wait out any transition in progress, then leave standby.
+        while not self.state.can_serve:
+            if self.state is DiskState.FAILED:
+                self._fail_held(DiskFailureError(self.name))
+                return
+            if self.state is DiskState.STANDBY:
+                self.wake()
+            pending = self._transition_done
+            if pending.callbacks is not None:
+                pending.callbacks.append(self._serve)
+                return
+            if not pending._ok:
+                pending._defused = True
+                assert pending._exc is not None
+                self._fail_held(pending._exc)
+                return
+        low = self._low = self.state.is_low_speed
+        self._set_state(DiskState.LOW_ACTIVE if low else DiskState.ACTIVE)
+        model = self.service_low if low else self.service
+        assert model is not None  # low implies a multi-speed spec
+        duration = self._service_s = self.slowdown * model.service_time(
+            request.size_bytes, sequential=request.sequential
+        )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._span = tracer.begin(
+                "disk.service",
+                self.name,
+                io=request.kind.value,
+                bytes=request.size_bytes,
             )
-            tracer = sim.tracer
-            span: Optional["Span"] = None
+        self.sim.call_later(duration, self._served, request)
+
+    def _served(self, request: DiskRequest) -> None:
+        """Service of *request* ended: settle it and take the next one."""
+        span = self._span
+        if span is not None:
+            self._span = None
+            tracer = self.sim.tracer
             if tracer is not None:
-                span = tracer.begin(
-                    "disk.service",
-                    self.name,
-                    io=request.kind.value,
-                    bytes=request.size_bytes,
-                )
-            yield sim.timeout(duration)
-            if span is not None and tracer is not None:
                 tracer.end(span)
-            self.inflight -= 1
-            self.requests_served += 1
-            self.bytes_served += request.size_bytes
-            self.service_times.record(duration)
-            if self.state is not DiskState.FAILED and self.queue.size == 0:
-                self._set_state(DiskState.LOW_IDLE if low else DiskState.IDLE)
-                if self.inflight == 0:
-                    self._signal_idle()
-            assert request.done is not None
-            request.done.succeed(request)
+        self.inflight -= 1
+        self.requests_served += 1
+        self.bytes_served += request.size_bytes
+        self.service_times.record(self._service_s)
+        if self.state is not DiskState.FAILED and self.queue.size == 0:
+            self._set_state(DiskState.LOW_IDLE if self._low else DiskState.IDLE)
+            if self.inflight == 0:
+                self._signal_idle()
+        self._request = None
+        assert request.done is not None
+        request.done.succeed(request)
+        get = self.queue.get()
+        assert get.callbacks is not None
+        get.callbacks.append(self._serve)
+
+    def _fail_held(self, failure: BaseException) -> None:
+        """The drive died while the held request waited: fail it and go
+        back to the queue (a repair may revive the drive)."""
+        request = self._request
+        assert request is not None and request.done is not None
+        self._request = None
+        self.inflight -= 1
+        request.done.fail(failure)
+        self._await_request()
 
     def _idle_watchdog(self) -> Generator[Event, Any, None]:
         """Built-in idle timer (policy fallback without application hints)."""

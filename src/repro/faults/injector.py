@@ -145,7 +145,9 @@ class FaultInjector:
         t = self.sim.now
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.instant("fault", action.target, kind=action.kind)
+            # ``kind`` is the span kind itself; the fault's kind rides
+            # as the ``action`` tag.
+            tracer.instant("fault", action.target, action=action.kind)
         if action.kind == DISK_FAIL:
             self._disk(action).fail()
             self.log.record(t, DISK_FAIL, action.target)

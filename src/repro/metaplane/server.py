@@ -45,11 +45,12 @@ from repro.metaplane.messages import (
 )
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metaplane.plane import MetaPlane
+    from repro.obs.tracer import Span
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -105,7 +106,11 @@ class MetadataServer:
         self.leader_hint: Optional[str] = None
         self._election_deadline = 0.0
         self._reset_election_deadline()
-        self.sim.process(self._main_loop())
+        #: Open ``server.lookup`` span of the request being routed.
+        self._lookup: Optional[Span] = None
+        # Kicked off URGENT now: the slot a main-loop process would
+        # start in.
+        self.sim.call_soon(self._await_message, priority=URGENT)
         self.sim.process(self._election_loop())
 
     @property
@@ -302,14 +307,18 @@ class MetadataServer:
 
     # -- message plane -------------------------------------------------------------------
 
-    def _main_loop(self) -> Generator[Event, Any, None]:
-        while True:
-            message = yield self.endpoint.receive()
-            if not self.alive:
-                continue  # a crashed process answers nothing
-            payload = message.payload
+    def _await_message(self, _value: Any = None) -> None:
+        """Kick-off: park :meth:`_on_message` on the inbox."""
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _on_message(self, event: Event) -> None:
+        if self.alive:  # a crashed process answers nothing
+            payload = event._value.payload
             if isinstance(payload, FileRequest):
-                yield from self._handle_request(payload)
+                if self._handle_request(payload):
+                    return
             elif isinstance(payload, VoteRequest):
                 self._on_vote_request(payload)
             elif isinstance(payload, VoteReply):
@@ -320,6 +329,9 @@ class MetadataServer:
                 self._on_append_reply(payload)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"metadata server cannot handle {payload!r}")
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
 
     # -- consensus handlers ----------------------------------------------------------
 
@@ -406,9 +418,9 @@ class MetadataServer:
 
     # -- request plane (the StorageServer forwarding path, sharded) ---------------------
 
-    def _handle_request(
-        self, payload: FileRequest
-    ) -> Generator[Event, Any, None]:
+    def _handle_request(self, payload: FileRequest) -> bool:
+        """Start routing *payload*.  True while its per-request CPU cost
+        runs; :meth:`_route` then finishes it and resumes the inbox."""
         if self.role != LEADER:
             self.plane.note_rejection(self.shard)
             self.fabric.send_nowait(
@@ -421,21 +433,35 @@ class MetadataServer:
                     hint=None if self.leader_hint == self.name else self.leader_hint,
                 ),
             )
-            return
+            return False
         tracer = self.sim.tracer
-        lookup = None
         if tracer is not None:
-            lookup = tracer.begin(
+            self._lookup = tracer.begin(
                 "server.lookup",
                 self.name,
                 parent=tracer.request_span(payload.request_id),
                 file_id=payload.file_id,
                 shard=self.shard,
             )
-        # Serialised in the main loop: the per-request CPU cost queues
-        # here, so each shard is its own (smaller) §III-A bottleneck.
+        # Serialised on the inbox: the per-request CPU cost queues here,
+        # so each shard is its own (smaller) §III-A bottleneck.
         if self.config.server_overhead_s > 0:
-            yield self.sim.timeout(self.config.server_overhead_s)
+            self.sim.call_later(self.config.server_overhead_s, self._route, payload)
+            return True
+        self._forward(payload)
+        return False
+
+    def _route(self, payload: FileRequest) -> None:
+        self._forward(payload)
+        get = self.endpoint.receive()
+        assert get.callbacks is not None
+        get.callbacks.append(self._on_message)
+
+    def _forward(self, payload: FileRequest) -> None:
+        """Send *payload* to its first live holder (the StorageServer
+        forwarding path, sharded)."""
+        lookup, self._lookup = self._lookup, None
+        tracer = self.sim.tracer
         self.plane.note_request(self.shard)
         if payload.file_id not in self.state:
             holders: List[str] = []

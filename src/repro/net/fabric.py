@@ -22,9 +22,11 @@ from repro.sim.resources import Store
 class _Delivery:
     """Continuation state machine for one message transfer.
 
-    Each stage is a plain bound method subscribed directly to the event
-    it waits on (or scheduled via ``call_later``), so a delivery costs no
-    Process object, no kick-off/completion events and no generator frame.
+    Each stage is a plain bound method granted a link by
+    :meth:`Link.acquire`, scheduled via ``call_later`` or subscribed to
+    the inbox put, so a delivery costs no Process object, no
+    kick-off/completion events, no grant ``Request`` and no generator
+    frame.
     Every stage runs in exactly the event slot where a per-message
     generator process would have resumed, so the two produce
     byte-identical metrics (pinned by tests/core/test_dispatch_identity,
@@ -45,8 +47,6 @@ class _Delivery:
         "span",
         "rx_hold",
         "remaining",
-        "tx_slot",
-        "rx_slot",
     )
 
     def __init__(
@@ -96,22 +96,18 @@ class _Delivery:
         # Ethernet does.
         self.rx_hold = message.size_bytes / receiver.rx.bandwidth_bps
         self.remaining = duration - self.rx_hold
-        self.tx_slot = sender.tx._channel.request()
-        assert self.tx_slot.callbacks is not None
-        self.tx_slot.callbacks.append(self._tx_granted)
+        sender.tx.acquire(self._tx_granted)
 
-    def _tx_granted(self, _event: Event) -> None:
-        self.rx_slot = self.receiver.rx._channel.request()
-        assert self.rx_slot.callbacks is not None
-        self.rx_slot.callbacks.append(self._rx_granted)
+    def _tx_granted(self, _value: Any) -> None:
+        self.receiver.rx.acquire(self._rx_granted)
 
-    def _rx_granted(self, _event: Event) -> None:
+    def _rx_granted(self, _value: Any) -> None:
         self.fabric.sim.call_later(self.rx_hold, self._rx_done)
 
     def _rx_done(self, _value: Any) -> None:
-        receiver = self.receiver
-        receiver.rx.bytes_sent += self.message.size_bytes
-        receiver.rx._channel.release(self.rx_slot)
+        rx = self.receiver.rx
+        rx.bytes_sent += self.message.size_bytes
+        rx.release()
         if self.remaining > 0:
             self.fabric.sim.call_later(self.remaining, self._tx_done)
         else:
@@ -123,7 +119,7 @@ class _Delivery:
         self.sender.tx.bytes_sent += message.size_bytes
         fabric.messages_sent += 1
         fabric.bytes_sent += message.size_bytes
-        self.sender.tx._channel.release(self.tx_slot)
+        self.sender.tx.release()
         message.delivered_at = fabric.sim.now
         tracer = fabric.sim.tracer
         if fabric._partitioned and (

@@ -8,12 +8,12 @@ storage server performs when contacting storage nodes (Fig. 2, step 1).
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.monitor import TallyStat
-from repro.sim.resources import Resource
 
 #: Table I NIC rates, in *bytes* per second (the table quotes megabits).
 GIGABIT_ETHERNET_BPS = 1000e6 / 8
@@ -27,7 +27,25 @@ DEFAULT_CONNECT_S = 500e-6
 
 
 class Link:
-    """A serialising transmission resource with fixed per-transfer latency."""
+    """A FIFO one-frame wire with fixed per-transfer latency.
+
+    One frame holds the wire at a time.  :meth:`acquire` grants it to a
+    callback and :meth:`release` passes it to the next waiter in arrival
+    order.  Each grant is a :meth:`Simulator.call_soon` continuation,
+    scheduled in the slot where a capacity-1 ``Resource`` would have
+    succeeded its ``Request``, so a grant costs no event object.
+    """
+
+    __slots__ = (
+        "sim",
+        "name",
+        "bandwidth_bps",
+        "latency_s",
+        "bytes_sent",
+        "transfers",
+        "_busy",
+        "_waiting",
+    )
 
     def __init__(
         self,
@@ -44,9 +62,25 @@ class Link:
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
         self.latency_s = float(latency_s)
-        self._channel = Resource(sim, capacity=1)
         self.bytes_sent = 0
         self.transfers = TallyStat(name=f"{name}:transfer_s")
+        self._busy = False
+        self._waiting: Deque[Callable[[Any], None]] = deque()
+
+    def acquire(self, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(None)`` once the wire is this caller's (FIFO)."""
+        if self._busy:
+            self._waiting.append(fn)
+        else:
+            self._busy = True
+            self.sim.call_soon(fn)
+
+    def release(self) -> None:
+        """Free the wire, granting it to the longest waiter if any."""
+        if self._waiting:
+            self.sim.call_soon(self._waiting.popleft())
+        else:
+            self._busy = False
 
     def transmission_time(self, size_bytes: float) -> float:
         """Pure wire time for *size_bytes* (no queueing)."""
@@ -68,20 +102,25 @@ class Link:
                 raise ValueError(f"rate cap must be > 0, got {rate_cap_bps!r}")
             rate = min(rate, rate_cap_bps)
         duration = self.latency_s + size_bytes / rate
-        return self.sim.process(self._do_transfer(size_bytes, duration))
+        done = self.sim.event()
+        sim = self.sim
 
-    def _do_transfer(self, size_bytes: int, duration: float):
-        with self._channel.request() as slot:
-            yield slot
-            start = self.sim.now
-            yield self.sim.timeout(duration)
+        def granted(_value: Any) -> None:
+            sim.call_later(duration, finished, sim.now)
+
+        def finished(start: float) -> None:
             self.bytes_sent += size_bytes
-            self.transfers.record(self.sim.now - start)
+            self.transfers.record(sim.now - start)
+            self.release()
+            done.succeed()
+
+        self.acquire(granted)
+        return done
 
     @property
     def queue_length(self) -> int:
         """Transfers waiting for the wire (diagnostic)."""
-        return self._channel.queue_length
+        return len(self._waiting)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.bandwidth_bps:.3g} B/s>"

@@ -227,6 +227,11 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
+            # Already decided, but still this child's waiter: a failure
+            # arriving now (a second failed stripe of an all_of) is
+            # absorbed, not left to crash the run.
+            if not event._ok:
+                event._defused = True
             return
         self._count += 1
         if not event._ok:

@@ -8,10 +8,10 @@ order deterministic and auditable.
 
 from __future__ import annotations
 
-from bisect import insort_right
+from bisect import bisect_right, insort_right
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.sim.events import Event, PENDING
+from repro.sim.events import Event, NORMAL, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -30,23 +30,30 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_key")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        # Inline Event.__init__ -- every disk and NIC grant allocates a
-        # Request, making this the second-busiest constructor after
-        # Process.
-        self.sim = resource.sim
+        # Inline Event.__init__ -- every grant allocates a Request.
+        sim = self.sim = resource.sim
         self.callbacks = []
-        self._value = PENDING
         self._exc = None
         self._ok = True
         self._defused = False
         self.resource = resource
         self.priority = priority
-        self._key = (priority, resource._ticket())
+        resource._tickets += 1
+        self._key = (priority, resource._tickets)
+        queue = resource._queue
+        if not queue and len(resource._users) < resource.capacity:
+            # Nobody waits and a slot is free: grant on the spot, in the
+            # schedule slot the grant loop would give this request.
+            resource._users.append(self)
+            self._value = self
+            sim._lanes[NORMAL].append((sim._seq, self))
+            sim._seq += 1
+            return
+        self._value = PENDING
         # Tickets increase monotonically, so an equal-or-lower-priority
         # arrival belongs at the tail -- the overwhelmingly common case
         # (every plain FIFO request).  Only a genuinely higher-priority
         # arrival pays the O(log n) insertion; never a full re-sort.
-        queue = resource._queue
         if not queue or queue[-1]._key <= self._key:
             queue.append(self)
         else:
@@ -79,10 +86,6 @@ class Resource:
         self._queue: list[Request] = []
         self._tickets = 0
 
-    def _ticket(self) -> int:
-        self._tickets += 1
-        return self._tickets
-
     # -- public API -----------------------------------------------------------
 
     @property
@@ -101,9 +104,11 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a slot (or withdraw an ungranted request)."""
-        if request in self._users:
-            self._users.remove(request)
-            self._trigger_grants()
+        users = self._users
+        if request in users:
+            users.remove(request)
+            if self._queue:
+                self._trigger_grants()
         else:
             request.cancel()
 
@@ -132,20 +137,55 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.sim)
+        sim = self.sim = store.sim
+        self.callbacks = []
+        self._exc = None
+        self._ok = True
+        self._defused = False
         self.item = item
-        store._putters.append(self)
-        store._trigger()
+        if store._putters or len(store.items) >= store.capacity:
+            self._value = PENDING
+            store._putters.append(self)
+            store._trigger()
+            return
+        # No other putter waits and the item fits: admit it and succeed
+        # in the slot the grant loop would use, then offer it to the
+        # waiting getters.
+        store._admit(item)
+        self._value = None
+        sim._lanes[NORMAL].append((sim._seq, self))
+        sim._seq += 1
+        if store._getters:
+            store._hand_over()
 
 
 class StoreGet(Event):
     __slots__ = ("filter",)
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
-        super().__init__(store.sim)
+        sim = self.sim = store.sim
+        self.callbacks = []
+        self._exc = None
+        self._ok = True
+        self._defused = False
         self.filter = filter
-        store._getters.append(self)
-        store._trigger()
+        if store._getters or store._putters:
+            self._value = PENDING
+            store._getters.append(self)
+            store._trigger()
+            return
+        # Nobody else waits: take a matching item now, or start waiting.
+        if filter is None:
+            index = 0 if store.items else None
+        else:
+            index = store._match(self)
+        if index is None:
+            self._value = PENDING
+            store._getters.append(self)
+            return
+        self._value = store._pop(index)
+        sim._lanes[NORMAL].append((sim._seq, self))
+        sim._seq += 1
 
 
 class Store:
@@ -154,6 +194,11 @@ class Store:
     ``put(item)`` blocks while the store is full; ``get()`` blocks while it
     is empty.  ``get(filter=...)`` retrieves the first item matching the
     predicate (a filter-store in classic terminology).
+
+    Every put and get runs the grant to quiescence, so a waiting getter
+    never matches a buffered item.  When nobody else waits, a put or get
+    is therefore decided on the spot, without the general grant loop;
+    filters must be pure functions of the item for this to hold.
     """
 
     __slots__ = ("sim", "capacity", "items", "_putters", "_getters")
@@ -187,16 +232,34 @@ class Store:
             progress = False
             while self._putters and len(self.items) < self.capacity:
                 put = self._putters.pop(0)
-                self.items.append(put.item)
+                self._admit(put.item)
                 put.succeed()
                 progress = True
             for get in list(self._getters):
-                idx = self._match(get)
-                if idx is None:
+                index = self._match(get)
+                if index is None:
                     continue
                 self._getters.remove(get)
-                get.succeed(self.items.pop(idx))
+                get.succeed(self._pop(index))
                 progress = True
+
+    def _hand_over(self) -> None:
+        """Give the item a lone put just admitted to the first waiting
+        getter that takes it.  No waiting getter matched an older item,
+        so one pass over the getters is the whole grant."""
+        getters = self._getters
+        for position, get in enumerate(getters):
+            index = 0 if get.filter is None else self._match(get)
+            if index is not None:
+                del getters[position]
+                get.succeed(self._pop(index))
+                return
+
+    def _admit(self, item: Any) -> None:
+        self.items.append(item)
+
+    def _pop(self, index: int) -> Any:
+        return self.items.pop(index)
 
     def _match(self, get: StoreGet) -> Optional[int]:
         if get.filter is None:
@@ -237,30 +300,18 @@ class PriorityStore(Store):
         #: Parallel list of (priority, insertion#) sort keys for `items`.
         self._keys: list[tuple[float, int]] = []
 
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                key = (self._priority_key(put.item), self._insertions)
-                self._insertions += 1
-                # Insert in sorted position (stable by insertion number).
-                index = 0
-                while index < len(self._keys) and self._keys[index] <= key:
-                    index += 1
-                self.items.insert(index, put.item)
-                self._keys.insert(index, key)
-                put.succeed()
-                progress = True
-            for get in list(self._getters):
-                index = self._match(get)
-                if index is None:
-                    continue
-                self._getters.remove(get)
-                self._keys.pop(index)
-                get.succeed(self.items.pop(index))
-                progress = True
+    def _admit(self, item: Any) -> None:
+        key = (self._priority_key(item), self._insertions)
+        self._insertions += 1
+        # Keys are unique (the insertion number breaks every tie), so the
+        # bisection point is the position after all smaller keys.
+        index = bisect_right(self._keys, key)
+        self.items.insert(index, item)
+        self._keys.insert(index, key)
+
+    def _pop(self, index: int) -> Any:
+        self._keys.pop(index)
+        return self.items.pop(index)
 
     def drain(self) -> list[Any]:
         self._keys.clear()

@@ -235,3 +235,21 @@ class TestClusterUnderFailure:
     def test_no_failures_without_injection(self, trace):
         result = EEVFSCluster(config=EEVFSConfig()).run(trace)
         assert result.requests_failed == 0
+
+    def test_striped_read_over_two_failed_disks_fails_cleanly(self):
+        # The first failed stripe fails the read's all_of; the second
+        # one's failure arrives at an already-failed condition, which
+        # must absorb it rather than let it crash the run.
+        trace = generate_synthetic_trace(
+            SyntheticWorkload(n_requests=400), rng=np.random.default_rng(1)
+        )
+        cluster = EEVFSCluster(
+            config=EEVFSConfig(stripe_width=2),
+            seed=1,
+            faults=FaultSchedule()
+            .disk_fail("node1/data0", at=20.0)
+            .disk_fail("node1/data1", at=21.0),
+        )
+        result = cluster.run(trace)
+        assert (result.requests_total, result.requests_failed) == (391, 9)
+        assert cluster.client.outstanding == 0

@@ -13,9 +13,12 @@ from repro.devtools.sanitizer import (
     DeterminismError,
     digest_run,
     EventStreamHasher,
+    ScheduleShapeHasher,
 )
 from repro.disk import ATA_80GB_TYPE1, SimDisk
-from repro.sim import Simulator
+from repro.net import Link
+from repro.sim import Resource, Simulator
+from repro.sim.events import URGENT
 
 
 def disk_model(seed):
@@ -113,3 +116,101 @@ def test_hasher_coexists_with_other_hooks():
 def test_requires_at_least_two_runs():
     with pytest.raises(ValueError):
         assert_deterministic(disk_model(seed=1), runs=1)
+
+
+# -- schedule shape: same slots digest equal, whatever carries them -------------------
+
+
+def _shapes(build):
+    """(shape digest, typed digest) of the model *build* schedules."""
+    sim = Simulator()
+    shape = ScheduleShapeHasher().attach(sim)
+    typed = EventStreamHasher().attach(sim)
+    build(sim)
+    sim.run()
+    return shape.hexdigest(), typed.hexdigest()
+
+
+def _generator_ticks(sim):
+    """Kick-off event, three timeouts, completion event."""
+
+    def ticker():
+        for _ in range(3):
+            yield sim.timeout(1.0)
+
+    sim.process(ticker())
+
+
+def _callback_ticks(sim, delays=(1.0, 1.0, 1.0), finish=1):
+    """The same slots as :func:`_generator_ticks` from continuations;
+    *delays* and *finish* (completion events) let a test move, drop or
+    add one."""
+    left = list(delays)
+
+    def tick(_value):
+        if left:
+            sim.call_later(left.pop(0), tick)
+        else:
+            for _ in range(finish):
+                sim.event().succeed()
+
+    sim.call_soon(tick, priority=URGENT)
+
+
+def test_shape_ignores_the_carrier_of_each_slot():
+    generator, callback = _shapes(_generator_ticks), _shapes(_callback_ticks)
+    assert generator[0] == callback[0]
+    assert generator[1] != callback[1]  # the typed stream does see it
+
+
+def test_shape_equal_for_a_request_grant_and_a_link_grant():
+    # Three senders queue for one wire; each holds it for 1 s.
+    def by_request(sim):
+        wire = Resource(sim, capacity=1)
+
+        def granted(slot):
+            sim.call_later(1.0, lambda _value: wire.release(slot))
+
+        for _ in range(3):
+            wire.request().callbacks.append(granted)
+
+    def by_link(sim):
+        link = Link(sim, bandwidth_bps=1.0)
+
+        def granted(_value):
+            sim.call_later(1.0, lambda _value: link.release())
+
+        for _ in range(3):
+            link.acquire(granted)
+
+    assert _shapes(by_request)[0] == _shapes(by_link)[0]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"delays": (1.0, 1.5, 1.0)},  # one event moved in time
+        {"delays": (1.0, 1.0)},  # one event dropped
+        {"finish": 2},  # one event added
+        {"finish": 0},  # the completion dropped
+    ],
+    ids=["moved", "dropped", "added", "no-completion"],
+)
+def test_shape_sees_moved_dropped_and_added_events(change):
+    reference = _shapes(_generator_ticks)[0]
+    assert _shapes(lambda sim: _callback_ticks(sim, **change))[0] != reference
+
+
+def test_shape_sees_an_outcome_flip():
+    def outcome(ok):
+        def build(sim):
+            event = sim.event()
+            if ok:
+                event.succeed()
+            else:
+                event.fail(ValueError("x"))
+                event.defuse()
+
+        return build
+
+    assert _shapes(outcome(True))[0] != _shapes(outcome(False))[0]

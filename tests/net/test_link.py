@@ -124,3 +124,22 @@ def test_queue_length_visible_while_contended(sim):
     sim.process(sender())
     sim.run()
     assert observed["queue"] == 2
+
+
+def test_acquire_grants_the_wire_fifo_on_release(sim):
+    link = Link(sim, bandwidth_bps=1.0)
+    granted = []
+
+    def holder(tag):
+        def on_grant(_value):
+            granted.append((tag, sim.now))
+            sim.call_later(1.0, lambda _value: link.release())
+
+        return on_grant
+
+    for tag in "abc":
+        link.acquire(holder(tag))
+    assert link.queue_length == 2
+    sim.run()
+    assert granted == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
+    assert link.queue_length == 0

@@ -174,6 +174,23 @@ class TestConditions:
         sim.run()
         assert p.value == "caught child died"
 
+    def test_later_child_failure_is_absorbed_by_decided_condition(self, sim):
+        first, second = sim.event(), sim.event()
+
+        def proc():
+            try:
+                yield sim.all_of([first, second])
+            except ValueError as exc:
+                return str(exc)
+
+        p = sim.process(proc())
+        first.fail(ValueError("first"))
+        sim.run()
+        second.fail(ValueError("second"))
+        sim.run()  # the condition is second's waiter: nothing surfaces
+        assert p.value == "first"
+        assert second.processed and second._defused
+
     def test_events_from_different_simulators_rejected(self, sim):
         other = Simulator()
         with pytest.raises(ValueError):
