@@ -309,7 +309,8 @@ def _cmd_wear(args: argparse.Namespace) -> None:
 def _cmd_metadata_drill(args: argparse.Namespace) -> None:
     """Metadata-plane chaos drill: crash every shard leader once and
     compare an unreplicated plane against a 3-replica one."""
-    from repro.experiments.metaplane import drill_fingerprint, run_metadata_drill
+    from repro.core.filesystem import canonical_json
+    from repro.experiments.metaplane import run_metadata_drill
     from repro.metrics.report import metaplane_table
 
     results = run_metadata_drill(
@@ -332,10 +333,9 @@ def _cmd_metadata_drill(args: argparse.Namespace) -> None:
         )
     )
     if args.json:
-        from pathlib import Path
-
-        fingerprint = drill_fingerprint(results)
-        Path(args.json).write_text(fingerprint + "\n")
+        records = {name: result.record() for name, result in results.items()}
+        with open(args.json, "w") as handle:
+            handle.write(canonical_json(records))
         print(f"\nfingerprint written to {args.json}")
 
 
@@ -369,12 +369,12 @@ def _cmd_metaplane(args: argparse.Namespace) -> None:
 
 def _cmd_online(args: argparse.Namespace) -> None:
     """Oracle-vs-online ablation: how much savings survives without
-    hindsight?  Optionally writes a determinism fingerprint (--json)."""
+    hindsight?  Optionally writes every run's record (--json)."""
+    from repro.core.filesystem import canonical_json
     from repro.experiments.online import (
         ablation_rows,
         ABLATION_HEADERS,
         online_ablation,
-        online_fingerprint,
         retention_summary,
     )
     from repro.metrics.report import online_series, online_table
@@ -428,21 +428,28 @@ def _cmd_online(args: argparse.Namespace) -> None:
             )
         )
     if args.json:
+        records = {
+            sweep: {
+                str(point.value): {
+                    "oracle": point.oracle.record(),
+                    "online": point.online.record(),
+                    "npf": point.npf.record(),
+                }
+                for point in points
+            }
+            for sweep, points in ablation.items()
+        }
         with open(args.json, "w") as handle:
-            handle.write(online_fingerprint(ablation))
+            handle.write(canonical_json(records))
         print(f"\nFingerprint written to {args.json}")
 
 
 def _cmd_ssd(args: argparse.Namespace) -> None:
     """SSD buffer-tier sweep: capacity x channels x GC reserve, PF/NPF
-    per point, HDD-buffer reference pairs.  Optionally writes a
-    determinism fingerprint (--json)."""
-    from repro.experiments.ssd import (
-        ssd_fingerprint,
-        ssd_sweep,
-        SSD_HEADERS,
-        sweep_rows,
-    )
+    per point, HDD-buffer reference pairs.  Optionally writes every
+    run's record (--json)."""
+    from repro.core.filesystem import canonical_json
+    from repro.experiments.ssd import ssd_sweep, SSD_HEADERS, sweep_rows
 
     points = ssd_sweep(
         capacities_mb=tuple(args.capacities_mb),
@@ -473,8 +480,15 @@ def _cmd_ssd(args: argparse.Namespace) -> None:
             f"max erase count {best.pf.ssd_max_erase_count}."
         )
     if args.json:
+        records = {
+            f"{p.backend}:cap={p.capacity_mb}:ch={p.channels}:gc={p.gc_free_fraction}": {
+                "pf": p.pf.record(),
+                "npf": p.npf.record(),
+            }
+            for p in points
+        }
         with open(args.json, "w") as handle:
-            handle.write(ssd_fingerprint(points))
+            handle.write(canonical_json(records))
         print(f"\nFingerprint written to {args.json}")
 
 
@@ -830,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         default=None,
         metavar="PATH",
-        help="write the drill's determinism fingerprint JSON to PATH",
+        help="write every drill run's record (canonical JSON) to PATH",
     )
     faults.set_defaults(func=_cmd_faults)
     metaplane = sub.add_parser(
@@ -888,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument(
         "--json",
         metavar="PATH",
-        help="write the determinism fingerprint (canonical JSON) to PATH",
+        help="write every run's record (canonical JSON) to PATH",
     )
     online.set_defaults(func=_cmd_online)
     ssd = sub.add_parser(
@@ -927,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--json",
         metavar="PATH",
-        help="write the determinism fingerprint (canonical JSON) to PATH",
+        help="write every run's record (canonical JSON) to PATH",
     )
     ssd.set_defaults(func=_cmd_ssd)
     meanfield = sub.add_parser(

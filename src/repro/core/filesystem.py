@@ -7,13 +7,16 @@ the paper's three metrics (energy, state transitions, response time)
 plus the raw material behind them.
 
 ``run_eevfs(trace, config)`` is the one-call entry point most examples
-and benchmarks use.
+and benchmarks use.  :meth:`RunResult.record` and :func:`canonical_json`
+are the one way a run leaves the process as data: every fingerprint,
+smoke golden and JSON export goes through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+import json
+from typing import Any, Dict, List, Optional
 
 from repro.backend.ssd import SSDBackend
 from repro.core.client import ClientDriver, RetryPolicy
@@ -39,6 +42,35 @@ from repro.traces.model import Trace
 #: Stable numeric code per disk power state, for the per-disk state
 #: occupancy series (CSV export needs numbers, not enum names).
 DISK_STATE_CODES = {state: code for code, state in enumerate(DiskState)}
+
+
+def canonical_json(data: object) -> str:
+    """The one serialisation of run data: sorted keys, ``indent=1`` and a
+    trailing newline.
+
+    Floats print through ``repr``, which round-trips, so two strings are
+    equal exactly when every value is bit-identical.  Compare the
+    strings, not the parsed data: an empty tally's statistics are NaN,
+    which never equals itself.
+    """
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def _plain(value: object) -> Any:
+    """*value* as JSON-ready data: dataclasses field by field, tallies
+    through :meth:`~repro.sim.monitor.TallyStat.as_dict`, the fault log
+    as its records."""
+    if isinstance(value, TallyStat):
+        return value.as_dict()
+    if isinstance(value, FaultLog):
+        value = value.records
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 @dataclass
@@ -186,6 +218,30 @@ class RunResult:
     @property
     def mean_response_s(self) -> float:
         return self.response_times.mean
+
+    def record(self) -> Dict[str, Any]:
+        """Plain data for everything the run measured.
+
+        Every field except the ``config`` input and the ``trace`` obs
+        snapshot, so a traced run records the same as an untraced one.
+        Nested stats are rendered field by field, each
+        :class:`~repro.sim.monitor.TallyStat` through its ``as_dict()``
+        and the fault log as its records.  Three derived values reports
+        quote ride along: ``availability``, ``buffer_hit_rate`` and the
+        plane's ``max_leaderless_s``.  ``canonical_json(result.record())``
+        is the run's fingerprint: the smoke goldens, the race suite's
+        same-seed check and the identity tests all compare it.
+        """
+        record = {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in ("config", "trace")
+        }
+        record["availability"] = self.availability
+        record["buffer_hit_rate"] = self.buffer_hit_rate
+        if self.metaplane is not None:
+            record["metaplane"]["max_leaderless_s"] = self.metaplane.max_leaderless_s
+        return record
 
     def summary(self) -> Dict[str, object]:
         """Flat dict for tables/JSON."""

@@ -23,7 +23,8 @@ under *every* legal schedule is:
   (buffered + direct), failures, the per-component latency sample
   counts and the node roster are all identical across orderings;
 * **reproducibility** -- a perturbed schedule is itself deterministic:
-  the same perturbation seed twice gives bit-identical metrics.
+  the same perturbation seed twice gives a bit-identical
+  :meth:`~repro.core.filesystem.RunResult.record`.
 
 A use-after-recycle, a dict-order handler race, or an RNG stream keyed
 on iteration order breaks one of these three long before anyone reads a
@@ -43,7 +44,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EEVFSConfig
-from repro.core.filesystem import run_eevfs, RunResult
+from repro.core.filesystem import canonical_json, run_eevfs, RunResult
 from repro.experiments.metaplane import (
     drill_config,
     drill_trace,
@@ -116,39 +117,11 @@ def conservation_fingerprint(result: RunResult) -> str:
         "reads": result.buffer_hits + result.data_disk_hits,
         "writes": result.writes_buffered + result.writes_direct,
         "latency_samples": {
-            name: stat.count
-            for name, stat in sorted(result.latency_components.items())
+            name: stat.count for name, stat in result.latency_components.items()
         },
         "nodes": [node.name for node in result.nodes],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def metrics_fingerprint(result: RunResult) -> str:
-    """Canonical JSON of the *full* metric surface, floats via ``repr``
-    (bit-exact round-trip).  Used for same-seed reproducibility: two
-    runs under the same perturbation seed must match byte for byte."""
-    payload = {
-        "end_s": repr(result.end_s),
-        "energy_j": repr(result.energy_j),
-        "energy_with_setup_j": repr(result.energy_with_setup_j),
-        "server_energy_j": repr(result.server_energy_j),
-        "transitions": result.transitions,
-        "buffer_hits": result.buffer_hits,
-        "data_disk_hits": result.data_disk_hits,
-        "writes_buffered": result.writes_buffered,
-        "writes_direct": result.writes_direct,
-        "writes_destaged": result.writes_destaged,
-        "prefetch_files_copied": result.prefetch_files_copied,
-        "prefetch_bytes_copied": result.prefetch_bytes_copied,
-        "requests_failed": result.requests_failed,
-        "response_mean": repr(result.response_times.mean),
-        "nodes": [
-            [node.name, repr(node.base_energy_j), repr(node.disk_energy_j)]
-            for node in result.nodes
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario]:
@@ -285,7 +258,7 @@ def run_scenario(
                 f"seed {seed}: perturbed run raised {type(exc).__name__}: {exc}"
             )
             continue
-        if metrics_fingerprint(first) != metrics_fingerprint(second):
+        if canonical_json(first.record()) != canonical_json(second.record()):
             report.status = "race"
             report.problems.append(
                 f"seed {seed}: perturbed schedule is not reproducible "
@@ -295,8 +268,8 @@ def run_scenario(
         if conservation != report.conservation:
             report.status = "race"
             report.problems.append(
-                f"seed {seed}: conservation broken: {conservation} "
-                f"!= baseline {report.conservation}"
+                f"seed {seed}: conservation broken: {_one_line(conservation)} "
+                f"!= baseline {_one_line(report.conservation)}"
             )
         for name, value in _drift(baseline, first).items():
             drift[name] = max(drift.get(name, 0.0), value)
@@ -316,12 +289,17 @@ def run_race_suite(
     )
 
 
+def _one_line(fingerprint: str) -> str:
+    """A canonical-JSON fingerprint folded onto one line, for text."""
+    return " ".join(fingerprint.split())
+
+
 def render_race_text(report: RaceReport) -> str:
     """Human-readable suite report (one block per scenario)."""
     lines: List[str] = []
     for scenario in report.scenarios:
         lines.append(f"{scenario.status.upper():5s} {scenario.name}")
-        lines.append(f"      conservation {scenario.conservation}")
+        lines.append(f"      conservation {_one_line(scenario.conservation)}")
         if scenario.drift:
             drifts = ", ".join(
                 f"{name}={value:.2%}" for name, value in sorted(scenario.drift.items())
@@ -356,4 +334,4 @@ def render_race_json(report: RaceReport) -> str:
         ],
         "ok": report.ok,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return canonical_json(payload)

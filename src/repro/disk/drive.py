@@ -35,7 +35,7 @@ from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, PENDING, URGENT
 from repro.sim.monitor import TallyStat
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import PriorityStore, Store
@@ -267,9 +267,9 @@ class StorageBackend:
         self._transition_done = self.sim.event()
         done = self._transition_done
         yield self.sim.timeout(duration)
-        if self.state is DiskState.FAILED:
-            # The device died mid-attempt; fail() settled `done`.
-            self._end_transition_span(ok=False)
+        if done._value is not PENDING:
+            # fail() cut the attempt short and closed its span; a
+            # repair (and a later transition) may have followed.
             return
         self._set_state(DiskState.STANDBY)
         self._end_transition_span(ok=False)
@@ -300,11 +300,13 @@ class StorageBackend:
         # Unblock a server parked on the transition (including a
         # flaky spin-up's back-off window, when the state has already
         # returned to STANDBY); defused so an unwatched transition event
-        # cannot crash the simulation.
+        # cannot crash the simulation.  The transition ends here: its
+        # span closes now, and its timer drops out when it fires.
         pending = self._transition_done
         if not pending.triggered:
             pending.fail(DiskFailureError(self.name))
             pending.defuse()
+            self._end_transition_span(ok=False)
 
     def repair(self) -> None:
         """Undo a :meth:`fail`: the device (or its controller) is replaced
@@ -438,9 +440,9 @@ class StorageBackend:
     ) -> Generator[Event, Any, None]:
         done = self._transition_done
         yield self.sim.timeout(duration)
-        if self.state is DiskState.FAILED:
-            # The device died mid-transition; fail() settled `done`.
-            self._end_transition_span(ok=False)
+        if done._value is not PENDING:
+            # fail() cut the transition short and closed its span; a
+            # repair (and a later transition) may have followed.
             return
         self._set_state(target)
         self._end_transition_span()

@@ -13,11 +13,7 @@
 
 from repro.experiments.crossover import find_min_effective_k
 from repro.experiments.figures import figure3, figure4, figure5, figure6
-from repro.experiments.metaplane import (
-    drill_fingerprint,
-    metaplane_sweep,
-    run_metadata_drill,
-)
+from repro.experiments.metaplane import metaplane_sweep, run_metadata_drill
 from repro.experiments.paper import generate_report
 from repro.experiments.repetition import repeat_pair
 from repro.experiments.runner import PairResult, run_pair
@@ -32,7 +28,6 @@ __all__ = [
     "figure3",
     "figure4",
     "figure5",
-    "drill_fingerprint",
     "figure6",
     "find_min_effective_k",
     "generate_report",

@@ -8,10 +8,12 @@ document per figure.
 from __future__ import annotations
 
 import csv
+from dataclasses import asdict
 import json
 from pathlib import Path
 from typing import Dict, List, Union
 
+from repro.core.filesystem import canonical_json, RunResult
 from repro.experiments.figures import Figure6Result, FigureResult
 
 
@@ -59,71 +61,11 @@ def write_figure_json(
     return path
 
 
-def runresult_to_dict(result) -> Dict[str, object]:
-    """Full JSON-serialisable dump of a :class:`RunResult`.
-
-    Per-node and per-disk detail included, so downstream analysis never
-    needs to re-run the simulation.
-    """
-    return {
-        "config": {
-            "prefetch_enabled": result.config.prefetch_enabled,
-            "prefetch_files": result.config.prefetch_files,
-            "idle_threshold_s": result.config.idle_threshold_s,
-            "use_hints": result.config.use_hints,
-            "stripe_width": result.config.stripe_width,
-            "placement_policy": result.config.placement_policy,
-        },
-        "epoch_s": result.epoch_s,
-        "end_s": result.end_s,
-        "energy_j": result.energy_j,
-        "energy_with_setup_j": result.energy_with_setup_j,
-        "transitions": result.transitions,
-        "mean_response_s": result.mean_response_s,
-        "response_p99_s": (
-            result.response_times.percentile(99)
-            if result.response_times.count
-            else None
-        ),
-        "buffer_hit_rate": result.buffer_hit_rate,
-        "requests": result.requests_total,
-        "requests_failed": result.requests_failed,
-        "writes_buffered": result.writes_buffered,
-        "writes_destaged": result.writes_destaged,
-        "prefetch_files_copied": result.prefetch_files_copied,
-        "latency_components": {
-            name: {"mean": stat.mean, "count": stat.count}
-            for name, stat in result.latency_components.items()
-        },
-        "nodes": [
-            {
-                "name": node.name,
-                "base_energy_j": node.base_energy_j,
-                "disk_energy_j": node.disk_energy_j,
-                "transitions": node.transitions,
-                "buffer_hits": node.buffer_hits,
-                "data_disk_hits": node.data_disk_hits,
-                "disks": [
-                    {
-                        "name": disk.name,
-                        "energy_j": disk.energy_j,
-                        "transitions": disk.transitions,
-                        "spinups": disk.spinups,
-                        "requests_served": disk.requests_served,
-                        "time_in_state_s": disk.time_in_state_s,
-                    }
-                    for disk in node.disks
-                ],
-            }
-            for node in result.nodes
-        ],
-    }
-
-
-def write_runresult_json(result, path: Union[str, Path]) -> Path:
-    """Dump a run's full measurement record to JSON."""
+def write_runresult_json(result: RunResult, path: Union[str, Path]) -> Path:
+    """Dump a run's full measurement record plus its config to JSON."""
     path = Path(path)
-    path.write_text(json.dumps(runresult_to_dict(result), indent=2) + "\n")
+    record = {**result.record(), "config": asdict(result.config)}
+    path.write_text(canonical_json(record))
     return path
 
 

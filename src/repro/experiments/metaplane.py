@@ -14,16 +14,18 @@ assumption.  This module packages the two studies:
 * :func:`metaplane_sweep` -- the same drill across a shard-count x
   replica-count grid, feeding the EXPERIMENTS.md table.
 
-Both are deterministic for a seed: :func:`drill_fingerprint` canonicalises
-a drill's outcome (aggregates, per-shard stats, the fault log -- never
-request ids, which depend on process-global counters) into a JSON string
-that must be byte-identical across repeated same-seed runs.  CI's
-chaos-smoke job asserts exactly that.
+Both are deterministic for a seed: every run's
+:meth:`~repro.core.filesystem.RunResult.record` (aggregates, per-shard
+stats, the fault log -- never request ids, which depend on
+process-global counters) must be byte-identical across repeated
+same-seed runs.  ``eevfs faults --metadata-drill --json`` writes the
+drill's records as canonical JSON; CI's chaos-smoke job runs it twice
+and compares both outputs with each other and with
+``tests/golden/drill.json``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,53 +112,6 @@ def run_metadata_drill(
             faults=leader_crash_schedule(shards),
         )
     return results
-
-
-def drill_fingerprint(results: Dict[str, RunResult]) -> str:
-    """Canonical JSON of everything a drill determines, for byte-diffing.
-
-    Includes aggregates, per-shard plane stats, and the fault log
-    (times, kinds, targets, resolved victims).  Excludes request ids --
-    they come from a process-global counter and differ between runs in
-    one process -- and wall-clock anything.
-    """
-    payload = {}
-    for name, result in sorted(results.items()):
-        plane = result.metaplane
-        entry = {
-            "requests_total": result.requests_total,
-            "requests_failed": result.requests_failed,
-            "requests_retried": result.requests_retried,
-            "request_timeouts": result.request_timeouts,
-            "requests_abandoned": result.requests_abandoned,
-            "requests_unroutable": result.requests_unroutable,
-            "duplicate_replies": result.duplicate_replies,
-            "availability": result.availability,
-            "mean_response_s": result.mean_response_s,
-            "energy_j": result.energy_j,
-            "fault_log": [
-                [record.time_s, record.kind, record.target, record.detail]
-                for record in (result.fault_log or ())
-            ],
-        }
-        if plane is not None:
-            entry["metaplane"] = {
-                "n_shards": plane.n_shards,
-                "n_replicas": plane.n_replicas,
-                "elections": plane.elections,
-                "leaderless_s": plane.leaderless_s,
-                "max_leaderless_s": plane.max_leaderless_s,
-                "requests_routed": plane.requests_routed,
-                "not_leader_rejections": plane.not_leader_rejections,
-                "requests_unroutable": plane.requests_unroutable,
-                "proposals_committed": plane.proposals_committed,
-                "shards": [
-                    [s.shard, s.elections, s.leaderless_s, s.term, s.requests_routed]
-                    for s in plane.shards
-                ],
-            }
-        payload[name] = entry
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def metaplane_sweep(

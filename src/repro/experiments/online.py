@@ -18,15 +18,16 @@ oracle ranking fundamentally cannot chase, and the reason online mode
 exists).  ``savings = (npf - pf) / npf``; **retention** is the share of
 the oracle's savings the online mode keeps.
 
-Determinism: :func:`online_fingerprint` canonicalises every number the
-ablation produces (energies, transitions, controller trajectories --
-never request ids or wall-clock) into sorted JSON; CI's online-smoke
-job runs the same seed twice and byte-compares the two files.
+Determinism: ``eevfs online --json`` writes every run's
+:meth:`~repro.core.filesystem.RunResult.record` (energies, transitions,
+controller trajectories -- never request ids or wall-clock) as
+canonical JSON; CI's online-smoke job runs the same seed twice and
+byte-compares the two files with each other and with
+``tests/golden/online.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -263,51 +264,3 @@ def retention_summary(
             sum(retained) / len(retained) if retained else 0.0
         ),
     }
-
-
-def online_fingerprint(ablation: Dict[str, List[OnlinePoint]]) -> str:
-    """Canonical JSON of everything the ablation determines.
-
-    Byte-identical across repeated same-seed runs (the CI smoke gate).
-    Includes energies, transitions, response times, and the full online
-    controller trajectory; excludes request ids (process-global
-    counters) and anything wall-clock.
-    """
-
-    def run_entry(result: RunResult) -> Dict[str, object]:
-        entry: Dict[str, object] = {
-            "energy_j": result.energy_j,
-            "transitions": result.transitions,
-            "mean_response_s": result.mean_response_s,
-            "buffer_hit_rate": result.buffer_hit_rate,
-            "requests": result.requests_total,
-            "prefetch_files_copied": result.prefetch_files_copied,
-        }
-        stats = result.online
-        if stats is not None:
-            entry["online"] = {
-                "estimator": stats.estimator,
-                "k_final": stats.k_final,
-                "idle_final_s": stats.idle_final_s,
-                "control_ticks": stats.control_ticks,
-                "replans_triggered": stats.replans_triggered,
-                "replans_skipped": stats.replans_skipped,
-                "max_drift": stats.max_drift,
-                "history": [
-                    [s.time_s, s.hit_ratio, s.spinup_rate, s.k, s.idle_threshold_s]
-                    for s in stats.history
-                ],
-            }
-        return entry
-
-    payload = {}
-    for sweep in sorted(ablation):
-        payload[sweep] = {
-            str(point.value): {
-                "oracle": run_entry(point.oracle),
-                "online": run_entry(point.online),
-                "npf": run_entry(point.npf),
-            }
-            for point in ablation[sweep]
-        }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

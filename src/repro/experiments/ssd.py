@@ -14,16 +14,16 @@ write amplification and erase wear visible.  A read-only corpus never
 wraps the buffer (placement respects its capacity), so WA stays at 1.0
 and the sweep would measure nothing flash-specific.
 
-Determinism: :func:`ssd_fingerprint` canonicalises every number the
-sweep produces into sorted JSON; CI's ssd-smoke job runs the same seed
-twice and byte-compares the two files.
+Determinism: ``eevfs ssd --json`` writes every run's
+:meth:`~repro.core.filesystem.RunResult.record` as canonical JSON; CI's
+ssd-smoke job runs the same seed twice and byte-compares the two files
+with each other and with ``tests/golden/ssd.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import ClusterSpec, EEVFSConfig
 from repro.core.filesystem import RunResult
@@ -213,39 +213,3 @@ def sweep_rows(points: Sequence[SSDSweepPoint]) -> List[List[object]]:
             ]
         )
     return rows
-
-
-def ssd_fingerprint(points: Sequence[SSDSweepPoint]) -> str:
-    """Canonical JSON of everything the sweep determines.
-
-    Byte-identical across repeated same-seed runs (the CI smoke gate).
-    Includes energies, transitions, response times and the full flash
-    accounting; excludes request ids and anything wall-clock.
-    """
-
-    def run_entry(result: RunResult) -> Dict[str, object]:
-        return {
-            "energy_j": result.energy_j,
-            "transitions": result.transitions,
-            "mean_response_s": result.mean_response_s,
-            "buffer_hit_rate": result.buffer_hit_rate,
-            "requests": result.requests_total,
-            "writes_buffered": result.writes_buffered,
-            "writes_destaged": result.writes_destaged,
-            "ssd_host_pages_written": result.ssd_host_pages_written,
-            "ssd_nand_pages_written": result.ssd_nand_pages_written,
-            "ssd_pages_relocated": result.ssd_pages_relocated,
-            "ssd_erases": result.ssd_erases,
-            "ssd_max_erase_count": result.ssd_max_erase_count,
-            "ssd_write_amplification": result.ssd_write_amplification,
-            "ssd_cache_hits": result.ssd_cache_hits,
-        }
-
-    payload = {
-        f"{p.backend}:cap={p.capacity_mb}:ch={p.channels}:gc={p.gc_free_fraction}": {
-            "pf": run_entry(p.pf),
-            "npf": run_entry(p.npf),
-        }
-        for p in points
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -108,8 +108,9 @@ class TallyStat:
         return data[lo] * (1.0 - frac) + data[hi] * frac
 
     def as_dict(self) -> dict[str, Any]:
-        """Summary suitable for JSON export."""
-        return {
+        """Summary suitable for JSON export (plus ``p99`` when samples
+        are kept)."""
+        summary: dict[str, Any] = {
             "name": self.name,
             "count": self.count,
             "mean": self.mean,
@@ -118,6 +119,9 @@ class TallyStat:
             "max": self.maximum,
             "total": self.total,
         }
+        if self.keep_samples:
+            summary["p99"] = self.percentile(99)
+        return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TallyStat {self.name!r} n={self._n} mean={self.mean:.4g}>"

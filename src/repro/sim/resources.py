@@ -1,9 +1,10 @@
-"""Shared resources: FIFO servers, object stores, and level containers.
+"""Shared resources: slot servers and object stores.
 
 These follow the classic discrete-event pattern: a request is an event that
-succeeds when the resource grants it.  All queues are strictly FIFO (with an
-optional priority key for :class:`PriorityResource`), which keeps service
-order deterministic and auditable.
+succeeds when the resource grants it.  Every queue is FIFO within a priority
+(:class:`Resource` requests and :class:`PriorityStore` items order low
+priority first, ties by arrival), which keeps service order deterministic
+and auditable.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Request(Event):
 
 
 class Resource:
-    """A server with ``capacity`` identical slots and a FIFO wait queue."""
+    """A server with ``capacity`` identical slots and a wait queue ordered
+    by request ``priority`` (low first), FIFO within a priority."""
 
     __slots__ = ("sim", "capacity", "_users", "_queue", "_tickets")
 
@@ -119,18 +121,6 @@ class Resource:
             request = self._queue.pop(0)
             self._users.append(request)
             request.succeed(request)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue orders by ``priority`` (low first).
-
-    Ties break FIFO via the ticket number, so behaviour stays deterministic.
-    """
-
-    __slots__ = ()
-
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
 
 
 class StorePut(Event):
@@ -316,77 +306,3 @@ class PriorityStore(Store):
     def drain(self) -> list[Any]:
         self._keys.clear()
         return super().drain()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"put amount must be > 0, got {amount!r}")
-        super().__init__(container.sim)
-        self.amount = amount
-        container._putters.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"get amount must be > 0, got {amount!r}")
-        super().__init__(container.sim)
-        self.amount = amount
-        container._getters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous-level reservoir (bytes, joules, ...) with bounds."""
-
-    __slots__ = ("sim", "capacity", "_level", "_putters", "_getters")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity!r}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init={init!r} outside [0, {capacity!r}]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: list[ContainerPut] = []
-        self._getters: list[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add *amount*; event succeeds once it fits under capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Withdraw *amount*; event succeeds once the level covers it."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progress = True

@@ -10,15 +10,15 @@ hit counters, response-time tallies down to the last bit of the floats
 below *is* the pre-refactor path (it overrides the two factory methods
 with the literal constructor calls the node used to contain); the tests
 run the whole stack both ways on one point from each of the four
-Table-II sweeps and compare ``repr``-level fingerprints (repr
-round-trips floats, so equality here is bit equality).
+Table-II sweeps and compare the runs' records as canonical JSON (whose
+floats round-trip, so equality here is bit equality).
 """
 
 import pytest
 
 from repro.backend import build_backend, SATA_SSD_32GB, SSDBackend
 from repro.core import EEVFSConfig, run_eevfs
-from repro.core.filesystem import EEVFSCluster
+from repro.core.filesystem import canonical_json, EEVFSCluster
 from repro.core.node import StorageNode
 from repro.disk.drive import SimDisk, StorageBackend
 from repro.disk.energy import PowerEnvelope
@@ -52,35 +52,6 @@ class LegacyNode(StorageNode):
         )
 
 
-def _tally(stat):
-    return (stat.count, repr(stat.mean), repr(stat.minimum), repr(stat.maximum))
-
-
-def _fingerprint(result):
-    return (
-        repr(result.epoch_s),
-        repr(result.end_s),
-        repr(result.energy_j),
-        repr(result.energy_with_setup_j),
-        repr(result.server_energy_j),
-        result.transitions,
-        result.buffer_hits,
-        result.data_disk_hits,
-        result.writes_buffered,
-        result.writes_direct,
-        result.writes_destaged,
-        result.prefetch_files_copied,
-        result.prefetch_bytes_copied,
-        result.requests_failed,
-        _tally(result.response_times),
-        tuple(sorted((k, _tally(v)) for k, v in result.latency_components.items())),
-        tuple(
-            (n.name, repr(n.base_energy_j), repr(n.disk_energy_j), n.transitions)
-            for n in result.nodes
-        ),
-    )
-
-
 #: One representative point from each of the four Table-II sweeps
 #: (workload knob or config knob, off the defaults where the sweep
 #: varies the workload).
@@ -106,7 +77,7 @@ def _run(node_class, workload, config, seed=7):
 def test_hdd_behind_protocol_is_byte_identical(workload, config):
     legacy = _run(LegacyNode, workload, config)
     routed = _run(StorageNode, workload, config)
-    assert _fingerprint(legacy) == _fingerprint(routed)
+    assert canonical_json(legacy.record()) == canonical_json(routed.record())
 
 
 def test_factory_returns_the_same_class_for_hdd():

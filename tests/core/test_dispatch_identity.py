@@ -18,18 +18,17 @@ Two levels of identity are pinned:
   oracle and the ``Resource``-based link grant patched in, a run
   dispatches the same number of events, with the same schedule-shape
   digest (time, sequence counter and outcome per event), and ends with
-  bit-identical metrics.  The race scenario ``ssd:buffer-faults`` adds
+  a bit-identical :meth:`~repro.core.filesystem.RunResult.record`.  The race scenario ``ssd:buffer-faults`` adds
   device faults to whole runs; a device drill fails an HDD and an SSD
   mid-transition, mid-write, mid-read and mid-destage, which walks the
   servers' and destager's ``_defused`` paths.
 * **Delivery is metric-identical.**  One generator process per message
   adds a completion event that a fire-and-forget send never schedules,
-  so only the metrics (compared through ``repr``, which round-trips
-  floats: equality here is bit equality) can match.
+  so only the record can match (compared as canonical JSON, whose
+  floats round-trip: equality here is bit equality).
 """
 
 import contextlib
-import dataclasses
 from typing import Any, Dict
 
 import pytest
@@ -38,7 +37,7 @@ from repro.backend import SATA_SSD_8GB
 from repro.backend.ssd import _CacheEntry, SSDBackend
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core.client import ClientDriver, NOT_LEADER
-from repro.core.filesystem import EEVFSCluster
+from repro.core.filesystem import canonical_json, EEVFSCluster
 from repro.core.node import StorageNode
 from repro.core.protocol import (
     AccessHints,
@@ -687,45 +686,10 @@ def _paths(loops=False, delivery=False):
             _WIRES.clear()
 
 
-def _tally(stat):
-    return (stat.count, repr(stat.mean), repr(stat.minimum), repr(stat.maximum))
-
-
-def _fingerprint(result):
-    return (
-        repr(result.epoch_s),
-        repr(result.end_s),
-        repr(result.energy_j),
-        repr(result.energy_with_setup_j),
-        repr(result.server_energy_j),
-        result.transitions,
-        result.buffer_hits,
-        result.data_disk_hits,
-        result.writes_buffered,
-        result.writes_direct,
-        result.writes_destaged,
-        result.prefetch_files_copied,
-        result.prefetch_bytes_copied,
-        result.requests_failed,
-        _tally(result.response_times),
-        tuple(sorted((k, _tally(v)) for k, v in result.latency_components.items())),
-        tuple(
-            (n.name, repr(n.base_energy_j), repr(n.disk_energy_j), n.transitions)
-            for n in result.nodes
-        ),
-    )
-
-
-def _everything(result):
-    """:func:`_fingerprint` plus every other scalar field of the run (the
-    retry, replication and flash counters) and the metaplane and online
-    summaries."""
-    scalars = tuple(
-        (field.name, repr(getattr(result, field.name)))
-        for field in dataclasses.fields(result)
-        if isinstance(getattr(result, field.name), (int, float))
-    )
-    return _fingerprint(result) + scalars + (repr(result.metaplane), repr(result.online))
+def _record(result):
+    """The run's whole record as canonical JSON: equal strings mean every
+    measured value is bit-identical."""
+    return canonical_json(result.record())
 
 
 def _trace(write_fraction=0.2):
@@ -754,7 +718,7 @@ def _digest(config, oracle=False, seed=7):
 def test_generator_and_continuation_paths_are_byte_identical(config):
     old = _run(config, oracle=True)
     new = _run(config)
-    assert _fingerprint(old) == _fingerprint(new)
+    assert _record(old) == _record(new)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[f"cont-{name}" for name in CONFIG_IDS])
@@ -812,7 +776,7 @@ def _observed_run(scenario, loops, obs=False):
 def test_loop_oracles_keep_every_event_in_its_slot(scenario):
     old, old_events, old_shape, old_typed = _observed_run(scenario, loops=True)
     new, new_events, new_shape, new_typed = _observed_run(scenario, loops=False)
-    assert _everything(old) == _everything(new)
+    assert _record(old) == _record(new)
     assert old_events == new_events
     assert old_shape == new_shape
     # Same slots, different carriers: the oracle patch took effect.

@@ -9,6 +9,7 @@ from repro.core.filesystem import EEVFSCluster
 from repro.disk import ATA_80GB_TYPE1, DiskState, SimDisk
 from repro.disk.drive import DiskFailureError
 from repro.faults import FaultSchedule
+from repro.obs import Tracer
 from repro.sim import Simulator
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
@@ -154,6 +155,62 @@ class _SharedFailureSurface:
         assert disk.state is DiskState.STANDBY
         assert disk.meter.spindown_count == 2
         assert disk.inflight == 0
+
+    def _waking(self, sim):
+        """A traced device asleep, then woken: returns it, the instant its
+        spin-up began, and the spin-up time."""
+        sim.tracer = Tracer(sim)
+        disk = self.make(sim)
+        assert disk.request_sleep()
+        sim.run(until=disk.spec.spindown_s + 1.0)
+        start = sim.now
+        assert disk.wake()
+        return disk, start, disk.spec.spinup_s
+
+    def _spinups(self, sim):
+        return [span for span in sim.tracer.spans if span.kind == "spinup"]
+
+    def test_repair_inside_a_cut_short_spinup_stays_asleep(self):
+        sim = Simulator()
+        disk, start, spinup_s = self._waking(sim)
+        sim.run(until=start + 0.25 * spinup_s)
+        disk.fail()
+        sim.run(until=start + 0.75 * spinup_s)
+        disk.repair()
+        # The cut-short spin-up's timer fires at start + spinup_s; it must
+        # leave the repaired device asleep.
+        sim.run(until=start + 2.0 * spinup_s)
+        assert disk.state is DiskState.STANDBY
+        (span,) = self._spinups(sim)
+        assert span.end_s == pytest.approx(start + 0.25 * spinup_s)
+        assert span.tags["ok"] is False
+        served = disk.submit(1 * MB)
+        sim.run(until=served.done)
+        assert served.done.ok
+        assert disk.meter.spinup_count == 2  # the cut-short one, then the submit's
+        assert disk.inflight == 0
+
+    def test_wake_after_repair_inside_a_cut_short_spinup_runs_in_full(self):
+        sim = Simulator()
+        disk, start, spinup_s = self._waking(sim)
+        sim.run(until=start + 0.25 * spinup_s)
+        disk.fail()
+        sim.run(until=start + 0.5 * spinup_s)
+        disk.repair()
+        sim.run(until=start + 0.6 * spinup_s)
+        assert disk.wake()
+        # The old timer fires at start + spinup_s: it must neither end the
+        # new spin-up early nor settle anything twice.
+        sim.run(until=start + 1.55 * spinup_s)
+        assert disk.state is DiskState.SPIN_UP
+        sim.run(until=start + 1.65 * spinup_s)
+        assert disk.state is DiskState.IDLE
+        cut, full = self._spinups(sim)
+        assert cut.end_s == pytest.approx(start + 0.25 * spinup_s)
+        assert cut.tags["ok"] is False
+        assert full.start_s == pytest.approx(start + 0.6 * spinup_s)
+        assert full.end_s == pytest.approx(start + 1.6 * spinup_s)
+        assert "ok" not in full.tags
 
 
 class TestDriveFailure(_SharedFailureSurface):

@@ -11,10 +11,10 @@ import json
 
 import pytest
 
+from repro.core.filesystem import canonical_json
 from repro.devtools.racesuite import (
     conservation_fingerprint,
     default_scenarios,
-    metrics_fingerprint,
     render_race_json,
     render_race_text,
     run_scenario,
@@ -194,12 +194,10 @@ class TestRaceSuite:
         result = run_eevfs(trace, EEVFSConfig(), seed=3)
         for fingerprint in (
             conservation_fingerprint(result),
-            metrics_fingerprint(result),
+            canonical_json(result.record()),
         ):
             payload = json.loads(fingerprint)
-            assert fingerprint == json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            )
+            assert fingerprint == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
     def test_json_report_excludes_seed_dependent_material(self):
         scenario = default_scenarios(n_requests=30)[1]

@@ -5,16 +5,15 @@ timeouts per replica, retry jitter per client) and a pile of new event
 traffic (heartbeats, votes, retries).  All of it is seeded through the
 named-stream registry, so two runs with the same seed must agree on
 every metric, the fault log (including which replica each
-``meta_leader_fail`` actually killed), and the canonical drill
-fingerprint.  Different seeds must be allowed to disagree -- elections
+``meta_leader_fail`` actually killed), and the run's whole record as
+canonical JSON.  Different seeds must be allowed to disagree -- elections
 are randomized, that is the point of the jittered timeout.
 """
 
 import numpy as np
 
 from repro.core import EEVFSConfig
-from repro.core.filesystem import EEVFSCluster
-from repro.experiments.metaplane import drill_fingerprint
+from repro.core.filesystem import canonical_json, EEVFSCluster
 from repro.faults import FaultSchedule
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
@@ -55,9 +54,7 @@ class TestChaosDeterminism:
     def test_same_seed_same_fingerprint(self):
         first = chaos_run(seed=7)
         second = chaos_run(seed=7)
-        assert drill_fingerprint({"run": first}) == drill_fingerprint(
-            {"run": second}
-        )
+        assert canonical_json(first.record()) == canonical_json(second.record())
 
     def test_same_seed_same_fault_victims(self):
         first = chaos_run(seed=7)

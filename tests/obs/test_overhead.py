@@ -6,7 +6,8 @@ The observability subsystem's hard contract (ISSUE 5):
   runs produce byte-identical :class:`EventStreamHasher` digests, with
   or without an obs-enabled run in between;
 * with ``obs=True`` the *reported metrics* must not change: tracing
-  observes the simulation, it never participates in it.
+  observes the simulation, it never participates in it, so the run's
+  whole record is byte-identical.
 
 (The obs-ON event stream legitimately differs from obs-OFF -- the
 telemetry sampler schedules its own timeouts -- which is exactly why the
@@ -17,7 +18,7 @@ values for the enabled case.)
 import numpy as np
 
 from repro.core import EEVFSConfig, run_eevfs
-from repro.core.filesystem import EEVFSCluster
+from repro.core.filesystem import canonical_json, EEVFSCluster
 from repro.devtools.sanitizer import assert_deterministic, EventStreamHasher
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
@@ -68,7 +69,7 @@ def test_obs_enabled_metrics_match_disabled():
     traced = run_eevfs(trace, config=EEVFSConfig(), seed=0, obs=True)
     assert plain.trace is None
     assert traced.trace is not None
-    assert plain.summary() == traced.summary()
+    assert canonical_json(plain.record()) == canonical_json(traced.record())
 
 
 def test_obs_enabled_npf_metrics_match_disabled():
@@ -76,7 +77,7 @@ def test_obs_enabled_npf_metrics_match_disabled():
     config = EEVFSConfig(prefetch_enabled=False)
     plain = run_eevfs(trace, config=config, seed=0, obs=False)
     traced = run_eevfs(trace, config=config, seed=0, obs=True)
-    assert plain.summary() == traced.summary()
+    assert canonical_json(plain.record()) == canonical_json(traced.record())
 
 
 def test_traced_run_covers_the_required_span_kinds():
@@ -98,7 +99,7 @@ def test_traced_runs_are_deterministic_too():
 
     first = build().run(trace)
     second = build().run(trace)
-    assert first.summary() == second.summary()
+    assert canonical_json(first.record()) == canonical_json(second.record())
     assert len(first.trace.spans) == len(second.trace.spans)
 
 

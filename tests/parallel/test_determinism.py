@@ -7,6 +7,7 @@ regenerate traces from seeds and run the identical ``execute_job`` path.
 
 import pytest
 
+from repro.core.filesystem import canonical_json
 from repro.experiments.sweeps import run_sweep, SWEEPS
 from repro.parallel import JobSpec, run_jobs, TraceSpec
 from repro.traces.synthetic import SyntheticWorkload
@@ -14,18 +15,8 @@ from repro.traces.synthetic import SyntheticWorkload
 N_REQUESTS = 60  # tiny traces: 4 sweeps x 2 values x PF/NPF stays fast
 
 
-def _fingerprint(comparison):
-    return (
-        comparison.pf.energy_j,
-        comparison.pf.transitions,
-        comparison.pf.response_times.mean,
-        comparison.pf.response_times.count,
-        comparison.npf.energy_j,
-        comparison.npf.transitions,
-        comparison.npf.response_times.mean,
-        comparison.energy_savings_pct,
-        comparison.response_penalty_pct,
-    )
+def _records(comparison):
+    return canonical_json([comparison.pf.record(), comparison.npf.record()])
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
@@ -35,7 +26,7 @@ def test_sweep_identical_serial_vs_parallel(sweep):
     parallel = run_sweep(sweep, values=values, n_requests=N_REQUESTS, jobs=4)
     assert [p.value for p in serial] == [p.value for p in parallel]
     for a, b in zip(serial, parallel, strict=True):
-        assert _fingerprint(a.comparison) == _fingerprint(b.comparison)
+        assert _records(a.comparison) == _records(b.comparison)
 
 
 def test_result_order_matches_spec_order_not_completion_order():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Store and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -106,8 +106,10 @@ class TestResource:
 
 
 class TestPriorityResource:
+    """A plain :class:`Resource` grants by request priority, FIFO within one."""
+
     def test_low_priority_number_served_first(self, sim):
-        res = PriorityResource(sim, capacity=1)
+        res = Resource(sim, capacity=1)
         order = []
 
         def holder():
@@ -128,7 +130,7 @@ class TestPriorityResource:
         assert order == ["late-important", "early-casual"]
 
     def test_equal_priority_is_fifo(self, sim):
-        res = PriorityResource(sim, capacity=1)
+        res = Resource(sim, capacity=1)
         order = []
 
         def holder():
@@ -236,64 +238,3 @@ class TestStore:
 
         sim.process(proc())
         sim.run()
-
-
-class TestContainer:
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=10, init=11)
-
-    def test_put_get_levels(self, sim):
-        tank = Container(sim, capacity=100, init=50)
-
-        def proc():
-            yield tank.get(30)
-            assert tank.level == 20
-            yield tank.put(60)
-            assert tank.level == 80
-
-        sim.process(proc())
-        sim.run()
-
-    def test_get_blocks_until_supply(self, sim):
-        tank = Container(sim, capacity=100, init=0)
-        done = []
-
-        def taker():
-            yield tank.get(10)
-            done.append(sim.now)
-
-        def filler():
-            yield sim.timeout(4.0)
-            yield tank.put(10)
-
-        sim.process(taker())
-        sim.process(filler())
-        sim.run()
-        assert done == [4.0]
-
-    def test_put_blocks_at_capacity(self, sim):
-        tank = Container(sim, capacity=10, init=10)
-        done = []
-
-        def filler():
-            yield tank.put(5)
-            done.append(sim.now)
-
-        def drainer():
-            yield sim.timeout(2.0)
-            yield tank.get(6)
-
-        sim.process(filler())
-        sim.process(drainer())
-        sim.run()
-        assert done == [2.0]
-
-    def test_zero_amounts_rejected(self, sim):
-        tank = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(0)

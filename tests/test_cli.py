@@ -202,7 +202,9 @@ class TestExport:
         path = write_runresult_json(result, tmp_path / "run.json")
         data = json.loads(path.read_text())
         assert data["energy_j"] == pytest.approx(result.energy_j)
-        assert data["requests"] == 80
+        assert data["response_times"]["count"] == 80
+        assert data["response_times"]["p99"] == result.response_times.percentile(99)
+        assert data["config"]["prefetch_files"] == result.config.prefetch_files
         assert len(data["nodes"]) == 8
         assert len(data["nodes"][0]["disks"]) == 3
         assert "standby" in data["nodes"][0]["disks"][1]["time_in_state_s"]

@@ -1,0 +1,70 @@
+"""The smoke goldens: each CI smoke command's output, pinned across commits.
+
+``tests/golden/<name>.json`` is the output of the command the matching
+CI smoke job runs (``race-smoke``, ``chaos-smoke``, ``online-smoke``,
+``ssd-smoke``).  The drill, online and ssd files hold every run's
+:meth:`~repro.core.filesystem.RunResult.record`; the race file holds the
+suite's statuses and conservation fingerprints.  Each test re-runs one
+command in-process and compares bytes, so a change that moves any
+simulated value fails here with the first JSON paths that differ.
+
+``--jobs 1`` keeps the run in this process; ``tests/parallel`` pins that
+the worker count never changes a result.  To re-pin after a deliberate
+change in behaviour, re-run the command into the golden path and say in
+CHANGES.md why the behaviour moved (docs/performance.md, "Goldens").
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: name -> the CI smoke job's command line; ``{out}`` is the --json path,
+#: and a command without one prints its JSON to stdout.
+COMMANDS = {
+    "races": "lint --races --race-seeds 101,303 --format json",
+    "drill": "--requests 200 --seed 7 faults --metadata-drill --json {out}",
+    "online": "--requests 200 --seed 7 online --sweeps traces --json {out}",
+    "ssd": "--requests 150 --seed 7 ssd --capacities-mb 16 32 --channels 1 2 --json {out}",
+}
+
+
+def _differing_paths(expected, actual, path="$"):
+    """JSON paths at which *actual* departs from *expected*, in order."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key in sorted(expected.keys() | actual.keys()):
+            if key not in actual:
+                yield f"{path}.{key} (missing)"
+            elif key not in expected:
+                yield f"{path}.{key} (new)"
+            else:
+                yield from _differing_paths(expected[key], actual[key], f"{path}.{key}")
+    elif isinstance(expected, list) and isinstance(actual, list):
+        if len(expected) != len(actual):
+            yield f"{path} (length {len(expected)} -> {len(actual)})"
+        for index, (old, new) in enumerate(zip(expected, actual, strict=False)):
+            yield from _differing_paths(old, new, f"{path}[{index}]")
+    elif json.dumps(expected) != json.dumps(actual):  # NaN-safe, keeps 1 != 1.0
+        yield f"{path}: {expected!r} -> {actual!r}"
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_smoke_output_matches_its_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    command = COMMANDS[name]
+    main(["--jobs", "1", *command.format(out=out).split()])
+    printed = capsys.readouterr().out
+    produced = out.read_text() if "{out}" in command else printed
+    golden = (GOLDEN / f"{name}.json").read_text()
+    if produced != golden:
+        paths = list(_differing_paths(json.loads(golden), json.loads(produced)))
+        shown = "\n  ".join(paths[:10]) or "(same data, different formatting)"
+        pytest.fail(
+            f"{name}: output differs from tests/golden/{name}.json in "
+            f"{len(paths)} place(s); first:\n  {shown}",
+            pytrace=False,
+        )
