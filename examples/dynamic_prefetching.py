@@ -4,9 +4,12 @@
 The paper prefetches once, before the run, from a popularity log -- fine
 while the hot set is stable.  This example builds a *drifting* workload
 (the hotspot moves ~350 files over the run), shows static prefetching
-decaying, and turns on the PRE-BUD-style dynamic re-prefetcher
-(`reprefetch_interval_s`) to track the hot set -- including what the
-tracking costs in copy traffic and drive wear.
+decaying, and turns on the PRE-BUD-style dynamic re-prefetcher to track
+the hot set -- including what the tracking costs in copy traffic and
+drive wear.  Setting `popularity_window_s` starts the replan loop in
+oracle mode: every `online_replan_epoch_s` it ranks the last
+`popularity_window_s` seconds of requests, and with
+`online_drift_threshold=0` it replaces the buffer contents every epoch.
 
 Run:  python examples/dynamic_prefetching.py
 """
@@ -40,7 +43,11 @@ def main() -> None:
     npf = run(EEVFSConfig(prefetch_enabled=False))
     static = run(EEVFSConfig())
     dynamic = run(
-        EEVFSConfig(reprefetch_interval_s=30.0, popularity_window_s=60.0)
+        EEVFSConfig(
+            popularity_window_s=60.0,
+            online_replan_epoch_s=30.0,
+            online_drift_threshold=0.0,
+        )
     )
 
     rows = []

@@ -192,12 +192,12 @@ class EEVFSConfig:
     #: node's data disks (1 = the paper's whole-file layout).  Striping
     #: parallelises transfers but forces every stripe disk awake per miss.
     stripe_width: int = 1
-    #: Dynamic (PRE-BUD-style) re-prefetching: every interval the server
-    #: recomputes the top-K from its *online* access log and replaces the
-    #: nodes' buffer contents.  None (the paper's prototype) prefetches
-    #: once, at setup.
-    reprefetch_interval_s: Optional[float] = None
-    #: Sliding window for online popularity (None = all accesses ever).
+    #: Dynamic (PRE-BUD-style) re-prefetching in oracle mode: when set,
+    #: the replan loop (repro.online.replan) ranks the accesses of the
+    #: last ``popularity_window_s`` seconds of the live request log every
+    #: ``online_replan_epoch_s`` and replaces the buffer contents once
+    #: the top-K drifts by ``online_drift_threshold`` (0: every epoch).
+    #: None (the paper's prototype) prefetches once, at setup.
     popularity_window_s: Optional[float] = None
     #: Buffer-disk capacity reserved for prefetch copies; None = whole disk.
     buffer_capacity_bytes: Optional[int] = None
@@ -295,10 +295,12 @@ class EEVFSConfig:
     online_idle_step_s: float = 1.0
     online_idle_min_s: float = 1.0
     online_idle_max_s: float = 30.0
-    #: Re-prefetch epoch: every epoch the replanner ranks the estimator's
-    #: view, diffs the top-K against the current buffer plan, and -- when
-    #: the drift fraction reaches ``online_drift_threshold`` -- replaces
-    #: the buffer contents through the normal prefetch path.
+    #: Re-prefetch epoch: every epoch the replanner ranks its popularity
+    #: source (the streaming estimator, or the ``popularity_window_s``
+    #: window in oracle mode), diffs the top-K against the current buffer
+    #: plan, and -- when the drift fraction reaches
+    #: ``online_drift_threshold`` -- replaces the buffer contents through
+    #: the normal prefetch path.
     online_replan_epoch_s: float = 60.0
     online_drift_threshold: float = 0.1
     #: Additionally gate replans on economics: skip when the estimated
@@ -369,8 +371,6 @@ class EEVFSConfig:
             raise ValueError("destage_highwater_fraction must be in (0, 1]")
         if self.destage_max_dirty_age_s < 0:
             raise ValueError("destage_max_dirty_age_s must be >= 0")
-        if self.reprefetch_interval_s is not None and self.reprefetch_interval_s <= 0:
-            raise ValueError("reprefetch_interval_s must be > 0")
         if self.replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be >= 1, got {self.replication_factor!r}"
@@ -410,10 +410,13 @@ class EEVFSConfig:
                 "meta_election_timeout_max_s must exceed "
                 "meta_election_timeout_min_s"
             )
-        if self.metadata_plane and self.reprefetch_interval_s is not None:
+        if self.metadata_plane and (
+            self.online_mode or self.popularity_window_s is not None
+        ):
             raise ValueError(
-                "metadata_plane routes requests around the storage server, "
-                "whose online log feeds re-prefetching; disable one of them"
+                "online_mode and popularity_window_s replan from the storage "
+                "server's request stream, which metadata_plane routes "
+                "around; disable one of them"
             )
         if self.online_estimator not in ("ema", "cms"):
             raise ValueError(f"unknown online_estimator: {self.online_estimator!r}")
@@ -450,16 +453,10 @@ class EEVFSConfig:
                     "needs prefetch_enabled (compare against a plain NPF "
                     "config instead)"
                 )
-            if self.metadata_plane:
+            if self.popularity_window_s is not None:
                 raise ValueError(
-                    "online_mode estimates popularity from the storage "
-                    "server's request stream, which metadata_plane routes "
-                    "around; disable one of them"
-                )
-            if self.reprefetch_interval_s is not None:
-                raise ValueError(
-                    "online_mode's drift-triggered replanner replaces the "
-                    "fixed reprefetch_interval_s loop; disable one of them"
+                    "online_mode ranks by its streaming estimator and would "
+                    "ignore popularity_window_s; disable one of them"
                 )
         if self.request_max_retries < 0:
             raise ValueError("request_max_retries must be >= 0")

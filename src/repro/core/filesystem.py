@@ -22,6 +22,7 @@ from repro.backend.ssd import SSDBackend
 from repro.core.client import ClientDriver, RetryPolicy
 from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
 from repro.core.node import StorageNode
+from repro.core.popularity import PopularitySource, WindowEstimator
 from repro.core.server import StorageServer
 from repro.disk.states import DiskState
 from repro.faults.injector import FaultInjector
@@ -32,7 +33,7 @@ from repro.net.fabric import Fabric
 from repro.obs.runtime import Observability, maybe_snapshot
 from repro.obs.tracer import RunTrace
 from repro.online.controller import OnlineController, OnlineStats
-from repro.online.estimators import build_estimator, OnlineEstimator
+from repro.online.estimators import build_estimator
 from repro.online.replan import ReplanLoop
 from repro.sim.engine import Simulator
 from repro.sim.monitor import TallyStat
@@ -283,11 +284,16 @@ class EEVFSCluster:
             connect_s=self.cluster.connect_s,
         )
         node_names = [n.name for n in self.cluster.storage_nodes]
-        #: Online mode (repro.online): the streaming estimator replaces
-        #: the oracle access log as the server's popularity source.
-        self.online_estimator: Optional[OnlineEstimator] = None
+        # The replan loop's popularity source, or None when the buffers
+        # keep their setup plan: online mode's streaming estimator, or,
+        # with ``popularity_window_s``, a window over the live request log.
+        source: Optional[PopularitySource] = None
         if self.config.online_mode:
-            self.online_estimator = build_estimator(self.config)
+            source = build_estimator(self.config)
+        elif self.config.prefetch_enabled and self.config.popularity_window_s is not None:
+            source = WindowEstimator(
+                self.config.popularity_window_s, clock=lambda: self.sim.now
+            )
         self.server = StorageServer(
             self.sim,
             self.fabric,
@@ -300,7 +306,7 @@ class EEVFSCluster:
             node_weights={
                 n.name: n.nic_bps for n in self.cluster.storage_nodes
             },
-            popularity_source=self.online_estimator,
+            replan_source=source,
         )
         self.nodes: List[StorageNode] = [
             node_class(
@@ -341,21 +347,24 @@ class EEVFSCluster:
             ),
             rng=self.streams.stream("client:retry"),
         )
-        #: Adaptive control + drift-triggered replanning; started by
-        #: :meth:`run` at the trace epoch, like the fault injector, so
-        #: control ticks and replan epochs are workload-relative.
+        #: Online mode's adaptive controller and the drift-gated replan
+        #: loop (online mode, or oracle mode with ``popularity_window_s``);
+        #: started by :meth:`run` at the trace epoch, like the fault
+        #: injector, so control ticks and replan epochs are
+        #: workload-relative.
         self.online_controller: Optional[OnlineController] = None
-        self.online_replanner: Optional[ReplanLoop] = None
         if self.config.online_mode:
-            assert self.online_estimator is not None
             self.online_controller = OnlineController(
                 self.sim, nodes=self.nodes, config=self.config
             )
-            self.online_replanner = ReplanLoop(
+        self.replanner: Optional[ReplanLoop] = None
+        if source is not None:
+            self.replanner = ReplanLoop(
                 self.sim,
                 server=self.server,
-                estimator=self.online_estimator,
-                controller=self.online_controller,
+                source=source,
+                nodes=self.nodes,
+                k=self.online_controller or self.config.prefetch_files,
                 config=self.config,
             )
         #: Fault injection (repro.faults); started by :meth:`run` at the
@@ -482,8 +491,8 @@ class EEVFSCluster:
             self.injector.start(epoch)
         if self.online_controller is not None:
             self.online_controller.start()
-        if self.online_replanner is not None:
-            self.online_replanner.start()
+        if self.replanner is not None:
+            self.replanner.start()
 
         # Snapshot energy at the start of the measurement window.
         disk_energy_at_epoch = {
@@ -645,10 +654,8 @@ class EEVFSCluster:
     def _online_snapshot(self) -> Optional[OnlineStats]:
         if self.online_controller is None:
             return None
-        stats = self.online_controller.snapshot()
-        assert self.online_estimator is not None
-        stats.samples_recorded = self.online_estimator.recorded
-        return stats
+        assert self.replanner is not None
+        return self.replanner.snapshot(self.online_controller.snapshot())
 
     def _server_energy_j(self) -> float:
         """Whole-server energy so far (base power only; its disk serves

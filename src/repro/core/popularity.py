@@ -9,18 +9,39 @@ and produces the two orderings the system needs:
 * the top-K selection used for prefetching (§IV-B).
 
 :class:`PopularitySource` is the protocol both obey: the oracle
-estimator here (popularity from a complete historical trace) and the
-streaming estimators in :mod:`repro.online` (popularity from the
-observed request stream only) are interchangeable wherever placement,
-prefetch planning, or hint generation needs a total order over files.
+estimators here (popularity from a complete historical trace, or from a
+sliding window over the live log) and the streaming estimators in
+:mod:`repro.online` (popularity from the observed request stream only)
+are interchangeable wherever placement, prefetch planning, or
+replanning needs a total order over files.  :func:`ranked` is the one
+ranking rule every source applies to its scores.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, runtime_checkable, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Protocol, runtime_checkable, Sequence
 
 from repro.traces.logio import AccessLog
 from repro.traces.model import Trace
+
+
+def ranked(
+    scores: Mapping[int, float], catalog: Optional[Sequence[int]] = None
+) -> List[int]:
+    """File ids by descending score (ties: lower id first).
+
+    With *catalog* given, files without a score follow every scored file
+    in ascending id order, so the ranking is a total order over the file
+    system -- required by placement, which must place *every* file.
+    """
+    pairs = sorted([(-score, fid) for fid, score in scores.items()])
+    order = [fid for _, fid in pairs]
+    if catalog is None:
+        return order
+    unknown = scores.keys() - set(catalog)
+    if unknown:
+        raise ValueError(f"log contains files outside the catalog: {sorted(unknown)[:5]}")
+    return order + sorted([fid for fid in catalog if fid not in scores])
 
 
 @runtime_checkable
@@ -31,11 +52,15 @@ class PopularitySource(Protocol):
     the streaming estimators in :mod:`repro.online.estimators`:
 
     * ``record`` ingests one access (a no-op cost-wise: O(1) amortised);
+    * ``recorded`` counts the accesses ingested so far;
     * ``ranking`` returns a *total order* over the catalog when one is
       given -- observed files first, most popular first, deterministic
       tie-break -- so placement can place every file;
     * ``top_k`` is the prefetch candidate list (``ranking[:k]``).
     """
+
+    @property
+    def recorded(self) -> int: ...
 
     def record(self, time_s: float, file_id: int) -> None: ...
 
@@ -44,27 +69,15 @@ class PopularitySource(Protocol):
     def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]: ...
 
 
-#: Ranking-cache key: (log version, catalog fingerprint).
-_CacheKey = Tuple[Optional[int], Optional[Tuple[int, ...]]]
-
-
 class PopularityEstimator:
     """Derives popularity orderings from an access log.
 
-    Rankings are memoised against the log's version counter: placement,
-    prefetch planning and hint generation all ask for the same total
-    order, and recomputing the sort (plus the catalog merge) for each
-    caller was pure waste.
+    Every logged access counts: the oracle ranks a historical trace once,
+    at setup.
     """
 
     def __init__(self, log: Optional[AccessLog] = None) -> None:
         self.log = log if log is not None else AccessLog()
-        #: (log version, catalog key) -> full ranking.  Only entries for
-        #: the *latest* observed log version are retained: a live log
-        #: bumps its version on every append, so stale versions can
-        #: never be asked for again and keeping them would leak one
-        #: ranking per (version, catalog) pair over a long online run.
-        self._ranking_cache: Dict[_CacheKey, List[int]] = {}
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PopularityEstimator":
@@ -73,54 +86,22 @@ class PopularityEstimator:
         estimator.log.record_trace(trace)
         return estimator
 
+    @property
+    def recorded(self) -> int:
+        """Accesses logged so far."""
+        return len(self.log)
+
     def record(self, time_s: float, file_id: int) -> None:
         """Append one observed access (online operation)."""
         self.log.append(time_s, file_id)
 
     def counts(self) -> Dict[int, int]:
         """Access count per file (observed files only)."""
-        return dict(self.log.counts())
+        return self.log.counts()
 
     def ranking(self, catalog: Optional[Sequence[int]] = None) -> List[int]:
-        """Descending-popularity file ids.
-
-        With *catalog* given, files never observed in the log are appended
-        after all observed files (ascending id), so the ranking is a
-        total order over the file system -- required by placement, which
-        must place *every* file.
-        """
-        cache_key: _CacheKey = (
-            getattr(self.log, "version", None),
-            None if catalog is None else tuple(catalog),
-        )
-        if cache_key[0] is not None:
-            cached = self._ranking_cache.get(cache_key)
-            if cached is not None:
-                return list(cached)
-        ranked = self.log.popularity_ranking()
-        if catalog is None:
-            result = ranked
-        else:
-            seen = set(ranked)
-            catalog_set = set(catalog)
-            tail = sorted(fid for fid in catalog if fid not in seen)
-            unknown = [fid for fid in ranked if fid not in catalog_set]
-            if unknown:
-                raise ValueError(
-                    f"log contains files outside the catalog: {unknown[:5]}"
-                )
-            result = ranked + tail
-        if cache_key[0] is not None:
-            # Evict every entry from an older log version: appends bump
-            # the version, so those keys are dead and would otherwise
-            # accumulate one ranking per append over a live run.
-            stale = [
-                key for key in list(self._ranking_cache) if key[0] != cache_key[0]
-            ]
-            for key in stale:
-                del self._ranking_cache[key]
-            self._ranking_cache[cache_key] = result
-        return list(result)
+        """Descending-popularity file ids (see :func:`ranked`)."""
+        return ranked(self.counts(), catalog)
 
     def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]:
         """The K most popular files (the prefetch candidate list)."""
@@ -128,6 +109,21 @@ class PopularityEstimator:
             raise ValueError(f"k must be >= 0, got {k!r}")
         return self.ranking(catalog)[:k]
 
-    def access_times(self, file_id: int) -> List[float]:
-        """All logged access times for a file (feeds the hint pipeline)."""
-        return self.log.accesses_for(file_id)
+
+class WindowEstimator(PopularityEstimator):
+    """Popularity over a sliding window of the live access log.
+
+    Only the accesses of the last *window_s* seconds before ``clock()``
+    count.  This is the source oracle-mode replanning ranks by
+    (``EEVFSConfig.popularity_window_s``): the storage server appends
+    every routed request, and each replan epoch ranks the recent ones.
+    """
+
+    def __init__(self, window_s: float, clock: Callable[[], float]) -> None:
+        super().__init__()
+        self.window_s = window_s
+        self.clock = clock
+
+    def counts(self) -> Dict[int, int]:
+        """Access count per file inside the window."""
+        return self.log.counts(since=self.clock() - self.window_s)

@@ -11,6 +11,11 @@ as a load balancer and access point for all of the storage nodes".  It:
 4. forwards application hints (step 4),
 5. forwards client requests to the owning node (step 5); data flows
    node -> client directly (step 6), never through the server.
+
+When a run replans its buffers (online mode, or ``popularity_window_s``)
+the server also feeds every routed request to the replan loop's
+popularity source; the loop itself (:class:`~repro.online.replan.ReplanLoop`)
+runs beside the server, which starts no periodic process of its own.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
 from repro.sim.process import Process
-from repro.traces.logio import AccessLog
 from repro.traces.model import RequestOp, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +71,7 @@ class StorageServer:
         name: str = SERVER_NAME,
         node_disk_counts: Optional[Dict[str, int]] = None,
         node_weights: Optional[Dict[str, float]] = None,
-        popularity_source: Optional[PopularitySource] = None,
+        replan_source: Optional[PopularitySource] = None,
     ) -> None:
         if not node_names:
             raise ValueError("server needs at least one storage node")
@@ -87,18 +91,20 @@ class StorageServer:
         #: Relative node capability (NIC rate) for weighted placement.
         self.node_weights = dict(node_weights or {})
         self.endpoint = fabric.add_endpoint(name, nic_bps)
-        if config.online_mode and popularity_source is None:
+        if config.online_mode and replan_source is None:
             raise ValueError(
                 "online_mode drops the oracle: the server needs an injected "
                 "PopularitySource (a repro.online streaming estimator)"
             )
         self.metadata = ServerMetadata()
+        #: The oracle: a PopularityEstimator over the historical trace,
+        #: built during setup (None in online mode).
         self.estimator: Optional[PopularityEstimator] = None
-        #: Where popularity orderings come from.  Oracle mode builds a
-        #: PopularityEstimator from the historical trace during setup;
-        #: online mode is handed a streaming estimator that this server
-        #: feeds from the live request stream instead.
-        self.popularity_source: Optional[PopularitySource] = popularity_source
+        #: The replan loop's popularity source, fed from every routed
+        #: request: online mode's streaming estimator (which also ranks
+        #: setup, cold), or the windowed live log of oracle-mode
+        #: replanning.  None when the buffers keep their setup plan.
+        self.replan_source = replan_source
         self.placement: Dict[int, str] = {}
         self.prefetch_plan: Optional[PrefetchPlan] = None
         self.requests_forwarded = 0
@@ -115,10 +121,6 @@ class StorageServer:
         #: completions then propose placement updates to it so the
         #: shards' replicated state machines track re-replication.
         self.metaplane = None
-        #: Live request log (§IV: "an append-only log of requests to keep
-        #: track of file access patterns") -- feeds dynamic re-prefetching.
-        self.online_log = AccessLog()
-        self.reprefetch_rounds = 0
         self._catalog: List[int] = []
         self._prefetch_acks_pending = 0
         self._prefetch_all_acked: Optional[Event] = None
@@ -161,11 +163,11 @@ class StorageServer:
         catalog = [f.file_id for f in trace.files]
         self._catalog = catalog
         if self.config.online_mode:
-            assert self.popularity_source is not None  # checked at init
+            source = self.replan_source
+            assert source is not None  # checked at init
         else:
-            self.estimator = PopularityEstimator.from_trace(history)
-            self.popularity_source = self.estimator
-        ranking = self.popularity_source.ranking(catalog)
+            source = self.estimator = PopularityEstimator.from_trace(history)
+        ranking = source.ranking(catalog)
 
         # Step 3a: place files on nodes by popularity rank.
         if self.config.placement_policy == "concentrate":
@@ -279,42 +281,11 @@ class StorageServer:
                 )
                 hint_events.append(self.fabric.send(self.name, node, payload))
             yield self.sim.all_of(hint_events)
-        if (
-            self.config.prefetch_enabled
-            and self.config.reprefetch_interval_s is not None
-        ):
-            self.sim.process(self._reprefetch_loop())
         # Started only now: during setup every file is transiently
         # "under-replicated" and the repair loop must not chase ghosts.
         if self.config.replication_factor > 1 and self.config.rereplication_enabled:
             self.repairer = ReplicationManager(self)
         return self.sim.now
-
-    # -- dynamic re-prefetching (extension; PRE-BUD's "dynamically fetch") -------------
-
-    def _reprefetch_loop(self) -> Generator[Event, Any, None]:
-        """Periodically retarget the buffer disks from the online log."""
-        interval = self.config.reprefetch_interval_s
-        window = self.config.popularity_window_s
-        while True:
-            yield self.sim.timeout(interval)
-            if len(self.online_log) == 0:
-                continue
-            since = None if window is None else self.sim.now - window
-            counts = self.online_log.counts(since=since)
-            observed = sorted(counts, key=lambda fid: (-counts[fid], fid))
-            seen = set(observed)
-            ranking = observed + [f for f in self._catalog if f not in seen]
-            plan = plan_prefetch(ranking, self.config.prefetch_files, self.placement)
-            self.reprefetch_rounds += 1
-            for node in self.node_names:
-                self.fabric.send_nowait(
-                    self.name,
-                    node,
-                    PrefetchCommand(
-                        file_ids=plan.files_for(node), replace=True, ack=False
-                    ),
-                )
 
     # -- request plane (steps 5-6) -----------------------------------------------------
 
@@ -359,11 +330,10 @@ class StorageServer:
     def _route(self, payload: FileRequest) -> None:
         """Forward *payload* to its first live holder, then take the next
         message."""
-        self.online_log.append(self.sim.now, payload.file_id)
-        if self.config.online_mode and self.popularity_source is not None:
-            # Feed the streaming estimator -- the only popularity
-            # signal the system has without the oracle.
-            self.popularity_source.record(self.sim.now, payload.file_id)
+        if self.replan_source is not None:
+            # §IV's "append-only log of requests": the only popularity
+            # signal a replanning run has after setup.
+            self.replan_source.record(self.sim.now, payload.file_id)
         lookup, self._lookup = self._lookup, None
         tracer = self.sim.tracer
         holders = self.metadata.live_holders(payload.file_id)

@@ -243,8 +243,9 @@ def ablate_dynamic_prefetch(
     """Static vs dynamic prefetching on a drifting workload.
 
     Both policies get the same limited history (the trace's first 15 %);
-    the dynamic policy then re-prefetches from the online log every 30 s
-    over a 60 s popularity window.  Returns the three runs.
+    the dynamic policy then re-prefetches from the live request log every
+    30 s over a 60 s popularity window, with no drift gate.  Returns the
+    three runs.
     """
     from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
 
@@ -257,7 +258,11 @@ def ablate_dynamic_prefetch(
     )
     static = EEVFSCluster(config=EEVFSConfig(), seed=seed).run(trace, history=history)
     dynamic = EEVFSCluster(
-        config=EEVFSConfig(reprefetch_interval_s=30.0, popularity_window_s=60.0),
+        config=EEVFSConfig(
+            popularity_window_s=60.0,
+            online_replan_epoch_s=30.0,
+            online_drift_threshold=0.0,
+        ),
         seed=seed,
     ).run(trace, history=history)
     return {"npf": npf, "static": static, "dynamic": dynamic}

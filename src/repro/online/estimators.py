@@ -4,8 +4,9 @@ The paper derives its popularity ranking from a *complete* access trace
 known in advance (§IV-A).  Online mode replaces that oracle with
 estimators that learn from the observed request stream only, while
 satisfying the same :class:`~repro.core.popularity.PopularitySource`
-ranking/top-K protocol so placement, prefetch planning and replanning
-can consume either interchangeably:
+ranking/top-K protocol, and ranking by the same
+:func:`~repro.core.popularity.ranked` rule, so placement, prefetch
+planning and replanning can consume either interchangeably:
 
 * :class:`EMAEstimator` -- exact per-file exponentially-decayed counts.
   Memory is O(distinct files observed); the decay half-life makes the
@@ -28,26 +29,12 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import EEVFSConfig
+from repro.core.popularity import ranked
 
 #: Renormalise EMA weights once the shared exponent passes this many
 #: half-lives, keeping scores in floating-point range over arbitrarily
 #: long runs without changing their ratios (hence never the ranking).
 _EMA_RESCALE_HALFLIVES = 256.0
-
-
-def _ranked(scores: Dict[int, float], catalog: Optional[Sequence[int]]) -> List[int]:
-    """Total order: observed files by score desc (ties: lower id first),
-    then unobserved catalog files ascending -- the same shape the oracle
-    :class:`~repro.core.popularity.PopularityEstimator` produces."""
-    observed = sorted(scores, key=lambda fid: (-scores[fid], fid))
-    if catalog is None:
-        return observed
-    catalog_set = set(catalog)
-    unknown = [fid for fid in observed if fid not in catalog_set]
-    if unknown:
-        raise ValueError(f"stream contains files outside the catalog: {unknown[:5]}")
-    seen = set(observed)
-    return observed + sorted(fid for fid in catalog if fid not in seen)
 
 
 class EMAEstimator:
@@ -98,7 +85,7 @@ class EMAEstimator:
         return {fid: self.estimate(fid) for fid in sorted(self._scores)}
 
     def ranking(self, catalog: Optional[Sequence[int]] = None) -> List[int]:
-        return _ranked(self._scores, catalog)
+        return ranked(self._scores, catalog)
 
     def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]:
         if k < 0:
@@ -248,7 +235,7 @@ class CountMinEstimator:
         return {fid: self._top[fid] for fid in sorted(self._top)}
 
     def ranking(self, catalog: Optional[Sequence[int]] = None) -> List[int]:
-        return _ranked(self._top, catalog)
+        return ranked(self._top, catalog)
 
     def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]:
         if k < 0:

@@ -1,12 +1,13 @@
-"""Drift-triggered re-prefetching (online mode's epoch loop).
+"""Drift-gated re-prefetching: the one periodic re-prefetch loop.
 
-The oracle prefetches once, at setup, because it already knows the
-whole trace.  Online mode starts with *empty* buffer disks and learns:
-every ``online_replan_epoch_s`` of simulated time the replanner
+The paper prefetches once, at setup.  PRE-BUD's "dynamically fetch the
+most popular data into buffer disks" is this loop.  Every
+``online_replan_epoch_s`` of simulated time after the trace epoch the
+replanner
 
-1. ranks the streaming estimator's current view over the catalog
+1. ranks its popularity source's current view over the catalog
    (traced as ``online.estimate``),
-2. takes the top-K at the controller's *current* adaptive K,
+2. takes the top-K,
 3. measures drift -- the fraction of that top-K not covered by the
    plan the buffers currently hold -- and,
 4. when drift reaches ``online_drift_threshold`` (or the buffers were
@@ -15,9 +16,21 @@ every ``online_replan_epoch_s`` of simulated time the replanner
    copies newly wanted files and unmarks no-longer-wanted ones
    (traced as ``online.replan``).
 
-The drift gate is what makes this cheaper than blind periodic
-re-prefetching: a stable workload converges after one or two epochs and
-then stops moving data entirely.
+Two arms run it, and they differ only in their popularity source and
+their K (:class:`~repro.core.filesystem.EEVFSCluster` picks both):
+
+* **online mode** (``online_mode``): a streaming estimator from
+  :mod:`repro.online.estimators` and the controller's adaptive K.  The
+  buffers start cold.
+* **oracle mode with** ``popularity_window_s``: a
+  :class:`~repro.core.popularity.WindowEstimator` over the last
+  ``popularity_window_s`` seconds of the live request log, and the fixed
+  ``prefetch_files``.  The buffers start with the setup plan.
+
+A drift gate of 0 replans at every epoch once a request has been seen:
+blind periodic re-prefetching.  Above 0 the gate is what makes the loop
+cheaper: a stable workload converges after one or two epochs and then
+stops moving data entirely.
 
 With ``online_replan_cost_gate`` enabled, a drifted plan must also pay
 for itself: the loop estimates the migration energy of copying the newly
@@ -33,17 +46,19 @@ replans that cannot break even even under the rosiest forecast.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Set, TYPE_CHECKING
+from dataclasses import replace
+from typing import Any, Generator, List, Set, TYPE_CHECKING, Union
 
 from repro.core.config import EEVFSConfig
+from repro.core.popularity import PopularitySource
 from repro.core.prefetch import plan_prefetch
 from repro.core.protocol import PrefetchCommand
-from repro.online.controller import OnlineController
-from repro.online.estimators import OnlineEstimator
+from repro.online.controller import OnlineController, OnlineStats
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
 if TYPE_CHECKING:
+    from repro.core.node import StorageNode
     from repro.core.server import StorageServer
 
 
@@ -54,25 +69,55 @@ class ReplanLoop:
         self,
         sim: Simulator,
         server: "StorageServer",
-        estimator: OnlineEstimator,
-        controller: OnlineController,
+        source: PopularitySource,
+        nodes: "List[StorageNode]",
+        k: Union[int, OnlineController],
         config: EEVFSConfig,
     ) -> None:
         self.sim = sim
         self.server = server
-        self.estimator = estimator
-        self.controller = controller
+        #: Fed by the server from every routed request; ranked each epoch.
+        self.source = source
+        self.nodes = nodes
+        #: Prefetch depth: a fixed count, or the online controller whose
+        #: adaptive K is read afresh at every epoch.
+        self.k = k
         self.config = config
-        #: Files the buffer disks were last told to hold (empty until
-        #: the first replan -- online mode starts cold).
+        #: Span tag naming the source.
+        self._source_name = config.online_estimator if config.online_mode else "window"
+        #: Files the buffer disks were last told to hold (the setup plan
+        #: until the first replan; empty in online mode, which starts
+        #: cold).
         self._planned: Set[int] = set()
-        #: Estimator count at the previous epoch boundary, for the
+        #: Source count at the previous epoch boundary, for the
         #: per-epoch access-rate estimate the cost gate projects from.
         self._last_recorded = 0
+        self.epochs = 0
+        self.replans = 0
+        self.skipped = 0
+        #: Subset of the skips where drift had fired but the cost gate
+        #: vetoed the migration as uneconomic.
+        self.cost_vetoed = 0
+        self.max_drift = 0.0
 
     def start(self) -> None:
         """Arm the loop (called at the trace epoch)."""
+        plan = self.server.prefetch_plan
+        if plan is not None:
+            self._planned = {fid for files in plan.per_node.values() for fid in files}
         self.sim.process(self._loop())
+
+    def snapshot(self, stats: OnlineStats) -> OnlineStats:
+        """*stats* (the controller's) with this loop's counters filled in."""
+        return replace(
+            stats,
+            replan_epochs=self.epochs,
+            replans_triggered=self.replans,
+            replans_skipped=self.skipped,
+            replans_cost_vetoed=self.cost_vetoed,
+            max_drift=self.max_drift,
+            samples_recorded=self.source.recorded,
+        )
 
     def drift_fraction(self, top: list[int]) -> float:
         """Share of the wanted top-K the current plan does not hold."""
@@ -90,11 +135,10 @@ class ReplanLoop:
         for this purpose, and the gate only needs the right order of
         magnitude).
         """
-        nodes = self.controller.nodes
-        if not nodes or not new_files:
+        if not self.nodes or not new_files:
             return 0.0
-        data = nodes[0].data_disks[0].spec
-        buffer = nodes[0].buffer_disk.spec
+        data = self.nodes[0].data_disks[0].spec
+        buffer = self.nodes[0].buffer_disk.spec
         total = 0.0
         for fid in new_files:
             try:
@@ -117,10 +161,9 @@ class ReplanLoop:
         hit.  Optimism is the point: a replan vetoed under this forecast
         cannot break even under any realistic one.
         """
-        nodes = self.controller.nodes
-        if not nodes or not new_files or epoch_accesses <= 0 or drift <= 0:
+        if not self.nodes or not new_files or epoch_accesses <= 0 or drift <= 0:
             return 0.0
-        data = nodes[0].data_disks[0].spec
+        data = self.nodes[0].data_disks[0].spec
         sizes = []
         for fid in new_files:
             try:
@@ -134,33 +177,33 @@ class ReplanLoop:
         return epoch_accesses * drift * read_s * data.power_active_w
 
     def _loop(self) -> Generator[Event, Any, None]:
-        stats = self.controller.stats
+        source = self.source
         while True:
             yield self.sim.timeout(self.config.online_replan_epoch_s)
-            stats.replan_epochs += 1
-            if self.estimator.recorded == 0:
-                stats.replans_skipped += 1
-                continue  # nothing observed yet: keep the buffers cold
+            self.epochs += 1
+            if source.recorded == 0:
+                self.skipped += 1
+                continue  # nothing observed yet: keep the buffers as they are
 
             tracer = self.sim.tracer
             estimate_span = (
-                tracer.begin("online.estimate", "online", estimator=stats.estimator)
+                tracer.begin("online.estimate", "online", estimator=self._source_name)
                 if tracer is not None
                 else None
             )
-            ranking = self.estimator.ranking(self.server.catalog)
+            ranking = source.ranking(self.server.catalog)
             if estimate_span is not None and tracer is not None:
-                tracer.end(estimate_span, observed=self.estimator.recorded)
+                tracer.end(estimate_span, observed=source.recorded)
 
-            k = self.controller.k
+            k = self.k if isinstance(self.k, int) else self.k.k
             top = ranking[:k]
             drift = self.drift_fraction(top)
-            stats.max_drift = max(stats.max_drift, drift)
-            epoch_accesses = self.estimator.recorded - self._last_recorded
-            self._last_recorded = self.estimator.recorded
+            self.max_drift = max(self.max_drift, drift)
+            epoch_accesses = source.recorded - self._last_recorded
+            self._last_recorded = source.recorded
             first_plan = not self._planned and bool(top)
             if not first_plan and drift < self.config.online_drift_threshold:
-                stats.replans_skipped += 1
+                self.skipped += 1
                 continue
 
             if self.config.online_replan_cost_gate and not first_plan:
@@ -168,8 +211,8 @@ class ReplanLoop:
                 cost = self.migration_cost_j(new_files)
                 savings = self.projected_savings_j(new_files, drift, epoch_accesses)
                 if cost > savings:
-                    stats.replans_skipped += 1
-                    stats.replans_cost_vetoed += 1
+                    self.skipped += 1
+                    self.cost_vetoed += 1
                     if tracer is not None:
                         tracer.instant(
                             "online.replan_vetoed",
@@ -190,7 +233,7 @@ class ReplanLoop:
                     ),
                 )
             self._planned = set(top)
-            stats.replans_triggered += 1
+            self.replans += 1
             if tracer is not None:
                 tracer.instant(
                     "online.replan", "online", k=k, drift=drift

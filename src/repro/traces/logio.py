@@ -9,7 +9,7 @@ Two concerns live here:
   of requests to keep track of file access patterns, which assists the
   storage server in determining the needs for prefetching."
   :class:`AccessLog` is that structure: record-only during operation,
-  with popularity queries over any time window.
+  with access-count queries over any time window.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def trace_round_trip(trace: Trace) -> Trace:
 
 
 class AccessLog:
-    """Append-only record of file accesses with popularity queries.
+    """Append-only record of file accesses with windowed count queries.
 
     Appends must be time-ordered (the log is written as requests arrive at
     the storage server).  Queries never mutate the log.
@@ -111,18 +111,6 @@ class AccessLog:
     def __init__(self) -> None:
         self._times: List[float] = []
         self._file_ids: List[int] = []
-        #: Whole-log access counts, maintained incrementally so the
-        #: common no-window popularity query never rescans the log.
-        self._total_counts: Counter = Counter()
-        #: Monotone version: bumps on every append.  Memoised derived
-        #: views (full-log ranking, estimator caches) key off this.
-        self._version = 0
-        self._ranking_cache: Optional[tuple] = None  # (version, ranking)
-
-    @property
-    def version(self) -> int:
-        """Monotone counter identifying the log's current content."""
-        return self._version
 
     def append(self, time_s: float, file_id: int) -> None:
         """Record one access."""
@@ -133,11 +121,8 @@ class AccessLog:
             )
         if file_id < 0:
             raise ValueError(f"file_id must be >= 0, got {file_id!r}")
-        file_id = int(file_id)
         self._times.append(float(time_s))
-        self._file_ids.append(file_id)
-        self._total_counts[file_id] += 1
-        self._version += 1
+        self._file_ids.append(int(file_id))
 
     def record_trace(self, trace: Trace) -> None:
         """Bulk-append every request of *trace* (Fig. 2 step 2 bootstrap)."""
@@ -153,35 +138,6 @@ class AccessLog:
         until: Optional[float] = None,
     ) -> Counter:
         """Access counts per file over ``[since, until]`` (inclusive)."""
-        if since is None and until is None:
-            return Counter(self._total_counts)
         lo = 0 if since is None else bisect_left(self._times, since)
         hi = len(self._times) if until is None else bisect_right(self._times, until)
         return Counter(self._file_ids[lo:hi])
-
-    def popularity_ranking(
-        self,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[int]:
-        """File ids sorted by descending access count (ties: lower id first).
-
-        This is the ordering the storage server uses both for placement
-        (§III-B) and for choosing what to prefetch (§IV-B).  The
-        whole-log ranking is memoised against the log version, so
-        repeated queries between appends cost a copy, not a sort.
-        """
-        if since is None and until is None:
-            cached = self._ranking_cache
-            if cached is not None and cached[0] == self._version:
-                return list(cached[1])
-            counts = self._total_counts
-            ranking = sorted(counts, key=lambda fid: (-counts[fid], fid))
-            self._ranking_cache = (self._version, ranking)
-            return list(ranking)
-        counts = self.counts(since=since, until=until)
-        return sorted(counts, key=lambda fid: (-counts[fid], fid))
-
-    def accesses_for(self, file_id: int) -> List[float]:
-        """All access timestamps of one file (used by idle-window hints)."""
-        return [t for t, f in zip(self._times, self._file_ids, strict=True) if f == file_id]

@@ -5,7 +5,8 @@ prefetching (popularity computed once, before the run) an oracle.  Real
 workloads drift -- yesterday's hot content cools.  This generator moves
 the Poisson-MU hotspot across the catalog at a constant rate, so a
 static top-K prefetch decays over the run while EEVFS's *dynamic*
-re-prefetching (``EEVFSConfig.reprefetch_interval_s``) can track it.
+re-prefetching (``EEVFSConfig.popularity_window_s``, which starts the
+replan loop of :mod:`repro.online.replan` in oracle mode) can track it.
 """
 
 from __future__ import annotations

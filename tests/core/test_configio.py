@@ -27,7 +27,7 @@ class TestPolicyRoundTrip:
             prefetch_files=40,
             stripe_width=2,
             window_predictor="time",
-            reprefetch_interval_s=30.0,
+            popularity_window_s=60.0,
             use_hints=True,
         )
         assert config_from_dict(config_to_dict(config)) == config

@@ -431,9 +431,8 @@ def _oracle_server_main(self):
                 )
             if self.config.server_overhead_s > 0:
                 yield self.sim.timeout(self.config.server_overhead_s)
-            self.online_log.append(self.sim.now, payload.file_id)
-            if self.config.online_mode and self.popularity_source is not None:
-                self.popularity_source.record(self.sim.now, payload.file_id)
+            if self.replan_source is not None:
+                self.replan_source.record(self.sim.now, payload.file_id)
             holders = self.metadata.live_holders(payload.file_id)
             if not holders:
                 self.requests_unroutable += 1

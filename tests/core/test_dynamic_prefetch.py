@@ -1,5 +1,7 @@
 """Tests for dynamic re-prefetching and the drifting workload."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,12 @@ from repro.traces.nonstationary import (
     hot_set_displacement,
 )
 from repro.traces.stats import working_set_size
+
+#: E3's oracle-mode re-prefetch config (``ablate_dynamic_prefetch``):
+#: rank the last 60 s every 30 s, with no drift gate.
+DYNAMIC = EEVFSConfig(
+    popularity_window_s=60.0, online_replan_epoch_s=30.0, online_drift_threshold=0.0
+)
 
 
 class TestDriftingWorkload:
@@ -86,9 +94,21 @@ class TestUnmarkPrefetched:
 class TestDynamicPrefetchConfig:
     def test_interval_validated(self):
         with pytest.raises(ValueError):
-            EEVFSConfig(reprefetch_interval_s=0)
+            EEVFSConfig(popularity_window_s=60.0, online_replan_epoch_s=0)
         with pytest.raises(ValueError):
             EEVFSConfig(popularity_window_s=-1)
+
+    def test_window_conflicts_with_online_mode(self):
+        """Online mode ranks by its streaming estimator; a window would
+        be silently ignored."""
+        with pytest.raises(ValueError, match="popularity_window_s"):
+            EEVFSConfig(online_mode=True, popularity_window_s=60.0)
+
+    def test_window_conflicts_with_metadata_plane(self):
+        """The replan source is fed by the storage server's request
+        stream, which the metadata plane routes around."""
+        with pytest.raises(ValueError, match="metadata_plane"):
+            EEVFSConfig(metadata_plane=True, popularity_window_s=60.0)
 
 
 class TestDynamicPrefetchEndToEnd:
@@ -103,22 +123,36 @@ class TestDynamicPrefetchEndToEnd:
         return drifting_trace.head(80)
 
     def test_reprefetch_rounds_happen(self, drifting_trace, history):
-        cluster = EEVFSCluster(
-            config=EEVFSConfig(reprefetch_interval_s=30.0, popularity_window_s=60.0)
-        )
+        cluster = EEVFSCluster(config=DYNAMIC)
         result = cluster.run(drifting_trace, history=history)
-        assert cluster.server.reprefetch_rounds > 3
+        assert cluster.replanner.replans > 3
         assert sum(n.reprefetch_rounds for n in cluster.nodes) > 0
         assert result.prefetch_files_copied > 70  # copies beyond the initial set
+
+    def test_window_alone_replans(self, drifting_trace, history):
+        """A popularity window is the switch: the default epoch (60 s)
+        and drift gate (0.1) then decide when the buffers move."""
+        cluster = EEVFSCluster(config=EEVFSConfig(popularity_window_s=60.0))
+        result = cluster.run(drifting_trace, history=history)
+        assert sum(n.reprefetch_rounds for n in cluster.nodes) > 0
+        assert result.prefetch_files_copied > 70
+        assert result.online is None  # the oracle arm reports no OnlineStats
+
+    def test_oracle_replans_are_traced_like_online_ones(self, drifting_trace, history):
+        """The oracle arm replans through the online loop, so its epochs
+        show up as ``online.estimate`` spans and ``online.replan`` instants;
+        with no controller there are no control ticks."""
+        result = EEVFSCluster(config=DYNAMIC, obs=True).run(
+            drifting_trace, history=history
+        )
+        kinds = set(result.trace.span_kinds())
+        assert {"online.estimate", "online.replan"} <= kinds
+        assert "online.control" not in kinds
 
     def test_evictions_keep_buffer_bounded(self, drifting_trace, history):
         from repro.traces.synthetic import MB
 
-        config = EEVFSConfig(
-            reprefetch_interval_s=30.0,
-            popularity_window_s=60.0,
-            buffer_capacity_bytes=700 * MB,  # 70 x 10 MB
-        )
+        config = replace(DYNAMIC, buffer_capacity_bytes=700 * MB)  # 70 x 10 MB
         cluster = EEVFSCluster(config=config)
         cluster.run(drifting_trace, history=history)
         for node in cluster.nodes:
@@ -131,9 +165,7 @@ class TestDynamicPrefetchEndToEnd:
         static = EEVFSCluster(config=EEVFSConfig()).run(
             drifting_trace, history=history
         )
-        dynamic = EEVFSCluster(
-            config=EEVFSConfig(reprefetch_interval_s=30.0, popularity_window_s=60.0)
-        ).run(drifting_trace, history=history)
+        dynamic = EEVFSCluster(config=DYNAMIC).run(drifting_trace, history=history)
         assert dynamic.buffer_hit_rate > 1.5 * static.buffer_hit_rate
 
     def test_no_reprefetch_on_stationary_default(self):
@@ -145,5 +177,6 @@ class TestDynamicPrefetchEndToEnd:
         )
         cluster = EEVFSCluster(config=EEVFSConfig())
         result = cluster.run(trace)
-        assert cluster.server.reprefetch_rounds == 0
+        assert cluster.replanner is None
+        assert sum(n.reprefetch_rounds for n in cluster.nodes) == 0
         assert result.prefetch_files_copied == 70

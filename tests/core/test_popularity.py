@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.popularity import PopularityEstimator
+from repro.core.popularity import PopularityEstimator, WindowEstimator
 from repro.traces import FileSpec, Trace, TraceRequest
 
 
@@ -58,12 +58,17 @@ def test_top_k_with_catalog_padding():
     assert est.top_k(3, catalog=range(5)) == [3, 0, 1]
 
 
-def test_access_times():
-    est = PopularityEstimator.from_trace(trace_from_ids([1, 2, 1]))
-    assert est.access_times(1) == [0.0, 2.0]
-    assert est.access_times(99) == []
-
-
 def test_tie_break_is_lower_id_first():
     est = PopularityEstimator.from_trace(trace_from_ids([9, 4, 9, 4]))
     assert est.ranking() == [4, 9]
+
+
+def test_window_counts_only_recent_accesses():
+    """Oracle-mode replanning ranks the last ``window_s`` seconds before
+    the clock's now, not the whole log."""
+    est = WindowEstimator(window_s=5.0, clock=lambda: 10.0)
+    for time_s, file_id in [(1.0, 1), (2.0, 1), (6.0, 2), (9.0, 3), (9.5, 3)]:
+        est.record(time_s, file_id)
+    assert est.recorded == 5
+    assert est.counts() == {2: 1, 3: 2}
+    assert est.ranking(catalog=range(5)) == [3, 2, 0, 1, 4]

@@ -8,6 +8,10 @@ from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
 
 
+#: E3's oracle-mode re-prefetch settings (``ablate_dynamic_prefetch``).
+DYNAMIC = dict(online_replan_epoch_s=30.0, online_drift_threshold=0.0)
+
+
 def build_and_run(config=None, n_requests=120, seed=1, **workload_kwargs):
     trace = generate_synthetic_trace(
         SyntheticWorkload(n_requests=n_requests, **workload_kwargs),
@@ -23,10 +27,15 @@ class TestForwarding:
         trace, cluster, _ = build_and_run()
         assert cluster.server.requests_forwarded == trace.n_requests
 
-    def test_online_log_mirrors_the_request_stream(self):
-        """§IV's append-only log must record every arrival, in order."""
-        trace, cluster, _ = build_and_run()
-        log = cluster.server.online_log
+    def test_replan_source_log_mirrors_the_request_stream(self):
+        """§IV's append-only log must record every arrival, in order,
+        when a popularity window makes the run replan -- and only then."""
+        _, cluster, _ = build_and_run()
+        assert cluster.server.replan_source is None
+        trace, cluster, _ = build_and_run(
+            config=EEVFSConfig(popularity_window_s=60.0, **DYNAMIC)
+        )
+        log = cluster.server.replan_source.log
         assert len(log) == trace.n_requests
         logged = [fid for fid in log.counts().elements()]
         assert sorted(logged) == sorted(r.file_id for r in trace.requests)
@@ -69,18 +78,23 @@ class TestPrefetchPlanAtServer:
 class TestReprefetchLoop:
     def test_loop_only_runs_when_configured(self):
         _, cluster, _ = build_and_run()
-        assert cluster.server.reprefetch_rounds == 0
+        assert cluster.replanner is None
+        assert sum(n.reprefetch_rounds for n in cluster.nodes) == 0
 
     def test_loop_rounds_scale_with_duration(self):
-        config = EEVFSConfig(reprefetch_interval_s=20.0)
+        config = EEVFSConfig(popularity_window_s=60.0, **DYNAMIC)
         trace, cluster, _ = build_and_run(config=config, inter_arrival_s=0.7)
-        expected_rounds = trace.duration_s / 20.0
-        assert cluster.server.reprefetch_rounds >= int(expected_rounds) - 1
+        expected_rounds = trace.duration_s / 30.0
+        assert cluster.replanner.replans >= int(expected_rounds) - 1
+        for node in cluster.nodes:
+            assert node.reprefetch_rounds >= int(expected_rounds) - 1
 
     def test_windowed_popularity_uses_recent_accesses(self):
         """With a short window, the re-prefetch plan reflects recency."""
         config = EEVFSConfig(
-            reprefetch_interval_s=15.0, popularity_window_s=30.0
+            popularity_window_s=30.0,
+            online_replan_epoch_s=15.0,
+            online_drift_threshold=0.0,
         )
         _, cluster, result = build_and_run(config=config, inter_arrival_s=0.5)
         # The system still works end to end with windowed popularity.

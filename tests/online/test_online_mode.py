@@ -130,7 +130,7 @@ class TestConfigValidation:
 
     def test_online_conflicts_with_oracle_reprefetch(self):
         with pytest.raises(ValueError, match="online_mode"):
-            EEVFSConfig(online_mode=True, reprefetch_interval_s=60.0)
+            EEVFSConfig(online_mode=True, popularity_window_s=60.0)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="online_estimator"):

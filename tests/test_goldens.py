@@ -8,6 +8,12 @@ suite's statuses and conservation fingerprints.  Each test re-runs one
 command in-process and compares bytes, so a change that moves any
 simulated value fails here with the first JSON paths that differ.
 
+``tests/golden/dynamic.json`` is not a smoke command's output: it holds
+the records of the three E3 runs of
+:func:`~repro.experiments.ablations.ablate_dynamic_prefetch` (NPF,
+static prefetch, and oracle-mode dynamic re-prefetch) through
+``canonical_json``.  To re-pin it, write that dict into the golden path.
+
 ``--jobs 1`` keeps the run in this process; ``tests/parallel`` pins that
 the worker count never changes a result.  To re-pin after a deliberate
 change in behaviour, re-run the command into the golden path and say in
@@ -20,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.filesystem import canonical_json
+from repro.experiments.ablations import ablate_dynamic_prefetch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,13 +60,7 @@ def _differing_paths(expected, actual, path="$"):
         yield f"{path}: {expected!r} -> {actual!r}"
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_smoke_output_matches_its_golden(name, tmp_path, capsys):
-    out = tmp_path / f"{name}.json"
-    command = COMMANDS[name]
-    main(["--jobs", "1", *command.format(out=out).split()])
-    printed = capsys.readouterr().out
-    produced = out.read_text() if "{out}" in command else printed
+def _assert_matches_golden(name, produced):
     golden = (GOLDEN / f"{name}.json").read_text()
     if produced != golden:
         paths = list(_differing_paths(json.loads(golden), json.loads(produced)))
@@ -68,3 +70,21 @@ def test_smoke_output_matches_its_golden(name, tmp_path, capsys):
             f"{len(paths)} place(s); first:\n  {shown}",
             pytrace=False,
         )
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_smoke_output_matches_its_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    command = COMMANDS[name]
+    main(["--jobs", "1", *command.format(out=out).split()])
+    printed = capsys.readouterr().out
+    _assert_matches_golden(name, out.read_text() if "{out}" in command else printed)
+
+
+def test_dynamic_prefetch_ablation_matches_its_golden():
+    """E3's three runs (NPF, static, dynamic re-prefetch); the only
+    golden that replans in oracle mode."""
+    runs = ablate_dynamic_prefetch()
+    _assert_matches_golden(
+        "dynamic", canonical_json({name: run.record() for name, run in runs.items()})
+    )

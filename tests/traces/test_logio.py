@@ -111,22 +111,8 @@ class TestAccessLog:
         assert log.counts(since=2.5) == {3: 1}
         assert log.counts(until=0.5) == {1: 1}
 
-    def test_popularity_ranking_descending_with_id_ties(self):
-        log = AccessLog()
-        for t, f in [(0.0, 9), (1.0, 2), (2.0, 9), (3.0, 4)]:
-            log.append(t, f)
-        # 9 twice; 2 and 4 once each (tie -> lower id first).
-        assert log.popularity_ranking() == [9, 2, 4]
-
     def test_record_trace_bulk_append(self):
         log = AccessLog()
         log.record_trace(small_trace())
         assert len(log) == 3
         assert log.counts()[0] == 2
-
-    def test_accesses_for_file(self):
-        log = AccessLog()
-        log.record_trace(small_trace())
-        assert log.accesses_for(0) == [0.0, 1.0]
-        assert log.accesses_for(1) == [0.25]
-        assert log.accesses_for(42) == []
