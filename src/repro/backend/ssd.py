@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.backend.ftl import ExtentMap, PageMappedFTL
 from repro.disk.drive import (
@@ -45,7 +45,6 @@ from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.process import Interrupt
 from repro.sim.resources import PriorityStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -315,9 +314,8 @@ class SSDBackend(StorageBackend):
         sim.call_soon(self._destage_next, priority=URGENT)
         for channel in range(spec.n_channels):
             sim.call_soon(self._await_job, channel, priority=URGENT)
-        self._watchdog = (
-            sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
-        )
+        if auto_sleep_after is not None:
+            self._start_watchdog()
 
     # -- public API ----------------------------------------------------------------
 
@@ -405,28 +403,23 @@ class SSDBackend(StorageBackend):
                 raise pending._exc
         return True
 
-    def _idle_watchdog(self) -> Generator[Event, Any, None]:
-        """Built-in DEVSLP idle timer (armed via ``auto_sleep_after``)."""
-        sim = self.sim
-        while True:
+    def _watch(self, _value: Any = None) -> None:
+        """One turn of the DEVSLP idle timer's loop (armed via
+        ``auto_sleep_after``): time a fully quiescent period, or park
+        until the device drains."""
+        if (
+            self.state is DiskState.IDLE
+            and self.inflight == 0
+            and self._busy == 0
+            and not self._dirty
+        ):
             auto_sleep_after = self.auto_sleep_after
             assert auto_sleep_after is not None  # watchdog only started when set
-            if (
-                self.state is DiskState.IDLE
-                and self.inflight == 0
-                and self._busy == 0
-                and not self._dirty
-            ):
-                self._watchdog_timing = True
-                try:
-                    yield sim.timeout(auto_sleep_after)
-                    self.request_sleep()
-                except Interrupt:
-                    pass  # activity arrived; wait for the next idle period
-                finally:
-                    self._watchdog_timing = False
-            else:
-                yield self._idle_started
+            self._arm_watch_timer(auto_sleep_after, self.request_sleep)
+        else:
+            idle = self._idle_started
+            assert idle.callbacks is not None
+            idle.callbacks.append(self._watch)
 
     # -- host service ----------------------------------------------------------------
 

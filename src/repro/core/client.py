@@ -19,7 +19,7 @@ retries show up as latency, exactly as a real client would experience.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,10 +34,8 @@ from repro.core.protocol import (
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.process import Process
 from repro.sim.monitor import TallyStat
-from repro.sim.resources import Resource
-from repro.traces.model import RequestOp, Trace
+from repro.traces.model import RequestOp, Trace, TraceRequest
 
 #: Rejection reason a non-leader metadata server sends; the only failure
 #: that is a *routing* problem (follow the hint / rotate) rather than a
@@ -138,8 +136,9 @@ class ClientDriver:
         #: Requests already settled (success OR terminal failure); late
         #: replies from superseded attempts land here and are dropped.
         self._settled: Set[int] = set()
-        #: request_id -> completion event (closed-loop replay only).
-        self._waiters: Dict[int, object] = {}
+        #: request_id -> called once when the request settles (paced and
+        #: closed-loop replay only).
+        self._waiters: Dict[int, Callable[[], Any]] = {}
         self._replay_finished = False
         self._drained = sim.event()
         #: (request_id, file_id, served_by, response_s) per completion.
@@ -159,7 +158,7 @@ class ClientDriver:
 
     def replay(
         self, trace: Trace, epoch_s: float = 0.0, mode: str = "open"
-    ) -> Process:
+    ) -> Event:
         """Start replaying *trace* offset to begin at *epoch_s*.
 
         Three replay disciplines:
@@ -176,7 +175,8 @@ class ClientDriver:
         * ``"closed"`` -- issue, block for the response, sleep the trace's
           inter-arrival gap, repeat (timestamps ignored, gaps honoured).
 
-        Returns a process that completes once every response has arrived.
+        Returns an event that succeeds, with :attr:`response_times`, once
+        every response has arrived.
         """
         if epoch_s < self.sim.now:
             raise ValueError(
@@ -185,7 +185,7 @@ class ClientDriver:
         if mode == "open":
             return self.sim.process(self._replay(trace, epoch_s))
         if mode == "paced":
-            return self.sim.process(self._replay_paced(trace, epoch_s))
+            return _PacedReplay(self, trace.requests, epoch_s).done
         if mode == "closed":
             return self.sim.process(self._replay_closed(trace, epoch_s))
         raise ValueError(f"unknown replay mode: {mode!r}")
@@ -211,31 +211,6 @@ class ClientDriver:
             yield self._drained
         return self.response_times
 
-    def _replay_paced(
-        self, trace: Trace, epoch_s: float
-    ) -> Generator[Event, Any, TallyStat]:
-        slots = Resource(self.sim, capacity=self.max_outstanding)
-        for request in trace.requests:
-            target = epoch_s + request.time_s
-            if target > self.sim.now:
-                yield self.sim.timeout(target - self.sim.now)
-            slot = slots.request()
-            yield slot
-            request_id = next_request_id()
-            done = self.sim.event()
-            self._waiters[request_id] = done
-            self._issue(request_id, request.file_id, request.op)
-            # Release the pacing slot straight from the completion event's
-            # callback -- no watcher process needed.
-            assert done.callbacks is not None
-            done.callbacks.append(
-                lambda _e, slots=slots, slot=slot: slots.release(slot)
-            )
-        self._replay_finished = True
-        if self._pending:
-            yield self._drained
-        return self.response_times
-
     def _replay_closed(
         self, trace: Trace, epoch_s: float
     ) -> Generator[Event, Any, TallyStat]:
@@ -250,7 +225,7 @@ class ClientDriver:
             previous_t = request.time_s
             request_id = next_request_id()
             done = self.sim.event()
-            self._waiters[request_id] = done
+            self._waiters[request_id] = done.succeed
             self._issue(request_id, request.file_id, request.op)
             yield done
         self._replay_finished = True
@@ -369,7 +344,7 @@ class ClientDriver:
             tracer.end_request(request_id, ok=False, reason=reason)
         waiter = self._waiters.pop(request_id, None)
         if waiter is not None:
-            waiter.succeed()
+            waiter()
         if self._replay_finished and not self._pending:
             self._drained.succeed()
 
@@ -419,7 +394,7 @@ class ClientDriver:
                     )
                 waiter = self._waiters.pop(payload.request_id, None)
                 if waiter is not None:
-                    waiter.succeed()
+                    waiter()
                 if self._replay_finished and not self._pending:
                     self._drained.succeed()
         elif isinstance(payload, RequestFailed):
@@ -438,3 +413,88 @@ class ClientDriver:
         get = self.endpoint.receive()
         assert get.callbacks is not None
         get.callbacks.append(self._on_message)
+
+
+class _PacedReplay:
+    """The paced replayer (:meth:`ClientDriver.replay`, ``"paced"``) as
+    flat callbacks.
+
+    Each request waits for its trace timestamp, then for one of the
+    client's ``max_outstanding`` pacing slots, and is issued when the
+    slot is granted; its settlement frees the slot.  A free-slot count
+    stands in for a private :class:`~repro.sim.resources.Resource`: the
+    replayer is the slots' only claimant, so at most one claim ever
+    waits.  Every step runs in the slot the generator replayer used --
+    kick-off URGENT, ``call_later`` where it slept, a ``call_soon`` where
+    the resource granted or a settled request's waiter event fired --
+    and :attr:`done` succeeds where the replayer's process completed.
+    """
+
+    __slots__ = ("client", "requests", "epoch_s", "next", "free", "claiming", "done")
+
+    def __init__(
+        self, client: ClientDriver, requests: Sequence[TraceRequest], epoch_s: float
+    ) -> None:
+        self.client = client
+        self.requests = requests
+        self.epoch_s = epoch_s
+        #: Index of the next request to issue.
+        self.next = 0
+        self.free = client.max_outstanding
+        #: The next request holds a claim that waits for a free slot.
+        self.claiming = False
+        #: Succeeds with the client's response-time tally once every
+        #: response has arrived.
+        self.done = client.sim.event()
+        client.sim.call_soon(self._pace, priority=URGENT)
+
+    def _pace(self, _value: Any = None) -> None:
+        """Wait for the next request's timestamp, or finish."""
+        sim = self.client.sim
+        if self.next < len(self.requests):
+            target = self.epoch_s + self.requests[self.next].time_s
+            if target > sim.now:
+                sim.call_later(target - sim.now, self._claim)
+            else:
+                self._claim()
+            return
+        client = self.client
+        client._replay_finished = True
+        if client._pending:
+            drained = client._drained
+            assert drained.callbacks is not None
+            drained.callbacks.append(self._finish)
+        else:
+            self._finish()
+
+    def _claim(self, _value: Any = None) -> None:
+        """Claim a pacing slot for the next request."""
+        if self.free:
+            self.free -= 1
+            self.client.sim.call_soon(self._issue)
+        else:
+            self.claiming = True
+
+    def _issue(self, _value: Any) -> None:
+        """The slot is granted: issue the request and pace the next one."""
+        request = self.requests[self.next]
+        self.next += 1
+        request_id = next_request_id()
+        client = self.client
+        client._waiters[request_id] = self._on_settled
+        client._issue(request_id, request.file_id, request.op)
+        self._pace()
+
+    def _on_settled(self) -> None:
+        self.client.sim.call_soon(self._release)
+
+    def _release(self, _value: Any) -> None:
+        """A settled request frees its slot; a waiting claim takes it."""
+        if self.claiming:
+            self.claiming = False
+            self.client.sim.call_soon(self._issue)
+        else:
+            self.free += 1
+
+    def _finish(self, _value: Any = None) -> None:
+        self.done.succeed(self.client.response_times)

@@ -19,7 +19,6 @@ the draining disk.
 
 from __future__ import annotations
 
-from dataclasses import replace as replace_dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.core.protocol import (
     AccessHints,
     CreateFile,
     FileData,
-    FileRequest,
     ForwardedRequest,
     PrefetchCommand,
     PrefetchComplete,
@@ -53,7 +51,7 @@ from repro.disk.drive import (
     StorageBackend,
 )
 from repro.net.fabric import Fabric
-from repro.sim.engine import Simulator
+from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
 
@@ -319,7 +317,7 @@ class StorageNode:
             self._install_hints(payload)
         elif isinstance(payload, ForwardedRequest):
             # Serve concurrently; different disks must overlap.
-            self.sim.process(self._serve(payload))
+            _Serve(self, payload)
         elif isinstance(payload, RepairCommand):
             self.sim.process(self._start_repair(payload))
         elif isinstance(payload, ReplicaPull):
@@ -549,131 +547,8 @@ class StorageNode:
         self.power.set_hints(per_disk_times, per_disk_seqs, reset_clock=False)
 
     # -- request service (Fig. 2 steps 5-6) -------------------------------------------------------
-
-    def _serve(self, forwarded: ForwardedRequest) -> Generator[Event, Any, None]:
-        """Wrap :meth:`_serve_inner` in a ``node.dispatch`` span when
-        observability is attached; otherwise delegate at zero cost."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            yield from self._serve_inner(forwarded)
-            return
-        request = forwarded.request
-        span = tracer.begin(
-            "node.dispatch",
-            self.spec.name,
-            parent=tracer.request_span(request.request_id),
-            file_id=request.file_id,
-            op=request.op.name,
-        )
-        try:
-            yield from self._serve_inner(forwarded)
-        finally:
-            tracer.end(span)
-
-    def _serve_inner(self, forwarded: ForwardedRequest) -> Generator[Event, Any, None]:
-        request = forwarded.request
-        if self.config.node_overhead_s > 0:
-            yield self.sim.timeout(self.config.node_overhead_s)
-        # Advance the node's request-stream clock (sequence counter +
-        # inter-arrival EWMA) before any routing decision.
-        self.power.note_node_arrival()
-        entered_at = self.sim.now
-
-        try:
-            reply, reply_size, disk_index = yield from self._serve_io(request)
-            if isinstance(reply, FileData):
-                reply = replace_dataclass(
-                    reply,
-                    node_time_s=self.sim.now - entered_at + self.config.node_overhead_s,
-                )
-        except DiskFailureError as failure:
-            self.requests_failed += 1
-            if forwarded.silent:
-                # A lost fan-out write copy is the repair loop's problem,
-                # not the client's: the primary already acked.
-                return
-            if forwarded.failover:
-                # Degraded read/write: hand the request to the next live
-                # holder.  (Stands in for the client's retry-on-timeout;
-                # collapsing it keeps the failure path deterministic.)
-                self.requests_failed_over += 1
-                yield self.fabric.send(
-                    self.spec.name,
-                    forwarded.failover[0],
-                    ForwardedRequest(
-                        request=request, failover=forwarded.failover[1:]
-                    ),
-                )
-                return
-            reply = RequestFailed(
-                request_id=request.request_id,
-                file_id=request.file_id,
-                reason=str(failure),
-            )
-            reply_size = None
-            disk_index = None
-        if forwarded.silent:
-            # Fan-out copy applied; only the primary replies.
-            return
-        self.requests_served += 1
-        # A drained disk is a fresh sleep opportunity.
-        if disk_index is not None:
-            for target in self.metadata.stripe_disks(request.file_id):
-                self.power.evaluate(target)
-        if reply_size is None:
-            yield self.fabric.send(self.spec.name, request.client, reply)
-        else:
-            yield self.fabric.send(
-                self.spec.name, request.client, reply, size_bytes=reply_size
-            )
-
-    def _serve_io(
-        self, request: FileRequest
-    ) -> Generator[Event, Any, Tuple[object, Optional[int], Optional[int]]]:
-        """The I/O half of :meth:`_serve`; raises DiskFailureError when a
-        needed drive is dead.  Returns (reply, reply_size, disk_index)."""
-        file_id = request.file_id
-        size = self.metadata.size_of(file_id)
-        if request.op is RequestOp.WRITE:
-            served_by = yield from self._serve_write(file_id, size)
-            reply: object = WriteAck(
-                request_id=request.request_id, file_id=file_id, served_by=served_by
-            )
-            return reply, None, None  # control-sized ack
-        else:
-            disk_index, served_by = self._route_read(file_id)
-            targets = [] if disk_index is None else self.metadata.stripe_disks(file_id)
-            # Consume the prediction entries and probe sleep opportunities
-            # across all disks *at request entry* (§VI-A).
-            for target in targets:
-                self.power.note_arrival(target)
-            self.power.evaluate_all(exclude=targets or None)
-            disk_started = self.sim.now
-            if disk_index is None:
-                io = self.buffer_disk.submit(
-                    size, kind=RequestKind.READ, tag=("read", file_id)
-                )
-                yield io.done
-            else:
-                # One stripe read per disk, in parallel; the request
-                # completes when the slowest stripe lands.
-                stripe = self.metadata.stripe_size_bytes(file_id)
-                ios = [
-                    self.data_disks[target].submit(
-                        stripe, kind=RequestKind.READ, tag=("read", file_id)
-                    )
-                    for target in targets
-                ]
-                yield self.sim.all_of([io.done for io in ios])
-            self._after_read(file_id, disk_index)
-            reply = FileData(
-                request_id=request.request_id,
-                file_id=file_id,
-                size_bytes=size,
-                served_by=served_by,
-                disk_time_s=self.sim.now - disk_started,
-            )
-            return reply, size, disk_index
+    # A :class:`_Serve` serves each forwarded request; these two hooks are
+    # the routing decisions a caching baseline overrides.
 
     def _route_read(self, file_id: int) -> Tuple[Optional[int], str]:
         """Pick the serving medium for a read: buffer copy, staged write,
@@ -691,38 +566,6 @@ class StorageNode:
         The EEVFS node does nothing here; on-demand caching baselines
         (MAID) use it to admit the just-read file into their cache.
         """
-
-    def _serve_write(self, file_id: int, size: int) -> Generator[Event, Any, str]:
-        """Write path: stage to the buffer disk when allowed and it fits;
-        otherwise write through to the data disk (waking it if needed)."""
-        use_buffer = (
-            self.config.write_buffering
-            and self.config.prefetch_enabled
-            and self.write_buffer.can_stage(size)
-        )
-        if use_buffer:
-            self.write_buffer.stage(file_id, size, time_s=self.sim.now)
-            io = self.buffer_disk.submit(
-                size, kind=RequestKind.WRITE, sequential=True, tag=("write", file_id)
-            )
-            yield io.done
-            self.writes_buffered += 1
-            return "buffer"
-        targets = self.metadata.stripe_disks(file_id)
-        stripe = self.metadata.stripe_size_bytes(file_id)
-        for target in targets:
-            self.power.note_arrival(target)
-        ios = [
-            self.data_disks[target].submit(
-                stripe, kind=RequestKind.WRITE, tag=("write", file_id)
-            )
-            for target in targets
-        ]
-        yield self.sim.all_of([io.done for io in ios])
-        self.writes_direct += 1
-        for target in targets:
-            self.power.evaluate(target)
-        return f"data{targets[0]}"
 
     # -- repair data plane (repro.replication) ------------------------------------------
 
@@ -842,3 +685,242 @@ class StorageNode:
         if not awake:
             return None
         return min(awake, key=lambda i: (self.data_disks[i].inflight, i))
+
+
+class _Serve:
+    """One forwarded request's service at a node, as flat callbacks.
+
+    The stages, in order: the optional node overhead; routing to the
+    buffer disk (a staged write, a prefetched or dirty file's read) or to
+    the data disks (write-through, a data-disk read); the reply.  A dead
+    drive sends the request down the failure branch instead: dropped
+    when it is a silent fan-out copy, handed to the next holder when it
+    has a failover list, answered with :class:`RequestFailed` otherwise.
+    With a tracer attached, a ``node.dispatch`` span covers the whole
+    service, reply delivery included.
+
+    Each stage runs in the slot where the per-request generator process
+    resumed: the kick-off URGENT, the overhead through ``call_later``,
+    each disk wait and the reply delivery as a callback on the event the
+    process waited on (a failed one ``_defused`` and handled by the old
+    ``except`` branch).  :func:`hold_slot` takes the slot of the
+    process's completion event.
+    """
+
+    __slots__ = (
+        "node",
+        "forwarded",
+        "span",
+        "entered_at",
+        "size",
+        "targets",
+        "disk_index",
+        "served_by",
+        "disk_started",
+    )
+
+    def __init__(self, node: StorageNode, forwarded: ForwardedRequest) -> None:
+        self.node = node
+        self.forwarded = forwarded
+        node.sim.call_soon(self._start, priority=URGENT)
+
+    def _start(self, _value: Any) -> None:
+        node = self.node
+        sim = node.sim
+        tracer = sim.tracer
+        self.span = None
+        if tracer is not None:
+            request = self.forwarded.request
+            self.span = tracer.begin(
+                "node.dispatch",
+                node.spec.name,
+                parent=tracer.request_span(request.request_id),
+                file_id=request.file_id,
+                op=request.op.name,
+            )
+        overhead = node.config.node_overhead_s
+        if overhead > 0:
+            sim.call_later(overhead, self._enter)
+        else:
+            self._enter(None)
+
+    def _enter(self, _value: Any) -> None:
+        """Route the request and submit its disk I/O."""
+        node = self.node
+        # Advance the node's request-stream clock (sequence counter +
+        # inter-arrival EWMA) before any routing decision.
+        node.power.note_node_arrival()
+        now = self.entered_at = node.sim.now
+        request = self.forwarded.request
+        file_id = request.file_id
+        size = self.size = node.metadata.size_of(file_id)
+        if request.op is RequestOp.WRITE:
+            # Stage to the buffer disk when allowed and it fits; otherwise
+            # write through to the data disks (waking them if needed).
+            if (
+                node.config.write_buffering
+                and node.config.prefetch_enabled
+                and node.write_buffer.can_stage(size)
+            ):
+                node.write_buffer.stage(file_id, size, time_s=now)
+                io = node.buffer_disk.submit(
+                    size, kind=RequestKind.WRITE, sequential=True, tag=("write", file_id)
+                )
+                done = io.done
+                assert done.callbacks is not None
+                done.callbacks.append(self._staged)
+                return
+            targets = self.targets = node.metadata.stripe_disks(file_id)
+            stripe = node.metadata.stripe_size_bytes(file_id)
+            for target in targets:
+                node.power.note_arrival(target)
+            ios = [
+                node.data_disks[target].submit(
+                    stripe, kind=RequestKind.WRITE, tag=("write", file_id)
+                )
+                for target in targets
+            ]
+            written = node.sim.all_of([io.done for io in ios])
+            assert written.callbacks is not None
+            written.callbacks.append(self._written)
+            return
+        disk_index, self.served_by = node._route_read(file_id)
+        self.disk_index = disk_index
+        targets = [] if disk_index is None else node.metadata.stripe_disks(file_id)
+        # Consume the prediction entries and probe sleep opportunities
+        # across all disks *at request entry* (§VI-A).
+        for target in targets:
+            node.power.note_arrival(target)
+        node.power.evaluate_all(exclude=targets or None)
+        self.disk_started = now
+        if disk_index is None:
+            read = node.buffer_disk.submit(
+                size, kind=RequestKind.READ, tag=("read", file_id)
+            ).done
+        else:
+            # One stripe read per disk, in parallel; the request completes
+            # when the slowest stripe lands.
+            stripe = node.metadata.stripe_size_bytes(file_id)
+            ios = [
+                node.data_disks[target].submit(
+                    stripe, kind=RequestKind.READ, tag=("read", file_id)
+                )
+                for target in targets
+            ]
+            read = node.sim.all_of([io.done for io in ios])
+        assert read.callbacks is not None
+        read.callbacks.append(self._read)
+
+    def _staged(self, event: Event) -> None:
+        """The write is staged on the buffer disk."""
+        if not event._ok:
+            self._failed(event)
+            return
+        self.node.writes_buffered += 1
+        self._write_acked("buffer")
+
+    def _written(self, event: Event) -> None:
+        """The write went through to every stripe of the data disks."""
+        if not event._ok:
+            self._failed(event)
+            return
+        node = self.node
+        node.writes_direct += 1
+        for target in self.targets:
+            node.power.evaluate(target)
+        self._write_acked(f"data{self.targets[0]}")
+
+    def _write_acked(self, served_by: str) -> None:
+        request = self.forwarded.request
+        self._reply(
+            WriteAck(
+                request_id=request.request_id,
+                file_id=request.file_id,
+                served_by=served_by,
+            ),
+            None,
+            None,
+        )
+
+    def _read(self, event: Event) -> None:
+        """The read's bytes are in: build the reply once, with its times."""
+        if not event._ok:
+            self._failed(event)
+            return
+        node = self.node
+        request = self.forwarded.request
+        disk_index = self.disk_index
+        node._after_read(request.file_id, disk_index)
+        now = node.sim.now
+        reply = FileData(
+            request_id=request.request_id,
+            file_id=request.file_id,
+            size_bytes=self.size,
+            served_by=self.served_by,
+            node_time_s=now - self.entered_at + node.config.node_overhead_s,
+            disk_time_s=now - self.disk_started,
+        )
+        self._reply(reply, self.size, disk_index)
+
+    def _failed(self, event: Event) -> None:
+        """A needed drive is dead: the ``except DiskFailureError`` branch."""
+        event._defused = True
+        node = self.node
+        forwarded = self.forwarded
+        request = forwarded.request
+        node.requests_failed += 1
+        if forwarded.silent:
+            # A lost fan-out write copy is the repair loop's problem,
+            # not the client's: the primary already acked.
+            self._end()
+        elif forwarded.failover:
+            # Degraded read/write: hand the request to the next live
+            # holder.  (Stands in for the client's retry-on-timeout;
+            # collapsing it keeps the failure path deterministic.)
+            node.requests_failed_over += 1
+            sent = node.fabric.send(
+                node.spec.name,
+                forwarded.failover[0],
+                ForwardedRequest(request=request, failover=forwarded.failover[1:]),
+            )
+            assert sent.callbacks is not None
+            sent.callbacks.append(self._end)
+        else:
+            reply = RequestFailed(
+                request_id=request.request_id,
+                file_id=request.file_id,
+                reason=str(event._exc),
+            )
+            self._reply(reply, None, None)
+
+    def _reply(
+        self, reply: object, reply_size: Optional[int], disk_index: Optional[int]
+    ) -> None:
+        node = self.node
+        if self.forwarded.silent:
+            # Fan-out copy applied; only the primary replies.
+            self._end()
+            return
+        request = self.forwarded.request
+        node.requests_served += 1
+        # A drained disk is a fresh sleep opportunity.
+        if disk_index is not None:
+            for target in node.metadata.stripe_disks(request.file_id):
+                node.power.evaluate(target)
+        if reply_size is None:
+            sent = node.fabric.send(node.spec.name, request.client, reply)
+        else:
+            sent = node.fabric.send(
+                node.spec.name, request.client, reply, size_bytes=reply_size
+            )
+        assert sent.callbacks is not None
+        sent.callbacks.append(self._end)
+
+    def _end(self, _sent: Optional[Event] = None) -> None:
+        """Service is over (its reply, if any, delivered)."""
+        span = self.span
+        if span is not None:
+            tracer = self.node.sim.tracer
+            if tracer is not None:
+                tracer.end(span)
+        self.node.sim.call_soon(hold_slot)

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from collections import deque
 import math
-from typing import Any, Deque, Generator, Iterable, List, Optional, Sequence
+from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.prediction import effective_threshold
 from repro.disk.drive import StorageBackend
 from repro.disk.states import DiskState
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import hold_slot, Simulator
+from repro.sim.events import URGENT
 
 #: EWMA weight for observed node inter-arrival gaps.
 GAP_EWMA_ALPHA = 0.2
@@ -272,16 +272,21 @@ class PowerManager:
             if next_access is None:
                 return
             wake_at = max(self.sim.now, next_access - disk.spec.spinup_s)
-
-            def waker() -> Generator[Event, Any, None]:
-                yield self.sim.timeout(wake_at - self.sim.now)
-                if self._wake_seq[disk_index] == -1:
-                    self._wake_seq[disk_index] = None
-                    disk.wake()
-
             # -1 marks a pending time-based wake (cancelled by note_arrival).
             self._wake_seq[disk_index] = -1
-            self.sim.process(waker())
+            self.sim.call_soon(self._time_wake, (disk_index, wake_at), priority=URGENT)
+
+    def _time_wake(self, plan: Tuple[int, float]) -> None:
+        """Kick-off of a time-based wake-ahead: sleep until *wake_at*."""
+        disk_index, wake_at = plan
+        self.sim.call_later(wake_at - self.sim.now, self._wake_due, disk_index)
+
+    def _wake_due(self, disk_index: int) -> None:
+        """A time-based wake-ahead is due, unless an arrival cancelled it."""
+        if self._wake_seq[disk_index] == -1:
+            self._wake_seq[disk_index] = None
+            self.disks[disk_index].wake()
+        self.sim.call_soon(hold_slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -453,8 +453,8 @@ class Sim001SwallowedException(Rule):
     unconditionally (it also eats ``StopSimulation`` and
     ``KeyboardInterrupt``); ``except Exception`` / ``except
     BaseException`` is flagged only when the handler body does nothing
-    but ``pass``.  Narrow handlers (``except Interrupt: pass``) are the
-    supported idiom and stay legal.
+    but ``pass``.  Narrow handlers (``except DiskFailureError: pass``)
+    are the supported idiom and stay legal.
     """
 
     id = "SIM001"

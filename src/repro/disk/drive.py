@@ -28,16 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import enum
 import itertools
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
 
 from repro.disk.energy import EnergyMeter, PowerEnvelope
 from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.disk.states import DiskState
-from repro.sim.engine import Simulator
+from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, PENDING, URGENT
 from repro.sim.monitor import TallyStat
-from repro.sim.process import Interrupt, Process
 from repro.sim.resources import PriorityStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,9 +108,14 @@ class StorageBackend:
       and serve them, kicked off URGENT at construction (the slot a
       server process's kick-off event would take);
     * :meth:`request_sleep` -- when the device may sleep;
-    * :meth:`_idle_watchdog` -- the built-in idle timer, re-armed by
-      :meth:`repair`;
+    * :meth:`_watch` -- one turn of the built-in idle timer's loop,
+      started by :meth:`_start_watchdog` and re-armed by :meth:`repair`;
     * :meth:`_on_fail` -- device-internal state lost on :meth:`fail`.
+
+    Transitions and the idle timer are flat callbacks too, each in the
+    slots its generator process used: kick-off URGENT, then
+    ``call_later`` where the process slept, then :func:`hold_slot` where
+    the finished process's completion event went.
 
     Parameters
     ----------
@@ -184,8 +188,16 @@ class StorageBackend:
         #: Open spinup/spindown span (observability only; None otherwise).
         self._transition_span: Optional["Span"] = None
         self._idle_started: Event = sim.event()
+        #: The idle watchdog is running (it ends only when a transition it
+        #: waited on fails; :meth:`repair` then starts a new one).
+        self._watching = False
+        #: An idle timer is running and no activity has retired it yet.
         self._watchdog_timing = False
-        self._watchdog: Optional[Process] = None
+        #: Identifies the running idle timer; activity bumps it, so the
+        #: retired timer fires as a no-op.
+        self._watch_token = 0
+        #: What the running idle timer does when it expires.
+        self._watch_action: Callable[[], bool] = self.request_sleep
 
     # -- public API --------------------------------------------------------------
 
@@ -225,8 +237,11 @@ class StorageBackend:
             request.done.fail(DiskFailureError(self.name))
             return request
         self.inflight += 1
-        if self._watchdog_timing and self._watchdog is not None:
-            self._watchdog.interrupt("activity")
+        if self._watchdog_timing:
+            # At most one interrupt per timing period: a second submit in
+            # the same instant finds the timer already retired.
+            self._watchdog_timing = False
+            self._interrupt_watchdog()
         self.queue.put(request)
         if self.state is DiskState.STANDBY:
             self.wake()
@@ -249,12 +264,13 @@ class StorageBackend:
         if self._flaky_spinups > 0:
             self._flaky_spinups -= 1
             self.spinup_failures += 1
-            self.sim.process(self._failed_spinup(duration))
+            # The attempt begins in its own URGENT slot, after this call.
+            self.sim.call_soon(self._failed_spinup, duration, priority=URGENT)
             return True
         self._begin_transition(DiskState.SPIN_UP, DiskState.IDLE, duration)
         return True
 
-    def _failed_spinup(self, duration: float) -> Generator[Event, Any, None]:
+    def _failed_spinup(self, duration: float) -> None:
         """An injected spin-up failure: the motor spends the full spin-up
         (time and energy) but falls back to STANDBY, observes the injected
         back-off, then releases waiters so the next attempt retries."""
@@ -264,22 +280,31 @@ class StorageBackend:
             self._transition_span = tracer.begin(
                 "spinup", self.name, injected_failure=True
             )
-        self._transition_done = self.sim.event()
-        done = self._transition_done
-        yield self.sim.timeout(duration)
+        done = self._transition_done = self.sim.event()
+        self.sim.call_later(duration, self._failed_spinup_spent, done)
+
+    def _failed_spinup_spent(self, done: Event) -> None:
+        """The failed attempt's spin-up time is spent."""
         if done._value is not PENDING:
             # fail() cut the attempt short and closed its span; a
             # repair (and a later transition) may have followed.
+            self.sim.call_soon(hold_slot)
             return
         self._set_state(DiskState.STANDBY)
         self._end_transition_span(ok=False)
         if self._flaky_backoff_s > 0:
-            yield self.sim.timeout(self._flaky_backoff_s)
-        if done.triggered:
-            return  # the device failed during the back-off
-        done.succeed()
-        if self.inflight > 0 and self.state is DiskState.STANDBY:
-            self.wake()
+            self.sim.call_later(self._flaky_backoff_s, self._failed_spinup_over, done)
+        else:
+            self._failed_spinup_over(done)
+
+    def _failed_spinup_over(self, done: Event) -> None:
+        """The back-off is over: release the waiters, retry if needed."""
+        # Unless the device failed during the back-off.
+        if done._value is PENDING:
+            done.succeed()
+            if self.inflight > 0 and self.state is DiskState.STANDBY:
+                self.wake()
+        self.sim.call_soon(hold_slot)
 
     def fail(self) -> None:
         """Inject a permanent hardware failure.
@@ -322,10 +347,8 @@ class StorageBackend:
         self._set_state(DiskState.STANDBY)
         # The idle watchdog may have died waiting out the failed
         # transition; re-arm it so power management resumes.
-        if self.auto_sleep_after is not None and (
-            self._watchdog is None or self._watchdog.triggered
-        ):
-            self._watchdog = self.sim.process(self._idle_watchdog())
+        if self.auto_sleep_after is not None and not self._watching:
+            self._start_watchdog()
 
     def set_idle_threshold(self, seconds: float) -> None:
         """Retarget the built-in idle timer (adaptive power management).
@@ -397,8 +420,10 @@ class StorageBackend:
         """Drop device-internal work on :meth:`fail`.  Runs after the host
         queue is drained and before the pending transition fails."""
 
-    def _idle_watchdog(self) -> Generator[Event, Any, None]:
-        """Built-in idle timer (policy fallback without application hints)."""
+    def _watch(self, _value: Any = None) -> None:
+        """One turn of the built-in idle timer's loop (the policy fallback
+        without application hints): arm a timer with
+        :meth:`_arm_watch_timer`, or park until something changes."""
         raise NotImplementedError
 
     # -- internals ----------------------------------------------------------------
@@ -424,7 +449,7 @@ class StorageBackend:
                 span_kind, self.name, target=target.value
             )
         self._transition_done = self.sim.event()
-        self.sim.process(self._finish_transition(target, duration))
+        self.sim.call_soon(self._time_transition, (target, duration), priority=URGENT)
 
     def _end_transition_span(self, **tags: object) -> None:
         """Close the open transition span, if tracing is attached."""
@@ -435,26 +460,67 @@ class StorageBackend:
                 tracer.end(span, **tags)
             self._transition_span = None
 
-    def _finish_transition(
-        self, target: DiskState, duration: float
-    ) -> Generator[Event, Any, None]:
-        done = self._transition_done
-        yield self.sim.timeout(duration)
-        if done._value is not PENDING:
-            # fail() cut the transition short and closed its span; a
-            # repair (and a later transition) may have followed.
-            return
-        self._set_state(target)
-        self._end_transition_span()
-        done.succeed()
-        # A request may have landed while we were spinning down; chain the
-        # wake-up immediately so it is not stranded until the next submit.
-        if target is DiskState.STANDBY and self.inflight > 0:
-            self.wake()
+    def _time_transition(self, plan: Tuple[DiskState, float]) -> None:
+        """Transition kick-off: time the transition that is current now."""
+        target, duration = plan
+        self.sim.call_later(
+            duration, self._finish_transition, (self._transition_done, target)
+        )
+
+    def _finish_transition(self, ending: Tuple[Event, DiskState]) -> None:
+        done, target = ending
+        if done._value is PENDING:
+            # (Otherwise fail() cut the transition short and closed its
+            # span; a repair, and a later transition, may have followed.)
+            self._set_state(target)
+            self._end_transition_span()
+            done.succeed()
+            # A request may have landed while we were spinning down; chain
+            # the wake-up immediately so it is not stranded until the next
+            # submit.
+            if target is DiskState.STANDBY and self.inflight > 0:
+                self.wake()
+        self.sim.call_soon(hold_slot)
 
     def _signal_idle(self) -> None:
         event, self._idle_started = self._idle_started, self.sim.event()
         event.succeed()
+
+    # -- the idle watchdog ------------------------------------------------------------
+
+    def _start_watchdog(self) -> None:
+        """Kick the idle watchdog off URGENT now."""
+        self._watching = True
+        self.sim.call_soon(self._watch, priority=URGENT)
+
+    def _arm_watch_timer(self, delay: float, action: Callable[[], bool]) -> None:
+        """Run *action* after *delay* seconds unless activity comes first."""
+        self._watchdog_timing = True
+        self._watch_action = action
+        self.sim.call_later(delay, self._watch_expired, self._watch_token)
+
+    def _watch_expired(self, token: int) -> None:
+        if token != self._watch_token:
+            return  # retired by activity; the timer still held its slot
+        self._watch_action()
+        self._watchdog_timing = False
+        self._watch()
+
+    def _interrupt_watchdog(self) -> None:
+        """Activity arrived while an idle timer ran: retire the timer in
+        an URGENT slot.  The slot's event is failed (and defused), as
+        the process interrupt it stands in for was."""
+        retire = Event(self.sim)
+        retire._ok = False
+        retire._defused = True
+        retire._value = None
+        assert retire.callbacks is not None
+        retire.callbacks.append(self._watch_interrupted)
+        self.sim.schedule(retire, priority=URGENT)
+
+    def _watch_interrupted(self, _event: Event) -> None:
+        self._watch_token += 1
+        self._watch()
 
 
 class SimDisk(StorageBackend):
@@ -534,9 +600,8 @@ class SimDisk(StorageBackend):
         self._span: Optional["Span"] = None
         # Kicked off URGENT now: the slot a server process would start in.
         sim.call_soon(self._await_request, priority=URGENT)
-        self._watchdog = (
-            sim.process(self._idle_watchdog()) if auto_sleep_after is not None else None
-        )
+        if auto_sleep_after is not None:
+            self._start_watchdog()
 
     def request_sleep(self) -> bool:
         """Spin down if idle with nothing in flight.  Returns True if begun.
@@ -663,48 +728,48 @@ class SimDisk(StorageBackend):
         request.done.fail(failure)
         self._await_request()
 
-    def _idle_watchdog(self) -> Generator[Event, Any, None]:
-        """Built-in idle timer (policy fallback without application hints)."""
-        sim = self.sim
-        while True:
+    def _watch(self, _value: Any = None) -> None:
+        """One turn of the idle timer's loop: time an idle (or, two-stage,
+        low-speed idle) period, wait out a transition, or park until the
+        drive drains.  Activity retires a running timer and runs the turn
+        again."""
+        if self.state is DiskState.IDLE and self.inflight == 0:
             # Re-read each idle period: set_idle_threshold may retune the
             # timer mid-run (the online controller's knob).
             auto_sleep_after = self.auto_sleep_after
             assert auto_sleep_after is not None  # watchdog only started when set
-            if self.state is DiskState.IDLE and self.inflight == 0:
-                self._watchdog_timing = True
-                try:
-                    yield sim.timeout(auto_sleep_after)
-                    if self.idle_action == "low_speed":
-                        self.shift_down()
-                    else:
-                        self.request_sleep()
-                except Interrupt:
-                    pass  # activity arrived; wait for the next idle period
-                finally:
-                    self._watchdog_timing = False
-            elif (
-                self.second_stage_after is not None
-                and self.state is DiskState.LOW_IDLE
-                and self.inflight == 0
-            ):
-                self._watchdog_timing = True
-                try:
-                    yield sim.timeout(self.second_stage_after)
-                    self.request_sleep()
-                except Interrupt:
-                    pass
-                finally:
-                    self._watchdog_timing = False
-            elif self.state.is_transitioning and self.second_stage_after is not None:
-                # Re-check once the shift/spin completes (two-stage mode
-                # must arm its LOW_IDLE timer without waiting for I/O).
-                try:
-                    yield self._transition_done
-                except DiskFailureError:
-                    return
-            else:
-                yield self._idle_started
+            self._arm_watch_timer(
+                auto_sleep_after,
+                self.shift_down if self.idle_action == "low_speed" else self.request_sleep,
+            )
+        elif (
+            self.second_stage_after is not None
+            and self.state is DiskState.LOW_IDLE
+            and self.inflight == 0
+        ):
+            self._arm_watch_timer(self.second_stage_after, self.request_sleep)
+        elif self.state.is_transitioning and self.second_stage_after is not None:
+            # Re-check once the shift/spin completes (two-stage mode must
+            # arm its LOW_IDLE timer without waiting for I/O).  A
+            # transition in progress has not ended yet.
+            pending = self._transition_done
+            assert pending.callbacks is not None
+            pending.callbacks.append(self._watch_transition)
+        else:
+            idle = self._idle_started
+            assert idle.callbacks is not None
+            idle.callbacks.append(self._watch)
+
+    def _watch_transition(self, event: Event) -> None:
+        """The transition the watchdog waited out has ended."""
+        if event._ok:
+            self._watch()
+            return
+        # The drive failed mid-transition: the watchdog ends, and repair()
+        # starts a new one.
+        event._defused = True
+        self._watching = False
+        self.sim.call_soon(hold_slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

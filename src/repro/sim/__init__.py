@@ -6,7 +6,7 @@ event engine in the style popularised by SimPy, written from scratch:
 
 * :mod:`repro.sim.events` -- events, timeouts and condition events,
 * :mod:`repro.sim.engine` -- the :class:`Simulator` (clock + event heap),
-* :mod:`repro.sim.process` -- processes (generator coroutines) and interrupts,
+* :mod:`repro.sim.process` -- processes (generator coroutines),
 * :mod:`repro.sim.resources` -- slot resources and object stores,
 * :mod:`repro.sim.monitor` -- tally / time-weighted statistics collection,
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams.
@@ -19,7 +19,7 @@ time is in **seconds** (float).
 from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.monitor import Recorder, TallyStat, TimeWeightedStat
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
@@ -27,7 +27,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "LanePerturbation",
     "Process",
     "RandomStreams",

@@ -92,6 +92,17 @@ class LanePerturbation:
         return (((x * self._MULT) & mask) >> 32) % n
 
 
+def hold_slot(_value: Any = None) -> None:
+    """The no-op continuation that holds a schedule slot nobody observes.
+
+    A flat callback chain that replaced a generator process schedules
+    this where the process's completion event went: nothing waited on
+    it, but dropping it would renumber every later event and move
+    ``sim.events``.  Every ``call_soon(hold_slot)`` is an event the
+    engine could simply stop scheduling.
+    """
+
+
 class Continuation(Event):
     """Engine-internal carrier for a scheduled plain callable.
 
@@ -162,8 +173,6 @@ class Simulator:
         #: :class:`repro.obs.Observability`); instrumented components
         #: check this for ``None`` and pay nothing when it is.
         self.tracer: Optional["Tracer"] = None
-        #: The process currently being resumed (used by Interrupt plumbing).
-        self.active_process: Optional[Process] = None
         #: Chaos-scheduler state (see :meth:`set_lane_perturbation`).
         self._perturb: Optional[LanePerturbation] = None
         #: The event the active run() terminates on; the perturbed pop

@@ -17,22 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupted process may catch it and continue; the event it was
-    waiting on remains valid and may be re-yielded.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The ``cause`` argument passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"Interrupt({self.cause!r})"
-
-
 class Process(Event):
     """Execution wrapper for a generator; also its completion event."""
 
@@ -84,47 +68,11 @@ class Process(Event):
         """The event the process is currently waiting for."""
         return self._target
 
-    # -- control --------------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        It is an error to interrupt a completed process or a process from
-        within itself.
-        """
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self.name} has terminated and cannot be interrupted")
-        if self is self.sim.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-
-        interruption = Event(self.sim)
-        interruption._ok = False
-        interruption._exc = Interrupt(cause)
-        interruption._value = interruption._exc
-        interruption._defused = True  # delivered via throw(), never unhandled
-        assert interruption.callbacks is not None
-        interruption.callbacks.append(self._deliver_interrupt)
-        self.sim.schedule(interruption, delay=0.0, priority=URGENT)
-
-    def _deliver_interrupt(self, interruption: Event) -> None:
-        if self._value is not PENDING:
-            return  # process already finished before delivery
-        # Detach from the event we were waiting on, then resume with the
-        # failed interruption event so Interrupt is thrown into the
-        # generator.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._resume(interruption)
-
     # -- engine plumbing --------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator until it yields a pending event or ends."""
         sim = self.sim
-        sim.active_process = self
         while True:
             try:
                 if event._ok:
@@ -175,7 +123,6 @@ class Process(Event):
 
         if self._value is not PENDING:
             self._target = None
-        sim.active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if not self.is_alive else "alive"

@@ -2,26 +2,36 @@
 
 The hot path runs on flat callbacks: the fabric's :class:`_Delivery`
 continuation, :class:`Link` grants through ``call_soon``, the disk and
-SSD servers, the SSD destager and channels, and the inbox handlers of
-the storage server, storage node, client and metadata server.  Each one
-replaced generator or grant machinery, and the replacement must be
-*invisible*.  The generators live on here as test-only oracles, each the
-parent's method body verbatim as a function of ``self``, patched onto
-the kick-off callback of the flat version, which the constructor
-schedules in the slot the parent's process kick-off took (for delivery,
-onto ``Fabric.send``/``send_nowait``).  Ids call the oracle
-path ``gen`` and the product path ``cont``.
+SSD servers, the SSD destager and channels, the inbox handlers of the
+storage server, storage node, client and metadata server, the node's
+per-request :class:`_Serve` chain, the paced replayer, device
+transitions (failed spin-ups included), the power manager's time-based
+waker and the idle watchdogs.  Each one replaced generator or grant
+machinery, and the replacement must be *invisible*.  The generators
+live on here as test-only oracles, each the parent's method body
+verbatim as a function of ``self`` (calls to replaced methods renamed
+to their oracles), patched onto the kick-off callback of the flat
+version, which schedules it in the slot the parent's process kick-off
+took (for delivery, onto ``Fabric.send``/``send_nowait``; for the paced
+replayer, onto ``ClientDriver.replay``).  A watchdog oracle is
+interrupted the way ``Process.interrupt`` did it; that delivery lives
+only here now.  Ids call the oracle path ``gen`` and the product path
+``cont``.
 
 Two levels of identity are pinned:
 
-* **The loops keep every event in its schedule slot.**  With every loop
-  oracle and the ``Resource``-based link grant patched in, a run
+* **The rebuilt paths keep every event in its schedule slot.**  With
+  every oracle and the ``Resource``-based link grant patched in, a run
   dispatches the same number of events, with the same schedule-shape
   digest (time, sequence counter and outcome per event), and ends with
-  a bit-identical :meth:`~repro.core.filesystem.RunResult.record`.  The race scenario ``ssd:buffer-faults`` adds
-  device faults to whole runs; a device drill fails an HDD and an SSD
-  mid-transition, mid-write, mid-read and mid-destage, which walks the
-  servers' and destager's ``_defused`` paths.
+  a bit-identical :meth:`~repro.core.filesystem.RunResult.record`.  The
+  scenarios add write-through, replicated writes over dead drives (the
+  serve chain's silent, failover and failed-reply branches), flaky
+  spin-ups, a two-stage DRPM node with the time predictor (the
+  watchdog's transition wait and the waker) and device faults to whole
+  runs; a device drill fails an HDD and an SSD mid-transition,
+  mid-write, mid-read and mid-destage, which walks the servers' and
+  destager's ``_defused`` paths.
 * **Delivery is metric-identical.**  One generator process per message
   adds a completion event that a fire-and-forget send never schedules,
   so only the record can match (compared as canonical JSON, whose
@@ -29,22 +39,26 @@ Two levels of identity are pinned:
 """
 
 import contextlib
+from dataclasses import replace as replace_dataclass
 from typing import Any, Dict
 
 import pytest
 
 from repro.backend import SATA_SSD_8GB
 from repro.backend.ssd import _CacheEntry, SSDBackend
+from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
 from repro.core import EEVFSConfig, run_eevfs
-from repro.core.client import ClientDriver, NOT_LEADER
+from repro.core.client import _PacedReplay, ClientDriver, NOT_LEADER
 from repro.core.filesystem import canonical_json, EEVFSCluster
-from repro.core.node import StorageNode
+from repro.core.node import _Serve, StorageNode
+from repro.core.power import PowerManager
 from repro.core.protocol import (
     AccessHints,
     CreateFile,
     FileData,
     FileRequest,
     ForwardedRequest,
+    next_request_id,
     PrefetchCommand,
     PrefetchComplete,
     RepairCommand,
@@ -64,15 +78,17 @@ from repro.disk.drive import (
     PRIORITY_BACKGROUND,
     RequestKind,
     SimDisk,
+    StorageBackend,
 )
 from repro.disk.states import DiskState
+from repro.faults import FaultSchedule
 from repro.metaplane.messages import AppendEntries, AppendReply, VoteReply, VoteRequest
 from repro.metaplane.server import LEADER, MetadataServer
 from repro.net.fabric import Fabric
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.sim import Simulator
-from repro.sim.events import Event, PENDING
+from repro.sim.events import Event, PENDING, URGENT
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.traces.model import RequestOp
@@ -490,7 +506,7 @@ def _oracle_node_main(self):
         elif isinstance(payload, AccessHints):
             self._install_hints(payload)
         elif isinstance(payload, ForwardedRequest):
-            self.sim.process(self._serve(payload))
+            self.sim.process(_oracle_node_serve(self, payload))
         elif isinstance(payload, RepairCommand):
             self.sim.process(self._start_repair(payload))
         elif isinstance(payload, ReplicaPull):
@@ -531,7 +547,7 @@ def _oracle_client_dispatch(self):
                 tracer.end_request(payload.request_id, ok=True, served_by=payload.served_by)
             waiter = self._waiters.pop(payload.request_id, None)
             if waiter is not None:
-                waiter.succeed()
+                waiter()  # a settlement callback now, where it was an event
             if self._replay_finished and not self._pending:
                 self._drained.succeed()
         elif isinstance(payload, RequestFailed):
@@ -628,6 +644,381 @@ def _oracle_meta_handle_request(self, payload):
             self.plane.writes_fanned_out += 1
 
 
+# -- the node's per-request chain ---------------------------------------------------
+
+
+def _oracle_node_serve(self, forwarded):
+    """Wrap :meth:`_serve_inner` in a ``node.dispatch`` span when
+    observability is attached; otherwise delegate at zero cost."""
+    tracer = self.sim.tracer
+    if tracer is None:
+        yield from _oracle_node_serve_inner(self, forwarded)
+        return
+    request = forwarded.request
+    span = tracer.begin(
+        "node.dispatch",
+        self.spec.name,
+        parent=tracer.request_span(request.request_id),
+        file_id=request.file_id,
+        op=request.op.name,
+    )
+    try:
+        yield from _oracle_node_serve_inner(self, forwarded)
+    finally:
+        tracer.end(span)
+
+
+def _oracle_node_serve_inner(self, forwarded):
+    request = forwarded.request
+    if self.config.node_overhead_s > 0:
+        yield self.sim.timeout(self.config.node_overhead_s)
+    # Advance the node's request-stream clock (sequence counter +
+    # inter-arrival EWMA) before any routing decision.
+    self.power.note_node_arrival()
+    entered_at = self.sim.now
+
+    try:
+        reply, reply_size, disk_index = yield from _oracle_node_serve_io(self, request)
+        if isinstance(reply, FileData):
+            reply = replace_dataclass(
+                reply,
+                node_time_s=self.sim.now - entered_at + self.config.node_overhead_s,
+            )
+    except DiskFailureError as failure:
+        self.requests_failed += 1
+        if forwarded.silent:
+            # A lost fan-out write copy is the repair loop's problem,
+            # not the client's: the primary already acked.
+            return
+        if forwarded.failover:
+            # Degraded read/write: hand the request to the next live
+            # holder.  (Stands in for the client's retry-on-timeout;
+            # collapsing it keeps the failure path deterministic.)
+            self.requests_failed_over += 1
+            yield self.fabric.send(
+                self.spec.name,
+                forwarded.failover[0],
+                ForwardedRequest(
+                    request=request, failover=forwarded.failover[1:]
+                ),
+            )
+            return
+        reply = RequestFailed(
+            request_id=request.request_id,
+            file_id=request.file_id,
+            reason=str(failure),
+        )
+        reply_size = None
+        disk_index = None
+    if forwarded.silent:
+        # Fan-out copy applied; only the primary replies.
+        return
+    self.requests_served += 1
+    # A drained disk is a fresh sleep opportunity.
+    if disk_index is not None:
+        for target in self.metadata.stripe_disks(request.file_id):
+            self.power.evaluate(target)
+    if reply_size is None:
+        yield self.fabric.send(self.spec.name, request.client, reply)
+    else:
+        yield self.fabric.send(
+            self.spec.name, request.client, reply, size_bytes=reply_size
+        )
+
+
+def _oracle_node_serve_io(self, request):
+    """The I/O half of :meth:`_serve`; raises DiskFailureError when a
+    needed drive is dead.  Returns (reply, reply_size, disk_index)."""
+    file_id = request.file_id
+    size = self.metadata.size_of(file_id)
+    if request.op is RequestOp.WRITE:
+        served_by = yield from _oracle_node_serve_write(self, file_id, size)
+        reply: object = WriteAck(
+            request_id=request.request_id, file_id=file_id, served_by=served_by
+        )
+        return reply, None, None  # control-sized ack
+    else:
+        disk_index, served_by = self._route_read(file_id)
+        targets = [] if disk_index is None else self.metadata.stripe_disks(file_id)
+        # Consume the prediction entries and probe sleep opportunities
+        # across all disks *at request entry* (§VI-A).
+        for target in targets:
+            self.power.note_arrival(target)
+        self.power.evaluate_all(exclude=targets or None)
+        disk_started = self.sim.now
+        if disk_index is None:
+            io = self.buffer_disk.submit(
+                size, kind=RequestKind.READ, tag=("read", file_id)
+            )
+            yield io.done
+        else:
+            # One stripe read per disk, in parallel; the request
+            # completes when the slowest stripe lands.
+            stripe = self.metadata.stripe_size_bytes(file_id)
+            ios = [
+                self.data_disks[target].submit(
+                    stripe, kind=RequestKind.READ, tag=("read", file_id)
+                )
+                for target in targets
+            ]
+            yield self.sim.all_of([io.done for io in ios])
+        self._after_read(file_id, disk_index)
+        reply = FileData(
+            request_id=request.request_id,
+            file_id=file_id,
+            size_bytes=size,
+            served_by=served_by,
+            disk_time_s=self.sim.now - disk_started,
+        )
+        return reply, size, disk_index
+
+
+def _oracle_node_serve_write(self, file_id, size):
+    """Write path: stage to the buffer disk when allowed and it fits;
+    otherwise write through to the data disk (waking it if needed)."""
+    use_buffer = (
+        self.config.write_buffering
+        and self.config.prefetch_enabled
+        and self.write_buffer.can_stage(size)
+    )
+    if use_buffer:
+        self.write_buffer.stage(file_id, size, time_s=self.sim.now)
+        io = self.buffer_disk.submit(
+            size, kind=RequestKind.WRITE, sequential=True, tag=("write", file_id)
+        )
+        yield io.done
+        self.writes_buffered += 1
+        return "buffer"
+    targets = self.metadata.stripe_disks(file_id)
+    stripe = self.metadata.stripe_size_bytes(file_id)
+    for target in targets:
+        self.power.note_arrival(target)
+    ios = [
+        self.data_disks[target].submit(
+            stripe, kind=RequestKind.WRITE, tag=("write", file_id)
+        )
+        for target in targets
+    ]
+    yield self.sim.all_of([io.done for io in ios])
+    self.writes_direct += 1
+    for target in targets:
+        self.power.evaluate(target)
+    return f"data{targets[0]}"
+
+
+# -- the paced replayer ------------------------------------------------------------------
+
+
+def _oracle_replay_paced(self, trace, epoch_s):
+    # ``_waiters`` holds settlement callbacks now: the one change to the
+    # parent's body is storing ``done.succeed`` instead of ``done``.
+    slots = Resource(self.sim, capacity=self.max_outstanding)
+    for request in trace.requests:
+        target = epoch_s + request.time_s
+        if target > self.sim.now:
+            yield self.sim.timeout(target - self.sim.now)
+        slot = slots.request()
+        yield slot
+        request_id = next_request_id()
+        done = self.sim.event()
+        self._waiters[request_id] = done.succeed
+        self._issue(request_id, request.file_id, request.op)
+        # Release the pacing slot straight from the completion event's
+        # callback -- no watcher process needed.
+        assert done.callbacks is not None
+        done.callbacks.append(
+            lambda _e, slots=slots, slot=slot: slots.release(slot)
+        )
+    self._replay_finished = True
+    if self._pending:
+        yield self._drained
+    return self.response_times
+
+
+_flat_replay = ClientDriver.replay
+
+
+def _oracle_replay(self, trace, epoch_s=0.0, mode="open"):
+    """``replay``, with the paced replayer started as the parent started it."""
+    if mode == "paced":
+        return self.sim.process(_oracle_replay_paced(self, trace, epoch_s))
+    return _flat_replay(self, trace, epoch_s, mode)
+
+
+# -- transitions and the time-based waker ----------------------------------------------
+
+
+def _oracle_finish_transition(self, target, duration):
+    done = self._transition_done
+    yield self.sim.timeout(duration)
+    if done._value is not PENDING:
+        # fail() cut the transition short and closed its span; a
+        # repair (and a later transition) may have followed.
+        return
+    self._set_state(target)
+    self._end_transition_span()
+    done.succeed()
+    # A request may have landed while we were spinning down; chain the
+    # wake-up immediately so it is not stranded until the next submit.
+    if target is DiskState.STANDBY and self.inflight > 0:
+        self.wake()
+
+
+def _oracle_failed_spinup(self, duration):
+    """An injected spin-up failure: the motor spends the full spin-up
+    (time and energy) but falls back to STANDBY, observes the injected
+    back-off, then releases waiters so the next attempt retries."""
+    self._set_state(DiskState.SPIN_UP)
+    tracer = self.sim.tracer
+    if tracer is not None:
+        self._transition_span = tracer.begin(
+            "spinup", self.name, injected_failure=True
+        )
+    self._transition_done = self.sim.event()
+    done = self._transition_done
+    yield self.sim.timeout(duration)
+    if done._value is not PENDING:
+        # fail() cut the attempt short and closed its span; a
+        # repair (and a later transition) may have followed.
+        return
+    self._set_state(DiskState.STANDBY)
+    self._end_transition_span(ok=False)
+    if self._flaky_backoff_s > 0:
+        yield self.sim.timeout(self._flaky_backoff_s)
+    if done.triggered:
+        return  # the device failed during the back-off
+    done.succeed()
+    if self.inflight > 0 and self.state is DiskState.STANDBY:
+        self.wake()
+
+
+def _oracle_waker(self, disk_index, wake_at):
+    """The power manager's time-based waker closure, over its free names."""
+    disk = self.disks[disk_index]
+    yield self.sim.timeout(wake_at - self.sim.now)
+    if self._wake_seq[disk_index] == -1:
+        self._wake_seq[disk_index] = None
+        disk.wake()
+
+
+# -- the idle watchdogs, and the interrupt that retired their timers --------------------
+
+
+class Interrupt(Exception):
+    """Thrown into a watchdog oracle when activity retires its timer."""
+
+
+def _oracle_disk_watchdog(self):
+    """Built-in idle timer (policy fallback without application hints)."""
+    sim = self.sim
+    while True:
+        # Re-read each idle period: set_idle_threshold may retune the
+        # timer mid-run (the online controller's knob).
+        auto_sleep_after = self.auto_sleep_after
+        assert auto_sleep_after is not None  # watchdog only started when set
+        if self.state is DiskState.IDLE and self.inflight == 0:
+            self._watchdog_timing = True
+            try:
+                yield sim.timeout(auto_sleep_after)
+                if self.idle_action == "low_speed":
+                    self.shift_down()
+                else:
+                    self.request_sleep()
+            except Interrupt:
+                pass  # activity arrived; wait for the next idle period
+            finally:
+                self._watchdog_timing = False
+        elif (
+            self.second_stage_after is not None
+            and self.state is DiskState.LOW_IDLE
+            and self.inflight == 0
+        ):
+            self._watchdog_timing = True
+            try:
+                yield sim.timeout(self.second_stage_after)
+                self.request_sleep()
+            except Interrupt:
+                pass
+            finally:
+                self._watchdog_timing = False
+        elif self.state.is_transitioning and self.second_stage_after is not None:
+            # Re-check once the shift/spin completes (two-stage mode
+            # must arm its LOW_IDLE timer without waiting for I/O).
+            try:
+                yield self._transition_done
+            except DiskFailureError:
+                return
+        else:
+            yield self._idle_started
+
+
+def _oracle_ssd_watchdog(self):
+    """Built-in DEVSLP idle timer (armed via ``auto_sleep_after``)."""
+    sim = self.sim
+    while True:
+        auto_sleep_after = self.auto_sleep_after
+        assert auto_sleep_after is not None  # watchdog only started when set
+        if (
+            self.state is DiskState.IDLE
+            and self.inflight == 0
+            and self._busy == 0
+            and not self._dirty
+        ):
+            self._watchdog_timing = True
+            try:
+                yield sim.timeout(auto_sleep_after)
+                self.request_sleep()
+            except Interrupt:
+                pass  # activity arrived; wait for the next idle period
+            finally:
+                self._watchdog_timing = False
+        else:
+            yield self._idle_started
+
+
+#: Device -> its watchdog oracle's process, while the oracles are patched in.
+_WATCHDOGS: Dict[StorageBackend, Process] = {}
+
+
+def _watched(self, watchdog):
+    """Run a watchdog oracle; once it ends, ``repair()`` starts another."""
+    yield from watchdog(self)
+    self._watching = False
+
+
+def _watchdog_kickoff(watchdog):
+    def start(self, _value=None):
+        _WATCHDOGS[self] = _process_in_this_slot(self.sim, _watched(self, watchdog))
+
+    return start
+
+
+def _oracle_interrupt(self):
+    """``Process.interrupt("activity")`` on the device's watchdog oracle."""
+    process = _WATCHDOGS[self]
+    interruption = Event(self.sim)
+    interruption._ok = False
+    interruption._exc = Interrupt("activity")
+    interruption._value = interruption._exc
+    interruption._defused = True  # delivered via throw(), never unhandled
+    interruption.callbacks.append(lambda event: _deliver_interrupt(process, event))
+    self.sim.schedule(interruption, delay=0.0, priority=URGENT)
+
+
+def _deliver_interrupt(process, interruption):
+    if process._value is not PENDING:
+        return  # process already finished before delivery
+    # Detach from the event we were waiting on, then resume with the
+    # failed interruption event so Interrupt is thrown into the
+    # generator.
+    if process._target is not None and process._target.callbacks is not None:
+        try:
+            process._target.callbacks.remove(process._resume)
+        except ValueError:  # pragma: no cover - defensive
+            pass
+    process._resume(interruption)
+
+
 def _process_in_this_slot(sim, generator):
     """Run *generator* as a process whose kick-off is the slot running
     now.  The kick-off callback this replaces already sits in the slot
@@ -646,6 +1037,7 @@ def _process_in_this_slot(sim, generator):
     kickoff = Event(sim)
     kickoff._value = None
     process._resume(kickoff)
+    return process
 
 
 def _kickoff(oracle):
@@ -659,6 +1051,23 @@ def _kickoff(oracle):
 
 def _channel_kickoff(self, channel):
     _process_in_this_slot(self.sim, _oracle_channel(self, channel))
+
+
+def _serve_kickoff(serve, _value):
+    node = serve.node
+    _process_in_this_slot(node.sim, _oracle_node_serve(node, serve.forwarded))
+
+
+def _transition_kickoff(self, plan):
+    _process_in_this_slot(self.sim, _oracle_finish_transition(self, *plan))
+
+
+def _failed_spinup_kickoff(self, duration):
+    _process_in_this_slot(self.sim, _oracle_failed_spinup(self, duration))
+
+
+def _waker_kickoff(self, plan):
+    _process_in_this_slot(self.sim, _oracle_waker(self, *plan))
 
 
 @contextlib.contextmanager
@@ -676,6 +1085,14 @@ def _paths(loops=False, delivery=False):
             patch.setattr(StorageNode, "_await_message", _kickoff(_oracle_node_main))
             patch.setattr(ClientDriver, "_await_message", _kickoff(_oracle_client_dispatch))
             patch.setattr(MetadataServer, "_await_message", _kickoff(_oracle_meta_main))
+            patch.setattr(_Serve, "_start", _serve_kickoff)
+            patch.setattr(ClientDriver, "replay", _oracle_replay)
+            patch.setattr(StorageBackend, "_time_transition", _transition_kickoff)
+            patch.setattr(StorageBackend, "_failed_spinup", _failed_spinup_kickoff)
+            patch.setattr(PowerManager, "_time_wake", _waker_kickoff)
+            patch.setattr(SimDisk, "_watch", _watchdog_kickoff(_oracle_disk_watchdog))
+            patch.setattr(SSDBackend, "_watch", _watchdog_kickoff(_oracle_ssd_watchdog))
+            patch.setattr(StorageBackend, "_interrupt_watchdog", _oracle_interrupt)
         if delivery:
             patch.setattr(Fabric, "send", _oracle_send)
             patch.setattr(Fabric, "send_nowait", _oracle_send_nowait)
@@ -683,6 +1100,7 @@ def _paths(loops=False, delivery=False):
             yield
         finally:
             _WIRES.clear()
+            _WATCHDOGS.clear()
 
 
 def _record(result):
@@ -740,31 +1158,76 @@ def test_dispatch_modes_produce_different_streams_but_identical_metrics():
 #: name -> () -> (trace, config, faults, seed)
 SCENARIOS = {
     **{
-        name: (lambda config=config: (_trace(), config, None, 7))
+        name: (lambda config=config: (_trace(), dict(config=config)))
         for name, config in zip(CONFIG_IDS, CONFIGS, strict=True)
     },
     "ssd-writes": lambda: (
         _trace(write_fraction=0.4),
-        EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
-        None,
-        7,
+        dict(
+            config=EEVFSConfig(
+                buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0
+            )
+        ),
     ),
     "metaplane:leader-crash": lambda: _race("metaplane:leader-crash"),
     "ssd:buffer-faults": lambda: _race("ssd:buffer-faults"),
+    # Writes straight to the data disks, one of which dies.
+    "write-through": lambda: (
+        _trace(write_fraction=0.4),
+        dict(
+            config=EEVFSConfig(write_buffering=False),
+            faults=FaultSchedule().disk_fail("node1/data0", at=3),
+        ),
+    ),
+    # Replicated writes and reads over a dead data disk and a dead
+    # buffer disk: the serve chain's silent and failover branches.
+    "replication": lambda: (
+        _trace(write_fraction=0.4),
+        dict(
+            config=EEVFSConfig(replication_factor=2, replicate_writes=True),
+            faults=(
+                FaultSchedule()
+                .disk_fail("node1/data0", at=3)
+                .disk_fail("node2/buffer", at=6)
+            ),
+        ),
+    ),
+    # Injected spin-up failures, with and without a back-off.
+    "flaky-spinups": lambda: (
+        _trace(),
+        dict(
+            config=EEVFSConfig(),
+            faults=(
+                FaultSchedule()
+                .flaky_spinups("node1/data0", at=2, count=2, backoff_s=0.5)
+                .flaky_spinups("node2/data1", at=2, count=2, backoff_s=0.0)
+            ),
+        ),
+    ),
+    # Two-stage DRPM drives (the watchdog waits out its shifts) under
+    # the time predictor's wake-ahead timers.
+    "drpm:time": lambda: (
+        _trace(),
+        dict(
+            cluster=drpm_cluster(),
+            config=EEVFSConfig(window_predictor="time"),
+            node_class=TwoStageDRPMNode,
+        ),
+    ),
 }
 
 
 def _race(name):
-    # The race suite's scenario at its seed, rebuilt per run so no fault
-    # state carries over from one run to the next.
+    # The race suite's scenario, rebuilt per run so no fault state
+    # carries over from one run to the next.
     scenario = next(s for s in default_scenarios() if s.name == name)
-    return scenario.trace, scenario.config, scenario.faults, 7
+    return scenario.trace, dict(config=scenario.config, faults=scenario.faults)
 
 
 def _observed_run(scenario, loops, obs=False):
-    trace, config, faults, seed = SCENARIOS[scenario]()
+    trace, build = SCENARIOS[scenario]()
     with _paths(loops=loops):
-        cluster = EEVFSCluster(config=config, seed=seed, faults=faults, obs=obs)
+        cluster = EEVFSCluster(seed=7, obs=obs, **build)
         shape = ScheduleShapeHasher().attach(cluster.sim)
         typed = EventStreamHasher().attach(cluster.sim)
         result = cluster.run(trace)
@@ -782,7 +1245,9 @@ def test_loop_oracles_keep_every_event_in_its_slot(scenario):
     assert old_typed != new_typed
 
 
-@pytest.mark.parametrize("scenario", ["prefetch", "ssd:buffer-faults"])
+@pytest.mark.parametrize(
+    "scenario", ["prefetch", "ssd:buffer-faults", "replication", "drpm:time"]
+)
 def test_loop_oracles_export_the_same_spans(scenario):
     old = _observed_run(scenario, loops=True, obs=True)[0]
     new = _observed_run(scenario, loops=False, obs=True)[0]
@@ -790,6 +1255,103 @@ def test_loop_oracles_export_the_same_spans(scenario):
     new_spans = [repr(span.as_dict()) for span in new.trace.spans]
     assert len(new_spans) > 100
     assert old_spans == new_spans
+
+
+def test_the_serve_chain_walks_every_failure_branch():
+    walked = set()
+
+    def branch_spy(original):
+        def spy(self, event):
+            forwarded = self.forwarded
+            if forwarded.silent:
+                walked.add("silent")
+            else:
+                walked.add("failover" if forwarded.failover else "failed reply")
+            return original(self, event)
+
+        return spy
+
+    def stage_spy(name, original):
+        def spy(self, event):
+            if not event._ok:
+                walked.add(name)
+            return original(self, event)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Serve, "_failed", branch_spy(_Serve._failed))
+        for stage in ("_staged", "_written", "_read"):
+            patch.setattr(_Serve, stage, stage_spy(stage, getattr(_Serve, stage)))
+        for scenario in ("write-through", "replication"):
+            _observed_run(scenario, loops=False)
+    assert walked == {
+        "silent",
+        "failover",
+        "failed reply",
+        "_staged",
+        "_written",
+        "_read",
+    }
+
+
+#: A stage of each rebuilt path that only the flat version runs: every
+#: one of them is reached on the product path and none under the oracles.
+FLAT_STAGES = [
+    (_Serve, "_enter"),
+    (_PacedReplay, "_pace"),
+    (StorageBackend, "_finish_transition"),
+    (StorageBackend, "_failed_spinup_spent"),
+    (PowerManager, "_wake_due"),
+    (StorageBackend, "_watch_expired"),
+    (StorageBackend, "_watch_interrupted"),
+]
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["cont", "gen"])
+def test_each_oracle_replaces_its_flat_path(loops):
+    ran = set()
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            ran.add(f"{cls.__name__}.{name}")
+            return original(self, *args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name in FLAT_STAGES:
+            patch.setattr(cls, name, spy(cls, name))
+        for scenario in ("ssd-writes", "flaky-spinups", "drpm:time"):
+            _observed_run(scenario, loops)
+    flat = {f"{cls.__name__}.{name}" for cls, name in FLAT_STAGES}
+    assert ran == (set() if loops else flat)
+
+
+def test_replay_builds_no_process():
+    trace = generate_synthetic_trace(SyntheticWorkload(n_requests=1500))
+    built = []
+    replaying = []
+    build = Process.__init__
+    replay = ClientDriver.replay
+
+    def counted(self, sim, generator, name=""):
+        if replaying:
+            built.append(generator.__qualname__)
+        build(self, sim, generator, name)
+
+    def started(self, *args, **kwargs):
+        replaying.append(True)
+        return replay(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "__init__", counted)
+        patch.setattr(ClientDriver, "replay", started)
+        EEVFSCluster(config=EEVFSConfig(), seed=1).run(trace)
+    assert replaying
+    assert built == []
 
 
 # -- device faults mid-flight: the ``_defused`` paths ---------------------------------

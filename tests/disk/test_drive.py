@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import SATA_SSD_8GB, SSDBackend
 from repro.disk import ATA_80GB_TYPE1, DiskState, RequestKind, SimDisk
 from repro.disk.specs import MB
 from repro.sim import Simulator
@@ -267,6 +268,30 @@ class TestIdleWatchdog:
             assert disk.state is DiskState.STANDBY
 
         run_client(sim, client())
+
+    @pytest.mark.parametrize("device", ["hdd", "ssd"])
+    def test_same_instant_submits_retire_the_timer_once(self, sim, device):
+        # Two submits in one callback while the idle timer runs retire
+        # the timer once; a second retirement would reach a watchdog that
+        # is no longer timing.
+        if device == "hdd":
+            disk, at, size = SimDisk(sim, SPEC, auto_sleep_after=10.0), 1.0, 1000
+        else:
+            disk = SSDBackend(sim, SATA_SSD_8GB, auto_sleep_after=1.0)
+            at, size = 0.5, 64 * 1024
+        requests = []
+
+        def burst(_value):
+            requests.append(disk.submit(size))
+            requests.append(disk.submit(size))
+
+        sim.call_later(at, burst)
+        sim.run(until=at + 0.5)
+        assert [r.done.ok for r in requests] == [True, True]
+        assert disk.state is DiskState.IDLE
+        # The next idle period is timed afresh and ends in sleep.
+        sim.run(until=at + 0.5 + disk.auto_sleep_after + disk.spec.spindown_s)
+        assert disk.state is DiskState.STANDBY
 
     def test_negative_threshold_rejected(self, sim):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
-"""Unit tests for processes and interrupts."""
+"""Unit tests for processes."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -73,107 +73,6 @@ def test_process_name_defaults_to_generator_name(sim):
     p = sim.process(my_worker())
     assert p.name == "my_worker"
     sim.run()
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, sim.now)
-
-        def poker(target):
-            yield sim.timeout(3.0)
-            target.interrupt("wake up")
-
-        p = sim.process(sleeper())
-        sim.process(poker(p))
-        sim.run()
-        assert p.value == ("interrupted", "wake up", 3.0)
-
-    def test_interrupted_process_can_continue(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            return sim.now
-
-        def poker(target):
-            yield sim.timeout(2.0)
-            target.interrupt()
-
-        p = sim.process(sleeper())
-        sim.process(poker(p))
-        sim.run()
-        assert p.value == 3.0
-
-    def test_interrupting_dead_process_raises(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        def late(target):
-            yield sim.timeout(5.0)
-            with pytest.raises(RuntimeError):
-                target.interrupt()
-
-        p = sim.process(quick())
-        sim.process(late(p))
-        sim.run()
-
-    def test_self_interrupt_raises(self, sim):
-        failures = []
-
-        def selfish():
-            me = sim.active_process
-            try:
-                me.interrupt()
-            except RuntimeError as exc:
-                failures.append(str(exc))
-            yield sim.timeout(0.0)
-
-        sim.process(selfish())
-        sim.run()
-        assert failures and "itself" in failures[0]
-
-    def test_uncaught_interrupt_fails_process(self, sim):
-        def sleeper():
-            yield sim.timeout(100.0)
-
-        def poker(target):
-            yield sim.timeout(1.0)
-            target.interrupt("die")
-
-        p = sim.process(sleeper())
-        sim.process(poker(p))
-        with pytest.raises(Interrupt):
-            sim.run()
-        assert not p.ok
-
-    def test_interrupt_races_with_completion(self, sim):
-        """Interrupt scheduled at the same instant the process finishes
-        must not blow up -- delivery is skipped for completed processes."""
-
-        def quick():
-            yield sim.timeout(1.0)
-            return "done"
-
-        def poker(target):
-            yield sim.timeout(1.0)
-            if target.is_alive:
-                target.interrupt()
-
-        p = sim.process(quick())
-        sim.process(poker(p))
-        sim.run()
-        assert p.value == "done"
-
-    def test_interrupt_str_shows_cause(self):
-        exc = Interrupt("why")
-        assert "why" in str(exc)
-        assert exc.cause == "why"
 
 
 class TestProcessesWaitingOnProcesses:
