@@ -45,7 +45,7 @@ from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.resources import PriorityStore, Store
+from repro.sim.resources import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -276,8 +276,8 @@ class SSDBackend(StorageBackend):
             gc_free_fraction=spec.gc_free_fraction,
         )
         self.extents = ExtentMap(spec.n_logical_pages)
-        self._channel_queues: List[Store] = [
-            PriorityStore(sim, priority_key=lambda j: j.priority)
+        self._channel_queues = [
+            Mailbox(sim, priority_key=lambda j: j.priority)
             for _ in range(spec.n_channels)
         ]
         #: Open span of each channel's job (observability only).
@@ -425,21 +425,20 @@ class SSDBackend(StorageBackend):
 
     def _await_request(self, _value: Any = None) -> None:
         """Server kick-off: park :meth:`_serve` on the host queue."""
-        get = self.queue.get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._serve)
+        self.queue.take(self._serve)
 
-    def _serve(self, event: Event) -> None:
-        """Start serving the request *event* dequeued, or the held request
-        once the transition *event* it waited on has ended."""
+    def _serve(self, arg: Any) -> None:
+        """Start serving the request *arg* taken from the queue, or the
+        held request once the transition event *arg* it waited on has
+        ended."""
         request = self._request
         try:
             if request is None:
-                request = self._request = event._value
-            elif not event._ok:
-                event._defused = True
-                assert event._exc is not None
-                raise event._exc
+                request = self._request = arg
+            elif not arg._ok:
+                arg._defused = True
+                assert arg._exc is not None
+                raise arg._exc
             if not self._serviceable(self._serve):
                 return
         except DiskFailureError as failure:
@@ -471,9 +470,7 @@ class SSDBackend(StorageBackend):
             request.done.succeed(request)
         elif not request.done.triggered:
             request.done.fail(failure)
-        get = self.queue.get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._serve)
+        self.queue.take(self._serve)
 
     def _admit_write(self, drained: Optional[Event]) -> None:
         """Accept the held write into the cache (backpressure when full).
@@ -725,12 +722,9 @@ class SSDBackend(StorageBackend):
 
     def _await_job(self, channel: int) -> None:
         """Channel kick-off: park :meth:`_run_job` on *channel*'s queue."""
-        get = self._channel_queues[channel].get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._run_job)
+        self._channel_queues[channel].take(self._run_job)
 
-    def _run_job(self, event: Event) -> None:
-        job: _ChannelJob = event._value
+    def _run_job(self, job: _ChannelJob) -> None:
         self._busy_enter()
         duration = self._job_duration_s(job)
         tracer = self.sim.tracer
@@ -752,9 +746,7 @@ class SSDBackend(StorageBackend):
         self._busy_exit()
         if not job.done.triggered:
             job.done.succeed(job)
-        get = self._channel_queues[job.channel].get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._run_job)
+        self._channel_queues[job.channel].take(self._run_job)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -32,6 +32,7 @@ from repro.core.protocol import (
     WriteAck,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
 from repro.sim.monitor import TallyStat
@@ -358,12 +359,10 @@ class ClientDriver:
 
     def _await_message(self, _value: Any = None) -> None:
         """Kick-off: park :meth:`_on_message` on the inbox."""
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
-    def _on_message(self, event: Event) -> None:
-        payload = event._value.payload
+    def _on_message(self, message: Message) -> None:
+        payload = message.payload
         if isinstance(payload, (FileData, WriteAck)):
             if payload.request_id in self._settled:
                 # A superseded attempt answering after the request
@@ -410,9 +409,7 @@ class ClientDriver:
                 self._failure_signal(payload.request_id, payload.reason)
         else:  # pragma: no cover - defensive
             raise TypeError(f"client cannot handle {payload!r}")
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
 
 class _PacedReplay:

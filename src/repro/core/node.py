@@ -51,6 +51,7 @@ from repro.disk.drive import (
     StorageBackend,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
@@ -294,12 +295,10 @@ class StorageNode:
     def _await_message(self, _value: Any = None) -> None:
         """Park :meth:`_on_message` on the inbox (kick-off, and resume
         after a blocking prefetch copy)."""
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
-    def _on_message(self, event: Event) -> None:
-        payload = event._value.payload
+    def _on_message(self, message: Message) -> None:
+        payload = message.payload
         if self.crashed:
             self._refuse(payload)
         elif isinstance(payload, CreateFile):
@@ -326,9 +325,7 @@ class StorageNode:
             self.sim.process(self._finish_repair(payload))
         else:  # pragma: no cover - defensive
             raise TypeError(f"storage node cannot handle {payload!r}")
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
     # -- prefetch (Fig. 2 step 3) -----------------------------------------------------------
 

@@ -45,6 +45,7 @@ from repro.core.protocol import (
     RequestFailed,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.replication.policy import plan_replicas
 from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
@@ -291,12 +292,10 @@ class StorageServer:
 
     def _await_message(self, _value: Any = None) -> None:
         """Kick-off: park :meth:`_on_message` on the inbox."""
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
-    def _on_message(self, event: Event) -> None:
-        payload = event._value.payload
+    def _on_message(self, message: Message) -> None:
+        payload = message.payload
         if isinstance(payload, FileRequest):
             # Lookup + forward; per-request CPU overhead serialises
             # here, which is exactly the server-bottleneck concern
@@ -323,9 +322,7 @@ class StorageServer:
                 self.repairer.on_complete(payload)
         else:  # pragma: no cover - defensive
             raise TypeError(f"server cannot handle {payload!r}")
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
     def _route(self, payload: FileRequest) -> None:
         """Forward *payload* to its first live holder, then take the next
@@ -372,6 +369,4 @@ class StorageServer:
                         ForwardedRequest(request=payload, silent=True),
                     )
                     self.writes_fanned_out += 1
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)

@@ -194,12 +194,14 @@ class Cont002RetainedAfterRecycle(Rule):
     """CONT002: a pooled object is used after being returned to its
     free list.
 
-    ``Continuation`` carriers are recycled by appending to a pool
-    (``self._cont_free.append(cont)``) *before* the callback runs, so
-    the next ``call_soon`` may hand the same object to someone else.
-    Any reference retained past the recycle point -- passed to a call,
-    stored, returned, or put in a container -- aliases a carrier whose
-    slots will be overwritten.
+    An object recycled by appending it to a pool
+    (``self._free.append(obj)``) may be handed to someone else by the
+    next allocation.  Any reference retained past the recycle point --
+    passed to a call, stored, returned, or put in a container --
+    aliases an object whose slots will be overwritten.  (The engine
+    once pooled its ``Continuation`` carriers this way; its schedule
+    entries are plain tuples now, so the rule guards any pool that
+    comes back.)
 
     The rule finds recycle statements (an ``append`` whose receiver's
     dotted chain mentions a pool marker from
@@ -207,17 +209,17 @@ class Cont002RetainedAfterRecycle(Rule):
     bound method) and walks the function's CFG forward from each.  The
     scan is kill-aware: rebinding the name (``event = ...`` at the top
     of the dispatch loop, a ``for`` target) ends the hazard on that
-    path, which is exactly why the engine's own run loop is clean.
-    Plain attribute reads (``event._fn``) do not extend the object's
-    lifetime and are allowed.
+    path, which is how a dispatch loop that recycles at its top stays
+    clean.  Plain attribute reads (``event._fn``) do not extend the
+    object's lifetime and are allowed.
     """
 
     id = "CONT002"
     summary = "pooled object retained past its recycle point"
     rationale = (
-        "A recycled carrier is the pool's to reuse; any retained "
+        "A recycled object is the pool's to reuse; any retained "
         "reference is a use-after-free that reads the *next* "
-        "continuation's fn/value and corrupts dispatch silently."
+        "user's state and corrupts it silently."
     )
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
@@ -233,7 +235,7 @@ class Cont002RetainedAfterRecycle(Rule):
         markers: tuple[str, ...],
     ) -> Iterator[Diagnostic]:
         def is_pool_chain(expr: ast.expr) -> bool:
-            # `self._cont_free.append` -> receiver chain mentions a marker.
+            # `self._free.append` -> receiver chain mentions a marker.
             if not (isinstance(expr, ast.Attribute) and expr.attr == "append"):
                 return False
             parts: list[str] = []
@@ -245,7 +247,7 @@ class Cont002RetainedAfterRecycle(Rule):
                 parts.append(value.id)
             return any(m in part.lower() for part in parts for m in markers)
 
-        # Local names bound to a pool's append (`recycle = self._cont_free.append`).
+        # Local names bound to a pool's append (`recycle = self._free.append`).
         recycler_names: set[str] = set()
         for node in _own_statements(fn.body):
             if isinstance(node, ast.Assign) and is_pool_chain(node.value):

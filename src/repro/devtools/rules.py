@@ -116,8 +116,8 @@ class LintConfig:
         ("add_event_hook", 0),
     )
     #: Substrings identifying a free-list / pool container in a dotted
-    #: attribute chain (CONT002): ``self._cont_free.append(cont)``
-    #: recycles ``cont``.
+    #: attribute chain (CONT002): ``self._free.append(obj)`` recycles
+    #: ``obj``.
     pool_markers: tuple[str, ...] = ("free", "pool")
     #: Calls that derive a named RNG stream from their arguments
     #: (DET004): the argument must not be built from an unordered

@@ -37,7 +37,7 @@ from repro.disk.states import DiskState
 from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, PENDING, URGENT
 from repro.sim.monitor import TallyStat
-from repro.sim.resources import PriorityStore, Store
+from repro.sim.resources import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -169,7 +169,7 @@ class StorageBackend:
             initial_state=DiskState.IDLE,
             record_history=record_history,
         )
-        self.queue: Store = PriorityStore(sim, priority_key=lambda r: r.priority)
+        self.queue = Mailbox(sim, priority_key=lambda r: r.priority)
         #: Requests submitted but not yet completed (queued + in service).
         self.inflight = 0
         self.requests_served = 0
@@ -647,20 +647,19 @@ class SimDisk(StorageBackend):
 
     def _await_request(self, _value: Any = None) -> None:
         """Server kick-off: park :meth:`_serve` on the host queue."""
-        get = self.queue.get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._serve)
+        self.queue.take(self._serve)
 
-    def _serve(self, event: Event) -> None:
-        """Start serving the request *event* dequeued, or the held request
-        once the transition *event* it waited on has ended."""
+    def _serve(self, arg: Any) -> None:
+        """Start serving the request *arg* taken from the queue, or the
+        held request once the transition event *arg* it waited on has
+        ended."""
         request = self._request
         if request is None:
-            request = self._request = event._value
-        elif not event._ok:
-            event._defused = True
-            assert event._exc is not None
-            self._fail_held(event._exc)
+            request = self._request = arg
+        elif not arg._ok:
+            arg._defused = True
+            assert arg._exc is not None
+            self._fail_held(arg._exc)
             return
         # Wait out any transition in progress, then leave standby.
         while not self.state.can_serve:
@@ -707,16 +706,14 @@ class SimDisk(StorageBackend):
         self.requests_served += 1
         self.bytes_served += request.size_bytes
         self.service_times.record(self._service_s)
-        if self.state is not DiskState.FAILED and self.queue.size == 0:
+        if self.state is not DiskState.FAILED and not self.queue.items:
             self._set_state(DiskState.LOW_IDLE if self._low else DiskState.IDLE)
             if self.inflight == 0:
                 self._signal_idle()
         self._request = None
         assert request.done is not None
         request.done.succeed(request)
-        get = self.queue.get()
-        assert get.callbacks is not None
-        get.callbacks.append(self._serve)
+        self.queue.take(self._serve)
 
     def _fail_held(self, failure: BaseException) -> None:
         """The drive died while the held request waited: fail it and go

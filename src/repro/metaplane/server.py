@@ -44,6 +44,7 @@ from repro.metaplane.messages import (
     VoteReply,
 )
 from repro.net.fabric import Fabric
+from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
@@ -309,13 +310,11 @@ class MetadataServer:
 
     def _await_message(self, _value: Any = None) -> None:
         """Kick-off: park :meth:`_on_message` on the inbox."""
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
-    def _on_message(self, event: Event) -> None:
+    def _on_message(self, message: Message) -> None:
         if self.alive:  # a crashed process answers nothing
-            payload = event._value.payload
+            payload = message.payload
             if isinstance(payload, FileRequest):
                 if self._handle_request(payload):
                     return
@@ -329,9 +328,7 @@ class MetadataServer:
                 self._on_append_reply(payload)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"metadata server cannot handle {payload!r}")
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
     # -- consensus handlers ----------------------------------------------------------
 
@@ -453,9 +450,7 @@ class MetadataServer:
 
     def _route(self, payload: FileRequest) -> None:
         self._forward(payload)
-        get = self.endpoint.receive()
-        assert get.callbacks is not None
-        get.callbacks.append(self._on_message)
+        self.endpoint.inbox.take(self._on_message)
 
     def _forward(self, payload: FileRequest) -> None:
         """Send *payload* to its first live holder (the StorageServer

@@ -14,23 +14,22 @@ from typing import Any, Dict, Optional, Set
 
 from repro.net.link import DEFAULT_CONNECT_S, DEFAULT_LATENCY_S, Link
 from repro.net.message import Message
-from repro.sim.engine import Simulator
+from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.resources import Store
+from repro.sim.resources import Mailbox
 
 
 class _Delivery:
     """Continuation state machine for one message transfer.
 
     Each stage is a plain bound method granted a link by
-    :meth:`Link.acquire`, scheduled via ``call_later`` or subscribed to
-    the inbox put, so a delivery costs no Process object, no
+    :meth:`Link.acquire`, scheduled via ``call_later`` or run in the
+    inbox put's slot, so a delivery costs no Process object, no
     kick-off/completion events, no grant ``Request`` and no generator
     frame.
     Every stage runs in exactly the event slot where a per-message
-    generator process would have resumed, so the two produce
-    byte-identical metrics (pinned by tests/core/test_dispatch_identity,
-    which keeps the generator delivery as a test oracle).
+    generator process would have resumed (pinned by the goldens in
+    tests/golden/).
 
     ``done`` is the completion event handed back to ``Fabric.send``
     callers; ``Fabric.send_nowait`` passes ``None`` and skips the final
@@ -136,14 +135,11 @@ class _Delivery:
         if self.span is not None and tracer is not None:
             tracer.end(self.span)
         self.receiver.messages_received += 1
-        put = self.receiver.inbox.put(message)
-        if self.done is not None:
-            assert put.callbacks is not None
-            put.callbacks.append(self._delivered)
+        self.receiver.inbox.put(message, hold_slot if self.done is None else self._delivered)
 
-    def _delivered(self, _event: Event) -> None:
+    def _delivered(self, message: Message) -> None:
         assert self.done is not None
-        self.done.succeed(self.message)
+        self.done.succeed(message)
 
 
 class Endpoint:
@@ -154,21 +150,15 @@ class Endpoint:
         self.name = name
         self.tx = Link(sim, bandwidth_bps, latency_s=latency_s, name=f"{name}:tx")
         self.rx = Link(sim, bandwidth_bps, latency_s=0.0, name=f"{name}:rx")
-        self.inbox: Store = Store(sim)
+        #: Inbound :class:`Message` objects, FIFO, for the one handler
+        #: that takes them.
+        self.inbox = Mailbox(sim)
         self.messages_received = 0
 
     @property
     def bandwidth_bps(self) -> float:
         """NIC line rate."""
         return self.tx.bandwidth_bps
-
-    def receive(self):
-        """Event yielding the next inbound :class:`Message` (FIFO)."""
-        return self.inbox.get()
-
-    def receive_matching(self, predicate):
-        """Event yielding the next inbound message satisfying *predicate*."""
-        return self.inbox.get(filter=predicate)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Endpoint {self.name} {self.bandwidth_bps:.3g} B/s>"

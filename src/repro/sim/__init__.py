@@ -7,7 +7,7 @@ event engine in the style popularised by SimPy, written from scratch:
 * :mod:`repro.sim.events` -- events, timeouts and condition events,
 * :mod:`repro.sim.engine` -- the :class:`Simulator` (clock + event heap),
 * :mod:`repro.sim.process` -- processes (generator coroutines),
-* :mod:`repro.sim.resources` -- slot resources and object stores,
+* :mod:`repro.sim.resources` -- slot resources and single-consumer mailboxes,
 * :mod:`repro.sim.monitor` -- tally / time-weighted statistics collection,
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams.
 
@@ -20,7 +20,7 @@ from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.monitor import Recorder, TallyStat, TimeWeightedStat
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Mailbox, Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -28,13 +28,13 @@ __all__ = [
     "AnyOf",
     "Event",
     "LanePerturbation",
+    "Mailbox",
     "Process",
     "RandomStreams",
     "Recorder",
     "Resource",
     "Simulator",
     "StopSimulation",
-    "Store",
     "TallyStat",
     "Timeout",
     "TimeWeightedStat",

@@ -17,10 +17,13 @@ merging lane heads against the heap top by ``(priority, sequence)``
 preserves the exact dispatch order of a single-heap engine -- which is
 what keeps same-seed runs byte-identical across this refactor.
 
-Continuation dispatch (:meth:`call_soon` / :meth:`call_later`) schedules
-a plain callable instead of resuming a generator.  The engine recycles
-the carrier :class:`Continuation` objects through a free list, so the
-continuation path allocates no per-event objects at steady state.
+Every schedule entry carries its own dispatch: a lane entry is
+``(seq, fn, arg)`` and a heap entry ``(time, priority, seq, fn, arg)``.
+A continuation (:meth:`call_soon` / :meth:`call_later`) is the entry
+itself -- the run loop calls ``fn(arg)`` and allocates nothing else --
+while ``fn=None`` marks an :class:`Event`, held in ``arg``, whose
+callbacks run instead.  Sequence numbers are unique, so tuple order
+never compares past ``seq``.
 """
 
 from __future__ import annotations
@@ -104,26 +107,26 @@ def hold_slot(_value: Any = None) -> None:
 
 
 class Continuation(Event):
-    """Engine-internal carrier for a scheduled plain callable.
+    """What event hooks see for a dispatched continuation entry.
 
-    Never exposed to user code: :meth:`Simulator.call_soon` returns
-    ``None`` so nothing can subscribe callbacks to (or hold references
-    into) a continuation, which is what makes free-list recycling safe.
-    The dispatch loop special-cases this type -- the callable is invoked
-    directly with the stored value and the carrier goes straight back to
-    the pool.
+    A continuation is scheduled as a bare ``(fn, arg)`` entry, not an
+    event.  :meth:`Simulator.step` builds this view only when hooks are
+    installed, so observers see every dispatch as an event: a
+    succeeded one named ``Continuation`` whose ``sim`` is set, with
+    ``fn`` in ``_fn`` and ``arg`` as its value.  Nothing subscribes to
+    it.
     """
 
     __slots__ = ("_fn",)
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self, sim: "Simulator", fn: Callable[[Any], None], arg: Any) -> None:
         self.sim = sim
-        self.callbacks = None  # dispatched specially; nothing subscribes
-        self._value = None
+        self.callbacks = None  # already dispatched; nothing subscribes
+        self._value = arg
         self._exc = None
         self._ok = True
         self._defused = False
-        self._fn: Optional[Callable[[Any], None]] = None
+        self._fn = fn
 
 
 class Simulator:
@@ -156,16 +159,16 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Future entries ``(time, priority, seq, fn, arg)``.
+        self._heap: list[tuple[float, int, int, Any, Any]] = []
         #: Zero-delay lanes, indexed by priority (URGENT/NORMAL/LOW).
-        #: Entries are ``(seq, event)``; every entry's implicit timestamp
-        #: is the current clock.  The deque objects are created once and
-        #: only ever mutated in place, so the run loop may cache them.
+        #: Entries are ``(seq, fn, arg)``; every entry's implicit
+        #: timestamp is the current clock.  The deque objects are created
+        #: once and only ever mutated in place, so the run loop may cache
+        #: them.
         self._lanes: tuple[deque, deque, deque] = (deque(), deque(), deque())
         self._seq = 0
         self._events_processed = 0
-        #: Recycled Continuation carriers (see :meth:`call_soon`).
-        self._cont_free: list[Continuation] = []
         #: Observers called as ``hook(now, event)`` for every processed
         #: event, in installation order (see :meth:`add_event_hook`).
         self._event_hooks: List[Callable[[float, Event], None]] = []
@@ -198,12 +201,13 @@ class Simulator:
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         """Enqueue *event* to be processed ``delay`` seconds from now."""
-        if delay < 0:
+        # `not >=` also rejects NaN, which would corrupt the clock.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         if delay == 0.0:
-            self._lanes[priority].append((self._seq, event))
+            self._lanes[priority].append((self._seq, None, event))
         else:
-            heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+            heapq.heappush(self._heap, (self._now + delay, priority, self._seq, None, event))
         self._seq += 1
 
     def call_soon(
@@ -211,20 +215,12 @@ class Simulator:
     ) -> None:
         """Schedule ``fn(value)`` to run at the current time.
 
-        The continuation carrier comes from (and returns to) a free
-        list, so steady-state continuation dispatch allocates nothing.
-        ``fn`` must be a plain callable of one argument; exceptions it
-        raises surface from :meth:`run` exactly like an unhandled failed
-        event.
+        The schedule entry is the whole continuation: dispatch calls
+        ``fn(value)`` and allocates nothing.  ``fn`` must be a plain
+        callable of one argument; exceptions it raises surface from
+        :meth:`run` exactly like an unhandled failed event.
         """
-        free = self._cont_free
-        if free:
-            cont = free.pop()
-        else:
-            cont = Continuation(self)
-        cont._fn = fn
-        cont._value = value
-        self._lanes[priority].append((self._seq, cont))
+        self._lanes[priority].append((self._seq, fn, value))
         self._seq += 1
 
     def call_later(
@@ -233,22 +229,15 @@ class Simulator:
         """Schedule ``fn(value)`` to run *delay* seconds from now.
 
         The continuation analogue of ``yield sim.timeout(delay)``: one
-        pooled carrier in the schedule instead of a Timeout event, a
-        generator frame and a resume trampoline.
+        schedule entry instead of a Timeout event, a generator frame and
+        a resume trampoline.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative call_later delay: {delay!r}")
-        free = self._cont_free
-        if free:
-            cont = free.pop()
-        else:
-            cont = Continuation(self)
-        cont._fn = fn
-        cont._value = value
         if delay == 0.0:
-            self._lanes[NORMAL].append((self._seq, cont))
+            self._lanes[NORMAL].append((self._seq, fn, value))
         else:
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, cont))
+            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, fn, value))
         self._seq += 1
 
     def peek(self) -> float:
@@ -279,7 +268,7 @@ class Simulator:
         and the extra :meth:`schedule` call -- rather than via the plain
         ``Timeout(...)`` constructor that external callers use.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         event = Timeout.__new__(Timeout)
         event.sim = self
@@ -290,9 +279,9 @@ class Simulator:
         event._defused = False
         event.delay = delay
         if delay == 0.0:
-            self._lanes[NORMAL].append((self._seq, event))
+            self._lanes[NORMAL].append((self._seq, None, event))
         else:
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, None, event))
         self._seq += 1
         return event
 
@@ -322,9 +311,9 @@ class Simulator:
         is installed, :meth:`run` keeps its inlined hot loop and pays
         nothing; with hooks the loop dispatches through :meth:`step`
         instead.  Hooks must not mutate simulation state.  Continuations
-        pass through hooks like any other event (their type name is
-        ``Continuation``), so observed and unobserved runs dispatch the
-        same stream.
+        pass through hooks like any other event, as a :class:`Continuation`
+        view built for the hooks alone, so observed and unobserved runs
+        dispatch the same stream.
         """
         if hook in self._event_hooks:
             raise ValueError(f"event hook already installed: {hook!r}")
@@ -368,7 +357,7 @@ class Simulator:
         """The installed chaos scheduler, if any (read-only view)."""
         return self._perturb
 
-    def _pop_next_perturbed(self) -> Event:
+    def _pop_next_perturbed(self) -> tuple[Any, Any]:
         """Chaos-mode variant of :meth:`_pop_next`.
 
         The permutation window is the run of lane entries that share the
@@ -389,39 +378,40 @@ class Simulator:
             priority, lane = 2, lanes[2]
         else:
             try:
-                self._now, _, _, event = heapq.heappop(self._heap)
+                self._now, _, _, fn, arg = heapq.heappop(self._heap)
             except IndexError:
                 raise EmptySchedule() from None
-            return event
+            return fn, arg
         heap = self._heap
         if heap:
             top = heap[0]
             if top[0] == self._now and top[1] < priority:
-                return heapq.heappop(heap)[3]
+                return heapq.heappop(heap)[3:]
         window = len(lane)
         stop = self._stop_event
         if stop is not None and window > 1:
             for index, entry in enumerate(lane):
-                if entry[1] is stop:
+                if entry[2] is stop:
                     window = index
                     break
         if window <= 1:
-            return lane.popleft()[1]
+            return lane.popleft()[1:]
         assert self._perturb is not None
         pick = self._perturb.pick(window)
         if pick == 0:
-            return lane.popleft()[1]
+            return lane.popleft()[1:]
         # Extract the element at `pick` while preserving the relative
         # order of everything else: O(window) deque rotation, paid only
         # in chaos mode.
         lane.rotate(-pick)
-        event = lane.popleft()[1]
+        entry = lane.popleft()
         lane.rotate(pick)
-        return event
+        return entry[1:]
 
-    def _pop_next(self) -> Event:
-        """Remove and return the next event in ``(time, priority, seq)``
-        order, advancing the clock when it comes off the heap.
+    def _pop_next(self) -> tuple[Any, Any]:
+        """Remove the next entry in ``(time, priority, seq)`` order and
+        return its ``(fn, arg)``, advancing the clock when it comes off
+        the heap.
 
         Lane entries live at the current timestamp, so any non-empty lane
         beats every heap entry scheduled later than ``now``; a heap entry
@@ -436,18 +426,18 @@ class Simulator:
             priority, lane = 2, lanes[2]
         else:
             try:
-                self._now, _, _, event = heapq.heappop(self._heap)
+                self._now, _, _, fn, arg = heapq.heappop(self._heap)
             except IndexError:
                 raise EmptySchedule() from None
-            return event
+            return fn, arg
         heap = self._heap
         if heap:
             top = heap[0]
             if top[0] == self._now and (
                 top[1] < priority or (top[1] == priority and top[2] < lane[0][0])
             ):
-                return heapq.heappop(heap)[3]
-        return lane.popleft()[1]
+                return heapq.heappop(heap)[3:]
+        return lane.popleft()[1:]
 
     def step(self) -> None:
         """Process exactly one event.
@@ -457,21 +447,21 @@ class Simulator:
         cannot vanish silently.
         """
         if self._perturb is not None:
-            event = self._pop_next_perturbed()
+            fn, arg = self._pop_next_perturbed()
         else:
-            event = self._pop_next()
+            fn, arg = self._pop_next()
         self._events_processed += 1
-        for hook in self._event_hooks:
-            hook(self._now, event)
-        if event.__class__ is Continuation:
-            fn = event._fn
-            value = event._value
-            event._fn = None
-            event._value = None
-            self._cont_free.append(event)
-            assert fn is not None
-            fn(value)
+        hooks = self._event_hooks
+        if fn is not None:
+            if hooks:
+                view = Continuation(self, fn, arg)
+                for hook in hooks:
+                    hook(self._now, view)
+            fn(arg)
             return
+        event: Event = arg
+        for hook in hooks:
+            hook(self._now, event)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - defensive; never rescheduled
             return
@@ -499,9 +489,9 @@ class Simulator:
                 stop = until
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # also rejects NaN
                     raise ValueError(
-                        f"until={at!r} is in the past (now={self._now!r})"
+                        f"until={at!r} is not a time at or after now={self._now!r}"
                     )
                 # An URGENT event at `at` beats all normal events at `at`,
                 # giving run(until=t) exclusive-of-t semantics.
@@ -519,11 +509,9 @@ class Simulator:
 
         heappop = heapq.heappop
         heap = self._heap
-        # The lane deques and the free list are stable objects (mutated in
-        # place, never reassigned), so caching them -- and their bound
-        # methods -- in locals is safe.
+        # The lane deques are stable objects (mutated in place, never
+        # reassigned), so caching them in locals is safe.
         lane_u, lane_n, lane_l = self._lanes
-        recycle = self._cont_free.append
         #: Events dispatched by this inlined loop; flushed to
         #: ``_events_processed`` in the finally block so the hot path pays
         #: one local increment instead of two attribute operations.
@@ -552,26 +540,24 @@ class Simulator:
                             top[1] < priority
                             or (top[1] == priority and top[2] < lane[0][0])
                         ):
-                            event = heappop(heap)[3]
+                            _, _, _, fn, arg = heappop(heap)
                         else:
-                            event = lane.popleft()[1]
+                            _, fn, arg = lane.popleft()
                     else:
-                        event = lane.popleft()[1]
+                        _, fn, arg = lane.popleft()
                 else:
                     try:
-                        self._now, _, _, event = heappop(heap)
+                        self._now, _, _, fn, arg = heappop(heap)
                     except IndexError:
                         raise EmptySchedule() from None
                 dispatched += 1
                 # -- dispatch ----------------------------------------------
-                if event.__class__ is Continuation:
-                    # Flat continuation dispatch: invoke the callable and
-                    # recycle the carrier -- no callback list, no Event
-                    # allocation, no generator machinery.  The carrier's
-                    # slots are overwritten on reuse, so no clearing here.
-                    recycle(event)
-                    event._fn(event._value)
+                if fn is not None:
+                    # A continuation: call it -- no callback list, no
+                    # event, no generator machinery.
+                    fn(arg)
                     continue
+                event = arg
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:  # pragma: no cover - defensive
                     continue
@@ -611,13 +597,13 @@ class Simulator:
                     # pointlessly advance the clock to the abandoned
                     # deadline or trip over the stale entry.
                     stop._defused = True
-                    entries = [e for e in self._heap if e[3] is not stop]
+                    entries = [e for e in self._heap if e[4] is not stop]
                     if len(entries) != len(self._heap):
                         self._heap = entries
                         heapq.heapify(self._heap)
                     for lane in self._lanes:
-                        if any(entry[1] is stop for entry in lane):
-                            kept = [e for e in lane if e[1] is not stop]
+                        if any(entry[2] is stop for entry in lane):
+                            kept = [e for e in lane if e[2] is not stop]
                             lane.clear()
                             lane.extend(kept)
 

@@ -91,7 +91,7 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        sim._lanes[priority].append((sim._seq, self))
+        sim._lanes[priority].append((sim._seq, None, self))
         sim._seq += 1
         return self
 
@@ -110,7 +110,7 @@ class Event:
         self._exc = exception
         self._value = exception
         sim = self.sim
-        sim._lanes[priority].append((sim._seq, self))
+        sim._lanes[priority].append((sim._seq, None, self))
         sim._seq += 1
         return self
 
@@ -148,7 +148,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = float(delay)

@@ -52,7 +52,7 @@ class Process(Event):
         start._value = None
         assert start.callbacks is not None
         start.callbacks.append(self._resume)
-        sim._lanes[URGENT].append((sim._seq, start))
+        sim._lanes[URGENT].append((sim._seq, None, start))
         sim._seq += 1
         self._target = start
 
@@ -85,14 +85,14 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                sim._lanes[1].append((sim._seq, self))
+                sim._lanes[1].append((sim._seq, None, self))
                 sim._seq += 1
                 break
             except BaseException as exc:
                 self._ok = False
                 self._exc = exc
                 self._value = exc
-                sim._lanes[1].append((sim._seq, self))
+                sim._lanes[1].append((sim._seq, None, self))
                 sim._seq += 1
                 break
 

@@ -1,10 +1,11 @@
-"""Shared resources: slot servers and object stores.
+"""Shared resources: slot servers and single-consumer mailboxes.
 
-These follow the classic discrete-event pattern: a request is an event that
-succeeds when the resource grants it.  Every queue is FIFO within a priority
-(:class:`Resource` requests and :class:`PriorityStore` items order low
-priority first, ties by arrival), which keeps service order deterministic
-and auditable.
+A :class:`Resource` follows the classic discrete-event pattern: a
+request is an event that succeeds when the resource grants it.  A
+:class:`Mailbox` hands items to one flat-callback consumer with no event
+at all.  Every queue is FIFO within a priority (:class:`Resource`
+requests and keyed :class:`Mailbox` items order low priority first, ties
+by arrival), which keeps service order deterministic and auditable.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort_right
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
+from repro.sim.engine import hold_slot
 from repro.sim.events import Event, NORMAL, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +49,7 @@ class Request(Event):
             # schedule slot the grant loop would give this request.
             resource._users.append(self)
             self._value = self
-            sim._lanes[NORMAL].append((sim._seq, self))
+            sim._lanes[NORMAL].append((sim._seq, None, self))
             sim._seq += 1
             return
         self._value = PENDING
@@ -123,186 +125,82 @@ class Resource:
             request.succeed(request)
 
 
-class StorePut(Event):
-    __slots__ = ("item",)
+class Mailbox:
+    """A single-consumer queue: buffered items plus at most one parked
+    consumer.
 
-    def __init__(self, store: "Store", item: Any) -> None:
-        sim = self.sim = store.sim
-        self.callbacks = []
-        self._exc = None
-        self._ok = True
-        self._defused = False
-        self.item = item
-        if store._putters or len(store.items) >= store.capacity:
-            self._value = PENDING
-            store._putters.append(self)
-            store._trigger()
-            return
-        # No other putter waits and the item fits: admit it and succeed
-        # in the slot the grant loop would use, then offer it to the
-        # waiting getters.
-        store._admit(item)
-        self._value = None
-        sim._lanes[NORMAL].append((sim._seq, self))
-        sim._seq += 1
-        if store._getters:
-            store._hand_over()
+    Items are taken FIFO or, given ``priority_key``, lowest key first
+    with ties in arrival order.  Every put and take lands in the
+    schedule slot the event-based store it replaced gave its put and get
+    events, so a queue rebuilt on it keeps every event where it was:
 
+    * ``put(item, then)`` schedules ``then(item)`` in the put's slot,
+      then, if a consumer is parked, ``consumer(item)`` in the slot the
+      parked get succeeded in;
+    * ``take(fn)`` schedules ``fn(item)`` on the spot when an item is
+      buffered, or parks ``fn`` for the next put.
 
-class StoreGet(Event):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
-        sim = self.sim = store.sim
-        self.callbacks = []
-        self._exc = None
-        self._ok = True
-        self._defused = False
-        self.filter = filter
-        if store._getters or store._putters:
-            self._value = PENDING
-            store._getters.append(self)
-            store._trigger()
-            return
-        # Nobody else waits: take a matching item now, or start waiting.
-        if filter is None:
-            index = 0 if store.items else None
-        else:
-            index = store._match(self)
-        if index is None:
-            self._value = PENDING
-            store._getters.append(self)
-            return
-        self._value = store._pop(index)
-        sim._lanes[NORMAL].append((sim._seq, self))
-        sim._seq += 1
-
-
-class Store:
-    """A FIFO buffer of Python objects with optional capacity and filtering.
-
-    ``put(item)`` blocks while the store is full; ``get()`` blocks while it
-    is empty.  ``get(filter=...)`` retrieves the first item matching the
-    predicate (a filter-store in classic terminology).
-
-    Every put and get runs the grant to quiescence, so a waiting getter
-    never matches a buffered item.  When nobody else waits, a put or get
-    is therefore decided on the spot, without the general grant loop;
-    filters must be pure functions of the item for this to hold.
+    Nobody else waits on a mailbox, so nothing needs a grant loop.
     """
 
-    __slots__ = ("sim", "capacity", "items", "_putters", "_getters")
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity!r}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._putters: list[StorePut] = []
-        self._getters: list[StoreGet] = []
-
-    @property
-    def size(self) -> int:
-        """Number of items currently buffered."""
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Insert *item*; event succeeds once capacity allows."""
-        return StorePut(self, item)
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Remove and return an item; event succeeds once one is available."""
-        return StoreGet(self, filter)
-
-    def _trigger(self) -> None:
-        # Alternate admitting puts and satisfying gets until quiescent.
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self._admit(put.item)
-                put.succeed()
-                progress = True
-            for get in list(self._getters):
-                index = self._match(get)
-                if index is None:
-                    continue
-                self._getters.remove(get)
-                get.succeed(self._pop(index))
-                progress = True
-
-    def _hand_over(self) -> None:
-        """Give the item a lone put just admitted to the first waiting
-        getter that takes it.  No waiting getter matched an older item,
-        so one pass over the getters is the whole grant."""
-        getters = self._getters
-        for position, get in enumerate(getters):
-            index = 0 if get.filter is None else self._match(get)
-            if index is not None:
-                del getters[position]
-                get.succeed(self._pop(index))
-                return
-
-    def _admit(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _pop(self, index: int) -> Any:
-        return self.items.pop(index)
-
-    def _match(self, get: StoreGet) -> Optional[int]:
-        if get.filter is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if get.filter(item):
-                return i
-        return None
-
-    def drain(self) -> list[Any]:
-        """Remove and return every buffered item (pending puts unaffected)."""
-        items, self.items = self.items, []
-        return items
-
-
-class PriorityStore(Store):
-    """A :class:`Store` whose getters receive the lowest-priority-number
-    item first (ties FIFO).
-
-    Items are ranked by ``priority_key(item)``; insertion order breaks
-    ties, so behaviour stays deterministic.  Filtered gets still scan in
-    priority order.
-    """
-
-    __slots__ = ("_priority_key", "_insertions", "_keys")
+    __slots__ = ("sim", "items", "_key", "_keys", "_admitted", "_consumer")
 
     def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        priority_key: Optional[Callable[[Any], float]] = None,
+        self, sim: "Simulator", priority_key: Optional[Callable[[Any], Any]] = None
     ) -> None:
-        super().__init__(sim, capacity=capacity)
-        self._priority_key: Callable[[Any], float] = (
-            priority_key if priority_key is not None else (lambda x: x)
-        )
-        self._insertions = 0
-        #: Parallel list of (priority, insertion#) sort keys for `items`.
-        self._keys: list[tuple[float, int]] = []
+        self.sim = sim
+        #: Buffered items, the next one to take first.
+        self.items: list[Any] = []
+        self._key = priority_key
+        #: ``(priority_key(item), admission#)`` of each buffered item,
+        #: when keyed; the admission number breaks every tie.
+        self._keys: list[tuple[Any, int]] = []
+        self._admitted = 0
+        self._consumer: Optional[Callable[[Any], None]] = None
 
-    def _admit(self, item: Any) -> None:
-        key = (self._priority_key(item), self._insertions)
-        self._insertions += 1
-        # Keys are unique (the insertion number breaks every tie), so the
-        # bisection point is the position after all smaller keys.
+    def put(self, item: Any, then: Callable[[Any], None] = hold_slot) -> None:
+        """Deliver *item* to the parked consumer, or buffer it; ``then(item)``
+        runs in the put's own slot (``hold_slot`` when nobody follows up)."""
+        sim = self.sim
+        lane = sim._lanes[NORMAL]
+        seq = sim._seq
+        lane.append((seq, then, item))
+        consumer = self._consumer
+        if consumer is not None:
+            # A consumer parks only on an empty mailbox: hand the item over.
+            self._consumer = None
+            lane.append((seq + 1, consumer, item))
+            sim._seq = seq + 2
+            return
+        sim._seq = seq + 1
+        key_of = self._key
+        if key_of is None:
+            self.items.append(item)
+            return
+        key = (key_of(item), self._admitted)
+        self._admitted += 1
+        # Keys are unique, so the bisection point is after every smaller key.
         index = bisect_right(self._keys, key)
-        self.items.insert(index, item)
         self._keys.insert(index, key)
+        self.items.insert(index, item)
 
-    def _pop(self, index: int) -> Any:
-        self._keys.pop(index)
-        return self.items.pop(index)
+    def take(self, fn: Callable[[Any], None]) -> None:
+        """Schedule ``fn(item)`` for the next item: now if one is buffered,
+        else on the next put.  Only one consumer may be parked."""
+        if self._consumer is not None:
+            raise RuntimeError("a consumer is already parked on this mailbox")
+        items = self.items
+        if not items:
+            self._consumer = fn
+            return
+        if self._key is not None:
+            del self._keys[0]
+        sim = self.sim
+        sim._lanes[NORMAL].append((sim._seq, fn, items.pop(0)))
+        sim._seq += 1
 
     def drain(self) -> list[Any]:
+        """Remove and return every buffered item; a parked consumer stays."""
+        items, self.items = self.items, []
         self._keys.clear()
-        return super().drain()
+        return items

@@ -46,15 +46,11 @@ class TestTopology:
 class TestTransfers:
     def test_delivery_into_inbox(self, sim, fabric):
         got = []
-
-        def receiver():
-            msg = yield fabric.endpoint("node1").receive()
-            got.append((msg.payload, sim.now))
+        fabric.endpoint("node1").inbox.take(lambda msg: got.append((msg.payload, sim.now)))
 
         def sender():
             yield fabric.send("server", "node1", payload="hello", size_bytes=0)
 
-        sim.process(receiver())
         sim.process(sender())
         sim.run()
         assert got == [("hello", 0.0)]
@@ -150,18 +146,22 @@ class TestTransfers:
         assert fabric.endpoint("node1").messages_received == 1
 
     def test_receive_matching_filters(self, sim, fabric):
+        # The inbox's one handler filters what it takes.
         got = []
+        inbox = fabric.endpoint("node1").inbox
 
-        def receiver():
-            node = fabric.endpoint("node1")
-            msg = yield node.receive_matching(lambda m: m.payload == "wanted")
-            got.append(msg.payload)
+        def handle(msg):
+            if msg.payload == "wanted":
+                got.append(msg.payload)
+            else:
+                inbox.take(handle)
+
+        inbox.take(handle)
 
         def sender():
             yield fabric.send("server", "node1", payload="other", size_bytes=0)
             yield fabric.send("server", "node1", payload="wanted", size_bytes=0)
 
-        sim.process(receiver())
         sim.process(sender())
         sim.run()
         assert got == ["wanted"]
@@ -188,9 +188,13 @@ def test_fabric_conserves_messages(transfers):
     delivered = []
 
     def receiver(name):
-        while True:
-            msg = yield fabric.endpoint(name).receive()
+        inbox = fabric.endpoint(name).inbox
+
+        def handle(msg):
             delivered.append(msg.message_id)
+            inbox.take(handle)
+
+        inbox.take(handle)
 
     def sender():
         events = [
@@ -200,7 +204,7 @@ def test_fabric_conserves_messages(transfers):
         yield sim.all_of(events)
 
     for name in "abc":
-        sim.process(receiver(name))
+        receiver(name)
     done = sim.process(sender())
     sim.run(until=done)
     sim.run(until=sim.now + 1.0)  # drain inbox consumers

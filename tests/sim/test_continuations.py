@@ -1,12 +1,12 @@
-"""Continuation dispatch: call_soon/call_later, lanes, pooling, hooks.
+"""Continuation dispatch: call_soon/call_later, lanes, entry layout, hooks.
 
 The engine's hot path schedules plain callables through per-priority
-zero-delay lanes and recycles the carrier objects through a free list.
-These tests pin the contract the converted request path relies on: the
+zero-delay lanes; the schedule entry itself is the continuation.  These
+tests pin the contract the converted request path relies on: the
 ``(time, priority, seq)`` total order across the lane/heap split, the
 run(until=...) stop semantics when a batch of same-timestamp events is
-pending, steady-state allocation-free dispatch, and hooks observing the
-exact dispatch stream.
+pending, the entry layout, and hooks observing the exact dispatch
+stream.
 """
 
 import pytest
@@ -69,36 +69,24 @@ def test_heap_and_lane_merge_preserves_seq_order_at_equal_time():
     assert order == ["t1", "t2", "soon"]
 
 
-def test_continuation_carriers_are_pooled_and_reused():
+def test_schedule_entries_carry_their_dispatch():
+    # A lane entry is (seq, fn, arg), a heap entry (time, priority, seq,
+    # fn, arg); fn is None for an event, which rides in arg.
     sim = Simulator()
-    sim.call_soon(lambda v: None)
+
+    def fn(value):
+        return None
+
+    sim.call_soon(fn, "now", priority=URGENT)
+    sim.call_later(2.0, fn, "later")
+    event = sim.event().succeed("done")
+    timer = sim.timeout(1.0)
+    assert list(sim._lanes[URGENT]) == [(0, fn, "now")]
+    assert list(sim._lanes[NORMAL]) == [(2, None, event)]
+    assert sorted(sim._heap) == [(1.0, NORMAL, 3, None, timer), (2.0, NORMAL, 1, fn, "later")]
     sim.run()
-    assert len(sim._cont_free) == 1
-    recycled = sim._cont_free[0]
-    assert isinstance(recycled, Continuation)
-    # The next call_soon takes the pooled carrier instead of allocating.
-    sim.call_soon(lambda v: None)
-    assert sim._cont_free == []
-    assert sim._lanes[NORMAL][0][1] is recycled
-    sim.run()
-    assert sim._cont_free == [recycled]
-
-
-def test_steady_state_chain_uses_one_carrier():
-    sim = Simulator()
-    hops = []
-
-    def hop(v):
-        hops.append(v)
-        if v < 100:
-            sim.call_soon(hop, v + 1)
-
-    sim.call_soon(hop, 0)
-    sim.run()
-    assert hops == list(range(101))
-    # One carrier serviced the whole chain: each dispatch recycles the
-    # carrier before invoking the callable, so the re-schedule reuses it.
-    assert len(sim._cont_free) == 1
+    assert sim.events_processed == 4
+    assert sim.queue_size == 0
 
 
 def test_continuation_exception_surfaces_from_run():
@@ -170,6 +158,12 @@ def test_hooks_observe_continuations_in_dispatch_order():
     sim = Simulator()
     hooked = []
     sim.add_event_hook(lambda now, event: hooked.append((now, type(event).__name__)))
+    seen = []
+    sim.add_event_hook(
+        lambda now, event: seen.append((event.sim, event._ok, event.value))
+        if isinstance(event, Continuation)
+        else None
+    )
     ran = []
     sim.call_soon(lambda v: ran.append("soon"))
     sim.call_later(1.0, lambda v: ran.append("later"))
@@ -181,6 +175,9 @@ def test_hooks_observe_continuations_in_dispatch_order():
         (1.0, "Continuation"),
         (1.0, "Timeout"),
     ]
+    # The view a hook sees: a succeeded event on this simulator whose
+    # value is the continuation's argument.
+    assert seen == [(sim, True, None), (sim, True, None)]
 
 
 def test_multiple_hooks_fire_in_installation_order_per_event():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 from repro.sim.engine import EmptySchedule
 
 
@@ -48,6 +48,29 @@ def test_negative_schedule_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(sim.event(), delay=-0.1)
+
+
+#: Every entry point that takes a delay or a deadline, called with NaN.
+NAN_ENTRY_POINTS = {
+    "schedule": lambda sim: sim.schedule(sim.event(), delay=float("nan")),
+    "call_later": lambda sim: sim.call_later(float("nan"), lambda _: None),
+    "timeout": lambda sim: sim.timeout(float("nan")),
+    "Timeout": lambda sim: Timeout(sim, float("nan")),
+    "run-until": lambda sim: sim.run(until=float("nan")),
+}
+
+
+@pytest.mark.parametrize("entry", list(NAN_ENTRY_POINTS))
+def test_nan_delay_rejected(entry):
+    # NaN passes a `delay < 0` check; scheduled, it sends the clock to
+    # NaN and back (call_later 2.0, NaN, 1.0 dispatched at 1.0, NaN, 2.0).
+    sim = Simulator()
+    sim.call_later(1.0, lambda _: None)
+    with pytest.raises(ValueError):
+        NAN_ENTRY_POINTS[entry](sim)
+    assert sim.queue_size == 1
+    sim.run()
+    assert sim.now == 1.0
 
 
 def test_run_until_time_stops_exactly():

@@ -1,11 +1,11 @@
-"""Tests for PriorityStore and Store.drain."""
+"""Tests for the keyed :class:`Mailbox` (it replaced ``PriorityStore``)
+and :meth:`Mailbox.drain`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.sim import Simulator, Store
-from repro.sim.resources import PriorityStore
+from repro.sim import Mailbox, Simulator
 
 
 @pytest.fixture
@@ -13,115 +13,71 @@ def sim():
     return Simulator()
 
 
+def _take_all(sim, box, count):
+    """Take *count* items from *box*, one consumer at a time."""
+    got = []
+
+    def consume(item):
+        got.append(item)
+        if len(got) < count:
+            box.take(consume)
+
+    box.take(consume)
+    sim.run()
+    return got
+
+
 class TestPriorityStore:
     def test_lowest_priority_number_first(self, sim):
-        store = PriorityStore(sim, priority_key=lambda x: x[0])
-        got = []
-
-        def producer():
-            yield store.put((2, "background"))
-            yield store.put((0, "demand"))
-            yield store.put((1, "prefetch"))
-
-        def consumer():
-            yield sim.timeout(1.0)  # let everything queue first
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item[1])
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == ["demand", "prefetch", "background"]
+        box = Mailbox(sim, priority_key=lambda x: x[0])
+        box.put((2, "background"))
+        box.put((0, "demand"))
+        box.put((1, "prefetch"))
+        got = _take_all(sim, box, 3)
+        assert [item[1] for item in got] == ["demand", "prefetch", "background"]
 
     def test_ties_are_fifo(self, sim):
-        store = PriorityStore(sim, priority_key=lambda x: 0)
-        got = []
-
-        def proc():
-            for tag in "abc":
-                yield store.put(tag)
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        sim.process(proc())
-        sim.run()
-        assert got == ["a", "b", "c"]
-
-    def test_default_key_is_identity(self, sim):
-        store = PriorityStore(sim)
-        got = []
-
-        def proc():
-            for value in (3, 1, 2):
-                yield store.put(value)
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        sim.process(proc())
-        sim.run()
-        assert got == [1, 2, 3]
-
-    def test_filtered_get_respects_priority_order(self, sim):
-        store = PriorityStore(sim, priority_key=lambda x: x[0])
-        got = []
-
-        def proc():
-            yield store.put((2, "bg-even", 4))
-            yield store.put((0, "demand-odd", 3))
-            yield store.put((1, "pf-even", 2))
-            item = yield store.get(filter=lambda x: x[2] % 2 == 0)
-            got.append(item[1])
-
-        sim.process(proc())
-        sim.run()
-        assert got == ["pf-even"]  # highest-priority even item
+        box = Mailbox(sim, priority_key=lambda x: 0)
+        for tag in "abc":
+            box.put(tag)
+        assert _take_all(sim, box, 3) == ["a", "b", "c"]
 
     def test_drain_clears_keys(self, sim):
-        store = PriorityStore(sim, priority_key=lambda x: x)
-
-        def proc():
-            yield store.put(5)
-            yield store.put(1)
-            assert store.drain() == [1, 5]
-            assert store.size == 0
-            yield store.put(3)
-            got = yield store.get()
-            assert got == 3
-
-        sim.process(proc())
-        sim.run()
+        box = Mailbox(sim, priority_key=lambda x: x)
+        box.put(5)
+        box.put(1)
+        assert box.drain() == [1, 5]
+        assert box.items == []
+        box.put(3)
+        assert _take_all(sim, box, 1) == [3]
 
 
 class TestStoreDrain:
     def test_drain_returns_fifo_items(self, sim):
-        store = Store(sim)
+        box = Mailbox(sim)
+        box.put("a")
+        box.put("b")
+        assert box.drain() == ["a", "b"]
+        assert box.items == []
 
-        def proc():
-            yield store.put("a")
-            yield store.put("b")
-            assert store.drain() == ["a", "b"]
-            assert store.size == 0
-
-        sim.process(proc())
+    def test_drain_keeps_the_parked_consumer(self, sim):
+        box = Mailbox(sim)
+        got = []
+        box.take(got.append)
+        assert box.drain() == []
+        box.put("after")
         sim.run()
+        assert got == ["after"]
 
 
 @settings(max_examples=50)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100)), min_size=1, max_size=40))
 def test_priority_store_yields_sorted_stable(items):
     sim = Simulator()
-    store = PriorityStore(sim, priority_key=lambda x: x[0])
-    got = []
-
-    def proc():
-        for item in items:
-            yield store.put(item)
-        for _ in items:
-            got.append((yield store.get()))
-
-    sim.process(proc())
-    sim.run()
+    box = Mailbox(sim, priority_key=lambda x: x[0])
+    for item in items:
+        box.put(item)
+    got = _take_all(sim, box, len(items))
     # Stable sort by priority == sorted with original index as tiebreak.
     expected = [x for _, x in sorted(enumerate(items), key=lambda p: (p[1][0], p[0]))]
     assert got == expected

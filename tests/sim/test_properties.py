@@ -82,26 +82,31 @@ def test_resource_conserves_grants(capacity, holds):
     assert res.queue_length == 0
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
-def test_store_preserves_all_items(items):
-    from repro.sim import Store
+@given(
+    st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_store_preserves_all_items(items, consume_s):
+    # A producer puts one item per second into a Mailbox; the consumer
+    # spends consume_s on each, so items both buffer and meet a parked
+    # consumer.
+    from repro.sim import Mailbox
 
     sim = Simulator()
-    store = Store(sim)
+    box = Mailbox(sim)
     received = []
 
-    def producer():
-        for item in items:
-            yield store.put(item)
+    def consume(item):
+        received.append(item)
+        if len(received) < len(items):
+            sim.call_later(consume_s, lambda _: box.take(consume))
 
-    def consumer():
-        for _ in items:
-            received.append((yield store.get()))
-
-    sim.process(producer())
-    sim.process(consumer())
+    for index, item in enumerate(items):
+        sim.call_later(0.75 * index, box.put, item)
+    box.take(consume)
     sim.run()
     assert received == list(items)
+    assert box.items == []
 
 
 @given(

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource and Mailbox."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Mailbox, Resource, Simulator
 
 
 @pytest.fixture
@@ -152,89 +152,60 @@ class TestPriorityResource:
 
 
 class TestStore:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
+    """The simulator's item store is the single-consumer :class:`Mailbox`."""
 
     def test_put_get_fifo(self, sim):
-        store = Store(sim)
+        box = Mailbox(sim)
         got = []
 
-        def producer():
-            for item in "xyz":
-                yield store.put(item)
+        def consume(item):
+            got.append(item)
+            if len(got) < 3:
+                box.take(consume)
 
-        def consumer():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        sim.process(producer())
-        sim.process(consumer())
+        for item in "xyz":
+            box.put(item)
+        box.take(consume)
         sim.run()
         assert got == ["x", "y", "z"]
 
-    def test_put_blocks_at_capacity(self, sim):
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            for item in range(3):
-                yield store.put(item)
-                times.append(sim.now)
-
-        def slow_consumer():
-            for _ in range(3):
-                yield sim.timeout(2.0)
-                yield store.get()
-
-        sim.process(producer())
-        sim.process(slow_consumer())
-        sim.run()
-        assert times == [0.0, 2.0, 4.0]
-
     def test_get_blocks_until_item(self, sim):
-        store = Store(sim)
+        box = Mailbox(sim)
         got = []
 
-        def consumer():
-            got.append((yield store.get()))
+        def consume(item):
+            got.append(item)
             got.append(sim.now)
 
-        def producer():
-            yield sim.timeout(3.0)
-            yield store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
+        box.take(consume)
+        sim.call_later(3.0, box.put, "late")
         sim.run()
         assert got == ["late", 3.0]
 
-    def test_filtered_get_skips_non_matching(self, sim):
-        store = Store(sim)
+    def test_second_parked_consumer_is_rejected(self, sim):
+        box = Mailbox(sim)
+        box.take(lambda item: None)
+        with pytest.raises(RuntimeError, match="already parked"):
+            box.take(lambda item: None)
+
+    def test_put_runs_then_before_the_parked_consumer(self, sim):
+        box = Mailbox(sim)
+        order = []
+        box.take(lambda item: order.append(("consumer", item)))
+        box.put("m", then=lambda item: order.append(("then", item)))
+        sim.run()
+        assert order == [("then", "m"), ("consumer", "m")]
+        # A put nobody follows up still holds its slot, then hands over.
+        assert sim.events_processed == 2
+
+    def test_take_of_a_buffered_item_is_one_event(self, sim):
+        box = Mailbox(sim)
+        box.put("a")
+        sim.run()
         got = []
-
-        def producer():
-            for item in (1, 2, 3, 4):
-                yield store.put(item)
-
-        def consumer():
-            got.append((yield store.get(filter=lambda x: x % 2 == 0)))
-            got.append((yield store.get()))
-
-        sim.process(producer())
-        sim.process(consumer())
+        box.take(got.append)
+        assert got == []  # scheduled, not called inline
         sim.run()
-        assert got == [2, 1]  # even item first; then plain FIFO head
-
-    def test_size_property(self, sim):
-        store = Store(sim)
-
-        def proc():
-            yield store.put("a")
-            yield store.put("b")
-            assert store.size == 2
-            yield store.get()
-            assert store.size == 1
-
-        sim.process(proc())
-        sim.run()
+        assert got == ["a"]
+        assert box.items == []
+        assert sim.events_processed == 2

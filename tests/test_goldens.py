@@ -22,24 +22,42 @@ number of dispatched events and the
 dispatch rewrite that keeps every event in its ``(time, priority,
 sequence)`` slot leaves both unchanged.
 
+``tests/golden/scenarios.json`` pins what the retired generator oracles
+of ``tests/core/test_dispatch_identity.py`` produced: for each of ten
+seed-7 cluster scenarios (:data:`SCENARIOS`) the run's record, event
+count and shape digest; for the HDD-and-SSD device drill at each of
+:data:`FAIL_AT` every request's outcome, the event count and the shape
+digest; and the ``obs=True`` span export of :data:`SPAN_SCENARIOS`.  It
+was written at the commit before ``Mailbox`` replaced ``Store``, where
+the oracles and the flat paths agreed event for event.
+
 ``--jobs 1`` keeps the run in this process; ``tests/parallel`` pins that
 the worker count never changes a result.  To re-pin after a deliberate
 change in behaviour, re-run the command into the golden path and say in
 CHANGES.md why the behaviour moved (docs/performance.md, "Goldens").
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.backend import SATA_SSD_8GB
+from repro.backend.ssd import SSDBackend
+from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
 from repro.cli import main
 from repro.core.config import EEVFSConfig
 from repro.core.filesystem import canonical_json, EEVFSCluster
+from repro.devtools.racesuite import default_scenarios
 from repro.devtools.sanitizer import ScheduleShapeHasher
+from repro.disk import ATA_80GB_TYPE1
+from repro.disk.drive import RequestKind, SimDisk
 from repro.experiments.ablations import ablate_dynamic_prefetch
 from repro.experiments.metaplane import drill_config, drill_trace, leader_crash_schedule
+from repro.faults import FaultSchedule
+from repro.sim import Simulator
 from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
 from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
@@ -159,3 +177,203 @@ def test_schedule_shape_matches_its_golden(name):
     over all four workloads into ``tests/golden/shape.json``."""
     golden = json.loads((GOLDEN / "shape.json").read_text())
     assert schedule_shape(name) == golden[name]
+
+
+# -- the dispatch scenarios: records, event counts and schedule shapes -----------------
+
+
+def scenario_trace(write_fraction=0.2):
+    """The 150-request synthetic trace most scenarios replay."""
+    return generate_synthetic_trace(
+        SyntheticWorkload(n_requests=150, write_fraction=write_fraction)
+    )
+
+
+def _race(name):
+    # The race suite's scenario, rebuilt per run so no fault state
+    # carries over from one run to the next.
+    scenario = next(s for s in default_scenarios() if s.name == name)
+    return scenario.trace, dict(config=scenario.config, faults=scenario.faults)
+
+
+#: name -> () -> (trace, EEVFSCluster keyword arguments); every run uses
+#: seed 7.  Between them they reach the serve chain's silent, failover
+#: and failed-reply branches, flaky spin-ups, two-stage DRPM shifts under
+#: the time predictor, the metadata plane and the SSD tier under faults.
+SCENARIOS = {
+    "prefetch": lambda: (scenario_trace(), dict(config=EEVFSConfig())),
+    "no-prefetch": lambda: (
+        scenario_trace(),
+        dict(config=EEVFSConfig(prefetch_enabled=False)),
+    ),
+    "online": lambda: (scenario_trace(), dict(config=EEVFSConfig(online_mode=True))),
+    "ssd-writes": lambda: (
+        scenario_trace(write_fraction=0.4),
+        dict(
+            config=EEVFSConfig(
+                buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0
+            )
+        ),
+    ),
+    "metaplane:leader-crash": lambda: _race("metaplane:leader-crash"),
+    "ssd:buffer-faults": lambda: _race("ssd:buffer-faults"),
+    # Writes straight to the data disks, one of which dies.
+    "write-through": lambda: (
+        scenario_trace(write_fraction=0.4),
+        dict(
+            config=EEVFSConfig(write_buffering=False),
+            faults=FaultSchedule().disk_fail("node1/data0", at=3),
+        ),
+    ),
+    # Replicated writes and reads over a dead data disk and a dead
+    # buffer disk: the serve chain's silent and failover branches.
+    "replication": lambda: (
+        scenario_trace(write_fraction=0.4),
+        dict(
+            config=EEVFSConfig(replication_factor=2, replicate_writes=True),
+            faults=(
+                FaultSchedule()
+                .disk_fail("node1/data0", at=3)
+                .disk_fail("node2/buffer", at=6)
+            ),
+        ),
+    ),
+    # Injected spin-up failures, with and without a back-off.
+    "flaky-spinups": lambda: (
+        scenario_trace(),
+        dict(
+            config=EEVFSConfig(),
+            faults=(
+                FaultSchedule()
+                .flaky_spinups("node1/data0", at=2, count=2, backoff_s=0.5)
+                .flaky_spinups("node2/data1", at=2, count=2, backoff_s=0.0)
+            ),
+        ),
+    ),
+    # Two-stage DRPM drives (the watchdog waits out its shifts) under
+    # the time predictor's wake-ahead timers.
+    "drpm:time": lambda: (
+        scenario_trace(),
+        dict(
+            cluster=drpm_cluster(),
+            config=EEVFSConfig(window_predictor="time"),
+            node_class=TwoStageDRPMNode,
+        ),
+    ),
+}
+
+
+def scenario_run(name, obs=False):
+    """One seed-7 run of scenario *name*: ``(result, events, shape)``."""
+    trace, build = SCENARIOS[name]()
+    cluster = EEVFSCluster(seed=7, obs=obs, **build)
+    shape = ScheduleShapeHasher().attach(cluster.sim)
+    result = cluster.run(trace)
+    return result, cluster.sim.events_processed, shape.hexdigest()
+
+
+MB = 1 << 20
+
+#: Failure instants that land, between them, on every reachable device
+#: failure path: a DEVSLP exit failing under a waiting request (3.503), a
+#: write failing on the host interface (3.527), a spin-up failing under a
+#: waiting HDD request while a flash read's channel jobs fail (3.539),
+#: and a destage whose program jobs fail (3.548).
+FAIL_AT = [3.503, 3.527, 3.539, 3.548]
+
+
+def device_drill(fail_at):
+    """An HDD and an SSD under a write-heavy burst; both fail at
+    *fail_at*, are repaired 3 s later and then get flaky spin-ups.
+    Returns ``(outcomes, events, shape)``; an outcome is ``(device,
+    index, repr(settled_at), ok)``."""
+    sim = Simulator()
+    shape = ScheduleShapeHasher().attach(sim)
+    hdd = SimDisk(sim, ATA_80GB_TYPE1, name="hdd", auto_sleep_after=1.0)
+    ssd = SSDBackend(
+        sim,
+        SATA_SSD_8GB.with_overrides(write_cache_bytes=6 * MB),
+        name="ssd",
+        auto_sleep_after=0.05,
+    )
+    outcomes = []
+
+    def watch(name, index, request):
+        def settle(event):
+            if not event._ok:
+                event.defuse()
+            outcomes.append((name, index, repr(sim.now), event._ok))
+
+        request.done.callbacks.append(settle)
+
+    def client():
+        for index in range(60):
+            kind = RequestKind.WRITE if index % 3 else RequestKind.READ
+            watch("ssd", index, ssd.submit(2 * MB, kind=kind, tag=("io", index % 7)))
+            if index % 10 == 0:
+                watch("hdd", index, hdd.submit(4 * MB))
+            yield sim.timeout(0.004 if index % 20 else 3.5)
+
+    def faults():
+        yield sim.timeout(fail_at)
+        hdd.fail()
+        ssd.fail()
+        yield sim.timeout(3.0)
+        hdd.repair()
+        ssd.repair()
+        hdd.inject_spinup_failures(2, backoff_s=0.2)
+        ssd.inject_spinup_failures(1, backoff_s=0.01)
+
+    sim.process(client())
+    sim.process(faults())
+    sim.run(until=40.0)
+    return outcomes, sim.events_processed, shape.hexdigest()
+
+
+#: Scenarios whose ``obs=True`` span export is pinned as well.
+SPAN_SCENARIOS = ["prefetch", "ssd:buffer-faults", "replication", "drpm:time"]
+
+SCENARIO_KEYS = [
+    *SCENARIOS,
+    *(f"drill@{fail_at}" for fail_at in FAIL_AT),
+    *(f"spans:{name}" for name in SPAN_SCENARIOS),
+]
+
+
+def scenario_entry(key):
+    """The ``tests/golden/scenarios.json`` entry *key*, rebuilt.
+
+    * a :data:`SCENARIOS` name: the run's record, event count and
+      shape digest;
+    * ``drill@<t>``: the device drill failing at *t*: its outcomes,
+      event count and shape digest;
+    * ``spans:<scenario>``: the ``obs=True`` run's span count and the
+      sha256 of its ``repr(span.as_dict())`` lines, each ending in a
+      newline.  Spans only: the run's ``events_by_type`` counts engine
+      carriers, which a dispatch rewrite may rename.
+    """
+    if key.startswith("drill@"):
+        outcomes, events, shape = device_drill(float(key[len("drill@"):]))
+        return {"events": events, "outcomes": outcomes, "shape": shape}
+    if key.startswith("spans:"):
+        result = scenario_run(key[len("spans:"):], obs=True)[0]
+        lines = [repr(span.as_dict()) + "\n" for span in result.trace.spans]
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        return {"count": len(lines), "sha256": digest}
+    result, events, shape = scenario_run(key)
+    return {"events": events, "record": result.record(), "shape": shape}
+
+
+def golden_entry(key):
+    """Entry *key* of ``tests/golden/scenarios.json``."""
+    return json.loads((GOLDEN / "scenarios.json").read_text())[key]
+
+
+def test_dispatch_scenarios_match_their_golden():
+    """Every dispatch scenario, drill point and span export ends as the
+    golden pinned: same records, event counts, schedule shapes and
+    spans.  To re-pin, write ``canonical_json`` of ``{key:
+    scenario_entry(key)}`` over :data:`SCENARIO_KEYS` into
+    ``tests/golden/scenarios.json``."""
+    produced = {key: scenario_entry(key) for key in SCENARIO_KEYS}
+    _assert_matches_golden("scenarios", canonical_json(produced))
