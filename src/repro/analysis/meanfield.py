@@ -50,10 +50,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import ClusterSpec, EEVFSConfig, default_cluster
+from repro.core.config import (
+    ClusterSpec,
+    default_cluster,
+    EEVFSConfig,
+    NODE_OVERHEAD_S,
+    SERVER_OVERHEAD_S,
+)
 from repro.core.prediction import effective_threshold
 from repro.disk.specs import DiskSpec
-from repro.traces.synthetic import SyntheticWorkload
+from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
 
 def folded_poisson_pmf(mu: float, n_files: int) -> np.ndarray:
@@ -322,7 +328,6 @@ def _mva(stations: List[Tuple[float, float]], customers: int, delay_s: float) ->
 def _build_stations(
     workload: SyntheticWorkload,
     cluster: ClusterSpec,
-    config: EEVFSConfig,
     node_masses: List[float],
     per_node_hit_mass: List[float],
     per_node_disk_miss: List[List[float]],
@@ -342,7 +347,7 @@ def _build_stations(
     size = float(workload.data_size_bytes)
     client_bw = cluster.client_nic_bps
     stations: List[Tuple[float, float]] = [
-        (1.0, config.server_overhead_s),
+        (1.0, SERVER_OVERHEAD_S),
     ]
     for i, node in enumerate(cluster.storage_nodes):
         stations.append((node_masses[i], size / min(node.nic_bps, client_bw)))
@@ -355,7 +360,7 @@ def _build_stations(
                 stations.append(
                     (miss_mass, _disk_service_s(node.disk_spec, size) + spinup_wait_s)
                 )
-    delay = config.node_overhead_s + 2.0 * cluster.fabric_latency_s
+    delay = NODE_OVERHEAD_S + 2.0 * cluster.fabric_latency_s
     return stations, delay
 
 
@@ -418,17 +423,12 @@ def analyze(
         per_node_disk_total.append(total_masses)
 
     npf_stations, delay = _build_stations(
-        workload,
-        cluster,
-        config,
-        node_masses,
-        [0.0] * n_nodes,
-        per_node_disk_total,
+        workload, cluster, node_masses, [0.0] * n_nodes, per_node_disk_total
     )
     npf_duration, _, _ = _duration_from_mva(workload, cluster, npf_stations, delay)
 
     pf_stations, delay = _build_stations(
-        workload, cluster, config, node_masses, per_node_hit, per_node_disk_miss
+        workload, cluster, node_masses, per_node_hit, per_node_disk_miss
     )
     pf_duration, pf_tail, saturated = _duration_from_mva(
         workload, cluster, pf_stations, delay
@@ -465,7 +465,6 @@ def analyze(
             pf_stations, delay = _build_stations(
                 workload,
                 cluster,
-                config,
                 node_masses,
                 per_node_hit,
                 per_node_disk_miss,
@@ -581,7 +580,7 @@ def cross_validate(
     `report.speedup` are the acceptance-gate numbers.
     """
     from repro.experiments.sweeps import SWEEPS, _config_for, _workload_for
-    from repro.experiments.runner import run_pair_for_workload
+    from repro.experiments.runner import run_pair
 
     if sweeps is None:
         sweeps = {name: tuple(values) for name, (_, values) in SWEEPS.items()}
@@ -596,13 +595,10 @@ def cross_validate(
             # Wall-clock timing is the deliverable here (speedup gate),
             # not simulation state.
             t0 = time.perf_counter()  # simlint: ignore[DET002]
-            pair = run_pair_for_workload(
-                workload,
-                config=point_config,
-                cluster=cluster,
-                seed=seed,
-                trace_seed=trace_seed,
+            trace = generate_synthetic_trace(
+                workload, rng=np.random.default_rng(trace_seed)
             )
+            pair = run_pair(trace, config=point_config, cluster=cluster, seed=seed)
             discrete_wall = time.perf_counter() - t0  # simlint: ignore[DET002]
             t1 = time.perf_counter()  # simlint: ignore[DET002]
             predicted = analyze(workload, config=point_config, cluster=cluster)

@@ -14,7 +14,7 @@ from repro.backend.factory import (
     tier_spec,
 )
 from repro.backend.ftl import ExtentMap, FTLCounters, GCEvent, PageMappedFTL
-from repro.backend.ssd import SATA_SSD_8GB, SATA_SSD_32GB, SSD_CATALOG, SSDBackend, SSDSpec
+from repro.backend.ssd import SATA_SSD_8GB, SATA_SSD_32GB, SSDBackend, SSDSpec
 
 __all__ = [
     "ExtentMap",
@@ -25,7 +25,6 @@ __all__ = [
     "SATA_SSD_8GB",
     "SSDBackend",
     "SSDSpec",
-    "SSD_CATALOG",
     "TierSpec",
     "build_backend",
     "resolve_ssd_spec",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.backend.ssd import SSD_CATALOG, SSDBackend, SSDSpec
+from repro.backend.ssd import SATA_SSD_32GB, SSDBackend, SSDSpec
 from repro.disk.drive import SimDisk, StorageBackend
 from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
@@ -37,7 +37,6 @@ def build_backend(
     second_stage_after: Optional[float] = None,
     spinup_jitter: float = 0.0,
     rng: Optional["np.random.Generator"] = None,
-    record_history: bool = False,
 ) -> StorageBackend:
     """Construct the backend a spec describes.
 
@@ -62,7 +61,6 @@ def build_backend(
             auto_sleep_after=auto_sleep_after,
             spinup_jitter=spinup_jitter,
             rng=rng,
-            record_history=record_history,
         )
     return SimDisk(
         sim,
@@ -74,16 +72,11 @@ def build_backend(
         second_stage_after=second_stage_after,
         spinup_jitter=spinup_jitter,
         rng=rng,
-        record_history=record_history,
     )
 
 
 def resolve_ssd_spec(config: "EEVFSConfig") -> SSDSpec:
-    """The SSD spec a config names, with its sweep overrides applied."""
-    base = SSD_CATALOG.get(config.ssd_spec)
-    if base is None:
-        known = ", ".join(sorted(SSD_CATALOG))
-        raise ValueError(f"unknown ssd_spec {config.ssd_spec!r} (catalog: {known})")
+    """``SATA_SSD_32GB`` with the config's sweep overrides applied."""
     overrides: dict = {}
     if config.ssd_capacity_mb is not None:
         overrides["capacity_bytes"] = config.ssd_capacity_mb * 1024 * 1024
@@ -92,8 +85,8 @@ def resolve_ssd_spec(config: "EEVFSConfig") -> SSDSpec:
     if config.ssd_gc_free_fraction is not None:
         overrides["gc_free_fraction"] = config.ssd_gc_free_fraction
     if not overrides:
-        return base
-    return replace(base, **overrides)
+        return SATA_SSD_32GB
+    return replace(SATA_SSD_32GB, **overrides)
 
 
 def tier_spec(

@@ -193,10 +193,6 @@ SATA_SSD_8GB = SSDSpec(
     power_idle_w=0.55,
 )
 
-SSD_CATALOG: Dict[str, SSDSpec] = {
-    spec.name: spec for spec in (SATA_SSD_32GB, SATA_SSD_8GB)
-}
-
 
 class _ChannelJob:
     """One NAND operation batch bound for a single channel."""
@@ -257,7 +253,6 @@ class SSDBackend(StorageBackend):
         auto_sleep_after: Optional[float] = None,
         spinup_jitter: float = 0.0,
         rng: Optional["np.random.Generator"] = None,
-        record_history: bool = False,
     ) -> None:
         super().__init__(
             sim,
@@ -266,7 +261,6 @@ class SSDBackend(StorageBackend):
             auto_sleep_after=auto_sleep_after,
             spinup_jitter=spinup_jitter,
             rng=rng,
-            record_history=record_history,
         )
         self.ftl = PageMappedFTL(
             n_logical_pages=spec.n_logical_pages,

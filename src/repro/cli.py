@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.experiments.ablations import (
     ablate_disks_per_node,
@@ -36,6 +36,38 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _checked(
+    parse: Callable[[str], Any], check: Callable[[Any], object]
+) -> Callable[[str], Any]:
+    """An argparse type: *parse* the text, then hand the value to *check*,
+    which builds the object that owns its bound.  A ``ValueError`` from
+    either becomes an argparse error, so the CLI repeats no bound."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
+
+
+def _config_knob(field: str, parse: Callable[[str], Any] = int) -> Callable[[str], Any]:
+    """Type of a flag that sets one :class:`EEVFSConfig` field."""
+    from repro.core.config import EEVFSConfig
+
+    return _checked(parse, lambda value: EEVFSConfig(**{field: value}))
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed list: {text!r}") from None
 
 
 def _existing_path(text: str) -> str:
@@ -246,7 +278,7 @@ def _cmd_lint(args: argparse.Namespace) -> None:
         )
 
         seeds = [
-            int(s) for part in (args.race_seeds or []) for s in part.split(",") if s
+            seed for part in (args.race_seeds or []) for seed in part
         ] or list(DEFAULT_RACE_SEEDS)
         report = run_race_suite(seeds=seeds, n_requests=args.race_requests)
         if args.format == "json":
@@ -731,6 +763,12 @@ def _cmd_trace_stats(args: argparse.Namespace) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.config import default_cluster
+    from repro.faults.schedule import ExponentialFaults, FaultSchedule
+    from repro.parallel.pool import resolve_jobs
+    from repro.replication.policy import plan_replicas, REPLICATION_POLICIES
+    from repro.traces.synthetic import MB, SyntheticWorkload
+
+    node_names = [node.name for node in default_cluster().storage_nodes]
 
     parser = argparse.ArgumentParser(
         prog="eevfs",
@@ -742,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_checked(int, lambda jobs: resolve_jobs(jobs, 1)),
         default=None,
         help="worker processes for experiment fan-out (default: one per CPU)",
     )
@@ -785,7 +823,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comparer.set_defaults(func=_cmd_compare)
     wear = sub.add_parser("wear", help="start/stop wear projection (§VI-B)")
-    wear.add_argument("--prefetch", type=int, default=70, help="prefetch depth K")
+    wear.add_argument(
+        "--prefetch",
+        type=_config_knob("prefetch_files"),
+        default=70,
+        help="prefetch depth K",
+    )
     wear.set_defaults(func=_cmd_wear)
     faults = sub.add_parser(
         "faults", help="fault drill: availability and energy under failures"
@@ -793,32 +836,54 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--fail-node",
         default="node3",
-        choices=[node.name for node in default_cluster().storage_nodes],
+        choices=node_names,
         metavar="NODE",
         help="node to crash (default node3)",
     )
     faults.add_argument(
-        "--at", type=float, default=60.0, help="crash time, seconds into the trace"
+        "--at",
+        type=_checked(float, lambda at: FaultSchedule().node_fail("node", at=at)),
+        default=60.0,
+        help="crash time, seconds into the trace",
     )
     faults.add_argument(
-        "--repair-at", type=float, default=None, help="optional node repair time"
+        "--repair-at",
+        type=_checked(float, lambda at: FaultSchedule().node_repair("node", at=at)),
+        default=None,
+        help="optional node repair time",
     )
     faults.add_argument(
         "--mtbf",
-        type=float,
+        type=_checked(
+            float,
+            lambda mtbf: ExponentialFaults(
+                ("disk",), mtbf_s=mtbf, mttr_s=None, horizon_s=1.0
+            ),
+        ),
         default=None,
         help="instead: exponential per-disk failures with this MTBF (s)",
     )
     faults.add_argument(
-        "--mttr", type=float, default=120.0, help="repair time for --mtbf faults"
+        "--mttr",
+        type=_checked(
+            float,
+            lambda mttr: ExponentialFaults(
+                ("disk",), mtbf_s=1.0, mttr_s=mttr, horizon_s=1.0
+            ),
+        ),
+        default=120.0,
+        help="repair time for --mtbf faults",
     )
     faults.add_argument(
-        "--replication", type=int, default=2, help="replication factor to compare"
+        "--replication",
+        type=_checked(int, lambda factor: plan_replicas((), {}, node_names, factor)),
+        default=2,
+        help="replication factor to compare",
     )
     faults.add_argument(
         "--policy",
         default="round_robin",
-        choices=["round_robin", "popularity"],
+        choices=REPLICATION_POLICIES,
         help="replica placement policy",
     )
     faults.add_argument(
@@ -828,13 +893,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--shards",
-        type=int,
+        type=_config_knob("metadata_shards"),
         default=4,
         help="shard count for --metadata-drill (default 4)",
     )
     faults.add_argument(
         "--meta-replicas",
-        type=int,
+        type=_config_knob("metadata_replicas"),
         nargs="+",
         default=[1, 3],
         metavar="N",
@@ -852,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metaplane.add_argument(
         "--shards",
-        type=int,
+        type=_config_knob("metadata_shards"),
         nargs="+",
         default=[1, 2, 4],
         metavar="N",
@@ -860,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metaplane.add_argument(
         "--replicas",
-        type=int,
+        type=_config_knob("metadata_replicas"),
         nargs="+",
         default=[1, 3],
         metavar="N",
@@ -911,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--capacities-mb",
         nargs="+",
-        type=int,
+        type=_config_knob("ssd_capacity_mb"),
         default=[16, 32, 64],
         metavar="MB",
         help="buffer-tier logical capacities to sweep",
@@ -919,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--channels",
         nargs="+",
-        type=int,
+        type=_config_knob("ssd_channels"),
         default=[1, 2, 4],
         metavar="N",
         help="SSD channel counts to sweep",
@@ -927,14 +992,14 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--gc",
         nargs="+",
-        type=float,
+        type=_config_knob("ssd_gc_free_fraction", float),
         default=[0.10],
         metavar="FRAC",
         help="GC free-block reserve fractions to sweep",
     )
     ssd.add_argument(
         "--write-fraction",
-        type=float,
+        type=_checked(float, lambda share: SyntheticWorkload(write_fraction=share)),
         default=0.4,
         help="workload write share (rewrite churn drives GC and WA)",
     )
@@ -985,9 +1050,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("trace-gen", help="generate a workload trace file")
     gen.add_argument("kind", choices=["synthetic", "berkeley", "drifting"])
     gen.add_argument("path", help="output trace file")
-    gen.add_argument("--mu", type=float, default=1000.0)
-    gen.add_argument("--size-mb", type=float, default=10.0)
-    gen.add_argument("--inter-arrival-ms", type=float, default=700.0)
+    gen.add_argument(
+        "--mu", type=_checked(float, lambda mu: SyntheticWorkload(mu=mu)), default=1000.0
+    )
+    gen.add_argument(
+        "--size-mb",
+        type=_checked(
+            float, lambda mb: SyntheticWorkload(data_size_bytes=int(mb * MB))
+        ),
+        default=10.0,
+    )
+    gen.add_argument(
+        "--inter-arrival-ms",
+        type=_checked(
+            float, lambda ms: SyntheticWorkload(inter_arrival_s=ms / 1000.0)
+        ),
+        default=700.0,
+    )
     gen.set_defaults(func=_cmd_trace_gen)
     stats = sub.add_parser("trace-stats", help="summarise a trace file")
     stats.add_argument(
@@ -1029,12 +1108,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--race-seeds",
         action="append",
+        type=_seed_list,
         metavar="SEEDS",
         help="comma-separated chaos-scheduler seeds (default: 101,303)",
     )
     lint.add_argument(
         "--race-requests",
-        type=int,
+        type=_positive_int,
         default=150,
         metavar="N",
         help="requests per race-suite scenario (default: 150)",

@@ -53,7 +53,8 @@ class RetryPolicy:
     deadline (None disables timeout watchers entirely -- no extra events
     in fault-free runs).  The n-th retry waits
     ``min(cap, base * 2**(n-1))`` scaled by a jitter factor drawn from
-    the client's dedicated RNG stream.
+    the client's dedicated RNG stream (``jitter`` is a fraction of the
+    delay; :meth:`from_config` keeps the default).
     """
 
     max_retries: int = 2
@@ -69,7 +70,6 @@ class RetryPolicy:
             timeout_s=config.request_timeout_s,
             backoff_base_s=config.request_backoff_base_s,
             backoff_cap_s=config.request_backoff_cap_s,
-            jitter=config.request_retry_jitter,
         )
 
 

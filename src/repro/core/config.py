@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from repro.disk.specs import ATA_80GB_TYPE1, ATA_80GB_TYPE2, DiskSpec, SATA_120GB_SERVER
+from repro.disk.specs import ATA_80GB_TYPE1, ATA_80GB_TYPE2, DiskSpec
 from repro.net.link import FAST_ETHERNET_BPS, GIGABIT_ETHERNET_BPS
+from repro.replication.policy import REPLICATION_POLICIES
 
 MB = 1024 * 1024
 
@@ -38,6 +39,11 @@ PARAMETER_GRID = {
 TYPE1_BASE_POWER_W = 65.0
 TYPE2_BASE_POWER_W = 60.0
 SERVER_BASE_POWER_W = 70.0
+
+#: Per-request CPU overhead (lookup, thread wake) at the storage server
+#: (or metadata replica) and at a storage node.
+SERVER_OVERHEAD_S = 0.0002
+NODE_OVERHEAD_S = 0.0002
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,6 @@ class ClusterSpec:
     storage_nodes: tuple[NodeSpec, ...]
     server_nic_bps: float = GIGABIT_ETHERNET_BPS
     server_base_power_w: float = SERVER_BASE_POWER_W
-    server_disk_spec: DiskSpec = SATA_120GB_SERVER
     client_nic_bps: float = GIGABIT_ETHERNET_BPS
     fabric_latency_s: float = 200e-6
     connect_s: float = 500e-6
@@ -216,11 +221,10 @@ class EEVFSConfig:
     #: Replication extension: total copies kept per file across storage
     #: nodes (primary included).  1 = the paper's layout (no replicas).
     replication_factor: int = 1
-    #: How replica nodes are chosen: "none"/"buffer" keep no cross-node
-    #: copies ("buffer" names the accidental-replica effect of prefetch
-    #: copies explicitly); "round_robin" puts replica j on the j-th next
-    #: node after the primary; "popularity" deals replicas round-robin
-    #: in descending popularity order (§III-B applied to replicas).
+    #: How replica nodes are chosen: "round_robin" puts replica j on the
+    #: j-th next node after the primary; "popularity" deals replicas
+    #: round-robin in descending popularity order (§III-B applied to
+    #: replicas).
     replication_policy: str = "round_robin"
     #: Fan replicated writes out to every live holder (durability); off
     #: means replicas go stale on writes (read-only replication).
@@ -242,13 +246,6 @@ class EEVFSConfig:
     metadata_shards: int = 1
     #: Replicas per shard (1 = no fault tolerance, the crash baseline).
     metadata_replicas: int = 1
-    #: Leader heartbeat period of the shard consensus protocol.
-    meta_heartbeat_interval_s: float = 0.5
-    #: Election timeout range (drawn per replica from its seeded stream);
-    #: the minimum must comfortably exceed the heartbeat interval or
-    #: healthy followers will depose live leaders.
-    meta_election_timeout_min_s: float = 1.5
-    meta_election_timeout_max_s: float = 3.0
     #: Client retry policy: how many times a failed request is re-sent
     #: before it is abandoned (recorded as unavailability, never raised).
     request_max_retries: int = 2
@@ -256,11 +253,10 @@ class EEVFSConfig:
     #: default keeps fault-free runs event-identical to older seeds --
     #: crash drills that can silently eat requests must set a deadline).
     request_timeout_s: Optional[float] = None
-    #: Capped exponential backoff between retries, with seeded jitter
-    #: (fraction of the delay, drawn from the client's retry stream).
+    #: Capped exponential backoff between retries (seeded jitter: see
+    #: ``repro.core.client.RetryPolicy``).
     request_backoff_base_s: float = 0.1
     request_backoff_cap_s: float = 2.0
-    request_retry_jitter: float = 0.1
     #: Online mode (repro.online): drop the oracle access log.  Setup
     #: places files in catalog order (no history), sends *no* access
     #: hints, and skips the initial prefetch; a streaming popularity
@@ -272,29 +268,10 @@ class EEVFSConfig:
     #: Streaming estimator: "ema" (exact exponentially-decayed counts)
     #: or "cms" (Count-Min Sketch + bounded decaying top-set).
     online_estimator: str = "ema"
-    #: EMA decay half-life: an access loses half its weight after this
-    #: much simulated time (also the CMS aging period).
-    online_halflife_s: float = 120.0
-    #: Count-Min Sketch geometry (width x depth counters) and the size
-    #: of the exact top-set kept next to the sketch.
-    online_cms_width: int = 512
-    online_cms_depth: int = 4
-    online_cms_capacity: int = 256
-    #: Controller cadence and set-point: every interval the controller
-    #: compares the windowed buffer-hit ratio against the target (with
-    #: +/- hysteresis dead-band) and steps prefetch-K, and compares the
-    #: per-disk spin-up rate against ``online_spinup_rate_max`` (per
-    #: disk per minute) to step the idle threshold.
+    #: Controller cadence: every interval the controller steps prefetch-K
+    #: and the idle threshold toward its set-points (the constants of
+    #: ``repro.online.controller``).
     online_control_interval_s: float = 30.0
-    online_target_hit_ratio: float = 0.6
-    online_hysteresis: float = 0.05
-    online_k_step: int = 10
-    online_k_min: int = 10
-    online_k_max: int = 200
-    online_spinup_rate_max: float = 2.0
-    online_idle_step_s: float = 1.0
-    online_idle_min_s: float = 1.0
-    online_idle_max_s: float = 30.0
     #: Re-prefetch epoch: every epoch the replanner ranks its popularity
     #: source (the streaming estimator, or the ``popularity_window_s``
     #: window in oracle mode), diffs the top-K against the current buffer
@@ -311,12 +288,6 @@ class EEVFSConfig:
     #: throttled client generates few hits to pay for it).  Off by
     #: default to keep existing online fingerprints byte-stable.
     online_replan_cost_gate: bool = False
-    #: Include the storage server's energy in reports (the paper measures
-    #: the storage nodes only).
-    account_server_energy: bool = False
-    #: Per-request CPU overhead at server and node (lookup, thread wake).
-    server_overhead_s: float = 0.0002
-    node_overhead_s: float = 0.0002
     #: Storage backend per tier (repro.backend): "hdd" is the paper's
     #: spinning drive; "ssd" swaps in the FTL-level flash model.  The
     #: interesting configuration is an SSD *buffer* tier over HDD data
@@ -325,9 +296,8 @@ class EEVFSConfig:
     #: spindle queue.
     buffer_backend: str = "hdd"
     data_backend: str = "hdd"
-    #: Catalog name of the SSD model used by SSD-backed tiers.
-    ssd_spec: str = "sata-ssd-32g"
-    #: Sweep overrides on the catalog spec (None = catalog value).
+    #: Sweep overrides on the ``SATA_SSD_32GB`` model of SSD-backed
+    #: tiers (None = the model's value).
     ssd_capacity_mb: Optional[int] = None
     ssd_channels: Optional[int] = None
     ssd_gc_free_fraction: Optional[float] = None
@@ -336,13 +306,6 @@ class EEVFSConfig:
     #: DEVSLP's break-even is tens of milliseconds, so unlike a spindle
     #: the buffer tier can nap between bursts without a latency cliff.
     ssd_buffer_idle_s: Optional[float] = None
-    #: Attach the observability subsystem (repro.obs): span tracing,
-    #: telemetry sampling, and a RunResult.trace snapshot.  Off by
-    #: default -- tracing observes the run without changing any metric,
-    #: but the extra bookkeeping costs wall-clock time.
-    obs: bool = False
-    #: Simulated seconds between telemetry samples when ``obs`` is on.
-    obs_sample_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.prefetch_files < 0:
@@ -351,8 +314,6 @@ class EEVFSConfig:
             raise ValueError("idle_threshold_s must be >= 0")
         if self.buffer_capacity_bytes is not None and self.buffer_capacity_bytes < 0:
             raise ValueError("buffer_capacity_bytes must be >= 0")
-        if self.server_overhead_s < 0 or self.node_overhead_s < 0:
-            raise ValueError("overheads must be >= 0")
         if self.wake_ahead and not self.use_hints:
             raise ValueError("wake_ahead requires use_hints")
         if self.window_predictor not in ("sequence", "time"):
@@ -375,14 +336,9 @@ class EEVFSConfig:
             raise ValueError(
                 f"replication_factor must be >= 1, got {self.replication_factor!r}"
             )
-        if self.replication_policy not in ("none", "buffer", "round_robin", "popularity"):
+        if self.replication_policy not in REPLICATION_POLICIES:
             raise ValueError(
                 f"unknown replication_policy: {self.replication_policy!r}"
-            )
-        if self.replication_factor > 1 and self.replication_policy in ("none", "buffer"):
-            raise ValueError(
-                f"replication_policy {self.replication_policy!r} keeps no "
-                f"cross-node replicas; replication_factor must be 1"
             )
         if self.rereplication_check_interval_s <= 0:
             raise ValueError("rereplication_check_interval_s must be > 0")
@@ -398,18 +354,6 @@ class EEVFSConfig:
             raise ValueError(
                 f"metadata_replicas must be >= 1, got {self.metadata_replicas!r}"
             )
-        if self.meta_heartbeat_interval_s <= 0:
-            raise ValueError("meta_heartbeat_interval_s must be > 0")
-        if self.meta_election_timeout_min_s <= self.meta_heartbeat_interval_s:
-            raise ValueError(
-                "meta_election_timeout_min_s must exceed the heartbeat "
-                "interval or healthy followers depose live leaders"
-            )
-        if self.meta_election_timeout_max_s <= self.meta_election_timeout_min_s:
-            raise ValueError(
-                "meta_election_timeout_max_s must exceed "
-                "meta_election_timeout_min_s"
-            )
         if self.metadata_plane and (
             self.online_mode or self.popularity_window_s is not None
         ):
@@ -420,28 +364,8 @@ class EEVFSConfig:
             )
         if self.online_estimator not in ("ema", "cms"):
             raise ValueError(f"unknown online_estimator: {self.online_estimator!r}")
-        if self.online_halflife_s <= 0:
-            raise ValueError("online_halflife_s must be > 0")
-        if self.online_cms_width < 1 or self.online_cms_depth < 1:
-            raise ValueError("CMS geometry must be >= 1 in both dimensions")
-        if self.online_cms_capacity < 1:
-            raise ValueError("online_cms_capacity must be >= 1")
         if self.online_control_interval_s <= 0:
             raise ValueError("online_control_interval_s must be > 0")
-        if not 0.0 < self.online_target_hit_ratio <= 1.0:
-            raise ValueError("online_target_hit_ratio must be in (0, 1]")
-        if self.online_hysteresis < 0:
-            raise ValueError("online_hysteresis must be >= 0")
-        if self.online_k_step < 1:
-            raise ValueError("online_k_step must be >= 1")
-        if not 0 <= self.online_k_min <= self.online_k_max:
-            raise ValueError("need 0 <= online_k_min <= online_k_max")
-        if self.online_spinup_rate_max < 0:
-            raise ValueError("online_spinup_rate_max must be >= 0")
-        if self.online_idle_step_s <= 0:
-            raise ValueError("online_idle_step_s must be > 0")
-        if not 0 < self.online_idle_min_s <= self.online_idle_max_s:
-            raise ValueError("need 0 < online_idle_min_s <= online_idle_max_s")
         if self.online_replan_epoch_s <= 0:
             raise ValueError("online_replan_epoch_s must be > 0")
         if not 0.0 <= self.online_drift_threshold <= 1.0:
@@ -464,10 +388,6 @@ class EEVFSConfig:
             raise ValueError("request_timeout_s must be > 0")
         if self.request_backoff_base_s < 0 or self.request_backoff_cap_s < 0:
             raise ValueError("retry backoff parameters must be >= 0")
-        if not 0.0 <= self.request_retry_jitter < 1.0:
-            raise ValueError("request_retry_jitter must be in [0, 1)")
-        if self.obs_sample_interval_s <= 0:
-            raise ValueError("obs_sample_interval_s must be > 0")
         for tier_name, backend in (
             ("buffer_backend", self.buffer_backend),
             ("data_backend", self.data_backend),

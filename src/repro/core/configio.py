@@ -74,7 +74,6 @@ def cluster_to_dict(cluster: ClusterSpec) -> Dict[str, Any]:
         ],
         "server_nic_bps": cluster.server_nic_bps,
         "server_base_power_w": cluster.server_base_power_w,
-        "server_disk_spec": _disk_to_json(cluster.server_disk_spec),
         "client_nic_bps": cluster.client_nic_bps,
         "fabric_latency_s": cluster.fabric_latency_s,
         "connect_s": cluster.connect_s,
@@ -109,8 +108,6 @@ def cluster_from_dict(data: Dict[str, Any]) -> ClusterSpec:
         nodes.append(
             NodeSpec(disk_spec=disk, buffer_disk_spec=buffer_spec, **node_data)
         )
-    if "server_disk_spec" in data:
-        data["server_disk_spec"] = _disk_from_json(data["server_disk_spec"])
     known = {f.name for f in dataclasses.fields(ClusterSpec)} - {"storage_nodes"}
     unknown = set(data) - known
     if unknown:

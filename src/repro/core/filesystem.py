@@ -267,10 +267,9 @@ class EEVFSCluster:
         cluster: Optional[ClusterSpec] = None,
         config: Optional[EEVFSConfig] = None,
         seed: int = 0,
-        record_history: bool = False,
         node_class: type = StorageNode,
         faults: Optional[FaultSchedule] = None,
-        obs: Optional[bool] = None,
+        obs: bool = False,
     ) -> None:
         self.node_class = node_class
         self.cluster = cluster if cluster is not None else default_cluster()
@@ -317,7 +316,6 @@ class EEVFSCluster:
                 server_name=self.server.name,
                 spinup_jitter=self.cluster.spinup_jitter,
                 rng=self.streams.stream(f"spinup:{node_spec.name}"),
-                record_history=record_history,
             )
             for node_spec in self.cluster.storage_nodes
         ]
@@ -374,15 +372,12 @@ class EEVFSCluster:
             self.injector = FaultInjector(
                 self.sim, self, faults, streams=self.streams
             )
-        #: Observability (repro.obs): attached when ``obs`` (argument
-        #: overrides ``config.obs``) is set; None keeps the zero-cost
-        #: untraced path -- no tracer, no event hook, no sampler.
+        #: Observability (repro.obs): attached when ``obs`` is truthy;
+        #: otherwise the zero-cost untraced path -- no tracer, no event
+        #: hook, no sampler.
         self.observer: Optional[Observability] = None
-        if self.config.obs if obs is None else obs:
-            self.observer = Observability(
-                self.sim,
-                sample_interval_s=self.config.obs_sample_interval_s,
-            )
+        if obs:
+            self.observer = Observability(self.sim)
             self._register_telemetry()
             self.observer.attach()
 
@@ -568,9 +563,6 @@ class EEVFSCluster:
         energy_with_setup = sum(
             node.spec.base_power_w * end + node.disk_energy_j() for node in self.nodes
         )
-        if self.config.account_server_energy:
-            energy += server_energy
-            energy_with_setup += self._server_energy_j()
 
         return RunResult(
             config=self.config,
@@ -670,12 +662,12 @@ def run_eevfs(
     seed: int = 0,
     replay_mode: str = "paced",
     faults: Optional[FaultSchedule] = None,
-    obs: Optional[bool] = None,
+    obs: bool = False,
 ) -> RunResult:
     """One-call helper: build a cluster, run *trace*, return the result.
 
-    ``obs`` overrides ``config.obs`` (None defers to the config): pass
-    True to attach span tracing + telemetry and get ``result.trace``.
+    Pass ``obs=True`` to attach span tracing + telemetry and get
+    ``result.trace``.
     """
     return EEVFSCluster(
         cluster=cluster, config=config, seed=seed, faults=faults, obs=obs

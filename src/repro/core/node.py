@@ -24,7 +24,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.backend import build_backend, tier_spec
-from repro.core.config import EEVFSConfig, NodeSpec
+from repro.core.config import EEVFSConfig, NODE_OVERHEAD_S, NodeSpec
 from repro.core.metadata import NodeMetadata
 from repro.core.power import PowerManager
 from repro.core.prefetch import PrefetchStats
@@ -76,7 +76,6 @@ class StorageNode:
         server_name: str = "server",
         spinup_jitter: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        record_history: bool = False,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -93,9 +92,9 @@ class StorageNode:
         # wake-aheads on top of it (§IV-C: EEVFS "can operate without the
         # application hints ... relying solely on the idle window timers").
         timer = config.idle_threshold_s if power_managed else None
-        self.buffer_disk = self._build_buffer_disk(record_history)
+        self.buffer_disk = self._build_buffer_disk()
         self.data_disks: List[StorageBackend] = [
-            self._build_data_disk(i, timer, spinup_jitter, rng, record_history)
+            self._build_data_disk(i, timer, spinup_jitter, rng)
             for i in range(spec.n_data_disks)
         ]
         self.metadata = NodeMetadata(
@@ -151,7 +150,7 @@ class StorageNode:
 
     # -- backend construction ----------------------------------------------------------
 
-    def _build_buffer_disk(self, record_history: bool) -> StorageBackend:
+    def _build_buffer_disk(self) -> StorageBackend:
         """The buffer (log) disk for whichever backend the config names.
 
         An HDD buffer disk never sleeps (it is the OS/log disk, §III-A);
@@ -170,7 +169,6 @@ class StorageNode:
             spec,
             name=f"{self.spec.name}/buffer",
             auto_sleep_after=idle,
-            record_history=record_history,
         )
 
     def _build_data_disk(
@@ -179,7 +177,6 @@ class StorageNode:
         timer: Optional[float],
         spinup_jitter: float,
         rng: Optional[np.random.Generator],
-        record_history: bool,
     ) -> StorageBackend:
         """One data disk for whichever backend the config names."""
         spec = tier_spec(self.config, "data", self.spec.disk_spec)
@@ -192,7 +189,6 @@ class StorageNode:
             second_stage_after=self.DISK_SECOND_STAGE_S,
             spinup_jitter=spinup_jitter,
             rng=(None if rng is None or spinup_jitter == 0 else rng),
-            record_history=record_history,
         )
 
     # -- energy accounting ------------------------------------------------------------
@@ -735,11 +731,7 @@ class _Serve:
                 file_id=request.file_id,
                 op=request.op.name,
             )
-        overhead = node.config.node_overhead_s
-        if overhead > 0:
-            sim.call_later(overhead, self._enter)
-        else:
-            self._enter(None)
+        sim.call_later(NODE_OVERHEAD_S, self._enter)
 
     def _enter(self, _value: Any) -> None:
         """Route the request and submit its disk I/O."""
@@ -854,7 +846,7 @@ class _Serve:
             file_id=request.file_id,
             size_bytes=self.size,
             served_by=self.served_by,
-            node_time_s=now - self.entered_at + node.config.node_overhead_s,
+            node_time_s=now - self.entered_at + NODE_OVERHEAD_S,
             disk_time_s=now - self.disk_started,
         )
         self._reply(reply, self.size, disk_index)

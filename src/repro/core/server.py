@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
-from repro.core.config import EEVFSConfig
+from repro.core.config import EEVFSConfig, SERVER_OVERHEAD_S
 from repro.core.metadata import ServerMetadata
 from repro.core.placement import (
     concentrate_disk_assignment,
@@ -308,10 +308,7 @@ class StorageServer:
                     parent=tracer.request_span(payload.request_id),
                     file_id=payload.file_id,
                 )
-            if self.config.server_overhead_s > 0:
-                self.sim.call_later(self.config.server_overhead_s, self._route, payload)
-            else:
-                self._route(payload)
+            self.sim.call_later(SERVER_OVERHEAD_S, self._route, payload)
             return
         if isinstance(payload, PrefetchComplete):
             self._prefetch_acks_pending -= 1

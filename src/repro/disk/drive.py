@@ -134,8 +134,6 @@ class StorageBackend:
         -- mechanical variability a predictive wake-up cannot see.
     rng:
         Source of the spin-up jitter (required when it is nonzero).
-    record_history:
-        Keep a full ``(time, state)`` trace for debugging/plots.
     """
 
     #: Device parameters; each subclass narrows the type.
@@ -149,7 +147,6 @@ class StorageBackend:
         auto_sleep_after: Optional[float] = None,
         spinup_jitter: float = 0.0,
         rng: Optional["np.random.Generator"] = None,
-        record_history: bool = False,
     ) -> None:
         if auto_sleep_after is not None and auto_sleep_after < 0:
             raise ValueError(f"auto_sleep_after must be >= 0, got {auto_sleep_after!r}")
@@ -163,12 +160,7 @@ class StorageBackend:
         self.auto_sleep_after = auto_sleep_after
         self.spinup_jitter = float(spinup_jitter)
         self._rng = rng
-        self.meter = EnergyMeter(
-            spec,
-            start_time=sim.now,
-            initial_state=DiskState.IDLE,
-            record_history=record_history,
-        )
+        self.meter = EnergyMeter(spec, start_time=sim.now, initial_state=DiskState.IDLE)
         self.queue = Mailbox(sim, priority_key=lambda r: r.priority)
         #: Requests submitted but not yet completed (queued + in service).
         self.inflight = 0
@@ -559,7 +551,6 @@ class SimDisk(StorageBackend):
         second_stage_after: Optional[float] = None,
         spinup_jitter: float = 0.0,
         rng: Optional["np.random.Generator"] = None,
-        record_history: bool = False,
     ) -> None:
         if idle_action not in ("standby", "low_speed"):
             raise ValueError(f"unknown idle_action: {idle_action!r}")
@@ -577,7 +568,6 @@ class SimDisk(StorageBackend):
             auto_sleep_after=auto_sleep_after,
             spinup_jitter=spinup_jitter,
             rng=rng,
-            record_history=record_history,
         )
         self.service = service_model or ServiceTimeModel(spec)
         #: Low-speed service model (multi-speed drives only).

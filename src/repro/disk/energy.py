@@ -13,7 +13,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import COUNTED_TRANSITIONS, DiskState, validate_transition
-from repro.sim.monitor import Recorder, TimeWeightedStat
+from repro.sim.monitor import TimeWeightedStat
 
 
 @runtime_checkable
@@ -142,7 +142,6 @@ class EnergyMeter:
         spec: PowerEnvelope,
         start_time: float = 0.0,
         initial_state: DiskState = DiskState.IDLE,
-        record_history: bool = False,
     ) -> None:
         self.spec = spec
         self.state = initial_state
@@ -161,9 +160,6 @@ class EnergyMeter:
         self.shift_count = 0
         self.time_in_state: dict[DiskState, float] = {s: 0.0 for s in DiskState}
         self._last_time = start_time
-        self.history: Optional[Recorder] = Recorder("states") if record_history else None
-        if self.history is not None:
-            self.history.record(start_time, initial_state)
 
     def transition(self, time: float, new_state: DiskState) -> None:
         """Move to *new_state* at *time*, accruing energy for the interval."""
@@ -180,8 +176,6 @@ class EnergyMeter:
             self.shift_count += 1
         self.state = new_state
         self._last_time = time
-        if self.history is not None:
-            self.history.record(time, new_state)
 
     def energy_j(self, until: Optional[float] = None) -> float:
         """Total joules consumed from start until *until* (default: now)."""

@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.config import ClusterSpec, EEVFSConfig
 from repro.core.filesystem import run_eevfs, RunResult
 from repro.metrics.comparison import compare, PairedComparison
 from repro.traces.model import Trace
-from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
 
 @dataclass(frozen=True)
@@ -41,30 +38,20 @@ def run_pair(
     config: Optional[EEVFSConfig] = None,
     cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    obs: Optional[bool] = None,
+    obs: bool = False,
+    replay_mode: str = "paced",
 ) -> PairedComparison:
     """Run PF and NPF over the same *trace* and compare.
 
     ``obs`` attaches observability (span traces on both runs' results);
-    None defers to ``config.obs``.
+    ``replay_mode`` is the client discipline of both runs (see
+    :meth:`~repro.core.filesystem.EEVFSCluster.run`).
     """
     config = config or EEVFSConfig()
-    pf = run_eevfs(trace, config=config.as_pf(), cluster=cluster, seed=seed, obs=obs)
+    pf = run_eevfs(
+        trace, config.as_pf(), cluster, seed, replay_mode=replay_mode, obs=obs
+    )
     npf = run_eevfs(
-        trace, config=config.as_npf(), cluster=cluster, seed=seed, obs=obs
+        trace, config.as_npf(), cluster, seed, replay_mode=replay_mode, obs=obs
     )
     return compare(pf, npf)
-
-
-def run_pair_for_workload(
-    workload: SyntheticWorkload,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-    trace_seed: int = 1,
-) -> PairedComparison:
-    """Generate the synthetic trace for *workload*, then :func:`run_pair`."""
-    trace = generate_synthetic_trace(
-        workload, rng=np.random.default_rng(trace_seed)
-    )
-    return run_pair(trace, config=config, cluster=cluster, seed=seed)

@@ -10,7 +10,7 @@ Raft-lite consensus role:
 * **candidate** -- solicits votes for an incremented term; a majority
   makes it leader, a newer term or a valid heartbeat demotes it.
 * **leader** -- sends heartbeats (empty AppendEntries) every
-  ``meta_heartbeat_interval_s``, replicates placement updates through the
+  :data:`HEARTBEAT_INTERVAL_S`, replicates placement updates through the
   log, commits them on majority match, and serves the request plane:
   lookups are answered from its local state machine exactly the way the
   monolithic :class:`~repro.core.server.StorageServer` answers them
@@ -18,8 +18,9 @@ Raft-lite consensus role:
   genuinely divides the §III-A server bottleneck).
 
 Election timeouts are drawn from the replica's own named RNG stream
-(``meta:<name>``), so they are randomized *and* seeded: two same-seed
-runs elect the same leaders at the same simulated times.
+(``meta:<name>``) over ``[ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S]``,
+so they are randomized *and* seeded: two same-seed runs elect the same
+leaders at the same simulated times.
 
 A crash (``crash()``) silences the replica -- inbound messages drain to
 nowhere, no timers act -- but preserves term, vote and log, mirroring a
@@ -32,7 +33,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKI
 
 import numpy as np
 
-from repro.core.config import EEVFSConfig
+from repro.core.config import EEVFSConfig, SERVER_OVERHEAD_S
 from repro.core.metadata import ServerMetadata
 from repro.core.protocol import FileRequest, ForwardedRequest, RequestFailed
 from repro.metaplane.messages import (
@@ -56,6 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
+
+#: Leader heartbeat period of the shard consensus protocol.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Election timeout range, drawn per replica from its seeded stream.  The
+#: minimum comfortably exceeds the heartbeat interval, or healthy
+#: followers would depose live leaders.
+ELECTION_TIMEOUT_MIN_S = 1.5
+ELECTION_TIMEOUT_MAX_S = 3.0
 
 
 class MetadataServer:
@@ -164,10 +173,7 @@ class MetadataServer:
 
     def _reset_election_deadline(self) -> None:
         self._election_deadline = self.sim.now + float(
-            self.rng.uniform(
-                self.config.meta_election_timeout_min_s,
-                self.config.meta_election_timeout_max_s,
-            )
+            self.rng.uniform(ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S)
         )
 
     def _election_loop(self) -> Generator[Event, Any, None]:
@@ -235,14 +241,13 @@ class MetadataServer:
 
     def _leader_loop(self, term: int) -> Generator[Event, Any, None]:
         """Heartbeat + replication round every heartbeat interval."""
-        interval = self.config.meta_heartbeat_interval_s
         while self.alive and self.role == LEADER and self.term == term:
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.instant("meta.heartbeat", self.name, term=term)
             for peer in self.peers:
                 self._send_append(peer)
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_S)
 
     def _send_append(self, peer: str) -> None:
         next_index = self.next_index[peer]
@@ -442,11 +447,8 @@ class MetadataServer:
             )
         # Serialised on the inbox: the per-request CPU cost queues here,
         # so each shard is its own (smaller) §III-A bottleneck.
-        if self.config.server_overhead_s > 0:
-            self.sim.call_later(self.config.server_overhead_s, self._route, payload)
-            return True
-        self._forward(payload)
-        return False
+        self.sim.call_later(SERVER_OVERHEAD_S, self._route, payload)
+        return True
 
     def _route(self, payload: FileRequest) -> None:
         self._forward(payload)

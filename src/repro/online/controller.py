@@ -7,15 +7,16 @@ simulated time the controller:
 
 * computes the buffer-hit ratio over the *window just ended* (deltas of
   the nodes' hit counters, not lifetime totals) and steps prefetch-K by
-  ``online_k_step`` toward the ``online_target_hit_ratio`` set-point --
-  only when the ratio falls outside the ``+/- online_hysteresis``
-  dead-band, so the controller does not chatter around the target;
+  :data:`K_STEP` toward the :data:`TARGET_HIT_RATIO` set-point -- only
+  when the ratio falls outside the ``+/- HYSTERESIS`` dead-band, so the
+  controller does not chatter around the target;
 * computes the per-data-disk spin-up rate over the window and steps
-  the disks' built-in idle timers: spinning up too often means the
-  timer is too eager (raise it), while a quiet window with the hit
-  target met means it can afford to sleep sooner (lower it).  Applied
-  thresholds are clamped to the configured band and lower-bounded by
-  each drive's break-even time (sleeping shorter would cost energy).
+  the disks' built-in idle timers: spinning up more often than
+  :data:`SPINUP_RATE_MAX` means the timer is too eager (raise it), while
+  a quiet window with the hit target met means it can afford to sleep
+  sooner (lower it).  Applied thresholds are clamped to
+  ``[IDLE_MIN_S, IDLE_MAX_S]`` and lower-bounded by each drive's
+  break-even time (sleeping shorter would cost energy).
 
 The adjusted K is consumed by :class:`~repro.online.replan.ReplanLoop`
 at its next epoch; thresholds act on the drives directly via
@@ -36,6 +37,23 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:
     from repro.core.node import StorageNode
+
+#: Windowed buffer-hit ratio the controller steers K toward, and the
+#: half-width of the dead-band around it.
+TARGET_HIT_RATIO = 0.6
+HYSTERESIS = 0.05
+#: K moves by this many files per tick, inside ``[K_MIN, K_MAX]``.
+K_STEP = 10
+K_MIN = 10
+K_MAX = 200
+#: Spin-ups per data disk per minute above which the idle timers are
+#: too eager.
+SPINUP_RATE_MAX = 2.0
+#: The idle threshold moves by this many seconds per tick, inside
+#: ``[IDLE_MIN_S, IDLE_MAX_S]``.
+IDLE_STEP_S = 1.0
+IDLE_MIN_S = 1.0
+IDLE_MAX_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -91,12 +109,9 @@ class OnlineController:
         self.sim = sim
         self.nodes = nodes
         self.config = config
-        self.k = min(
-            max(config.prefetch_files, config.online_k_min), config.online_k_max
-        )
+        self.k = min(max(config.prefetch_files, K_MIN), K_MAX)
         self.idle_threshold_s = min(
-            max(config.idle_threshold_s, config.online_idle_min_s),
-            config.online_idle_max_s,
+            max(config.idle_threshold_s, IDLE_MIN_S), IDLE_MAX_S
         )
         self.stats = OnlineStats(
             estimator=config.online_estimator,
@@ -176,14 +191,13 @@ class OnlineController:
         """Step K toward the hit-ratio set-point, inside the dead-band."""
         if hit_ratio is None:
             return  # idle window: no evidence either way
-        config = self.config
-        if hit_ratio < config.online_target_hit_ratio - config.online_hysteresis:
-            new_k = min(config.online_k_max, self.k + config.online_k_step)
+        if hit_ratio < TARGET_HIT_RATIO - HYSTERESIS:
+            new_k = min(K_MAX, self.k + K_STEP)
             if new_k != self.k:
                 self.k = new_k
                 self.stats.k_raises += 1
-        elif hit_ratio > config.online_target_hit_ratio + config.online_hysteresis:
-            new_k = max(config.online_k_min, self.k - config.online_k_step)
+        elif hit_ratio > TARGET_HIT_RATIO + HYSTERESIS:
+            new_k = max(K_MIN, self.k - K_STEP)
             if new_k != self.k:
                 self.k = new_k
                 self.stats.k_cuts += 1
@@ -192,12 +206,8 @@ class OnlineController:
         self, hit_ratio: Optional[float], spinup_rate: float
     ) -> None:
         """Step the idle timers from the observed spin-up churn."""
-        config = self.config
-        if spinup_rate > config.online_spinup_rate_max:
-            target = min(
-                config.online_idle_max_s,
-                self.idle_threshold_s + config.online_idle_step_s,
-            )
+        if spinup_rate > SPINUP_RATE_MAX:
+            target = min(IDLE_MAX_S, self.idle_threshold_s + IDLE_STEP_S)
             if target != self.idle_threshold_s:
                 self.idle_threshold_s = target
                 self.stats.idle_raises += 1
@@ -205,12 +215,9 @@ class OnlineController:
         elif (
             spinup_rate == 0.0
             and hit_ratio is not None
-            and hit_ratio >= config.online_target_hit_ratio
+            and hit_ratio >= TARGET_HIT_RATIO
         ):
-            target = max(
-                config.online_idle_min_s,
-                self.idle_threshold_s - config.online_idle_step_s,
-            )
+            target = max(IDLE_MIN_S, self.idle_threshold_s - IDLE_STEP_S)
             if target != self.idle_threshold_s:
                 self.idle_threshold_s = target
                 self.stats.idle_cuts += 1

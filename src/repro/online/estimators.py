@@ -252,12 +252,7 @@ CMS_EPSILON_FACTOR = math.e
 
 
 def build_estimator(config: EEVFSConfig) -> OnlineEstimator:
-    """Construct the configured streaming estimator."""
+    """Construct the configured streaming estimator (at its own defaults)."""
     if config.online_estimator == "cms":
-        return CountMinEstimator(
-            width=config.online_cms_width,
-            depth=config.online_cms_depth,
-            capacity=config.online_cms_capacity,
-            halflife_s=config.online_halflife_s,
-        )
-    return EMAEstimator(halflife_s=config.online_halflife_s)
+        return CountMinEstimator()
+    return EMAEstimator()

@@ -98,29 +98,13 @@ def execute_job(spec: JobSpec) -> Any:
     if spec.mode == "pair":
         from repro.experiments.runner import run_pair
 
-        if spec.replay_mode == "paced":
-            return run_pair(
-                trace, config=spec.config, cluster=spec.cluster, seed=spec.seed
-            )
-        from repro.core.filesystem import run_eevfs
-        from repro.metrics.comparison import compare
-
-        config = spec.config or EEVFSConfig()
-        pf = run_eevfs(
+        return run_pair(
             trace,
-            config=config.as_pf(),
+            config=spec.config,
             cluster=spec.cluster,
             seed=spec.seed,
             replay_mode=spec.replay_mode,
         )
-        npf = run_eevfs(
-            trace,
-            config=config.as_npf(),
-            cluster=spec.cluster,
-            seed=spec.seed,
-            replay_mode=spec.replay_mode,
-        )
-        return compare(pf, npf)
     if spec.mode == "eevfs":
         from repro.core.filesystem import run_eevfs
 

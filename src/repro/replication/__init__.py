@@ -6,7 +6,7 @@ that restores factor *k* after failures while respecting disk power
 state:
 
 * :mod:`repro.replication.policy` -- placement policies
-  (none / buffer-only, k-way round-robin, popularity-spread),
+  (k-way round-robin, popularity-spread),
 * :mod:`repro.replication.repair` -- :class:`ReplicationManager`, the
   server-side repair loop.
 """

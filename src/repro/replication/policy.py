@@ -2,12 +2,10 @@
 
 EEVFS proper keeps exactly one cross-node copy of every file (plus the
 buffer-disk copies prefetching makes of the hot set).  The replication
-extension adds *k-way* placement on top of the §III-B primary layout:
+extension adds *k-way* placement on top of the §III-B primary layout
+(factor 1 keeps none: only prefetched files then survive their data
+disk, through the buffer-disk copy):
 
-* ``"none"`` / ``"buffer"`` -- no cross-node replicas.  ``"buffer"``
-  names the paper's accidental-replica story explicitly: reads of
-  prefetched files survive their data disk because the buffer disk holds
-  a copy; nothing else is protected.
 * ``"round_robin"`` -- replica *j* of a file lives on the next *j*-th
   node after its primary (mod the node count).  Deterministic, balanced
   when primaries are balanced.
@@ -22,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Sequence, Tuple
 
 #: Accepted values of ``EEVFSConfig.replication_policy``.
-REPLICATION_POLICIES = ("none", "buffer", "round_robin", "popularity")
+REPLICATION_POLICIES = ("round_robin", "popularity")
 
 
 def plan_replicas(
@@ -58,7 +56,7 @@ def plan_replicas(
         raise ValueError(
             f"replication factor {factor} exceeds node count {len(nodes)}"
         )
-    if factor == 1 or policy in ("none", "buffer"):
+    if factor == 1:
         return {file_id: () for file_id in ranking}
 
     node_index = {name: i for i, name in enumerate(nodes)}

@@ -18,7 +18,7 @@ time is in **seconds** (float).
 
 from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.monitor import Recorder, TallyStat, TimeWeightedStat
+from repro.sim.monitor import TallyStat, TimeWeightedStat
 from repro.sim.process import Process
 from repro.sim.resources import Mailbox, Resource
 from repro.sim.rng import RandomStreams
@@ -31,7 +31,6 @@ __all__ = [
     "Mailbox",
     "Process",
     "RandomStreams",
-    "Recorder",
     "Resource",
     "Simulator",
     "StopSimulation",

@@ -1,20 +1,19 @@
 """Statistics collection for simulations.
 
-Three collectors cover everything the reproduction measures:
+Two collectors cover everything the reproduction measures:
 
 * :class:`TallyStat` -- per-observation statistics (response times) using
   Welford's online algorithm, with optional sample retention for
   percentiles;
 * :class:`TimeWeightedStat` -- piecewise-constant level integrated over
-  simulated time (queue lengths, power draw -> energy);
-* :class:`Recorder` -- a raw ``(time, value)`` series for plotting/exports.
+  simulated time (queue lengths, power draw -> energy).
 """
 
 from __future__ import annotations
 
 from array import array
 import math
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 
 class TallyStat:
@@ -200,40 +199,3 @@ class TimeWeightedStat:
             f"integral={self._integral:.4g}>"
         )
 
-
-class Recorder:
-    """A raw, append-only ``(time, value)`` series.
-
-    Timestamps live in an ``array('d')`` buffer (values stay a list --
-    they are arbitrary objects, e.g. disk states).
-    """
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: array[float] = array("d")
-        self.values: list[Any] = []
-
-    def record(self, time: float, value: Any) -> None:
-        """Append one sample; time must be non-decreasing."""
-        times = self.times
-        if times and time < times[-1]:
-            raise ValueError(
-                f"{self.name or 'Recorder'}: time moved backwards "
-                f"({time!r} < {times[-1]!r})"
-            )
-        times.append(float(time))
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterator[tuple[float, Any]]:
-        return iter(zip(self.times, self.values, strict=True))
-
-    def last(self) -> tuple[float, Any]:
-        """Most recent (time, value) pair."""
-        if not self.times:
-            raise IndexError("recorder is empty")
-        return self.times[-1], self.values[-1]

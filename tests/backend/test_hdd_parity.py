@@ -30,15 +30,14 @@ from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_tra
 class LegacyNode(StorageNode):
     """The pre-refactor node: direct SimDisk construction, no factory."""
 
-    def _build_buffer_disk(self, record_history):
+    def _build_buffer_disk(self):
         return SimDisk(
             self.sim,
             self.spec.buffer_spec,
             name=f"{self.spec.name}/buffer",
-            record_history=record_history,
         )
 
-    def _build_data_disk(self, index, timer, spinup_jitter, rng, record_history):
+    def _build_data_disk(self, index, timer, spinup_jitter, rng):
         return SimDisk(
             self.sim,
             self.spec.disk_spec,
@@ -48,7 +47,6 @@ class LegacyNode(StorageNode):
             second_stage_after=self.DISK_SECOND_STAGE_S,
             spinup_jitter=spinup_jitter,
             rng=(None if rng is None or spinup_jitter == 0 else rng),
-            record_history=record_history,
         )
 
 

@@ -92,22 +92,19 @@ class TestRetryPolicy:
             request_timeout_s=7.0,
             request_backoff_base_s=0.25,
             request_backoff_cap_s=3.0,
-            request_retry_jitter=0.2,
         )
         policy = RetryPolicy.from_config(config)
         assert policy.max_retries == 5
         assert policy.timeout_s == 7.0
         assert policy.backoff_base_s == 0.25
         assert policy.backoff_cap_s == 3.0
-        assert policy.jitter == 0.2
+        assert policy.jitter == RetryPolicy().jitter == 0.1
 
     def test_config_validates_retry_knobs(self):
         with pytest.raises(ValueError):
             EEVFSConfig(request_max_retries=-1)
         with pytest.raises(ValueError):
             EEVFSConfig(request_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            EEVFSConfig(request_retry_jitter=1.0)
         with pytest.raises(ValueError):
             EEVFSConfig(request_backoff_base_s=-0.1)
 

@@ -1,7 +1,12 @@
 """Unit tests for cluster and policy configuration (Tables I/II)."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import (
     ClusterSpec,
     default_cluster,
@@ -104,6 +109,50 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(storage_nodes=(node,), client_max_outstanding=0)
 
+    @pytest.mark.parametrize("kwargs", [{"server_nic_bps": 0}, {"client_nic_bps": -1}])
+    def test_invalid(self, kwargs):
+        node = NodeSpec(name="x", disk_spec=ATA_80GB_TYPE1)
+        with pytest.raises(ValueError):
+            ClusterSpec(storage_nodes=(node,), **kwargs)
+
+
+#: One violating input per validation branch of ``EEVFSConfig``.
+INVALID_CONFIGS = [
+    {"prefetch_files": -1},
+    {"idle_threshold_s": -1},
+    {"buffer_capacity_bytes": -1},
+    {"wake_ahead": True, "use_hints": False},
+    {"window_predictor": "oracle"},
+    {"placement_policy": "random"},
+    {"stripe_width": 0},
+    {"destage_check_interval_s": 0},
+    {"destage_highwater_fraction": 1.5},
+    {"destage_max_dirty_age_s": -1},
+    {"replication_factor": 0},
+    {"replication_policy": "none"},
+    {"rereplication_check_interval_s": 0},
+    {"rereplication_batch": 0},
+    {"popularity_window_s": 0},
+    {"metadata_shards": 0},
+    {"metadata_replicas": 0},
+    {"metadata_plane": True, "online_mode": True},
+    {"online_estimator": "exact"},
+    {"online_control_interval_s": 0},
+    {"online_replan_epoch_s": 0},
+    {"online_drift_threshold": 1.5},
+    {"online_mode": True, "prefetch_enabled": False},
+    {"online_mode": True, "popularity_window_s": 60.0},
+    {"request_max_retries": -1},
+    {"request_timeout_s": 0},
+    {"request_backoff_base_s": -0.1},
+    {"data_backend": "nvme"},
+    {"ssd_capacity_mb": 0},
+    {"ssd_channels": 0},
+    {"ssd_gc_free_fraction": 0.5},
+    {"buffer_backend": "ssd", "ssd_buffer_idle_s": -1},
+    {"ssd_buffer_idle_s": 1.0},
+]
+
 
 class TestEEVFSConfig:
     def test_paper_defaults(self):
@@ -115,20 +164,20 @@ class TestEEVFSConfig:
         assert config.wake_ahead
         assert config.window_predictor == "sequence"
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"prefetch_files": -1},
-            {"idle_threshold_s": -1},
-            {"buffer_capacity_bytes": -1},
-            {"server_overhead_s": -1},
-            {"wake_ahead": True, "use_hints": False},
-            {"window_predictor": "oracle"},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_CONFIGS)
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             EEVFSConfig(**kwargs)
+
+    def test_each_invalid_case_trips_its_own_check(self):
+        """No two cases of ``test_invalid`` stop at the same message, so
+        each one reaches a different validation branch."""
+        messages = []
+        for kwargs in INVALID_CONFIGS:
+            with pytest.raises(ValueError) as info:
+                EEVFSConfig(**kwargs)
+            messages.append(str(info.value))
+        assert len(set(messages)) == len(INVALID_CONFIGS)
 
     def test_as_npf_toggles_prefetch_only(self):
         config = EEVFSConfig(prefetch_files=40)
@@ -144,3 +193,33 @@ class TestEEVFSConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             EEVFSConfig().prefetch_files = 10
+
+
+def _attributes_read_in_src():
+    """Names read as ``obj.name`` anywhere in ``src/``, except inside
+    ``__post_init__`` methods and in ``core/configio.py``."""
+    names = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    package = Path(repro.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).as_posix() == "core/configio.py":
+            continue
+        visit(ast.parse(path.read_text(), filename=str(path)))
+    return names
+
+
+@pytest.mark.parametrize("spec", [NodeSpec, ClusterSpec, EEVFSConfig])
+def test_every_field_is_read_by_the_program(spec):
+    """A field only validation and serialisation read is a knob that
+    changes nothing: it must go, not linger."""
+    read = _attributes_read_in_src()
+    unread = [f.name for f in dataclasses.fields(spec) if f.name not in read]
+    assert unread == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EEVFSConfig, run_eevfs
+from repro.core.config import SERVER_BASE_POWER_W
 from repro.core.filesystem import EEVFSCluster
 from repro.disk.states import DiskState
 from repro.traces import generate_berkeley_like_trace, generate_synthetic_trace
@@ -220,11 +221,18 @@ class TestConfigurationVariants:
             result = EEVFSCluster(config=EEVFSConfig()).run(trace, replay_mode=mode)
             assert result.requests_total == trace.n_requests
 
-    def test_account_server_energy_adds_energy(self):
+    def test_server_energy_is_recorded_beside_the_nodes(self):
+        """The paper measures the storage nodes only: ``energy_j`` sums
+        the nodes, and the server's joules over the same window ride
+        along in ``server_energy_j``."""
         trace = small_trace(n_requests=100)
-        with_server = run_eevfs(trace, EEVFSConfig(account_server_energy=True))
-        without = run_eevfs(trace, EEVFSConfig(account_server_energy=False))
-        assert with_server.energy_j > without.energy_j
+        result = run_eevfs(trace, EEVFSConfig())
+        assert result.energy_j == pytest.approx(
+            sum(node.total_energy_j for node in result.nodes)
+        )
+        assert result.server_energy_j == pytest.approx(
+            SERVER_BASE_POWER_W * result.duration_s
+        )
 
 
 class TestBerkeleyTrace:

@@ -121,15 +121,6 @@ class TestEnergyMeter:
         assert meter.time_in_state[DiskState.IDLE] == pytest.approx(8.0)
         assert meter.time_in_state[DiskState.ACTIVE] == pytest.approx(2.0)
 
-    def test_history_recording(self):
-        meter = EnergyMeter(ATA_80GB_TYPE1, record_history=True)
-        meter.transition(1.0, DiskState.ACTIVE)
-        assert meter.history is not None
-        assert list(meter.history) == [(0.0, DiskState.IDLE), (1.0, DiskState.ACTIVE)]
-
-    def test_no_history_by_default(self):
-        assert EnergyMeter(ATA_80GB_TYPE1).history is None
-
     def test_energy_until_extends_current_state(self):
         spec = ATA_80GB_TYPE1
         meter = EnergyMeter(spec)

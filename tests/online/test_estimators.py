@@ -191,19 +191,12 @@ class TestProtocolAndFactory:
     def test_build_estimator_dispatches_on_config(self):
         ema = build_estimator(EEVFSConfig(online_mode=True, online_estimator="ema"))
         assert isinstance(ema, EMAEstimator)
-        cms = build_estimator(
-            EEVFSConfig(
-                online_mode=True,
-                online_estimator="cms",
-                online_cms_width=128,
-                online_cms_depth=3,
-                online_cms_capacity=64,
-            )
-        )
+        cms = build_estimator(EEVFSConfig(online_mode=True, online_estimator="cms"))
         assert isinstance(cms, CountMinEstimator)
-        assert cms.sketch.width == 128
-        assert cms.sketch.depth == 3
-        assert cms.capacity == 64
+        # Each estimator runs at its own defaults: a 120 s half-life and
+        # a 512 x 4 sketch beside a 256-file top-set.
+        assert ema.halflife_s == cms.halflife_s == 120.0
+        assert (cms.sketch.width, cms.sketch.depth, cms.capacity) == (512, 4, 256)
 
     def test_agreement_with_exact_counts_on_stationary_stream(self):
         """On a stationary Zipf stream both estimators put the same heavy

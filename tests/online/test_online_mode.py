@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import EEVFSConfig, run_eevfs
+from repro.online.controller import IDLE_MAX_S, K_MAX, K_MIN
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
 
@@ -66,11 +67,10 @@ class TestOnlineRun:
 
     def test_adaptive_knobs_stay_in_bounds(self, online_result):
         _, result = online_result
-        config = online_config()
         stats = result.online
         for sample in stats.history:
-            assert config.online_k_min <= sample.k <= config.online_k_max
-            assert sample.idle_threshold_s <= config.online_idle_max_s
+            assert K_MIN <= sample.k <= K_MAX
+            assert sample.idle_threshold_s <= IDLE_MAX_S
             assert 0.0 <= sample.spinup_rate
             if sample.hit_ratio is not None:
                 assert 0.0 <= sample.hit_ratio <= 1.0

@@ -26,13 +26,6 @@ class TestValidation:
 
 
 class TestNoReplication:
-    @pytest.mark.parametrize("policy", ["none", "buffer"])
-    def test_no_cross_node_copies(self, policy):
-        ranking = list(range(10))
-        placement = round_robin_placement(ranking)
-        replicas = plan_replicas(ranking, placement, NODES, 1, policy=policy)
-        assert all(r == () for r in replicas.values())
-
     def test_factor_one_means_empty_sets(self):
         ranking = list(range(10))
         placement = round_robin_placement(ranking)
@@ -81,5 +74,5 @@ class TestPopularitySpread:
 
 
 def test_policy_tuple_is_stable():
-    # config validation and the CLI both spell these strings.
-    assert REPLICATION_POLICIES == ("none", "buffer", "round_robin", "popularity")
+    # config validation and the CLI both read this tuple.
+    assert REPLICATION_POLICIES == ("round_robin", "popularity")

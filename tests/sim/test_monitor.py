@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Recorder, TallyStat, TimeWeightedStat
+from repro.sim import TallyStat, TimeWeightedStat
 
 
 class TestTallyStat:
@@ -130,33 +130,3 @@ class TestTimeWeightedStat:
         assert s.integral() == pytest.approx(10.0)
         assert s.time_average() == pytest.approx(1.0)
 
-
-class TestRecorder:
-    def test_record_and_iterate(self):
-        r = Recorder("series")
-        r.record(0.0, "a")
-        r.record(1.5, "b")
-        assert len(r) == 2
-        assert list(r) == [(0.0, "a"), (1.5, "b")]
-
-    def test_last(self):
-        r = Recorder()
-        r.record(1.0, 10)
-        r.record(2.0, 20)
-        assert r.last() == (2.0, 20)
-
-    def test_last_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            Recorder().last()
-
-    def test_backwards_time_rejected(self):
-        r = Recorder()
-        r.record(2.0, "x")
-        with pytest.raises(ValueError):
-            r.record(1.0, "y")
-
-    def test_equal_times_allowed(self):
-        r = Recorder()
-        r.record(1.0, "x")
-        r.record(1.0, "y")
-        assert len(r) == 2

@@ -142,6 +142,27 @@ class TestInputErrors:
             ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
             ["faults", "--fail-node", "node99"],
             ["bench"],
+            ["--jobs", "0", "baselines"],
+            ["wear", "--prefetch", "-1"],
+            ["ssd", "--capacities-mb", "0"],
+            ["ssd", "--channels", "0"],
+            ["ssd", "--gc", "0.7"],
+            ["ssd", "--write-fraction", "2"],
+            ["faults", "--at", "-5"],
+            ["faults", "--repair-at", "-1"],
+            ["faults", "--mtbf", "-1"],
+            ["faults", "--mtbf", "100", "--mttr", "-1"],
+            ["faults", "--replication", "0"],
+            ["--requests", "50", "faults", "--replication", "9"],
+            ["faults", "--metadata-drill", "--shards", "0"],
+            ["faults", "--metadata-drill", "--meta-replicas", "0"],
+            ["metaplane", "--shards", "0"],
+            ["metaplane", "--replicas", "0"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--mu", "-1"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--inter-arrival-ms", "-1"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--size-mb", "-1"],
+            ["lint", "--races", "--race-seeds", "abc"],
+            ["lint", "--races", "--race-requests", "0"],
         ],
         ids=[
             "lint-missing-path",
@@ -151,6 +172,27 @@ class TestInputErrors:
             "negative-requests",
             "faults-unknown-node",
             "removed-bench-command",
+            "zero-jobs",
+            "wear-negative-prefetch",
+            "ssd-zero-capacity",
+            "ssd-zero-channels",
+            "ssd-gc-reserve-too-large",
+            "ssd-write-fraction-above-one",
+            "faults-negative-crash-time",
+            "faults-negative-repair-time",
+            "faults-negative-mtbf",
+            "faults-negative-mttr",
+            "faults-zero-replication",
+            "faults-replication-above-node-count",
+            "drill-zero-shards",
+            "drill-zero-replicas",
+            "metaplane-zero-shards",
+            "metaplane-zero-replicas",
+            "trace-gen-negative-mu",
+            "trace-gen-negative-inter-arrival",
+            "trace-gen-negative-size",
+            "lint-races-bad-seed",
+            "lint-races-zero-requests",
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
