@@ -56,11 +56,14 @@ def _checked(
     return convert
 
 
-def _config_knob(field: str, parse: Callable[[str], Any] = int) -> Callable[[str], Any]:
-    """Type of a flag that sets one :class:`EEVFSConfig` field."""
+def _config_knob(
+    field: str, parse: Callable[[str], Any] = int, **context: Any
+) -> Callable[[str], Any]:
+    """Type of a flag that sets one :class:`EEVFSConfig` field, checked
+    in a config that also sets the fields in *context*."""
     from repro.core.config import EEVFSConfig
 
-    return _checked(parse, lambda value: EEVFSConfig(**{field: value}))
+    return _checked(parse, lambda value: EEVFSConfig(**context, **{field: value}))
 
 
 def _seed_list(text: str) -> list[int]:
@@ -554,9 +557,10 @@ def _cmd_faults(args: argparse.Namespace) -> None:
             targets, mtbf_s=args.mtbf, horizon_s=trace.duration_s, mttr_s=args.mttr
         )
     else:
-        schedule.node_fail(args.fail_node, at=args.at)
-        if args.repair_at is not None:
-            schedule.node_repair(args.fail_node, at=args.repair_at)
+        try:
+            schedule.node_fail(args.fail_node, at=args.at, until=args.repair_at)
+        except ValueError as exc:
+            args.parser.error(f"argument --repair-at: {exc}")
 
     baseline = run_eevfs(trace, EEVFSConfig(), seed=args.seed, faults=schedule)
     replicated = run_eevfs(
@@ -911,7 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write every drill run's record (canonical JSON) to PATH",
     )
-    faults.set_defaults(func=_cmd_faults)
+    # The parser, to report a --repair-at no later than --at.
+    faults.set_defaults(func=_cmd_faults, parser=faults)
     metaplane = sub.add_parser(
         "metaplane", help="metadata-plane shard x replica availability sweep"
     )
@@ -976,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--capacities-mb",
         nargs="+",
-        type=_config_knob("ssd_capacity_mb"),
+        type=_config_knob("ssd_capacity_mb", buffer_backend="ssd"),
         default=[16, 32, 64],
         metavar="MB",
         help="buffer-tier logical capacities to sweep",
@@ -984,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--channels",
         nargs="+",
-        type=_config_knob("ssd_channels"),
+        type=_config_knob("ssd_channels", buffer_backend="ssd"),
         default=[1, 2, 4],
         metavar="N",
         help="SSD channel counts to sweep",
@@ -992,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssd.add_argument(
         "--gc",
         nargs="+",
-        type=_config_knob("ssd_gc_free_fraction", float),
+        type=_config_knob("ssd_gc_free_fraction", float, buffer_backend="ssd"),
         default=[0.10],
         metavar="FRAC",
         help="GC free-block reserve fractions to sweep",

@@ -406,6 +406,11 @@ class EEVFSConfig:
             raise ValueError("ssd_buffer_idle_s must be >= 0")
         if self.ssd_buffer_idle_s is not None and self.buffer_backend != "ssd":
             raise ValueError("ssd_buffer_idle_s needs buffer_backend='ssd'")
+        if "ssd" not in (self.buffer_backend, self.data_backend):
+            # An all-HDD cluster has no SSD model for these to override.
+            for knob in ("ssd_capacity_mb", "ssd_channels", "ssd_gc_free_fraction"):
+                if getattr(self, knob) is not None:
+                    raise ValueError(f"{knob} needs buffer_backend or data_backend 'ssd'")
 
     def as_npf(self) -> "EEVFSConfig":
         """The paper's NPF comparator: same system, prefetching off.

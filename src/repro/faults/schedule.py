@@ -134,6 +134,18 @@ class FaultSchedule:
         self._actions.append(action)
         return self
 
+    def _window(
+        self, start: FaultAction, end_kind: str, until: Optional[float]
+    ) -> "FaultSchedule":
+        """Add *start* and, when *until* is set, the *end_kind* action
+        that ends it then; an end at or before the start is rejected."""
+        if until is not None and until <= start.time_s:
+            raise ValueError(f"until ({until!r}) must be after at ({start.time_s!r})")
+        self.add(start)
+        if until is not None:
+            self.add(FaultAction(time_s=until, kind=end_kind, target=start.target))
+        return self
+
     def disk_fail(self, disk: str, at: float) -> "FaultSchedule":
         """Permanently fail *disk* (e.g. ``"node1/data0"``) at *at*."""
         return self.add(FaultAction(time_s=at, kind=DISK_FAIL, target=disk))
@@ -142,9 +154,14 @@ class FaultSchedule:
         """Repair a previously failed *disk* at *at*."""
         return self.add(FaultAction(time_s=at, kind=DISK_REPAIR, target=disk))
 
-    def node_fail(self, node: str, at: float) -> "FaultSchedule":
-        """Crash the whole storage node *node* (all its disks) at *at*."""
-        return self.add(FaultAction(time_s=at, kind=NODE_FAIL, target=node))
+    def node_fail(
+        self, node: str, at: float, until: Optional[float] = None
+    ) -> "FaultSchedule":
+        """Crash the whole storage node *node* (all its disks) at *at*;
+        repair it at *until* if set."""
+        return self._window(
+            FaultAction(time_s=at, kind=NODE_FAIL, target=node), NODE_REPAIR, until
+        )
 
     def node_repair(self, node: str, at: float) -> "FaultSchedule":
         """Bring a crashed *node* back at *at*."""
@@ -160,12 +177,11 @@ class FaultSchedule:
         """Degrade *disk* by *factor* at *at*; restore at *until* if set."""
         if factor < 1.0:
             raise ValueError(f"slow-disk factor must be >= 1.0, got {factor!r}")
-        self.add(FaultAction(time_s=at, kind=DISK_SLOW, target=disk, value=factor))
-        if until is not None:
-            if until <= at:
-                raise ValueError(f"until ({until!r}) must be after at ({at!r})")
-            self.add(FaultAction(time_s=until, kind=DISK_RESTORE, target=disk))
-        return self
+        return self._window(
+            FaultAction(time_s=at, kind=DISK_SLOW, target=disk, value=factor),
+            DISK_RESTORE,
+            until,
+        )
 
     def flaky_spinups(
         self, disk: str, at: float, count: int, backoff_s: float = 1.0
@@ -224,12 +240,9 @@ class FaultSchedule:
         running -- a partitioned leader still believes it leads until the
         heal lets a newer term reach it.
         """
-        self.add(FaultAction(time_s=at, kind=PARTITION, target=endpoint))
-        if until is not None:
-            if until <= at:
-                raise ValueError(f"until ({until!r}) must be after at ({at!r})")
-            self.add(FaultAction(time_s=until, kind=HEAL, target=endpoint))
-        return self
+        return self._window(
+            FaultAction(time_s=at, kind=PARTITION, target=endpoint), HEAL, until
+        )
 
     # -- stochastic builder ----------------------------------------------------
 

@@ -20,7 +20,16 @@ Raft-lite consensus role:
 Election timeouts are drawn from the replica's own named RNG stream
 (``meta:<name>``) over ``[ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S]``,
 so they are randomized *and* seeded: two same-seed runs elect the same
-leaders at the same simulated times.
+leaders at the same simulated times.  They are drawn
+:data:`ELECTION_TIMEOUT_BLOCK` at a time; a block holds the doubles that
+many scalar draws would give, in the same order.
+
+The election timer and the leader's heartbeat round are flat callbacks
+that keep the schedule slots of the generator loops they replaced (see
+"Schedule-isomorphic dispatch" in docs/performance.md).  A heartbeat in
+steady state repeats the last one, so the leader's ``AppendEntries`` and
+a follower's ``AppendReply`` are built once per change and resent while
+unchanged; both are frozen, so sharing one between sends is safe.
 
 A crash (``crash()``) silences the replica -- inbound messages drain to
 nowhere, no timers act -- but preserves term, vote and log, mirroring a
@@ -29,7 +38,7 @@ process restart with persistent Raft state: an outage is not data loss.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -46,8 +55,8 @@ from repro.metaplane.messages import (
 )
 from repro.net.fabric import Fabric
 from repro.net.message import Message
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.engine import hold_slot, Simulator
+from repro.sim.events import URGENT
 from repro.traces.model import RequestOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,6 +74,9 @@ HEARTBEAT_INTERVAL_S = 0.5
 #: followers would depose live leaders.
 ELECTION_TIMEOUT_MIN_S = 1.5
 ELECTION_TIMEOUT_MAX_S = 3.0
+#: Election timeouts drawn per RNG call.  Small, since each replica holds
+#: one part-used block.
+ELECTION_TIMEOUT_BLOCK = 32
 
 
 class MetadataServer:
@@ -114,14 +126,22 @@ class MetadataServer:
         #: Where this replica last saw leadership (returned to clients as a
         #: routing hint on not-leader rejections).
         self.leader_hint: Optional[str] = None
+        #: Drawn election timeouts not yet used, last one first.
+        self._timeouts: List[float] = []
         self._election_deadline = 0.0
         self._reset_election_deadline()
+        #: The last heartbeat payload sent (leader) or reply sent
+        #: (follower), with the key that fixes its every field.
+        self._append: Optional[AppendEntries] = None
+        self._append_key: Optional[Tuple[int, int, int, int]] = None
+        self._reply: Optional[AppendReply] = None
+        self._reply_key: Optional[Tuple[int, bool, int]] = None
         #: Open ``server.lookup`` span of the request being routed.
         self._lookup: Optional[Span] = None
-        # Kicked off URGENT now: the slot a main-loop process would
-        # start in.
+        # Both kicked off URGENT now: the slots a main-loop process and
+        # an election-loop process would start in.
         self.sim.call_soon(self._await_message, priority=URGENT)
-        self.sim.process(self._election_loop())
+        self.sim.call_soon(self._election_tick, priority=URGENT)
 
     @property
     def _majority(self) -> int:
@@ -172,16 +192,23 @@ class MetadataServer:
     # -- election timer -------------------------------------------------------------
 
     def _reset_election_deadline(self) -> None:
-        self._election_deadline = self.sim.now + float(
-            self.rng.uniform(ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S)
-        )
+        timeouts = self._timeouts
+        if not timeouts:
+            timeouts = self.rng.uniform(
+                ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S, ELECTION_TIMEOUT_BLOCK
+            ).tolist()
+            timeouts.reverse()
+            self._timeouts = timeouts
+        self._election_deadline = self.sim.now + timeouts.pop()
 
-    def _election_loop(self) -> Generator[Event, Any, None]:
+    def _election_tick(self, _value: Any = None) -> None:
+        """The election timer: sleep until the deadline, which heartbeats
+        keep pushing back; stand for election when it passes."""
         while True:
             delay = self._election_deadline - self.sim.now
             if delay > 0:
-                yield self.sim.timeout(delay)
-                continue
+                self.sim.call_later(delay, self._election_tick)
+                return
             if self.alive and self.role != LEADER:
                 self._start_election()
             self._reset_election_deadline()
@@ -231,40 +258,46 @@ class MetadataServer:
         last = len(self.log)
         self.next_index = {peer: last for peer in self.peers}
         self.match_index = {peer: -1 for peer in self.peers}
+        self._append_key = None
         self.plane.note_leader(self.shard, self.name, self.sim.now)
         # Placement updates that arrived while the shard was leaderless.
         for op, file_id, node in self.plane.drain_pending(self.shard):
             self.log.append(LogEntry(term=self.term, op=op, file_id=file_id, node=node))
         self._advance_commit()
         if self.peers:
-            self.sim.process(self._leader_loop(self.term))
+            self.sim.call_soon(self._heartbeat, self.term, priority=URGENT)
 
-    def _leader_loop(self, term: int) -> Generator[Event, Any, None]:
-        """Heartbeat + replication round every heartbeat interval."""
-        while self.alive and self.role == LEADER and self.term == term:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant("meta.heartbeat", self.name, term=term)
-            for peer in self.peers:
-                self._send_append(peer)
-            yield self.sim.timeout(HEARTBEAT_INTERVAL_S)
+    def _heartbeat(self, term: int) -> None:
+        """Heartbeat + replication round every heartbeat interval, while
+        this replica leads *term*."""
+        if not (self.alive and self.role == LEADER and self.term == term):
+            # The slot the finished leader loop's completion event held.
+            self.sim.call_soon(hold_slot)
+            return
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant("meta.heartbeat", self.name, term=term)
+        for peer in self.peers:
+            self._send_append(peer)
+        self.sim.call_later(HEARTBEAT_INTERVAL_S, self._heartbeat, term)
 
     def _send_append(self, peer: str) -> None:
         next_index = self.next_index[peer]
-        prev_index = next_index - 1
-        prev_term = self.log[prev_index].term if prev_index >= 0 else 0
-        self.fabric.send_nowait(
-            self.name,
-            peer,
-            AppendEntries(
+        # Within a term a leader's log only grows, so these four fix
+        # every field of the message.
+        key = (self.term, next_index, len(self.log), self.commit_index)
+        if key != self._append_key:
+            prev_index = next_index - 1
+            self._append_key = key
+            self._append = AppendEntries(
                 term=self.term,
                 leader=self.name,
                 prev_index=prev_index,
-                prev_term=prev_term,
+                prev_term=self.log[prev_index].term if prev_index >= 0 else 0,
                 entries=tuple(self.log[next_index:]),
                 commit_index=self.commit_index,
-            ),
-        )
+            )
+        self.fabric.send_nowait(self.name, peer, self._append)
 
     # -- the replicated log -------------------------------------------------------------
 
@@ -373,36 +406,32 @@ class MetadataServer:
 
     def _on_append(self, msg: AppendEntries) -> None:
         if msg.term < self.term:
-            self.fabric.send_nowait(
-                self.name,
-                msg.leader,
-                AppendReply(
-                    term=self.term, follower=self.name, ok=False, match_index=-1
-                ),
-            )
-            return
-        if msg.term > self.term or self.role != FOLLOWER:
-            self._observe_term(msg.term)
-        self.leader_hint = msg.leader
-        self._reset_election_deadline()
-        if msg.prev_index >= 0 and (
-            msg.prev_index >= len(self.log)
-            or self.log[msg.prev_index].term != msg.prev_term
-        ):
-            # Log mismatch: the leader backs next_index up and retries.
             ok, match = False, -1
         else:
-            del self.log[msg.prev_index + 1 :]
-            self.log.extend(msg.entries)
-            ok, match = True, msg.prev_index + len(msg.entries)
-            if msg.commit_index > self.commit_index:
-                self.commit_index = min(msg.commit_index, len(self.log) - 1)
-                self._apply_committed()
-        self.fabric.send_nowait(
-            self.name,
-            msg.leader,
-            AppendReply(term=self.term, follower=self.name, ok=ok, match_index=match),
-        )
+            if msg.term > self.term or self.role != FOLLOWER:
+                self._observe_term(msg.term)
+            self.leader_hint = msg.leader
+            self._reset_election_deadline()
+            if msg.prev_index >= 0 and (
+                msg.prev_index >= len(self.log)
+                or self.log[msg.prev_index].term != msg.prev_term
+            ):
+                # Log mismatch: the leader backs next_index up and retries.
+                ok, match = False, -1
+            else:
+                del self.log[msg.prev_index + 1 :]
+                self.log.extend(msg.entries)
+                ok, match = True, msg.prev_index + len(msg.entries)
+                if msg.commit_index > self.commit_index:
+                    self.commit_index = min(msg.commit_index, len(self.log) - 1)
+                    self._apply_committed()
+        key = (self.term, ok, match)
+        if key != self._reply_key:
+            self._reply_key = key
+            self._reply = AppendReply(
+                term=self.term, follower=self.name, ok=ok, match_index=match
+            )
+        self.fabric.send_nowait(self.name, msg.leader, self._reply)
 
     def _on_append_reply(self, msg: AppendReply) -> None:
         if msg.term > self.term:
@@ -411,10 +440,14 @@ class MetadataServer:
         if self.role != LEADER or msg.term != self.term:
             return
         if msg.ok:
-            matched = max(self.match_index[msg.follower], msg.match_index)
-            self.match_index[msg.follower] = matched
-            self.next_index[msg.follower] = matched + 1
-            self._advance_commit()
+            follower = msg.follower
+            if msg.match_index > self.match_index[follower]:
+                self.match_index[follower] = msg.match_index
+                # Log, term and commit index change only on paths that
+                # advance the commit themselves, so an unmoved match
+                # index cannot commit anything.
+                self._advance_commit()
+            self.next_index[follower] = self.match_index[follower] + 1
         else:
             self.next_index[msg.follower] = max(0, self.next_index[msg.follower] - 1)
 

@@ -242,9 +242,9 @@ class Fabric:
         if src == dst:
             raise ValueError(f"endpoint {src!r} cannot send to itself")
         message = (
-            Message(src=src, dst=dst, payload=payload)
+            Message(src, dst, payload)
             if size_bytes is None
-            else Message(src=src, dst=dst, payload=payload, size_bytes=size_bytes)
+            else Message(src, dst, payload, size_bytes)
         )
         done = Event(self.sim)
         _Delivery(self, sender, receiver, message, done)
@@ -272,9 +272,9 @@ class Fabric:
         if src == dst:
             raise ValueError(f"endpoint {src!r} cannot send to itself")
         message = (
-            Message(src=src, dst=dst, payload=payload)
+            Message(src, dst, payload)
             if size_bytes is None
-            else Message(src=src, dst=dst, payload=payload, size_bytes=size_bytes)
+            else Message(src, dst, payload, size_bytes)
         )
         _Delivery(self, sender, receiver, message, None)
 

@@ -8,7 +8,6 @@ the network layer only cares about size and addressing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import itertools
 from typing import Any
 
@@ -20,27 +19,47 @@ CONTROL_MESSAGE_BYTES = 1024
 _message_ids = itertools.count()
 
 
-@dataclass
 class Message:
-    """One unit of data in flight between two endpoints."""
+    """One unit of data in flight between two endpoints.
 
-    src: str
-    dst: str
-    payload: Any
-    size_bytes: int = CONTROL_MESSAGE_BYTES
-    #: Simulated send time, filled in by the fabric.
-    sent_at: float = 0.0
-    #: Simulated delivery time, filled in by the fabric.
-    delivered_at: float = 0.0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    Every send builds one, so it is a plain ``__slots__`` class rather
+    than a dataclass.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative message size: {self.size_bytes!r}")
-        if not self.src or not self.dst:
+    __slots__ = (
+        "src",
+        "dst",
+        "payload",
+        "size_bytes",
+        "sent_at",
+        "delivered_at",
+        "message_id",
+    )
+
+    def __init__(
+        self, src: str, dst: str, payload: Any, size_bytes: int = CONTROL_MESSAGE_BYTES
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        #: Simulated send time, filled in by the fabric.
+        self.sent_at = 0.0
+        #: Simulated delivery time, filled in by the fabric.
+        self.delivered_at = 0.0
+        self.message_id = next(_message_ids)
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes!r}")
+        if not src or not dst:
             raise ValueError("messages need non-empty src and dst addresses")
 
     @property
     def latency(self) -> float:
         """Delivery minus send time (meaningful after delivery)."""
         return self.delivered_at - self.sent_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"<Message #{self.message_id} {self.src}->{self.dst} "
+            f"{self.size_bytes} B {type(self.payload).__name__}>"
+        )

@@ -146,11 +146,14 @@ INVALID_CONFIGS = [
     {"request_timeout_s": 0},
     {"request_backoff_base_s": -0.1},
     {"data_backend": "nvme"},
-    {"ssd_capacity_mb": 0},
-    {"ssd_channels": 0},
-    {"ssd_gc_free_fraction": 0.5},
+    {"buffer_backend": "ssd", "ssd_capacity_mb": 0},
+    {"buffer_backend": "ssd", "ssd_channels": 0},
+    {"buffer_backend": "ssd", "ssd_gc_free_fraction": 0.5},
     {"buffer_backend": "ssd", "ssd_buffer_idle_s": -1},
     {"ssd_buffer_idle_s": 1.0},
+    {"ssd_capacity_mb": 64},
+    {"ssd_channels": 2},
+    {"ssd_gc_free_fraction": 0.2},
 ]
 
 

@@ -150,6 +150,7 @@ class TestInputErrors:
             ["ssd", "--write-fraction", "2"],
             ["faults", "--at", "-5"],
             ["faults", "--repair-at", "-1"],
+            ["--requests", "30", "faults", "--at", "1", "--repair-at", "0.5"],
             ["faults", "--mtbf", "-1"],
             ["faults", "--mtbf", "100", "--mttr", "-1"],
             ["faults", "--replication", "0"],
@@ -180,6 +181,7 @@ class TestInputErrors:
             "ssd-write-fraction-above-one",
             "faults-negative-crash-time",
             "faults-negative-repair-time",
+            "faults-repair-before-crash",
             "faults-negative-mtbf",
             "faults-negative-mttr",
             "faults-zero-replication",

@@ -23,13 +23,16 @@ dispatch rewrite that keeps every event in its ``(time, priority,
 sequence)`` slot leaves both unchanged.
 
 ``tests/golden/scenarios.json`` pins what the retired generator oracles
-of ``tests/core/test_dispatch_identity.py`` produced: for each of ten
+of ``tests/core/test_dispatch_identity.py`` produced: for each of the
 seed-7 cluster scenarios (:data:`SCENARIOS`) the run's record, event
 count and shape digest; for the HDD-and-SSD device drill at each of
 :data:`FAIL_AT` every request's outcome, the event count and the shape
 digest; and the ``obs=True`` span export of :data:`SPAN_SCENARIOS`.  It
 was written at the commit before ``Mailbox`` replaced ``Store``, where
 the oracles and the flat paths agreed event for event.
+``metaplane:replicated``, the one scenario whose plane commits log
+entries, was pinned later, at the commit before consensus payloads were
+reused across heartbeats.
 
 ``--jobs 1`` keeps the run in this process; ``tests/parallel`` pins that
 the worker count never changes a result.  To re-pin after a deliberate
@@ -37,6 +40,7 @@ change in behaviour, re-run the command into the golden path and say in
 CHANGES.md why the behaviour moved (docs/performance.md, "Goldens").
 """
 
+from dataclasses import replace
 import hashlib
 import json
 from pathlib import Path
@@ -216,6 +220,20 @@ SCENARIOS = {
         ),
     ),
     "metaplane:leader-crash": lambda: _race("metaplane:leader-crash"),
+    # Re-replication after a disk and a node failure puts placement
+    # updates in the plane's log, so entries replicate and commit
+    # across the leader crashes.
+    "metaplane:replicated": lambda: (
+        drill_trace(n_requests=300),
+        dict(
+            config=replace(drill_config(3), replication_factor=2),
+            faults=(
+                leader_crash_schedule(4)
+                .disk_fail("node2/data0", at=15.0)
+                .node_fail("node5", at=50.0)
+            ),
+        ),
+    ),
     "ssd:buffer-faults": lambda: _race("ssd:buffer-faults"),
     # Writes straight to the data disks, one of which dies.
     "write-through": lambda: (
