@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.experiments.sweeps import run_sweep
+from repro.experiments.study import compared, group, run_study
+from repro.experiments.sweeps import sweep_study, SWEEPS
 
 #: Paper-scale request count unless overridden.
 N_REQUESTS = int(os.environ.get("EEVFS_BENCH_REQUESTS", "1000"))
@@ -23,9 +24,11 @@ _SWEEP_CACHE = {}
 
 
 def sweep_cached(name: str):
-    """Run (once) and cache one Table-II sweep at benchmark scale."""
+    """Run (once) and cache one Table-II sweep at benchmark scale, as
+    ``{value: PairedComparison}``."""
     if name not in _SWEEP_CACHE:
-        _SWEEP_CACHE[name] = run_sweep(name, n_requests=N_REQUESTS)
+        study = sweep_study(sweeps={name: SWEEPS[name][1]}, n_requests=N_REQUESTS)
+        _SWEEP_CACHE[name] = compared(group(run_study(study), name))
     return _SWEEP_CACHE[name]
 
 
@@ -35,5 +38,5 @@ def bench_requests():
 
 
 def series(points, getter):
-    """Extract one column from a sweep's PairResults."""
-    return [getter(p.comparison) for p in points]
+    """Extract one column from a sweep's comparisons."""
+    return [getter(c) for c in points.values()]

@@ -7,41 +7,38 @@ conjecture); A4 window predictor; A5 client replay discipline.
 from conftest import N_REQUESTS
 
 from repro.experiments.ablations import (
-    ablate_disks_per_node,
-    ablate_diurnal,
     ablate_dynamic_prefetch,
-    ablate_hints,
-    ablate_idle_threshold,
-    ablate_node_scaling,
-    ablate_placement_policy,
-    ablate_replay_mode,
-    ablate_striping,
-    ablate_window_predictor,
+    ablation_study,
+    render_ablation,
 )
+from repro.experiments.study import compared, group, run_study
 from repro.metrics.report import format_table
 
 
-def test_idle_threshold(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_idle_threshold(n_requests=N_REQUESTS), rounds=1, iterations=1
+def _ablate(benchmark, name, **kwargs):
+    """Run one ablation at benchmark scale, print its table, and return
+    its comparisons in x order."""
+    kwargs.setdefault("n_requests", N_REQUESTS)
+    results = benchmark.pedantic(
+        lambda: run_study(ablation_study(name, **kwargs)), rounds=1, iterations=1
     )
     print()
-    print(result.render())
-    savings = [c.energy_savings_pct for c in result.comparisons]
+    print(render_ablation(name, results))
+    return compared(group(results, name))
+
+
+def test_idle_threshold(benchmark):
+    comparisons = _ablate(benchmark, "idle_threshold")
+    savings = [c.energy_savings_pct for c in comparisons.values()]
     # Sleeping pays at every threshold tried; very large thresholds
     # forgo savings relative to the paper's 5 s operating point.
-    paper_point = result.x_values.index(5.0)
+    paper_point = list(comparisons).index(5.0)
     assert all(s > 0 for s in savings)
     assert savings[-1] <= savings[paper_point] + 0.5
 
 
 def test_application_hints(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_hints(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    with_hints, without = result.comparisons
+    with_hints, without = _ablate(benchmark, "hints").values()
     # §IV-C: EEVFS works without hints, but hints buy response time --
     # predictive wake-ups beat raw idle timers by a wide margin.
     assert without.energy_savings_pct > 0
@@ -53,12 +50,8 @@ def test_application_hints(benchmark):
 
 
 def test_disks_per_node(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_disks_per_node(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    savings = [c.energy_savings_pct for c in result.comparisons]
+    comparisons = _ablate(benchmark, "disks_per_node")
+    savings = [c.energy_savings_pct for c in comparisons.values()]
     # §VII: "We believe this number will increase as more disks are added
     # to each EEVFS storage node."  Confirmed: monotone in disk count.
     assert savings == sorted(savings)
@@ -66,13 +59,9 @@ def test_disks_per_node(benchmark):
 
 
 def test_striping(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_striping(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    savings = [c.energy_savings_pct for c in result.comparisons]
-    npf_response = [c.npf.mean_response_s for c in result.comparisons]
+    comparisons = _ablate(benchmark, "striping")
+    savings = [c.energy_savings_pct for c in comparisons.values()]
+    npf_response = [c.npf.mean_response_s for c in comparisons.values()]
     # §VII's hoped-for performance gain is real (NPF responses fall with
     # width) ...
     assert npf_response == sorted(npf_response, reverse=True)
@@ -83,24 +72,14 @@ def test_striping(benchmark):
 
 
 def test_window_predictor(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_window_predictor(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    sequence, time_based = result.comparisons
+    sequence, time_based = _ablate(benchmark, "window_predictor").values()
     # Both predictors save energy at the default (unsaturated) point.
     assert sequence.energy_savings_pct > 5.0
     assert time_based.energy_savings_pct > 5.0
 
 
 def test_placement_policy(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_placement_policy(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    round_robin, weighted = result.comparisons
+    round_robin, weighted = _ablate(benchmark, "placement").values()
     # Bandwidth-weighted placement must cut response times on the
     # heterogeneous testbed without giving up energy savings.
     assert weighted.pf.mean_response_s < 0.8 * round_robin.pf.mean_response_s
@@ -108,17 +87,9 @@ def test_placement_policy(benchmark):
 
 
 def test_node_scaling(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_node_scaling(
-            node_counts=(2, 4, 8, 16), n_requests=N_REQUESTS
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(result.render())
-    savings = [c.energy_savings_pct for c in result.comparisons]
-    responses = [c.pf.mean_response_s for c in result.comparisons]
+    comparisons = _ablate(benchmark, "node_scaling", values=(2, 4, 8, 16))
+    savings = [c.energy_savings_pct for c in comparisons.values()]
+    responses = [c.pf.mean_response_s for c in comparisons.values()]
     # §III-A scalability: at constant per-node load, savings and response
     # stay flat as the cluster grows (the thin server never bottlenecks).
     assert max(savings) - min(savings) < 4.0
@@ -126,12 +97,7 @@ def test_node_scaling(benchmark):
 
 
 def test_diurnal_arrivals(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablate_diurnal(n_requests=N_REQUESTS), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    diurnal, constant = result.comparisons
+    diurnal, constant = _ablate(benchmark, "diurnal").values()
     # Matched volume: the look-ahead policy is burstiness-insensitive on
     # energy (within ~2 points) ...
     assert abs(diurnal.energy_savings_pct - constant.energy_savings_pct) < 2.0
@@ -188,23 +154,7 @@ def test_power_model_sensitivity(benchmark):
 
 
 def test_replay_modes(benchmark):
-    out = benchmark.pedantic(
-        lambda: ablate_replay_mode(n_requests=min(N_REQUESTS, 500)),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [mode, c.energy_savings_pct, c.pf.transitions, c.response_penalty_pct]
-        for mode, c in out.items()
-    ]
-    print()
-    print(
-        format_table(
-            ["replay_mode", "savings_pct", "PF_transitions", "penalty_pct"],
-            rows,
-            title="Ablation: client replay discipline",
-        )
-    )
+    comparisons = _ablate(benchmark, "replay_mode", n_requests=min(N_REQUESTS, 500))
     # Prefetching saves energy under every replay discipline.
-    for comparison in out.values():
+    for comparison in comparisons.values():
         assert comparison.energy_savings_pct > 0

@@ -16,7 +16,7 @@ def _print_panel(letter, x_label, points):
     print(
         format_series(
             x_label,
-            [p.value for p in points],
+            list(points),
             {
                 "PF_energy_J": series(points, lambda c: c.pf.energy_j),
                 "NPF_energy_J": series(points, lambda c: c.npf.energy_j),

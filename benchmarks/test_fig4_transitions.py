@@ -17,7 +17,7 @@ def _print_panel(letter, x_label, points):
     print(
         format_series(
             x_label,
-            [p.value for p in points],
+            list(points),
             {
                 "PF_transitions": series(points, lambda c: float(c.pf.transitions)),
                 "NPF_transitions": series(points, lambda c: float(c.npf.transitions)),
@@ -34,7 +34,7 @@ def test_fig4a_data_size(benchmark):
     _print_panel("a", "Data Size (MB)", points)
     transitions = series(points, lambda c: c.pf.transitions)
     assert all(t > 0 for t in transitions)
-    assert all(c.npf.transitions == 0 for c in (p.comparison for p in points))
+    assert all(c.npf.transitions == 0 for c in points.values())
     # Transition count stays within the paper's order of magnitude band.
     assert all(50 <= t <= 1500 for t in transitions)
 

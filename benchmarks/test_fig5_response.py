@@ -15,7 +15,7 @@ def _print_panel(letter, x_label, points):
     print(
         format_series(
             x_label,
-            [p.value for p in points],
+            list(points),
             {
                 "PF_response_s": series(points, lambda c: c.pf.mean_response_s),
                 "NPF_response_s": series(points, lambda c: c.npf.mean_response_s),
@@ -37,7 +37,7 @@ def test_fig5a_data_size(benchmark):
     assert penalties[0] == max(penalties[:3])
     assert penalties[2] < penalties[0] / 3
     # PF response >= NPF response at every size (penalty, never a gain).
-    for point in points:
+    for point in points.values():
         assert point.pf.mean_response_s >= point.npf.mean_response_s * 0.99
 
 

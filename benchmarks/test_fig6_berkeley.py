@@ -9,25 +9,29 @@ disk, savings at our testbed's own maximum.
 
 from conftest import N_REQUESTS
 
-from repro.experiments.figures import figure6
-from repro.experiments.sweeps import run_sweep
+from repro.experiments.figures import figure6, figure6_study, render_figure6
+from repro.experiments.study import compared, run_study
+from repro.experiments.sweeps import sweep_study
+
+
+def _figure6(n_requests):
+    return figure6(run_study(figure6_study(n_requests=n_requests)))
 
 
 def test_fig6_berkeley_web_trace(benchmark):
-    fig6 = benchmark.pedantic(
-        lambda: figure6(n_requests=N_REQUESTS), rounds=1, iterations=1
+    comparison = benchmark.pedantic(
+        lambda: _figure6(N_REQUESTS), rounds=1, iterations=1
     )
     print()
-    print(fig6.render())
+    print(render_figure6(comparison))
 
-    comparison = fig6.comparison
     # The all-hit regime: every request served from buffer disks.
     assert comparison.pf.buffer_hit_rate == 1.0
     # One spin-down per data disk, never woken again (16 data disks).
     assert comparison.pf.transitions == 16
     # Savings at the testbed maximum (the MU<=100 saturated level), in
     # the paper's 17 % ballpark.
-    assert 10.0 <= fig6.savings_pct <= 20.0
+    assert 10.0 <= comparison.energy_savings_pct <= 20.0
     # Virtually no response penalty (§VI-C: penalties come from
     # transitions, and there are none during the trace).
     assert abs(comparison.response_penalty_pct) < 2.0
@@ -36,11 +40,8 @@ def test_fig6_berkeley_web_trace(benchmark):
 def test_fig6_savings_match_saturated_mu_regime(benchmark):
     """The paper observes its web-trace savings equal the best the
     testbed can do; cross-check against the MU=1 saturated point."""
-    points = benchmark.pedantic(
-        lambda: run_sweep("mu", values=[1], n_requests=min(N_REQUESTS, 400)),
-        rounds=1,
-        iterations=1,
-    )
-    saturated = points[0].comparison.energy_savings_pct
-    fig6 = figure6(n_requests=min(N_REQUESTS, 400))
-    assert abs(fig6.savings_pct - saturated) < 1.5
+    study = sweep_study(sweeps={"mu": [1]}, n_requests=min(N_REQUESTS, 400))
+    results = benchmark.pedantic(lambda: run_study(study), rounds=1, iterations=1)
+    saturated = compared(results)[("mu", 1)].energy_savings_pct
+    fig6 = _figure6(min(N_REQUESTS, 400))
+    assert abs(fig6.energy_savings_pct - saturated) < 1.5

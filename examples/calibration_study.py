@@ -59,7 +59,7 @@ def main() -> None:
         )
 
     print("\n--- 2. conclusions vs calibration (savings %, perturbed grid) ---")
-    grid = power_model_sensitivity(trace=trace)
+    grid = power_model_sensitivity(n_requests=600)  # over the seed-1 trace above
     print(render_sensitivity(grid))
     print(
         "PF wins on the whole grid: the headline conclusion does not "

@@ -13,7 +13,7 @@ Run:  python examples/capacity_planning.py
 import numpy as np
 
 from repro import EEVFSConfig, default_cluster
-from repro.experiments.runner import run_pair
+from repro.experiments.study import run_pair
 from repro.metrics import format_table
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload

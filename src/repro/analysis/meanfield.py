@@ -579,8 +579,8 @@ def cross_validate(
     energy errors and wall-clock costs; `report.max_energy_error` and
     `report.speedup` are the acceptance-gate numbers.
     """
+    from repro.experiments.study import run_pair
     from repro.experiments.sweeps import SWEEPS, _config_for, _workload_for
-    from repro.experiments.runner import run_pair
 
     if sweeps is None:
         sweeps = {name: tuple(values) for name, (_, values) in SWEEPS.items()}

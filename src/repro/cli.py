@@ -12,17 +12,10 @@ import os
 import sys
 from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments.ablations import (
-    ablate_disks_per_node,
-    ablate_hints,
-    ablate_idle_threshold,
-    ablate_replay_mode,
-    ablate_window_predictor,
-)
-from repro.experiments.figures import figure3, figure4, figure5, figure6
-from repro.experiments.sweeps import run_all_sweeps
+from repro.experiments.study import records, run_study
 from repro.experiments.tables import table1, table2
 from repro.metrics.report import format_table, summary_table
+from repro.parallel import TraceSpec
 
 
 # -- argument types: bad input becomes an argparse error (exit 2) -------------
@@ -66,6 +59,16 @@ def _config_knob(
     return _checked(parse, lambda value: EEVFSConfig(**context, **{field: value}))
 
 
+def _figure_number(text: str) -> str:
+    # A type rather than ``choices``: argparse checks the empty default
+    # of an ``nargs="*"`` positional against its choices and fails.
+    if text not in ("3", "4", "5", "6"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from 3, 4, 5, 6)"
+        )
+    return text
+
+
 def _seed_list(text: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",") if s]
@@ -99,6 +102,21 @@ def _experiment_config(text: str):
         raise argparse.ArgumentTypeError(f"cannot load config {text!r}: {exc}") from None
 
 
+def _default_trace(requests: int) -> TraceSpec:
+    """The default paper workload: the Table-II synthetic trace, rng seed 1."""
+    from repro.traces.synthetic import SyntheticWorkload
+
+    return TraceSpec(workload=SyntheticWorkload(n_requests=requests))
+
+
+def _write_records(path: str, tree: dict, noun: str = "Fingerprint") -> None:
+    """Write every run of *tree* (a nested dict of results) as canonical
+    JSON records to *path*, and say so."""
+    with open(path, "w") as handle:
+        handle.write(records(tree))
+    print(f"\n{noun} written to {path}")
+
+
 def _cmd_tables(args: argparse.Namespace) -> None:
     print(table1())
     print()
@@ -106,125 +124,89 @@ def _cmd_tables(args: argparse.Namespace) -> None:
 
 
 def _cmd_figures(args: argparse.Namespace) -> None:
-    from repro.experiments.export import (
-        write_figure_csv,
-        write_figure_json,
+    from repro.experiments.export import write_figure_csv, write_figure_json
+    from repro.experiments.figures import (
+        figure3,
+        figure4,
+        figure5,
+        figure6,
+        figure6_study,
+        render_figure6,
     )
+    from repro.experiments.sweeps import sweep_study
 
-    out_dir = getattr(args, "out", None)
     wanted = set(args.figures or ["3", "4", "5", "6"])
-    produced = []
+    study = {}
     if wanted & {"3", "4", "5"}:
-        sweeps = run_all_sweeps(
-            n_requests=args.requests, seed=args.seed, jobs=args.jobs
-        )
-        builders = {"3": figure3, "4": figure4, "5": figure5}
-        for key in ("3", "4", "5"):
-            if key in wanted:
-                figure = builders[key](sweeps)
-                print(figure.render(), end="\n\n")
-                if getattr(args, "chart", False):
-                    from repro.metrics.chart import panel_chart
-
-                    for letter in sorted(figure.panels):
-                        panel = figure.panels[letter]
-                        names = [n for n in panel.series if not n.endswith("_pct")]
-                        print(panel_chart(panel, series_names=names), end="\n\n")
-                produced.append(figure)
+        study.update(sweep_study(n_requests=args.requests, seed=args.seed))
     if "6" in wanted:
-        fig6 = figure6(n_requests=args.requests, seed=args.seed)
-        print(fig6.render())
-        produced.append(fig6)
-    if out_dir:
+        study.update(figure6_study(n_requests=args.requests, seed=args.seed))
+    results = run_study(study, jobs=args.jobs)
+    produced = []
+    for key, build in (("3", figure3), ("4", figure4), ("5", figure5)):
+        if key in wanted:
+            figure = build(results)
+            print(figure.render(), end="\n\n")
+            if args.chart:
+                from repro.metrics.chart import panel_chart
+
+                for letter in sorted(figure.panels):
+                    panel = figure.panels[letter]
+                    names = [n for n in panel.series if not n.endswith("_pct")]
+                    print(panel_chart(panel, series_names=names), end="\n\n")
+            produced.append(figure)
+    if "6" in wanted:
+        print(render_figure6(figure6(results)))
+    if args.out:
         from pathlib import Path
 
-        from repro.experiments.figures import Figure6Result
-
-        out = Path(out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for figure in produced:
-            if isinstance(figure, Figure6Result):
-                write_figure_json(figure, out / "fig6.json")
-            elif args.format == "json":
+            if args.format == "json":
                 write_figure_json(figure, out / f"{figure.figure.lower()}.json")
             else:
                 write_figure_csv(figure, out)
+        if "6" in wanted:
+            write_figure_json(figure6(results), out / "fig6.json")
         print(f"\nexported to {out}/", flush=True)
 
 
 def _cmd_baselines(args: argparse.Namespace) -> None:
-    from repro.experiments.baseline_suite import run_baseline_suite
+    from repro.experiments.baseline_suite import baseline_study, BASELINES
 
-    runs = run_baseline_suite(
-        n_requests=args.requests, seed=args.seed, jobs=args.jobs
-    )
+    study = baseline_study(n_requests=args.requests, seed=args.seed)
     print(
         summary_table(
-            runs,
+            run_study(study, jobs=args.jobs)[BASELINES],
             title="Baseline shoot-out (defaults: 10 MB, MU=1000, IA=700 ms, K=70)",
         )
     )
 
 
 def _cmd_ablations(args: argparse.Namespace) -> None:
-    jobs = args.jobs
-    print(
-        ablate_idle_threshold(
-            n_requests=args.requests, seed=args.seed, jobs=jobs
-        ).render()
-    )
-    print()
-    print(ablate_hints(n_requests=args.requests, seed=args.seed, jobs=jobs).render())
-    print()
-    print(
-        ablate_disks_per_node(
-            n_requests=args.requests, seed=args.seed, jobs=jobs
-        ).render()
-    )
-    print()
-    print(
-        ablate_window_predictor(
-            n_requests=args.requests, seed=args.seed, jobs=jobs
-        ).render()
-    )
-    print()
-    modes = ablate_replay_mode(
-        n_requests=min(args.requests, 500), seed=args.seed, jobs=jobs
-    )
-    rows = [
-        [mode, c.energy_savings_pct, c.pf.transitions, c.response_penalty_pct]
-        for mode, c in modes.items()
-    ]
-    print(
-        format_table(
-            ["replay_mode", "savings_pct", "PF_transitions", "penalty_pct"],
-            rows,
-            title="=== Ablation: client replay discipline ===",
-        )
-    )
+    from repro.experiments.ablations import ablation_study, render_ablation
+
+    names = ("idle_threshold", "hints", "disks_per_node", "window_predictor", "replay_mode")
+    study = {}
+    for name in names:
+        # The replay-mode ablation runs at most 500 requests.
+        n_requests = min(args.requests, 500) if name == "replay_mode" else args.requests
+        study.update(ablation_study(name, n_requests=n_requests, seed=args.seed))
+    results = run_study(study, jobs=args.jobs)
+    print("\n\n".join(render_ablation(name, results) for name in names))
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
     """Deep-dive PF vs NPF at the defaults: totals, breakdowns, wear."""
-    import numpy as np
-
-    from repro.core import EEVFSConfig, run_eevfs
-    from repro.metrics import compare
+    from repro.experiments.study import run_pair
     from repro.metrics.breakdown import breakdown_table, compare_breakdowns
     from repro.metrics.wear import wear_report
-    from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
-    config, cluster = EEVFSConfig(), None
-    if args.config:
-        loaded_config, cluster = args.config
-        if loaded_config is not None:
-            config = loaded_config
-    trace = generate_synthetic_trace(
-        SyntheticWorkload(n_requests=args.requests), rng=np.random.default_rng(1)
-    )
-    pf = run_eevfs(trace, config.as_pf(), cluster=cluster, seed=args.seed)
-    npf = run_eevfs(trace, config.as_npf(), cluster=cluster, seed=args.seed)
-    comparison = compare(pf, npf)
+    config, cluster = args.config or (None, None)
+    trace = _default_trace(args.requests).generate()
+    comparison = run_pair(trace, config, cluster, seed=args.seed)
+    pf, npf = comparison.pf, comparison.npf
     print(
         f"savings {comparison.energy_savings_pct:.1f} %, "
         f"penalty {comparison.response_penalty_pct:.1f} %, "
@@ -246,7 +228,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 def _cmd_report(args: argparse.Namespace) -> None:
     from repro.experiments.paper import generate_report
 
-    report = generate_report(n_requests=args.requests, seed=args.seed)
+    report = generate_report(n_requests=args.requests, seed=args.seed, jobs=args.jobs)
     if args.out:
         report.write(args.out)
         print(f"report written to {args.out}")
@@ -255,13 +237,19 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> None:
+    from repro.experiments.figures import figure6_study
+    from repro.experiments.sweeps import sweep_study
     from repro.experiments.validation import (
         all_passed,
         render_validation,
         validate_reproduction,
     )
 
-    checks = validate_reproduction(n_requests=args.requests, seed=args.seed)
+    study = {
+        **sweep_study(n_requests=args.requests, seed=args.seed),
+        **figure6_study(n_requests=args.requests, seed=args.seed),
+    }
+    checks = validate_reproduction(run_study(study, jobs=args.jobs))
     print(render_validation(checks))
     if not all_passed(checks):
         raise SystemExit(1)
@@ -313,18 +301,11 @@ def _cmd_lint(args: argparse.Namespace) -> None:
 
 
 def _cmd_wear(args: argparse.Namespace) -> None:
-    import numpy as np
-
     from repro.core import EEVFSConfig, run_eevfs
     from repro.metrics.wear import wear_report
-    from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
-    trace = generate_synthetic_trace(
-        SyntheticWorkload(n_requests=args.requests), rng=np.random.default_rng(1)
-    )
-    result = run_eevfs(
-        trace, EEVFSConfig(prefetch_files=args.prefetch), seed=args.seed
-    )
+    trace = _default_trace(args.requests).generate()
+    result = run_eevfs(trace, EEVFSConfig(prefetch_files=args.prefetch), seed=args.seed)
     report = wear_report(result)
     print(
         format_table(
@@ -344,16 +325,16 @@ def _cmd_wear(args: argparse.Namespace) -> None:
 def _cmd_metadata_drill(args: argparse.Namespace) -> None:
     """Metadata-plane chaos drill: crash every shard leader once and
     compare an unreplicated plane against a 3-replica one."""
-    from repro.core.filesystem import canonical_json
-    from repro.experiments.metaplane import run_metadata_drill
+    from repro.experiments.metaplane import metaplane_study
     from repro.metrics.report import metaplane_table
 
-    results = run_metadata_drill(
+    study = metaplane_study(
+        shard_counts=(args.shards,),
+        replica_counts=args.meta_replicas,
         n_requests=args.requests,
         seed=args.seed,
-        shards=args.shards,
-        replica_counts=tuple(args.meta_replicas),
     )
+    results = run_study(study, jobs=args.jobs)[args.shards]
     last = next(reversed(results.values()))
     assert last.fault_log is not None
     print(last.fault_log.render())
@@ -368,19 +349,16 @@ def _cmd_metadata_drill(args: argparse.Namespace) -> None:
         )
     )
     if args.json:
-        records = {name: result.record() for name, result in results.items()}
-        with open(args.json, "w") as handle:
-            handle.write(canonical_json(records))
-        print(f"\nfingerprint written to {args.json}")
+        _write_records(args.json, results, noun="fingerprint")
 
 
 def _cmd_metaplane(args: argparse.Namespace) -> None:
     """Shard x replica availability sweep (the EXPERIMENTS.md table)."""
-    from repro.experiments.metaplane import metaplane_sweep, sweep_rows
+    from repro.experiments.metaplane import metaplane_rows, metaplane_study
 
-    grid = metaplane_sweep(
-        shard_counts=tuple(args.shards),
-        replica_counts=tuple(args.replicas),
+    study = metaplane_study(
+        shard_counts=args.shards,
+        replica_counts=args.replicas,
         n_requests=args.requests,
         seed=args.seed,
     )
@@ -396,7 +374,7 @@ def _cmd_metaplane(args: argparse.Namespace) -> None:
                 "availability",
                 "mean_response_s",
             ],
-            sweep_rows(grid),
+            metaplane_rows(run_study(study, jobs=args.jobs)),
             title="Metadata plane under one leader crash per shard",
         )
     )
@@ -405,40 +383,37 @@ def _cmd_metaplane(args: argparse.Namespace) -> None:
 def _cmd_online(args: argparse.Namespace) -> None:
     """Oracle-vs-online ablation: how much savings survives without
     hindsight?  Optionally writes every run's record (--json)."""
-    from repro.core.filesystem import canonical_json
+    from repro.core import EEVFSConfig
     from repro.experiments.online import (
-        ablation_rows,
         ABLATION_HEADERS,
-        online_ablation,
+        online_rows,
+        online_study,
         retention_summary,
     )
+    from repro.experiments.study import group
     from repro.metrics.report import online_series, online_table
 
-    from repro.core import EEVFSConfig
-
-    sweeps = args.sweeps if args.sweeps else None
-    config = (
-        EEVFSConfig(online_replan_cost_gate=True) if args.cost_gate else None
-    )
-    ablation = online_ablation(
-        sweeps=sweeps,
+    config = EEVFSConfig(online_replan_cost_gate=True) if args.cost_gate else None
+    study = online_study(
+        sweeps=args.sweeps,
         n_requests=args.requests,
         seed=args.seed,
-        jobs=args.jobs,
         estimator=args.estimator,
         config=config,
     )
-    for sweep in ablation:
-        points = ablation[sweep]
+    results = run_study(study, jobs=args.jobs)
+    names = dict.fromkeys(sweep for sweep, _ in results)
+    sweeps = {sweep: group(results, sweep) for sweep in names}
+    for sweep, points in sweeps.items():
         print(
             format_table(
                 ABLATION_HEADERS,
-                ablation_rows(points),
+                online_rows(points),
                 title=f"Oracle vs online ({args.estimator}): {sweep} sweep",
             )
         )
         print()
-    summary = retention_summary(ablation)
+    summary = retention_summary(results)
     print(
         f"Across {summary['points']:.0f} points: oracle saves "
         f"{summary['oracle_savings_mean_pct']:.1f}% vs NPF, online saves "
@@ -447,145 +422,127 @@ def _cmd_online(args: argparse.Namespace) -> None:
         f"retained without hindsight."
     )
     if args.series:
-        first = next(iter(ablation.values()))[0]
+        (sweep, value), first = next(iter(results.items()))
         print()
         print(
             online_series(
-                first.online,
-                title=f"Controller trajectory ({first.parameter}={first.value})",
+                first["online"], title=f"Controller trajectory ({sweep}={value})"
             )
         )
         print()
-        print(
-            online_table(
-                {"oracle": first.oracle, "online": first.online, "npf": first.npf},
-                title="Controller activity (first point)",
-            )
-        )
+        print(online_table(first, title="Controller activity (first point)"))
     if args.json:
-        records = {
-            sweep: {
-                str(point.value): {
-                    "oracle": point.oracle.record(),
-                    "online": point.online.record(),
-                    "npf": point.npf.record(),
-                }
-                for point in points
-            }
-            for sweep, points in ablation.items()
-        }
-        with open(args.json, "w") as handle:
-            handle.write(canonical_json(records))
-        print(f"\nFingerprint written to {args.json}")
+        _write_records(args.json, sweeps)
 
 
 def _cmd_ssd(args: argparse.Namespace) -> None:
     """SSD buffer-tier sweep: capacity x channels x GC reserve, PF/NPF
     per point, HDD-buffer reference pairs.  Optionally writes every
     run's record (--json)."""
-    from repro.core.filesystem import canonical_json
-    from repro.experiments.ssd import ssd_sweep, SSD_HEADERS, sweep_rows
+    from repro.experiments.ssd import SSD_HEADERS, ssd_rows, ssd_study
+    from repro.experiments.study import compared
 
-    points = ssd_sweep(
-        capacities_mb=tuple(args.capacities_mb),
-        channels=tuple(args.channels),
-        gc_fractions=tuple(args.gc),
+    study = ssd_study(
+        capacities_mb=args.capacities_mb,
+        channels=args.channels,
+        gc_fractions=args.gc,
         n_requests=args.requests,
         write_fraction=args.write_fraction,
         seed=args.seed,
-        jobs=args.jobs,
     )
+    results = run_study(study, jobs=args.jobs)
     print(
         format_table(
             SSD_HEADERS,
-            sweep_rows(points),
+            ssd_rows(results),
             title="SSD vs HDD buffer tier (PF vs NPF per point)",
         )
     )
-    ssd_points = [p for p in points if p.backend == "ssd"]
-    hdd_points = [p for p in points if p.backend == "hdd"]
-    if ssd_points and hdd_points:
-        best = max(ssd_points, key=lambda p: p.savings_pct)
-        ref = max(hdd_points, key=lambda p: p.savings_pct)
+    comparisons = compared(results)
+    ssd = [(point, c) for point, c in comparisons.items() if point[0] == "ssd"]
+    hdd = [c for point, c in comparisons.items() if point[0] == "hdd"]
+    if ssd and hdd:
+        (_, capacity_mb, channels, _), best = max(
+            ssd, key=lambda item: item[1].energy_savings_pct
+        )
+        reference = max(c.energy_savings_pct for c in hdd)
         print(
-            f"\nBest SSD point (cap={best.capacity_mb}MB, "
-            f"ch={best.channels}) saves {best.savings_pct:.1f}% vs NPF "
-            f"(HDD buffer best: {ref.savings_pct:.1f}%); "
+            f"\nBest SSD point (cap={capacity_mb}MB, "
+            f"ch={channels}) saves {best.energy_savings_pct:.1f}% vs NPF "
+            f"(HDD buffer best: {reference:.1f}%); "
             f"WA={best.pf.ssd_write_amplification:.2f}, "
             f"max erase count {best.pf.ssd_max_erase_count}."
         )
     if args.json:
-        records = {
-            f"{p.backend}:cap={p.capacity_mb}:ch={p.channels}:gc={p.gc_free_fraction}": {
-                "pf": p.pf.record(),
-                "npf": p.npf.record(),
-            }
-            for p in points
-        }
-        with open(args.json, "w") as handle:
-            handle.write(canonical_json(records))
-        print(f"\nFingerprint written to {args.json}")
+        _write_records(
+            args.json,
+            {
+                f"{backend}:cap={cap}:ch={ch}:gc={gc}": runs
+                for (backend, cap, ch, gc), runs in results.items()
+            },
+        )
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
     """Fault drill: one workload, one fault schedule, with and without
     replication -- what does riding out failures cost in energy?"""
-    import numpy as np
-
-    from repro.core import EEVFSConfig, run_eevfs
-
     if args.metadata_drill:
         _cmd_metadata_drill(args)
         return
+    from repro.core import EEVFSConfig
     from repro.core.config import default_cluster
     from repro.faults import FaultSchedule
-    from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
+    from repro.parallel import JobSpec
 
-    trace = generate_synthetic_trace(
-        SyntheticWorkload(n_requests=args.requests), rng=np.random.default_rng(1)
-    )
-    cluster = default_cluster()
-
+    crash = {"--fail-node": args.fail_node, "--at": args.at, "--repair-at": args.repair_at}
     schedule = FaultSchedule()
     if args.mtbf is not None:
+        given = [flag for flag, value in crash.items() if value is not None]
+        if given:
+            args.parser.error(f"argument --mtbf: not allowed with {', '.join(given)}")
+        cluster = default_cluster()
         targets = [
             f"{node.name}/data{i}"
             for node in cluster.storage_nodes
             for i in range(node.n_data_disks)
         ]
+        horizon_s = _default_trace(args.requests).generate().duration_s
         schedule.exponential_faults(
-            targets, mtbf_s=args.mtbf, horizon_s=trace.duration_s, mttr_s=args.mttr
+            targets, mtbf_s=args.mtbf, horizon_s=horizon_s, mttr_s=args.mttr
         )
     else:
         try:
-            schedule.node_fail(args.fail_node, at=args.at, until=args.repair_at)
+            schedule.node_fail(
+                args.fail_node or "node3",
+                at=60.0 if args.at is None else args.at,
+                until=args.repair_at,
+            )
         except ValueError as exc:
             args.parser.error(f"argument --repair-at: {exc}")
 
-    baseline = run_eevfs(trace, EEVFSConfig(), seed=args.seed, faults=schedule)
-    replicated = run_eevfs(
-        trace,
-        EEVFSConfig(
+    replicated = f"{args.replication}-way"
+    configs = {
+        "no replication": EEVFSConfig(),
+        replicated: EEVFSConfig(
             replication_factor=args.replication, replication_policy=args.policy
         ),
-        seed=args.seed,
-        faults=schedule,
-    )
+    }
+    trace = _default_trace(args.requests)
+    study = {
+        "faults": {
+            name: JobSpec(trace=trace, config=config, seed=args.seed, faults=schedule)
+            for name, config in configs.items()
+        }
+    }
+    results = run_study(study, jobs=args.jobs)["faults"]
 
-    assert replicated.fault_log is not None
-    print(replicated.fault_log.render())
+    fault_log = results[replicated].fault_log
+    assert fault_log is not None
+    print(fault_log.render())
     print()
-    print(
-        summary_table(
-            {"no replication": baseline, f"{args.replication}-way": replicated},
-            title="Same workload, same faults",
-        )
-    )
+    print(summary_table(results, title="Same workload, same faults"))
     print()
-    for name, result in (
-        ("no replication", baseline),
-        (f"{args.replication}-way", replicated),
-    ):
+    for name, result in results.items():
         print(
             f"{name}: {result.requests_failed_over} failed over, "
             f"{result.requests_unroutable} unroutable, "
@@ -674,17 +631,9 @@ def _cmd_meanfield(args: argparse.Namespace) -> None:
 
 def _traced_run(args: argparse.Namespace):
     """Run the default paper workload with observability attached."""
-    import numpy as np
-
     from repro.core import EEVFSConfig, run_eevfs
-    from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
-    workload_trace = args.trace
-    if workload_trace is None:
-        workload_trace = generate_synthetic_trace(
-            SyntheticWorkload(n_requests=args.requests),
-            rng=np.random.default_rng(1),
-        )
+    workload_trace = args.trace or _default_trace(args.requests).generate()
     config = EEVFSConfig(prefetch_enabled=not getattr(args, "npf", False))
     return run_eevfs(workload_trace, config, seed=args.seed, obs=True)
 
@@ -795,7 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures = sub.add_parser("figures", help="regenerate Figs. 3-6")
     figures.add_argument(
-        "figures", nargs="*", choices=["3", "4", "5", "6"], help="subset to run"
+        "figures",
+        nargs="*",
+        type=_figure_number,
+        metavar="{3,4,5,6}",
+        help="subset to run (default: all four)",
     )
     figures.add_argument("--out", help="directory for CSV/JSON export")
     figures.add_argument(
@@ -839,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--fail-node",
-        default="node3",
         choices=node_names,
         metavar="NODE",
         help="node to crash (default node3)",
@@ -847,8 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--at",
         type=_checked(float, lambda at: FaultSchedule().node_fail("node", at=at)),
-        default=60.0,
-        help="crash time, seconds into the trace",
+        help="crash time, seconds into the trace (default 60)",
     )
     faults.add_argument(
         "--repair-at",
@@ -865,7 +816,10 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ),
         default=None,
-        help="instead: exponential per-disk failures with this MTBF (s)",
+        help=(
+            "instead of the node crash: exponential per-disk failures with "
+            "this MTBF (s)"
+        ),
     )
     faults.add_argument(
         "--mttr",
@@ -915,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write every drill run's record (canonical JSON) to PATH",
     )
-    # The parser, to report a --repair-at no later than --at.
+    # The parser, to report a --repair-at no later than --at, or --mtbf
+    # given with the node crash.
     faults.set_defaults(func=_cmd_faults, parser=faults)
     metaplane = sub.add_parser(
         "metaplane", help="metadata-plane shard x replica availability sweep"

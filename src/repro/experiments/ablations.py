@@ -10,229 +10,200 @@ These exercise the design choices DESIGN.md calls out:
   disks are added to each EEVFS storage node".
 * **Window predictor** -- sequence vs time (DESIGN.md §5.4).
 * **Replay discipline** -- open vs paced vs closed client behaviour.
+
+Every ablation but E3 is one row of :data:`ABLATIONS`: a PF/NPF pair per
+x value.  :func:`ablation_study` turns a row into study points keyed
+``(name, x)``, and :func:`render_ablation` prints its table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import default_cluster, EEVFSConfig
+from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
 from repro.core.filesystem import EEVFSCluster
-from repro.metrics.comparison import PairedComparison
+from repro.experiments.study import compared, group, pair, Results, Study
 from repro.metrics.report import format_series
-from repro.parallel import JobSpec, run_jobs, TraceSpec
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.cache import cached_trace
-from repro.traces.model import Trace
 from repro.traces.synthetic import SyntheticWorkload
 
 
-def _default_trace(n_requests: int, trace_seed: int = 1) -> Trace:
-    return cached_trace(
-        "synthetic", SyntheticWorkload(n_requests=n_requests), trace_seed
-    )
+@dataclass(frozen=True)
+class Ablation:
+    """One ablation: its title and x axis, the default x values, and the
+    job of each x (``spec(x, n_requests)``; its config is the PF side).
 
+    ``count`` formats the PF transitions column: the replay-mode table
+    has always printed whole counts, the others floats.
+    """
 
-def _default_trace_spec(n_requests: int, trace_seed: int = 1) -> TraceSpec:
-    return TraceSpec(
-        workload=SyntheticWorkload(n_requests=n_requests), seed=trace_seed
-    )
-
-
-@dataclass
-class AblationResult:
-    """One ablation sweep: x values and the paired comparisons."""
-
-    name: str
+    title: str
     x_label: str
-    x_values: List[object]
-    comparisons: List[PairedComparison]
-
-    def render(self) -> str:
-        return format_series(
-            self.x_label,
-            self.x_values,
-            {
-                "savings_pct": [c.energy_savings_pct for c in self.comparisons],
-                "PF_transitions": [float(c.pf.transitions) for c in self.comparisons],
-                "penalty_pct": [c.response_penalty_pct for c in self.comparisons],
-            },
-            title=f"=== Ablation: {self.name} ===",
-        )
+    values: Tuple[object, ...]
+    spec: Callable[[object, int], JobSpec]
+    count: Callable[[int], object] = float
 
 
-def ablate_idle_threshold(
-    thresholds: Sequence[float] = (1.0, 2.0, 5.0, 10.0, 30.0),
-    n_requests: int = 1000,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """Sweep the disk idle threshold around the paper's 5 s."""
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"idle_threshold={t}",
-                trace=trace,
-                config=EEVFSConfig(idle_threshold_s=t),
-                seed=seed,
-            )
-            for t in thresholds
-        ],
-        jobs=jobs,
+def _synthetic(
+    n_requests: int,
+    config: Optional[EEVFSConfig] = None,
+    cluster: Optional[ClusterSpec] = None,
+    **kwargs: object,
+) -> JobSpec:
+    """A job over the default synthetic trace (rng seed 1)."""
+    trace = TraceSpec(workload=SyntheticWorkload(n_requests=n_requests))
+    return JobSpec(trace=trace, config=config, cluster=cluster, **kwargs)
+
+
+def _node_scaling(count: object, n_requests: int) -> JobSpec:
+    """§III-A: "When the number of storage nodes scales up, the storage
+    server might become a performance bottleneck, we address this issue
+    by simplifying the functionality of the storage server."  The offered
+    load scales with the cluster (inter-arrival shrinks proportionally),
+    so per-node load is constant; a scalable design keeps response time
+    and savings flat."""
+    half = max(1, int(count) // 2)
+    workload = SyntheticWorkload(
+        n_requests=n_requests, inter_arrival_s=0.700 * 8.0 / int(count)
     )
-    return AblationResult(
-        name="idle threshold",
-        x_label="threshold_s",
-        x_values=list(thresholds),
-        comparisons=comparisons,
+    return JobSpec(
+        trace=TraceSpec(workload=workload),
+        cluster=default_cluster(n_type1=half, n_type2=int(count) - half),
     )
 
 
-def ablate_hints(
-    n_requests: int = 1000, seed: int = 0, jobs: Optional[int] = 1
-) -> AblationResult:
-    """Hints + wake-ahead vs pure idle timers (§IV-C's two modes)."""
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(label="hints=with", trace=trace, config=EEVFSConfig(), seed=seed),
-            JobSpec(
-                label="hints=without",
-                trace=trace,
-                config=EEVFSConfig(use_hints=False, wake_ahead=False),
-                seed=seed,
-            ),
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="application hints",
-        x_label="hints",
-        x_values=["with", "without"],
-        comparisons=comparisons,
-    )
+def _arrivals(pattern: object, n_requests: int) -> JobSpec:
+    """Bursty (diurnal) vs constant arrivals at matched volume and span.
 
-
-def ablate_disks_per_node(
-    disk_counts: Sequence[int] = (1, 2, 4, 8),
-    n_requests: int = 1000,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """§VII: does adding data disks per node increase savings?"""
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"disks_per_node={count}",
-                trace=trace,
-                config=EEVFSConfig(),
-                cluster=default_cluster(data_disks_per_node=count),
-                seed=seed,
-            )
-            for count in disk_counts
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="data disks per node",
-        x_label="disks_per_node",
-        x_values=list(disk_counts),
-        comparisons=comparisons,
-    )
-
-
-def ablate_window_predictor(
-    n_requests: int = 1000, seed: int = 0, jobs: Optional[int] = 1
-) -> AblationResult:
-    """Sequence (drift-robust) vs time (timestamp-trusting) prediction."""
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"window_predictor={predictor}",
-                trace=trace,
-                config=EEVFSConfig(window_predictor=predictor),
-                seed=seed,
-            )
-            for predictor in ("sequence", "time")
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="window predictor",
-        x_label="predictor",
-        x_values=["sequence", "time"],
-        comparisons=comparisons,
-    )
-
-
-def ablate_striping(
-    widths: Sequence[int] = (1, 2, 4),
-    n_requests: int = 1000,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """§VII future work: striping vs energy savings.
-
-    Uses 4 data disks per node so width-4 stripes exist; quantifies the
-    performance-vs-savings tension (every miss wakes all stripe disks).
+    Data-centre load is periodic; a policy that only works on smooth
+    arrivals is useless.  Result: the look-ahead sleep policy extracts
+    essentially the same savings from a 5x day/night swing as from a
+    constant stream of equal volume -- window *totals*, not window
+    arrangement, set the savings -- while bursts cost a little extra
+    response time (queueing at the peaks).
     """
-    trace = _default_trace_spec(n_requests)
-    cluster = default_cluster(data_disks_per_node=max(widths))
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"stripe_width={w}",
-                trace=trace,
-                config=EEVFSConfig(stripe_width=w),
-                cluster=cluster,
-                seed=seed,
-            )
-            for w in widths
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="striping (§VII)",
-        x_label="stripe_width",
-        x_values=list(widths),
-        comparisons=comparisons,
-    )
+    from repro.traces.diurnal import DiurnalWorkload
+
+    diurnal = DiurnalWorkload(n_requests=n_requests)
+    if pattern == "diurnal":
+        return JobSpec(trace=TraceSpec(kind="diurnal", workload=diurnal, seed=4))
+    # The constant comparator's inter-arrival is the diurnal trace's mean
+    # (cached, so an in-process diurnal job reuses the generated trace).
+    trace = cached_trace("diurnal", diurnal, 4)
+    mean_ia = trace.duration_s / max(1, trace.n_requests - 1)
+    workload = SyntheticWorkload(n_requests=n_requests, inter_arrival_s=mean_ia)
+    return JobSpec(trace=TraceSpec(workload=workload, seed=4))
 
 
-def ablate_placement_policy(
+#: Ablation name -> its row.
+ABLATIONS: Dict[str, Ablation] = {
+    # The disk idle threshold around the paper's 5 s.
+    "idle_threshold": Ablation(
+        "idle threshold",
+        "threshold_s",
+        (1.0, 2.0, 5.0, 10.0, 30.0),
+        lambda t, n: _synthetic(n, EEVFSConfig(idle_threshold_s=t)),
+    ),
+    # Hints + wake-ahead vs pure idle timers (§IV-C's two modes).
+    "hints": Ablation(
+        "application hints",
+        "hints",
+        ("with", "without"),
+        lambda hints, n: _synthetic(
+            n,
+            EEVFSConfig() if hints == "with" else EEVFSConfig(use_hints=False, wake_ahead=False),
+        ),
+    ),
+    # §VII: does adding data disks per node increase savings?
+    "disks_per_node": Ablation(
+        "data disks per node",
+        "disks_per_node",
+        (1, 2, 4, 8),
+        lambda count, n: _synthetic(n, cluster=default_cluster(data_disks_per_node=count)),
+    ),
+    # Sequence (drift-robust) vs time (timestamp-trusting) prediction.
+    "window_predictor": Ablation(
+        "window predictor",
+        "predictor",
+        ("sequence", "time"),
+        lambda predictor, n: _synthetic(n, EEVFSConfig(window_predictor=predictor)),
+    ),
+    # §VII future work: striping vs energy savings, on 4 data disks per
+    # node so width-4 stripes exist; quantifies the performance-vs-savings
+    # tension (every miss wakes all stripe disks).
+    "striping": Ablation(
+        "striping (§VII)",
+        "stripe_width",
+        (1, 2, 4),
+        lambda width, n: _synthetic(
+            n, EEVFSConfig(stripe_width=width), default_cluster(data_disks_per_node=4)
+        ),
+    ),
+    # Round-robin (§III-B) vs bandwidth-weighted placement.  On the
+    # heterogeneous Table-I testbed, weighting placement by NIC rate routes
+    # most traffic through gigabit nodes -- a response-time win the
+    # paper's hardware-oblivious policy leaves on the table.
+    "placement": Ablation(
+        "placement policy",
+        "policy",
+        ("round_robin", "bandwidth_weighted"),
+        lambda policy, n: _synthetic(n, EEVFSConfig(placement_policy=policy)),
+    ),
+    "node_scaling": Ablation(
+        "node scaling (constant per-node load)",
+        "storage_nodes",
+        (2, 4, 8, 16, 32),
+        _node_scaling,
+    ),
+    "diurnal": Ablation(
+        "diurnal vs constant arrivals",
+        "arrival_pattern",
+        ("diurnal", "constant"),
+        _arrivals,
+    ),
+    # How the client replay discipline changes the headline numbers.
+    "replay_mode": Ablation(
+        "client replay discipline",
+        "replay_mode",
+        ("open", "paced", "closed"),
+        lambda mode, n: _synthetic(n, replay_mode=mode),
+        count=int,
+    ),
+}
+
+
+def ablation_study(
+    name: str,
     n_requests: int = 1000,
     seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """Round-robin (§III-B) vs bandwidth-weighted placement.
+    values: Optional[Sequence[object]] = None,
+) -> Study:
+    """One PF/NPF pair per x value of ablation *name*, keyed ``(name, x)``
+    (default: the row's own x values)."""
+    ablation = ABLATIONS[name]
+    return {
+        (name, x): pair(replace(ablation.spec(x, n_requests), seed=seed))
+        for x in (ablation.values if values is None else values)
+    }
 
-    On the heterogeneous Table-I testbed, weighting placement by NIC rate
-    routes most traffic through gigabit nodes -- a response-time win the
-    paper's hardware-oblivious policy leaves on the table.
-    """
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"placement={policy}",
-                trace=trace,
-                config=EEVFSConfig(placement_policy=policy),
-                seed=seed,
-            )
-            for policy in ("round_robin", "bandwidth_weighted")
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="placement policy",
-        x_label="policy",
-        x_values=["round_robin", "bandwidth_weighted"],
-        comparisons=comparisons,
+
+def render_ablation(name: str, results: Results) -> str:
+    """Ablation *name*'s table: savings, PF transitions and penalty per x."""
+    ablation = ABLATIONS[name]
+    comparisons = compared(group(results, name))
+    return format_series(
+        ablation.x_label,
+        list(comparisons),
+        {
+            "savings_pct": [c.energy_savings_pct for c in comparisons.values()],
+            "PF_transitions": [ablation.count(c.pf.transitions) for c in comparisons.values()],
+            "penalty_pct": [c.response_penalty_pct for c in comparisons.values()],
+        },
+        title=f"=== Ablation: {ablation.title} ===",
     )
 
 
@@ -240,12 +211,13 @@ def ablate_dynamic_prefetch(
     n_requests: int = 1000,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Static vs dynamic prefetching on a drifting workload.
+    """E3: static vs dynamic prefetching on a drifting workload.
 
     Both policies get the same limited history (the trace's first 15 %);
     the dynamic policy then re-prefetches from the live request log every
     30 s over a 60 s popularity window, with no drift gate.  Returns the
-    three runs.
+    three runs.  They replay with ``history=``, which no job carries, so
+    they run here rather than as a study.
     """
     from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
 
@@ -266,120 +238,3 @@ def ablate_dynamic_prefetch(
         seed=seed,
     ).run(trace, history=history)
     return {"npf": npf, "static": static, "dynamic": dynamic}
-
-
-def ablate_node_scaling(
-    node_counts: Sequence[int] = (2, 4, 8, 16, 32),
-    n_requests: int = 1000,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """Scalability: does the thin storage server stay out of the way?
-
-    §III-A: "When the number of storage nodes scales up, the storage
-    server might become a performance bottleneck, we address this issue
-    by simplifying the functionality of the storage server."  We scale
-    the cluster while scaling the offered load with it (inter-arrival
-    shrinks proportionally), so per-node load is constant; a scalable
-    design keeps response time and savings flat.
-    """
-    specs = []
-    for count in node_counts:
-        half = max(1, count // 2)
-        specs.append(
-            JobSpec(
-                label=f"nodes={count}",
-                trace=TraceSpec(
-                    workload=SyntheticWorkload(
-                        n_requests=n_requests,
-                        inter_arrival_s=0.700 * 8.0 / count,
-                    ),
-                    seed=1,
-                ),
-                config=EEVFSConfig(),
-                cluster=default_cluster(n_type1=half, n_type2=count - half),
-                seed=seed,
-            )
-        )
-    comparisons = run_jobs(specs, jobs=jobs)
-    return AblationResult(
-        name="node scaling (constant per-node load)",
-        x_label="storage_nodes",
-        x_values=list(node_counts),
-        comparisons=comparisons,
-    )
-
-
-def ablate_diurnal(
-    n_requests: int = 1000,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> AblationResult:
-    """Bursty (diurnal) vs constant arrivals at matched volume and span.
-
-    Data-centre load is periodic; a policy that only works on smooth
-    arrivals is useless.  Result: the look-ahead sleep policy extracts
-    essentially the same savings from a 5x day/night swing as from a
-    constant stream of equal volume -- window *totals*, not window
-    arrangement, set the savings -- while bursts cost a little extra
-    response time (queueing at the peaks).
-    """
-    from repro.traces.diurnal import DiurnalWorkload
-
-    diurnal_workload = DiurnalWorkload(n_requests=n_requests)
-    # Generate the diurnal trace here (cached, so a jobs=1 worker reuses
-    # it) -- the constant comparator's inter-arrival is derived from it.
-    diurnal_trace = cached_trace("diurnal", diurnal_workload, 4)
-    mean_ia = diurnal_trace.duration_s / max(1, diurnal_trace.n_requests - 1)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label="arrivals=diurnal",
-                trace=TraceSpec(kind="diurnal", workload=diurnal_workload, seed=4),
-                config=EEVFSConfig(),
-                seed=seed,
-            ),
-            JobSpec(
-                label="arrivals=constant",
-                trace=TraceSpec(
-                    workload=SyntheticWorkload(
-                        n_requests=n_requests, inter_arrival_s=mean_ia
-                    ),
-                    seed=4,
-                ),
-                config=EEVFSConfig(),
-                seed=seed,
-            ),
-        ],
-        jobs=jobs,
-    )
-    return AblationResult(
-        name="diurnal vs constant arrivals",
-        x_label="arrival_pattern",
-        x_values=["diurnal", "constant"],
-        comparisons=comparisons,
-    )
-
-
-def ablate_replay_mode(
-    modes: Sequence[str] = ("open", "paced", "closed"),
-    n_requests: int = 500,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> Dict[str, PairedComparison]:
-    """How the client replay discipline changes the headline numbers."""
-    trace = _default_trace_spec(n_requests)
-    comparisons = run_jobs(
-        [
-            JobSpec(
-                label=f"replay_mode={mode}",
-                trace=trace,
-                config=EEVFSConfig(),
-                seed=seed,
-                replay_mode=mode,
-            )
-            for mode in modes
-        ],
-        jobs=jobs,
-    )
-    return dict(zip(modes, comparisons, strict=True))

@@ -1,19 +1,21 @@
-"""The baseline shoot-out as one parallel job batch.
+"""The baseline shoot-out as one study point.
 
 The seven comparators (EEVFS-PF plus the six energy-policy baselines)
 all replay the same trace independently -- there is no shared state to
-serialise -- so the suite is the textbook fan-out: one
-:class:`~repro.parallel.jobs.JobSpec` per system.
+serialise -- so the suite is the textbook fan-out: one point,
+:data:`BASELINES`, with one run per system.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.config import EEVFSConfig
-from repro.core.filesystem import RunResult
-from repro.parallel import JobSpec, run_jobs, TraceSpec
+from repro.experiments.study import Study
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.synthetic import MB, SyntheticWorkload
+
+#: The point key of the shoot-out in a study.
+BASELINES = "baselines"
 
 #: Display name -> (baseline function suffix or None for EEVFS-PF,
 #: extra keyword arguments).  Order matches the historical report table.
@@ -28,48 +30,23 @@ SUITE: List[Tuple[str, Optional[str], Tuple[Tuple[str, object], ...]]] = [
 ]
 
 
-def baseline_suite_specs(
+def baseline_study(
     n_requests: int = 1000,
     seed: int = 0,
-    config: Optional[EEVFSConfig] = None,
-    trace_seed: int = 1,
-) -> List[JobSpec]:
-    """One job per comparator, all over the identical synthetic trace."""
-    trace = TraceSpec(workload=SyntheticWorkload(n_requests=n_requests), seed=trace_seed)
-    specs: List[JobSpec] = []
-    for name, baseline, kwargs in SUITE:
-        if baseline is None:
-            specs.append(
-                JobSpec(
-                    label=name,
-                    trace=trace,
-                    config=config or EEVFSConfig(),
-                    seed=seed,
-                    mode="eevfs",
-                )
+    suite: Sequence[Tuple[str, Optional[str], Tuple[Tuple[str, object], ...]]] = SUITE,
+) -> Study:
+    """One run per comparator of *suite*, all over the identical
+    synthetic trace (rng seed 1), named by display name."""
+    trace = TraceSpec(workload=SyntheticWorkload(n_requests=n_requests))
+    return {
+        BASELINES: {
+            name: JobSpec(
+                trace=trace,
+                seed=seed,
+                mode="eevfs" if baseline is None else "baseline",
+                baseline=baseline,
+                baseline_kwargs=kwargs,
             )
-        else:
-            specs.append(
-                JobSpec(
-                    label=name,
-                    trace=trace,
-                    seed=seed,
-                    mode="baseline",
-                    baseline=baseline,
-                    baseline_kwargs=kwargs,
-                )
-            )
-    return specs
-
-
-def run_baseline_suite(
-    n_requests: int = 1000,
-    seed: int = 0,
-    config: Optional[EEVFSConfig] = None,
-    jobs: Optional[int] = 1,
-) -> Dict[str, RunResult]:
-    """Run every comparator; returns ``{display name: RunResult}`` in
-    table order."""
-    specs = baseline_suite_specs(n_requests=n_requests, seed=seed, config=config)
-    results = run_jobs(specs, jobs=jobs)
-    return {spec.label: result for spec, result in zip(specs, results, strict=True)}
+            for name, baseline, kwargs in suite
+        }
+    }

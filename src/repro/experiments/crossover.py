@@ -4,7 +4,8 @@ The figures show trends at four grid points; operators want the
 boundaries -- the lightest prefetch depth that clears a savings target,
 or the load level at which PF stops winning.  These helpers search the
 parameter space (integer bisection over monotone responses) instead of
-eyeballing a chart.
+eyeballing a chart.  They run each probe directly (:func:`run_pair`),
+since the next probe depends on the last.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.experiments.runner import run_pair
+from repro.experiments.study import run_pair
 from repro.traces.model import Trace
 from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 

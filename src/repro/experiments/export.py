@@ -8,13 +8,12 @@ document per figure.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict
 import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.core.filesystem import canonical_json, RunResult
-from repro.experiments.figures import Figure6Result, FigureResult
+from repro.experiments.figures import FigureResult
+from repro.metrics.comparison import PairedComparison
 
 
 def figure_to_dict(figure: FigureResult) -> Dict[str, object]:
@@ -33,39 +32,32 @@ def figure_to_dict(figure: FigureResult) -> Dict[str, object]:
     }
 
 
-def figure6_to_dict(figure: Figure6Result) -> Dict[str, object]:
-    """JSON-serialisable representation of the Fig. 6 result."""
+def figure6_to_dict(comparison: PairedComparison) -> Dict[str, object]:
+    """JSON-serialisable representation of Fig. 6's PF/NPF pair."""
     return {
         "figure": "Fig6",
-        "pf_energy_j": figure.pf_energy_j,
-        "npf_energy_j": figure.npf_energy_j,
-        "savings_pct": figure.savings_pct,
-        "pf_transitions": figure.comparison.pf.transitions,
-        "npf_transitions": figure.comparison.npf.transitions,
-        "pf_response_s": figure.comparison.pf.mean_response_s,
-        "npf_response_s": figure.comparison.npf.mean_response_s,
+        "pf_energy_j": comparison.pf.energy_j,
+        "npf_energy_j": comparison.npf.energy_j,
+        "savings_pct": comparison.energy_savings_pct,
+        "pf_transitions": comparison.pf.transitions,
+        "npf_transitions": comparison.npf.transitions,
+        "pf_response_s": comparison.pf.mean_response_s,
+        "npf_response_s": comparison.npf.mean_response_s,
     }
 
 
 def write_figure_json(
-    figure: Union[FigureResult, Figure6Result], path: Union[str, Path]
+    figure: Union[FigureResult, PairedComparison], path: Union[str, Path]
 ) -> Path:
-    """Write one figure's data as JSON; returns the path written."""
+    """Write one figure's data as JSON (Fig. 6 as its pair); returns the
+    path written."""
     path = Path(path)
     data = (
         figure6_to_dict(figure)
-        if isinstance(figure, Figure6Result)
+        if isinstance(figure, PairedComparison)
         else figure_to_dict(figure)
     )
     path.write_text(json.dumps(data, indent=2) + "\n")
-    return path
-
-
-def write_runresult_json(result: RunResult, path: Union[str, Path]) -> Path:
-    """Dump a run's full measurement record plus its config to JSON."""
-    path = Path(path)
-    record = {**result.record(), "config": asdict(result.config)}
-    path.write_text(canonical_json(record))
     return path
 
 

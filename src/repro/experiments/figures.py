@@ -1,25 +1,27 @@
 """Regeneration of the paper's Figs. 3-6.
 
-Each ``figureN`` function returns a :class:`FigureResult`: the panels'
-series (x values plus one column per plotted line) and a ``render()``
-producing the plain-text equivalent of the figure.  Figures 3, 4 and 5
-slice one shared :class:`~repro.experiments.sweeps.SweepSet`; Fig. 6 runs
-the Berkeley-web-like trace.
+Figures 3, 4 and 5 slice one shared set of
+:func:`~repro.experiments.sweeps.sweep_study` results: each ``figureN``
+returns a :class:`FigureResult`, the panels' series (x values plus one
+column per plotted line) with a ``render()`` producing the plain-text
+equivalent of the figure.  Fig. 6 is one PF/NPF pair on the
+Berkeley-web-like trace (:func:`figure6_study`): :func:`figure6` is its
+comparison and :func:`render_figure6` prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.experiments.runner import run_pair
-from repro.experiments.sweeps import run_all_sweeps, SweepSet
-from repro.metrics.comparison import PairedComparison
+from repro.experiments.study import compared, group, pair, Results, Study
+from repro.metrics.comparison import compare, PairedComparison
 from repro.metrics.report import format_series
-from repro.traces.berkeley import BerkeleyWebWorkload, generate_berkeley_like_trace
+from repro.parallel import JobSpec, TraceSpec
+from repro.traces.berkeley import BerkeleyWebWorkload
+
+#: The point key of Fig. 6's pair in a study.
+FIG6 = "fig6"
 
 #: Panel letter -> (sweep name, x-axis label), fixed across Figs. 3/4/5.
 PANELS = {
@@ -65,59 +67,53 @@ class FigureResult:
 
 
 def _panels_from(
-    sweeps: SweepSet, extract, series_names: Sequence[str]
+    results: Results, extract, series_names: Sequence[str]
 ) -> Dict[str, Panel]:
     panels: Dict[str, Panel] = {}
     for letter, (sweep, x_label) in PANELS.items():
-        if sweep not in sweeps:
+        points = compared(group(results, sweep))
+        if not points:
             continue
-        points = sweeps[sweep]
         columns = {name: [] for name in series_names}
-        for point in points:
-            values = extract(point.comparison)
+        for comparison in points.values():
+            values = extract(comparison)
             for name, value in zip(series_names, values, strict=True):
                 columns[name].append(value)
         panels[letter] = Panel(
-            letter=letter,
-            x_label=x_label,
-            x_values=[p.value for p in points],
-            series=columns,
+            letter=letter, x_label=x_label, x_values=list(points), series=columns
         )
     return panels
 
 
-def figure3(sweeps: Optional[SweepSet] = None, **sweep_kwargs) -> FigureResult:
+def figure3(results: Results) -> FigureResult:
     """Fig. 3: energy consumption (J), PF vs NPF, four panels."""
-    sweeps = sweeps if sweeps is not None else run_all_sweeps(**sweep_kwargs)
     result = FigureResult(
         figure="Fig3", title="Energy consumption of the cluster storage system (J)"
     )
     result.panels = _panels_from(
-        sweeps,
+        results,
         lambda c: (c.pf.energy_j, c.npf.energy_j, c.energy_savings_pct),
         ("PF_energy_J", "NPF_energy_J", "savings_pct"),
     )
     return result
 
 
-def figure4(sweeps: Optional[SweepSet] = None, **sweep_kwargs) -> FigureResult:
+def figure4(results: Results) -> FigureResult:
     """Fig. 4: total power-state transitions, four panels."""
-    sweeps = sweeps if sweeps is not None else run_all_sweeps(**sweep_kwargs)
     result = FigureResult(figure="Fig4", title="Number of power state transitions")
     result.panels = _panels_from(
-        sweeps,
+        results,
         lambda c: (c.pf.transitions, c.npf.transitions),
         ("PF_transitions", "NPF_transitions"),
     )
     return result
 
 
-def figure5(sweeps: Optional[SweepSet] = None, **sweep_kwargs) -> FigureResult:
+def figure5(results: Results) -> FigureResult:
     """Fig. 5: mean file-request response time (s), PF vs NPF."""
-    sweeps = sweeps if sweeps is not None else run_all_sweeps(**sweep_kwargs)
     result = FigureResult(figure="Fig5", title="File request response time (s)")
     result.panels = _panels_from(
-        sweeps,
+        results,
         lambda c: (
             c.pf.mean_response_s,
             c.npf.mean_response_s,
@@ -128,54 +124,34 @@ def figure5(sweeps: Optional[SweepSet] = None, **sweep_kwargs) -> FigureResult:
     return result
 
 
-@dataclass
-class Figure6Result:
-    """Fig. 6: energy on the Berkeley-web-like trace, PF vs NPF."""
-
-    comparison: PairedComparison
-
-    @property
-    def pf_energy_j(self) -> float:
-        return self.comparison.pf.energy_j
-
-    @property
-    def npf_energy_j(self) -> float:
-        return self.comparison.npf.energy_j
-
-    @property
-    def savings_pct(self) -> float:
-        return self.comparison.energy_savings_pct
-
-    def render(self) -> str:
-        return format_series(
-            "mode",
-            ["PF", "NPF"],
-            {
-                "energy_J": [self.pf_energy_j, self.npf_energy_j],
-                "transitions": [
-                    float(self.comparison.pf.transitions),
-                    float(self.comparison.npf.transitions),
-                ],
-            },
-            title=(
-                "=== Fig6: Berkeley web trace energy "
-                f"(savings {self.savings_pct:.1f} %) ==="
-            ),
-        )
-
-
-def figure6(
-    n_requests: int = 1000,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-    trace_seed: int = 2,
-) -> Figure6Result:
-    """Regenerate Fig. 6 on the Berkeley-web-like trace (§VI-D setup:
-    10 MB data size, K=70, re-spaced inter-arrival)."""
+def figure6_study(n_requests: int = 1000, seed: int = 0) -> Study:
+    """Fig. 6's one point, :data:`FIG6`: a PF/NPF pair on the
+    Berkeley-web-like trace of rng seed 2 (§VI-D setup: 10 MB data size,
+    K=70, re-spaced inter-arrival)."""
     workload = BerkeleyWebWorkload(n_requests=n_requests)
-    trace = generate_berkeley_like_trace(
-        workload, rng=np.random.default_rng(trace_seed)
+    trace = TraceSpec(kind="berkeley", workload=workload, seed=2)
+    return {FIG6: pair(JobSpec(trace=trace, seed=seed))}
+
+
+def figure6(results: Results) -> PairedComparison:
+    """Fig. 6: the PF/NPF comparison of a study's :data:`FIG6` point."""
+    return compare(results[FIG6]["pf"], results[FIG6]["npf"])
+
+
+def render_figure6(comparison: PairedComparison) -> str:
+    """Fig. 6: energy on the Berkeley-web-like trace, PF vs NPF."""
+    return format_series(
+        "mode",
+        ["PF", "NPF"],
+        {
+            "energy_J": [comparison.pf.energy_j, comparison.npf.energy_j],
+            "transitions": [
+                float(comparison.pf.transitions),
+                float(comparison.npf.transitions),
+            ],
+        },
+        title=(
+            "=== Fig6: Berkeley web trace energy "
+            f"(savings {comparison.energy_savings_pct:.1f} %) ==="
+        ),
     )
-    comparison = run_pair(trace, config=config, cluster=cluster, seed=seed)
-    return Figure6Result(comparison=comparison)

@@ -2,17 +2,17 @@
 
 The paper's evaluation assumes the metadata server never fails; the
 ``repro.metaplane`` extension asks what it costs to drop that
-assumption.  This module packages the two studies:
+assumption.  :func:`metaplane_study` packages both studies:
 
-* :func:`run_metadata_drill` -- the headline chaos experiment: replay
+* the drill -- the headline chaos experiment, one shard count: replay
   the Berkeley-web-like trace while :meth:`~repro.faults.schedule.
   FaultSchedule.meta_leader_fail` kills every shard's leader once,
   comparing an unreplicated plane (each crash takes its shard down until
   the repair) against a 3-replica group (the survivors elect around the
   crash).  The claim under test: with replication, zero requests are
   abandoned; without it, the run records nonzero leaderless time.
-* :func:`metaplane_sweep` -- the same drill across a shard-count x
-  replica-count grid, feeding the EXPERIMENTS.md table.
+* the sweep -- the same drill across a shard-count x replica-count
+  grid, feeding the EXPERIMENTS.md table (:func:`metaplane_rows`).
 
 Both are deterministic for a seed: every run's
 :meth:`~repro.core.filesystem.RunResult.record` (aggregates, per-shard
@@ -26,13 +26,14 @@ and compares both outputs with each other and with
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.config import EEVFSConfig
-from repro.core.filesystem import run_eevfs, RunResult
+from repro.experiments.study import Results, Study
 from repro.faults.schedule import FaultSchedule
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.berkeley import BerkeleyWebWorkload, generate_berkeley_like_trace
 from repro.traces.model import Trace
 
@@ -89,69 +90,52 @@ def drill_trace(n_requests: int = 1000, trace_seed: int = 1) -> Trace:
     )
 
 
-def run_metadata_drill(
-    n_requests: int = 1000,
-    seed: int = 0,
-    shards: int = 4,
-    replica_counts: Sequence[int] = (1, 3),
-    trace: Optional[Trace] = None,
-) -> Dict[str, RunResult]:
-    """Run the leader-crash drill once per replica count.
-
-    Every run replays the same trace against the same fault schedule;
-    only ``metadata_replicas`` varies.  Keys are ``"1-replica"``,
-    ``"3-replica"``, ...
-    """
-    workload = trace if trace is not None else drill_trace(n_requests=n_requests)
-    results: Dict[str, RunResult] = {}
-    for replicas in replica_counts:
-        results[f"{replicas}-replica"] = run_eevfs(
-            workload,
-            drill_config(replicas, shards=shards),
-            seed=seed,
-            faults=leader_crash_schedule(shards),
-        )
-    return results
-
-
-def metaplane_sweep(
+def metaplane_study(
     shard_counts: Sequence[int] = (1, 2, 4),
     replica_counts: Sequence[int] = (1, 3),
     n_requests: int = 1000,
     seed: int = 0,
-) -> Dict[Tuple[int, int], RunResult]:
-    """The drill across a shards x replicas grid, one leader crash per
-    shard in every cell.  Returns results keyed by ``(shards, replicas)``."""
-    trace = drill_trace(n_requests=n_requests)
-    grid: Dict[Tuple[int, int], RunResult] = {}
-    for shards in shard_counts:
-        schedule = leader_crash_schedule(shards)
-        for replicas in replica_counts:
-            grid[(shards, replicas)] = run_eevfs(
-                trace,
-                drill_config(replicas, shards=shards),
+) -> Study:
+    """The leader-crash drill across a shards x replicas grid.
+
+    Points are keyed by shard count; each holds one run per replica
+    count, named ``"<replicas>-replica"``, over the same :func:`drill_trace`
+    and :func:`leader_crash_schedule`, so only ``metadata_replicas``
+    varies within a point.
+    """
+    trace = TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=n_requests))
+    return {
+        shards: {
+            f"{replicas}-replica": JobSpec(
+                trace=trace,
+                config=drill_config(replicas, shards=shards),
                 seed=seed,
-                faults=schedule,
+                faults=leader_crash_schedule(shards),
             )
-    return grid
+            for replicas in replica_counts
+        }
+        for shards in shard_counts
+    }
 
 
-def sweep_rows(grid: Dict[Tuple[int, int], RunResult]) -> list:
-    """Flatten a sweep grid into report rows (EXPERIMENTS.md table)."""
+def metaplane_rows(results: Results) -> List[List[object]]:
+    """One report row per run, by shards then replicas (EXPERIMENTS.md
+    table)."""
     rows = []
-    for (shards, replicas), result in sorted(grid.items()):
-        plane = result.metaplane
-        assert plane is not None  # every sweep cell runs with a plane
-        rows.append(
-            [
-                shards,
-                replicas,
-                plane.elections,
-                plane.leaderless_s,
-                result.requests_retried,
-                result.requests_abandoned,
-                result.availability,
-                result.mean_response_s,
-            ]
-        )
-    return rows
+    for runs in results.values():
+        for result in runs.values():
+            plane = result.metaplane
+            assert plane is not None  # every sweep cell runs with a plane
+            rows.append(
+                [
+                    result.config.metadata_shards,
+                    result.config.metadata_replicas,
+                    plane.elections,
+                    plane.leaderless_s,
+                    result.requests_retried,
+                    result.requests_abandoned,
+                    result.availability,
+                    result.mean_response_s,
+                ]
+            )
+    return sorted(rows, key=lambda row: row[:2])

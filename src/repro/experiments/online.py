@@ -15,8 +15,9 @@ seed:
 The corpus is all four Table-II sweeps plus the Berkeley-web-like trace
 plus a drifting-skew workload (the hotspot moves mid-run -- the case an
 oracle ranking fundamentally cannot chase, and the reason online mode
-exists).  ``savings = (npf - pf) / npf``; **retention** is the share of
-the oracle's savings the online mode keeps.
+exists).  Savings are :func:`~repro.metrics.comparison.compare`'s, each
+mode against the point's NPF run; **retention** is the share of the
+oracle's savings the online mode keeps.
 
 Determinism: ``eevfs online --json`` writes every run's
 :meth:`~repro.core.filesystem.RunResult.record` (energies, transitions,
@@ -28,13 +29,15 @@ byte-compares the two files with each other and with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.config import ClusterSpec, EEVFSConfig
+from repro.core.config import EEVFSConfig
 from repro.core.filesystem import RunResult
+from repro.experiments.study import Results, Study
 from repro.experiments.sweeps import _config_for, _workload_for, SWEEPS
-from repro.parallel import JobSpec, run_jobs, TraceSpec
+from repro.metrics.comparison import compare, PairedComparison
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.berkeley import BerkeleyWebWorkload
 from repro.traces.nonstationary import DriftingWorkload
 
@@ -42,8 +45,9 @@ from repro.traces.nonstationary import DriftingWorkload
 #: studies (order is presentation order).
 ONLINE_CORPUS = ("data_size", "mu", "inter_arrival", "prefetch_count", "traces")
 
-#: The two trace studies swept under the "traces" pseudo-parameter.
-TRACE_STUDIES = ("berkeley", "drifting")
+#: The two trace studies swept under the "traces" pseudo-parameter: the
+#: name is also the trace kind.
+TRACE_STUDIES = {"berkeley": BerkeleyWebWorkload, "drifting": DriftingWorkload}
 
 
 def online_config(
@@ -57,172 +61,71 @@ def online_config(
     )
 
 
-@dataclass
-class OnlinePoint:
-    """One experiment point: oracle vs online vs npf over one trace."""
-
-    parameter: str
-    value: object
-    oracle: RunResult
-    online: RunResult
-    npf: RunResult
-
-    @staticmethod
-    def _savings_pct(pf_energy: float, npf_energy: float) -> float:
-        return (
-            100.0 * (npf_energy - pf_energy) / npf_energy if npf_energy > 0 else 0.0
-        )
-
-    @property
-    def oracle_savings_pct(self) -> float:
-        """Oracle PF energy savings vs NPF (the paper's headline)."""
-        return self._savings_pct(self.oracle.energy_j, self.npf.energy_j)
-
-    @property
-    def online_savings_pct(self) -> float:
-        """Online-mode energy savings vs NPF (no hindsight)."""
-        return self._savings_pct(self.online.energy_j, self.npf.energy_j)
-
-    @property
-    def retention(self) -> Optional[float]:
-        """Share of oracle savings the online mode keeps (None if the
-        oracle saved nothing at this point -- no baseline to retain)."""
-        oracle = self.oracle_savings_pct
-        if oracle <= 0.0:
-            return None
-        return self.online_savings_pct / oracle
-
-    @property
-    def oracle_latency_penalty_pct(self) -> float:
-        npf = self.npf.mean_response_s
-        return 100.0 * (self.oracle.mean_response_s - npf) / npf if npf > 0 else 0.0
-
-    @property
-    def online_latency_penalty_pct(self) -> float:
-        npf = self.npf.mean_response_s
-        return 100.0 * (self.online.mean_response_s - npf) / npf if npf > 0 else 0.0
-
-
-def _trace_spec_for(
-    sweep: str, value: object, n_requests: int, trace_seed: int
-) -> TraceSpec:
-    if sweep == "traces":
-        if value == "berkeley":
-            return TraceSpec(
-                kind="berkeley",
-                workload=BerkeleyWebWorkload(n_requests=n_requests),
-                seed=trace_seed,
-            )
-        if value == "drifting":
-            return TraceSpec(
-                kind="drifting",
-                workload=DriftingWorkload(n_requests=n_requests),
-                seed=trace_seed,
-            )
-        raise ValueError(f"unknown trace study {value!r}; options: {TRACE_STUDIES}")
-    return TraceSpec(
-        workload=_workload_for(sweep, value, n_requests), seed=trace_seed
-    )
-
-
-def ablation_specs(
+def online_study(
     sweeps: Optional[Sequence[str]] = None,
     n_requests: int = 1000,
     config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    trace_seed: int = 1,
     estimator: str = "ema",
-) -> Tuple[List[Tuple[str, object]], List[JobSpec]]:
-    """Describe the ablation as single-run jobs (three per point).
-
-    Returns ``(points, specs)`` where ``points`` is the flat
-    ``(sweep, value)`` list and ``specs`` holds oracle/online/npf jobs
-    in that order for each point.
-    """
-    selected = list(sweeps) if sweeps is not None else list(ONLINE_CORPUS)
+) -> Study:
+    """Three runs per point -- ``"oracle"``, ``"online"``, ``"npf"`` --
+    keyed ``(sweep, value)``; the trace studies are the values of the
+    ``"traces"`` pseudo-sweep.  Every trace has rng seed 1."""
     base = config if config is not None else EEVFSConfig()
-    points: List[Tuple[str, object]] = []
-    for sweep in selected:
-        if sweep == "traces":
-            points.extend(("traces", study) for study in TRACE_STUDIES)
-        elif sweep in SWEEPS:
-            points.extend((sweep, value) for value in SWEEPS[sweep][1])
-        else:
+    study: Study = {}
+    for sweep in ONLINE_CORPUS if sweeps is None else sweeps:
+        if sweep != "traces" and sweep not in SWEEPS:
             raise ValueError(
                 f"unknown sweep {sweep!r}; options: {sorted(SWEEPS)} + ['traces']"
             )
-    specs: List[JobSpec] = []
-    for sweep, value in points:
-        trace = _trace_spec_for(sweep, value, n_requests, trace_seed)
-        oracle = (
-            _config_for(sweep, value, base) if sweep in SWEEPS else base
-        )
-        for system, cfg in (
-            ("oracle", oracle.as_pf()),
-            ("online", online_config(oracle, estimator=estimator)),
-            ("npf", oracle.as_npf()),
-        ):
-            specs.append(
-                JobSpec(
-                    label=f"online:{sweep}={value}:{system}",
-                    trace=trace,
-                    config=cfg,
-                    cluster=cluster,
-                    seed=seed,
-                    mode="eevfs",
+        for value in TRACE_STUDIES if sweep == "traces" else SWEEPS[sweep][1]:
+            if sweep == "traces":
+                workload = TRACE_STUDIES[value](n_requests=n_requests)
+                trace, oracle = TraceSpec(kind=value, workload=workload), base
+            else:
+                trace = TraceSpec(workload=_workload_for(sweep, value, n_requests))
+                oracle = _config_for(sweep, value, base)
+            study[(sweep, value)] = {
+                run: JobSpec(trace=trace, config=cfg, seed=seed)
+                for run, cfg in (
+                    ("oracle", oracle.as_pf()),
+                    ("online", online_config(oracle, estimator=estimator)),
+                    ("npf", oracle.as_npf()),
                 )
-            )
-    return points, specs
+            }
+    return study
 
 
-def online_ablation(
-    sweeps: Optional[Sequence[str]] = None,
-    n_requests: int = 1000,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-    estimator: str = "ema",
-) -> Dict[str, List[OnlinePoint]]:
-    """Run the oracle-vs-online ablation; results keyed by sweep name.
-
-    All points are submitted as one job batch (three runs per point), so
-    ``jobs > 1`` overlaps everything; results are identical to serial.
-    """
-    points, specs = ablation_specs(
-        sweeps,
-        n_requests=n_requests,
-        config=config,
-        cluster=cluster,
-        seed=seed,
-        estimator=estimator,
-    )
-    results = iter(run_jobs(specs, jobs=jobs))
-    ablation: Dict[str, List[OnlinePoint]] = {}
-    for sweep, value in points:
-        oracle, online, npf = next(results), next(results), next(results)
-        ablation.setdefault(sweep, []).append(
-            OnlinePoint(
-                parameter=sweep, value=value, oracle=oracle, online=online, npf=npf
-            )
-        )
-    return ablation
+def retention(
+    oracle: PairedComparison, online: PairedComparison
+) -> Optional[float]:
+    """Share of the oracle's savings the online mode keeps (None if the
+    oracle saved nothing at this point -- no baseline to retain)."""
+    if oracle.energy_savings_pct <= 0.0:
+        return None
+    return online.energy_savings_pct / oracle.energy_savings_pct
 
 
-def ablation_rows(points: Sequence[OnlinePoint]) -> List[List[object]]:
-    """Flatten one sweep's points into report rows."""
+def _comparisons(runs: Dict[str, RunResult]) -> Tuple[PairedComparison, PairedComparison]:
+    """The point's oracle and online runs, each against its NPF run."""
+    return compare(runs["oracle"], runs["npf"]), compare(runs["online"], runs["npf"])
+
+
+def online_rows(points: Dict[Hashable, Dict[str, RunResult]]) -> List[List[object]]:
+    """One report row per point of one sweep (points keyed by value)."""
     rows: List[List[object]] = []
-    for point in points:
-        stats = point.online.online
+    for value, runs in points.items():
+        oracle, online = _comparisons(runs)
+        kept = retention(oracle, online)
+        stats = runs["online"].online
         rows.append(
             [
-                point.value,
-                point.oracle_savings_pct,
-                point.online_savings_pct,
-                "-" if point.retention is None else f"{point.retention:.2f}",
-                point.oracle_latency_penalty_pct,
-                point.online_latency_penalty_pct,
+                value,
+                oracle.energy_savings_pct,
+                online.energy_savings_pct,
+                "-" if kept is None else f"{kept:.2f}",
+                oracle.response_penalty_pct,
+                online.response_penalty_pct,
                 "-" if stats is None else f"{stats.k_initial}->{stats.k_final}",
                 0 if stats is None else stats.replans_triggered,
             ]
@@ -242,24 +145,26 @@ ABLATION_HEADERS = [
 ]
 
 
-def retention_summary(
-    ablation: Dict[str, List[OnlinePoint]],
-) -> Dict[str, float]:
-    """Headline numbers: mean savings and mean retention per corpus.
+def retention_summary(results: Results) -> Dict[str, float]:
+    """Headline numbers: mean savings and mean retention over every point
+    (sweeps in name order).
 
     ``retention`` averages only the points where the oracle actually
     saved energy (elsewhere there is nothing to retain).
     """
-    points = [point for sweep in sorted(ablation) for point in ablation[sweep]]
-    if not points:
+    pairs = [
+        _comparisons(runs)
+        for _, runs in sorted(results.items(), key=lambda item: item[0][0])
+    ]
+    if not pairs:
         raise ValueError("empty ablation")
-    retained = [p.retention for p in points if p.retention is not None]
+    retained = [kept for kept in (retention(*p) for p in pairs) if kept is not None]
     return {
-        "points": float(len(points)),
-        "oracle_savings_mean_pct": sum(p.oracle_savings_pct for p in points)
-        / len(points),
-        "online_savings_mean_pct": sum(p.online_savings_pct for p in points)
-        / len(points),
+        "points": float(len(pairs)),
+        "oracle_savings_mean_pct": sum(o.energy_savings_pct for o, _ in pairs)
+        / len(pairs),
+        "online_savings_mean_pct": sum(n.energy_savings_pct for _, n in pairs)
+        / len(pairs),
         "retention_mean": (
             sum(retained) / len(retained) if retained else 0.0
         ),

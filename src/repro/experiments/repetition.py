@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.metrics.comparison import PairedComparison
-from repro.parallel import JobSpec, run_jobs, TraceSpec
+from repro.experiments.study import compared, pair, run_study
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.synthetic import SyntheticWorkload
 
 #: Two-sided 95 % t critical values for small sample sizes (df 1..30).
@@ -118,21 +118,21 @@ def repeat_pair(
     if not seeds:
         raise ValueError("need at least one seed")
     workload = workload or SyntheticWorkload()
-    specs = [
-        JobSpec(
-            label=f"repetition:seed={seed}",
-            trace=TraceSpec(
-                workload=workload,
-                seed=(1000 + seed) if vary_trace else 1,
-            ),
-            config=config,
-            cluster=cluster,
-            seed=seed,
-            mode="pair",
+    study = {
+        seed: pair(
+            JobSpec(
+                trace=TraceSpec(
+                    workload=workload,
+                    seed=(1000 + seed) if vary_trace else 1,
+                ),
+                config=config,
+                cluster=cluster,
+                seed=seed,
+            )
         )
         for seed in seeds
-    ]
-    comparisons: List[PairedComparison] = run_jobs(specs, jobs=jobs)
+    }
+    comparisons = list(compared(run_study(study, jobs=jobs)).values())
     return RepetitionResult(
         savings_pct=RepeatedMetric(
             "energy savings (%)",

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
+from repro.core.config import ClusterSpec, default_cluster
 from repro.disk.specs import DiskSpec
-from repro.experiments.runner import run_pair
+from repro.experiments.study import compared, pair, run_study
 from repro.metrics.report import format_table
-from repro.traces.model import Trace
-from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
+from repro.parallel import JobSpec, TraceSpec
+from repro.traces.synthetic import SyntheticWorkload
 
 
 def scale_disk_power(spec: DiskSpec, factor: float) -> DiskSpec:
@@ -63,28 +61,24 @@ def power_model_sensitivity(
     disk_factors: Sequence[float] = (0.7, 1.0, 1.3),
     n_requests: int = 1000,
     seed: int = 0,
-    trace: Optional[Trace] = None,
 ) -> Dict[Tuple[float, float], float]:
-    """Savings (%) over the (base power x disk power) perturbation grid.
+    """Savings (%) over the (base power x disk power) perturbation grid,
+    one PF/NPF pair per cell on the synthetic trace of rng seed 1.
 
     Scaling both transition energies and state powers together keeps each
     perturbed drive physically consistent (its break-even time is
     invariant under a uniform scale).
     """
-    trace = (
-        trace
-        if trace is not None
-        else generate_synthetic_trace(
-            SyntheticWorkload(n_requests=n_requests), rng=np.random.default_rng(1)
+    trace = TraceSpec(workload=SyntheticWorkload(n_requests=n_requests))
+    study = {
+        (base, disk): pair(
+            JobSpec(trace=trace, cluster=perturbed_cluster(base, disk), seed=seed)
         )
-    )
-    grid: Dict[Tuple[float, float], float] = {}
-    for base_factor in base_factors:
-        for disk_factor in disk_factors:
-            cluster = perturbed_cluster(base_factor, disk_factor)
-            comparison = run_pair(trace, config=EEVFSConfig(), cluster=cluster, seed=seed)
-            grid[(base_factor, disk_factor)] = comparison.energy_savings_pct
-    return grid
+        for base in base_factors
+        for disk in disk_factors
+    }
+    comparisons = compared(run_study(study))
+    return {cell: c.energy_savings_pct for cell, c in comparisons.items()}
 
 
 def render_sensitivity(grid: Dict[Tuple[float, float], float]) -> str:

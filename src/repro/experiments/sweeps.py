@@ -2,22 +2,22 @@
 
 One set of runs feeds Figs. 3, 4 *and* 5 -- the paper plots the same
 experiments three ways (energy, transitions, response time), so
-:func:`run_all_sweeps` executes each (parameter, value) pair exactly once
-and the figure modules slice the shared :class:`SweepSet`.
+:func:`sweep_study` describes each (sweep, value) pair exactly once and
+the figure modules slice the shared results.
 
 Fixed defaults per §VI: data size 10 MB, MU 1000, inter-arrival 700 ms,
-K=70, idle threshold 5 s, 1000 files.  ``scale`` shrinks the request
-count for quick runs (tests use it); 1.0 is the paper's 1000 requests.
+K=70, idle threshold 5 s, 1000 files.  ``n_requests`` shrinks the trace
+for quick runs (tests use it); 1000 is the paper's scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Mapping, Optional, Sequence
 
-from repro.core.config import ClusterSpec, EEVFSConfig, PARAMETER_GRID
-from repro.experiments.runner import PairResult
-from repro.parallel import JobSpec, run_jobs, TraceSpec
+from repro.core.config import EEVFSConfig, PARAMETER_GRID
+from repro.experiments.study import pair, Study
+from repro.parallel import JobSpec, TraceSpec
 from repro.traces.synthetic import MB, SyntheticWorkload
 
 #: Sweep name -> (workload/config field, Table-II values).
@@ -27,24 +27,6 @@ SWEEPS = {
     "inter_arrival": ("inter_arrival_ms", PARAMETER_GRID["inter_arrival_ms"]),
     "prefetch_count": ("prefetch_files", PARAMETER_GRID["prefetch_files"]),
 }
-
-
-@dataclass
-class SweepSet:
-    """All four sweeps' paired results, keyed by sweep name."""
-
-    results: Dict[str, List[PairResult]] = field(default_factory=dict)
-    n_requests: int = 1000
-    seed: int = 0
-
-    def __getitem__(self, sweep: str) -> List[PairResult]:
-        return self.results[sweep]
-
-    def __contains__(self, sweep: str) -> bool:
-        return sweep in self.results
-
-    def x_values(self, sweep: str) -> List[object]:
-        return [p.value for p in self.results[sweep]]
 
 
 def _workload_for(sweep: str, value: object, n_requests: int) -> SyntheticWorkload:
@@ -66,94 +48,27 @@ def _config_for(sweep: str, value: object, base: EEVFSConfig) -> EEVFSConfig:
     return base
 
 
-def sweep_specs(
-    sweep: str,
-    values: Optional[Sequence[object]] = None,
+def sweep_study(
     n_requests: int = 1000,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    trace_seed: int = 1,
-) -> Tuple[str, List[object], List[JobSpec]]:
-    """Describe one sweep as independent jobs (one PF/NPF pair per value)."""
-    if sweep not in SWEEPS:
-        raise ValueError(f"unknown sweep {sweep!r}; options: {sorted(SWEEPS)}")
-    parameter, default_values = SWEEPS[sweep]
-    values = list(default_values if values is None else values)
-    base_config = config or EEVFSConfig()
-    specs = [
-        JobSpec(
-            label=f"{sweep}:{parameter}={value}",
-            trace=TraceSpec(
-                workload=_workload_for(sweep, value, n_requests), seed=trace_seed
-            ),
-            config=_config_for(sweep, value, base_config),
-            cluster=cluster,
-            seed=seed,
-            mode="pair",
+    sweeps: Optional[Mapping[str, Sequence[object]]] = None,
+) -> Study:
+    """The Table-II corpus (Figs. 3-5): one PF/NPF pair per point, keyed
+    ``(sweep, value)``.
+
+    ``sweeps`` maps sweep names to the values to run (default: all four
+    sweeps at their Table-II values).
+    """
+    if sweeps is None:
+        sweeps = {name: values for name, (_, values) in SWEEPS.items()}
+    return {
+        (sweep, value): pair(
+            JobSpec(
+                trace=TraceSpec(workload=_workload_for(sweep, value, n_requests)),
+                config=_config_for(sweep, value, EEVFSConfig()),
+                seed=seed,
+            )
         )
+        for sweep, values in sweeps.items()
         for value in values
-    ]
-    return parameter, values, specs
-
-
-def run_sweep(
-    sweep: str,
-    values: Optional[Sequence[object]] = None,
-    n_requests: int = 1000,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> List[PairResult]:
-    """Run one Table-II sweep; returns one :class:`PairResult` per value.
-
-    ``jobs`` fans the per-value pairs out over worker processes (``None``
-    = one per CPU).  Results are identical to ``jobs=1`` -- every value
-    is an independent (trace, config, seed) triple.
-    """
-    parameter, values, specs = sweep_specs(
-        sweep,
-        values=values,
-        n_requests=n_requests,
-        config=config,
-        cluster=cluster,
-        seed=seed,
-    )
-    comparisons = run_jobs(specs, jobs=jobs)
-    return [
-        PairResult(parameter=parameter, value=value, comparison=comparison)
-        for value, comparison in zip(values, comparisons, strict=True)
-    ]
-
-
-def run_all_sweeps(
-    n_requests: int = 1000,
-    config: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-    sweeps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = 1,
-) -> SweepSet:
-    """Execute every Table-II sweep once (the Figs. 3/4/5 corpus).
-
-    All four sweeps' points are submitted as one job batch, so with
-    ``jobs > 1`` the slow tail of one sweep overlaps the start of the
-    next instead of running sweep-by-sweep.
-    """
-    selected = list(sweeps) if sweeps is not None else sorted(SWEEPS)
-    sweep_set = SweepSet(n_requests=n_requests, seed=seed)
-    batches = [
-        sweep_specs(
-            sweep, n_requests=n_requests, config=config, cluster=cluster, seed=seed
-        )
-        for sweep in selected
-    ]
-    flat = [spec for _, _, specs in batches for spec in specs]
-    comparisons = iter(run_jobs(flat, jobs=jobs))
-    for sweep, (parameter, values, _specs) in zip(selected, batches, strict=True):
-        sweep_set.results[sweep] = [
-            PairResult(parameter=parameter, value=value, comparison=next(comparisons))
-            for value in values
-        ]
-    return sweep_set
+    }

@@ -10,10 +10,11 @@ command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.figures import figure6
-from repro.experiments.sweeps import run_all_sweeps, SweepSet
+from repro.experiments.study import compared, group, Results
+from repro.experiments.sweeps import SWEEPS
 from repro.metrics.report import format_table
 
 
@@ -28,18 +29,14 @@ class CheckResult:
 
 
 def _series(points, getter):
-    return [getter(p.comparison) for p in points]
+    return [getter(c) for c in points]
 
 
-def validate_reproduction(
-    n_requests: int = 1000,
-    seed: int = 0,
-    sweeps: Optional[SweepSet] = None,
-) -> List[CheckResult]:
-    """Run (or reuse) the evaluation corpus and check every claim."""
-    sweeps = sweeps if sweeps is not None else run_all_sweeps(
-        n_requests=n_requests, seed=seed
-    )
+def validate_reproduction(results: Results) -> List[CheckResult]:
+    """Check every claim on the results of a study holding the Table-II
+    sweeps (:func:`~repro.experiments.sweeps.sweep_study`) and Fig. 6's
+    pair (:func:`~repro.experiments.figures.figure6_study`)."""
+    sweeps = {sweep: list(compared(group(results, sweep)).values()) for sweep in SWEEPS}
     checks: List[CheckResult] = []
 
     def check(claim: str, source: str, passed: bool, detail: str) -> None:
@@ -113,11 +110,7 @@ def validate_reproduction(
     check(
         "NPF never transitions",
         "§V-B (NPF definition)",
-        all(
-            p.comparison.npf.transitions == 0
-            for points in sweeps.results.values()
-            for p in points
-        ),
+        all(c.npf.transitions == 0 for points in sweeps.values() for c in points),
         "all NPF runs at 0",
     )
 
@@ -145,15 +138,14 @@ def validate_reproduction(
     )
 
     # --- Fig. 6 ---------------------------------------------------------------
-    fig6 = figure6(n_requests=n_requests, seed=seed)
+    fig6 = figure6(results)
     check(
         "web trace: all disks sleep for the whole run, savings near max",
         "Fig. 6 / §VI-D",
-        fig6.comparison.pf.buffer_hit_rate == 1.0
-        and fig6.comparison.pf.transitions == 16
-        and 10.0 <= fig6.savings_pct <= 20.0,
-        f"savings {fig6.savings_pct:.1f} %, transitions "
-        f"{fig6.comparison.pf.transitions}",
+        fig6.pf.buffer_hit_rate == 1.0
+        and fig6.pf.transitions == 16
+        and 10.0 <= fig6.energy_savings_pct <= 20.0,
+        f"savings {fig6.energy_savings_pct:.1f} %, transitions {fig6.pf.transitions}",
     )
 
     return checks

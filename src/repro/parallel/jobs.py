@@ -1,7 +1,7 @@
 """Picklable job descriptions for experiment fan-out.
 
-A :class:`JobSpec` is the *complete* recipe for one independent run (or
-PF/NPF pair): workload parameters, seeds, configuration, cluster and
+A :class:`JobSpec` is the *complete* recipe for one independent run:
+workload parameters, seeds, configuration, cluster, fault schedule and
 mode.  Workers receive only the spec -- never a generated trace -- and
 rebuild the trace locally from its :class:`TraceSpec` via the
 process-wide trace cache.  That keeps pickles small (a few hundred
@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.core.config import ClusterSpec, EEVFSConfig
+from repro.faults.schedule import FaultSchedule
 from repro.traces.cache import cached_trace
 
 #: Execution modes understood by :func:`execute_job`.
-MODES = ("pair", "eevfs", "baseline")
+MODES = ("eevfs", "baseline")
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,31 @@ class TraceSpec:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of experiment work, safe to send to a worker process.
+    """One run, safe to send to a worker process.
 
-    ``mode`` selects what runs:
+    ``mode`` selects what runs, and either way the job returns a
+    ``RunResult``:
 
-    * ``"pair"`` -- PF and NPF over the same trace, returns a
-      :class:`~repro.metrics.comparison.PairedComparison`;
-    * ``"eevfs"`` -- a single EEVFS run, returns a ``RunResult``;
+    * ``"eevfs"`` -- :func:`~repro.core.filesystem.run_eevfs` with the
+      spec's config, cluster, seed, replay mode and fault schedule;
     * ``"baseline"`` -- one comparator from :mod:`repro.baselines`
       (``baseline`` names the ``run_*`` function, ``baseline_kwargs``
       carries extra keyword arguments as sorted ``(key, value)`` pairs).
 
     ``label`` exists purely for humans: progress lines and error
-    messages quote it so a failure points at the exact experiment point.
+    messages quote it so a failure points at the exact experiment point
+    (:func:`~repro.experiments.study.run_study` sets it to the point and
+    run names).
     """
 
-    label: str
+    label: str = ""
     trace: TraceSpec = field(default_factory=TraceSpec)
     config: Optional[EEVFSConfig] = None
     cluster: Optional[ClusterSpec] = None
     seed: int = 0
-    mode: str = "pair"
+    mode: str = "eevfs"
     replay_mode: str = "paced"
+    faults: Optional[FaultSchedule] = None
     baseline: Optional[str] = None
     baseline_kwargs: Tuple[Tuple[str, Any], ...] = ()
 
@@ -72,6 +76,8 @@ class JobSpec:
             raise ValueError(f"unknown mode {self.mode!r}; options: {MODES}")
         if self.mode == "baseline" and not self.baseline:
             raise ValueError("baseline mode requires a baseline name")
+        if self.mode == "baseline" and self.faults is not None:
+            raise ValueError("baseline runs take no fault schedule")
 
 
 class JobFailed(RuntimeError):
@@ -95,16 +101,6 @@ def execute_job(spec: JobSpec) -> Any:
     so results cannot depend on where the job ran.
     """
     trace = spec.trace.generate()
-    if spec.mode == "pair":
-        from repro.experiments.runner import run_pair
-
-        return run_pair(
-            trace,
-            config=spec.config,
-            cluster=spec.cluster,
-            seed=spec.seed,
-            replay_mode=spec.replay_mode,
-        )
     if spec.mode == "eevfs":
         from repro.core.filesystem import run_eevfs
 
@@ -114,6 +110,7 @@ def execute_job(spec: JobSpec) -> Any:
             cluster=spec.cluster,
             seed=spec.seed,
             replay_mode=spec.replay_mode,
+            faults=spec.faults,
         )
     # baseline
     import repro.baselines as baselines

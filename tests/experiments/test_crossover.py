@@ -28,7 +28,7 @@ class TestMinEffectiveK:
         result = find_min_effective_k(8.0, trace=trace, k_max=150)
         k_star = int(result.value)
         from repro.core import EEVFSConfig
-        from repro.experiments.runner import run_pair
+        from repro.experiments.study import run_pair
 
         at = run_pair(trace, config=EEVFSConfig(prefetch_files=k_star))
         below = run_pair(trace, config=EEVFSConfig(prefetch_files=k_star - 1))

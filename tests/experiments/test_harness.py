@@ -8,34 +8,32 @@ import pytest
 
 from repro.core.config import PARAMETER_GRID
 from repro.experiments import (
+    compared,
     figure3,
     figure4,
     figure5,
     figure6,
-    run_all_sweeps,
-    run_sweep,
+    figure6_study,
+    group,
+    run_study,
+    sweep_study,
     table1,
     table2,
 )
-from repro.experiments.ablations import (
-    ablate_disks_per_node,
-    ablate_hints,
-    ablate_idle_threshold,
-    ablate_replay_mode,
-    ablate_window_predictor,
-)
+from repro.experiments.ablations import ablation_study, render_ablation
+from repro.experiments.figures import render_figure6
 
 N = 150  # requests per run in this module
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return run_all_sweeps(n_requests=N)
+    return run_study(sweep_study(n_requests=N))
 
 
 class TestSweeps:
     def test_all_four_sweeps_present(self, sweeps):
-        assert set(sweeps.results) == {
+        assert {sweep for sweep, _ in sweeps} == {
             "data_size",
             "mu",
             "inter_arrival",
@@ -43,29 +41,28 @@ class TestSweeps:
         }
 
     def test_sweep_values_match_table2(self, sweeps):
-        assert sweeps.x_values("data_size") == list(PARAMETER_GRID["data_size_mb"])
-        assert sweeps.x_values("mu") == list(PARAMETER_GRID["mu"])
-        assert sweeps.x_values("inter_arrival") == list(
+        assert list(group(sweeps, "data_size")) == list(PARAMETER_GRID["data_size_mb"])
+        assert list(group(sweeps, "mu")) == list(PARAMETER_GRID["mu"])
+        assert list(group(sweeps, "inter_arrival")) == list(
             PARAMETER_GRID["inter_arrival_ms"]
         )
-        assert sweeps.x_values("prefetch_count") == list(
+        assert list(group(sweeps, "prefetch_count")) == list(
             PARAMETER_GRID["prefetch_files"]
         )
 
     def test_unknown_sweep_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep("voltage")
+            sweep_study(sweeps={"voltage": [1]})
 
     def test_custom_values(self):
-        points = run_sweep("mu", values=[1, 1000], n_requests=60)
-        assert [p.value for p in points] == [1, 1000]
+        results = run_study(sweep_study(sweeps={"mu": [1, 1000]}, n_requests=60))
+        assert list(group(results, "mu")) == [1, 1000]
 
     def test_each_point_is_a_valid_pair(self, sweeps):
-        for points in sweeps.results.values():
-            for point in points:
-                assert point.pf.config.prefetch_enabled
-                assert not point.npf.config.prefetch_enabled
-                assert point.pf.requests_total == N
+        for runs in sweeps.values():
+            assert runs["pf"].config.prefetch_enabled
+            assert not runs["npf"].config.prefetch_enabled
+            assert runs["pf"].requests_total == N
 
 
 class TestFigure3:
@@ -140,12 +137,13 @@ class TestFigure5:
 
 class TestFigure6:
     def test_berkeley_savings_in_paper_band(self):
-        fig6 = figure6(n_requests=N)
-        assert 10.0 < fig6.savings_pct < 20.0  # paper: 17 %
-        assert fig6.comparison.pf.buffer_hit_rate == 1.0
+        fig6 = figure6(run_study(figure6_study(n_requests=N)))
+        assert 10.0 < fig6.energy_savings_pct < 20.0  # paper: 17 %
+        assert fig6.pf.buffer_hit_rate == 1.0
 
     def test_render(self):
-        assert "Berkeley" in figure6(n_requests=60).render()
+        fig6 = figure6(run_study(figure6_study(n_requests=60)))
+        assert "Berkeley" in render_figure6(fig6)
 
 
 class TestTables:
@@ -161,27 +159,32 @@ class TestTables:
         assert "10, 40, 70, 100" in text
 
 
+def _ablate(name, **kwargs):
+    """``(x -> comparison, rendered table)`` of one ablation."""
+    results = run_study(ablation_study(name, **kwargs))
+    return compared(group(results, name)), render_ablation(name, results)
+
+
 class TestAblations:
     def test_idle_threshold_sweep(self):
-        result = ablate_idle_threshold(thresholds=(2.0, 5.0), n_requests=80)
-        assert result.x_values == [2.0, 5.0]
-        assert len(result.comparisons) == 2
-        assert "threshold" in result.render()
+        comparisons, table = _ablate("idle_threshold", values=(2.0, 5.0), n_requests=80)
+        assert list(comparisons) == [2.0, 5.0]
+        assert "threshold" in table
 
     def test_hints_ablation(self):
-        result = ablate_hints(n_requests=80)
-        assert result.x_values == ["with", "without"]
+        comparisons, _ = _ablate("hints", n_requests=80)
+        assert list(comparisons) == ["with", "without"]
 
     def test_disks_per_node(self):
-        result = ablate_disks_per_node(disk_counts=(1, 2), n_requests=80)
-        assert len(result.comparisons) == 2
+        comparisons, _ = _ablate("disks_per_node", values=(1, 2), n_requests=80)
+        assert len(comparisons) == 2
 
     def test_window_predictor(self):
-        result = ablate_window_predictor(n_requests=80)
-        assert result.x_values == ["sequence", "time"]
+        comparisons, _ = _ablate("window_predictor", n_requests=80)
+        assert list(comparisons) == ["sequence", "time"]
 
     def test_replay_modes(self):
-        out = ablate_replay_mode(modes=("open", "paced"), n_requests=60)
-        assert set(out) == {"open", "paced"}
-        for comparison in out.values():
+        comparisons, _ = _ablate("replay_mode", values=("open", "paced"), n_requests=60)
+        assert set(comparisons) == {"open", "paced"}
+        for comparison in comparisons.values():
             assert comparison.pf.requests_total == 60

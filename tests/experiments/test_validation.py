@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.sweeps import run_all_sweeps
+from repro.experiments.figures import figure6_study
+from repro.experiments.study import run_study
+from repro.experiments.sweeps import sweep_study
 from repro.experiments.validation import (
     all_passed,
     CheckResult,
@@ -13,8 +15,8 @@ from repro.experiments.validation import (
 
 @pytest.fixture(scope="module")
 def checks():
-    sweeps = run_all_sweeps(n_requests=200)
-    return validate_reproduction(n_requests=200, sweeps=sweeps)
+    study = {**sweep_study(n_requests=200), **figure6_study(n_requests=200)}
+    return validate_reproduction(run_study(study))
 
 
 def test_all_claims_pass_at_small_scale(checks):

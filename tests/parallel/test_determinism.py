@@ -7,26 +7,35 @@ regenerate traces from seeds and run the identical ``execute_job`` path.
 
 import pytest
 
-from repro.core.filesystem import canonical_json
-from repro.experiments.sweeps import run_sweep, SWEEPS
+from repro.experiments.metaplane import metaplane_study
+from repro.experiments.study import records, run_study
+from repro.experiments.sweeps import sweep_study, SWEEPS
 from repro.parallel import JobSpec, run_jobs, TraceSpec
 from repro.traces.synthetic import SyntheticWorkload
 
 N_REQUESTS = 60  # tiny traces: 4 sweeps x 2 values x PF/NPF stays fast
 
 
-def _records(comparison):
-    return canonical_json([comparison.pf.record(), comparison.npf.record()])
-
-
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_sweep_identical_serial_vs_parallel(sweep):
-    values = SWEEPS[sweep][1][:2]
-    serial = run_sweep(sweep, values=values, n_requests=N_REQUESTS, jobs=1)
-    parallel = run_sweep(sweep, values=values, n_requests=N_REQUESTS, jobs=4)
-    assert [p.value for p in serial] == [p.value for p in parallel]
-    for a, b in zip(serial, parallel, strict=True):
-        assert _records(a.comparison) == _records(b.comparison)
+    study = sweep_study(sweeps={sweep: SWEEPS[sweep][1][:2]}, n_requests=N_REQUESTS)
+    serial = run_study(study, jobs=1)
+    parallel = run_study(study, jobs=4)
+    assert list(serial) == list(parallel)
+    assert records(serial) == records(parallel)
+
+
+def test_faulted_study_identical_serial_vs_parallel():
+    """The metadata drill carries a leader-crash schedule in every job;
+    it must reach the workers intact, so both fault logs are the same."""
+    study = metaplane_study(shard_counts=(4,), replica_counts=(1, 3), n_requests=200)
+    serial = run_study(study, jobs=1)
+    parallel = run_study(study, jobs=2)
+    assert records(serial) == records(parallel)
+    for run in parallel[4].values():
+        # Crashes land at 20, 60, 100 and 140 s; this trace ends before
+        # the last one.
+        assert len(run.fault_log.of_kind("meta_leader_fail")) == 3
 
 
 def test_result_order_matches_spec_order_not_completion_order():
@@ -42,7 +51,7 @@ def test_result_order_matches_spec_order_not_completion_order():
         for n in sizes
     ]
     results = run_jobs(specs, jobs=4)
-    assert [c.pf.response_times.count for c in results] == sizes
+    assert [r.response_times.count for r in results] == sizes
 
 
 def test_progress_callback_reports_every_job():

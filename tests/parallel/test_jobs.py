@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.filesystem import RunResult
-from repro.metrics.comparison import PairedComparison
+from repro.faults import FaultSchedule
 from repro.parallel import (
     execute_job,
     JobFailed,
@@ -15,11 +15,6 @@ from repro.parallel import (
 from repro.traces.synthetic import SyntheticWorkload
 
 SMALL = TraceSpec(workload=SyntheticWorkload(n_requests=30))
-
-
-def test_pair_mode_returns_comparison():
-    result = execute_job(JobSpec(label="pair", trace=SMALL))
-    assert isinstance(result, PairedComparison)
 
 
 def test_eevfs_mode_returns_run_result():
@@ -43,6 +38,23 @@ def test_unknown_mode_rejected_at_construction():
 def test_baseline_mode_requires_name():
     with pytest.raises(ValueError, match="baseline name"):
         JobSpec(label="bad", trace=SMALL, mode="baseline")
+
+
+def test_baseline_mode_rejects_faults():
+    with pytest.raises(ValueError, match="fault schedule"):
+        JobSpec(
+            trace=SMALL,
+            mode="baseline",
+            baseline="npf",
+            faults=FaultSchedule().disk_fail("node1/data0", at=1.0),
+        )
+
+
+def test_faults_travel_with_the_spec():
+    schedule = FaultSchedule().disk_fail("node1/data0", at=1.0)
+    result = execute_job(JobSpec(trace=SMALL, faults=schedule))
+    assert [(r.kind, r.target) for r in result.fault_log] == [("disk_fail", "node1/data0")]
+    assert execute_job(JobSpec(trace=SMALL)).fault_log is None
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
@@ -72,6 +84,6 @@ def test_empty_batch_returns_empty():
 def test_replay_mode_travels_with_the_spec():
     paced = execute_job(JobSpec(label="paced", trace=SMALL))
     closed = execute_job(JobSpec(label="closed", trace=SMALL, replay_mode="closed"))
-    # Both are valid comparisons; closed replay reshapes the arrival
-    # process, so the runs must actually differ.
-    assert paced.pf.end_s != closed.pf.end_s
+    # Closed replay reshapes the arrival process, so the runs must
+    # actually differ.
+    assert paced.end_s != closed.end_s

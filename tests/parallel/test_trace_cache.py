@@ -51,13 +51,13 @@ def test_trace_key_requires_dataclass():
 
 def test_repetition_fixed_trace_generated_once():
     # vary_trace=False repeats one trace across every seed; the cache
-    # must serve all but the first from memory (generation hoisted out
-    # of the seed loop).
+    # must serve all but the first of the six runs (PF and NPF per seed)
+    # from memory (generation hoisted out of the seed loop).
     workload = SyntheticWorkload(n_requests=40)
     result = repeat_pair(workload=workload, seeds=(0, 1, 2), vary_trace=False, jobs=1)
     assert len(result.comparisons) == 3
     assert GLOBAL_TRACE_CACHE.misses == 1
-    assert GLOBAL_TRACE_CACHE.hits == 2
+    assert GLOBAL_TRACE_CACHE.hits == 5
 
 
 def test_repetition_fixed_trace_identical_across_seeds():

@@ -12,13 +12,14 @@ from repro.experiments.export import (
     write_figure_csv,
     write_figure_json,
 )
-from repro.experiments.figures import figure3, figure6
-from repro.experiments.sweeps import run_all_sweeps
+from repro.experiments.figures import figure3, figure6, figure6_study
+from repro.experiments.study import run_study
+from repro.experiments.sweeps import sweep_study
 
 
 @pytest.fixture(scope="module")
 def small_sweeps():
-    return run_all_sweeps(n_requests=60)
+    return run_study(sweep_study(n_requests=60))
 
 
 class TestParser:
@@ -66,6 +67,12 @@ class TestCommands:
         write_trace(trace, path)
         assert main(["trace-stats", str(path)]) == 0
         assert "working_set" in capsys.readouterr().out
+
+    def test_bare_figures_runs_all_four(self, capsys):
+        assert main(["--requests", "20", "figures"]) == 0
+        out = capsys.readouterr().out
+        for figure in ("Fig3", "Fig4", "Fig5", "Fig6"):
+            assert f"=== {figure}" in out
 
     def test_figures_export_csv(self, tmp_path, capsys):
         assert main(
@@ -151,6 +158,10 @@ class TestInputErrors:
             ["faults", "--at", "-5"],
             ["faults", "--repair-at", "-1"],
             ["--requests", "30", "faults", "--at", "1", "--repair-at", "0.5"],
+            [
+                "--requests", "30", "faults", "--mtbf", "100",
+                "--at", "5", "--repair-at", "6", "--fail-node", "node2",
+            ],
             ["faults", "--mtbf", "-1"],
             ["faults", "--mtbf", "100", "--mttr", "-1"],
             ["faults", "--replication", "0"],
@@ -182,6 +193,7 @@ class TestInputErrors:
             "faults-negative-crash-time",
             "faults-negative-repair-time",
             "faults-repair-before-crash",
+            "faults-mtbf-with-node-crash",
             "faults-negative-mtbf",
             "faults-negative-mttr",
             "faults-zero-replication",
@@ -232,29 +244,8 @@ class TestExport:
         data = json.loads(path.read_text())
         assert data["title"].startswith("Energy")
 
-    def test_runresult_json_round_trip(self, tmp_path):
-        import numpy as np
-
-        from repro.core import EEVFSConfig, run_eevfs
-        from repro.experiments.export import write_runresult_json
-        from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
-
-        trace = generate_synthetic_trace(
-            SyntheticWorkload(n_requests=80), rng=np.random.default_rng(0)
-        )
-        result = run_eevfs(trace, EEVFSConfig())
-        path = write_runresult_json(result, tmp_path / "run.json")
-        data = json.loads(path.read_text())
-        assert data["energy_j"] == pytest.approx(result.energy_j)
-        assert data["response_times"]["count"] == 80
-        assert data["response_times"]["p99"] == result.response_times.percentile(99)
-        assert data["config"]["prefetch_files"] == result.config.prefetch_files
-        assert len(data["nodes"]) == 8
-        assert len(data["nodes"][0]["disks"]) == 3
-        assert "standby" in data["nodes"][0]["disks"][1]["time_in_state_s"]
-
     def test_figure6_export(self, tmp_path):
-        fig6 = figure6(n_requests=60)
+        fig6 = figure6(run_study(figure6_study(n_requests=60)))
         data = figure6_to_dict(fig6)
         assert data["pf_energy_j"] < data["npf_energy_j"]
         path = write_figure_json(fig6, tmp_path / "f6.json")

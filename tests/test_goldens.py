@@ -8,6 +8,12 @@ suite's statuses and conservation fingerprints.  Each test re-runs one
 command in-process and compares bytes, so a change that moves any
 simulated value fails here with the first JSON paths that differ.
 
+``tests/golden/cli/`` pins every study command of the CLI at ``--requests
+40 --seed 3 --jobs 1``: its stdout, its exit code and any files it writes
+(:data:`CLI_COMMANDS`).  They were written before the experiments became
+studies, so a change to how runs are batched, compared or rendered that
+moves a printed digit fails here.
+
 ``tests/golden/dynamic.json`` is not a smoke command's output: it holds
 the records of the three E3 runs of
 :func:`~repro.experiments.ablations.ablate_dynamic_prefetch` (NPF,
@@ -115,6 +121,47 @@ def test_smoke_output_matches_its_golden(name, tmp_path, capsys):
     main(["--jobs", "1", *command.format(out=out).split()])
     printed = capsys.readouterr().out
     _assert_matches_golden(name, out.read_text() if "{out}" in command else printed)
+
+
+#: name -> the arguments of one study command, all run at ``--requests 40
+#: --seed 3 --jobs 1``.  ``tests/golden/cli/<name>.txt`` is its stdout, with
+#: the ``--out`` directory written as ``{out}``; ``exit_codes.json`` holds
+#: its exit code, and ``tests/golden/cli/<name>/`` the files it writes.
+CLI_COMMANDS = {
+    "report": "report",
+    "ablations": "ablations",
+    "baselines": "baselines",
+    "verify": "verify",
+    "metaplane": "metaplane",
+    "faults": "faults",
+    "faults-mtbf": "faults --mtbf 100",
+    "online": "online --sweeps mu --series --cost-gate",
+    "ssd": "ssd",
+    "compare": "compare",
+    "wear": "wear",
+    "profile": "profile",
+    "meanfield": "meanfield",
+    "figures-json": "figures 3 4 5 6 --format json --out {out}",
+    "figures-csv": "figures 3 --chart --out {out}",
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_COMMANDS))
+def test_cli_output_matches_its_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    argv = CLI_COMMANDS[name].format(out=out).split()
+    try:
+        code = main(["--requests", "40", "--seed", "3", "--jobs", "1", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    golden = GOLDEN / "cli"
+    printed = capsys.readouterr().out.replace(str(out), "{out}")
+    assert printed == (golden / f"{name}.txt").read_text()
+    assert code == json.loads((golden / "exit_codes.json").read_text())[name]
+    pinned = sorted(path.name for path in (golden / name).glob("*"))
+    assert sorted(path.name for path in out.glob("*")) == pinned
+    for filename in pinned:
+        assert (out / filename).read_text() == (golden / name / filename).read_text()
 
 
 def test_dynamic_prefetch_ablation_matches_its_golden():
