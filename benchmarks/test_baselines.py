@@ -9,10 +9,11 @@ nothing.
 from conftest import N_REQUESTS
 import numpy as np
 
-from repro.baselines import run_alwayson, run_drpm, run_maid, run_npf, run_pdc
+from repro.baselines import lowpower_cluster
 from repro.core import EEVFSConfig, run_eevfs
+from repro.experiments.baseline_suite import SUITE
 from repro.metrics.report import format_table
-from repro.traces.synthetic import generate_synthetic_trace, MB, SyntheticWorkload
+from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
 
 def _trace():
@@ -25,14 +26,8 @@ def test_baseline_shootout(benchmark):
     trace = _trace()
 
     def run_all():
-        return {
-            "EEVFS-PF": run_eevfs(trace, EEVFSConfig()),
-            "EEVFS-NPF": run_npf(trace),
-            "Always-on": run_alwayson(trace),
-            "MAID": run_maid(trace, cache_bytes=700 * MB),
-            "PDC": run_pdc(trace),
-            "DRPM": run_drpm(trace),
-        }
+        systems = ("EEVFS-PF", "EEVFS-NPF", "Always-on", "MAID", "PDC", "DRPM")
+        return {name: SUITE[name].build().run(trace) for name in systems}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [
@@ -84,15 +79,13 @@ def test_lowpower_hardware_tradeoff(benchmark):
     against 7.5 W) but lose on response time (30 vs 58 MB/s media rate);
     EEVFS *on* low-power drives composes both savings.
     """
-    from repro.baselines import run_lowpower
-
     trace = _trace()
 
     def run_all():
         return {
             "EEVFS (standard disks)": run_eevfs(trace, EEVFSConfig()),
-            "low-power disks, NPF": run_lowpower(trace),
-            "EEVFS on low-power": run_lowpower(trace, config=EEVFSConfig()),
+            "low-power disks, NPF": SUITE["Low-power HW"].build().run(trace),
+            "EEVFS on low-power": run_eevfs(trace, EEVFSConfig(), cluster=lowpower_cluster()),
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import EEVFSConfig
-from repro.baselines import run_oracle, run_npf, run_with_stale_popularity
+from repro import EEVFSCluster, EEVFSConfig, run_eevfs
 from repro.metrics import format_table
 from repro.traces import generate_synthetic_trace, read_trace, write_trace
 from repro.traces.synthetic import SyntheticWorkload
@@ -41,10 +40,12 @@ def main() -> None:
         )
 
     # 2. Oracle vs stale popularity vs no prefetch at all.
+    # A run takes its popularity from the replayed trace itself unless
+    # given a history trace over the same catalog.
     config = EEVFSConfig(prefetch_files=70)
-    oracle = run_oracle(replayed, config)
-    stale = run_with_stale_popularity(replayed, yesterday, config)
-    npf = run_npf(replayed)
+    oracle = run_eevfs(replayed, config)
+    stale = EEVFSCluster(config=config).run(replayed, history=yesterday)
+    npf = run_eevfs(replayed, EEVFSConfig().as_npf())
 
     rows = [
         ["oracle (paper's method)", oracle.energy_j, oracle.buffer_hit_rate],

@@ -26,7 +26,7 @@ Package map
 ``repro.net``         NICs and the switching fabric
 ``repro.traces``      workload generators, trace files, the access log
 ``repro.core``        EEVFS itself (server, nodes, prefetch, power mgmt)
-``repro.baselines``   NPF / always-on / MAID / PDC / oracle comparators
+``repro.baselines``   configs, clusters and nodes of the §II comparators
 ``repro.metrics``     paired comparisons and plain-text reporting
 ``repro.experiments`` every table and figure of the paper's evaluation
 """

@@ -12,21 +12,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.core.filesystem import run_eevfs, RunResult
-from repro.traces.model import Trace
+from repro.core.config import EEVFSConfig
 
 
 def alwayson_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
     """Prefetch on, every disk permanently spinning."""
     return replace(base or EEVFSConfig(), prefetch_enabled=True, power_management_enabled=False)
-
-
-def run_alwayson(
-    trace: Trace,
-    base: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-) -> RunResult:
-    """Run the always-on (caching-only) comparator on *trace*."""
-    return run_eevfs(trace, config=alwayson_config(base), cluster=cluster, seed=seed)

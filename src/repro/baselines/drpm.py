@@ -20,10 +20,8 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
-from repro.core.filesystem import EEVFSCluster, RunResult
 from repro.core.node import StorageNode
 from repro.disk.specs import DiskSpec, MULTISPEED_80GB
-from repro.traces.model import Trace
 
 
 class DRPMNode(StorageNode):
@@ -76,20 +74,3 @@ def drpm_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
         use_hints=False,
         wake_ahead=False,
     )
-
-
-def run_drpm(
-    trace: Trace,
-    base_cluster: Optional[ClusterSpec] = None,
-    base_config: Optional[EEVFSConfig] = None,
-    seed: int = 0,
-    two_stage: bool = False,
-) -> RunResult:
-    """Run the DRPM comparator on *trace* (optionally the hybrid)."""
-    deployment = EEVFSCluster(
-        cluster=drpm_cluster(base_cluster),
-        config=drpm_config(base_config),
-        seed=seed,
-        node_class=TwoStageDRPMNode if two_stage else DRPMNode,
-    )
-    return deployment.run(trace)

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
-from repro.core.filesystem import run_eevfs, RunResult
+from repro.core.config import ClusterSpec, default_cluster
 from repro.disk.specs import DiskSpec, LOWPOWER_25IN_160GB
-from repro.traces.model import Trace
 
 
 def lowpower_cluster(
@@ -35,20 +33,3 @@ def lowpower_cluster(
         for node in base.storage_nodes
     )
     return replace(base, storage_nodes=nodes)
-
-
-def run_lowpower(
-    trace: Trace,
-    base_cluster: Optional[ClusterSpec] = None,
-    config: Optional[EEVFSConfig] = None,
-    seed: int = 0,
-) -> RunResult:
-    """Run the low-power-hardware baseline (NPF on mobile drives).
-
-    ``config`` overrides the policy if a power-managed variant is wanted
-    (e.g. EEVFS *on* low-power disks, the best of both worlds).
-    """
-    policy = config if config is not None else EEVFSConfig().as_npf()
-    return run_eevfs(
-        trace, config=policy, cluster=lowpower_cluster(base_cluster), seed=seed
-    )

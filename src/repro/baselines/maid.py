@@ -18,11 +18,9 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.core.filesystem import EEVFSCluster, RunResult
+from repro.core.config import EEVFSConfig
 from repro.core.node import StorageNode
 from repro.disk.drive import PRIORITY_BACKGROUND, RequestKind
-from repro.traces.model import Trace
 
 
 class LRUFileCache:
@@ -137,20 +135,3 @@ def maid_config(
         if cache_bytes is not None
         else base.buffer_capacity_bytes,
     )
-
-
-def run_maid(
-    trace: Trace,
-    base: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    cache_bytes: Optional[int] = None,
-    seed: int = 0,
-) -> RunResult:
-    """Run the MAID comparator on *trace*."""
-    deployment = EEVFSCluster(
-        cluster=cluster,
-        config=maid_config(base, cache_bytes=cache_bytes),
-        seed=seed,
-        node_class=MAIDNode,
-    )
-    return deployment.run(trace)

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.core.config import ClusterSpec, EEVFSConfig
-from repro.core.filesystem import run_eevfs, RunResult
-from repro.traces.model import Trace
+from repro.core.config import EEVFSConfig
 
 
 def pdc_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
@@ -33,13 +31,3 @@ def pdc_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
         wake_ahead=False,
         placement_policy="concentrate",
     )
-
-
-def run_pdc(
-    trace: Trace,
-    base: Optional[EEVFSConfig] = None,
-    cluster: Optional[ClusterSpec] = None,
-    seed: int = 0,
-) -> RunResult:
-    """Run the PDC comparator on *trace*."""
-    return run_eevfs(trace, config=pdc_config(base), cluster=cluster, seed=seed)

@@ -328,13 +328,14 @@ def _cmd_metadata_drill(args: argparse.Namespace) -> None:
     from repro.experiments.metaplane import metaplane_study
     from repro.metrics.report import metaplane_table
 
+    shards = args.shards or 4
     study = metaplane_study(
-        shard_counts=(args.shards,),
-        replica_counts=args.meta_replicas,
+        shard_counts=(shards,),
+        replica_counts=args.meta_replicas or [1, 3],
         n_requests=args.requests,
         seed=args.seed,
     )
-    results = run_study(study, jobs=args.jobs)[args.shards]
+    results = run_study(study, jobs=args.jobs)[shards]
     last = next(reversed(results.values()))
     assert last.fault_log is not None
     print(last.fault_log.render())
@@ -344,7 +345,7 @@ def _cmd_metadata_drill(args: argparse.Namespace) -> None:
             results,
             title=(
                 f"Metadata-plane leader-crash drill "
-                f"({args.shards} shards, Berkeley trace)"
+                f"({shards} shards, Berkeley trace)"
             ),
         )
     )
@@ -486,15 +487,37 @@ def _cmd_ssd(args: argparse.Namespace) -> None:
 def _cmd_faults(args: argparse.Namespace) -> None:
     """Fault drill: one workload, one fault schedule, with and without
     replication -- what does riding out failures cost in energy?"""
+    # Each drill's flags default to None, so a flag of the drill that is
+    # not running is an error rather than silently ignored.
+    crash = {"--fail-node": args.fail_node, "--at": args.at, "--repair-at": args.repair_at}
+    node_drill = {
+        **crash,
+        "--mtbf": args.mtbf,
+        "--mttr": args.mttr,
+        "--replication": args.replication,
+        "--policy": args.policy,
+    }
+    meta_drill = {
+        "--shards": args.shards,
+        "--meta-replicas": args.meta_replicas,
+        "--json": args.json,
+    }
     if args.metadata_drill:
+        given = [flag for flag, value in node_drill.items() if value is not None]
+        if given:
+            args.parser.error(f"argument --metadata-drill: not allowed with {', '.join(given)}")
         _cmd_metadata_drill(args)
         return
+    given = [flag for flag, value in meta_drill.items() if value is not None]
+    if given:
+        args.parser.error(f"argument {given[0]}: requires --metadata-drill")
+    if args.mttr is not None and args.mtbf is None:
+        args.parser.error("argument --mttr: requires --mtbf")
     from repro.core import EEVFSConfig
     from repro.core.config import default_cluster
     from repro.faults import FaultSchedule
     from repro.parallel import JobSpec
 
-    crash = {"--fail-node": args.fail_node, "--at": args.at, "--repair-at": args.repair_at}
     schedule = FaultSchedule()
     if args.mtbf is not None:
         given = [flag for flag, value in crash.items() if value is not None]
@@ -508,7 +531,7 @@ def _cmd_faults(args: argparse.Namespace) -> None:
         ]
         horizon_s = _default_trace(args.requests).generate().duration_s
         schedule.exponential_faults(
-            targets, mtbf_s=args.mtbf, horizon_s=horizon_s, mttr_s=args.mttr
+            targets, mtbf_s=args.mtbf, horizon_s=horizon_s, mttr_s=args.mttr or 120.0
         )
     else:
         try:
@@ -520,11 +543,12 @@ def _cmd_faults(args: argparse.Namespace) -> None:
         except ValueError as exc:
             args.parser.error(f"argument --repair-at: {exc}")
 
-    replicated = f"{args.replication}-way"
+    factor = args.replication or 2
+    replicated = f"{factor}-way"
     configs = {
         "no replication": EEVFSConfig(),
         replicated: EEVFSConfig(
-            replication_factor=args.replication, replication_policy=args.policy
+            replication_factor=factor, replication_policy=args.policy or "round_robin"
         ),
     }
     trace = _default_trace(args.requests)
@@ -538,6 +562,13 @@ def _cmd_faults(args: argparse.Namespace) -> None:
 
     fault_log = results[replicated].fault_log
     assert fault_log is not None
+    if not fault_log:
+        print(
+            f"warning: no fault fired: the replay ended "
+            f"{results[replicated].duration_s:.1f} s into the trace; crash a node "
+            f"earlier with --at, or draw random disk failures with --mtbf",
+            file=sys.stderr,
+        )
     print(fault_log.render())
     print()
     print(summary_table(results, title="Same workload, same faults"))
@@ -829,18 +860,18 @@ def build_parser() -> argparse.ArgumentParser:
                 ("disk",), mtbf_s=1.0, mttr_s=mttr, horizon_s=1.0
             ),
         ),
-        default=120.0,
+        default=None,
         help="repair time for --mtbf faults",
     )
     faults.add_argument(
         "--replication",
         type=_checked(int, lambda factor: plan_replicas((), {}, node_names, factor)),
-        default=2,
+        default=None,
         help="replication factor to compare",
     )
     faults.add_argument(
         "--policy",
-        default="round_robin",
+        default=None,
         choices=REPLICATION_POLICIES,
         help="replica placement policy",
     )
@@ -852,14 +883,14 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--shards",
         type=_config_knob("metadata_shards"),
-        default=4,
+        default=None,
         help="shard count for --metadata-drill (default 4)",
     )
     faults.add_argument(
         "--meta-replicas",
         type=_config_knob("metadata_replicas"),
         nargs="+",
-        default=[1, 3],
+        default=None,
         metavar="N",
         help="replica counts to compare in --metadata-drill (default: 1 3)",
     )
@@ -869,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write every drill run's record (canonical JSON) to PATH",
     )
-    # The parser, to report a --repair-at no later than --at, or --mtbf
-    # given with the node crash.
+    # The parser, to report a --repair-at no later than --at, or a flag
+    # of the drill that is not running.
     faults.set_defaults(func=_cmd_faults, parser=faults)
     metaplane = sub.add_parser(
         "metaplane", help="metadata-plane shard x replica availability sweep"

@@ -466,8 +466,13 @@ class EEVFSCluster:
 
         ``replay_mode`` selects the client discipline (see
         :meth:`ClientDriver.replay`); ``history`` optionally supplies a
-        different trace for the popularity log (stale-popularity studies).
+        different trace over the same catalog for the popularity log
+        (stale-popularity studies).
         """
+        if history is not None and (
+            {f.file_id for f in history.files} != {f.file_id for f in trace.files}
+        ):
+            raise ValueError("history and trace must share a catalog")
         tracer = self.sim.tracer
         setup_span = (
             tracer.begin("setup", "cluster") if tracer is not None else None

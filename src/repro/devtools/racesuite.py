@@ -44,16 +44,13 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EEVFSConfig
-from repro.core.filesystem import canonical_json, run_eevfs, RunResult
-from repro.experiments.metaplane import (
-    drill_config,
-    drill_trace,
-    leader_crash_schedule,
-)
+from repro.core.filesystem import canonical_json, RunResult
+from repro.experiments.metaplane import drill_config, leader_crash_schedule
 from repro.faults import FaultSchedule
+from repro.parallel import execute_job, JobSpec, TraceSpec
 from repro.sim.engine import Simulator
-from repro.traces.model import Trace
-from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_trace
+from repro.traces.berkeley import BerkeleyWebWorkload
+from repro.traces.synthetic import MB, SyntheticWorkload
 
 #: Default perturbation seeds: two is enough to catch order dependence
 #: in practice while keeping the suite inside a CI smoke budget.
@@ -63,16 +60,6 @@ DEFAULT_RACE_SEEDS = (101, 303)
 #: scenarios finish in seconds, large enough to exercise contention,
 #: prefetch, destaging and (for the drill) a full leader-crash cycle.
 DEFAULT_N_REQUESTS = 150
-
-
-@dataclasses.dataclass(frozen=True)
-class RaceScenario:
-    """One named model build the suite perturbs."""
-
-    name: str
-    trace: Trace
-    config: EEVFSConfig
-    faults: object = None  # Optional[FaultSchedule]; object keeps it slim
 
 
 @dataclasses.dataclass
@@ -124,26 +111,30 @@ def conservation_fingerprint(result: RunResult) -> str:
     return canonical_json(payload)
 
 
-def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario]:
-    """The seven stock scenarios: one representative point per Table-II
-    sweep, the metaplane drill, an online-mode run, and an SSD buffer
-    tier under device faults."""
+def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[JobSpec]:
+    """The seven stock scenarios, each a seed-7 run labelled with its
+    name: one representative point per Table-II sweep, the metaplane
+    drill, an online-mode run, and an SSD buffer tier under device
+    faults."""
 
-    def synthetic(**overrides: object) -> Trace:
+    def synthetic(**overrides: float) -> TraceSpec:
         workload = SyntheticWorkload(n_requests=n_requests, write_fraction=0.2)
-        workload = dataclasses.replace(workload, **overrides)  # type: ignore[arg-type]
-        return generate_synthetic_trace(workload)
+        # Seed 0 is the generator's default stream.
+        return TraceSpec(workload=dataclasses.replace(workload, **overrides), seed=0)
+
+    def scenario(
+        label: str, trace: TraceSpec, config: EEVFSConfig, faults: Optional[FaultSchedule] = None
+    ) -> JobSpec:
+        return JobSpec(label=label, trace=trace, config=config, seed=7, faults=faults)
 
     prefetch = EEVFSConfig()
     scenarios = [
         # Table II, one point per sweep (PF config throughout: the
         # prefetch path is where the continuation traffic lives).
-        RaceScenario("sweep:data_size=20MB", synthetic(data_size_bytes=20 * MB), prefetch),
-        RaceScenario("sweep:mu=500", synthetic(mu=500.0), prefetch),
-        RaceScenario(
-            "sweep:inter_arrival=350ms", synthetic(inter_arrival_s=0.350), prefetch
-        ),
-        RaceScenario(
+        scenario("sweep:data_size=20MB", synthetic(data_size_bytes=20 * MB), prefetch),
+        scenario("sweep:mu=500", synthetic(mu=500.0), prefetch),
+        scenario("sweep:inter_arrival=350ms", synthetic(inter_arrival_s=0.350), prefetch),
+        scenario(
             "sweep:prefetch_count=100",
             synthetic(),
             dataclasses.replace(prefetch, prefetch_files=100),
@@ -152,11 +143,10 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
     # Metadata-plane drill: sharded consensus plane, every shard leader
     # crashed once mid-replay, patient client retries.
     meta_config = drill_config(replicas=3)
-    meta_trace = drill_trace(n_requests=n_requests)
     scenarios.append(
-        RaceScenario(
+        scenario(
             "metaplane:leader-crash",
-            meta_trace,
+            TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=n_requests)),
             meta_config,
             # Compressed relative to the stock drill so all four crashes
             # and repairs land inside the shorter race-suite replay.
@@ -170,13 +160,13 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
     )
     # Online mode: streaming estimator + feedback controller replanning.
     scenarios.append(
-        RaceScenario("online:adaptive", synthetic(), EEVFSConfig(online_mode=True))
+        scenario("online:adaptive", synthetic(), EEVFSConfig(online_mode=True))
     )
     # SSD buffer tier under every device fault, on both device classes:
     # flaky DEVSLP exits and spin-ups, a slowed SSD, and fail/repair of a
     # buffer SSD and of a data HDD.
     scenarios.append(
-        RaceScenario(
+        scenario(
             "ssd:buffer-faults",
             synthetic(write_fraction=0.4),
             EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
@@ -195,7 +185,7 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[RaceScenario
     return scenarios
 
 
-def _run(scenario: RaceScenario, seed: Optional[int]) -> RunResult:
+def _run(spec: JobSpec, seed: Optional[int]) -> RunResult:
     """One scenario run, optionally under the chaos scheduler.
 
     The perturbation seed is installed class-wide for the duration of
@@ -205,12 +195,7 @@ def _run(scenario: RaceScenario, seed: Optional[int]) -> RunResult:
     previous = Simulator.default_lane_perturbation_seed
     Simulator.default_lane_perturbation_seed = seed
     try:
-        return run_eevfs(
-            scenario.trace,
-            scenario.config,
-            seed=7,
-            faults=scenario.faults,  # type: ignore[arg-type]
-        )
+        return execute_job(spec)
     finally:
         Simulator.default_lane_perturbation_seed = previous
 
@@ -228,21 +213,21 @@ def _drift(baseline: RunResult, perturbed: RunResult) -> Dict[str, float]:
 
 
 def run_scenario(
-    scenario: RaceScenario, seeds: Sequence[int] = DEFAULT_RACE_SEEDS
+    scenario: JobSpec, seeds: Sequence[int] = DEFAULT_RACE_SEEDS
 ) -> ScenarioReport:
     """Baseline + two runs per perturbation seed; classify the outcome."""
     try:
         baseline = _run(scenario, None)
     except Exception as exc:  # noqa: BLE001 - the *point* is to catch model crashes
         return ScenarioReport(
-            name=scenario.name,
+            name=scenario.label,
             status="error",
             served=0,
             conservation="",
             problems=[f"baseline run raised {type(exc).__name__}: {exc}"],
         )
     report = ScenarioReport(
-        name=scenario.name,
+        name=scenario.label,
         status="ok",
         served=baseline.response_times.count,
         conservation=conservation_fingerprint(baseline),
@@ -280,7 +265,7 @@ def run_scenario(
 def run_race_suite(
     seeds: Sequence[int] = DEFAULT_RACE_SEEDS,
     n_requests: int = DEFAULT_N_REQUESTS,
-    scenarios: Optional[Sequence[RaceScenario]] = None,
+    scenarios: Optional[Sequence[JobSpec]] = None,
 ) -> RaceReport:
     """Run every scenario through the chaos scheduler."""
     stock = scenarios if scenarios is not None else default_scenarios(n_requests)

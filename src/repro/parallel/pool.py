@@ -10,8 +10,8 @@ The contract :func:`run_jobs` keeps, regardless of worker count:
   e.g. under a sandbox that forbids fork) executes inline in this
   process with no multiprocessing machinery at all.
 * **Attributable failure** -- a crashing job raises
-  :class:`~repro.parallel.jobs.JobFailed` naming the spec's label, mode
-  and seeds, so a sweep dying at point 37 says *which* point.
+  :class:`~repro.parallel.jobs.JobFailed` naming the spec's label and
+  seeds, so a sweep dying at point 37 says *which* point.
 """
 
 from __future__ import annotations

@@ -1,22 +1,14 @@
 """Integration tests for the baseline comparators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    alwayson_config,
-    maid_config,
-    npf_config,
-    pdc_config,
-    run_alwayson,
-    run_maid,
-    run_npf,
-    run_oracle,
-    run_pdc,
-    run_with_stale_popularity,
-)
+from repro.baselines import alwayson_config, maid_config, pdc_config
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core.filesystem import EEVFSCluster
+from repro.experiments.baseline_suite import SUITE
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
 
@@ -36,7 +28,7 @@ def trace():
 
 class TestConfigs:
     def test_npf_config(self):
-        config = npf_config()
+        config = EEVFSConfig().as_npf()
         assert not config.prefetch_enabled
 
     def test_alwayson_config(self):
@@ -59,7 +51,7 @@ class TestConfigs:
 
 class TestNPF:
     def test_npf_has_zero_transitions_and_no_hits(self, trace):
-        result = run_npf(trace)
+        result = SUITE["EEVFS-NPF"].build().run(trace)
         assert result.transitions == 0
         assert result.buffer_hits == 0
         assert result.requests_total == trace.n_requests
@@ -69,21 +61,21 @@ class TestAlwaysOn:
     def test_caching_without_sleeping_saves_nothing(self, trace):
         """Isolation result: the buffer disk cache alone does not reduce
         whole-node energy -- the sleep policy is where the joules are."""
-        on = run_alwayson(trace)
-        npf = run_npf(trace)
+        on = SUITE["Always-on"].build().run(trace)
+        npf = SUITE["EEVFS-NPF"].build().run(trace)
         assert on.transitions == 0
         assert on.buffer_hit_rate > 0.5
         assert on.energy_j == pytest.approx(npf.energy_j, rel=0.02)
 
     def test_pf_beats_alwayson(self, trace):
         pf = run_eevfs(trace, EEVFSConfig())
-        on = run_alwayson(trace)
+        on = SUITE["Always-on"].build().run(trace)
         assert pf.energy_j < on.energy_j
 
 
 class TestMAID:
     def test_maid_caches_on_demand(self, trace):
-        result = run_maid(trace, cache_bytes=700 * MB)
+        result = SUITE["MAID"].build().run(trace)
         # Reactive cache: first access to a file always misses.
         distinct = len(trace.accessed_file_ids())
         assert result.data_disk_hits >= distinct
@@ -92,24 +84,24 @@ class TestMAID:
 
     def test_maid_hit_rate_below_prefetch_oracle(self, trace):
         """EEVFS prefetches *before* the first access; MAID cannot."""
-        maid = run_maid(trace, cache_bytes=700 * MB)
+        maid = SUITE["MAID"].build().run(trace)
         pf = run_eevfs(trace, EEVFSConfig(prefetch_files=70))
         assert maid.buffer_hit_rate <= pf.buffer_hit_rate
 
     def test_maid_saves_energy_vs_npf(self, trace):
-        maid = run_maid(trace, cache_bytes=700 * MB)
-        npf = run_npf(trace)
+        maid = SUITE["MAID"].build().run(trace)
+        npf = SUITE["EEVFS-NPF"].build().run(trace)
         assert maid.energy_j < npf.energy_j
 
     def test_maid_worse_response_than_eevfs(self, trace):
         """Reactive wake-ups (no look-ahead) cost response time (§II)."""
-        maid = run_maid(trace, cache_bytes=700 * MB)
+        maid = SUITE["MAID"].build().run(trace)
         pf = run_eevfs(trace, EEVFSConfig())
         assert maid.mean_response_s > pf.mean_response_s
 
     def test_tiny_cache_degrades_hit_rate(self, trace):
-        big = run_maid(trace, cache_bytes=700 * MB)
-        small = run_maid(trace, cache_bytes=30 * MB)
+        big = SUITE["MAID"].build().run(trace)
+        small = replace(SUITE["MAID"], config=maid_config(cache_bytes=30 * MB)).build().run(trace)
         assert small.buffer_hit_rate < big.buffer_hit_rate
 
 
@@ -122,28 +114,22 @@ class TestPDC:
         assert max(served) > 3 * max(1, min(served))
 
     def test_pdc_saves_energy_vs_npf(self, trace):
-        pdc = run_pdc(trace)
-        npf = run_npf(trace)
+        pdc = SUITE["PDC"].build().run(trace)
+        npf = SUITE["EEVFS-NPF"].build().run(trace)
         assert pdc.energy_j < npf.energy_j
 
     def test_pdc_no_buffer_copies(self, trace):
-        result = run_pdc(trace)
+        result = SUITE["PDC"].build().run(trace)
         assert result.prefetch_files_copied == 0
         assert result.buffer_hits == 0
 
 
 class TestOracleAndStale:
-    def test_oracle_equals_default_run(self, trace):
-        """The default methodology *is* the oracle (history == trace)."""
-        oracle = run_oracle(trace, EEVFSConfig())
-        default = run_eevfs(trace, EEVFSConfig())
-        assert oracle.energy_j == pytest.approx(default.energy_j)
-
     def test_stale_popularity_never_beats_oracle_hit_rate(self):
         trace = make_trace(seed=1)
         history = make_trace(seed=99)  # same catalog, different draws
-        oracle = run_oracle(trace, EEVFSConfig())
-        stale = run_with_stale_popularity(trace, history, EEVFSConfig())
+        oracle = run_eevfs(trace, EEVFSConfig())
+        stale = EEVFSCluster(config=EEVFSConfig()).run(trace, history=history)
         assert stale.buffer_hit_rate <= oracle.buffer_hit_rate + 0.02
 
     def test_mismatched_catalog_rejected(self):
@@ -152,5 +138,5 @@ class TestOracleAndStale:
             SyntheticWorkload(n_files=10, n_requests=10),
             rng=np.random.default_rng(0),
         )
-        with pytest.raises(ValueError):
-            run_with_stale_popularity(trace, history)
+        with pytest.raises(ValueError, match="share a catalog"):
+            EEVFSCluster().run(trace, history=history)

@@ -1,13 +1,20 @@
 """Integration tests for the DRPM multi-speed baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.baselines import drpm_cluster, drpm_config, run_drpm, run_npf
+from repro.baselines import drpm_cluster, drpm_config
+from repro.baselines.drpm import TwoStageDRPMNode
 from repro.core import EEVFSConfig, run_eevfs
 from repro.disk.specs import ATA_80GB_TYPE1, MULTISPEED_80GB
+from repro.experiments.baseline_suite import SUITE
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
+
+#: The DRPM comparator on two-stage (low speed, then standby) nodes.
+TWO_STAGE = replace(SUITE["DRPM"], node_class=TwoStageDRPMNode)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +44,8 @@ def test_drpm_config_is_timer_driven():
 
 
 def test_drpm_saves_energy_without_standby_cycles(trace):
-    drpm = run_drpm(trace)
-    npf = run_npf(trace)
+    drpm = SUITE["DRPM"].build().run(trace)
+    npf = SUITE["EEVFS-NPF"].build().run(trace)
     assert drpm.energy_j < npf.energy_j
     # The defining property: zero standby transitions, zero spin-up wear.
     assert drpm.transitions == 0
@@ -47,8 +54,8 @@ def test_drpm_saves_energy_without_standby_cycles(trace):
 def test_drpm_saves_less_than_eevfs(trace):
     """Low-speed idle (4 W) cannot match standby (1 W): EEVFS's deeper
     sleep wins on joules when idle windows are long."""
-    drpm = run_drpm(trace)
-    npf = run_npf(trace)
+    drpm = SUITE["DRPM"].build().run(trace)
+    npf = SUITE["EEVFS-NPF"].build().run(trace)
     pf = run_eevfs(trace, EEVFSConfig())
     drpm_savings = 1 - drpm.energy_j / npf.energy_j
     eevfs_savings = 1 - pf.energy_j / npf.energy_j
@@ -58,19 +65,19 @@ def test_drpm_saves_less_than_eevfs(trace):
 def test_drpm_response_penalty_is_transfer_stretch_not_stalls(trace):
     """DRPM trades stalls for slower transfers: its worst-case response
     must stay far below a spin-up stall."""
-    drpm = run_drpm(trace)
-    npf = run_npf(trace)
+    drpm = SUITE["DRPM"].build().run(trace)
+    npf = SUITE["EEVFS-NPF"].build().run(trace)
     assert drpm.mean_response_s > npf.mean_response_s
     assert drpm.response_times.maximum < npf.response_times.maximum + 2.0
 
 
 def test_drpm_all_requests_complete(trace):
-    assert run_drpm(trace).requests_total == trace.n_requests
+    assert SUITE["DRPM"].build().run(trace).requests_total == trace.n_requests
 
 
 class TestTwoStageHybrid:
     def test_two_stage_reaches_standby(self, trace):
-        result = run_drpm(trace, two_stage=True)
+        result = TWO_STAGE.build().run(trace)
         assert result.transitions > 0  # some windows graduate to standby
         assert result.requests_total == trace.n_requests
 
@@ -81,16 +88,16 @@ class TestTwoStageHybrid:
             SyntheticWorkload(n_requests=400, mu=10),
             rng=np.random.default_rng(1),
         )
-        npf = run_npf(skewed)
-        one = run_drpm(skewed)
-        two = run_drpm(skewed, two_stage=True)
+        npf = SUITE["EEVFS-NPF"].build().run(skewed)
+        one = SUITE["DRPM"].build().run(skewed)
+        two = TWO_STAGE.build().run(skewed)
         savings_one = 1 - one.energy_j / npf.energy_j
         savings_two = 1 - two.energy_j / npf.energy_j
         assert savings_two > savings_one
 
     def test_two_stage_pays_response_time(self, trace):
-        one = run_drpm(trace)
-        two = run_drpm(trace, two_stage=True)
+        one = SUITE["DRPM"].build().run(trace)
+        two = TWO_STAGE.build().run(trace)
         # Spin-ups re-enter the picture; response can only get worse.
         assert two.mean_response_s >= one.mean_response_s
 

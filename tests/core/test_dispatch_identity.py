@@ -76,7 +76,7 @@ def _digest(config, seed=7):
     """EventStreamHasher digest of a whole cluster run."""
     cluster = EEVFSCluster(config=config, seed=seed)
     hasher = EventStreamHasher().attach(cluster.sim)
-    cluster.run(scenario_trace())
+    cluster.run(scenario_trace().generate())
     return hasher.hexdigest(), hasher.events_hashed
 
 

@@ -154,7 +154,7 @@ class TestScheduleInvariance:
 
 class TestRaceSuite:
     def test_default_scenarios_cover_the_seven_targets(self):
-        names = [s.name for s in default_scenarios(n_requests=10)]
+        names = [s.label for s in default_scenarios(n_requests=10)]
         assert names == [
             "sweep:data_size=20MB",
             "sweep:mu=500",
@@ -216,5 +216,5 @@ class TestRaceSuite:
 
         report = RaceReport(seeds=[1], scenarios=[run_scenario(scenario, seeds=(1,))])
         text = render_race_text(report)
-        assert scenario.name in text
+        assert scenario.label in text
         assert "no schedule races detected" in text

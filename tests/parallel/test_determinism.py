@@ -7,6 +7,7 @@ regenerate traces from seeds and run the identical ``execute_job`` path.
 
 import pytest
 
+from repro.experiments.baseline_suite import baseline_study, BASELINES
 from repro.experiments.metaplane import metaplane_study
 from repro.experiments.study import records, run_study
 from repro.experiments.sweeps import sweep_study, SWEEPS
@@ -36,6 +37,19 @@ def test_faulted_study_identical_serial_vs_parallel():
         # Crashes land at 20, 60, 100 and 140 s; this trace ends before
         # the last one.
         assert len(run.fault_log.of_kind("meta_leader_fail")) == 3
+
+
+def test_baseline_study_identical_serial_vs_parallel():
+    """Each comparator's node class and cluster reach the workers: MAID's
+    LRU cache disk serves hits with prefetching off, and low-power drives
+    draw less than the stock disks under the same NPF policy."""
+    study = baseline_study(n_requests=N_REQUESTS)
+    serial = run_study(study, jobs=1)
+    parallel = run_study(study, jobs=2)
+    assert records(serial) == records(parallel)
+    runs = parallel[BASELINES]
+    assert runs["MAID"].buffer_hits > 0
+    assert runs["Low-power HW"].energy_j < runs["EEVFS-NPF"].energy_j
 
 
 def test_result_order_matches_spec_order_not_completion_order():

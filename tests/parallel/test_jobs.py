@@ -1,7 +1,8 @@
-"""JobSpec construction, execution modes, and failure attribution."""
+"""JobSpec construction, execution, and failure attribution."""
 
 import pytest
 
+from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
 from repro.core.filesystem import RunResult
 from repro.faults import FaultSchedule
 from repro.parallel import (
@@ -18,36 +19,18 @@ SMALL = TraceSpec(workload=SyntheticWorkload(n_requests=30))
 
 
 def test_eevfs_mode_returns_run_result():
-    result = execute_job(JobSpec(label="single", trace=SMALL, mode="eevfs"))
+    result = execute_job(JobSpec(label="single", trace=SMALL))
     assert isinstance(result, RunResult)
 
 
-def test_baseline_mode_runs_named_comparator():
-    result = execute_job(
-        JobSpec(label="npf", trace=SMALL, mode="baseline", baseline="npf")
-    )
-    assert isinstance(result, RunResult)
-    assert result.transitions == 0  # NPF never spins disks down
-
-
-def test_unknown_mode_rejected_at_construction():
-    with pytest.raises(ValueError, match="unknown mode"):
-        JobSpec(label="bad", trace=SMALL, mode="warp")
-
-
-def test_baseline_mode_requires_name():
-    with pytest.raises(ValueError, match="baseline name"):
-        JobSpec(label="bad", trace=SMALL, mode="baseline")
-
-
-def test_baseline_mode_rejects_faults():
-    with pytest.raises(ValueError, match="fault schedule"):
-        JobSpec(
-            trace=SMALL,
-            mode="baseline",
-            baseline="npf",
-            faults=FaultSchedule().disk_fail("node1/data0", at=1.0),
-        )
+def test_build_wires_the_specs_cluster_and_node_class():
+    spec = JobSpec(cluster=drpm_cluster(), seed=3, node_class=TwoStageDRPMNode)
+    cluster = spec.build()
+    assert all(type(node) is TwoStageDRPMNode for node in cluster.nodes)
+    assert cluster.cluster is spec.cluster
+    assert cluster.seed == 3
+    assert cluster.observer is None
+    assert spec.build(obs=True).observer is not None
 
 
 def test_faults_travel_with_the_spec():
@@ -61,7 +44,7 @@ def test_faults_travel_with_the_spec():
 def test_failing_job_names_the_spec(jobs):
     specs = [
         JobSpec(label="fine", trace=SMALL),
-        JobSpec(label="doomed", trace=SMALL, mode="baseline", baseline="ghost"),
+        JobSpec(label="doomed", trace=TraceSpec(kind="ghost")),
     ]
     with pytest.raises(JobFailed, match="doomed") as info:
         run_jobs(specs, jobs=jobs)

@@ -56,6 +56,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MAID" in out and "PDC" in out
 
+    def test_faults_warns_when_no_fault_fired(self, capsys):
+        # The default crash at 60 s lands after a 30-request replay ends.
+        main(["--requests", "30", "--jobs", "1", "faults"])
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no fault fired: the replay ended ")
+        assert err.count("\n") == 1
+        assert "--at" in err and "--mtbf" in err
+        main(["--requests", "30", "--jobs", "1", "faults", "--at", "5"])
+        out, err = capsys.readouterr()
+        assert "node_fail" in out and "node3" in out
+        assert "warning" not in err
+
     def test_trace_stats(self, tmp_path, capsys):
         from repro.traces import generate_synthetic_trace, write_trace
         from repro.traces.synthetic import SyntheticWorkload
@@ -175,6 +187,13 @@ class TestInputErrors:
             ["trace-gen", "synthetic", "{tmp}/x.trace", "--size-mb", "-1"],
             ["lint", "--races", "--race-seeds", "abc"],
             ["lint", "--races", "--race-requests", "0"],
+            ["--requests", "30", "faults", "--metadata-drill", "--mtbf", "100"],
+            ["--requests", "30", "faults", "--metadata-drill", "--fail-node", "node2"],
+            ["--requests", "30", "faults", "--metadata-drill", "--replication", "3"],
+            ["--requests", "30", "faults", "--mttr", "5"],
+            ["--requests", "30", "faults", "--shards", "2"],
+            ["--requests", "30", "faults", "--meta-replicas", "3"],
+            ["--requests", "30", "faults", "--json", "{tmp}/drill.json"],
         ],
         ids=[
             "lint-missing-path",
@@ -207,6 +226,13 @@ class TestInputErrors:
             "trace-gen-negative-size",
             "lint-races-bad-seed",
             "lint-races-zero-requests",
+            "drill-with-mtbf",
+            "drill-with-node-crash",
+            "drill-with-replication",
+            "mttr-without-mtbf",
+            "shards-without-drill",
+            "meta-replicas-without-drill",
+            "json-without-drill",
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):

@@ -51,7 +51,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.backend import SATA_SSD_8GB
@@ -59,17 +58,19 @@ from repro.backend.ssd import SSDBackend
 from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
 from repro.cli import main
 from repro.core.config import EEVFSConfig
-from repro.core.filesystem import canonical_json, EEVFSCluster
+from repro.core.filesystem import canonical_json
 from repro.devtools.racesuite import default_scenarios
 from repro.devtools.sanitizer import ScheduleShapeHasher
 from repro.disk import ATA_80GB_TYPE1
 from repro.disk.drive import RequestKind, SimDisk
 from repro.experiments.ablations import ablate_dynamic_prefetch
-from repro.experiments.metaplane import drill_config, drill_trace, leader_crash_schedule
+from repro.experiments.metaplane import drill_config, leader_crash_schedule
 from repro.faults import FaultSchedule
+from repro.parallel import JobSpec, TraceSpec
 from repro.sim import Simulator
-from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
-from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
+from repro.traces.berkeley import BerkeleyWebWorkload
+from repro.traces.nonstationary import DriftingWorkload
+from repro.traces.synthetic import SyntheticWorkload
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -175,50 +176,54 @@ def test_dynamic_prefetch_ablation_matches_its_golden():
 
 # -- the schedule shape of the benchmark workloads -------------------------------------
 
+
+def shaped_run(spec, obs=False):
+    """Run *spec* with a schedule-shape hasher attached: ``(result,
+    events, shape digest)``."""
+    cluster = spec.build(obs=obs)
+    shape = ScheduleShapeHasher().attach(cluster.sim)
+    result = cluster.run(spec.trace.generate(), replay_mode=spec.replay_mode)
+    return result, cluster.sim.events_processed, shape.hexdigest()
+
+
 SHAPE_REQUESTS = 1500
 SHAPE_SEED = 1
 
 
-def _synthetic(write_fraction=0.0):
-    return lambda n, seed: generate_synthetic_trace(
-        SyntheticWorkload(n_requests=n, write_fraction=write_fraction),
-        rng=np.random.default_rng(seed),
-    )
+def _shape_job(kind, workload, **fields):
+    """The seed-1 run over the seed-1 *kind* trace of *workload*."""
+    trace = TraceSpec(kind=kind, workload=workload, seed=SHAPE_SEED)
+    return JobSpec(trace=trace, seed=SHAPE_SEED, **fields)
 
 
-#: name -> ((n, seed) -> trace, config, () -> faults): the four benchmark
-#: workloads' configs, rebuilt here so the benchmark's files stay free to
-#: move independently of this pin.
+#: name -> the 1,500-request run of each benchmark workload's config,
+#: rebuilt here so the benchmark's files stay free to move independently
+#: of this pin.
 SHAPE_WORKLOADS = {
-    "paper_default": (_synthetic(), EEVFSConfig(), lambda: None),
-    "ssd_write": (
-        _synthetic(write_fraction=0.4),
-        EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
-        lambda: None,
+    "paper_default": _shape_job("synthetic", SyntheticWorkload(n_requests=SHAPE_REQUESTS)),
+    "ssd_write": _shape_job(
+        "synthetic",
+        SyntheticWorkload(n_requests=SHAPE_REQUESTS, write_fraction=0.4),
+        config=EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
     ),
-    "online_drift": (
-        lambda n, seed: generate_drifting_trace(
-            DriftingWorkload(n_requests=n), rng=np.random.default_rng(seed)
-        ),
-        EEVFSConfig(online_mode=True),
-        lambda: None,
+    "online_drift": _shape_job(
+        "drifting",
+        DriftingWorkload(n_requests=SHAPE_REQUESTS),
+        config=EEVFSConfig(online_mode=True),
     ),
-    "metaplane_chaos": (
-        lambda n, seed: drill_trace(n_requests=n, trace_seed=seed),
-        drill_config(3),
-        lambda: leader_crash_schedule(4),
+    "metaplane_chaos": _shape_job(
+        "berkeley",
+        BerkeleyWebWorkload(n_requests=SHAPE_REQUESTS),
+        config=drill_config(3),
+        faults=leader_crash_schedule(4),
     ),
 }
 
 
 def schedule_shape(name):
     """``{"events", "shape"}`` of one workload's 1,500-request seed-1 run."""
-    generate, config, faults = SHAPE_WORKLOADS[name]
-    trace = generate(SHAPE_REQUESTS, SHAPE_SEED)
-    cluster = EEVFSCluster(config=config, seed=SHAPE_SEED, faults=faults())
-    shape = ScheduleShapeHasher().attach(cluster.sim)
-    cluster.run(trace)
-    return {"events": cluster.sim.events_processed, "shape": shape.hexdigest()}
+    _, events, shape = shaped_run(SHAPE_WORKLOADS[name])
+    return {"events": events, "shape": shape}
 
 
 @pytest.mark.parametrize("name", list(SHAPE_WORKLOADS))
@@ -234,107 +239,90 @@ def test_schedule_shape_matches_its_golden(name):
 
 
 def scenario_trace(write_fraction=0.2):
-    """The 150-request synthetic trace most scenarios replay."""
-    return generate_synthetic_trace(
-        SyntheticWorkload(n_requests=150, write_fraction=write_fraction)
-    )
+    """The 150-request synthetic trace most scenarios replay, drawn from
+    the generator's default stream (seed 0)."""
+    workload = SyntheticWorkload(n_requests=150, write_fraction=write_fraction)
+    return TraceSpec(workload=workload, seed=0)
 
 
-def _race(name):
-    # The race suite's scenario, rebuilt per run so no fault state
-    # carries over from one run to the next.
-    scenario = next(s for s in default_scenarios() if s.name == name)
-    return scenario.trace, dict(config=scenario.config, faults=scenario.faults)
+#: The race suite's scenarios, by name.
+RACES = {spec.label: spec for spec in default_scenarios()}
 
-
-#: name -> () -> (trace, EEVFSCluster keyword arguments); every run uses
-#: seed 7.  Between them they reach the serve chain's silent, failover
-#: and failed-reply branches, flaky spin-ups, two-stage DRPM shifts under
-#: the time predictor, the metadata plane and the SSD tier under faults.
+#: name -> the scenario's seed-7 run.  Between them they reach the serve
+#: chain's silent, failover and failed-reply branches, flaky spin-ups,
+#: two-stage DRPM shifts under the time predictor, the metadata plane and
+#: the SSD tier under faults.
 SCENARIOS = {
-    "prefetch": lambda: (scenario_trace(), dict(config=EEVFSConfig())),
-    "no-prefetch": lambda: (
-        scenario_trace(),
-        dict(config=EEVFSConfig(prefetch_enabled=False)),
+    "prefetch": JobSpec(trace=scenario_trace(), config=EEVFSConfig(), seed=7),
+    "no-prefetch": JobSpec(
+        trace=scenario_trace(), config=EEVFSConfig(prefetch_enabled=False), seed=7
     ),
-    "online": lambda: (scenario_trace(), dict(config=EEVFSConfig(online_mode=True))),
-    "ssd-writes": lambda: (
-        scenario_trace(write_fraction=0.4),
-        dict(
-            config=EEVFSConfig(
-                buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0
-            )
-        ),
+    "online": JobSpec(trace=scenario_trace(), config=EEVFSConfig(online_mode=True), seed=7),
+    "ssd-writes": JobSpec(
+        trace=scenario_trace(write_fraction=0.4),
+        config=EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
+        seed=7,
     ),
-    "metaplane:leader-crash": lambda: _race("metaplane:leader-crash"),
+    "metaplane:leader-crash": RACES["metaplane:leader-crash"],
     # Re-replication after a disk and a node failure puts placement
     # updates in the plane's log, so entries replicate and commit
     # across the leader crashes.
-    "metaplane:replicated": lambda: (
-        drill_trace(n_requests=300),
-        dict(
-            config=replace(drill_config(3), replication_factor=2),
-            faults=(
-                leader_crash_schedule(4)
-                .disk_fail("node2/data0", at=15.0)
-                .node_fail("node5", at=50.0)
-            ),
+    "metaplane:replicated": JobSpec(
+        trace=TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=300)),
+        config=replace(drill_config(3), replication_factor=2),
+        seed=7,
+        faults=(
+            leader_crash_schedule(4)
+            .disk_fail("node2/data0", at=15.0)
+            .node_fail("node5", at=50.0)
         ),
     ),
-    "ssd:buffer-faults": lambda: _race("ssd:buffer-faults"),
+    "ssd:buffer-faults": RACES["ssd:buffer-faults"],
     # Writes straight to the data disks, one of which dies.
-    "write-through": lambda: (
-        scenario_trace(write_fraction=0.4),
-        dict(
-            config=EEVFSConfig(write_buffering=False),
-            faults=FaultSchedule().disk_fail("node1/data0", at=3),
-        ),
+    "write-through": JobSpec(
+        trace=scenario_trace(write_fraction=0.4),
+        config=EEVFSConfig(write_buffering=False),
+        seed=7,
+        faults=FaultSchedule().disk_fail("node1/data0", at=3),
     ),
     # Replicated writes and reads over a dead data disk and a dead
     # buffer disk: the serve chain's silent and failover branches.
-    "replication": lambda: (
-        scenario_trace(write_fraction=0.4),
-        dict(
-            config=EEVFSConfig(replication_factor=2, replicate_writes=True),
-            faults=(
-                FaultSchedule()
-                .disk_fail("node1/data0", at=3)
-                .disk_fail("node2/buffer", at=6)
-            ),
+    "replication": JobSpec(
+        trace=scenario_trace(write_fraction=0.4),
+        config=EEVFSConfig(replication_factor=2, replicate_writes=True),
+        seed=7,
+        faults=(
+            FaultSchedule()
+            .disk_fail("node1/data0", at=3)
+            .disk_fail("node2/buffer", at=6)
         ),
     ),
     # Injected spin-up failures, with and without a back-off.
-    "flaky-spinups": lambda: (
-        scenario_trace(),
-        dict(
-            config=EEVFSConfig(),
-            faults=(
-                FaultSchedule()
-                .flaky_spinups("node1/data0", at=2, count=2, backoff_s=0.5)
-                .flaky_spinups("node2/data1", at=2, count=2, backoff_s=0.0)
-            ),
+    "flaky-spinups": JobSpec(
+        trace=scenario_trace(),
+        config=EEVFSConfig(),
+        seed=7,
+        faults=(
+            FaultSchedule()
+            .flaky_spinups("node1/data0", at=2, count=2, backoff_s=0.5)
+            .flaky_spinups("node2/data1", at=2, count=2, backoff_s=0.0)
         ),
     ),
     # Two-stage DRPM drives (the watchdog waits out its shifts) under
     # the time predictor's wake-ahead timers.
-    "drpm:time": lambda: (
-        scenario_trace(),
-        dict(
-            cluster=drpm_cluster(),
-            config=EEVFSConfig(window_predictor="time"),
-            node_class=TwoStageDRPMNode,
-        ),
+    "drpm:time": JobSpec(
+        trace=scenario_trace(),
+        config=EEVFSConfig(window_predictor="time"),
+        cluster=drpm_cluster(),
+        seed=7,
+        node_class=TwoStageDRPMNode,
     ),
 }
 
 
 def scenario_run(name, obs=False):
     """One seed-7 run of scenario *name*: ``(result, events, shape)``."""
-    trace, build = SCENARIOS[name]()
-    cluster = EEVFSCluster(seed=7, obs=obs, **build)
-    shape = ScheduleShapeHasher().attach(cluster.sim)
-    result = cluster.run(trace)
-    return result, cluster.sim.events_processed, shape.hexdigest()
+    return shaped_run(SCENARIOS[name], obs=obs)
 
 
 MB = 1 << 20
