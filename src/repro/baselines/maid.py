@@ -89,7 +89,6 @@ class MAIDNode(StorageNode):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.cache = LRUFileCache(capacity_bytes=self.config.buffer_capacity_bytes)
-        self.cache_copy_bytes = 0
 
     def _route_read(self, file_id: int) -> Tuple[Optional[int], str]:
         if self.cache.access(file_id):
@@ -109,7 +108,6 @@ class MAIDNode(StorageNode):
             return  # already served from cache
         size = self.metadata.size_of(file_id)
         self.cache.insert(file_id, size)
-        self.cache_copy_bytes += size
         self.buffer_disk.submit(
             size,
             kind=RequestKind.WRITE,

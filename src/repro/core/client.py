@@ -419,12 +419,12 @@ class _PacedReplay:
     Each request waits for its trace timestamp, then for one of the
     client's ``max_outstanding`` pacing slots, and is issued when the
     slot is granted; its settlement frees the slot.  A free-slot count
-    stands in for a private :class:`~repro.sim.resources.Resource`: the
-    replayer is the slots' only claimant, so at most one claim ever
-    waits.  Every step runs in the slot the generator replayer used --
-    kick-off URGENT, ``call_later`` where it slept, a ``call_soon`` where
-    the resource granted or a settled request's waiter event fired --
-    and :attr:`done` succeeds where the replayer's process completed.
+    stands in for a slot resource: the replayer is the slots' only
+    claimant, so at most one claim ever waits.  Every step runs in the
+    slot the generator replayer used -- kick-off URGENT, ``call_later``
+    where it slept, a ``call_soon`` where the resource granted or a
+    settled request's waiter event fired -- and :attr:`done` succeeds
+    where the replayer's process completed.
     """
 
     __slots__ = ("client", "requests", "epoch_s", "next", "free", "claiming", "done")

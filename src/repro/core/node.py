@@ -133,20 +133,14 @@ class StorageNode:
         #: the negative acks that keep waiters from stranding.
         self.crashed = False
         self.requests_failed_over = 0
-        self.replica_pulls_served = 0
-        self.repairs_received = 0
-        self.replica_bytes_written = 0
         #: file_id -> the RepairCommand we are executing (awaiting data).
         self._pending_repairs: Dict[int, RepairCommand] = {}
 
         # Kicked off URGENT now: the slot a main-loop process would
         # start in.
         self.sim.call_soon(self._await_message, priority=URGENT)
-        self._destager = (
+        if config.write_buffering and config.destage_enabled:
             sim.process(self._destage_loop())
-            if (config.write_buffering and config.destage_enabled)
-            else None
-        )
 
     # -- backend construction ----------------------------------------------------------
 
@@ -616,7 +610,6 @@ class StorageNode:
             except DiskFailureError:
                 ok = False
         if ok:
-            self.replica_pulls_served += 1
             yield self.fabric.send(
                 self.spec.name,
                 pull.requester,
@@ -659,8 +652,6 @@ class StorageNode:
                     for target in self.metadata.stripe_disks(data.file_id)
                 ]
                 yield self.sim.all_of([io.done for io in ios])
-                self.repairs_received += 1
-                self.replica_bytes_written += data.size_bytes
             except DiskFailureError:
                 ok = False
         yield self.fabric.send(

@@ -149,7 +149,9 @@ class StorageServer:
         The epoch is the simulation time at which trace replay may begin
         (all placement, prefetch copies and hints are in place).
         """
-        return self.sim.process(self._setup(trace, history or trace))
+        return self.sim.process(
+            self._setup(trace, history if history is not None else trace)
+        )
 
     def _setup(self, trace: Trace, history: Trace) -> Generator[Event, Any, float]:
         # Step 1: one thread + TCP connection per storage node.

@@ -114,8 +114,8 @@ class ScheduleShapeHasher(EventStreamHasher):
     never the event's type.  The counter is the number of events
     scheduled so far, so it moves with every added or dropped event,
     and the timestamp moves with every shifted one; but a ``Timeout``,
-    ``Request`` or kick-off ``Event`` swapped for a ``Continuation``
-    in the same ``(time, priority, sequence)`` slot digests equal.
+    grant or kick-off ``Event`` swapped for a ``Continuation`` in the
+    same ``(time, priority, sequence)`` slot digests equal.
     That is the contract a dispatch rewrite must keep when it replaces
     generator and grant machinery with flat callbacks.
     """

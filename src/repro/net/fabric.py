@@ -24,9 +24,8 @@ class _Delivery:
 
     Each stage is a plain bound method granted a link by
     :meth:`Link.acquire`, scheduled via ``call_later`` or run in the
-    inbox put's slot, so a delivery costs no Process object, no
-    kick-off/completion events, no grant ``Request`` and no generator
-    frame.
+    inbox put's slot, so a delivery builds no Process object, no grant
+    event and no generator frame.
     Every stage runs in exactly the event slot where a per-message
     generator process would have resumed (pinned by the goldens in
     tests/golden/).
@@ -70,7 +69,6 @@ class _Delivery:
         message = self.message
         sender = self.sender
         receiver = self.receiver
-        message.sent_at = fabric.sim.now
         tracer = fabric.sim.tracer
         self.span = None
         if tracer is not None:
@@ -104,9 +102,7 @@ class _Delivery:
         self.fabric.sim.call_later(self.rx_hold, self._rx_done)
 
     def _rx_done(self, _value: Any) -> None:
-        rx = self.receiver.rx
-        rx.bytes_sent += self.message.size_bytes
-        rx.release()
+        self.receiver.rx.release()
         if self.remaining > 0:
             self.fabric.sim.call_later(self.remaining, self._tx_done)
         else:
@@ -115,11 +111,9 @@ class _Delivery:
     def _tx_done(self, _value: Any) -> None:
         fabric = self.fabric
         message = self.message
-        self.sender.tx.bytes_sent += message.size_bytes
         fabric.messages_sent += 1
         fabric.bytes_sent += message.size_bytes
         self.sender.tx.release()
-        message.delivered_at = fabric.sim.now
         tracer = fabric.sim.tracer
         if fabric._partitioned and (
             message.src in fabric._partitioned or message.dst in fabric._partitioned
@@ -134,7 +128,6 @@ class _Delivery:
             return
         if self.span is not None and tracer is not None:
             tracer.end(self.span)
-        self.receiver.messages_received += 1
         self.receiver.inbox.put(message, hold_slot if self.done is None else self._delivered)
 
     def _delivered(self, message: Message) -> None:
@@ -145,15 +138,14 @@ class _Delivery:
 class Endpoint:
     """A named host on the fabric with a full-duplex NIC and an inbox."""
 
-    def __init__(self, sim: Simulator, name: str, bandwidth_bps: float, latency_s: float) -> None:
+    def __init__(self, sim: Simulator, name: str, bandwidth_bps: float) -> None:
         self.sim = sim
         self.name = name
-        self.tx = Link(sim, bandwidth_bps, latency_s=latency_s, name=f"{name}:tx")
-        self.rx = Link(sim, bandwidth_bps, latency_s=0.0, name=f"{name}:rx")
+        self.tx = Link(sim, bandwidth_bps, name=f"{name}:tx")
+        self.rx = Link(sim, bandwidth_bps, name=f"{name}:rx")
         #: Inbound :class:`Message` objects, FIFO, for the one handler
         #: that takes them.
         self.inbox = Mailbox(sim)
-        self.messages_received = 0
 
     @property
     def bandwidth_bps(self) -> float:
@@ -197,7 +189,7 @@ class Fabric:
         """Attach a host; names must be unique."""
         if name in self._endpoints:
             raise ValueError(f"duplicate endpoint name: {name!r}")
-        endpoint = Endpoint(self.sim, name, bandwidth_bps, self.latency_s)
+        endpoint = Endpoint(self.sim, name, bandwidth_bps)
         self._endpoints[name] = endpoint
         return endpoint
 
@@ -219,9 +211,6 @@ class Fabric:
             self._partitioned.add(name)
         else:
             self._partitioned.discard(name)
-
-    def is_partitioned(self, name: str) -> bool:
-        return name in self._partitioned
 
     # -- data plane ---------------------------------------------------------------
 

@@ -7,8 +7,8 @@ uses.  On :meth:`attach` it
   (instrumented components None-check that attribute),
 * installs the tracer's per-event-type counter via the engine's
   multi-hook dispatch (coexisting with a determinism hasher), and
-* starts the telemetry sampler, a sim process that snapshots every
-  counter/gauge each ``sample_interval_s`` of simulated time.
+* starts the telemetry sampler, a sim process that samples every
+  gauge each ``sample_interval_s`` of simulated time.
 
 The sampler is an infinite loop, which is safe here because the cluster
 runs the engine with ``run(until=<event>)``; it must not be attached to
@@ -95,22 +95,11 @@ class Observability:
         series always cover the full run) before snapshotting.
         """
         self.telemetry.sample(self.sim.now)
-        return self.tracer.snapshot(
-            series=self.telemetry.series,
-            counters=self.telemetry.counter_totals(),
-        )
+        return self.tracer.snapshot(series=self.telemetry.series)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "attached" if self._attached else "detached"
         return f"<Observability {state} spans={len(self.tracer.spans)}>"
-
-
-def attach_observability(
-    sim: Simulator,
-    sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-) -> Observability:
-    """Create and attach an :class:`Observability` bundle to *sim*."""
-    return Observability(sim, sample_interval_s=sample_interval_s).attach()
 
 
 def maybe_snapshot(observer: Optional[Observability]) -> Optional[RunTrace]:

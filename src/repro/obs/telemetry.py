@@ -1,26 +1,24 @@
-"""Telemetry instruments: counters, gauges, histograms, and series.
+"""Telemetry instruments: gauges and the series they are sampled into.
 
-The :class:`TelemetryRegistry` owns a namespace of instruments and turns
-them into compact time series on simulated-time ticks:
+The :class:`TelemetryRegistry` owns a namespace of gauges and turns them
+into compact time series on simulated-time ticks:
 
-* :class:`Counter` -- monotonically increasing totals (spin-ups,
-  buffer hits) bumped by instrumentation or gauged from model state;
-* :class:`Gauge` -- a callback re-read at every sample (queue depth,
-  disks per power state), so the model needs no push-side code;
-* :class:`Histogram` -- fixed-bucket distributions (request latency);
+* :class:`Gauge` -- a callback re-read at every sample (hit ratio,
+  disks per power state, flash wear), so the model needs no push-side
+  code;
 * :class:`Series` -- the ``array('d')``-backed (time, value) columns the
   sampler appends to, mirroring :mod:`repro.sim.monitor`'s storage
   idiom.
 
-Like the tracer, instruments only *read* model state.  Sampling runs on
-the observability side (see :class:`repro.obs.runtime.Observability`)
-and is never installed on untraced runs.
+Like the tracer, gauges only *read* model state.  Sampling runs on the
+observability side (see :class:`repro.obs.runtime.Observability`) and is
+never installed on untraced runs.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 class Series:
@@ -61,25 +59,6 @@ class Series:
         return f"<Series {self.name!r} n={len(self.times)}>"
 
 
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add *amount* (must be non-negative) to the total."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount!r})")
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name!r} value={self.value:.6g}>"
-
-
 class Gauge:
     """A value re-read from a callback at every sample tick.
 
@@ -99,125 +78,32 @@ class Gauge:
         return f"<Gauge {self.name!r}>"
 
 
-class Histogram:
-    """Fixed-bucket distribution of observed values.
-
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    overflow bucket catches everything above the last edge.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, name: str, bounds: Sequence[float]) -> None:
-        edges = sorted(float(b) for b in bounds)
-        if not edges:
-            raise ValueError(f"histogram {name!r} needs >= 1 bucket bound")
-        self.name = name
-        self.bounds: Tuple[float, ...] = tuple(edges)
-        self.counts: List[int] = [0] * (len(edges) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.total += 1
-        self.sum += value
-
-    def mean(self) -> float:
-        """Mean of all observations (0.0 if none)."""
-        if not self.total:
-            return 0.0
-        return self.sum / self.total
-
-    def quantile(self, q: float) -> float:
-        """Approximate *q*-quantile (bucket upper edge; inf for overflow)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1] (got {q!r})")
-        if not self.total:
-            return 0.0
-        rank = q * self.total
-        seen = 0
-        for i, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank and count:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Histogram {self.name!r} n={self.total}>"
-
-
 class TelemetryRegistry:
-    """Named instruments plus the sampler that turns them into series.
+    """Named gauges plus the sampler that turns them into series.
 
-    Instrument names are unique across kinds; :meth:`sample` appends the
-    current value of every counter and gauge to its series.  Histograms
-    are summarised at snapshot time rather than sampled (their buckets
-    accumulate monotonically, so per-tick copies add nothing).
+    Gauge names are unique; :meth:`sample` appends the current value of
+    every gauge to its series.
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "series")
+    __slots__ = ("gauges", "series")
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, Series] = {}
-
-    def _claim(self, name: str) -> None:
-        if name in self.counters or name in self.gauges or name in self.histograms:
-            raise ValueError(f"telemetry instrument already registered: {name!r}")
-
-    def counter(self, name: str) -> Counter:
-        """Register (or fetch) the counter *name*."""
-        existing = self.counters.get(name)
-        if existing is not None:
-            return existing
-        self._claim(name)
-        instrument = Counter(name)
-        self.counters[name] = instrument
-        self.series[name] = Series(name)
-        return instrument
 
     def gauge(self, name: str, read: Callable[[], float]) -> Gauge:
         """Register the gauge *name* backed by callback *read*."""
-        self._claim(name)
+        if name in self.gauges:
+            raise ValueError(f"telemetry instrument already registered: {name!r}")
         instrument = Gauge(name, read)
         self.gauges[name] = instrument
         self.series[name] = Series(name)
         return instrument
 
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        """Register the histogram *name* with the given bucket edges."""
-        self._claim(name)
-        instrument = Histogram(name, bounds)
-        self.histograms[name] = instrument
-        return instrument
-
     def sample(self, now: float) -> None:
-        """Append one sample of every counter and gauge at time *now*."""
-        for name, counter in self.counters.items():
-            self.series[name].append(now, counter.value)
+        """Append one sample of every gauge at time *now*."""
         for name, gauge in self.gauges.items():
             self.series[name].append(now, float(gauge.read()))
 
-    def counter_totals(self) -> Dict[str, float]:
-        """Final value of every counter, plus histogram summaries."""
-        totals = {name: counter.value for name, counter in self.counters.items()}
-        for name, hist in self.histograms.items():
-            totals[f"{name}.count"] = float(hist.total)
-            totals[f"{name}.mean"] = hist.mean()
-            totals[f"{name}.p95"] = hist.quantile(0.95)
-        return totals
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<TelemetryRegistry counters={len(self.counters)} "
-            f"gauges={len(self.gauges)} histograms={len(self.histograms)}>"
-        )
+        return f"<TelemetryRegistry gauges={len(self.gauges)}>"

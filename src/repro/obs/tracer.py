@@ -130,19 +130,17 @@ class RunTrace:
     boundary and attaches to :class:`~repro.core.filesystem.RunResult`.
     """
 
-    __slots__ = ("spans", "series", "counters", "events_by_type", "duration_s")
+    __slots__ = ("spans", "series", "events_by_type", "duration_s")
 
     def __init__(
         self,
         spans: List[Span],
         series: Dict[str, Series],
-        counters: Dict[str, float],
         events_by_type: Dict[str, int],
         duration_s: float,
     ) -> None:
         self.spans = spans
         self.series = series
-        self.counters = counters
         self.events_by_type = events_by_type
         self.duration_s = duration_s
 
@@ -256,11 +254,7 @@ class Tracer:
 
     # -- freezing -----------------------------------------------------------------
 
-    def snapshot(
-        self,
-        series: Optional[Dict[str, Series]] = None,
-        counters: Optional[Dict[str, float]] = None,
-    ) -> RunTrace:
+    def snapshot(self, series: Optional[Dict[str, Series]] = None) -> RunTrace:
         """Freeze the recorded stream into a plain-data :class:`RunTrace`.
 
         Open spans (a spin-up in flight when the run ended) are clamped
@@ -278,7 +272,6 @@ class Tracer:
         return RunTrace(
             spans=list(self.spans),
             series=dict(series or {}),
-            counters=dict(counters or {}),
             events_by_type=dict(self.events_by_type),
             duration_s=now,
         )

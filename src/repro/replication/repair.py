@@ -44,7 +44,7 @@ class ReplicationManager:
         self.repairs_completed = 0
         self.repairs_failed = 0
         self.bytes_recopied = 0
-        self._proc = self.sim.process(self._loop())
+        self.sim.process(self._loop())
 
     # -- the repair loop -------------------------------------------------------
 

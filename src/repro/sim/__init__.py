@@ -1,13 +1,16 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate every other subsystem of the EEVFS
-reproduction runs on.  It provides a small but complete generator-coroutine
-event engine in the style popularised by SimPy, written from scratch:
+reproduction runs on.  It carries only what the simulator dispatches:
+flat ``(fn, arg)`` continuations for the hot paths, plus the few events
+and generator processes the setup and control loops still wait on.
 
-* :mod:`repro.sim.events` -- events, timeouts and condition events,
-* :mod:`repro.sim.engine` -- the :class:`Simulator` (clock + event heap),
+* :mod:`repro.sim.engine` -- the :class:`Simulator` (clock, heap, lanes,
+  ``call_soon`` / ``call_later`` continuations),
+* :mod:`repro.sim.events` -- events, timeouts and the :class:`AllOf`
+  countdown,
 * :mod:`repro.sim.process` -- processes (generator coroutines),
-* :mod:`repro.sim.resources` -- slot resources and single-consumer mailboxes,
+* :mod:`repro.sim.resources` -- the single-consumer :class:`Mailbox`,
 * :mod:`repro.sim.monitor` -- tally / time-weighted statistics collection,
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams.
 
@@ -17,21 +20,19 @@ time is in **seconds** (float).
 """
 
 from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.monitor import TallyStat, TimeWeightedStat
 from repro.sim.process import Process
-from repro.sim.resources import Mailbox, Resource
+from repro.sim.resources import Mailbox
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "LanePerturbation",
     "Mailbox",
     "Process",
     "RandomStreams",
-    "Resource",
     "Simulator",
     "StopSimulation",
     "TallyStat",

@@ -32,7 +32,7 @@ from collections import deque
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout, URGENT
+from repro.sim.events import AllOf, Event, NORMAL, PENDING, Timeout, URGENT
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -240,13 +240,6 @@ class Simulator:
             heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, fn, value))
         self._seq += 1
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        lanes = self._lanes
-        if lanes[0] or lanes[1] or lanes[2]:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
-
     @property
     def queue_size(self) -> int:
         """Number of events currently scheduled (diagnostic)."""
@@ -262,11 +255,11 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds after *delay* seconds.
 
-        This is the engine's hottest allocation site (every I/O, transfer
-        and sleep goes through it), so the event is assembled inline --
-        pre-triggered, bypassing ``Timeout.__init__``'s constructor chain
-        and the extra :meth:`schedule` call -- rather than via the plain
-        ``Timeout(...)`` constructor that external callers use.
+        Generator processes sleep on these (control loops, the closed
+        replayer, connection set-up); flat callbacks use
+        :meth:`call_later` instead.  The event is assembled inline --
+        pre-triggered, without ``Timeout.__init__``'s constructor chain
+        and the extra :meth:`schedule` call.
         """
         if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
@@ -289,12 +282,9 @@ class Simulator:
         """Start *generator* as a process; returns its completion event."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition that succeeds when any of *events* succeeds."""
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition that succeeds when all of *events* have succeeded."""
+        """Event that succeeds once all of *events* have succeeded, and
+        fails with the first of them that fails."""
         return AllOf(self, events)
 
     # -- run loop ------------------------------------------------------------
@@ -329,11 +319,6 @@ class Simulator:
             self._event_hooks.remove(hook)
         except ValueError:
             pass
-
-    @property
-    def event_hooks(self) -> tuple[Callable[[float, Event], None], ...]:
-        """The installed event hooks, in dispatch order (read-only view)."""
-        return tuple(self._event_hooks)
 
     def set_lane_perturbation(self, seed: Optional[int]) -> Optional[LanePerturbation]:
         """Install (or, with ``None``, remove) the chaos scheduler.

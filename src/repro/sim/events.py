@@ -4,12 +4,13 @@ An :class:`Event` is the unit of coordination: processes yield events and
 are resumed when the event *triggers* (succeeds or fails).  Three scheduling
 priorities exist so that same-timestamp events process in a well-defined
 order; ties beyond priority break on a monotonically increasing sequence
-number, which makes the whole engine deterministic.
+number, which makes the whole engine deterministic.  A :class:`Timeout`
+succeeds after a delay and an :class:`AllOf` once a set of events has.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -45,7 +46,7 @@ class Event:
         self._value: Any = PENDING
         self._exc: Optional[BaseException] = None
         self._ok: bool = True
-        #: Set when a process handled (or a condition absorbed) a failure so
+        #: Set when a process handled (or an AllOf absorbed) a failure so
         #: the engine does not re-raise it at the top level.
         self._defused: bool = False
 
@@ -114,26 +115,9 @@ class Event:
         sim._seq += 1
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the state of another (already triggered) *event*."""
-        if event._value is PENDING:
-            raise RuntimeError("cannot mirror an untriggered event")
-        self._ok = event._ok
-        self._exc = event._exc
-        self._value = event._value
-        self.sim.schedule(self, delay=0.0)
-
     def defuse(self) -> None:
         """Mark a failure as handled so the engine will not re-raise it."""
         self._defused = True
-
-    # -- composition --------------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -157,110 +141,40 @@ class Timeout(Event):
         sim.schedule(self, delay=self.delay)
 
 
-class ConditionValue:
-    """Ordered mapping of child events to their values.
+class AllOf(Event):
+    """Succeeds, with value ``None``, once every child event has.
 
-    Returned by condition events (:class:`AnyOf` / :class:`AllOf`).  Only
-    events that had triggered by the time the condition fired are included.
+    A countdown over the children: each one's dispatch (or, for a child
+    already processed, the constructor) counts it off, and the last
+    success succeeds this event.  The first failed child fails it with
+    that child's exception; the child and any later failure are
+    defused, since this event is their waiter.
     """
 
-    __slots__ = ("events",)
-
-    def __init__(self, events: list[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain ``{event: value}`` dict."""
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ConditionValue({self.todict()!r})"
-
-
-class Condition(Event):
-    """Base class for composite events over a fixed set of child events."""
-
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_pending",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
+        children = list(events)
+        for event in children:
             if event.sim is not sim:
                 raise ValueError("all events of a condition must share one simulator")
-        # Immediately evaluate against already-triggered children; subscribe
-        # to the rest.
-        for event in self._events:
+        self._pending = len(children)
+        if not children:
+            self.succeed()
+        for event in children:
             if event.callbacks is not None:
-                # Pending or scheduled: evaluate when it is processed.
                 event.callbacks.append(self._check)
             else:
                 self._check(event)
-        if not self._events and self._value is PENDING:
-            # Empty condition is trivially satisfied.
-            self.succeed(ConditionValue([]))
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            # Already decided, but still this child's waiter: a failure
-            # arriving now (a second failed stripe of an all_of) is
-            # absorbed, not left to crash the run.
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
         if not event._ok:
-            # Propagate child failure; mark it defused because the condition
-            # consumed it.
             event._defused = True
-            assert event._exc is not None
-            self.fail(event._exc)
-        elif self._evaluate(self._count, len(self._events)):
-            # Only children that have actually been *processed* belong in
-            # the result (a Timeout carries its value from construction, so
-            # `triggered` alone would over-report).
-            done = [e for e in self._events if e.callbacks is None]
-            self.succeed(ConditionValue(done))
-
-
-class AnyOf(Condition):
-    """Succeeds as soon as *any* child event succeeds."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count >= 1
-
-
-class AllOf(Condition):
-    """Succeeds once *all* child events have succeeded."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count == total
+            if self._value is PENDING:
+                assert event._exc is not None
+                self.fail(event._exc)
+        elif self._value is PENDING:
+            self._pending -= 1
+            if not self._pending:
+                self.succeed()

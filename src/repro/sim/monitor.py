@@ -6,14 +6,14 @@ Two collectors cover everything the reproduction measures:
   Welford's online algorithm, with optional sample retention for
   percentiles;
 * :class:`TimeWeightedStat` -- piecewise-constant level integrated over
-  simulated time (queue lengths, power draw -> energy).
+  simulated time (power draw -> energy).
 """
 
 from __future__ import annotations
 
 from array import array
 import math
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 class TallyStat:
@@ -52,11 +52,6 @@ class TallyStat:
             self._max = value
         if self.keep_samples:
             self.samples.append(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Add several observations."""
-        for value in values:
-            self.record(value)
 
     @property
     def count(self) -> int:
@@ -127,23 +122,20 @@ class TallyStat:
 
 
 class TimeWeightedStat:
-    """Integral and time-average of a piecewise-constant level.
+    """Integral of a piecewise-constant level.
 
     Drive it with :meth:`update` at every level change; the integral between
     updates accrues at the previous level.  The main use in this project is
     turning instantaneous power (W) into energy (J).
     """
 
-    __slots__ = ("name", "_start", "_last_time", "_level", "_integral", "_min", "_max")
+    __slots__ = ("name", "_last_time", "_level", "_integral")
 
     def __init__(self, name: str = "", time: float = 0.0, level: float = 0.0) -> None:
         self.name = name
-        self._start = float(time)
         self._last_time = float(time)
         self._level = float(level)
         self._integral = 0.0
-        self._min = self._level
-        self._max = self._level
 
     @property
     def level(self) -> float:
@@ -161,12 +153,6 @@ class TimeWeightedStat:
         self._integral += self._level * (time - self._last_time)
         self._last_time = time
         self._level = float(level)
-        self._min = min(self._min, self._level)
-        self._max = max(self._max, self._level)
-
-    def add(self, time: float, delta: float) -> None:
-        """Shift the level by *delta* at *time* (convenience)."""
-        self.update(time, self._level + delta)
 
     def integral(self, until: Optional[float] = None) -> float:
         """Integral of the level from start to *until* (default: last update)."""
@@ -176,22 +162,6 @@ class TimeWeightedStat:
         if until < self._last_time:
             raise ValueError(f"until={until!r} precedes last update {self._last_time!r}")
         return self._integral + self._level * (until - self._last_time)
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Average level over the observation window (NaN on empty window)."""
-        end = self._last_time if until is None else float(until)
-        span = end - self._start
-        if span <= 0:
-            return math.nan
-        return self.integral(until) / span
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        return self._max
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Process(Event):
     """Execution wrapper for a generator; also its completion event."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -30,8 +30,7 @@ class Process(Event):
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
-        # Inline Event.__init__ -- one process is created per network
-        # message and disk transfer, so the extra frame is measurable.
+        # Event.__init__, inlined.
         self.sim = sim
         self.callbacks = []
         self._value = PENDING
@@ -40,13 +39,8 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", type(generator).__name__)
-        #: The event this process currently waits on (None before start /
-        #: after completion).
-        self._target: Optional[Event] = None
 
         # Kick-off event: resume the generator for the first time "now".
-        # Assembled inline (no schedule() call) -- every network message
-        # and disk transfer spawns a process, making this a hot path.
         start = Event(sim)
         start._ok = True
         start._value = None
@@ -54,7 +48,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         sim._lanes[URGENT].append((sim._seq, None, start))
         sim._seq += 1
-        self._target = start
 
     # -- state ----------------------------------------------------------------
 
@@ -62,11 +55,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
-        return self._target
 
     # -- engine plumbing --------------------------------------------------------
 
@@ -116,13 +104,9 @@ class Process(Event):
                 # Not yet processed (pending, or triggered and sitting in
                 # the heap): wait for it.
                 target.callbacks.append(self._resume)
-                self._target = target
                 break
             # Already processed: consume immediately without a heap trip.
             event = target
-
-        if self._value is not PENDING:
-            self._target = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if not self.is_alive else "alive"

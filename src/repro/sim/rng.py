@@ -54,13 +54,5 @@ class RandomStreams:
         """
         return self.stream(f"faults:{target}")
 
-    def spawn(self, salt: int) -> "RandomStreams":
-        """Derive an independent registry (e.g. per experiment repetition)."""
-        return RandomStreams(seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
-
-    def names(self) -> list[str]:
-        """Names of streams created so far (diagnostic)."""
-        return sorted(self._streams)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RandomStreams seed={self.seed} streams={len(self._streams)}>"

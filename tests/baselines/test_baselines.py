@@ -132,6 +132,15 @@ class TestOracleAndStale:
         stale = EEVFSCluster(config=EEVFSConfig()).run(trace, history=history)
         assert stale.buffer_hit_rate <= oracle.buffer_hit_rate + 0.02
 
+    def test_empty_history_is_not_the_replay_trace(self):
+        # An empty popularity log ranks nothing; it must not fall back to
+        # the replay trace, which is the oracle run.
+        trace = make_trace(n_requests=100)
+        oracle = run_eevfs(trace, EEVFSConfig())
+        cold = EEVFSCluster(config=EEVFSConfig()).run(trace, history=trace.head(0))
+        assert cold.buffer_hits < oracle.buffer_hits
+        assert cold.energy_j != oracle.energy_j
+
     def test_mismatched_catalog_rejected(self):
         trace = make_trace()
         history = generate_synthetic_trace(

@@ -57,17 +57,17 @@ class TestTransfers:
 
     def test_transfer_rate_is_min_of_nics(self, sim, fabric):
         done = {}
+        fabric.endpoint("node2").inbox.take(lambda msg: done.setdefault("rx", sim.now))
 
         def sender():
-            # 12.5 MB at the 100 Mb/s (12.5e6 B/s) node-2 NIC: 1.048576 s.
-            msg = yield fabric.send("server", "node2", payload=b"", size_bytes=125 * 10**5)
+            # 12.5e6 B at the 100 Mb/s (12.5e6 B/s) node-2 NIC: 1 s.
+            yield fabric.send("server", "node2", payload=b"", size_bytes=125 * 10**5)
             done["t"] = sim.now
-            done["latency"] = msg.latency
 
         sim.process(sender())
         sim.run()
         assert done["t"] == pytest.approx(1.0)
-        assert done["latency"] == pytest.approx(1.0)
+        assert done["rx"] == pytest.approx(1.0)
 
     def test_gigabit_pair_runs_at_gigabit(self, sim, fabric):
         done = {}
@@ -143,7 +143,7 @@ class TestTransfers:
         sim.run()
         assert fabric.messages_sent == 2
         assert fabric.bytes_sent == 150
-        assert fabric.endpoint("node1").messages_received == 1
+        assert [m.size_bytes for m in fabric.endpoint("node1").inbox.items] == [100]
 
     def test_receive_matching_filters(self, sim, fabric):
         # The inbox's one handler filters what it takes.
@@ -191,7 +191,7 @@ def test_fabric_conserves_messages(transfers):
         inbox = fabric.endpoint(name).inbox
 
         def handle(msg):
-            delivered.append(msg.message_id)
+            delivered.append(msg.payload)
             inbox.take(handle)
 
         inbox.take(handle)
@@ -208,5 +208,4 @@ def test_fabric_conserves_messages(transfers):
     done = sim.process(sender())
     sim.run(until=done)
     sim.run(until=sim.now + 1.0)  # drain inbox consumers
-    assert sorted(delivered) == sorted(set(delivered))
-    assert len(delivered) == len(transfers)
+    assert sorted(delivered) == list(range(len(transfers)))

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import Message
+from repro.net import Fabric, Message
 from repro.net.message import CONTROL_MESSAGE_BYTES
+from repro.sim import Simulator
 
 
 def test_default_size_is_control_message():
@@ -23,14 +24,15 @@ def test_empty_addresses_rejected():
         Message(src="a", dst="", payload=None)
 
 
-def test_message_ids_are_unique():
-    a = Message(src="a", dst="b", payload=None)
-    b = Message(src="a", dst="b", payload=None)
-    assert a.message_id != b.message_id
-
-
 def test_latency_is_delivery_minus_send():
-    msg = Message(src="a", dst="b", payload=None)
-    msg.sent_at = 1.0
-    msg.delivered_at = 3.5
-    assert msg.latency == pytest.approx(2.5)
+    # A message carries no timestamps: its latency is the receiving
+    # handler's clock minus the send time.
+    sim = Simulator()
+    fabric = Fabric(sim, latency_s=0.5)
+    fabric.add_endpoint("a", 1000.0)
+    fabric.add_endpoint("b", 1000.0)
+    delivered = []
+    fabric.endpoint("b").inbox.take(lambda msg: delivered.append((msg.payload, sim.now)))
+    sim.call_later(1.0, lambda _value: fabric.send_nowait("a", "b", "x", size_bytes=2000))
+    sim.run()
+    assert delivered == [("x", pytest.approx(1.0 + 0.5 + 2.0))]

@@ -32,7 +32,7 @@ def sample_trace():
     series = Series("queue_depth")
     series.append(0.0, 1.0)
     series.append(1.0, 2.0)
-    return tracer.snapshot(series={"queue_depth": series}, counters={"hits": 3.0})
+    return tracer.snapshot(series={"queue_depth": series})
 
 
 def test_chrome_trace_structure():

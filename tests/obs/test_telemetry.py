@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, Series, TelemetryRegistry
+from repro.obs import Series, TelemetryRegistry
 
 
 class TestSeries:
@@ -30,75 +30,25 @@ class TestSeries:
         assert list(clone.values) == [1.5]
 
 
-class TestCounter:
-    def test_monotonic(self):
-        counter = Counter("spinups")
-        counter.inc()
-        counter.inc(2.0)
-        assert counter.value == 3.0
-
-    def test_decrease_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("spinups").inc(-1.0)
-
-
-class TestHistogram:
-    def test_bucketing_and_stats(self):
-        hist = Histogram("latency", bounds=[0.1, 1.0, 10.0])
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.total == 5
-        assert hist.counts == [1, 2, 1, 1]  # last bucket = overflow
-        assert hist.mean() == pytest.approx(56.05 / 5)
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(1.0) == float("inf")
-
-    def test_empty_quantile_is_zero(self):
-        assert Histogram("x", bounds=[1.0]).quantile(0.5) == 0.0
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ValueError):
-            Histogram("x", bounds=[1.0]).quantile(1.5)
-
-    def test_needs_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("x", bounds=[])
-
-
 class TestRegistry:
     def test_sample_appends_counters_and_gauges(self):
+        # Gauges are the registry's one instrument: a running total is
+        # a gauge over the model's own counter.
         registry = TelemetryRegistry()
-        hits = registry.counter("hits")
+        hits = [0]
         depth = [3]
+        registry.gauge("hits", lambda: hits[0])
         registry.gauge("depth", lambda: depth[0])
         registry.sample(0.0)
-        hits.inc(5)
+        hits[0] += 5
         depth[0] = 7
         registry.sample(1.0)
         assert list(registry.series["hits"].values) == [0.0, 5.0]
         assert list(registry.series["depth"].values) == [3.0, 7.0]
         assert list(registry.series["depth"].times) == [0.0, 1.0]
 
-    def test_counter_is_get_or_create(self):
-        registry = TelemetryRegistry()
-        assert registry.counter("hits") is registry.counter("hits")
-
     def test_name_collision_across_kinds_rejected(self):
         registry = TelemetryRegistry()
         registry.gauge("depth", lambda: 0.0)
         with pytest.raises(ValueError):
-            registry.counter("depth")
-        with pytest.raises(ValueError):
-            registry.histogram("depth", bounds=[1.0])
-
-    def test_counter_totals_include_histogram_summaries(self):
-        registry = TelemetryRegistry()
-        registry.counter("hits").inc(4)
-        hist = registry.histogram("latency", bounds=[1.0, 2.0])
-        hist.observe(0.5)
-        hist.observe(1.5)
-        totals = registry.counter_totals()
-        assert totals["hits"] == 4.0
-        assert totals["latency.count"] == 2.0
-        assert totals["latency.mean"] == 1.0
-        assert totals["latency.p95"] == 2.0
+            registry.gauge("depth", lambda: 1.0)

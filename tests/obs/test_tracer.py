@@ -115,10 +115,9 @@ def test_run_trace_is_picklable_plain_data(sim):
     root = tracer.begin_request(1, "client")
     tracer.begin("disk.service", "data0", parent=root, bytes=4096)
     tracer.end_request(1)
-    trace = tracer.snapshot(counters={"spinups": 2.0})
+    trace = tracer.snapshot()
     clone = pickle.loads(pickle.dumps(trace))
     assert len(clone.spans) == len(trace.spans)
-    assert clone.counters == {"spinups": 2.0}
     assert clone.span_kinds() == ["disk.service", "request"]
     assert len(clone.spans_of("disk.service")) == 1
 

@@ -154,10 +154,15 @@ def test_step_on_empty_schedule_raises():
 
 
 def test_peek_reports_next_event_time():
+    # Read through the kept paths: an empty schedule holds nothing, and
+    # one step dispatches the next event at its time.
     sim = Simulator()
-    assert sim.peek() == float("inf")
+    assert sim.queue_size == 0
     sim.timeout(4.0)
-    assert sim.peek() == 4.0
+    assert sim.queue_size == 1
+    sim.step()
+    assert sim.now == 4.0
+    assert sim.queue_size == 0
 
 
 def test_queue_size_counts_scheduled_events():
@@ -320,11 +325,15 @@ def test_multiple_event_hooks_all_fire():
 
 def test_remove_event_hook_is_idempotent():
     sim = Simulator()
-    hook = lambda now, event: None
+    seen = []
+    hook = lambda now, event: seen.append(now)
     sim.add_event_hook(hook)
     sim.remove_event_hook(hook)
     sim.remove_event_hook(hook)  # unknown hook: no error
-    assert sim.event_hooks == ()
+    _tick(sim)
+    sim.run()
+    assert seen == []
+    assert sim.events_processed > 0
 
 
 def test_duplicate_event_hook_rejected():

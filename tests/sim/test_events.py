@@ -1,9 +1,8 @@
-"""Unit tests for events, timeouts and condition events."""
+"""Unit tests for events, timeouts and the ``AllOf`` countdown."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import ConditionValue
 
 
 @pytest.fixture
@@ -51,18 +50,6 @@ class TestEventLifecycle:
         sim.run()
         assert ev.processed
 
-    def test_trigger_mirrors_other_event(self, sim):
-        src = sim.event()
-        src.succeed(123)
-        dst = sim.event()
-        dst.trigger(src)
-        assert dst.value == 123
-        assert dst.ok
-
-    def test_trigger_from_untriggered_raises(self, sim):
-        with pytest.raises(RuntimeError):
-            sim.event().trigger(sim.event())
-
 
 class TestTimeout:
     def test_timeout_carries_value(self, sim):
@@ -89,23 +76,6 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_any_of_fires_on_first(self, sim):
-        results = []
-
-        def proc():
-            fast = sim.timeout(1.0, "fast")
-            slow = sim.timeout(5.0, "slow")
-            value = yield sim.any_of([fast, slow])
-            results.append((sim.now, value[fast], fast in value, slow in value))
-
-        sim.process(proc())
-        sim.run()
-        t, v, has_fast, has_slow = results[0]
-        assert t == 1.0
-        assert v == "fast"
-        assert has_fast
-        assert not has_slow
-
     def test_all_of_waits_for_all(self, sim):
         results = []
 
@@ -113,26 +83,11 @@ class TestConditions:
             a = sim.timeout(1.0, "a")
             b = sim.timeout(3.0, "b")
             value = yield sim.all_of([a, b])
-            results.append((sim.now, len(value), value[a], value[b]))
+            results.append((sim.now, value, a.processed, b.processed))
 
         sim.process(proc())
         sim.run()
-        assert results == [(3.0, 2, "a", "b")]
-
-    def test_operator_sugar(self, sim):
-        results = []
-
-        def proc():
-            a = sim.timeout(1.0, "a")
-            b = sim.timeout(2.0, "b")
-            yield a | b
-            results.append(sim.now)
-            yield a & b
-            results.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert results == [1.0, 2.0]
+        assert results == [(3.0, None, True, True)]
 
     def test_empty_all_of_succeeds_immediately(self, sim):
         done = []
@@ -151,11 +106,11 @@ class TestConditions:
             yield t
             # t is processed now; a condition over it resolves immediately.
             value = yield sim.all_of([t])
-            return value[t]
+            return sim.now, value
 
         p = sim.process(proc())
         sim.run()
-        assert p.value == "x"
+        assert p.value == (1.0, None)
 
     def test_child_failure_propagates_through_condition(self, sim):
         def failer():
@@ -195,27 +150,3 @@ class TestConditions:
         other = Simulator()
         with pytest.raises(ValueError):
             sim.all_of([sim.event(), other.event()])
-
-
-class TestConditionValue:
-    def test_dict_equality(self, sim):
-        a = sim.event()
-        a.succeed(1)
-        cv = ConditionValue([a])
-        assert cv == {a: 1}
-        assert cv.todict() == {a: 1}
-
-    def test_missing_key_raises(self, sim):
-        a = sim.event()
-        a.succeed(1)
-        cv = ConditionValue([])
-        with pytest.raises(KeyError):
-            cv[a]
-
-    def test_iteration_and_len(self, sim):
-        a, b = sim.event(), sim.event()
-        a.succeed(1)
-        b.succeed(2)
-        cv = ConditionValue([a, b])
-        assert list(cv) == [a, b]
-        assert len(cv) == 2

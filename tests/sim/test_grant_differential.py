@@ -1,31 +1,28 @@
-"""Grant shortcuts vs the general grant loop: same values, same schedule.
+"""Kernel shortcuts vs the general machinery they replaced: same
+values, same schedule.
 
-``Resource`` decides a request on the spot when nobody else waits,
-instead of running the general grant loop, and ``Mailbox`` has no grant
-loop at all: a put hands its item to the one parked consumer, a take
-grants a buffered item at once.  That is only sound because the general
-loop always runs to quiescence, so each shortcut must grant exactly what
-the loop would, in the same schedule slot.  These tests drive random
-operation sequences -- requests at mixed priorities, releases and
-cancels; single-consumer puts and takes, FIFO and priority-keyed --
-with time advancing in between, through the product classes and
-through a test-only copy of the general event-based loop they replace,
-and require the same dispatches (time, sequence counter at dispatch
-and item, in order), the same leftover state and the same
-schedule-shape digest.
+``Mailbox`` has no grant loop: a put hands its item to the one parked
+consumer, a take grants a buffered item at once.  That is only sound
+because the general loop always runs to quiescence, so the shortcut
+must grant exactly what the loop would, in the same schedule slot.
+``AllOf`` is a countdown where the condition events it replaced kept a
+generic count-and-evaluate base class and a mapping of child values; it
+must decide in the same slot with the same outcome, and absorb the same
+child failures.  These tests drive random cases through the product
+classes and through test-only copies of what they replace, and require
+the same dispatches, the same leftover state and the same schedule-shape
+digest.
 """
-
-from bisect import insort_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devtools.sanitizer import ScheduleShapeHasher
-from repro.sim import Mailbox, Resource, Simulator
-from repro.sim.events import Event
+from repro.sim import AllOf, Mailbox, Simulator
+from repro.sim.events import Event, PENDING
 
 
-# -- the general grant loop, as it ran before the shortcuts ---------------------------
+# -- the general store loop, as it ran before the mailbox -------------------------------
 
 
 class _OracleStore:
@@ -91,42 +88,6 @@ def _oracle_trigger(self):
             progress = True
 
 
-class _OracleRequest(Event):
-    __slots__ = ("resource", "priority", "_key")
-
-    def __init__(self, resource, priority=0):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.priority = priority
-        resource._tickets += 1
-        self._key = (priority, resource._tickets)
-        queue = resource._queue
-        if not queue or queue[-1]._key <= self._key:
-            queue.append(self)
-        else:
-            insort_right(queue, self, key=lambda r: r._key)
-        _oracle_trigger_grants(resource)
-
-    def cancel(self):
-        if self in self.resource._queue:
-            self.resource._queue.remove(self)
-
-
-def _oracle_trigger_grants(self):
-    while self._queue and len(self._users) < self.capacity:
-        request = self._queue.pop(0)
-        self._users.append(request)
-        request.succeed(request)
-
-
-def _oracle_release(self, request):
-    if request in self._users:
-        self._users.remove(request)
-        _oracle_trigger_grants(self)
-    else:
-        request.cancel()
-
-
 # -- one operation sequence on one path -------------------------------------------------
 
 
@@ -166,48 +127,10 @@ def _drive_store(kind, ops, oracle):
     return dispatched, list(left), shape.hexdigest()
 
 
-def _drive_resource(capacity, ops, oracle):
-    sim = Simulator()
-    shape = ScheduleShapeHasher().attach(sim)
-    resource = Resource(sim, capacity)
-    requests = []
-    granted = []
-    for index, (op, arg) in enumerate(ops):
-        if op == "tick":
-            sim.run(until=sim.now + 1.0)
-        elif op == "request":
-            request = _OracleRequest(resource, arg) if oracle else resource.request(arg)
-            request.callbacks.append(
-                lambda _event, index=index: granted.append((sim.now, index))
-            )
-            requests.append(request)
-        elif requests:
-            request = requests[arg % len(requests)]
-            if op == "cancel":
-                request.cancel()
-            elif oracle:
-                _oracle_release(resource, request)
-            else:
-                resource.release(request)
-    sim.run()
-    held = [requests.index(r) for r in resource._users]
-    waiting = [requests.index(r) for r in resource._queue]
-    return granted, held, waiting, shape.hexdigest()
-
-
 STORE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.integers(0, 9)),
         st.tuples(st.just("take"), st.just(0)),
-        st.tuples(st.just("tick"), st.just(0)),
-    ),
-    max_size=40,
-)
-
-RESOURCE_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("request"), st.integers(0, 2)),
-        st.tuples(st.sampled_from(["release", "cancel"]), st.integers(0, 63)),
         st.tuples(st.just("tick"), st.just(0)),
     ),
     max_size=40,
@@ -221,8 +144,131 @@ def test_store_shortcuts_match_the_general_loop(kind, ops):
     assert product == _drive_store(kind, ops, oracle=True)
 
 
+# -- the condition events, as they ran before the countdown -----------------------------
+
+
+class _OracleCondition(Event):
+    """The generic composite event ``AllOf`` was a subclass of: it
+    counts processed children and asks ``_evaluate`` whether to fire.
+    (Its value was a mapping over the processed children; a plain list
+    of them stands in here, since no caller read it.)"""
+
+    __slots__ = ("_events", "_count")
+
+    def __init__(self, sim, events):
+        super().__init__(sim)
+        self._events = list(events)
+        self._count = 0
+        for event in self._events:
+            if event.sim is not sim:
+                raise ValueError("all events of a condition must share one simulator")
+        for event in self._events:
+            if event.callbacks is not None:
+                event.callbacks.append(self._check)
+            else:
+                self._check(event)
+        if not self._events and self._value is PENDING:
+            self.succeed([])
+
+    def _evaluate(self, count, total):
+        raise NotImplementedError
+
+    def _check(self, event):
+        if self._value is not PENDING:
+            if not event._ok:
+                event._defused = True
+            return
+        self._count += 1
+        if not event._ok:
+            event._defused = True
+            self.fail(event._exc)
+        elif self._evaluate(self._count, len(self._events)):
+            self.succeed([e for e in self._events if e.callbacks is None])
+
+
+class _OracleAllOf(_OracleCondition):
+    __slots__ = ()
+
+    def _evaluate(self, count, total):
+        return count == total
+
+
+class _ChildError(Exception):
+    pass
+
+
+def _drive_all_of(condition_class, children, order, errors):
+    """Build one condition over ``children`` -- ``(state, fails, at)``
+    each, where ``state`` says whether the child is processed, only
+    triggered, or still pending when the condition is built -- trigger
+    the pending ones ``at`` seconds later in ``order``, and return the
+    dispatch log, every child's ``_defused`` flag and the schedule-shape
+    digest.  The log holds the condition's ``(time, ok, exception)`` and,
+    to fix its place in the order, a follow-up continuation each child
+    schedules from a callback subscribed after the condition's."""
+    sim = Simulator()
+    shape = ScheduleShapeHasher().attach(sim)
+    events = [sim.event() for _ in children]
+
+    def trigger(index):
+        if children[index][1]:
+            events[index].fail(errors[index])
+        else:
+            events[index].succeed(index)
+
+    for index in order:
+        if children[index][0] == "processed":
+            trigger(index)
+    while True:
+        # A processed failure nobody waits on surfaces from run(); the
+        # condition built next still has to absorb it.
+        try:
+            sim.run()
+            break
+        except _ChildError:
+            pass
+    for index in order:
+        if children[index][0] == "triggered":
+            trigger(index)
+    condition = condition_class(sim, events)
+    log = []
+
+    def observe(event):
+        event._defused = True  # the waiter handles the failure
+        log.append((sim.now, event._ok, None if event._ok else event._exc))
+
+    condition.callbacks.append(observe)
+    for index, event in enumerate(events):
+        if event.callbacks is not None:
+            event.callbacks.append(
+                lambda _event, i=index: sim.call_soon(lambda _value: log.append((sim.now, i)))
+            )
+    for index in order:
+        if children[index][0] == "pending":
+            sim.call_later(children[index][2], lambda _value, i=index: trigger(i))
+    sim.run()
+    return log, [event._defused for event in events], shape.hexdigest()
+
+
+CHILDREN = st.lists(
+    st.tuples(
+        st.sampled_from(["processed", "triggered", "pending"]),
+        st.booleans(),
+        st.integers(0, 3),
+    ),
+    max_size=6,
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(capacity=st.integers(1, 3), ops=RESOURCE_OPS)
-def test_resource_shortcuts_match_the_general_loop(capacity, ops):
-    product = _drive_resource(capacity, ops, oracle=False)
-    assert product == _drive_resource(capacity, ops, oracle=True)
+@given(children=CHILDREN, data=st.data())
+def test_all_of_countdown_matches_the_condition_event(children, data):
+    order = data.draw(st.permutations(range(len(children))))
+    errors = [_ChildError(index) for index in range(len(children))]
+    product = _drive_all_of(AllOf, children, order, errors)
+    oracle = _drive_all_of(_OracleAllOf, children, order, errors)
+    # Exceptions compare by identity: the same child's error object.
+    assert product == oracle
+    # The condition dispatched once, failed iff some child failed.
+    outcomes = [entry[1] for entry in product[0] if len(entry) == 3]
+    assert outcomes == [not any(fails for _, fails, _ in children)]

@@ -27,14 +27,16 @@ class TestTallyStat:
 
     def test_known_mean_and_variance(self):
         t = TallyStat()
-        t.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
+        for value in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
+            t.record(value)
         assert t.mean == pytest.approx(5.0)
         # Unbiased sample variance of this classic dataset is 32/7.
         assert t.variance == pytest.approx(32.0 / 7.0)
 
     def test_total(self):
         t = TallyStat()
-        t.extend([1.0, 2.0, 3.0])
+        for value in [1.0, 2.0, 3.0]:
+            t.record(value)
         assert t.total == pytest.approx(6.0)
 
     def test_nan_rejected(self):
@@ -50,7 +52,8 @@ class TestTallyStat:
 
     def test_percentiles(self):
         t = TallyStat(keep_samples=True)
-        t.extend([10.0, 20.0, 30.0, 40.0])
+        for value in [10.0, 20.0, 30.0, 40.0]:
+            t.record(value)
         assert t.percentile(0) == 10.0
         assert t.percentile(100) == 40.0
         assert t.percentile(50) == pytest.approx(25.0)
@@ -63,7 +66,8 @@ class TestTallyStat:
 
     def test_as_dict_round_trip(self):
         t = TallyStat(name="rt")
-        t.extend([1.0, 3.0])
+        for value in [1.0, 3.0]:
+            t.record(value)
         d = t.as_dict()
         assert d["name"] == "rt"
         assert d["count"] == 2
@@ -87,16 +91,6 @@ class TestTimeWeightedStat:
         s.update(1.0, 3.0)
         assert s.integral(until=3.0) == pytest.approx(2.0 * 1.0 + 3.0 * 2.0)
 
-    def test_time_average(self):
-        s = TimeWeightedStat(level=10.0)
-        s.update(4.0, 0.0)
-        s.update(8.0, 0.0)
-        assert s.time_average() == pytest.approx(5.0)
-
-    def test_time_average_empty_window_is_nan(self):
-        s = TimeWeightedStat()
-        assert math.isnan(s.time_average())
-
     def test_backwards_time_rejected(self):
         s = TimeWeightedStat()
         s.update(5.0, 1.0)
@@ -109,24 +103,8 @@ class TestTimeWeightedStat:
         with pytest.raises(ValueError):
             s.integral(until=4.0)
 
-    def test_add_shifts_level(self):
-        s = TimeWeightedStat(level=1.0)
-        s.add(2.0, 3.0)
-        assert s.level == 4.0
-        s.add(4.0, -4.0)
-        assert s.level == 0.0
-        assert s.integral() == pytest.approx(1.0 * 2.0 + 4.0 * 2.0)
-
-    def test_min_max_track_levels(self):
-        s = TimeWeightedStat(level=5.0)
-        s.update(1.0, -2.0)
-        s.update(2.0, 9.0)
-        assert s.minimum == -2.0
-        assert s.maximum == 9.0
-
     def test_nonzero_start_time(self):
         s = TimeWeightedStat(time=10.0, level=1.0)
         s.update(20.0, 0.0)
         assert s.integral() == pytest.approx(10.0)
-        assert s.time_average() == pytest.approx(1.0)
 

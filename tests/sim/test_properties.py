@@ -50,36 +50,45 @@ def test_clock_never_moves_backwards(jobs):
     assert timestamps == sorted(timestamps)
 
 
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=25),
-)
-def test_resource_conserves_grants(capacity, holds):
-    """Every request is granted exactly once and capacity is never exceeded."""
-    from repro.sim import Resource
+@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=25))
+def test_resource_conserves_grants(holds):
+    """Every claim on a contended wire is granted exactly once, in
+    arrival order, to one holder at a time, and the wire is free at the
+    end."""
+    from repro.net import Link
 
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
+    wire = Link(sim, bandwidth_bps=1.0)
     in_service = [0]
     max_in_service = [0]
-    grants = [0]
+    grants = []
 
-    def worker(hold):
-        with res.request() as req:
-            yield req
-            grants[0] += 1
+    def claim(index):
+        def granted(_value):
+            grants.append(index)
             in_service[0] += 1
             max_in_service[0] = max(max_in_service[0], in_service[0])
-            yield sim.timeout(hold)
-            in_service[0] -= 1
+            sim.call_later(holds[index], released)
 
-    for hold in holds:
-        sim.process(worker(hold))
+        def released(_value):
+            in_service[0] -= 1
+            wire.release()
+
+        wire.acquire(granted)
+
+    for index in range(len(holds)):
+        claim(index)
     sim.run()
-    assert grants[0] == len(holds)
-    assert max_in_service[0] <= capacity
-    assert res.count == 0
-    assert res.queue_length == 0
+    assert grants == list(range(len(holds)))
+    assert max_in_service[0] == 1
+    assert math.isclose(sim.now, sum(holds), rel_tol=1e-9)
+    # Free again: a new claim is granted without the clock moving.
+    end = sim.now
+    late = []
+    wire.acquire(late.append)
+    sim.run()
+    assert late == [None]
+    assert sim.now == end
 
 
 @given(
@@ -118,7 +127,8 @@ def test_store_preserves_all_items(items, consume_s):
 )
 def test_tally_matches_batch_statistics(values):
     t = TallyStat()
-    t.extend(values)
+    for value in values:
+        t.record(value)
     n = len(values)
     assert t.count == n
     # Streaming mean vs batch mean.

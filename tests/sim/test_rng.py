@@ -51,26 +51,3 @@ def test_empty_name_rejected():
 def test_non_int_seed_rejected():
     with pytest.raises(TypeError):
         RandomStreams(seed="abc")
-
-
-def test_spawn_derives_independent_registry():
-    root = RandomStreams(seed=3)
-    child1 = root.spawn(1)
-    child2 = root.spawn(2)
-    assert child1.seed != child2.seed
-    a = child1.stream("x").random(100)
-    b = child2.stream("x").random(100)
-    assert not np.array_equal(a, b)
-
-
-def test_spawn_is_deterministic():
-    a = RandomStreams(seed=3).spawn(5).stream("x").random(10)
-    b = RandomStreams(seed=3).spawn(5).stream("x").random(10)
-    assert np.array_equal(a, b)
-
-
-def test_names_lists_created_streams():
-    streams = RandomStreams(seed=0)
-    streams.stream("b")
-    streams.stream("a")
-    assert streams.names() == ["a", "b"]
