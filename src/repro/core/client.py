@@ -18,6 +18,8 @@ retries show up as latency, exactly as a real client would experience.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional, Sequence, Set, Tuple
 
@@ -124,6 +126,11 @@ class ClientDriver:
             "node_other_s": TallyStat(name="node_other_s"),
             "network_server_s": TallyStat(name="network_server_s"),
         }
+        # Per-request state lives only while the request is in flight:
+        # settling (success OR terminal failure) drops its entries, so a
+        # request is *settled* exactly when it was issued and is no longer
+        # pending -- which is how a late reply from a superseded attempt
+        # is recognised.
         #: request_id -> ORIGINAL issue time of requests awaiting settlement
         #: (retries do not reset it: response time is end to end).
         self._pending: Dict[int, float] = {}
@@ -131,19 +138,17 @@ class ClientDriver:
         self._requests: Dict[int, Tuple[int, RequestOp]] = {}
         #: request_id -> attempts sent so far (1 = the initial send).
         self._attempts: Dict[int, int] = {}
+        #: Every request id this client issued, ascending (ids only grow):
+        #: tells a late reply from one for a request never issued here.
+        self._issued: array[int] = array("q")
         #: Requests with a backoff sleep in flight (suppresses duplicate
         #: failure signals from racing timeout watchers / late replies).
         self._retry_scheduled: Set[int] = set()
-        #: Requests already settled (success OR terminal failure); late
-        #: replies from superseded attempts land here and are dropped.
-        self._settled: Set[int] = set()
         #: request_id -> called once when the request settles (paced and
         #: closed-loop replay only).
         self._waiters: Dict[int, Callable[[], Any]] = {}
         self._replay_finished = False
         self._drained = sim.event()
-        #: (request_id, file_id, served_by, response_s) per completion.
-        self.completions: list[tuple[int, int, str, float]] = []
         #: (request_id, file_id, reason) per terminally failed request.
         self.failures: list[tuple[int, int, str]] = []
         # -- retry-path counters (ride onto RunResult) ------------------------
@@ -239,6 +244,7 @@ class ClientDriver:
         self._pending[request_id] = self.sim.now
         self._requests[request_id] = (file_id, op)
         self._attempts[request_id] = 1
+        self._issued.append(request_id)
         self._trace_issue(request_id, file_id, op.name)
         self._send_attempt(request_id)
 
@@ -273,8 +279,8 @@ class ClientDriver:
     def _watch_expired(self, request_id: int, attempt: int) -> None:
         """Per-attempt deadline: a silent loss (crashed or partitioned
         server eating the message) becomes a retryable failure."""
-        if request_id in self._settled:
-            return
+        if request_id not in self._pending:
+            return  # settled
         if self._attempts.get(request_id) != attempt:
             return  # a newer attempt superseded the one we watched
         if request_id in self._retry_scheduled:
@@ -286,7 +292,7 @@ class ClientDriver:
 
     def _failure_signal(self, request_id: int, reason: str) -> None:
         """A failed attempt: schedule a retry or settle as unavailability."""
-        if request_id in self._settled or request_id in self._retry_scheduled:
+        if request_id not in self._pending or request_id in self._retry_scheduled:
             return
         attempts = self._attempts[request_id]
         if attempts <= self.retry.max_retries:
@@ -322,7 +328,7 @@ class ClientDriver:
 
     def _retry_fire(self, request_id: int) -> None:
         self._retry_scheduled.discard(request_id)
-        if request_id in self._settled:
+        if request_id not in self._pending:
             return  # a slow earlier attempt answered during the backoff
         self._attempts[request_id] += 1
         tracer = self.sim.tracer
@@ -336,9 +342,9 @@ class ClientDriver:
         self._send_attempt(request_id)
 
     def _settle_failure(self, request_id: int, reason: str) -> None:
-        self._settled.add(request_id)
-        self._pending.pop(request_id, None)
-        file_id = self._requests[request_id][0]
+        del self._pending[request_id]
+        del self._attempts[request_id]
+        file_id = self._requests.pop(request_id)[0]
         self.failures.append((request_id, file_id, reason))
         tracer = self.sim.tracer
         if tracer is not None:
@@ -364,15 +370,18 @@ class ClientDriver:
     def _on_message(self, message: Message) -> None:
         payload = message.payload
         if isinstance(payload, (FileData, WriteAck)):
-            if payload.request_id in self._settled:
+            request_id = payload.request_id
+            issued = self._pending.pop(request_id, None)
+            if issued is None:
+                at = bisect_left(self._issued, request_id)
+                if at == len(self._issued) or self._issued[at] != request_id:
+                    raise KeyError(f"response for unknown request {payload!r}")
                 # A superseded attempt answering after the request
                 # already settled (e.g. a timed-out server came back).
                 self.duplicate_replies += 1
             else:
-                issued = self._pending.pop(payload.request_id, None)
-                if issued is None:  # pragma: no cover - defensive
-                    raise KeyError(f"response for unknown request {payload!r}")
-                self._settled.add(payload.request_id)
+                del self._requests[request_id]
+                del self._attempts[request_id]
                 elapsed = self.sim.now - issued
                 self.response_times.record(elapsed)
                 if isinstance(payload, FileData):
@@ -383,24 +392,16 @@ class ClientDriver:
                     self.latency_components["network_server_s"].record(
                         max(0.0, elapsed - payload.node_time_s)
                     )
-                self.completions.append(
-                    (payload.request_id, payload.file_id, payload.served_by, elapsed)
-                )
                 tracer = self.sim.tracer
                 if tracer is not None:
-                    tracer.end_request(
-                        payload.request_id, ok=True, served_by=payload.served_by
-                    )
-                waiter = self._waiters.pop(payload.request_id, None)
+                    tracer.end_request(request_id, ok=True, served_by=payload.served_by)
+                waiter = self._waiters.pop(request_id, None)
                 if waiter is not None:
                     waiter()
                 if self._replay_finished and not self._pending:
                     self._drained.succeed()
         elif isinstance(payload, RequestFailed):
-            if (
-                payload.request_id in self._settled
-                or payload.request_id not in self._pending
-            ):
+            if payload.request_id not in self._pending:
                 self.duplicate_replies += 1
             else:
                 if payload.reason == NOT_LEADER:

@@ -19,6 +19,9 @@ the draining disk.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -112,9 +115,11 @@ class StorageNode:
         self._hints_power_managed = power_managed and config.use_hints
         self.write_buffer = WriteBuffer(capacity_bytes=config.buffer_capacity_bytes)
         self.prefetch_stats = PrefetchStats()
-        #: The node's hinted request stream as [(abs_time, file_id)],
-        #: kept for pattern rebuilds after dynamic re-prefetches.
-        self._hint_stream: Optional[List[tuple]] = None
+        #: The node's hinted request stream, sorted by (abs_time, file_id)
+        #: and kept for pattern rebuilds after dynamic re-prefetches: the
+        #: times and the file ids as two parallel typed arrays.
+        self._hint_times: Optional[array[float]] = None
+        self._hint_files: array[int] = array("q")
         self.reprefetch_rounds = 0
         self.files_evicted = 0
 
@@ -489,17 +494,18 @@ class StorageNode:
         """
         if not self._hints_power_managed:
             return
-        stream: List[tuple] = []
-        for file_id, times in hints.arrivals.items():
-            if file_id not in self.metadata:
-                continue
-            stream.extend((hints.epoch_s + t, file_id) for t in times)
+        stream: List[Tuple[float, int]] = []
+        for file_id, arrivals in hints.arrivals.items():
+            if file_id in self.metadata:
+                stream.extend((hints.epoch_s + t, file_id) for t in arrivals)
         stream.sort()
-        self._hint_stream = stream
+        self._hint_times = times = array("d", map(itemgetter(0), stream))
+        self._hint_files = array("q", map(itemgetter(1), stream))
+        del stream  # the typed arrays are the stream from here on
 
         per_disk_times, per_disk_seqs = self._patterns_from_stream(since_s=None)
-        if len(stream) >= 2:
-            hint_gap = (stream[-1][0] - stream[0][0]) / (len(stream) - 1)
+        if len(times) >= 2:
+            hint_gap = (times[-1] - times[0]) / (len(times) - 1)
         else:
             hint_gap = None
         self.power.set_hints(per_disk_times, per_disk_seqs, hint_gap_s=hint_gap)
@@ -511,12 +517,15 @@ class StorageNode:
         accesses in the hinted stream, optionally only those at or after
         *since_s*.  Sequence numbers are absolute stream positions, so a
         rebuild stays aligned with the power manager's arrival counter."""
-        assert self._hint_stream is not None
+        times = self._hint_times
+        assert times is not None
+        file_ids = self._hint_files
         per_disk_times: List[List[float]] = [[] for _ in self.data_disks]
         per_disk_seqs: List[List[int]] = [[] for _ in self.data_disks]
-        for seq, (abs_t, file_id) in enumerate(self._hint_stream):
-            if since_s is not None and abs_t < since_s:
-                continue
+        start = 0 if since_s is None else bisect_left(times, since_s)
+        for seq in range(start, len(times)):
+            abs_t = times[seq]
+            file_id = file_ids[seq]
             if self.metadata.is_prefetched(file_id):
                 continue
             for disk in self.metadata.stripe_disks(file_id):
@@ -526,7 +535,7 @@ class StorageNode:
 
     def _rebuild_patterns(self) -> None:
         """Refresh the power manager after a buffer-content change."""
-        if not self._hints_power_managed or self._hint_stream is None:
+        if not self._hints_power_managed or self._hint_times is None:
             return
         per_disk_times, per_disk_seqs = self._patterns_from_stream(
             since_s=self.sim.now

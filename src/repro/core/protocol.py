@@ -3,7 +3,8 @@
 Every payload travelling the fabric between clients, the storage server
 and storage nodes is one of these dataclasses.  Control messages ride at
 the default control size; only :class:`FileData` carries a real payload
-size (set by the sender to the file size).
+size (set by the sender to the file size).  One is built per message, so
+each is slotted (no per-instance ``__dict__``; simlint's SIM002 holds it).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateFile:
     """Server -> node: create a file (Fig. 2 step 3).
 
@@ -39,7 +40,7 @@ class CreateFile:
     target_disk: "int | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrefetchCommand:
     """Server -> node: copy these files into the buffer disk (step 3).
 
@@ -55,7 +56,7 @@ class PrefetchCommand:
     ack: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrefetchComplete:
     """Node -> server: buffer-disk copies done (end of step 3)."""
 
@@ -64,7 +65,7 @@ class PrefetchComplete:
     bytes_copied: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessHints:
     """Server -> node: the application hints (step 4).
 
@@ -77,7 +78,7 @@ class AccessHints:
     epoch_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileRequest:
     """Client -> server: read/write a file (step 5)."""
 
@@ -88,7 +89,7 @@ class FileRequest:
     issued_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardedRequest:
     """Server -> node: serve this client's request (step 5->6).
 
@@ -107,7 +108,7 @@ class ForwardedRequest:
     silent: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileData:
     """Node -> client: the file contents (step 6)."""
 
@@ -123,7 +124,7 @@ class FileData:
     disk_time_s: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestFailed:
     """Node/server -> client: the request could not be served.
 
@@ -138,7 +139,7 @@ class RequestFailed:
     hint: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteAck:
     """Node -> client: write durably buffered/applied (step 6, writes)."""
 
@@ -150,7 +151,7 @@ class WriteAck:
 # -- re-replication control plane (repro.replication) ---------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairCommand:
     """Server -> node: restore a replica of *file_id* onto yourself.
 
@@ -164,7 +165,7 @@ class RepairCommand:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaPull:
     """Repair-target node -> source node: send me *file_id*."""
 
@@ -172,7 +173,7 @@ class ReplicaPull:
     requester: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaData:
     """Source node -> repair-target node: the replica bytes (or a refusal
     when the source's own disks could not serve the read)."""
@@ -182,7 +183,7 @@ class ReplicaData:
     ok: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairComplete:
     """Repair-target node -> server: replica restored (or attempt failed,
     ``ok=False`` -- the replication manager will retry elsewhere)."""

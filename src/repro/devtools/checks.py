@@ -8,7 +8,7 @@ DET002    simulation code must not read the wall clock
 DET003    no iteration over unordered collections in order-sensitive code
 PAR001    nothing unpicklable in process-pool spec modules
 SIM001    no swallowed broad exceptions around the event loop
-SIM002    monitors and resources must declare ``__slots__``
+SIM002    monitors, resources and wire records must be slotted
 ========  ==============================================================
 
 Every rule is a pure function of the AST (plus path scoping from
@@ -488,31 +488,60 @@ class Sim001SwallowedException(Rule):
                 )
 
 
-# -- SIM002: slotted monitors and resources ------------------------------------
+# -- SIM002: slotted monitors, resources and wire records ----------------------
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    """``dataclass`` or ``dataclasses.dataclass``, bare or called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id == "dataclass"
+    return isinstance(node, ast.Attribute) and node.attr == "dataclass"
 
 
 @register
 class Sim002Slots(Rule):
-    """SIM002: every class in the monitor/resource modules declares
-    ``__slots__``.
+    """SIM002: every class in the slotted modules is slotted: it declares
+    ``__slots__`` or is a ``dataclass(..., slots=True)``.
 
     The engine hot-path work (PR 3) cut per-instance memory by slotting
-    monitors and resources -- one ``__dict__``-bearing class reintroduces
-    a dict per request on the hottest allocation sites.  The rule checks
-    the modules in :attr:`LintConfig.slotted_modules`; the ``--fix``
-    rewrite inserts a ``__slots__`` tuple derived from the attributes
-    the class assigns on ``self``.
+    monitors and resources, and every wire record is built once per
+    message -- one ``__dict__``-bearing class reintroduces a dict per
+    request on the hottest allocation sites.  The rule checks the
+    modules in :attr:`LintConfig.slotted_modules`.  The ``--fix``
+    rewrite adds ``slots=True`` to a dataclass decorator (a ``__slots__``
+    tuple would clash with field defaults); on any other class it
+    inserts a ``__slots__`` tuple derived from the attributes the class
+    assigns on ``self``.
     """
 
     id = "SIM002"
-    summary = "missing __slots__ on monitor/resource class"
+    summary = "missing __slots__ on monitor/resource/wire-record class"
     rationale = (
         "docs/performance.md's memory numbers assume slotted hot-path "
-        "objects; an unslotted subclass silently regresses them."
+        "objects; an unslotted subclass or record silently regresses them."
     )
 
     def applies_to(self, ctx: LintContext) -> bool:
         return path_in_scope(ctx.path, list(ctx.config.slotted_modules))
+
+    @staticmethod
+    def _dataclass_decorator(cls: ast.ClassDef) -> ast.expr | None:
+        for decorator in cls.decorator_list:
+            if _is_dataclass_decorator(decorator):
+                return decorator
+        return None
+
+    @classmethod
+    def _slotted_dataclass(cls, node: ast.ClassDef) -> bool:
+        decorator = cls._dataclass_decorator(node)
+        return isinstance(decorator, ast.Call) and any(
+            keyword.arg == "slots"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in decorator.keywords
+        )
 
     @staticmethod
     def _declares_slots(cls: ast.ClassDef) -> bool:
@@ -526,16 +555,24 @@ class Sim002Slots(Rule):
                     return True
         return False
 
+    def _unslotted(self, node: ast.ClassDef) -> bool:
+        return not self._declares_slots(node) and not self._slotted_dataclass(node)
+
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and not self._declares_slots(node):
-                yield self.diagnostic(
-                    ctx,
-                    node,
-                    f"class `{node.name}` must declare __slots__ "
-                    "(hot-path memory guarantee)",
-                    fixable=True,
+            if not isinstance(node, ast.ClassDef) or not self._unslotted(node):
+                continue
+            if self._dataclass_decorator(node) is not None:
+                message = (
+                    f"dataclass `{node.name}` must set slots=True "
+                    "(hot-path memory guarantee)"
                 )
+            else:
+                message = (
+                    f"class `{node.name}` must declare __slots__ "
+                    "(hot-path memory guarantee)"
+                )
+            yield self.diagnostic(ctx, node, message, fixable=True)
 
     @staticmethod
     def _self_attrs(cls: ast.ClassDef) -> list[str]:
@@ -556,13 +593,40 @@ class Sim002Slots(Rule):
                     seen.append(target.attr)
         return seen
 
+    @staticmethod
+    def _add_slots_argument(ctx: LintContext, decorator: ast.expr) -> Edit | None:
+        """``@dataclass`` -> ``@dataclass(slots=True)`` and
+        ``@dataclass(frozen=True)`` -> ``@dataclass(frozen=True, slots=True)``;
+        None when the decorator spans lines or already passes ``slots``."""
+        if decorator.end_lineno != decorator.lineno or decorator.end_col_offset is None:
+            return None
+        line = ctx.lines[decorator.lineno - 1]
+        end = decorator.end_col_offset
+        if not isinstance(decorator, ast.Call):
+            return Edit(
+                line=decorator.lineno,
+                new_text=f"{line[:end]}(slots=True){line[end:]}",
+            )
+        if any(keyword.arg == "slots" for keyword in decorator.keywords):
+            return None
+        close = end - 1  # the call's closing parenthesis
+        head = line[:close].rstrip()
+        if head.endswith(","):  # a trailing comma already separates it
+            args = " slots=True"
+        elif decorator.args or decorator.keywords:
+            args = ", slots=True"
+        else:
+            args = "slots=True"
+        return Edit(line=decorator.lineno, new_text=f"{head}{args}{line[close:]}")
+
     def fix(self, ctx: LintContext, diagnostic: Diagnostic) -> Edit | None:
         for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.lineno == diagnostic.line
-                and not self._declares_slots(node)
-            ):
+            if isinstance(node, ast.ClassDef) and node.lineno == diagnostic.line:
+                if not self._unslotted(node):
+                    return None
+                decorator = self._dataclass_decorator(node)
+                if decorator is not None:
+                    return self._add_slots_argument(ctx, decorator)
                 attrs = self._self_attrs(node)
                 first = node.body[0]
                 indent = " " * first.col_offset

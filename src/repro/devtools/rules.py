@@ -88,13 +88,16 @@ class LintConfig:
         "repro/faults",
         "repro/backend",
     )
-    #: Modules whose classes must declare ``__slots__`` (SIM002).
+    #: Modules whose classes must be slotted: ``__slots__`` or
+    #: ``dataclass(slots=True)`` (SIM002).
     slotted_modules: tuple[str, ...] = (
         "repro/sim/monitor.py",
         "repro/sim/resources.py",
         "repro/obs/tracer.py",
         "repro/obs/telemetry.py",
         "repro/backend/ftl.py",
+        "repro/core/protocol.py",
+        "repro/metaplane/messages.py",
     )
     #: Calls that enqueue work on the event loop.  Feeds the symbol
     #: table's ``schedules_directly`` summary (SIM003) and the closure

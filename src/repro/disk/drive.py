@@ -69,7 +69,7 @@ PRIORITY_PREFETCH = 1
 PRIORITY_BACKGROUND = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class DiskRequest:
     """One I/O request against a single drive."""
 

@@ -43,6 +43,11 @@ class DiskState(enum.Enum):
     #: Terminal hardware failure (fault-injection testing).
     FAILED = "failed"
 
+    # Members are singletons, so identity hashing (in C) is equivalent to
+    # Enum's Python-level name hash, and every state-keyed lookup on the
+    # transition path skips a Python call.
+    __hash__ = object.__hash__
+
     @property
     def is_spinning(self) -> bool:
         """True while the platters rotate (rotational power draw)."""

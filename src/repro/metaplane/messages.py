@@ -1,7 +1,8 @@
 """The consensus wire vocabulary of the metadata plane.
 
 These ride the same :mod:`repro.net.fabric` as the EEVFS protocol
-messages -- control-sized payloads between metadata-server replicas.
+messages -- control-sized payloads between metadata-server replicas, and
+like them slotted (SIM002).
 The vocabulary is the minimal Raft subset the plane needs: vote
 solicitation and log replication (heartbeats are empty AppendEntries,
 exactly as in Raft).
@@ -22,7 +23,7 @@ from typing import Tuple
 OP_ADD_REPLICA = "add_replica"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One replicated state-machine command (a placement update)."""
 
@@ -32,7 +33,7 @@ class LogEntry:
     node: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteRequest:
     """Candidate -> peers: elect me for *term*.
 
@@ -47,7 +48,7 @@ class VoteRequest:
     last_log_term: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteReply:
     """Peer -> candidate: my vote for *term* (or a newer-term rebuff)."""
 
@@ -56,7 +57,7 @@ class VoteReply:
     granted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendEntries:
     """Leader -> followers: replicate log entries / assert leadership.
 
@@ -74,7 +75,7 @@ class AppendEntries:
     commit_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendReply:
     """Follower -> leader: append outcome.
 

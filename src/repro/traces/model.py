@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import enum
+import math
 from typing import Dict, Iterator, List, Sequence
 
 
@@ -14,7 +15,7 @@ class RequestOp(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileSpec:
     """One file in the workload's catalog."""
 
@@ -28,7 +29,7 @@ class FileSpec:
             raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRequest:
     """One timestamped file access."""
 
@@ -37,8 +38,9 @@ class TraceRequest:
     op: RequestOp = RequestOp.READ
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"time_s must be >= 0, got {self.time_s!r}")
+        # One chained comparison also rejects NaN and +-inf.
+        if not 0.0 <= self.time_s < math.inf:
+            raise ValueError(f"time_s must be finite and >= 0, got {self.time_s!r}")
         if self.file_id < 0:
             raise ValueError(f"file_id must be >= 0, got {self.file_id!r}")
 

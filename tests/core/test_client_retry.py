@@ -14,6 +14,8 @@ import pytest
 from repro.core import EEVFSConfig
 from repro.core.client import RetryPolicy
 from repro.core.filesystem import EEVFSCluster
+from repro.core.protocol import FileData
+from repro.experiments.metaplane import drill_config, drill_trace, leader_crash_schedule
 from repro.faults import FaultSchedule
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
@@ -128,3 +130,47 @@ class TestRetryPolicy:
         assert result.requests_total + result.requests_failed == 300
         if result.request_timeouts:
             assert result.requests_retried > 0
+
+
+class TestSettledRequestsLeaveNoState:
+    """A request's client state lives only while it is in flight."""
+
+    @pytest.fixture
+    def drilled(self):
+        # The metadata-plane leader-crash drill: timeouts, retries and
+        # NOT_LEADER redirects on the way to every settlement.
+        cluster = EEVFSCluster(
+            config=drill_config(3), seed=1, faults=leader_crash_schedule(4)
+        )
+        result = cluster.run(drill_trace(n_requests=400, trace_seed=1))
+        assert result.request_timeouts > 0
+        assert result.requests_retried > 0
+        return cluster
+
+    @staticmethod
+    def deliver(cluster, request_id):
+        """A FileData reply for *request_id* through the fabric, after the run."""
+        reply = FileData(request_id=request_id, file_id=0, size_bytes=1, served_by="data0")
+        cluster.fabric.send_nowait("node1", cluster.client.name, reply)
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+
+    def test_settling_drops_every_per_request_entry(self, drilled):
+        client = drilled.client
+        assert client._pending == {}
+        assert client._requests == {}
+        assert client._attempts == {}
+        assert client._retry_scheduled == set()
+        assert client._waiters == {}
+        assert len(client._issued) == 400
+
+    def test_late_reply_for_a_settled_request_is_a_duplicate(self, drilled):
+        client = drilled.client
+        before = client.duplicate_replies
+        served = client.response_times.count
+        self.deliver(drilled, client._issued[len(client._issued) // 2])
+        assert client.duplicate_replies == before + 1
+        assert client.response_times.count == served
+
+    def test_reply_for_a_request_never_issued_raises(self, drilled):
+        with pytest.raises(KeyError, match="unknown request"):
+            self.deliver(drilled, drilled.client._issued[-1] + 1)

@@ -138,6 +138,21 @@ class TestRuleFindings:
             ("SIM002", 4),
         ]
 
+    def test_sim002_accepts_slots_dataclasses_only(self):
+        # Bare, frozen-only and trailing-comma dataclasses are flagged;
+        # the dataclass(..., slots=True) below them passes.
+        assert findings_for(fixture("repro", "core", "protocol.py")) == [
+            ("SIM002", 8),
+            ("SIM002", 13),
+            ("SIM002", 19),
+        ]
+
+    def test_sim002_covers_the_wire_record_modules(self):
+        source = "from dataclasses import dataclass\n\n@dataclass\nclass Vote:\n    term: int\n"
+        for path in ("repro/core/protocol.py", "repro/metaplane/messages.py"):
+            active, _ = lint_source(path, source)
+            assert [(d.rule, d.line) for d in active] == [("SIM002", 4)]
+
     def test_clean_file_has_no_findings(self):
         assert findings_for(fixture("clean.py")) == []
 
@@ -299,6 +314,21 @@ class TestFixers:
         fixed = open(path).read()
         assert '__slots__ = ("count", "total")' in fixed
         assert lint_paths([path]).ok
+
+    def test_sim002_fixer_adds_slots_to_dataclass_decorators(self, tmp_path):
+        path = self._copy_fixture(tmp_path, "repro", "core", "protocol.py")
+        result = lint_paths([path])
+        assert apply_fixes(result) == 3
+        fixed = open(path).read()
+        assert "@dataclass(slots=True)\nclass Bare:" in fixed
+        assert "@dataclasses.dataclass(frozen=True, slots=True)\nclass Frozen:" in fixed
+        assert "@dataclass(frozen=True, slots=True)\nclass Trailing:" in fixed
+        assert "__slots__" not in fixed  # would clash with the field default
+        assert lint_paths([path]).ok
+        namespace: dict = {}
+        exec(compile(fixed, path, "exec"), namespace)
+        assert not hasattr(namespace["Frozen"](1), "__dict__")
+        assert not hasattr(namespace["Trailing"](1), "__dict__")
 
 
 class TestRepositoryIsClean:

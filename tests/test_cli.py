@@ -157,6 +157,8 @@ class TestInputErrors:
             ["lint", "{tmp}/missing"],
             ["trace-stats", "{tmp}/missing.trace"],
             ["trace-stats", "{tmp}/notes.md"],
+            ["trace-stats", "{tmp}/nan.trace"],
+            ["trace-stats", "{tmp}/inf.trace"],
             ["compare", "--config", "{tmp}/missing.json"],
             ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
             ["faults", "--fail-node", "node99"],
@@ -199,6 +201,8 @@ class TestInputErrors:
             "lint-missing-path",
             "trace-stats-missing-file",
             "trace-stats-not-a-trace",
+            "trace-stats-nan-time",
+            "trace-stats-inf-time",
             "compare-missing-config",
             "negative-requests",
             "faults-unknown-node",
@@ -237,6 +241,9 @@ class TestInputErrors:
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "notes.md").write_text("# not a trace\n")
+        catalog = "#eevfs-trace v1\nF 0 1\nF 1 1\n"
+        (tmp_path / "nan.trace").write_text(catalog + "R nan 1 read\n")
+        (tmp_path / "inf.trace").write_text(catalog + "R inf 0 read\n")
         with pytest.raises(SystemExit) as exit_info:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert exit_info.value.code == 2

@@ -39,6 +39,16 @@ class TestTraceRequest:
         with pytest.raises(ValueError):
             TraceRequest(0.0, -1)
 
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time_s):
+        # An infinite timestamp made replay poll toward t = inf forever.
+        with pytest.raises(ValueError, match="finite"):
+            TraceRequest(time_s, 0)
+
+    def test_records_carry_no_instance_dict(self):
+        assert not hasattr(TraceRequest(0.0, 0), "__dict__")
+        assert not hasattr(FileSpec(0, 1), "__dict__")
+
     def test_default_op_is_read(self):
         assert TraceRequest(0.0, 0).op is RequestOp.READ
 
