@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
 from repro.sim.monitor import TallyStat
-from repro.traces.model import RequestOp, Trace, TraceRequest
+from repro.traces.model import OPS, RequestOp, Trace
 
 #: Rejection reason a non-leader metadata server sends; the only failure
 #: that is a *routing* problem (follow the hint / rotate) rather than a
@@ -191,7 +191,7 @@ class ClientDriver:
         if mode == "open":
             return self.sim.process(self._replay(trace, epoch_s))
         if mode == "paced":
-            return _PacedReplay(self, trace.requests, epoch_s).done
+            return _PacedReplay(self, trace, epoch_s).done
         if mode == "closed":
             return self.sim.process(self._replay_closed(trace, epoch_s))
         raise ValueError(f"unknown replay mode: {mode!r}")
@@ -206,12 +206,12 @@ class ClientDriver:
     def _replay(
         self, trace: Trace, epoch_s: float
     ) -> Generator[Event, Any, TallyStat]:
-        for request in trace.requests:
-            target = epoch_s + request.time_s
+        for time_s, file_id, write in zip(trace.times, trace.file_ids, trace.writes):
+            target = epoch_s + time_s
             if target > self.sim.now:
                 yield self.sim.timeout(target - self.sim.now)
             # Open loop: fire and move on.
-            self._issue(next_request_id(), request.file_id, request.op)
+            self._issue(next_request_id(), file_id, OPS[write])
         self._replay_finished = True
         if self._pending:
             yield self._drained
@@ -223,16 +223,16 @@ class ClientDriver:
         if epoch_s > self.sim.now:
             yield self.sim.timeout(epoch_s - self.sim.now)
         previous_t: Optional[float] = None
-        for request in trace.requests:
+        for time_s, file_id, write in zip(trace.times, trace.file_ids, trace.writes):
             if previous_t is not None:
-                gap = request.time_s - previous_t
+                gap = time_s - previous_t
                 if gap > 0:
                     yield self.sim.timeout(gap)
-            previous_t = request.time_s
+            previous_t = time_s
             request_id = next_request_id()
             done = self.sim.event()
             self._waiters[request_id] = done.succeed
-            self._issue(request_id, request.file_id, request.op)
+            self._issue(request_id, file_id, OPS[write])
             yield done
         self._replay_finished = True
         return self.response_times
@@ -428,13 +428,11 @@ class _PacedReplay:
     where the replayer's process completed.
     """
 
-    __slots__ = ("client", "requests", "epoch_s", "next", "free", "claiming", "done")
+    __slots__ = ("client", "trace", "epoch_s", "next", "free", "claiming", "done")
 
-    def __init__(
-        self, client: ClientDriver, requests: Sequence[TraceRequest], epoch_s: float
-    ) -> None:
+    def __init__(self, client: ClientDriver, trace: Trace, epoch_s: float) -> None:
         self.client = client
-        self.requests = requests
+        self.trace = trace
         self.epoch_s = epoch_s
         #: Index of the next request to issue.
         self.next = 0
@@ -449,8 +447,9 @@ class _PacedReplay:
     def _pace(self, _value: Any = None) -> None:
         """Wait for the next request's timestamp, or finish."""
         sim = self.client.sim
-        if self.next < len(self.requests):
-            target = self.epoch_s + self.requests[self.next].time_s
+        times = self.trace.times
+        if self.next < len(times):
+            target = self.epoch_s + times[self.next]
             if target > sim.now:
                 sim.call_later(target - sim.now, self._claim)
             else:
@@ -475,12 +474,13 @@ class _PacedReplay:
 
     def _issue(self, _value: Any) -> None:
         """The slot is granted: issue the request and pace the next one."""
-        request = self.requests[self.next]
+        trace = self.trace
+        index = self.next
         self.next += 1
         request_id = next_request_id()
         client = self.client
         client._waiters[request_id] = self._on_settled
-        client._issue(request_id, request.file_id, request.op)
+        client._issue(request_id, trace.file_ids[index], OPS[trace.writes[index]])
         self._pace()
 
     def _on_settled(self) -> None:

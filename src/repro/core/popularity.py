@@ -15,6 +15,10 @@ sliding window over the live log) and the streaming estimators in
 are interchangeable wherever placement, prefetch planning, or
 replanning needs a total order over files.  :func:`ranked` is the one
 ranking rule every source applies to its scores.
+
+Oracle setup ranks once and needs no source: the storage server applies
+:func:`ranked` to the access counts of the history trace's file-id
+column and keeps no log of it.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ class PopularitySource(Protocol):
 class PopularityEstimator:
     """Derives popularity orderings from an access log.
 
-    Every logged access counts: the oracle ranks a historical trace once,
-    at setup.
+    Every logged access counts.
     """
 
     def __init__(self, log: Optional[AccessLog] = None) -> None:
@@ -81,7 +84,7 @@ class PopularityEstimator:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PopularityEstimator":
-        """Bootstrap from a historical trace, as the prototype does."""
+        """An estimator that has logged every request of *trace*."""
         estimator = cls()
         estimator.log.record_trace(trace)
         return estimator

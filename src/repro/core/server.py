@@ -20,7 +20,7 @@ runs beside the server, which starts no periodic process of its own.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.config import EEVFSConfig, SERVER_OVERHEAD_S
@@ -32,7 +32,7 @@ from repro.core.placement import (
     place_round_robin,
     place_weighted,
 )
-from repro.core.popularity import PopularityEstimator, PopularitySource
+from repro.core.popularity import PopularitySource, ranked
 from repro.core.prefetch import plan_prefetch, PrefetchPlan
 from repro.core.protocol import (
     AccessHints,
@@ -98,9 +98,6 @@ class StorageServer:
                 "PopularitySource (a repro.online streaming estimator)"
             )
         self.metadata = ServerMetadata()
-        #: The oracle: a PopularityEstimator over the historical trace,
-        #: built during setup (None in online mode).
-        self.estimator: Optional[PopularityEstimator] = None
         #: The replan loop's popularity source, fed from every routed
         #: request: online mode's streaming estimator (which also ranks
         #: setup, cold), or the windowed live log of oracle-mode
@@ -158,19 +155,20 @@ class StorageServer:
         for node in self.node_names:
             yield self.fabric.connect(self.name, node)
 
-        # Step 2: popularity.  Oracle mode reads the historical access
-        # log; online mode has no hindsight -- its streaming estimator
-        # starts cold, so the initial ranking degenerates to catalog
-        # order and everything popularity-shaped is learned during
-        # replay.
-        catalog = [f.file_id for f in trace.files]
+        # Step 2: popularity.  Oracle mode ranks by the historical access
+        # counts, once; online mode has no hindsight -- its streaming
+        # estimator starts cold, so the initial ranking degenerates to
+        # catalog order and everything popularity-shaped is learned
+        # during replay.
+        size_of = {f.file_id: f.size_bytes for f in trace.files}
+        catalog = list(size_of)
         self._catalog = catalog
         if self.config.online_mode:
             source = self.replan_source
             assert source is not None  # checked at init
+            ranking = source.ranking(catalog)
         else:
-            source = self.estimator = PopularityEstimator.from_trace(history)
-        ranking = source.ranking(catalog)
+            ranking = ranked(Counter(history.file_ids), catalog)
 
         # Step 3a: place files on nodes by popularity rank.
         if self.config.placement_policy == "concentrate":
@@ -191,8 +189,7 @@ class StorageServer:
         )
         for file_id in ranking:
             node = self.placement[file_id]
-            size = trace.file(file_id).size_bytes
-            self.metadata.register(file_id, node, size)
+            self.metadata.register(file_id, node, size_of[file_id])
             for holder in replicas.get(file_id, ()):
                 self.metadata.add_replica(file_id, holder)
         # Issue creates most-popular-first so each node can round-robin
@@ -200,7 +197,6 @@ class StorageServer:
         create_events = []
         for node, files in per_node_creates.items():
             for local_index, file_id in enumerate(files):
-                size = trace.file(file_id).size_bytes
                 target_disk = None
                 if self.config.placement_policy == "concentrate":
                     n_disks = self.node_disk_counts.get(node)
@@ -214,7 +210,7 @@ class StorageServer:
                         node,
                         CreateFile(
                             file_id=file_id,
-                            size_bytes=size,
+                            size_bytes=size_of[file_id],
                             popularity_rank=rank_of[file_id],
                             target_disk=target_disk,
                         ),
@@ -230,7 +226,7 @@ class StorageServer:
                         holder,
                         CreateFile(
                             file_id=file_id,
-                            size_bytes=trace.file(file_id).size_bytes,
+                            size_bytes=size_of[file_id],
                             popularity_rank=rank_of[file_id],
                         ),
                     )
@@ -271,9 +267,9 @@ class StorageServer:
         epoch = self.sim.now
         if not self.config.online_mode:
             arrivals: Dict[str, Dict[int, List[float]]] = defaultdict(dict)
-            for request in trace.requests:
-                node = self.placement[request.file_id]
-                arrivals[node].setdefault(request.file_id, []).append(request.time_s)
+            placement = self.placement
+            for time_s, file_id in zip(trace.times, trace.file_ids):
+                arrivals[placement[file_id]].setdefault(file_id, []).append(time_s)
             hint_events = []
             for node in self.node_names:
                 payload = AccessHints(

@@ -5,7 +5,7 @@ implementation uses a trace to replay file access patterns").  This package
 provides:
 
 * :mod:`repro.traces.model`     -- :class:`FileSpec`, :class:`TraceRequest`
-  and :class:`Trace`,
+  and :class:`Trace`, whose requests are typed columns,
 * :mod:`repro.traces.synthetic` -- the Table-II synthetic generator
   (Poisson-MU file popularity, fixed inter-arrival delay, data sizes),
 * :mod:`repro.traces.berkeley`  -- a Berkeley-web-trace-like generator

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import FileSpec, Trace
 
 MB = 1024 * 1024
 
@@ -86,10 +86,6 @@ def generate_berkeley_like_trace(
     file_ids = hot_set[ranks]
 
     times = np.arange(workload.n_requests) * workload.inter_arrival_s
-    requests = [
-        TraceRequest(time_s=float(times[i]), file_id=int(file_ids[i]), op=RequestOp.READ)
-        for i in range(workload.n_requests)
-    ]
 
     meta = {
         "generator": "berkeley-web-like",
@@ -104,4 +100,4 @@ def generate_berkeley_like_trace(
         ),
         **workload.meta,
     }
-    return Trace(files=files, requests=requests, meta=meta)
+    return Trace(files, meta=meta, times=times, file_ids=file_ids)

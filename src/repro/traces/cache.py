@@ -10,8 +10,11 @@ Experiment drivers exploit that in two ways:
   :class:`~repro.parallel.jobs.TraceSpec` keys (traces are never
   pickled across process boundaries) and cache them per worker.
 
-Traces are treated as immutable by every consumer -- replay reads them,
-nothing writes -- so sharing one object is safe.
+A trace's requests are typed columns (``times``, ``file_ids``,
+``writes``) that the client, the server's hints and the oracle ranking
+read in place.  The columns are mutable ``array``s, but consumers
+still never write a trace -- replay reads them, nothing writes -- so
+sharing one object is safe.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import FileSpec, Trace, TraceRequest
 
 MB = 1024 * 1024
 
@@ -79,10 +79,6 @@ def generate_diurnal_trace(
         if rng.random() <= workload.rate_at(t) / peak:
             times.append(t)
     file_ids = rng.poisson(lam=workload.mu, size=workload.n_requests) % workload.n_files
-    requests = [
-        TraceRequest(time_s=times[i], file_id=int(file_ids[i]), op=RequestOp.READ)
-        for i in range(workload.n_requests)
-    ]
     meta = {
         "generator": "diurnal",
         "n_files": workload.n_files,
@@ -93,7 +89,7 @@ def generate_diurnal_trace(
         "period_s": workload.period_s,
         **workload.meta,
     }
-    return Trace(files=files, requests=requests, meta=meta)
+    return Trace(files, meta=meta, times=times, file_ids=file_ids)
 
 
 def peak_trough_split(
@@ -105,7 +101,7 @@ def peak_trough_split(
     """
     peak: List[TraceRequest] = []
     trough: List[TraceRequest] = []
-    for request in trace.requests:
+    for request in trace:
         phase = np.cos(2.0 * np.pi * request.time_s / workload.period_s)
         (peak if phase > 0 else trough).append(request)
     return peak, trough

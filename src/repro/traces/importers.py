@@ -20,10 +20,11 @@ is what EEVFS's placement/prefetch policies consume.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Dict, List, TextIO, Tuple, Union
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import FileSpec, Trace
 
 MB = 1024 * 1024
 
@@ -55,25 +56,18 @@ def _extents_to_trace(
     events.sort(key=lambda e: e[0])
     t0 = events[0][0]
     file_of: Dict[Tuple, int] = {}
-    requests: List[TraceRequest] = []
-    for time_s, key, is_write in events:
-        file_id = file_of.setdefault(key, len(file_of))
-        requests.append(
-            TraceRequest(
-                time_s=time_s - t0,
-                file_id=file_id,
-                op=RequestOp.WRITE if is_write else RequestOp.READ,
-            )
-        )
+    file_ids = [file_of.setdefault(key, len(file_of)) for _, key, _ in events]
     files = [FileSpec(file_id=i, size_bytes=extent_bytes) for i in range(len(file_of))]
     return Trace(
-        files=files,
-        requests=requests,
+        files,
         meta={
             "generator": generator,
             "extent_bytes": extent_bytes,
             "n_extents": len(file_of),
         },
+        times=[time_s - t0 for time_s, _, _ in events],
+        file_ids=file_ids,
+        writes=[is_write for _, _, is_write in events],
     )
 
 
@@ -141,6 +135,8 @@ def read_spc_trace(
                 int(row[2])  # size in bytes; extent granularity absorbs it
                 opcode = row[3].strip().upper()
                 time_s = float(row[4])
+                if not math.isfinite(time_s):
+                    raise ValueError(f"non-finite timestamp {time_s!r}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed record {row!r}") from exc
             if opcode not in ("R", "W"):

@@ -18,10 +18,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 import io
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import FileSpec, OPS, RequestOp, Trace
 
 _FORMAT_VERSION = 1
 
@@ -44,8 +45,8 @@ def write_trace(trace: Trace, destination: Union[str, Path, TextIO]) -> None:
             handle.write(f"#meta {key}={trace.meta[key]}\n")
         for spec in trace.files:
             handle.write(f"F {spec.file_id} {spec.size_bytes}\n")
-        for request in trace.requests:
-            handle.write(f"R {request.time_s!r} {request.file_id} {request.op.value}\n")
+        for time_s, file_id, write in zip(trace.times, trace.file_ids, trace.writes):
+            handle.write(f"R {time_s!r} {file_id} {OPS[write].value}\n")
     finally:
         if owned:
             handle.close()
@@ -61,7 +62,9 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
             raise ValueError(f"not an eevfs trace file (header {header!r})")
         meta: Dict[str, object] = {}
         files: List[FileSpec] = []
-        requests: List[TraceRequest] = []
+        times: List[float] = []
+        file_ids: List[int] = []
+        writes: List[bool] = []
         for lineno, raw in enumerate(handle, start=2):
             line = raw.strip()
             if not line:
@@ -77,18 +80,19 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
                 if parts[0] == "F":
                     files.append(FileSpec(file_id=int(parts[1]), size_bytes=int(parts[2])))
                 elif parts[0] == "R":
-                    requests.append(
-                        TraceRequest(
-                            time_s=float(parts[1]),
-                            file_id=int(parts[2]),
-                            op=RequestOp(parts[3]),
-                        )
-                    )
+                    time_s, file_id = float(parts[1]), int(parts[2])
+                    op = RequestOp(parts[3])
+                    # One chained comparison also rejects NaN and +-inf.
+                    if not (0.0 <= time_s < math.inf and file_id >= 0):
+                        raise ValueError("need a finite time_s >= 0 and a file_id >= 0")
+                    times.append(time_s)
+                    file_ids.append(file_id)
+                    writes.append(op is RequestOp.WRITE)
                 else:
                     raise ValueError(f"unknown record type {parts[0]!r}")
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: malformed record {line!r}") from exc
-        return Trace(files=files, requests=requests, meta=meta)
+        return Trace(files, meta=meta, times=times, file_ids=file_ids, writes=writes)
     finally:
         if owned:
             handle.close()
@@ -128,8 +132,8 @@ class AccessLog:
 
     def record_trace(self, trace: Trace) -> None:
         """Bulk-append every request of *trace* (Fig. 2 step 2 bootstrap)."""
-        for request in trace.requests:
-            self.append(request.time_s, request.file_id)
+        for time_s, file_id in zip(trace.times, trace.file_ids):
+            self.append(time_s, file_id)
 
     def __len__(self) -> int:
         return len(self._times)

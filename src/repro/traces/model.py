@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 import enum
 import math
-from typing import Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, overload, Sequence, Union
+
+import numpy as np
 
 
 class RequestOp(enum.Enum):
@@ -13,6 +17,10 @@ class RequestOp(enum.Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+#: A request's write flag (0 or 1) indexes its op.
+OPS = (RequestOp.READ, RequestOp.WRITE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,35 +53,76 @@ class TraceRequest:
             raise ValueError(f"file_id must be >= 0, got {self.file_id!r}")
 
 
-@dataclass
 class Trace:
     """A file catalog plus a time-ordered request sequence.
 
     The catalog covers every file in the *file system*, including files the
     trace never touches -- EEVFS places all of them (Fig. 2 step 3), and the
     untouched ones are what make small prefetch windows ineffective.
+
+    The requests are three typed columns, 17 bytes a request: ``times``
+    (``array('d')``), ``file_ids`` (``array('q')``) and ``writes``
+    (``array('B')``, 1 for a write; :data:`OPS` maps the flag to the
+    op).  Generators pass their draws as ``times=``/``file_ids=``/
+    ``writes=`` (no ``writes`` means all reads); a hand-built trace
+    passes ``requests=[TraceRequest(...), ...]``, which converts to the
+    same columns.  Either way the columns are validated once.  Iterating
+    a trace, or :attr:`requests`, yields a :class:`TraceRequest` built
+    per access.
     """
 
-    files: List[FileSpec]
-    requests: List[TraceRequest]
-    #: Free-form provenance (generator name, parameters, seed).
-    meta: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("files", "meta", "times", "file_ids", "writes", "_by_id")
 
-    def __post_init__(self) -> None:
-        ids = [f.file_id for f in self.files]
-        if len(ids) != len(set(ids)):
+    def __init__(
+        self,
+        files: List[FileSpec],
+        requests: Optional[Iterable[TraceRequest]] = None,
+        meta: Optional[Dict[str, object]] = None,
+        *,
+        times: Any = None,
+        file_ids: Any = None,
+        writes: Any = None,
+    ) -> None:
+        if requests is not None:
+            if times is not None or file_ids is not None or writes is not None:
+                raise TypeError("pass requests or request columns, not both")
+            records = list(requests)
+            times = [r.time_s for r in records]
+            file_ids = [r.file_id for r in records]
+            writes = [r.op is RequestOp.WRITE for r in records]
+        t = np.ascontiguousarray(() if times is None else times, dtype=np.float64)
+        ids = np.ascontiguousarray(() if file_ids is None else file_ids, dtype=np.int64)
+        w = (
+            np.zeros(len(t), dtype=np.bool_)
+            if writes is None
+            else np.ascontiguousarray(writes, dtype=np.bool_)
+        )
+        if not len(t) == len(ids) == len(w):
+            raise ValueError("request columns differ in length")
+        by_id = {f.file_id: f for f in files}
+        if len(by_id) != len(files):
             raise ValueError("duplicate file_id in catalog")
-        catalog = set(ids)
-        last_t = 0.0
-        for request in self.requests:
-            if request.file_id not in catalog:
-                raise ValueError(
-                    f"request references unknown file_id {request.file_id!r}"
-                )
-            if request.time_s < last_t:
-                raise ValueError("requests must be time-ordered")
-            last_t = request.time_s
-        self._by_id: Dict[int, FileSpec] = {f.file_id: f for f in self.files}
+        bad = ~((t >= 0.0) & (t < math.inf))  # NaN fails both
+        if bad.any():
+            got = float(t[np.argmax(bad)])
+            raise ValueError(f"time_s must be finite and >= 0, got {got!r}")
+        bad = ids < 0
+        if bad.any():
+            raise ValueError(f"file_id must be >= 0, got {int(ids[np.argmax(bad)])!r}")
+        bad = ~np.isin(ids, list(by_id))
+        if bad.any():
+            raise ValueError(
+                f"request references unknown file_id {int(ids[np.argmax(bad)])!r}"
+            )
+        if (t[1:] < t[:-1]).any():
+            raise ValueError("requests must be time-ordered")
+        self.files = files
+        #: Free-form provenance (generator name, parameters, seed).
+        self.meta: Dict[str, object] = {} if meta is None else meta
+        self.times: array[float] = array("d", t.tobytes())
+        self.file_ids: array[int] = array("q", ids.tobytes())
+        self.writes: array[int] = array("B", w.tobytes())
+        self._by_id: Dict[int, FileSpec] = by_id
 
     # -- catalog access ------------------------------------------------------------
 
@@ -90,27 +139,45 @@ class Trace:
 
     @property
     def n_requests(self) -> int:
-        return len(self.requests)
+        return len(self.times)
 
     @property
     def duration_s(self) -> float:
         """Timestamp of the last request (0 for an empty trace)."""
-        return self.requests[-1].time_s if self.requests else 0.0
+        return self.times[-1] if self.times else 0.0
 
     @property
     def total_bytes(self) -> int:
         """Bytes the trace would move end to end."""
-        return sum(self._by_id[r.file_id].size_bytes for r in self.requests)
+        return sum(self._by_id[file_id].size_bytes for file_id in self.file_ids)
 
     def accessed_file_ids(self) -> set[int]:
         """Distinct files the trace touches."""
-        return {r.file_id for r in self.requests}
+        return set(self.file_ids)
+
+    @property
+    def requests(self) -> "TraceRequests":
+        """The requests as a read-only sequence of records."""
+        return TraceRequests(self)
 
     def __iter__(self) -> Iterator[TraceRequest]:
-        return iter(self.requests)
+        return map(TraceRequest, self.times, self.file_ids, map(OPS.__getitem__, self.writes))
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.times)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.files, self.times, self.file_ids, self.writes, self.meta) == (
+            other.files,
+            other.times,
+            other.file_ids,
+            other.writes,
+            other.meta,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     # -- transforms ------------------------------------------------------------------
 
@@ -121,15 +188,17 @@ class Trace:
         inter-arrival delay for requests to prevent a large amount of
         queuing").  Access order and file identity are preserved.
         """
-        if delay_s < 0:
-            raise ValueError(f"delay must be >= 0, got {delay_s!r}")
-        requests = [
-            TraceRequest(time_s=i * delay_s, file_id=r.file_id, op=r.op)
-            for i, r in enumerate(self.requests)
-        ]
+        if not 0.0 <= delay_s < math.inf:
+            raise ValueError(f"delay_s must be finite and >= 0, got {delay_s!r}")
         meta = dict(self.meta)
         meta["inter_arrival_s"] = delay_s
-        return Trace(files=list(self.files), requests=requests, meta=meta)
+        return Trace(
+            list(self.files),
+            meta=meta,
+            times=np.arange(len(self.times)) * float(delay_s),
+            file_ids=self.file_ids,
+            writes=self.writes,
+        )
 
     def with_file_size(self, size_bytes: int) -> "Trace":
         """Override every file's size (the §VI-D 10 MB normalisation)."""
@@ -138,14 +207,20 @@ class Trace:
         files = [FileSpec(f.file_id, size_bytes) for f in self.files]
         meta = dict(self.meta)
         meta["file_size_bytes"] = size_bytes
-        return Trace(files=files, requests=list(self.requests), meta=meta)
+        return Trace(
+            files, meta=meta, times=self.times, file_ids=self.file_ids, writes=self.writes
+        )
 
     def head(self, n: int) -> "Trace":
         """The first *n* requests (catalog unchanged)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n!r}")
         return Trace(
-            files=list(self.files), requests=self.requests[:n], meta=dict(self.meta)
+            list(self.files),
+            meta=dict(self.meta),
+            times=self.times[:n],
+            file_ids=self.file_ids[:n],
+            writes=self.writes[:n],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -153,6 +228,36 @@ class Trace:
             f"<Trace files={self.n_files} requests={self.n_requests} "
             f"duration={self.duration_s:.1f}s>"
         )
+
+
+class TraceRequests(SequenceABC[TraceRequest]):
+    """A trace's requests as a read-only sequence; each record is built on
+    access from the trace's columns, so ``len`` and indexing are O(1)."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.times)
+
+    @overload
+    def __getitem__(self, index: int) -> TraceRequest: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[TraceRequest]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TraceRequest, List[TraceRequest]]:
+        trace = self._trace
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(trace.times)))]
+        return TraceRequest(trace.times[index], trace.file_ids[index], OPS[trace.writes[index]])
+
+    def __iter__(self) -> Iterator[TraceRequest]:
+        return iter(self._trace)
 
 
 def make_catalog(n_files: int, size_bytes: Sequence[int]) -> List[FileSpec]:

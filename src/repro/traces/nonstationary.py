@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import FileSpec, Trace
 
 MB = 1024 * 1024
 
@@ -69,10 +69,6 @@ def generate_drifting_trace(
     base = rng.poisson(lam=workload.mu, size=workload.n_requests)
     offsets = np.floor(times * workload.drift_files_per_s).astype(np.int64)
     file_ids = (base + offsets) % workload.n_files
-    requests = [
-        TraceRequest(time_s=float(times[i]), file_id=int(file_ids[i]), op=RequestOp.READ)
-        for i in range(workload.n_requests)
-    ]
     meta = {
         "generator": "drifting",
         "n_files": workload.n_files,
@@ -82,7 +78,7 @@ def generate_drifting_trace(
         "drift_files_per_s": workload.drift_files_per_s,
         **workload.meta,
     }
-    return Trace(files=files, requests=requests, meta=meta)
+    return Trace(files, meta=meta, times=times, file_ids=file_ids)
 
 
 def hot_set_displacement(workload: DriftingWorkload) -> float:

@@ -30,7 +30,7 @@ __all__ = [
 
 def access_counts(trace: Trace) -> Counter:
     """Access count per file id (files with zero accesses are absent)."""
-    return Counter(request.file_id for request in trace.requests)
+    return Counter(trace.file_ids)
 
 
 def popularity_ranking(trace: Trace) -> List[int]:
@@ -56,16 +56,16 @@ def coverage_of_top_k(trace: Trace, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
-    if not trace.requests:
+    if not len(trace):
         return 0.0
     counts = access_counts(trace)
     top = sorted(counts.values(), reverse=True)[:k]
-    return sum(top) / len(trace.requests)
+    return sum(top) / len(trace)
 
 
 def inter_arrival_times(trace: Trace) -> np.ndarray:
     """Gaps between consecutive requests (empty for < 2 requests)."""
-    times = np.array([r.time_s for r in trace.requests])
+    times = np.array(trace.times, dtype=np.float64)
     return np.diff(times) if len(times) >= 2 else np.array([])
 
 
@@ -97,8 +97,7 @@ def reuse_distances(trace: Trace) -> np.ndarray:
     last_position: Dict[int, int] = {}
     stack: List[int] = []  # most recent at the end
     distances: List[int] = []
-    for request in trace.requests:
-        fid = request.file_id
+    for fid in trace.file_ids:
         if fid in last_position:
             index = stack.index(fid)
             distances.append(len(stack) - 1 - index)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
+from repro.traces.model import make_catalog, Trace
 
 MB = 1024 * 1024
 
@@ -106,7 +106,7 @@ def generate_synthetic_trace(
     sizes = _sample_sizes(
         rng, workload.data_size_bytes, workload.size_spread, workload.n_files
     )
-    files = [FileSpec(file_id=i, size_bytes=int(sizes[i])) for i in range(workload.n_files)]
+    files = make_catalog(workload.n_files, sizes.tolist())
 
     file_ids = _sample_file_ids(rng, workload.mu, workload.n_files, workload.n_requests)
 
@@ -124,15 +124,6 @@ def generate_synthetic_trace(
     else:
         is_write = np.zeros(workload.n_requests, dtype=bool)
 
-    requests = [
-        TraceRequest(
-            time_s=float(times[i]),
-            file_id=int(file_ids[i]),
-            op=RequestOp.WRITE if is_write[i] else RequestOp.READ,
-        )
-        for i in range(workload.n_requests)
-    ]
-
     meta = {
         "generator": "synthetic",
         "n_files": workload.n_files,
@@ -143,4 +134,12 @@ def generate_synthetic_trace(
         "arrival_process": workload.arrival_process,
         **workload.meta,
     }
-    return Trace(files=files, requests=requests, meta=meta)
+    # With no requests the exponential branch still yields the first
+    # arrival, at 0; the slice keeps the trace empty.
+    return Trace(
+        files,
+        meta=meta,
+        times=times[: workload.n_requests],
+        file_ids=file_ids,
+        writes=is_write,
+    )

@@ -1,10 +1,13 @@
 """Direct unit tests of StorageServer behaviour through a live cluster."""
 
+import gc
+import types
+
 import numpy as np
 
 from repro.core import EEVFSConfig
 from repro.core.filesystem import EEVFSCluster
-from repro.traces import generate_synthetic_trace
+from repro.traces import AccessLog, generate_synthetic_trace, popularity_ranking
 from repro.traces.synthetic import SyntheticWorkload
 
 
@@ -52,10 +55,42 @@ class TestForwarding:
         popularity ranking."""
         trace, cluster, _ = build_and_run()
         server = cluster.server
-        ranking = server.estimator.ranking([f.file_id for f in trace.files])
+        ranking = popularity_ranking(trace)
         for rank, file_id in enumerate(ranking[:16]):
             expected = server.node_names[rank % len(server.node_names)]
             assert server.placement[file_id] == expected
+
+    def test_oracle_run_keeps_no_access_log_of_the_history(self):
+        """The oracle ranks the history once, from its access counts; a
+        finished run's server holds no per-request log of it."""
+        _, cluster, _ = build_and_run(n_requests=400)
+        assert cluster.server.replan_source is None
+        held = [obj for obj in instance_graph(cluster.server) if isinstance(obj, AccessLog)]
+        assert held == []
+
+
+#: Reached through instance data only: classes, modules, functions and
+#: frames lead to globals, not to what the server holds.
+_NOT_INSTANCE_DATA = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.CodeType,
+    types.FrameType,
+)
+
+
+def instance_graph(root):
+    """Every object reachable from *root* through instance data."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(ref, _NOT_INSTANCE_DATA):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
 
 
 class TestPrefetchPlanAtServer:

@@ -113,6 +113,12 @@ class TestSPC:
         with pytest.raises(ValueError):
             read_spc_trace(io.StringIO("0,0,512\n"))
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected_at_parse(self, stamp):
+        content = io.StringIO(f"0,0,512,R,0.0\n0,8,512,R,{stamp}\n")
+        with pytest.raises(ValueError, match="line 2: malformed record"):
+            read_spc_trace(content)
+
     def test_round_trip_through_eevfs(self):
         """An imported trace must drive the full system."""
         from repro.core import EEVFSConfig, run_eevfs

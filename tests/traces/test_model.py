@@ -1,5 +1,8 @@
 """Unit tests for the workload data model."""
 
+from collections.abc import Sequence
+
+import numpy as np
 import pytest
 
 from repro.traces import FileSpec, RequestOp, Trace, TraceRequest
@@ -99,6 +102,77 @@ class TestTrace:
         assert times == sorted(times)
 
 
+class TestColumns:
+    def test_records_convert_to_typed_columns(self):
+        trace = small_trace()
+        assert (trace.times.typecode, trace.file_ids.typecode, trace.writes.typecode) == (
+            "d",
+            "q",
+            "B",
+        )
+        assert list(trace.times) == [0.0, 1.0, 2.0, 3.5]
+        assert list(trace.file_ids) == [0, 1, 0, 2]
+        assert list(trace.writes) == [0, 0, 0, 1]
+
+    def test_columns_build_the_same_trace_as_records(self):
+        columns = Trace(
+            small_trace().files,
+            meta={"origin": "test"},
+            times=np.array([0.0, 1.0, 2.0, 3.5]),
+            file_ids=np.array([0, 1, 0, 2]),
+            writes=np.array([False, False, False, True]),
+        )
+        assert columns == small_trace()
+        assert list(columns) == list(small_trace())
+
+    def test_missing_write_flags_mean_reads(self):
+        trace = Trace([FileSpec(0, 1)], times=[0.0, 1.0], file_ids=[0, 0])
+        assert [r.op for r in trace] == [RequestOp.READ, RequestOp.READ]
+
+    def test_requests_and_columns_are_exclusive(self):
+        with pytest.raises(TypeError):
+            Trace([FileSpec(0, 1)], requests=[TraceRequest(0.0, 0)], times=[0.0])
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="length"):
+            Trace([FileSpec(0, 1)], times=[0.0, 1.0], file_ids=[0])
+
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), -1.0])
+    def test_bad_column_time_rejected_with_the_record_message(self, time_s):
+        with pytest.raises(ValueError, match=r"time_s must be finite and >= 0, got"):
+            Trace([FileSpec(0, 1)], times=[0.0, time_s], file_ids=[0, 0])
+
+    def test_negative_column_id_rejected_with_the_record_message(self):
+        with pytest.raises(ValueError, match=r"file_id must be >= 0, got -3"):
+            Trace([FileSpec(0, 1)], times=[0.0], file_ids=[-3])
+
+    def test_unknown_column_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown file_id 7"):
+            Trace([FileSpec(0, 1)], times=[0.0, 1.0], file_ids=[0, 7])
+
+    def test_requests_is_a_read_only_sequence_of_records(self):
+        trace = small_trace()
+        requests = trace.requests
+        assert isinstance(requests, Sequence)
+        assert not hasattr(requests, "append")
+        assert len(requests) == 4
+        assert requests[1] == TraceRequest(1.0, 1)
+        assert requests[-1] == TraceRequest(3.5, 2, op=RequestOp.WRITE)
+        assert requests[1:3] == [TraceRequest(1.0, 1), TraceRequest(2.0, 0)]
+        assert list(requests) == list(trace)
+        with pytest.raises(IndexError):
+            requests[4]
+
+    def test_transforms_keep_write_flags(self):
+        trace = small_trace()
+        for derived in (
+            trace.head(4),
+            trace.with_inter_arrival(1.0),
+            trace.with_file_size(5),
+        ):
+            assert [r.op for r in derived] == [r.op for r in trace]
+
+
 class TestTransforms:
     def test_with_inter_arrival_respaces(self):
         trace = small_trace().with_inter_arrival(0.5)
@@ -114,6 +188,13 @@ class TestTransforms:
     def test_with_inter_arrival_negative_rejected(self):
         with pytest.raises(ValueError):
             small_trace().with_inter_arrival(-1.0)
+
+    @pytest.mark.parametrize("delay_s", [float("nan"), float("inf")])
+    def test_with_inter_arrival_non_finite_rejected_as_its_argument(self, delay_s):
+        # NaN passed a ``delay_s < 0`` check, and 0 * inf is NaN: both
+        # used to fail later as a bad request time.
+        with pytest.raises(ValueError, match="delay_s must be finite"):
+            small_trace().with_inter_arrival(delay_s)
 
     def test_with_file_size_overrides_catalog(self):
         trace = small_trace().with_file_size(10 * MB)
