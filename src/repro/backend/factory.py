@@ -14,7 +14,6 @@ from typing import Optional, TYPE_CHECKING, Union
 
 from repro.backend.ssd import SATA_SSD_32GB, SSDBackend, SSDSpec
 from repro.disk.drive import SimDisk, StorageBackend
-from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.sim.engine import Simulator
 
@@ -31,7 +30,6 @@ def build_backend(
     sim: Simulator,
     spec: TierSpec,
     name: str,
-    service_model: Optional[ServiceTimeModel] = None,
     auto_sleep_after: Optional[float] = None,
     idle_action: str = "standby",
     second_stage_after: Optional[float] = None,
@@ -41,7 +39,7 @@ def build_backend(
     """Construct the backend a spec describes.
 
     The keyword surface is ``SimDisk``'s; the SSD branch rejects the
-    spindle-only knobs (low-speed idle action, service model) instead of
+    spindle-only knobs (low-speed idle action, second stage) instead of
     silently ignoring them.
     """
     if isinstance(spec, SSDSpec):
@@ -52,8 +50,6 @@ def build_backend(
             )
         if second_stage_after is not None:
             raise ValueError(f"{name}: second_stage_after needs a spinning drive")
-        if service_model is not None:
-            raise ValueError(f"{name}: service_model applies to drive backends only")
         return SSDBackend(
             sim,
             spec,
@@ -66,7 +62,6 @@ def build_backend(
         sim,
         spec,
         name=name,
-        service_model=service_model,
         auto_sleep_after=auto_sleep_after,
         idle_action=idle_action,
         second_stage_after=second_stage_after,

@@ -206,36 +206,20 @@ class EEVFSConfig:
     popularity_window_s: Optional[float] = None
     #: Buffer-disk capacity reserved for prefetch copies; None = whole disk.
     buffer_capacity_bytes: Optional[int] = None
-    #: Use leftover buffer space as a write buffer (§III-C, last ¶).
+    #: Use leftover buffer space as a write buffer (§III-C, last ¶),
+    #: destaged energy-aware by the node (``repro.core.node``).
     write_buffering: bool = True
-    #: Energy-aware destaging of buffered writes: every check interval,
-    #: dirty files whose data disks are already awake are written back;
-    #: when the write buffer passes the high-water fraction of its
-    #: capacity, destaging proceeds even if it must wake disks.
-    destage_enabled: bool = True
-    destage_check_interval_s: float = 10.0
-    destage_highwater_fraction: float = 0.8
-    #: Durability bound: dirty data older than this is written back even
-    #: if that means waking a data disk.
-    destage_max_dirty_age_s: float = 60.0
     #: Replication extension: total copies kept per file across storage
     #: nodes (primary included).  1 = the paper's layout (no replicas).
+    #: Above 1, writes fan out to every live holder, and a background
+    #: repair loop (``repro.replication.repair``) restores the factor
+    #: after failures.
     replication_factor: int = 1
     #: How replica nodes are chosen: "round_robin" puts replica j on the
     #: j-th next node after the primary; "popularity" deals replicas
     #: round-robin in descending popularity order (§III-B applied to
     #: replicas).
     replication_policy: str = "round_robin"
-    #: Fan replicated writes out to every live holder (durability); off
-    #: means replicas go stale on writes (read-only replication).
-    replicate_writes: bool = True
-    #: Background re-replication: restore the replication factor after
-    #: failures by re-copying deficit files onto surviving nodes.
-    rereplication_enabled: bool = True
-    rereplication_check_interval_s: float = 5.0
-    #: Repairs dispatched per check interval -- throttles recovery I/O so
-    #: it trickles instead of waking every sleeping disk at once.
-    rereplication_batch: int = 4
     #: Metadata-plane extension (repro.metaplane): route the request path
     #: through a sharded, replicated, leader-elected metadata service
     #: instead of the single storage server.  The storage server still
@@ -268,10 +252,6 @@ class EEVFSConfig:
     #: Streaming estimator: "ema" (exact exponentially-decayed counts)
     #: or "cms" (Count-Min Sketch + bounded decaying top-set).
     online_estimator: str = "ema"
-    #: Controller cadence: every interval the controller steps prefetch-K
-    #: and the idle threshold toward its set-points (the constants of
-    #: ``repro.online.controller``).
-    online_control_interval_s: float = 30.0
     #: Re-prefetch epoch: every epoch the replanner ranks its popularity
     #: source (the streaming estimator, or the ``popularity_window_s``
     #: window in oracle mode), diffs the top-K against the current buffer
@@ -326,12 +306,6 @@ class EEVFSConfig:
             raise ValueError(f"unknown placement_policy: {self.placement_policy!r}")
         if self.stripe_width < 1:
             raise ValueError(f"stripe_width must be >= 1, got {self.stripe_width!r}")
-        if self.destage_check_interval_s <= 0:
-            raise ValueError("destage_check_interval_s must be > 0")
-        if not 0.0 < self.destage_highwater_fraction <= 1.0:
-            raise ValueError("destage_highwater_fraction must be in (0, 1]")
-        if self.destage_max_dirty_age_s < 0:
-            raise ValueError("destage_max_dirty_age_s must be >= 0")
         if self.replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be >= 1, got {self.replication_factor!r}"
@@ -340,10 +314,6 @@ class EEVFSConfig:
             raise ValueError(
                 f"unknown replication_policy: {self.replication_policy!r}"
             )
-        if self.rereplication_check_interval_s <= 0:
-            raise ValueError("rereplication_check_interval_s must be > 0")
-        if self.rereplication_batch < 1:
-            raise ValueError("rereplication_batch must be >= 1")
         if self.popularity_window_s is not None and self.popularity_window_s <= 0:
             raise ValueError("popularity_window_s must be > 0")
         if self.metadata_shards < 1:
@@ -364,8 +334,6 @@ class EEVFSConfig:
             )
         if self.online_estimator not in ("ema", "cms"):
             raise ValueError(f"unknown online_estimator: {self.online_estimator!r}")
-        if self.online_control_interval_s <= 0:
-            raise ValueError("online_control_interval_s must be > 0")
         if self.online_replan_epoch_s <= 0:
             raise ValueError("online_replan_epoch_s must be > 0")
         if not 0.0 <= self.online_drift_threshold <= 1.0:

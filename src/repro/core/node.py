@@ -59,6 +59,16 @@ from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
 
+#: Energy-aware destaging of buffered writes (§III-C): every check
+#: interval, dirty files whose data disks are already awake are written
+#: back; past the high-water fraction of the write buffer's capacity,
+#: destaging proceeds even if it must wake disks.
+DESTAGE_CHECK_INTERVAL_S = 10.0
+DESTAGE_HIGHWATER_FRACTION = 0.8
+#: Durability bound: dirty data older than this is written back even if
+#: that means waking a data disk.
+DESTAGE_MAX_DIRTY_AGE_S = 60.0
+
 
 class StorageNode:
     """One storage node process and its disk array."""
@@ -144,7 +154,7 @@ class StorageNode:
         # Kicked off URGENT now: the slot a main-loop process would
         # start in.
         self.sim.call_soon(self._await_message, priority=URGENT)
-        if config.write_buffering and config.destage_enabled:
+        if config.write_buffering:
             sim.process(self._destage_loop())
 
     # -- backend construction ----------------------------------------------------------
@@ -405,8 +415,8 @@ class StorageNode:
         regardless, waking disks if needed -- bounded staleness beats an
         overflowing buffer.
         """
-        interval = self.config.destage_check_interval_s
-        max_age = self.config.destage_max_dirty_age_s
+        interval = DESTAGE_CHECK_INTERVAL_S
+        max_age = DESTAGE_MAX_DIRTY_AGE_S
         while True:
             yield self.sim.timeout(interval)
             over_highwater = self._write_buffer_over_highwater()
@@ -440,7 +450,7 @@ class StorageNode:
         if capacity is None or capacity == 0:
             return False
         fraction = self.write_buffer.dirty_bytes / capacity
-        return fraction >= self.config.destage_highwater_fraction
+        return fraction >= DESTAGE_HIGHWATER_FRACTION
 
     def _destage_one(self, file_id: int) -> Generator[Event, Any, None]:
         """Read staged data from the buffer log, write to the data disks.

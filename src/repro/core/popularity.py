@@ -79,8 +79,8 @@ class PopularityEstimator:
     Every logged access counts.
     """
 
-    def __init__(self, log: Optional[AccessLog] = None) -> None:
-        self.log = log if log is not None else AccessLog()
+    def __init__(self) -> None:
+        self.log = AccessLog()
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PopularityEstimator":

@@ -282,7 +282,7 @@ class StorageServer:
             yield self.sim.all_of(hint_events)
         # Started only now: during setup every file is transiently
         # "under-replicated" and the repair loop must not chase ghosts.
-        if self.config.replication_factor > 1 and self.config.rereplication_enabled:
+        if self.config.replication_factor > 1:
             self.repairer = ReplicationManager(self)
         return self.sim.now
 
@@ -356,7 +356,7 @@ class StorageServer:
                 tracer.end(lookup, routed=True, node=primary)
             # Replicated writes fan out silently to the other holders so
             # replicas never go stale; only the primary replies.
-            if payload.op is RequestOp.WRITE and self.config.replicate_writes and backups:
+            if payload.op is RequestOp.WRITE and backups:
                 for holder in backups:
                     self.fabric.send_nowait(
                         self.name,

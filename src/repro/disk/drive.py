@@ -526,8 +526,6 @@ class SimDisk(StorageBackend):
 
     Parameters
     ----------
-    service_model:
-        Service-time model; defaults to a noise-free model over *spec*.
     idle_action:
         What the idle watchdog does on expiry: full ``"standby"`` (the
         paper) or a DRPM-style shift to ``"low_speed"``.
@@ -545,7 +543,6 @@ class SimDisk(StorageBackend):
         sim: Simulator,
         spec: DiskSpec,
         name: str = "disk",
-        service_model: Optional[ServiceTimeModel] = None,
         auto_sleep_after: Optional[float] = None,
         idle_action: str = "standby",
         second_stage_after: Optional[float] = None,
@@ -569,7 +566,7 @@ class SimDisk(StorageBackend):
             spinup_jitter=spinup_jitter,
             rng=rng,
         )
-        self.service = service_model or ServiceTimeModel(spec)
+        self.service = ServiceTimeModel(spec)
         #: Low-speed service model (multi-speed drives only).
         self.service_low = (
             ServiceTimeModel(

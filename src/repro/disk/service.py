@@ -4,50 +4,25 @@ Service time for one request is::
 
     positioning (seek + rotational latency)  --  skipped for sequential I/O
     + size / bandwidth                        --  media transfer
-    * (1 + jitter)                            --  optional lognormal-ish noise
 
 Buffer disks are *log disks* (§I: "data can be written onto the log disks
 in a sequential manner"), so writes to them are sequential; the node marks
-those requests accordingly and they skip positioning.
+those requests accordingly and they skip positioning.  The model draws no
+randomness: spin-up durations (``spinup_jitter`` of
+:class:`~repro.disk.drive.StorageBackend`) are the only mechanical
+variability simulated.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
 
 from repro.disk.specs import DiskSpec
 
 
 class ServiceTimeModel:
-    """Computes per-request service times for a drive.
+    """Computes per-request service times for a drive of *spec*."""
 
-    Parameters
-    ----------
-    spec:
-        The drive being modelled.
-    jitter:
-        Relative standard deviation of multiplicative service-time noise
-        (0 disables noise; the default, keeping runs bit-deterministic
-        unless an experiment opts in).
-    rng:
-        Generator for the noise; required when ``jitter > 0``.
-    """
-
-    def __init__(
-        self,
-        spec: DiskSpec,
-        jitter: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter!r}")
-        if jitter > 0 and rng is None:
-            raise ValueError("jitter > 0 requires an rng")
+    def __init__(self, spec: DiskSpec) -> None:
         self.spec = spec
-        self.jitter = float(jitter)
-        self.rng = rng
 
     def service_time(self, size_bytes: float, sequential: bool = False) -> float:
         """Seconds to serve one request of *size_bytes*."""
@@ -56,11 +31,6 @@ class ServiceTimeModel:
         base = self.spec.transfer_time(size_bytes)
         if not sequential:
             base += self.spec.positioning_s
-        if self.jitter > 0:
-            assert self.rng is not None
-            # Truncated-at-zero multiplicative noise keeps times positive.
-            factor = max(0.0, 1.0 + self.rng.normal(0.0, self.jitter))
-            base *= factor
         return base
 
     def throughput_bps(self, size_bytes: float, sequential: bool = False) -> float:

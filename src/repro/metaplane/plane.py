@@ -124,7 +124,6 @@ class MetaPlane:
         nic_bps: float,
     ) -> None:
         self.sim = sim
-        self.config = config
         self.ring = ShardRing(config.metadata_shards)
         self.n_shards = config.metadata_shards
         self.n_replicas = config.metadata_replicas
@@ -156,7 +155,6 @@ class MetaPlane:
                     shard=shard,
                     replica_index=replica,
                     group=group,
-                    config=config,
                     rng=streams.stream(f"meta:{group[replica]}"),
                     nic_bps=nic_bps,
                 )

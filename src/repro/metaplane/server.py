@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import EEVFSConfig, SERVER_OVERHEAD_S
+from repro.core.config import SERVER_OVERHEAD_S
 from repro.core.metadata import ServerMetadata
 from repro.core.protocol import FileRequest, ForwardedRequest, RequestFailed
 from repro.metaplane.messages import (
@@ -90,7 +90,6 @@ class MetadataServer:
         shard: int,
         replica_index: int,
         group: Tuple[str, ...],
-        config: EEVFSConfig,
         rng: np.random.Generator,
         nic_bps: float,
     ) -> None:
@@ -104,7 +103,6 @@ class MetadataServer:
         self.peers: Tuple[str, ...] = tuple(
             name for name in group if name != self.name
         )
-        self.config = config
         self.rng = rng
         self.endpoint = fabric.add_endpoint(self.name, nic_bps)
         #: This replica's copy of the shard's state machine.
@@ -519,11 +517,7 @@ class MetadataServer:
         )
         if lookup is not None and tracer is not None:
             tracer.end(lookup, routed=True, node=primary)
-        if (
-            payload.op is RequestOp.WRITE
-            and self.config.replicate_writes
-            and backups
-        ):
+        if payload.op is RequestOp.WRITE and backups:
             for holder in backups:
                 self.fabric.send_nowait(
                     self.name,

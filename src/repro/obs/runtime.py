@@ -8,7 +8,7 @@ uses.  On :meth:`attach` it
 * installs the tracer's per-event-type counter via the engine's
   multi-hook dispatch (coexisting with a determinism hasher), and
 * starts the telemetry sampler, a sim process that samples every
-  gauge each ``sample_interval_s`` of simulated time.
+  gauge each :data:`DEFAULT_SAMPLE_INTERVAL_S` of simulated time.
 
 The sampler is an infinite loop, which is safe here because the cluster
 runs the engine with ``run(until=<event>)``; it must not be attached to
@@ -27,28 +27,19 @@ from repro.obs.telemetry import TelemetryRegistry
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
-#: Default simulated-time spacing between telemetry samples.
+#: Simulated-time spacing between telemetry samples.
 DEFAULT_SAMPLE_INTERVAL_S = 1.0
 
 
 class Observability:
     """Tracer + telemetry registry bound to one :class:`Simulator`."""
 
-    __slots__ = ("sim", "tracer", "telemetry", "sample_interval_s", "_attached")
+    __slots__ = ("sim", "tracer", "telemetry", "_attached")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-    ) -> None:
-        if sample_interval_s <= 0:
-            raise ValueError(
-                f"sample_interval_s must be positive (got {sample_interval_s!r})"
-            )
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.tracer = Tracer(sim)
         self.telemetry = TelemetryRegistry()
-        self.sample_interval_s = sample_interval_s
         self._attached = False
 
     # -- lifecycle ----------------------------------------------------------------
@@ -84,7 +75,7 @@ class Observability:
         telemetry = self.telemetry
         while True:
             telemetry.sample(sim.now)
-            yield sim.timeout(self.sample_interval_s)
+            yield sim.timeout(DEFAULT_SAMPLE_INTERVAL_S)
 
     # -- output -------------------------------------------------------------------
 

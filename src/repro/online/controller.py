@@ -2,7 +2,7 @@
 
 Without the oracle there is nothing to tell the system the right
 prefetch depth or idle threshold, so online mode closes the loop on
-its own measurements instead.  Every ``online_control_interval_s`` of
+its own measurements instead.  Every :data:`CONTROL_INTERVAL_S` of
 simulated time the controller:
 
 * computes the buffer-hit ratio over the *window just ended* (deltas of
@@ -38,6 +38,8 @@ from repro.sim.events import Event
 if TYPE_CHECKING:
     from repro.core.node import StorageNode
 
+#: Controller cadence: seconds of simulated time between ticks.
+CONTROL_INTERVAL_S = 30.0
 #: Windowed buffer-hit ratio the controller steers K toward, and the
 #: half-width of the dead-band around it.
 TARGET_HIT_RATIO = 0.6
@@ -108,7 +110,6 @@ class OnlineController:
     ) -> None:
         self.sim = sim
         self.nodes = nodes
-        self.config = config
         self.k = min(max(config.prefetch_files, K_MIN), K_MAX)
         self.idle_threshold_s = min(
             max(config.idle_threshold_s, IDLE_MIN_S), IDLE_MAX_S
@@ -145,8 +146,7 @@ class OnlineController:
         self.sim.process(self._loop())
 
     def _loop(self) -> Generator[Event, Any, None]:
-        config = self.config
-        interval = config.online_control_interval_s
+        interval = CONTROL_INTERVAL_S
         while True:
             yield self.sim.timeout(interval)
             buffer_hits, data_hits, spinups = self._counters()

@@ -14,9 +14,9 @@ Energy awareness lives where the disks live (§IV-D): the *source* node
 serves the pull from its buffer disk when the file is prefetched (the
 buffer disk never sleeps, so no spindle wakes), and the *target* node
 writes the new replica to an already-awake data disk when one exists.
-The server only throttles: at most ``rereplication_batch`` repairs per
-interval, so recovery I/O trickles instead of stampeding every sleeping
-disk awake at once.
+The server only throttles: at most :data:`REREPLICATION_BATCH` repairs
+in flight per :data:`REREPLICATION_CHECK_INTERVAL_S`, so recovery I/O
+trickles instead of stampeding every sleeping disk awake at once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.server import StorageServer
 
+#: Seconds between scans for under-replicated files.
+REREPLICATION_CHECK_INTERVAL_S = 5.0
+#: Repairs in flight at most -- throttles recovery I/O so it trickles
+#: instead of waking every sleeping disk at once.
+REREPLICATION_BATCH = 4
+
 
 class ReplicationManager:
     """The server-side repair loop of the replication subsystem."""
@@ -36,7 +42,6 @@ class ReplicationManager:
     def __init__(self, server: "StorageServer") -> None:
         self.server = server
         self.sim = server.sim
-        self.config = server.config
         self.factor = server.config.replication_factor
         #: file_id -> dispatch time of repairs awaiting completion.
         self._inflight: Dict[int, float] = {}
@@ -49,7 +54,7 @@ class ReplicationManager:
     # -- the repair loop -------------------------------------------------------
 
     def _loop(self) -> Generator[Event, Any, None]:
-        interval = self.config.rereplication_check_interval_s
+        interval = REREPLICATION_CHECK_INTERVAL_S
         timeout = 10.0 * interval
         while True:
             yield self.sim.timeout(interval)
@@ -59,7 +64,7 @@ class ReplicationManager:
             for file_id, started in list(self._inflight.items()):
                 if now - started > timeout:
                     del self._inflight[file_id]
-            budget = self.config.rereplication_batch - len(self._inflight)
+            budget = REREPLICATION_BATCH - len(self._inflight)
             if budget <= 0:
                 continue
             for file_id in self.server.metadata.under_replicated(self.factor):

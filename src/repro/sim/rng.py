@@ -1,7 +1,7 @@
 """Named, reproducible random-number streams.
 
 Every stochastic component of the reproduction (arrival process, file
-selection, size sampling, service jitter, ...) draws from its own *named*
+selection, size sampling, spin-up jitter, ...) draws from its own *named*
 stream.  Streams are derived deterministically from a single root seed and
 the stream name, so:
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EEVFSConfig, run_eevfs
+from repro.core import node as node_module
 from repro.core.filesystem import EEVFSCluster
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
@@ -22,53 +23,41 @@ def write_trace(n_requests=150, write_fraction=1.0, seed=9, **kwargs):
     )
 
 
-class TestConfig:
-    def test_destage_interval_validated(self):
-        with pytest.raises(ValueError):
-            EEVFSConfig(destage_check_interval_s=0)
-
-    def test_highwater_validated(self):
-        with pytest.raises(ValueError):
-            EEVFSConfig(destage_highwater_fraction=0.0)
-        with pytest.raises(ValueError):
-            EEVFSConfig(destage_highwater_fraction=1.5)
+def set_destage(monkeypatch, **constants):
+    """Patch ``repro.core.node.DESTAGE_<NAME>`` to each NAME=value."""
+    for name, value in constants.items():
+        monkeypatch.setattr(node_module, f"DESTAGE_{name.upper()}", value)
 
 
 class TestDestaging:
-    def test_buffered_writes_get_destaged(self):
+    def test_buffered_writes_get_destaged(self, monkeypatch):
+        set_destage(monkeypatch, check_interval_s=5.0, max_dirty_age_s=20.0)
         trace = write_trace()
-        result = run_eevfs(
-            trace,
-            EEVFSConfig(destage_check_interval_s=5.0, destage_max_dirty_age_s=20.0),
-        )
+        result = run_eevfs(trace, EEVFSConfig())
         assert result.writes_buffered > 0
         assert result.writes_destaged > 0
 
-    def test_destage_disabled_leaves_data_dirty(self):
+    def test_destage_disabled_leaves_data_dirty(self, monkeypatch):
+        # The first check falls after the end of the run.
+        set_destage(monkeypatch, check_interval_s=1e6)
         trace = write_trace()
-        cluster = EEVFSCluster(config=EEVFSConfig(destage_enabled=False))
+        cluster = EEVFSCluster(config=EEVFSConfig())
         result = cluster.run(trace)
         assert result.writes_destaged == 0
         assert any(n.write_buffer.dirty_bytes > 0 for n in cluster.nodes)
 
-    def test_destage_drains_most_dirty_data(self):
+    def test_destage_drains_most_dirty_data(self, monkeypatch):
+        set_destage(monkeypatch, check_interval_s=2.0, max_dirty_age_s=10.0)
         trace = write_trace(n_requests=100, inter_arrival_s=1.0)
-        cluster = EEVFSCluster(
-            config=EEVFSConfig(
-                destage_check_interval_s=2.0, destage_max_dirty_age_s=10.0
-            )
-        )
+        cluster = EEVFSCluster(config=EEVFSConfig())
         result = cluster.run(trace)
         total_staged = sum(n.write_buffer.writes_staged for n in cluster.nodes)
         assert result.writes_destaged >= total_staged * 0.3
 
-    def test_destage_io_lands_on_data_disks(self):
+    def test_destage_io_lands_on_data_disks(self, monkeypatch):
+        set_destage(monkeypatch, check_interval_s=5.0, max_dirty_age_s=20.0)
         trace = write_trace()
-        cluster = EEVFSCluster(
-            config=EEVFSConfig(
-                destage_check_interval_s=5.0, destage_max_dirty_age_s=20.0
-            )
-        )
+        cluster = EEVFSCluster(config=EEVFSConfig())
         cluster.run(trace)
         destaged_bytes = sum(n.bytes_destaged for n in cluster.nodes)
         data_written = sum(
@@ -79,21 +68,21 @@ class TestDestaging:
         # (prefetch reads excluded by using write_fraction=1).
         assert data_written >= destaged_bytes * 0.99
 
-    def test_reads_still_served_from_buffer_while_dirty(self):
+    def test_reads_still_served_from_buffer_while_dirty(self, monkeypatch):
         """A read of a dirty file must hit the buffer copy."""
+        set_destage(monkeypatch, check_interval_s=1e6)
         trace = write_trace(write_fraction=0.5)
-        result = run_eevfs(trace, EEVFSConfig(destage_check_interval_s=1e6))
+        result = run_eevfs(trace, EEVFSConfig())
         # With destaging effectively off and 50% writes staged, reads of
         # previously written files count as buffer hits.
         assert result.buffer_hits > 0
 
-    def test_forced_destage_at_highwater(self):
+    def test_forced_destage_at_highwater(self, monkeypatch):
         """A small buffer capacity forces destaging even to sleeping disks."""
+        set_destage(monkeypatch, check_interval_s=2.0, highwater_fraction=0.5)
         trace = write_trace(n_requests=120, data_size_bytes=4 * MB)
         config = EEVFSConfig(
             buffer_capacity_bytes=40 * MB,
-            destage_check_interval_s=2.0,
-            destage_highwater_fraction=0.5,
             prefetch_files=0,  # leave the whole budget to the write buffer
         )
         cluster = EEVFSCluster(config=config)
@@ -103,9 +92,10 @@ class TestDestaging:
             capacity = node.write_buffer.capacity_bytes
             assert node.write_buffer.dirty_bytes <= capacity
 
-    def test_all_requests_complete_with_destaging(self):
+    def test_all_requests_complete_with_destaging(self, monkeypatch):
+        set_destage(monkeypatch, check_interval_s=3.0)
         trace = write_trace(write_fraction=0.7)
-        result = run_eevfs(trace, EEVFSConfig(destage_check_interval_s=3.0))
+        result = run_eevfs(trace, EEVFSConfig())
         assert result.requests_total == trace.n_requests
 
 
@@ -129,23 +119,40 @@ class TestDestageUnderContention:
         node = StorageNode(sim, fabric, spec, config or EEVFSConfig())
         return sim, node
 
-    def test_redirty_mid_destage_keeps_the_newer_copy(self):
+    def _rewrite_mid_destage(self, size_bytes):
+        """Destage a dirty 10 MB file while a rewrite of *size_bytes*
+        lands during the destage's buffer read; returns the node."""
         sim, node = self._node()
         node.metadata.create(0, 10 * MB)
         node.write_buffer.stage(0, 10 * MB, sim.now)
         destage = sim.process(node._destage_one(0))
 
         def rewriter():
-            # Land while the destage's buffer read is still in service.
             yield sim.timeout(0.01)
-            node.write_buffer.stage(0, 12 * MB, sim.now)
+            node.write_buffer.stage(0, size_bytes, sim.now)
 
         sim.process(rewriter())
         sim.run(until=destage)
+        return node
+
+    def test_redirty_mid_destage_keeps_the_newer_copy(self):
+        node = self._rewrite_mid_destage(12 * MB)
         # The write-back completed, but the newer staged data survived
         # it: the file is still dirty at the rewritten size.
         assert node.writes_destaged == 1
         assert dict(node.write_buffer.destage_plan()) == {0: 12 * MB}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_destage_one tells a newer write apart by its size, and the "
+        "node stages every write of a file at the same size, so the rewrite "
+        "is marked clean; WriteBuffer.staged_at would tell them apart",
+    )
+    def test_redirty_at_the_same_size_keeps_the_newer_copy(self):
+        # The size every staged write of this file has in a run.
+        node = self._rewrite_mid_destage(10 * MB)
+        assert node.writes_destaged == 1
+        assert dict(node.write_buffer.destage_plan()) == {0: 10 * MB}
 
     def test_reads_route_to_buffer_throughout_the_writeback(self):
         sim, node = self._node()

@@ -75,12 +75,13 @@ def test_equal_priority_stays_fifo():
     assert order == ["a", "b", "c"]
 
 
-def test_destage_does_not_delay_demand_reads():
+def test_destage_does_not_delay_demand_reads(monkeypatch):
     """End to end: a node's background destage queued on the buffer disk
     must not stall a client read of a dirty file."""
     import numpy as np
 
     from repro.core import EEVFSConfig, run_eevfs
+    from repro.core import node as node_module
     from repro.traces.synthetic import MB as TMB
     from repro.traces.synthetic import SyntheticWorkload, generate_synthetic_trace
 
@@ -95,11 +96,12 @@ def test_destage_does_not_delay_demand_reads():
         ),
         rng=np.random.default_rng(3),
     )
-    eager = run_eevfs(
-        trace,
-        EEVFSConfig(destage_check_interval_s=1.0, destage_max_dirty_age_s=2.0),
-    )
-    lazy = run_eevfs(trace, EEVFSConfig(destage_enabled=False))
+    monkeypatch.setattr(node_module, "DESTAGE_CHECK_INTERVAL_S", 1.0)
+    monkeypatch.setattr(node_module, "DESTAGE_MAX_DIRTY_AGE_S", 2.0)
+    eager = run_eevfs(trace, EEVFSConfig())
+    # Lazy: the first destage check falls after the end of the run.
+    monkeypatch.setattr(node_module, "DESTAGE_CHECK_INTERVAL_S", 1e6)
+    lazy = run_eevfs(trace, EEVFSConfig())
     # Aggressive destaging must cost little response time thanks to
     # background priority.
     assert eager.mean_response_s < lazy.mean_response_s * 1.25

@@ -1,6 +1,5 @@
 """Unit tests for the service-time model."""
 
-import numpy as np
 import pytest
 
 from repro.disk import ATA_80GB_TYPE1, ServiceTimeModel
@@ -39,30 +38,6 @@ def test_service_time_monotone_in_size(model):
     sizes = [1 * MB, 5 * MB, 25 * MB, 50 * MB]
     times = [model.service_time(s) for s in sizes]
     assert times == sorted(times)
-
-
-def test_jitter_requires_rng():
-    with pytest.raises(ValueError):
-        ServiceTimeModel(ATA_80GB_TYPE1, jitter=0.1)
-
-
-def test_negative_jitter_rejected():
-    with pytest.raises(ValueError):
-        ServiceTimeModel(ATA_80GB_TYPE1, jitter=-0.1, rng=np.random.default_rng(0))
-
-
-def test_jitter_varies_but_stays_positive():
-    model = ServiceTimeModel(ATA_80GB_TYPE1, jitter=0.3, rng=np.random.default_rng(0))
-    times = [model.service_time(10 * MB) for _ in range(200)]
-    assert len(set(times)) > 1
-    assert all(t >= 0 for t in times)
-
-
-def test_jitter_mean_near_nominal():
-    model = ServiceTimeModel(ATA_80GB_TYPE1, jitter=0.05, rng=np.random.default_rng(1))
-    nominal = ServiceTimeModel(ATA_80GB_TYPE1).service_time(10 * MB)
-    mean = np.mean([model.service_time(10 * MB) for _ in range(2000)])
-    assert mean == pytest.approx(nominal, rel=0.01)
 
 
 def test_throughput_below_media_bandwidth(model):

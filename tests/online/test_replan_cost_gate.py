@@ -13,8 +13,10 @@ that default is itself under test here.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import EEVFSConfig, run_eevfs
+from repro.online import controller
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
 
@@ -34,9 +36,16 @@ def saturated_trace(seed=7):
     )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def control_every_10s():
+    """Short traces: tick the controller every 10 s, not 30 s."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "CONTROL_INTERVAL_S", 10.0)
+        yield
+
+
 def online_config(**kwargs):
     kwargs.setdefault("online_mode", True)
-    kwargs.setdefault("online_control_interval_s", 10.0)
     kwargs.setdefault("online_replan_epoch_s", 20.0)
     return EEVFSConfig(**kwargs)
 

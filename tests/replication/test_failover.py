@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import EEVFSConfig
 from repro.core.filesystem import EEVFSCluster
+from repro.replication import repair
 from repro.core.metadata import ServerMetadata
 from repro.faults import FaultSchedule
 from repro.traces import generate_synthetic_trace
@@ -131,7 +132,7 @@ class TestWholeNodeFailover:
 
     def test_losing_every_holder_fails_cleanly(self):
         """Factor 2, both holder nodes down: explicit failures, no hang."""
-        config = EEVFSConfig(replication_factor=2, rereplication_enabled=False)
+        config = EEVFSConfig(replication_factor=2)
         cluster = EEVFSCluster(
             config=config,
             faults=(
@@ -162,22 +163,10 @@ class TestReReplication:
         for file_id in range(80):
             assert len(md.live_holders(file_id)) >= 2
 
-    def test_rereplication_can_be_disabled(self):
-        config = EEVFSConfig(replication_factor=2, rereplication_enabled=False)
-        cluster = EEVFSCluster(
-            config=config,
-            faults=FaultSchedule().node_fail("node3", at=20.0),
-        )
-        result = cluster.run(trace())
-        assert result.repairs_completed == 0
-        assert result.under_replicated_files > 0
-
-    def test_repair_respects_batch_throttle(self):
-        config = EEVFSConfig(
-            replication_factor=2,
-            rereplication_batch=1,
-            rereplication_check_interval_s=30.0,
-        )
+    def test_repair_respects_batch_throttle(self, monkeypatch):
+        monkeypatch.setattr(repair, "REREPLICATION_BATCH", 1)
+        monkeypatch.setattr(repair, "REREPLICATION_CHECK_INTERVAL_S", 30.0)
+        config = EEVFSConfig(replication_factor=2)
         cluster = EEVFSCluster(
             config=config,
             faults=FaultSchedule().node_fail("node3", at=20.0),
@@ -199,12 +188,3 @@ class TestReplicatedWrites:
         result = cluster.run(mixed)
         assert result.writes_fanned_out > 0
         assert result.requests_failed == 0
-
-    def test_fanout_can_be_disabled(self):
-        mixed = generate_synthetic_trace(
-            SyntheticWorkload(n_files=80, n_requests=200, write_fraction=0.3),
-            rng=np.random.default_rng(6),
-        )
-        config = EEVFSConfig(replication_factor=2, replicate_writes=False)
-        result = EEVFSCluster(config=config).run(mixed)
-        assert result.writes_fanned_out == 0

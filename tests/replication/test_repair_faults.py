@@ -45,9 +45,7 @@ def mid_repair_schedule():
 
 class TestFaultMidRepair:
     def _run(self):
-        config = EEVFSConfig(
-            replication_factor=2, rereplication_check_interval_s=5.0
-        )
+        config = EEVFSConfig(replication_factor=2)
         cluster = EEVFSCluster(config=config, faults=mid_repair_schedule())
         result = cluster.run(trace())
         return cluster, result
@@ -118,7 +116,6 @@ class TestRepairThroughLeaderlessPlane:
         replicated state catches up with the server's metadata."""
         config = EEVFSConfig(
             replication_factor=2,
-            rereplication_check_interval_s=5.0,
             metadata_plane=True,
             metadata_shards=1,
             metadata_replicas=3,

@@ -160,6 +160,7 @@ class TestInputErrors:
             ["trace-stats", "{tmp}/nan.trace"],
             ["trace-stats", "{tmp}/inf.trace"],
             ["compare", "--config", "{tmp}/missing.json"],
+            ["--requests", "30", "compare", "--config", "{tmp}/removed-key.json"],
             ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
             ["faults", "--fail-node", "node99"],
             ["bench"],
@@ -204,6 +205,7 @@ class TestInputErrors:
             "trace-stats-nan-time",
             "trace-stats-inf-time",
             "compare-missing-config",
+            "compare-config-with-removed-field",
             "negative-requests",
             "faults-unknown-node",
             "removed-bench-command",
@@ -244,11 +246,18 @@ class TestInputErrors:
         catalog = "#eevfs-trace v1\nF 0 1\nF 1 1\n"
         (tmp_path / "nan.trace").write_text(catalog + "R nan 1 read\n")
         (tmp_path / "inf.trace").write_text(catalog + "R inf 0 read\n")
+        # An experiment file written before destage_check_interval_s
+        # became a constant of repro.core.node.
+        (tmp_path / "removed-key.json").write_text(
+            '{"policy": {"destage_check_interval_s": 10.0}}\n'
+        )
         with pytest.raises(SystemExit) as exit_info:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument" in err
+        if "removed-key.json" in argv[-1]:
+            assert "unknown EEVFSConfig keys" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.trace").exists()
 

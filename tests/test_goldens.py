@@ -289,7 +289,7 @@ SCENARIOS = {
     # buffer disk: the serve chain's silent and failover branches.
     "replication": JobSpec(
         trace=scenario_trace(write_fraction=0.4),
-        config=EEVFSConfig(replication_factor=2, replicate_writes=True),
+        config=EEVFSConfig(replication_factor=2),
         seed=7,
         faults=(
             FaultSchedule()
