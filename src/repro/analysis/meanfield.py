@@ -121,11 +121,6 @@ class MeanFieldResult:
         return 1.0 - self.pf_energy_j / self.npf_energy_j
 
 
-def _disk_service_s(spec: DiskSpec, size_bytes: float) -> float:
-    """Random-read service time (positioning + media transfer)."""
-    return spec.positioning_s + size_bytes / spec.bandwidth_bps
-
-
 def _geometric_tail(q: float, k: int) -> float:
     """P(G >= k) for G ~ Geometric(q) on {1, 2, ...}."""
     if q >= 1.0:
@@ -176,7 +171,7 @@ def _disk_occupancy_pf(
     """Expected occupancy of one power-managed data disk."""
     threshold = effective_threshold(spec, idle_threshold_s)
     accesses = n_requests * miss_mass
-    busy_s = accesses * _disk_service_s(spec, size_bytes)
+    busy_s = accesses * spec.service_time(size_bytes)
     t_pair = spec.spindown_s + spec.spinup_s
 
     if node_mass <= 0 or accesses < 0.5:
@@ -241,7 +236,7 @@ def _disk_occupancy_npf(
     size_bytes: float,
 ) -> DiskOccupancy:
     """NPF data disk: idles between services, never sleeps."""
-    busy_s = n_requests * mass * _disk_service_s(spec, size_bytes)
+    busy_s = n_requests * mass * spec.service_time(size_bytes)
     busy_s = min(busy_s, duration_s)
     idle_s = duration_s - busy_s
     energy = spec.power_idle_w * idle_s + spec.power_active_w * busy_s
@@ -264,7 +259,7 @@ def _buffer_energy_j(
 ) -> float:
     """Buffer disk: never sleeps; active for its hit services."""
     busy_s = min(
-        duration_s, n_requests * hit_mass * _disk_service_s(spec, size_bytes)
+        duration_s, n_requests * hit_mass * spec.service_time(size_bytes)
     )
     return spec.power_idle_w * (duration_s - busy_s) + spec.power_active_w * busy_s
 
@@ -353,12 +348,12 @@ def _build_stations(
         stations.append((node_masses[i], size / min(node.nic_bps, client_bw)))
         if per_node_hit_mass[i] > 0:
             stations.append(
-                (per_node_hit_mass[i], _disk_service_s(node.buffer_spec, size))
+                (per_node_hit_mass[i], node.buffer_spec.service_time(size))
             )
         for miss_mass in per_node_disk_miss[i]:
             if miss_mass > 0:
                 stations.append(
-                    (miss_mass, _disk_service_s(node.disk_spec, size) + spinup_wait_s)
+                    (miss_mass, node.disk_spec.service_time(size) + spinup_wait_s)
                 )
     delay = NODE_OVERHEAD_S + 2.0 * cluster.fabric_latency_s
     return stations, delay

@@ -50,6 +50,7 @@ from repro.sim.resources import Mailbox
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
+    from repro.core.config import EEVFSConfig
     from repro.obs.tracer import Span
 
 
@@ -179,6 +180,21 @@ class SSDSpec:
         """A copy with some fields replaced (sweep convenience)."""
         return replace(self, **overrides)  # type: ignore[arg-type]
 
+    @staticmethod
+    def for_config(config: "EEVFSConfig") -> "SSDSpec":
+        """The flash device an SSD tier of *config* gets:
+        :data:`SATA_SSD_32GB` with the config's sweep overrides applied."""
+        overrides: Dict[str, object] = {}
+        if config.ssd_capacity_mb is not None:
+            overrides["capacity_bytes"] = config.ssd_capacity_mb * 1024 * 1024
+        if config.ssd_channels is not None:
+            overrides["n_channels"] = config.ssd_channels
+        if config.ssd_gc_free_fraction is not None:
+            overrides["gc_free_fraction"] = config.ssd_gc_free_fraction
+        if not overrides:
+            return SATA_SSD_32GB
+        return replace(SATA_SSD_32GB, **overrides)  # type: ignore[arg-type]
+
 
 #: A small SATA SSD of the paper's era -- the natural log-disk upgrade.
 SATA_SSD_32GB = SSDSpec(name="sata-ssd-32g", capacity_bytes=32 * 1024**3)
@@ -302,14 +318,15 @@ class SSDBackend(StorageBackend):
         self._destage_entry: Optional[_CacheEntry] = None
         self._destage_wipes = 0
         self._destage_span: Optional["Span"] = None
-        # Server, destager and channels are flat callbacks, each kicked
-        # off URGENT now: the slot its process would start in.
+        # Server, destager, channels and idle watchdog are flat
+        # callbacks, each kicked off URGENT now: the slot its process
+        # would start in.
         sim.call_soon(self._await_request, priority=URGENT)
         sim.call_soon(self._destage_next, priority=URGENT)
         for channel in range(spec.n_channels):
             sim.call_soon(self._await_job, channel, priority=URGENT)
         if auto_sleep_after is not None:
-            self._start_watchdog()
+            sim.call_soon(self._watch, priority=URGENT)
 
     # -- public API ----------------------------------------------------------------
 

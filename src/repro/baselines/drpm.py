@@ -29,22 +29,6 @@ class DRPMNode(StorageNode):
 
     DISK_IDLE_ACTION = "low_speed"
 
-    def shift_counts(self) -> int:
-        """Total speed shifts across this node's data disks."""
-        return sum(d.shift_count for d in self.data_disks)
-
-
-class TwoStageDRPMNode(DRPMNode):
-    """Hybrid: shift to low speed first, standby after prolonged idleness.
-
-    Low speed absorbs the short idle windows cheaply (1 s / 9 J shifts);
-    windows that stretch past the second-stage timer graduate to full
-    standby for the deep savings.  Spin-ups from standby still cost ~2 s,
-    but only the genuinely long windows ever get there.
-    """
-
-    DISK_SECOND_STAGE_S = 30.0
-
 
 def drpm_cluster(
     base: Optional[ClusterSpec] = None,

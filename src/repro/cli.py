@@ -82,6 +82,28 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _output_file(text: str) -> str:
+    """A file the command writes: checked before any run, since most
+    commands write only after the whole study."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    return text
+
+
+def _output_dir(text: str) -> str:
+    """A directory the command creates, with its parents, if missing: the
+    nearest existing path on the way up must be a directory."""
+    existing = os.path.abspath(text)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(f"not a directory: {existing!r}")
+    return text
+
+
 def _trace_file(text: str):
     """Read an eevfs trace file (see :mod:`repro.traces.logio`)."""
     from repro.traces import read_trace
@@ -661,10 +683,13 @@ def _cmd_meanfield(args: argparse.Namespace) -> None:
 
 
 def _traced_run(args: argparse.Namespace):
-    """Run the default paper workload with observability attached."""
+    """Replay the ``--trace`` file, or else the default paper workload,
+    with observability attached.  An empty trace file replays nothing."""
     from repro.core import EEVFSConfig, run_eevfs
 
-    workload_trace = args.trace or _default_trace(args.requests).generate()
+    workload_trace = args.trace
+    if workload_trace is None:
+        workload_trace = _default_trace(args.requests).generate()
     config = EEVFSConfig(prefetch_enabled=not getattr(args, "npf", False))
     return run_eevfs(workload_trace, config, seed=args.seed, obs=True)
 
@@ -781,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{3,4,5,6}",
         help="subset to run (default: all four)",
     )
-    figures.add_argument("--out", help="directory for CSV/JSON export")
+    figures.add_argument("--out", type=_output_dir, help="directory for CSV/JSON export")
     figures.add_argument(
         "--chart", action="store_true", help="also draw ASCII bar charts"
     )
@@ -799,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run every reproduction shape check (pass/fail)"
     ).set_defaults(func=_cmd_verify)
     report = sub.add_parser("report", help="full Markdown reproduction report")
-    report.add_argument("--out", help="output file (default: stdout)")
+    report.add_argument("--out", type=_output_file, help="output file (default: stdout)")
     report.set_defaults(func=_cmd_report)
     comparer = sub.add_parser(
         "compare", help="PF vs NPF deep dive (breakdowns, wear)"
@@ -896,6 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--json",
+        type=_output_file,
         default=None,
         metavar="PATH",
         help="write every drill run's record (canonical JSON) to PATH",
@@ -957,6 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     online.add_argument(
         "--json",
+        type=_output_file,
         metavar="PATH",
         help="write every run's record (canonical JSON) to PATH",
     )
@@ -996,6 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssd.add_argument(
         "--json",
+        type=_output_file,
         metavar="PATH",
         help="write every run's record (canonical JSON) to PATH",
     )
@@ -1010,17 +1038,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the discrete simulator and report per-point errors",
     )
     meanfield.add_argument(
-        "--json", metavar="PATH", help="write the table (and validation) to PATH"
+        "--json", type=_output_file, metavar="PATH", help="write the table (and validation) to PATH"
     )
     meanfield.set_defaults(func=_cmd_meanfield)
     tracer = sub.add_parser(
         "trace", help="traced run: export Chrome trace JSON / JSONL / CSV"
     )
     tracer.add_argument(
-        "--out", default="eevfs_trace.json", help="Chrome trace-event JSON path"
+        "--out", type=_output_file, default="eevfs_trace.json", help="Chrome trace-event JSON path"
     )
-    tracer.add_argument("--jsonl", help="also dump one JSON object per span")
-    tracer.add_argument("--csv", help="also dump sampled telemetry series (CSV)")
+    tracer.add_argument("--jsonl", type=_output_file, help="also dump one JSON object per span")
+    tracer.add_argument("--csv", type=_output_file, help="also dump sampled telemetry series (CSV)")
     tracer.add_argument(
         "--trace", type=_trace_file, help="replay this trace file instead"
     )
@@ -1040,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     profiler.set_defaults(func=_cmd_profile)
     gen = sub.add_parser("trace-gen", help="generate a workload trace file")
     gen.add_argument("kind", choices=["synthetic", "berkeley", "drifting"])
-    gen.add_argument("path", help="output trace file")
+    gen.add_argument("path", type=_output_file, help="output trace file")
     gen.add_argument(
         "--mu", type=_checked(float, lambda mu: SyntheticWorkload(mu=mu)), default=1000.0
     )

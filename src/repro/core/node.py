@@ -26,7 +26,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import build_backend, tier_spec
+from repro.backend.ssd import SSDBackend, SSDSpec
 from repro.core.config import EEVFSConfig, NODE_OVERHEAD_S, NodeSpec
 from repro.core.metadata import NodeMetadata
 from repro.core.power import PowerManager
@@ -51,6 +51,7 @@ from repro.disk.drive import (
     PRIORITY_BACKGROUND,
     PRIORITY_PREFETCH,
     RequestKind,
+    SimDisk,
     StorageBackend,
 )
 from repro.net.fabric import Fabric
@@ -76,9 +77,6 @@ class StorageNode:
     #: What a data disk's idle timer does on expiry; the DRPM baseline
     #: overrides this to "low_speed".
     DISK_IDLE_ACTION = "standby"
-    #: Two-stage DRPM: further idle seconds at low speed before standby
-    #: (None = single-stage behaviour).
-    DISK_SECOND_STAGE_S: Optional[float] = None
 
     def __init__(
         self,
@@ -167,18 +165,15 @@ class StorageNode:
         ``ssd_buffer_idle_s`` is set, because its break-even window is
         milliseconds rather than the spindle's tens of seconds.
         """
-        spec = tier_spec(self.config, "buffer", self.spec.buffer_spec)
-        idle = (
-            self.config.ssd_buffer_idle_s
-            if self.config.buffer_backend == "ssd"
-            else None
-        )
-        return build_backend(
-            self.sim,
-            spec,
-            name=f"{self.spec.name}/buffer",
-            auto_sleep_after=idle,
-        )
+        name = f"{self.spec.name}/buffer"
+        if self.config.buffer_backend == "ssd":
+            return SSDBackend(
+                self.sim,
+                SSDSpec.for_config(self.config),
+                name=name,
+                auto_sleep_after=self.config.ssd_buffer_idle_s,
+            )
+        return SimDisk(self.sim, self.spec.buffer_spec, name=name)
 
     def _build_data_disk(
         self,
@@ -188,16 +183,30 @@ class StorageNode:
         rng: Optional[np.random.Generator],
     ) -> StorageBackend:
         """One data disk for whichever backend the config names."""
-        spec = tier_spec(self.config, "data", self.spec.disk_spec)
-        return build_backend(
+        name = f"{self.spec.name}/data{index}"
+        rng = None if rng is None or spinup_jitter == 0 else rng
+        if self.config.data_backend == "ssd":
+            if self.DISK_IDLE_ACTION != "standby":
+                raise ValueError(
+                    f"{name}: idle_action={self.DISK_IDLE_ACTION!r} needs a spinning "
+                    f"drive; an SSD has no low-RPM operating point"
+                )
+            return SSDBackend(
+                self.sim,
+                SSDSpec.for_config(self.config),
+                name=name,
+                auto_sleep_after=timer,
+                spinup_jitter=spinup_jitter,
+                rng=rng,
+            )
+        return SimDisk(
             self.sim,
-            spec,
-            name=f"{self.spec.name}/data{index}",
+            self.spec.disk_spec,
+            name=name,
             auto_sleep_after=timer,
             idle_action=self.DISK_IDLE_ACTION,
-            second_stage_after=self.DISK_SECOND_STAGE_S,
             spinup_jitter=spinup_jitter,
-            rng=(None if rng is None or spinup_jitter == 0 else rng),
+            rng=rng,
         )
 
     # -- energy accounting ------------------------------------------------------------

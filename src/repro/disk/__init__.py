@@ -6,9 +6,8 @@ of the disk model defined here:
 
 * :mod:`repro.disk.states` -- the power-state machine,
 * :mod:`repro.disk.specs` -- drive parameter sets (a catalog mirroring the
-  paper's Table I testbed drives),
-* :mod:`repro.disk.service` -- request service-time model
-  (seek + rotation + transfer),
+  paper's Table I testbed drives), each timing its own request service
+  (seek + rotation + transfer, :meth:`DiskSpec.service_time`),
 * :mod:`repro.disk.energy` -- energy metering and break-even analysis,
 * :mod:`repro.disk.drive` -- :class:`StorageBackend`, what every device
   model shares, and :class:`SimDisk`, the simulated drive process.
@@ -16,7 +15,6 @@ of the disk model defined here:
 
 from repro.disk.drive import DiskRequest, RequestKind, SimDisk, StorageBackend
 from repro.disk.energy import break_even_time, EnergyMeter, standby_power_savings
-from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import (
     ATA_80GB_TYPE1,
     ATA_80GB_TYPE2,
@@ -37,7 +35,6 @@ __all__ = [
     "LEGAL_TRANSITIONS",
     "RequestKind",
     "SATA_120GB_SERVER",
-    "ServiceTimeModel",
     "SimDisk",
     "StorageBackend",
     "break_even_time",

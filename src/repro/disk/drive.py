@@ -31,7 +31,6 @@ import itertools
 from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
 
 from repro.disk.energy import EnergyMeter, PowerEnvelope
-from repro.disk.service import ServiceTimeModel
 from repro.disk.specs import DiskSpec
 from repro.disk.states import DiskState
 from repro.sim.engine import hold_slot, Simulator
@@ -101,15 +100,14 @@ class StorageBackend:
     transitions (an SSD reads them as DEVSLP exit/entry through its
     spec), injected spin-up failures, and ``fail``/``repair``.
 
-    A subclass starts its own server in ``__init__`` (server kick-off
-    first, idle watchdog last) and supplies:
+    A subclass starts its own server in ``__init__`` and supplies:
 
     * the server -- flat callbacks that take requests off :attr:`queue`
       and serve them, kicked off URGENT at construction (the slot a
       server process's kick-off event would take);
     * :meth:`request_sleep` -- when the device may sleep;
     * :meth:`_watch` -- one turn of the built-in idle timer's loop,
-      started by :meth:`_start_watchdog` and re-armed by :meth:`repair`;
+      kicked off URGENT at construction, after the server;
     * :meth:`_on_fail` -- device-internal state lost on :meth:`fail`.
 
     Transitions and the idle timer are flat callbacks too, each in the
@@ -180,9 +178,6 @@ class StorageBackend:
         #: Open spinup/spindown span (observability only; None otherwise).
         self._transition_span: Optional["Span"] = None
         self._idle_started: Event = sim.event()
-        #: The idle watchdog is running (it ends only when a transition it
-        #: waited on fails; :meth:`repair` then starts a new one).
-        self._watching = False
         #: An idle timer is running and no activity has retired it yet.
         self._watchdog_timing = False
         #: Identifies the running idle timer; activity bumps it, so the
@@ -337,10 +332,6 @@ class StorageBackend:
         if self.state is not DiskState.FAILED:
             return
         self._set_state(DiskState.STANDBY)
-        # The idle watchdog may have died waiting out the failed
-        # transition; re-arm it so power management resumes.
-        if self.auto_sleep_after is not None and not self._watching:
-            self._start_watchdog()
 
     def set_idle_threshold(self, seconds: float) -> None:
         """Retarget the built-in idle timer (adaptive power management).
@@ -480,11 +471,6 @@ class StorageBackend:
 
     # -- the idle watchdog ------------------------------------------------------------
 
-    def _start_watchdog(self) -> None:
-        """Kick the idle watchdog off URGENT now."""
-        self._watching = True
-        self.sim.call_soon(self._watch, priority=URGENT)
-
     def _arm_watch_timer(self, delay: float, action: Callable[[], bool]) -> None:
         """Run *action* after *delay* seconds unless activity comes first."""
         self._watchdog_timing = True
@@ -518,20 +504,17 @@ class StorageBackend:
 class SimDisk(StorageBackend):
     """A spinning drive attached to the simulation.
 
-    Adds to :class:`StorageBackend` the positioning + transfer service
-    model, a FIFO (priority) server in which a request already in
-    service completes even if the drive fails (the head was
-    mid-transfer; simulation granularity), and the DRPM-style speed
-    shifts of multi-speed drives.
+    Adds to :class:`StorageBackend` a FIFO (priority) server timed by
+    :meth:`DiskSpec.service_time` (positioning + transfer), in which a
+    request already in service completes even if the drive fails (the
+    head was mid-transfer; simulation granularity), and the DRPM-style
+    shift of multi-speed drives down to their low-RPM point.
 
     Parameters
     ----------
     idle_action:
         What the idle watchdog does on expiry: full ``"standby"`` (the
         paper) or a DRPM-style shift to ``"low_speed"``.
-    second_stage_after:
-        Two-stage hybrid: after this much further idleness at low speed,
-        the drive proceeds to standby (None = stay low).
 
     The other parameters are :class:`StorageBackend`'s.
     """
@@ -545,7 +528,6 @@ class SimDisk(StorageBackend):
         name: str = "disk",
         auto_sleep_after: Optional[float] = None,
         idle_action: str = "standby",
-        second_stage_after: Optional[float] = None,
         spinup_jitter: float = 0.0,
         rng: Optional["np.random.Generator"] = None,
     ) -> None:
@@ -553,11 +535,6 @@ class SimDisk(StorageBackend):
             raise ValueError(f"unknown idle_action: {idle_action!r}")
         if idle_action == "low_speed" and spec.low_speed is None:
             raise ValueError(f"{name}: idle_action='low_speed' needs a multi-speed spec")
-        if second_stage_after is not None:
-            if idle_action != "low_speed":
-                raise ValueError("second_stage_after requires idle_action='low_speed'")
-            if second_stage_after < 0:
-                raise ValueError("second_stage_after must be >= 0")
         super().__init__(
             sim,
             spec,
@@ -566,37 +543,30 @@ class SimDisk(StorageBackend):
             spinup_jitter=spinup_jitter,
             rng=rng,
         )
-        self.service = ServiceTimeModel(spec)
-        #: Low-speed service model (multi-speed drives only).
-        self.service_low = (
-            ServiceTimeModel(
-                spec.with_overrides(
-                    bandwidth_bps=spec.low_speed.bandwidth_bps, low_speed=None
-                )
-            )
+        #: The drive at its low-RPM point, which times low-speed service
+        #: (multi-speed drives only).
+        self.low_spec = (
+            spec.with_overrides(bandwidth_bps=spec.low_speed.bandwidth_bps, low_speed=None)
             if spec.low_speed is not None
             else None
         )
         self.idle_action = idle_action
-        self.second_stage_after = second_stage_after
         #: The request in service or waiting out a transition, with the
         #: speed, duration and span of its service.
         self._request: Optional[DiskRequest] = None
         self._low = False
         self._service_s = 0.0
         self._span: Optional["Span"] = None
-        # Kicked off URGENT now: the slot a server process would start in.
+        # Server and idle watchdog are kicked off URGENT now: the slot
+        # each one's process would start in.
         sim.call_soon(self._await_request, priority=URGENT)
         if auto_sleep_after is not None:
-            self._start_watchdog()
+            sim.call_soon(self._watch, priority=URGENT)
 
     def request_sleep(self) -> bool:
-        """Spin down if idle with nothing in flight.  Returns True if begun.
-
-        Legal from full-speed IDLE and (on multi-speed drives) from
-        LOW_IDLE -- the second stage of a hybrid DRPM policy.
-        """
-        if self.state not in (DiskState.IDLE, DiskState.LOW_IDLE) or self.inflight > 0:
+        """Spin down if idle at full speed with nothing in flight.
+        Returns True if begun."""
+        if self.state is not DiskState.IDLE or self.inflight > 0:
             return False
         self._begin_transition(DiskState.SPIN_DOWN, DiskState.STANDBY, self.spec.spindown_s)
         return True
@@ -605,7 +575,8 @@ class SimDisk(StorageBackend):
         """Drop to the low-RPM operating point (multi-speed drives).
 
         Allowed only from IDLE with nothing in flight.  Returns True if
-        the shift began; raises if the drive is not multi-speed.
+        the shift began; raises if the drive is not multi-speed.  The
+        drive then serves at low speed; nothing shifts it back up.
         """
         if self.spec.low_speed is None:
             raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
@@ -613,16 +584,6 @@ class SimDisk(StorageBackend):
             return False
         profile = self.spec.low_speed
         self._begin_transition(DiskState.SHIFT_DOWN, DiskState.LOW_IDLE, profile.shift_s)
-        return True
-
-    def shift_up(self) -> bool:
-        """Return to the full-RPM operating point.  True if begun."""
-        if self.spec.low_speed is None:
-            raise RuntimeError(f"{self.name} ({self.spec.name}) is not multi-speed")
-        if self.state is not DiskState.LOW_IDLE:
-            return False
-        profile = self.spec.low_speed
-        self._begin_transition(DiskState.SHIFT_UP, DiskState.IDLE, profile.shift_s)
         return True
 
     @property
@@ -666,9 +627,9 @@ class SimDisk(StorageBackend):
                 return
         low = self._low = self.state.is_low_speed
         self._set_state(DiskState.LOW_ACTIVE if low else DiskState.ACTIVE)
-        model = self.service_low if low else self.service
-        assert model is not None  # low implies a multi-speed spec
-        duration = self._service_s = self.slowdown * model.service_time(
+        spec = self.low_spec if low else self.spec
+        assert spec is not None  # low implies a multi-speed spec
+        duration = self._service_s = self.slowdown * spec.service_time(
             request.size_bytes, sequential=request.sequential
         )
         tracer = self.sim.tracer
@@ -713,10 +674,9 @@ class SimDisk(StorageBackend):
         self._await_request()
 
     def _watch(self, _value: Any = None) -> None:
-        """One turn of the idle timer's loop: time an idle (or, two-stage,
-        low-speed idle) period, wait out a transition, or park until the
-        drive drains.  Activity retires a running timer and runs the turn
-        again."""
+        """One turn of the idle timer's loop: time a full-speed idle
+        period, or park until the drive drains.  Activity retires a
+        running timer and runs the turn again."""
         if self.state is DiskState.IDLE and self.inflight == 0:
             # Re-read each idle period: set_idle_threshold may retune the
             # timer mid-run (the online controller's knob).
@@ -726,34 +686,10 @@ class SimDisk(StorageBackend):
                 auto_sleep_after,
                 self.shift_down if self.idle_action == "low_speed" else self.request_sleep,
             )
-        elif (
-            self.second_stage_after is not None
-            and self.state is DiskState.LOW_IDLE
-            and self.inflight == 0
-        ):
-            self._arm_watch_timer(self.second_stage_after, self.request_sleep)
-        elif self.state.is_transitioning and self.second_stage_after is not None:
-            # Re-check once the shift/spin completes (two-stage mode must
-            # arm its LOW_IDLE timer without waiting for I/O).  A
-            # transition in progress has not ended yet.
-            pending = self._transition_done
-            assert pending.callbacks is not None
-            pending.callbacks.append(self._watch_transition)
         else:
             idle = self._idle_started
             assert idle.callbacks is not None
             idle.callbacks.append(self._watch)
-
-    def _watch_transition(self, event: Event) -> None:
-        """The transition the watchdog waited out has ended."""
-        if event._ok:
-            self._watch()
-            return
-        # The drive failed mid-transition: the watchdog ends, and repair()
-        # starts a new one.
-        event._defused = True
-        self._watching = False
-        self.sim.call_soon(hold_slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

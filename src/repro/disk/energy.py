@@ -9,11 +9,10 @@ manufacture idle windows longer than it.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import NoReturn, Optional, Protocol, runtime_checkable
 
 from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import COUNTED_TRANSITIONS, DiskState, validate_transition
-from repro.sim.monitor import TimeWeightedStat
 
 
 @runtime_checkable
@@ -133,8 +132,10 @@ class EnergyMeter:
     """Per-drive energy account driven by state changes.
 
     Every call to :meth:`transition` validates the move against the state
-    machine, accrues energy for the elapsed interval at the old state's
-    power, and counts standby entries/exits (the paper's Fig. 4 metric).
+    machine, accrues energy and dwell time for the elapsed interval at
+    the old state's power, and counts standby entries/exits (the paper's
+    Fig. 4 metric).  The power draw is piecewise constant, so the energy
+    is the exact sum of power x dwell over the intervals, in order.
     """
 
     def __init__(
@@ -148,24 +149,28 @@ class EnergyMeter:
         # The spec never changes, so resolve the per-state power draw once
         # instead of recomputing it on every transition.
         self._power_w_by_state = _state_powers(spec)
-        self._power = TimeWeightedStat(
-            name=f"{spec.name}:power",
-            time=start_time,
-            level=self._power_w_by_state[initial_state],
-        )
+        #: The draw in the current state, and the joules accrued up to
+        #: the last transition.
+        self._power_w = self._power_w_by_state[initial_state]
+        self._energy_j = 0.0
+        self._last_time = float(start_time)
         self.transition_count = 0
         self.spinup_count = 0
         self.spindown_count = 0
         #: Speed shifts (multi-speed drives only; not in Fig. 4's metric).
         self.shift_count = 0
         self.time_in_state: dict[DiskState, float] = {s: 0.0 for s in DiskState}
-        self._last_time = start_time
 
     def transition(self, time: float, new_state: DiskState) -> None:
         """Move to *new_state* at *time*, accruing energy for the interval."""
         validate_transition(self.state, new_state)
-        self.time_in_state[self.state] += time - self._last_time
-        self._power.update(time, self._power_w_by_state[new_state])
+        time = float(time)
+        if time < self._last_time:
+            self._moved_backwards(time)
+        elapsed = time - self._last_time
+        self.time_in_state[self.state] += elapsed
+        self._energy_j += self._power_w * elapsed
+        self._power_w = self._power_w_by_state[new_state]
         if (self.state, new_state) in COUNTED_TRANSITIONS:
             self.transition_count += 1
             if new_state is DiskState.SPIN_DOWN:
@@ -178,19 +183,29 @@ class EnergyMeter:
         self._last_time = time
 
     def energy_j(self, until: Optional[float] = None) -> float:
-        """Total joules consumed from start until *until* (default: now)."""
-        return self._power.integral(until)
+        """Total joules consumed from start until *until* (default: the
+        last transition, or the close of the account)."""
+        if until is None:
+            return self._energy_j
+        until = float(until)
+        if until < self._last_time:
+            raise ValueError(f"until={until!r} precedes last update {self._last_time!r}")
+        return self._energy_j + self._power_w * (until - self._last_time)
 
     def finalize(self, time: float) -> None:
         """Close the account at *time* (accrue the final interval)."""
-        self.time_in_state[self.state] += time - self._last_time
-        self._power.update(time, self._power.level)
+        time = float(time)
+        if time < self._last_time:
+            self._moved_backwards(time)
+        elapsed = time - self._last_time
+        self.time_in_state[self.state] += elapsed
+        self._energy_j += self._power_w * elapsed
         self._last_time = time
 
-    @property
-    def power_w(self) -> float:
-        """Instantaneous power draw."""
-        return self._power.level
+    def _moved_backwards(self, time: float) -> NoReturn:
+        raise ValueError(
+            f"{self.spec.name}: time moved backwards ({time!r} < {self._last_time!r})"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -133,6 +133,21 @@ class DiskSpec:
             raise ValueError(f"negative transfer size: {size_bytes!r}")
         return size_bytes / self.bandwidth_bps
 
+    def service_time(self, size_bytes: float, sequential: bool = False) -> float:
+        """Seconds to serve one request of *size_bytes*: media transfer,
+        plus positioning (seek + rotational latency) unless *sequential*.
+
+        Buffer disks are *log disks* (§I: "data can be written onto the
+        log disks in a sequential manner"), so the node marks writes to
+        them sequential and they skip positioning.  No randomness: the
+        spin-up jitter of :class:`~repro.disk.drive.StorageBackend` is
+        the only mechanical variability simulated.
+        """
+        base = self.transfer_time(size_bytes)
+        if not sequential:
+            base += self.positioning_s
+        return base
+
     def with_overrides(self, **kwargs: Any) -> "DiskSpec":
         """Return a copy with selected fields replaced (for ablations)."""
         return replace(self, **kwargs)

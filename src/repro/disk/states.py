@@ -39,6 +39,8 @@ class DiskState(enum.Enum):
     LOW_IDLE = "low_idle"
     LOW_ACTIVE = "low_active"
     SHIFT_DOWN = "shift_down"
+    #: The hardware can shift back up; no policy here does, but every
+    #: record's per-state times keep the key.
     SHIFT_UP = "shift_up"
     #: Terminal hardware failure (fault-injection testing).
     FAILED = "failed"

@@ -11,7 +11,7 @@ and generator processes the setup and control loops still wait on.
   countdown,
 * :mod:`repro.sim.process` -- processes (generator coroutines),
 * :mod:`repro.sim.resources` -- the single-consumer :class:`Mailbox`,
-* :mod:`repro.sim.monitor` -- tally / time-weighted statistics collection,
+* :mod:`repro.sim.monitor` -- tally statistics collection,
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams.
 
 The engine is fully deterministic: given the same seed and the same process
@@ -21,7 +21,7 @@ time is in **seconds** (float).
 
 from repro.sim.engine import LanePerturbation, Simulator, StopSimulation
 from repro.sim.events import AllOf, Event, Timeout
-from repro.sim.monitor import TallyStat, TimeWeightedStat
+from repro.sim.monitor import TallyStat
 from repro.sim.process import Process
 from repro.sim.resources import Mailbox
 from repro.sim.rng import RandomStreams
@@ -37,5 +37,4 @@ __all__ = [
     "StopSimulation",
     "TallyStat",
     "Timeout",
-    "TimeWeightedStat",
 ]

@@ -1,19 +1,17 @@
 """Statistics collection for simulations.
 
-Two collectors cover everything the reproduction measures:
-
-* :class:`TallyStat` -- per-observation statistics (response times) using
-  Welford's online algorithm, with optional sample retention for
-  percentiles;
-* :class:`TimeWeightedStat` -- piecewise-constant level integrated over
-  simulated time (power draw -> energy).
+One collector, :class:`TallyStat`, covers the per-observation statistics
+the reproduction measures (response times, service times): Welford's
+online algorithm, with optional sample retention for percentiles.  The
+time integral of power (energy) is the drive's own account,
+:class:`~repro.disk.energy.EnergyMeter`.
 """
 
 from __future__ import annotations
 
 from array import array
 import math
-from typing import Any, Optional
+from typing import Any
 
 
 class TallyStat:
@@ -119,53 +117,3 @@ class TallyStat:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TallyStat {self.name!r} n={self._n} mean={self.mean:.4g}>"
-
-
-class TimeWeightedStat:
-    """Integral of a piecewise-constant level.
-
-    Drive it with :meth:`update` at every level change; the integral between
-    updates accrues at the previous level.  The main use in this project is
-    turning instantaneous power (W) into energy (J).
-    """
-
-    __slots__ = ("name", "_last_time", "_level", "_integral")
-
-    def __init__(self, name: str = "", time: float = 0.0, level: float = 0.0) -> None:
-        self.name = name
-        self._last_time = float(time)
-        self._level = float(level)
-        self._integral = 0.0
-
-    @property
-    def level(self) -> float:
-        """Current level."""
-        return self._level
-
-    def update(self, time: float, level: float) -> None:
-        """Advance to *time* and set a new level from there onwards."""
-        time = float(time)
-        if time < self._last_time:
-            raise ValueError(
-                f"{self.name or 'TimeWeightedStat'}: time moved backwards "
-                f"({time!r} < {self._last_time!r})"
-            )
-        self._integral += self._level * (time - self._last_time)
-        self._last_time = time
-        self._level = float(level)
-
-    def integral(self, until: Optional[float] = None) -> float:
-        """Integral of the level from start to *until* (default: last update)."""
-        if until is None:
-            return self._integral
-        until = float(until)
-        if until < self._last_time:
-            raise ValueError(f"until={until!r} precedes last update {self._last_time!r}")
-        return self._integral + self._level * (until - self._last_time)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<TimeWeightedStat {self.name!r} level={self._level:.4g} "
-            f"integral={self._integral:.4g}>"
-        )
-

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import drpm_cluster, drpm_config
-from repro.baselines.drpm import TwoStageDRPMNode
 from repro.core import EEVFSConfig, run_eevfs
 from repro.disk.specs import ATA_80GB_TYPE1, MULTISPEED_80GB
 from repro.experiments.baseline_suite import SUITE
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
-
-#: The DRPM comparator on two-stage (low speed, then standby) nodes.
-TWO_STAGE = replace(SUITE["DRPM"], node_class=TwoStageDRPMNode)
 
 
 @pytest.fixture(scope="module")
@@ -75,70 +71,9 @@ def test_drpm_all_requests_complete(trace):
     assert SUITE["DRPM"].build().run(trace).requests_total == trace.n_requests
 
 
-class TestTwoStageHybrid:
-    def test_two_stage_reaches_standby(self, trace):
-        result = TWO_STAGE.build().run(trace)
-        assert result.transitions > 0  # some windows graduate to standby
-        assert result.requests_total == trace.n_requests
-
-    def test_two_stage_wins_on_skewed_workloads(self):
-        """Long per-disk idle windows (skewed popularity) are where the
-        second stage pays: standby (1 W) beats low-speed idle (4 W)."""
-        skewed = generate_synthetic_trace(
-            SyntheticWorkload(n_requests=400, mu=10),
-            rng=np.random.default_rng(1),
-        )
-        npf = SUITE["EEVFS-NPF"].build().run(skewed)
-        one = SUITE["DRPM"].build().run(skewed)
-        two = TWO_STAGE.build().run(skewed)
-        savings_one = 1 - one.energy_j / npf.energy_j
-        savings_two = 1 - two.energy_j / npf.energy_j
-        assert savings_two > savings_one
-
-    def test_two_stage_pays_response_time(self, trace):
-        one = SUITE["DRPM"].build().run(trace)
-        two = TWO_STAGE.build().run(trace)
-        # Spin-ups re-enter the picture; response can only get worse.
-        assert two.mean_response_s >= one.mean_response_s
-
-    def test_second_stage_config_validation(self):
-        from repro.disk import ATA_80GB_TYPE1, SimDisk
-        from repro.disk.specs import MULTISPEED_80GB
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        with pytest.raises(ValueError, match="second_stage_after"):
-            SimDisk(
-                sim,
-                ATA_80GB_TYPE1,
-                auto_sleep_after=5.0,
-                idle_action="standby",
-                second_stage_after=10.0,
-            )
-        with pytest.raises(ValueError):
-            SimDisk(
-                sim,
-                MULTISPEED_80GB,
-                auto_sleep_after=5.0,
-                idle_action="low_speed",
-                second_stage_after=-1.0,
-            )
-
-    def test_disk_level_two_stage_sequence(self):
-        """IDLE -(t1)-> LOW_IDLE -(t2)-> STANDBY, end to end."""
-        from repro.disk import DiskState, SimDisk
-        from repro.disk.specs import MULTISPEED_80GB
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        disk = SimDisk(
-            sim,
-            MULTISPEED_80GB,
-            auto_sleep_after=5.0,
-            idle_action="low_speed",
-            second_stage_after=10.0,
-        )
-        sim.run(until=5.5)
-        assert disk.state in (DiskState.SHIFT_DOWN, DiskState.LOW_IDLE)
-        sim.run(until=20.0)
-        assert disk.state is DiskState.STANDBY
+def test_drpm_refuses_an_ssd_data_tier():
+    """The DRPM node's idle timers shift to low speed, which flash lacks."""
+    drpm = SUITE["DRPM"]
+    spec = replace(drpm, config=replace(drpm.config, data_backend="ssd"))
+    with pytest.raises(ValueError, match="needs a spinning drive"):
+        spec.build()

@@ -24,8 +24,8 @@ rebuilds the whole file), so a rewrite that moves an event out of its
 ``(time, priority, sequence)`` slot fails here by scenario name.  The
 scenarios add write-through, replicated writes over dead drives (the
 serve chain's silent, failover and failed-reply branches), flaky
-spin-ups, a two-stage DRPM node with the time predictor (the watchdog's
-transition wait and the waker) and device faults to whole runs; the
+spin-ups, a DRPM node with the time predictor (speed shifts, hint sleeps
+and the waker) and device faults to whole runs; the
 device drill fails an HDD and an SSD mid-transition, mid-write,
 mid-read and mid-destage, which walks the servers' and destager's
 ``_defused`` paths.

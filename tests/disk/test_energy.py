@@ -127,8 +127,65 @@ class TestEnergyMeter:
         assert meter.energy_j(until=7.0) == pytest.approx(7.0 * spec.power_idle_w)
 
     def test_power_w_reflects_state(self):
+        """The meter draws the current state's power: energy accrues at
+        that rate until the next transition."""
         spec = ATA_80GB_TYPE1
         meter = EnergyMeter(spec)
-        assert meter.power_w == spec.power_idle_w
+        assert meter.energy_j(until=1.0) == spec.power_idle_w
         meter.transition(1.0, DiskState.ACTIVE)
-        assert meter.power_w == spec.power_active_w
+        assert meter.energy_j(until=2.0) - meter.energy_j() == spec.power_active_w
+
+
+class TestEnergyIntegral:
+    """The meter keeps its own clock: power is piecewise constant, one
+    level per state, and integrates over the intervals between
+    transitions."""
+
+    def test_integral_of_constant_level(self):
+        meter = EnergyMeter(ATA_80GB_TYPE1)
+        meter.finalize(5.0)
+        assert meter.energy_j() == 5.0 * ATA_80GB_TYPE1.power_idle_w
+
+    def test_integral_of_step_function(self):
+        spec = ATA_80GB_TYPE1
+        meter = EnergyMeter(spec)
+        meter.transition(2.0, DiskState.SPIN_DOWN)  # idle for 2 s
+        meter.transition(3.0, DiskState.STANDBY)  # spinning down for 1 s
+        meter.finalize(5.0)  # standby for 2 s
+        expected = 2.0 * spec.power_idle_w + spec.spindown_power_w + 2.0 * spec.power_standby_w
+        assert meter.energy_j() == pytest.approx(expected)
+
+    def test_integral_until_extends_current_level(self):
+        spec = ATA_80GB_TYPE1
+        meter = EnergyMeter(spec)
+        meter.transition(1.0, DiskState.ACTIVE)
+        assert meter.energy_j(until=3.0) == pytest.approx(
+            spec.power_idle_w * 1.0 + spec.power_active_w * 2.0
+        )
+        assert meter.energy_j() == spec.power_idle_w  # the account itself is untouched
+
+    def test_backwards_time_rejected(self):
+        meter = EnergyMeter(ATA_80GB_TYPE1)
+        meter.transition(5.0, DiskState.ACTIVE)
+        before = (meter.state, meter.energy_j(), dict(meter.time_in_state))
+        with pytest.raises(ValueError, match="backwards"):
+            meter.transition(4.0, DiskState.IDLE)
+        with pytest.raises(ValueError, match="backwards"):
+            meter.finalize(4.0)
+        # Rejected before any counter moved.
+        assert (meter.state, meter.energy_j(), dict(meter.time_in_state)) == before
+        meter.transition(6.0, DiskState.IDLE)
+        assert meter.time_in_state[DiskState.ACTIVE] == 1.0
+
+    def test_integral_until_before_last_update_rejected(self):
+        meter = EnergyMeter(ATA_80GB_TYPE1)
+        meter.transition(5.0, DiskState.ACTIVE)
+        with pytest.raises(ValueError):
+            meter.energy_j(until=4.0)
+
+    def test_nonzero_start_time(self):
+        spec = ATA_80GB_TYPE1
+        meter = EnergyMeter(spec, start_time=10.0)
+        meter.transition(20.0, DiskState.ACTIVE)
+        assert meter.energy_j() == 10.0 * spec.power_idle_w
+        assert meter.time_in_state[DiskState.IDLE] == 10.0

@@ -62,28 +62,10 @@ class TestLowSpeedProfile:
 
 
 class TestShifting:
-    def test_shift_down_and_up_round_trip(self, sim):
-        disk = SimDisk(sim, SPEC)
-
-        def proc():
-            assert disk.shift_down() is True
-            yield sim.timeout(SPEC.low_speed.shift_s + 0.01)
-            assert disk.state is DiskState.LOW_IDLE
-            assert disk.shift_up() is True
-            yield sim.timeout(SPEC.low_speed.shift_s + 0.01)
-            assert disk.state is DiskState.IDLE
-
-        sim.process(proc())
-        sim.run()
-        assert disk.shift_count == 2
-        assert disk.transition_count == 0  # shifts are not standby cycles
-
     def test_shift_on_single_speed_drive_raises(self, sim):
         disk = SimDisk(sim, ATA_80GB_TYPE1)
         with pytest.raises(RuntimeError):
             disk.shift_down()
-        with pytest.raises(RuntimeError):
-            disk.shift_up()
 
     def test_shift_refused_with_inflight_work(self, sim):
         disk = SimDisk(sim, SPEC)
@@ -132,7 +114,7 @@ class TestShifting:
 
         sim.process(proc())
         sim.run()
-        low_service = disk.service_low.service_time(1 * MB)
+        low_service = disk.low_spec.service_time(1 * MB)
         assert results["latency"] == pytest.approx(low_service)
 
     def test_low_speed_idle_power_cheaper(self, sim):
@@ -152,19 +134,21 @@ class TestShifting:
 
         assert energy(shift=True) < energy(shift=False)
 
-    def test_standby_reachable_from_low_idle(self, sim):
-        """LOW_IDLE -> standby is the second stage of the hybrid policy."""
+    def test_low_idle_refuses_to_sleep(self, sim):
+        """A shifted drive stays at low speed: spin-down starts only from
+        full-speed idle."""
         disk = SimDisk(sim, SPEC)
 
         def proc():
             disk.shift_down()
             yield sim.timeout(SPEC.low_speed.shift_s + 0.01)
-            assert disk.request_sleep() is True
+            assert disk.request_sleep() is False
             yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.STANDBY
+            assert disk.state is DiskState.LOW_IDLE
 
         sim.process(proc())
         sim.run()
+        assert disk.transition_count == 0
 
     def test_idle_action_low_speed_watchdog(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0, idle_action="low_speed")
@@ -177,6 +161,8 @@ class TestShifting:
 
         sim.process(proc())
         sim.run()
+        assert disk.shift_count == 1
+        assert disk.transition_count == 0  # shifts are not standby cycles
 
     def test_idle_action_validation(self, sim):
         with pytest.raises(ValueError):

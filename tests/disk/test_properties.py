@@ -4,11 +4,12 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.disk import ATA_80GB_TYPE1, break_even_time, SimDisk
 from repro.disk.energy import EnergyMeter, standby_energy_saved
-from repro.disk.specs import DiskSpec, MB
-from repro.disk.states import DiskState
+from repro.disk.specs import DiskSpec, MB, MULTISPEED_80GB
+from repro.disk.states import DiskState, LEGAL_TRANSITIONS
 from repro.sim import Simulator
 
 SPEC = ATA_80GB_TYPE1
@@ -77,6 +78,75 @@ def test_meter_energy_equals_sum_of_state_integrals(durations):
         + meter.time_in_state[DiskState.ACTIVE] * spec.power_active_w
     )
     assert math.isclose(meter.energy_j(), by_state, rel_tol=1e-9)
+
+
+def _state_power(spec):
+    """Each state's draw for a multi-speed *spec*, written out."""
+    low = spec.low_speed
+    return {
+        DiskState.ACTIVE: spec.power_active_w,
+        DiskState.IDLE: spec.power_idle_w,
+        DiskState.STANDBY: spec.power_standby_w,
+        DiskState.SPIN_UP: spec.spinup_power_w,
+        DiskState.SPIN_DOWN: spec.spindown_power_w,
+        DiskState.FAILED: 0.0,
+        DiskState.LOW_ACTIVE: low.power_active_w,
+        DiskState.LOW_IDLE: low.power_idle_w,
+        DiskState.SHIFT_UP: low.shift_power_w,
+        DiskState.SHIFT_DOWN: low.shift_power_w,
+    }
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1e4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=99),  # which legal successor
+            st.floats(min_value=0.0, max_value=50.0),  # dwell before the move
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.floats(min_value=1e-6, max_value=10.0),
+)
+def test_meter_energy_is_the_ordered_sum_of_power_times_dwell(start, walk, back):
+    """A random legal walk through every state of a multi-speed drive:
+    the energy is exactly the sum of power x dwell in visiting order,
+    the dwell times add up to the elapsed time, and a step back in time
+    is refused before any counter moves."""
+    spec = MULTISPEED_80GB
+    power = _state_power(spec)
+    meter = EnergyMeter(spec, start_time=start)
+    state, t = DiskState.IDLE, start
+    energy = 0.0
+    dwell = {s: 0.0 for s in DiskState}
+    for choice, dt in walk:
+        successors = sorted(LEGAL_TRANSITIONS[state], key=lambda s: s.value)
+        target = successors[choice % len(successors)]
+        now = t + dt
+        meter.transition(now, target)
+        energy += power[state] * (now - t)
+        dwell[state] += now - t
+        state, t = target, now
+    end = t + 1.0
+    meter.finalize(end)
+    energy += power[state] * (end - t)
+    dwell[state] += end - t
+
+    assert meter.energy_j() == energy
+    assert meter.time_in_state == dwell
+    assert math.isclose(sum(meter.time_in_state.values()), end - start, rel_tol=1e-9)
+
+    def counters():
+        return meter.state, meter.energy_j(), dict(meter.time_in_state), meter.transition_count
+
+    before = counters()
+    target = sorted(LEGAL_TRANSITIONS[state], key=lambda s: s.value)[0]
+    with pytest.raises(ValueError, match="backwards"):
+        meter.transition(end - back, target)
+    with pytest.raises(ValueError, match="backwards"):
+        meter.finalize(end - back)
+    assert counters() == before
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
+from repro.baselines.drpm import drpm_cluster, DRPMNode
 from repro.core.filesystem import RunResult
 from repro.faults import FaultSchedule
 from repro.parallel import (
@@ -24,9 +24,9 @@ def test_eevfs_mode_returns_run_result():
 
 
 def test_build_wires_the_specs_cluster_and_node_class():
-    spec = JobSpec(cluster=drpm_cluster(), seed=3, node_class=TwoStageDRPMNode)
+    spec = JobSpec(cluster=drpm_cluster(), seed=3, node_class=DRPMNode)
     cluster = spec.build()
-    assert all(type(node) is TwoStageDRPMNode for node in cluster.nodes)
+    assert all(type(node) is DRPMNode for node in cluster.nodes)
     assert cluster.cluster is spec.cluster
     assert cluster.seed == 3
     assert cluster.observer is None

@@ -1,10 +1,10 @@
-"""Unit tests for statistics collectors."""
+"""Unit tests for the tally statistics collector."""
 
 import math
 
 import pytest
 
-from repro.sim import TallyStat, TimeWeightedStat
+from repro.sim import TallyStat
 
 
 class TestTallyStat:
@@ -72,39 +72,3 @@ class TestTallyStat:
         assert d["name"] == "rt"
         assert d["count"] == 2
         assert d["mean"] == pytest.approx(2.0)
-
-
-class TestTimeWeightedStat:
-    def test_integral_of_constant_level(self):
-        s = TimeWeightedStat(level=10.0)
-        s.update(5.0, 10.0)
-        assert s.integral() == pytest.approx(50.0)
-
-    def test_integral_of_step_function(self):
-        s = TimeWeightedStat(level=0.0)
-        s.update(2.0, 4.0)  # 0 W for 2 s
-        s.update(5.0, 0.0)  # 4 W for 3 s
-        assert s.integral() == pytest.approx(12.0)
-
-    def test_integral_until_extends_current_level(self):
-        s = TimeWeightedStat(level=2.0)
-        s.update(1.0, 3.0)
-        assert s.integral(until=3.0) == pytest.approx(2.0 * 1.0 + 3.0 * 2.0)
-
-    def test_backwards_time_rejected(self):
-        s = TimeWeightedStat()
-        s.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            s.update(4.0, 1.0)
-
-    def test_integral_until_before_last_update_rejected(self):
-        s = TimeWeightedStat()
-        s.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            s.integral(until=4.0)
-
-    def test_nonzero_start_time(self):
-        s = TimeWeightedStat(time=10.0, level=1.0)
-        s.update(20.0, 0.0)
-        assert s.integral() == pytest.approx(10.0)
-

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, TallyStat, TimeWeightedStat
+from repro.sim import Simulator, TallyStat
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
@@ -139,32 +139,6 @@ def test_tally_matches_batch_statistics(values):
         mean = sum(values) / n
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
         assert math.isclose(t.variance, var, rel_tol=1e-6, abs_tol=1e-6)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.001, max_value=10.0),  # dt
-            st.floats(min_value=0.0, max_value=100.0),  # level
-        ),
-        min_size=1,
-        max_size=100,
-    )
-)
-def test_time_weighted_integral_is_additive_and_bounded(steps):
-    """integral == sum(level_i * dt_i) and is bounded by max level * span."""
-    s = TimeWeightedStat(level=steps[0][1])
-    t = 0.0
-    expected = 0.0
-    level = steps[0][1]
-    for dt, next_level in steps:
-        t += dt
-        expected += level * dt
-        s.update(t, next_level)
-        level = next_level
-    assert math.isclose(s.integral(), expected, rel_tol=1e-9, abs_tol=1e-9)
-    max_level = max(lv for _, lv in steps)
-    assert s.integral() <= max_level * t + 1e-9
 
 
 @settings(max_examples=30)

@@ -80,6 +80,20 @@ class TestCommands:
         assert main(["trace-stats", str(path)]) == 0
         assert "working_set" in capsys.readouterr().out
 
+    def test_empty_trace_file_replays_no_requests(self, tmp_path, capsys):
+        """A header-only trace is an empty workload, not the default one."""
+        path = tmp_path / "empty.trace"
+        path.write_text("#eevfs-trace v1\n")
+        spans = tmp_path / "spans.jsonl"
+        argv = ["--requests", "40", "trace", "--trace", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "t.json"), "--jsonl", str(spans)]) == 0
+        kinds = {json.loads(line)["kind"] for line in spans.read_text().splitlines()}
+        assert "replay" in kinds and "request" not in kinds
+        capsys.readouterr()
+        assert main(["--requests", "40", "profile", "--trace", str(path)]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
+        assert "replay" in rows and "request" not in rows
+
     def test_bare_figures_runs_all_four(self, capsys):
         assert main(["--requests", "20", "figures"]) == 0
         out = capsys.readouterr().out
@@ -197,6 +211,20 @@ class TestInputErrors:
             ["--requests", "30", "faults", "--shards", "2"],
             ["--requests", "30", "faults", "--meta-replicas", "3"],
             ["--requests", "30", "faults", "--json", "{tmp}/drill.json"],
+            ["--requests", "30", "trace-gen", "synthetic", "{tmp}/missing/x.trace"],
+            ["--requests", "30", "trace", "--out", "{tmp}/missing/t.json"],
+            ["--requests", "30", "trace", "--out", "{tmp}/t.json", "--jsonl", "{tmp}/missing/s"],
+            ["--requests", "30", "trace", "--out", "{tmp}/t.json", "--csv", "{tmp}/missing/s"],
+            ["--requests", "30", "report", "--out", "{tmp}/missing/report.md"],
+            ["--requests", "30", "report", "--out", "{tmp}"],
+            ["--requests", "30", "online", "--sweeps", "mu", "--json", "{tmp}/missing/o.json"],
+            ["--requests", "30", "ssd", "--capacities-mb", "16", "--json", "{tmp}/missing/s"],
+            [
+                "--requests", "30", "faults", "--metadata-drill",
+                "--json", "{tmp}/missing/drill.json",
+            ],
+            ["--requests", "30", "meanfield", "--json", "{tmp}/missing/m.json"],
+            ["--requests", "30", "figures", "6", "--out", "{tmp}/notes.md/figures"],
         ],
         ids=[
             "lint-missing-path",
@@ -239,6 +267,17 @@ class TestInputErrors:
             "shards-without-drill",
             "meta-replicas-without-drill",
             "json-without-drill",
+            "trace-gen-path-in-missing-dir",
+            "trace-out-in-missing-dir",
+            "trace-jsonl-in-missing-dir",
+            "trace-csv-in-missing-dir",
+            "report-out-in-missing-dir",
+            "report-out-is-a-dir",
+            "online-json-in-missing-dir",
+            "ssd-json-in-missing-dir",
+            "drill-json-in-missing-dir",
+            "meanfield-json-in-missing-dir",
+            "figures-out-under-a-file",
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):

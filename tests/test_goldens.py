@@ -55,7 +55,7 @@ import pytest
 
 from repro.backend import SATA_SSD_8GB
 from repro.backend.ssd import SSDBackend
-from repro.baselines.drpm import drpm_cluster, TwoStageDRPMNode
+from repro.baselines.drpm import drpm_cluster, DRPMNode
 from repro.cli import main
 from repro.core.config import EEVFSConfig
 from repro.core.filesystem import canonical_json
@@ -250,8 +250,8 @@ RACES = {spec.label: spec for spec in default_scenarios()}
 
 #: name -> the scenario's seed-7 run.  Between them they reach the serve
 #: chain's silent, failover and failed-reply branches, flaky spin-ups,
-#: two-stage DRPM shifts under the time predictor, the metadata plane and
-#: the SSD tier under faults.
+#: DRPM shifts and hint sleeps under the time predictor, the metadata
+#: plane and the SSD tier under faults.
 SCENARIOS = {
     "prefetch": JobSpec(trace=scenario_trace(), config=EEVFSConfig(), seed=7),
     "no-prefetch": JobSpec(
@@ -308,14 +308,15 @@ SCENARIOS = {
             .flaky_spinups("node2/data1", at=2, count=2, backoff_s=0.0)
         ),
     ),
-    # Two-stage DRPM drives (the watchdog waits out its shifts) under
-    # the time predictor's wake-ahead timers.
+    # DRPM drives (idle timers shift them to low speed, hints sleep
+    # them from full-speed idle) under the time predictor's wake-ahead
+    # timers.
     "drpm:time": JobSpec(
         trace=scenario_trace(),
         config=EEVFSConfig(window_predictor="time"),
         cluster=drpm_cluster(),
         seed=7,
-        node_class=TwoStageDRPMNode,
+        node_class=DRPMNode,
     ),
 }
 
