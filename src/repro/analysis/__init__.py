@@ -7,11 +7,7 @@ model for sleep/wake energy -- and the test suite requires the simulator
 to agree with the analytics in the regimes where the analytics hold.
 """
 
-from repro.analysis.energymodel import (
-    predicted_npf_energy_j,
-    predicted_pf_energy_j,
-    predicted_savings_fraction,
-)
+from repro.analysis.energymodel import predicted_npf_energy_j, predicted_pf_energy_j
 from repro.analysis.queueing import mg1_mean_response_s, mg1_mean_wait_s, utilization
 
 __all__ = [
@@ -19,6 +15,5 @@ __all__ = [
     "mg1_mean_wait_s",
     "predicted_npf_energy_j",
     "predicted_pf_energy_j",
-    "predicted_savings_fraction",
     "utilization",
 ]

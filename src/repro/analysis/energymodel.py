@@ -126,21 +126,6 @@ def predicted_pf_energy_j(
     return EnergyPrediction(base_j=base, buffer_disks_j=buffer_j, data_disks_j=data_j)
 
 
-def predicted_savings_fraction(
-    cluster: ClusterSpec,
-    trace: Trace,
-    hit_rate: float,
-    sleep_fraction: float,
-    transitions_per_disk: float,
-) -> float:
-    """Predicted (NPF - PF) / NPF from the closed forms above."""
-    npf = predicted_npf_energy_j(cluster, trace)
-    pf = predicted_pf_energy_j(
-        cluster, trace, hit_rate, sleep_fraction, transitions_per_disk
-    )
-    return 1.0 - pf.total_j / npf.total_j
-
-
 def observed_sleep_fraction(result: "RunResult") -> float:
     """Mean standby fraction of the data disks in a measured RunResult."""
     total = 0.0

@@ -14,8 +14,6 @@ the mean response well -- the simulator must land near it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 def utilization(arrival_rate_hz: float, mean_service_s: float) -> float:
     """Offered load ρ = λ E[S]."""
@@ -53,23 +51,3 @@ def mg1_mean_response_s(
 def deterministic_second_moment(mean_service_s: float) -> float:
     """E[S²] for a deterministic service time (M/D/1)."""
     return mean_service_s**2
-
-
-def mixture_moments(
-    probabilities: Sequence[float], service_times: Sequence[float]
-) -> tuple:
-    """(E[S], E[S²]) of a discrete service-time mixture.
-
-    EEVFS service times are a mixture: buffer hit vs miss, type-1 vs
-    type-2 node, with/without spin-up -- each branch deterministic.
-    """
-    if len(probabilities) != len(service_times):
-        raise ValueError("probabilities and service_times must align")
-    total = sum(probabilities)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
-    if any(p < 0 for p in probabilities):
-        raise ValueError("probabilities must be >= 0")
-    mean = sum(p * s for p, s in zip(probabilities, service_times, strict=True))
-    second = sum(p * s * s for p, s in zip(probabilities, service_times, strict=True))
-    return mean, second

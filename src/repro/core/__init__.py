@@ -13,7 +13,7 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.popularity` -- popularity from the access log (§IV-A)
 * :mod:`repro.core.placement`  -- popularity round-robin placement (§III-B)
 * :mod:`repro.core.prefetch`   -- buffer-disk prefetch planning (§III-C, §IV-B)
-* :mod:`repro.core.prediction` -- idle-window / energy prediction (§III-C)
+* :mod:`repro.core.prediction` -- the §III-C sleep threshold
 * :mod:`repro.core.power`      -- the storage-node power manager (§III-C, §IV-C)
 * :mod:`repro.core.writebuffer`-- buffer-disk write buffering (§III-C)
 * :mod:`repro.core.server`     -- the storage server process (§III-A)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, Dict, NoReturn, Optional, TextIO, Union
 
 from repro.core.config import ClusterSpec, EEVFSConfig, NodeSpec
 from repro.disk.specs import DISK_CATALOG, DiskSpec, LowSpeedProfile
@@ -131,6 +131,13 @@ def save_experiment_config(
     return path
 
 
+def _reject_constant(name: str) -> NoReturn:
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``:
+    no setting is meaningful at a non-finite value, and ``NaN`` passes
+    every ``< 0`` check."""
+    raise ValueError(f"non-finite number {name} in experiment config")
+
+
 def load_experiment_config(
     source: Union[str, Path, TextIO],
 ) -> "tuple[Optional[EEVFSConfig], Optional[ClusterSpec]]":
@@ -139,7 +146,7 @@ def load_experiment_config(
         text = Path(source).read_text()
     else:
         text = source.read()
-    document = json.loads(text)
+    document = json.loads(text, parse_constant=_reject_constant)
     unknown = set(document) - {"policy", "cluster"}
     if unknown:
         raise ValueError(f"unknown top-level keys: {sorted(unknown)}")

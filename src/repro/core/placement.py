@@ -113,27 +113,3 @@ def creation_order(ranking: Sequence[int], placement: Mapping[int, str]) -> Dict
     for file_id in ranking:
         order.setdefault(placement[file_id], []).append(file_id)
     return order
-
-
-def request_load(
-    placement: Mapping[int, str],
-    access_counts: Mapping[int, int],
-    nodes: Sequence[str],
-) -> Dict[str, int]:
-    """Requests each node would serve under *placement* (diagnostics)."""
-    load = {node: 0 for node in nodes}
-    for file_id, count in access_counts.items():
-        node = placement.get(file_id)
-        if node is None:
-            raise KeyError(f"file {file_id} missing from placement")
-        load[node] += count
-    return load
-
-
-def load_imbalance(load: Mapping[str, int]) -> float:
-    """Max/mean request load ratio; 1.0 = perfectly balanced."""
-    values = list(load.values())
-    if not values or sum(values) == 0:
-        return 1.0
-    mean = sum(values) / len(values)
-    return max(values) / mean

@@ -1,67 +1,19 @@
-"""Idle-window and energy prediction (§III-C).
+"""The sleep threshold of the §III-C prediction.
 
 "The storage node uses the file access pattern to predict periods when
 each of its data disks will be idle for long periods of time. ... The
 storage node uses an energy prediction model that takes into account the
 number of files to prefetch and the file access pattern."
 
-Given the (hinted) future access times of one disk, this module computes
-the idle windows, selects the ones worth sleeping through, and estimates
-the energy the plan saves -- the quantity the node uses to decide whether
-power management is worthwhile at all (§IV-C's conservative mode).
+The node's :class:`~repro.core.power.PowerManager` makes that prediction
+online from the hinted future accesses of each disk; this module gives
+it the one number the energy model decides with: the shortest idle
+window that is worth sleeping through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
-from repro.disk.energy import PowerEnvelope, break_even_time, standby_energy_saved
-
-
-@dataclass(frozen=True)
-class IdleWindow:
-    """A predicted request-free period on one disk."""
-
-    start_s: float
-    end_s: float
-
-    def __post_init__(self) -> None:
-        if self.end_s < self.start_s:
-            raise ValueError(f"window ends before it starts: {self!r}")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-
-def idle_windows(
-    access_times: Sequence[float],
-    horizon_s: float,
-    now_s: float = 0.0,
-) -> List[IdleWindow]:
-    """Predicted idle windows of a disk between *now* and *horizon*.
-
-    *access_times* are the disk's future access instants (sorted,
-    absolute).  Windows open after each access and close at the next one;
-    the final window runs to the horizon.  Service time is not modelled
-    here -- at trace scale (hundreds of seconds between accesses) it is
-    noise, and the power manager re-checks live state before sleeping.
-    """
-    if horizon_s < now_s:
-        raise ValueError(f"horizon {horizon_s!r} precedes now {now_s!r}")
-    times = [t for t in access_times if now_s <= t <= horizon_s]
-    if sorted(times) != times:
-        raise ValueError("access_times must be sorted")
-    windows: List[IdleWindow] = []
-    cursor = now_s
-    for t in times:
-        if t > cursor:
-            windows.append(IdleWindow(cursor, t))
-        cursor = t
-    if horizon_s > cursor:
-        windows.append(IdleWindow(cursor, horizon_s))
-    return windows
+from repro.disk.energy import break_even_time, PowerEnvelope
 
 
 def effective_threshold(spec: PowerEnvelope, idle_threshold_s: float) -> float:
@@ -74,55 +26,3 @@ def effective_threshold(spec: PowerEnvelope, idle_threshold_s: float) -> float:
     if idle_threshold_s < 0:
         raise ValueError(f"idle_threshold_s must be >= 0, got {idle_threshold_s!r}")
     return max(idle_threshold_s, break_even_time(spec))
-
-
-def plan_sleep_windows(
-    access_times: Sequence[float],
-    spec: PowerEnvelope,
-    idle_threshold_s: float,
-    horizon_s: float,
-    now_s: float = 0.0,
-) -> List[IdleWindow]:
-    """The windows the power manager intends to sleep through."""
-    threshold = effective_threshold(spec, idle_threshold_s)
-    return [
-        w
-        for w in idle_windows(access_times, horizon_s, now_s)
-        if w.duration_s >= threshold
-    ]
-
-
-def predicted_savings_j(
-    access_times: Sequence[float],
-    spec: PowerEnvelope,
-    idle_threshold_s: float,
-    horizon_s: float,
-    now_s: float = 0.0,
-) -> float:
-    """Joules the sleep plan is predicted to save versus idling."""
-    return sum(
-        standby_energy_saved(spec, w.duration_s)
-        for w in plan_sleep_windows(access_times, spec, idle_threshold_s, horizon_s, now_s)
-    )
-
-
-def prefetch_benefit_j(
-    access_times_without: Sequence[float],
-    access_times_with: Sequence[float],
-    spec: PowerEnvelope,
-    idle_threshold_s: float,
-    horizon_s: float,
-) -> float:
-    """The §III-C energy prediction model for one disk.
-
-    Compares predicted savings when the disk must serve every access
-    (*without* prefetching) against serving only buffer misses (*with*
-    prefetching -- buffer-hit accesses removed from its pattern).  A
-    positive value means prefetching manufactures additional sleepable
-    idle time on this disk.
-    """
-    before = predicted_savings_j(
-        access_times_without, spec, idle_threshold_s, horizon_s
-    )
-    after = predicted_savings_j(access_times_with, spec, idle_threshold_s, horizon_s)
-    return after - before

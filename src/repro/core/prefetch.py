@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.metadata import NodeMetadata
-
 
 @dataclass(frozen=True)
 class PrefetchPlan:
@@ -63,24 +61,6 @@ def plan_prefetch(
         per_node={node: tuple(files) for node, files in per_node.items()},
         requested_k=k,
     )
-
-
-def admit_prefetch_files(
-    candidates: Sequence[int],
-    metadata: NodeMetadata,
-) -> List[int]:
-    """Filter a node's prefetch candidates by buffer capacity.
-
-    Applied node-side in candidate (popularity) order; a file that does
-    not fit is skipped, later smaller files may still be admitted --
-    greedy, like the prototype's best-effort copy loop.
-    """
-    admitted: List[int] = []
-    for file_id in candidates:
-        if metadata.can_prefetch(file_id):
-            admitted.append(file_id)
-            metadata.mark_prefetched(file_id)
-    return admitted
 
 
 @dataclass

@@ -21,7 +21,7 @@ package layout under their fixture directory.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.devtools.diagnostics import Diagnostic
@@ -308,11 +308,6 @@ def check_file(
         if rule.applies_to(ctx):
             findings.extend(rule.check(ctx))
     return sorted(findings)
-
-
-def with_config(config: LintConfig, **overrides: object) -> LintConfig:
-    """A copy of *config* with selected fields replaced (test helper)."""
-    return replace(config, **overrides)
 
 
 #: Signature of the per-file source loader (swappable in tests).

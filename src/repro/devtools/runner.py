@@ -26,7 +26,7 @@ from repro.devtools.rules import (
     registered_rule_ids,
     Rule,
 )
-from repro.devtools.suppress import ALL_RULES, Pragma, scan_suppressions, Suppressions
+from repro.devtools.suppress import Pragma, scan_suppressions, Suppressions
 from repro.devtools.symbols import build_project, ProjectModel
 
 #: Directory names never descended into.

@@ -117,8 +117,3 @@ def scan_suppressions(source: str) -> Suppressions:
         pass
     suppressions.file_wide = frozenset(file_wide)
     return suppressions
-
-
-def suppression_comment(rule: str) -> str:
-    """The canonical pragma text silencing *rule* on one line."""
-    return f"# simlint: ignore[{rule.upper()}]"

@@ -51,11 +51,6 @@ class DiskState(enum.Enum):
     __hash__ = object.__hash__
 
     @property
-    def is_spinning(self) -> bool:
-        """True while the platters rotate (rotational power draw)."""
-        return self not in (DiskState.STANDBY, DiskState.SPIN_UP, DiskState.FAILED)
-
-    @property
     def can_serve(self) -> bool:
         """True if a request could start service without a transition."""
         return self in (
@@ -69,16 +64,6 @@ class DiskState(enum.Enum):
     def is_low_speed(self) -> bool:
         """True at the reduced-RPM operating point."""
         return self in (DiskState.LOW_IDLE, DiskState.LOW_ACTIVE)
-
-    @property
-    def is_transitioning(self) -> bool:
-        """True during spin-up/-down or a speed shift."""
-        return self in (
-            DiskState.SPIN_UP,
-            DiskState.SPIN_DOWN,
-            DiskState.SHIFT_UP,
-            DiskState.SHIFT_DOWN,
-        )
 
 
 #: Allowed state transitions.  ``ACTIVE -> SPIN_DOWN`` is deliberately

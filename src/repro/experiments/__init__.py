@@ -12,7 +12,6 @@
   the shard x replica availability sweep.
 """
 
-from repro.experiments.crossover import find_min_effective_k
 from repro.experiments.figures import (
     figure3,
     figure4,
@@ -36,7 +35,6 @@ __all__ = [
     "figure5",
     "figure6",
     "figure6_study",
-    "find_min_effective_k",
     "generate_report",
     "group",
     "metaplane_study",

@@ -14,7 +14,7 @@ from repro.metrics.breakdown import (
     EnergyBreakdown,
     state_time_breakdown,
 )
-from repro.metrics.chart import bar_chart, grouped_bar_chart
+from repro.metrics.chart import grouped_bar_chart
 from repro.metrics.comparison import compare, PairedComparison
 from repro.metrics.report import (
     format_series,
@@ -30,7 +30,6 @@ __all__ = [
     "EnergyBreakdown",
     "PairedComparison",
     "WearReport",
-    "bar_chart",
     "breakdown_table",
     "compare",
     "compare_breakdowns",

@@ -13,17 +13,6 @@ from typing import Mapping, Optional, Sequence
 _GLYPHS = "#*o+x%"
 
 
-def bar_chart(
-    labels: Sequence[object],
-    values: Sequence[float],
-    width: int = 50,
-    title: Optional[str] = None,
-    unit: str = "",
-) -> str:
-    """One horizontal bar per label, scaled to the maximum value."""
-    return grouped_bar_chart(labels, {"": list(values)}, width=width, title=title, unit=unit)
-
-
 def grouped_bar_chart(
     labels: Sequence[object],
     series: Mapping[str, Sequence[float]],

@@ -4,11 +4,12 @@
 uses.  On :meth:`attach` it
 
 * publishes the :class:`~repro.obs.tracer.Tracer` on ``sim.tracer``
-  (instrumented components None-check that attribute),
-* installs the tracer's per-event-type counter via the engine's
-  multi-hook dispatch (coexisting with a determinism hasher), and
+  (instrumented components None-check that attribute), and
 * starts the telemetry sampler, a sim process that samples every
   gauge each :data:`DEFAULT_SAMPLE_INTERVAL_S` of simulated time.
+
+It installs no engine event hook, so a traced run dispatches through
+the same inlined loop as an untraced one.
 
 The sampler is an infinite loop, which is safe here because the cluster
 runs the engine with ``run(until=<event>)``; it must not be attached to
@@ -34,40 +35,22 @@ DEFAULT_SAMPLE_INTERVAL_S = 1.0
 class Observability:
     """Tracer + telemetry registry bound to one :class:`Simulator`."""
 
-    __slots__ = ("sim", "tracer", "telemetry", "_attached")
+    __slots__ = ("sim", "tracer", "telemetry")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.tracer = Tracer(sim)
         self.telemetry = TelemetryRegistry()
-        self._attached = False
 
     # -- lifecycle ----------------------------------------------------------------
 
     def attach(self) -> "Observability":
         """Install the tracer and start the sampler (returns self)."""
-        if self._attached:
-            return self
         if self.sim.tracer is not None:
             raise RuntimeError("simulator already has a tracer attached")
         self.sim.tracer = self.tracer
-        self.sim.add_event_hook(self.tracer.on_event)
         self.sim.process(self._sample_loop())
-        self._attached = True
         return self
-
-    def detach(self) -> None:
-        """Unpublish the tracer and stop counting events (idempotent).
-
-        The sampler process stays on the heap but samples nothing new
-        once detached runs end; detach exists so the simulator can be
-        reused without double-attachment errors.
-        """
-        if not self._attached:
-            return
-        self.sim.remove_event_hook(self.tracer.on_event)
-        self.sim.tracer = None
-        self._attached = False
 
     def _sample_loop(self) -> Generator[Event, Any, None]:
         """Sim process: sample all instruments every tick, forever."""
@@ -89,8 +72,7 @@ class Observability:
         return self.tracer.snapshot(series=self.telemetry.series)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "attached" if self._attached else "detached"
-        return f"<Observability {state} spans={len(self.tracer.spans)}>"
+        return f"<Observability spans={len(self.tracer.spans)}>"
 
 
 def maybe_snapshot(observer: Optional[Observability]) -> Optional[RunTrace]:

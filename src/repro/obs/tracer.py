@@ -28,7 +28,6 @@ from repro.obs.telemetry import Series
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 #: The span vocabulary the built-in instrumentation emits.  Tags carry
 #: the variable part (file id, disk name, byte counts); kinds stay a
@@ -130,18 +129,16 @@ class RunTrace:
     boundary and attaches to :class:`~repro.core.filesystem.RunResult`.
     """
 
-    __slots__ = ("spans", "series", "events_by_type", "duration_s")
+    __slots__ = ("spans", "series", "duration_s")
 
     def __init__(
         self,
         spans: List[Span],
         series: Dict[str, Series],
-        events_by_type: Dict[str, int],
         duration_s: float,
     ) -> None:
         self.spans = spans
         self.series = series
-        self.events_by_type = events_by_type
         self.duration_s = duration_s
 
     def span_kinds(self) -> List[str]:
@@ -163,20 +160,17 @@ class Tracer:
     """Records spans against a simulator's clock.
 
     The tracer holds the simulator only to read ``sim.now``; it installs
-    nothing by itself.  :class:`repro.obs.Observability` wires it into
-    ``Simulator.tracer`` (for the component instrumentation) and -- via
-    :meth:`on_event` -- into the engine's multi-hook event dispatch for
-    per-event-type counting, alongside any
-    :class:`~repro.devtools.sanitizer.EventStreamHasher`.
+    nothing by itself.  :class:`repro.obs.Observability` publishes it on
+    ``Simulator.tracer`` for the component instrumentation; the engine
+    itself is never hooked, so a traced run keeps the inlined dispatch
+    loop.
     """
 
-    __slots__ = ("sim", "spans", "events_by_type", "_next_id", "_request_spans")
+    __slots__ = ("sim", "spans", "_next_id", "_request_spans")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.spans: List[Span] = []
-        #: Engine event counts by event-type name (fed by :meth:`on_event`).
-        self.events_by_type: Dict[str, int] = {}
         self._next_id = 0
         #: request_id -> open ``request`` span, for cross-component parenting.
         self._request_spans: Dict[int, Span] = {}
@@ -245,13 +239,6 @@ class Tracer:
             self.end(span, **tags)
         return span
 
-    # -- engine hook --------------------------------------------------------------
-
-    def on_event(self, now: float, event: "Event") -> None:
-        """Engine event hook: count processed events by type name."""
-        name = type(event).__name__
-        self.events_by_type[name] = self.events_by_type.get(name, 0) + 1
-
     # -- freezing -----------------------------------------------------------------
 
     def snapshot(self, series: Optional[Dict[str, Series]] = None) -> RunTrace:
@@ -272,7 +259,6 @@ class Tracer:
         return RunTrace(
             spans=list(self.spans),
             series=dict(series or {}),
-            events_by_type=dict(self.events_by_type),
             duration_s=now,
         )
 

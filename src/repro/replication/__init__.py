@@ -11,12 +11,11 @@ state:
   server-side repair loop.
 """
 
-from repro.replication.policy import holder_counts, plan_replicas, REPLICATION_POLICIES
+from repro.replication.policy import plan_replicas, REPLICATION_POLICIES
 from repro.replication.repair import ReplicationManager
 
 __all__ = [
     "REPLICATION_POLICIES",
     "ReplicationManager",
-    "holder_counts",
     "plan_replicas",
 ]

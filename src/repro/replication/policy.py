@@ -82,16 +82,3 @@ def plan_replicas(
                     chosen.append(candidate)
             replicas[file_id] = tuple(chosen)
     return replicas
-
-
-def holder_counts(
-    placement: Mapping[int, str],
-    replicas: Mapping[int, Tuple[str, ...]],
-) -> Dict[str, int]:
-    """Files held per node (primaries + replicas) -- balance diagnostics."""
-    counts: Dict[str, int] = {}
-    for file_id, primary in placement.items():
-        counts[primary] = counts.get(primary, 0) + 1
-        for node in replicas.get(file_id, ()):
-            counts[node] = counts.get(node, 0) + 1
-    return counts

@@ -296,14 +296,13 @@ class Simulator:
         Hooks fire *before* the event's callbacks run, in installation
         order, so two same-seed runs observe identical sequences -- which
         is exactly what :mod:`repro.devtools.sanitizer` fingerprints.
-        Several hooks may coexist (the determinism hasher and the
-        :mod:`repro.obs` tracer are independent observers).  When no hook
-        is installed, :meth:`run` keeps its inlined hot loop and pays
-        nothing; with hooks the loop dispatches through :meth:`step`
-        instead.  Hooks must not mutate simulation state.  Continuations
-        pass through hooks like any other event, as a :class:`Continuation`
-        view built for the hooks alone, so observed and unobserved runs
-        dispatch the same stream.
+        Several hooks may coexist (independent hashers, a test's probe).
+        When no hook is installed, :meth:`run` keeps its inlined hot loop
+        and pays nothing; with hooks the loop dispatches through
+        :meth:`step` instead.  Hooks must not mutate simulation state.
+        Continuations pass through hooks like any other event, as a
+        :class:`Continuation` view built for the hooks alone, so observed
+        and unobserved runs dispatch the same stream.
         """
         if hook in self._event_hooks:
             raise ValueError(f"event hook already installed: {hook!r}")

@@ -20,7 +20,7 @@ provides:
 from repro.traces.berkeley import BerkeleyWebWorkload, generate_berkeley_like_trace
 from repro.traces.cache import cached_trace, TraceCache
 from repro.traces.diurnal import DiurnalWorkload, generate_diurnal_trace
-from repro.traces.importers import read_msr_trace, read_spc_trace
+from repro.traces.importers import read_msr_trace
 from repro.traces.logio import AccessLog, read_trace, write_trace
 from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
 from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
@@ -41,7 +41,6 @@ __all__ = [
     "generate_diurnal_trace",
     "generate_drifting_trace",
     "read_msr_trace",
-    "read_spc_trace",
     "RequestOp",
     "SyntheticWorkload",
     "Trace",

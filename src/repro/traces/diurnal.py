@@ -3,19 +3,17 @@
 Data-centre traffic is periodic; energy management earns most of its
 keep in the troughs.  This generator produces a non-homogeneous Poisson
 arrival process (sinusoidal intensity over a configurable period) via
-thinning, with the paper's Poisson-MU file popularity on top.  The
-companion helper splits a RunResult-facing trace into peak/trough halves
-so experiments can report savings by phase.
+thinning, with the paper's Poisson-MU file popularity on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.traces.model import FileSpec, Trace, TraceRequest
+from repro.traces.model import FileSpec, Trace
 
 MB = 1024 * 1024
 
@@ -90,18 +88,3 @@ def generate_diurnal_trace(
         **workload.meta,
     }
     return Trace(files, meta=meta, times=times, file_ids=file_ids)
-
-
-def peak_trough_split(
-    trace: Trace, workload: DiurnalWorkload
-) -> Tuple[List[TraceRequest], List[TraceRequest]]:
-    """Partition requests into peak-phase and trough-phase halves.
-
-    Peak phase = the half-period around intensity maxima (cosine > 0).
-    """
-    peak: List[TraceRequest] = []
-    trough: List[TraceRequest] = []
-    for request in trace:
-        phase = np.cos(2.0 * np.pi * request.time_s / workload.period_s)
-        (peak if phase > 0 else trough).append(request)
-    return peak, trough

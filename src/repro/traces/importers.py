@@ -1,16 +1,11 @@
-"""Importers for standard block-level trace formats.
+"""Importer for the MSR Cambridge block-trace format.
 
 EEVFS operates on whole files, but most public storage traces are
-block-level.  These importers parse two widely used formats and lift
+block-level.  The importer parses MSR Cambridge traces (SNIA IOTTA: CSV
+records ``Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime``
+with Windows FILETIME timestamps, 100 ns ticks since 1601) and lifts
 block accesses to file accesses by tiling each device's address space
-into fixed-size *extents* (one extent = one "file"):
-
-* **MSR Cambridge** (SNIA IOTTA): CSV records
-  ``Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime`` with
-  Windows FILETIME timestamps (100 ns ticks since 1601).
-* **SPC** (Storage Performance Council trace format): CSV records
-  ``ASU,LBA,Size,Opcode,Timestamp`` with LBA in 512-byte blocks and
-  timestamps in seconds from trace start.
+into fixed-size *extents* (one extent = one "file").
 
 The resulting :class:`~repro.traces.model.Trace` preserves the access
 *pattern* -- ordering, inter-arrival structure, popularity skew -- which
@@ -20,7 +15,6 @@ is what EEVFS's placement/prefetch policies consume.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import Dict, List, TextIO, Tuple, Union
 
@@ -30,9 +24,6 @@ MB = 1024 * 1024
 
 #: Windows FILETIME ticks per second (MSR timestamps).
 _FILETIME_TICKS_PER_S = 10_000_000
-
-#: SPC LBAs are 512-byte blocks.
-_SPC_BLOCK_BYTES = 512
 
 
 def _open(source: Union[str, Path, TextIO]):
@@ -108,45 +99,6 @@ def read_msr_trace(
             if max_records and len(events) >= max_records:
                 break
         return _extents_to_trace(events, extent_bytes, "msr-import")
-    finally:
-        if owned:
-            handle.close()
-
-
-def read_spc_trace(
-    source: Union[str, Path, TextIO],
-    extent_bytes: int = 10 * MB,
-    max_records: int = 0,
-) -> Trace:
-    """Import an SPC-format CSV block trace (``ASU,LBA,Size,Opcode,Timestamp``)."""
-    if extent_bytes <= 0:
-        raise ValueError(f"extent_bytes must be > 0, got {extent_bytes!r}")
-    handle, owned = _open(source)
-    try:
-        events: List[Tuple[float, Tuple, bool]] = []
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                asu = int(row[0])
-                lba = int(row[1])
-                int(row[2])  # size in bytes; extent granularity absorbs it
-                opcode = row[3].strip().upper()
-                time_s = float(row[4])
-                if not math.isfinite(time_s):
-                    raise ValueError(f"non-finite timestamp {time_s!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed record {row!r}") from exc
-            if opcode not in ("R", "W"):
-                raise ValueError(f"line {lineno}: unknown opcode {row[3]!r}")
-            offset = lba * _SPC_BLOCK_BYTES
-            key = (asu, offset // extent_bytes)
-            events.append((time_s, key, opcode == "W"))
-            if max_records and len(events) >= max_records:
-                break
-        return _extents_to_trace(events, extent_bytes, "spc-import")
     finally:
         if owned:
             handle.close()

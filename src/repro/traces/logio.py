@@ -17,7 +17,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-import io
 import math
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
@@ -96,14 +95,6 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
     finally:
         if owned:
             handle.close()
-
-
-def trace_round_trip(trace: Trace) -> Trace:
-    """Write + read through memory (diagnostic / test helper)."""
-    buffer = io.StringIO()
-    write_trace(trace, buffer)
-    buffer.seek(0)
-    return read_trace(buffer)
 
 
 class AccessLog:

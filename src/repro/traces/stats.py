@@ -8,7 +8,7 @@ trace is "skewed towards a smaller subset of data" as §VI-D observed).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -18,11 +18,8 @@ __all__ = [
     "access_counts",
     "coverage_of_top_k",
     "gini_coefficient",
-    "histogram_of_counts",
     "inter_arrival_times",
-    "mean_reuse_distance",
     "popularity_ranking",
-    "reuse_distances",
     "summarize",
     "working_set_size",
 ]
@@ -86,33 +83,6 @@ def gini_coefficient(trace: Trace) -> float:
     return float((2.0 * (index * values).sum() / (n * values.sum())) - (n + 1.0) / n)
 
 
-def reuse_distances(trace: Trace) -> np.ndarray:
-    """Stack (reuse) distances: distinct files touched between successive
-    accesses to the same file.
-
-    Low distances mean a small cache captures the workload -- the
-    temporal-locality view of what :func:`coverage_of_top_k` measures
-    spatially.  First accesses contribute no distance.
-    """
-    last_position: Dict[int, int] = {}
-    stack: List[int] = []  # most recent at the end
-    distances: List[int] = []
-    for fid in trace.file_ids:
-        if fid in last_position:
-            index = stack.index(fid)
-            distances.append(len(stack) - 1 - index)
-            stack.pop(index)
-        stack.append(fid)
-        last_position[fid] = True
-    return np.array(distances, dtype=np.int64)
-
-
-def mean_reuse_distance(trace: Trace) -> float:
-    """Mean stack distance (NaN when no file is ever re-accessed)."""
-    distances = reuse_distances(trace)
-    return float(distances.mean()) if distances.size else float("nan")
-
-
 def summarize(trace: Trace) -> Dict[str, object]:
     """One-call summary used by the CLI and EXPERIMENTS.md tables."""
     gaps = inter_arrival_times(trace)
@@ -127,20 +97,3 @@ def summarize(trace: Trace) -> Dict[str, object]:
         "gini": gini_coefficient(trace),
         "mean_inter_arrival_s": float(gaps.mean()) if gaps.size else 0.0,
     }
-
-
-def histogram_of_counts(trace: Trace, bins: Sequence[int]) -> Dict[str, int]:
-    """How many files fall into each access-count bin (diagnostics)."""
-    counts = access_counts(trace)
-    per_file = [counts.get(f.file_id, 0) for f in trace.files]
-    edges = list(bins)
-    if edges != sorted(edges) or len(edges) < 2:
-        raise ValueError("bins must be a sorted sequence of at least 2 edges")
-    labels = [f"[{edges[i]},{edges[i+1]})" for i in range(len(edges) - 1)]
-    result = {label: 0 for label in labels}
-    for value in per_file:
-        for i in range(len(edges) - 1):
-            if edges[i] <= value < edges[i + 1]:
-                result[labels[i]] += 1
-                break
-    return result

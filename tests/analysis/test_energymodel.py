@@ -7,7 +7,6 @@ from repro.analysis.energymodel import (
     observed_sleep_fraction,
     predicted_npf_energy_j,
     predicted_pf_energy_j,
-    predicted_savings_fraction,
 )
 from repro.core import default_cluster, EEVFSConfig, run_eevfs
 from repro.traces import generate_synthetic_trace
@@ -59,13 +58,14 @@ class TestPFPrediction:
 
     def test_savings_prediction_close_to_measured(self, setup):
         trace, cluster, pf, npf = setup
-        predicted = predicted_savings_fraction(
+        predicted_pf = predicted_pf_energy_j(
             cluster,
             trace,
             hit_rate=pf.buffer_hit_rate,
             sleep_fraction=observed_sleep_fraction(pf),
             transitions_per_disk=pf.transitions / cluster.n_data_disks,
         )
+        predicted = 1 - predicted_pf.total_j / predicted_npf_energy_j(cluster, trace).total_j
         measured = 1 - pf.energy_j / npf.energy_j
         assert predicted == pytest.approx(measured, abs=0.03)
 
@@ -88,9 +88,10 @@ class TestPFPrediction:
         """MU<=100 regime in closed form: hit rate 1, sleep fraction ~1,
         one transition pair -- the ~14.8 % ceiling of Fig. 3(b)."""
         trace, cluster, _, _ = setup
-        ceiling = predicted_savings_fraction(
+        pf = predicted_pf_energy_j(
             cluster, trace, hit_rate=1.0, sleep_fraction=0.99, transitions_per_disk=2
         )
+        ceiling = 1 - pf.total_j / predicted_npf_energy_j(cluster, trace).total_j
         assert 0.12 <= ceiling <= 0.18
 
 

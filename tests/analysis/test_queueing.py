@@ -6,7 +6,6 @@ from repro.analysis.queueing import (
     deterministic_second_moment,
     mg1_mean_response_s,
     mg1_mean_wait_s,
-    mixture_moments,
     utilization,
 )
 
@@ -49,26 +48,6 @@ class TestPollaczekKhinchine:
         low_var = mg1_mean_wait_s(0.5, 1.0, 1.0)
         high_var = mg1_mean_wait_s(0.5, 1.0, 5.0)
         assert high_var > low_var
-
-
-class TestMixtureMoments:
-    def test_single_branch(self):
-        mean, second = mixture_moments([1.0], [2.0])
-        assert mean == 2.0
-        assert second == 4.0
-
-    def test_two_branches(self):
-        mean, second = mixture_moments([0.5, 0.5], [1.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert second == pytest.approx(5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mixture_moments([0.5], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            mixture_moments([0.4, 0.4], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            mixture_moments([1.5, -0.5], [1.0, 2.0])
 
 
 class TestSimulatorAgreement:

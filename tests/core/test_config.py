@@ -2,11 +2,9 @@
 
 import ast
 import dataclasses
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.config import (
     ClusterSpec,
     default_cluster,
@@ -16,6 +14,7 @@ from repro.core.config import (
 )
 from repro.disk.specs import ATA_80GB_TYPE1, ATA_80GB_TYPE2
 from repro.net.link import FAST_ETHERNET_BPS, GIGABIT_ETHERNET_BPS
+from tests.programs import PACKAGE, program_files
 
 
 class TestParameterGrid:
@@ -205,9 +204,8 @@ def _attributes_read_in_src():
         for child in ast.iter_child_nodes(node):
             visit(child)
 
-    package = Path(repro.__file__).parent
-    for path in sorted(package.rglob("*.py")):
-        if path.relative_to(package).as_posix() == "core/configio.py":
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "core" / "configio.py":
             continue
         visit(ast.parse(path.read_text(), filename=str(path)))
     return names
@@ -238,21 +236,18 @@ NOT_SET_BY_A_PROGRAM = {
 def _names_set_by_programs():
     """Names passed as a call keyword (``EEVFSConfig(name=...)``,
     ``replace(config, name=...)``) or written as a string constant
-    (``_config_knob("name")``) in ``src/repro`` or ``bench/``, except in
-    ``core/config.py`` and ``core/configio.py``."""
-    package = Path(repro.__file__).parent
-    bench = Path(__file__).resolve().parents[2] / "bench"
-    skipped = {package / "core" / "config.py", package / "core" / "configio.py"}
+    (``_config_knob("name")``) in a program (:mod:`tests.programs`),
+    except in ``core/config.py`` and ``core/configio.py``."""
+    skipped = {PACKAGE / "core" / "config.py", PACKAGE / "core" / "configio.py"}
     names = set()
-    for root in (package, bench):
-        for path in sorted(root.rglob("*.py")):
-            if path in skipped:
-                continue
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.keyword) and node.arg is not None:
-                    names.add(node.arg)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
+    for path, tree in program_files():
+        if path in skipped:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
     return names
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core import ClusterSpec, default_cluster, EEVFSConfig
+from repro.core import default_cluster, EEVFSConfig
 from repro.core.configio import (
     cluster_from_dict,
     cluster_to_dict,
@@ -116,6 +116,13 @@ class TestFileRoundTrip:
     def test_unknown_top_level_rejected(self):
         with pytest.raises(ValueError, match="top-level"):
             load_experiment_config(io.StringIO('{"policies": {}}'))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, constant):
+        """Python's json accepts these; no setting means anything at them."""
+        document = f'{{"policy": {{"request_backoff_base_s": {constant}}}}}'
+        with pytest.raises(ValueError, match="non-finite"):
+            load_experiment_config(io.StringIO(document))
 
     def test_loaded_config_drives_a_run(self, tmp_path):
         """A config document must be directly runnable."""

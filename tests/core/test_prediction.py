@@ -1,62 +1,12 @@
-"""Unit and property tests for idle-window / energy prediction (§III-C)."""
+"""Unit tests for the §III-C sleep threshold."""
 
-import math
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 import pytest
 
-from repro.core.prediction import (
-    effective_threshold,
-    idle_windows,
-    IdleWindow,
-    plan_sleep_windows,
-    predicted_savings_j,
-    prefetch_benefit_j,
-)
+from repro.core.prediction import effective_threshold
 from repro.disk.energy import break_even_time
 from repro.disk.specs import ATA_80GB_TYPE1
 
 SPEC = ATA_80GB_TYPE1
-
-
-class TestIdleWindow:
-    def test_duration(self):
-        assert IdleWindow(2.0, 5.0).duration_s == 3.0
-
-    def test_inverted_rejected(self):
-        with pytest.raises(ValueError):
-            IdleWindow(5.0, 2.0)
-
-
-class TestIdleWindows:
-    def test_no_accesses_is_one_window(self):
-        windows = idle_windows([], horizon_s=100.0)
-        assert windows == [IdleWindow(0.0, 100.0)]
-
-    def test_windows_between_accesses(self):
-        windows = idle_windows([10.0, 30.0], horizon_s=100.0)
-        assert windows == [
-            IdleWindow(0.0, 10.0),
-            IdleWindow(10.0, 30.0),
-            IdleWindow(30.0, 100.0),
-        ]
-
-    def test_accesses_outside_range_ignored(self):
-        windows = idle_windows([5.0, 150.0], horizon_s=100.0, now_s=0.0)
-        assert windows[-1] == IdleWindow(5.0, 100.0)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            idle_windows([5.0, 2.0], horizon_s=10.0)
-
-    def test_horizon_before_now_rejected(self):
-        with pytest.raises(ValueError):
-            idle_windows([], horizon_s=1.0, now_s=2.0)
-
-    def test_simultaneous_accesses_make_no_empty_windows(self):
-        windows = idle_windows([5.0, 5.0, 5.0], horizon_s=10.0)
-        assert windows == [IdleWindow(0.0, 5.0), IdleWindow(5.0, 10.0)]
 
 
 class TestEffectiveThreshold:
@@ -69,70 +19,3 @@ class TestEffectiveThreshold:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             effective_threshold(SPEC, -1.0)
-
-
-class TestPlanAndSavings:
-    def test_plan_keeps_long_windows_only(self):
-        accesses = [10.0, 12.0, 100.0]  # 0-10 long, 10-12 short, 12-100 long
-        plan = plan_sleep_windows(accesses, SPEC, idle_threshold_s=5.0, horizon_s=100.0)
-        assert [w.duration_s for w in plan] == [10.0, 88.0]
-
-    def test_savings_positive_for_sparse_pattern(self):
-        savings = predicted_savings_j([500.0], SPEC, 5.0, horizon_s=1000.0)
-        assert savings > 0
-
-    def test_savings_zero_for_dense_pattern(self):
-        accesses = [float(i) for i in range(100)]  # 1 s apart, all short
-        assert predicted_savings_j(accesses, SPEC, 5.0, horizon_s=99.0) == 0.0
-
-    def test_prefetch_benefit_positive_when_hits_removed(self):
-        """Removing buffer-served accesses from a disk's pattern must
-        predict additional savings -- the §III-C model's purpose."""
-        without = [float(t) for t in range(0, 1000, 10)]  # access every 10 s
-        with_pf = [float(t) for t in range(0, 1000, 100)]  # most served by buffer
-        benefit = prefetch_benefit_j(without, with_pf, SPEC, 5.0, horizon_s=1000.0)
-        assert benefit > 0
-
-    def test_prefetch_benefit_zero_when_nothing_changes(self):
-        pattern = [100.0, 200.0]
-        assert prefetch_benefit_j(pattern, pattern, SPEC, 5.0, 300.0) == 0.0
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1000.0), max_size=50),
-    st.floats(min_value=0.0, max_value=60.0),
-)
-def test_windows_partition_the_horizon(times, threshold):
-    """Idle windows exactly tile [now, horizon] minus access instants."""
-    times = sorted(times)
-    windows = idle_windows(times, horizon_s=1000.0)
-    total = sum(w.duration_s for w in windows)
-    assert math.isclose(total, 1000.0, rel_tol=1e-9)
-    # Windows are disjoint and ordered.
-    for a, b in zip(windows, windows[1:], strict=False):
-        assert a.end_s <= b.start_s + 1e-12
-
-
-@settings(max_examples=50)
-@given(st.lists(st.floats(min_value=0.0, max_value=1000.0), max_size=50))
-def test_plan_is_subset_of_windows_and_savings_nonnegative(times):
-    times = sorted(times)
-    plan = plan_sleep_windows(times, SPEC, 5.0, horizon_s=1000.0)
-    threshold = effective_threshold(SPEC, 5.0)
-    assert all(w.duration_s >= threshold for w in plan)
-    assert predicted_savings_j(times, SPEC, 5.0, horizon_s=1000.0) >= 0.0
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=40),
-    st.data(),
-)
-def test_prefetch_benefit_never_negative_for_subset_patterns(times, data):
-    """Serving a subset of accesses from the buffer can only help."""
-    times = sorted(times)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
-    with_pf = [t for t, k in zip(times, keep, strict=True) if k]
-    benefit = prefetch_benefit_j(times, with_pf, SPEC, 5.0, horizon_s=1000.0)
-    assert benefit >= -1e-9

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.metadata import NodeMetadata
-from repro.core.prefetch import admit_prefetch_files, plan_prefetch, PrefetchStats
+from repro.core.prefetch import plan_prefetch, PrefetchStats
 
 
 def placement_for(ranking, nodes):
@@ -44,36 +43,6 @@ class TestPlanPrefetch:
         placement = placement_for(ranking, ["a", "b", "c"])
         plan = plan_prefetch(ranking, 6, placement)
         assert plan.files_for("a") == (10, 40)  # rank order within node
-
-
-class TestAdmitPrefetchFiles:
-    def test_admits_in_order_and_marks(self):
-        meta = NodeMetadata(n_data_disks=1)
-        for fid in (1, 2, 3):
-            meta.create(fid, 100)
-        admitted = admit_prefetch_files([3, 1], meta)
-        assert admitted == [3, 1]
-        assert meta.is_prefetched(3) and meta.is_prefetched(1)
-        assert not meta.is_prefetched(2)
-
-    def test_capacity_greedy_skip(self):
-        meta = NodeMetadata(n_data_disks=1, buffer_capacity_bytes=150)
-        meta.create(1, 100)
-        meta.create(2, 100)  # will not fit after file 1
-        meta.create(3, 50)  # fits in the remainder
-        admitted = admit_prefetch_files([1, 2, 3], meta)
-        assert admitted == [1, 3]
-
-    def test_unknown_files_skipped(self):
-        meta = NodeMetadata(n_data_disks=1)
-        meta.create(1, 10)
-        assert admit_prefetch_files([99, 1], meta) == [1]
-
-    def test_already_prefetched_skipped(self):
-        meta = NodeMetadata(n_data_disks=1)
-        meta.create(1, 10)
-        meta.mark_prefetched(1)
-        assert admit_prefetch_files([1], meta) == []
 
 
 class TestPrefetchStats:

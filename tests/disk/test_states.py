@@ -54,26 +54,11 @@ def test_illegal_transition_message_names_states():
         validate_transition(DiskState.ACTIVE, DiskState.STANDBY)
 
 
-def test_is_spinning_classification():
-    assert DiskState.ACTIVE.is_spinning
-    assert DiskState.IDLE.is_spinning
-    assert DiskState.SPIN_DOWN.is_spinning
-    assert not DiskState.STANDBY.is_spinning
-    assert not DiskState.SPIN_UP.is_spinning
-
-
 def test_can_serve_classification():
     assert DiskState.ACTIVE.can_serve
     assert DiskState.IDLE.can_serve
     for state in (DiskState.SPIN_DOWN, DiskState.STANDBY, DiskState.SPIN_UP):
         assert not state.can_serve
-
-
-def test_is_transitioning_classification():
-    assert DiskState.SPIN_UP.is_transitioning
-    assert DiskState.SPIN_DOWN.is_transitioning
-    for state in (DiskState.ACTIVE, DiskState.IDLE, DiskState.STANDBY):
-        assert not state.is_transitioning
 
 
 def test_counted_transitions_are_standby_entry_and_exit():

@@ -12,7 +12,6 @@ import pytest
 from repro.core.config import EEVFSConfig
 from repro.core.metadata import ServerMetadata
 from repro.metaplane.plane import MetaPlane
-from repro.metaplane.server import LEADER
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams

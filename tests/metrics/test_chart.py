@@ -2,35 +2,37 @@
 
 import pytest
 
-from repro.metrics.chart import bar_chart, grouped_bar_chart
+from repro.metrics.chart import grouped_bar_chart
 
 
 class TestBarChart:
+    """One series: one bar per label."""
+
     def test_scaling_to_max(self):
-        out = bar_chart(["a", "b"], [10.0, 5.0], width=10)
+        out = grouped_bar_chart(["a", "b"], {"": [10.0, 5.0]}, width=10)
         lines = out.splitlines()
         assert lines[0].count("#") == 10
         assert lines[1].count("#") == 5
 
     def test_title(self):
-        out = bar_chart(["a"], [1.0], title="My Chart")
+        out = grouped_bar_chart(["a"], {"": [1.0]}, title="My Chart")
         assert out.splitlines()[0] == "My Chart"
 
     def test_values_printed(self):
-        out = bar_chart(["a"], [1234.0])
+        out = grouped_bar_chart(["a"], {"": [1234.0]})
         assert "1,234" in out
 
     def test_zero_values_have_empty_bars(self):
-        out = bar_chart(["a", "b"], [0.0, 10.0], width=10)
+        out = grouped_bar_chart(["a", "b"], {"": [0.0, 10.0]}, width=10)
         assert "|          |" in out.splitlines()[0]
 
     def test_negative_clamped_but_printed(self):
-        out = bar_chart(["a"], [-5.0], width=10)
+        out = grouped_bar_chart(["a"], {"": [-5.0]}, width=10)
         assert "-5" in out
         assert "#" not in out
 
     def test_tiny_positive_gets_at_least_one_glyph(self):
-        out = bar_chart(["a", "b"], [0.001, 100.0], width=10)
+        out = grouped_bar_chart(["a", "b"], {"": [0.001, 100.0]}, width=10)
         assert out.splitlines()[0].count("#") == 1
 
 

@@ -90,6 +90,16 @@ def test_traced_run_covers_the_required_span_kinds():
     assert any(len(s) > 1 for s in result.trace.series.values())
 
 
+def test_traced_cluster_installs_no_engine_hook():
+    """Tracing publishes the tracer and starts the sampler but hooks no
+    dispatch, so a traced run keeps the engine's inlined loop."""
+    cluster = EEVFSCluster(config=EEVFSConfig(), seed=0, obs=True)
+    assert cluster.sim.tracer is cluster.observer.tracer
+    assert cluster.sim._event_hooks == []
+    cluster.run(small_trace())
+    assert cluster.sim._event_hooks == []
+
+
 def test_traced_runs_are_deterministic_too():
     # Tracing must not introduce nondeterminism of its own.
     trace = small_trace()

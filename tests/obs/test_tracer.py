@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.obs import Span, SPAN_KINDS, Tracer
+from repro.obs import SPAN_KINDS, Tracer
 from repro.sim import Simulator
 
 
@@ -93,21 +93,6 @@ def test_snapshot_clamps_open_spans(sim):
     assert open_span.end_s == 3.0
     assert open_span.tags == {"incomplete": True}
     assert trace.duration_s == 3.0
-
-
-def test_on_event_counts_event_types(sim):
-    tracer = Tracer(sim)
-    sim.add_event_hook(tracer.on_event)
-
-    def proc():
-        yield sim.timeout(1.0)
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
-    sim.run()
-    counts = tracer.events_by_type
-    assert sum(counts.values()) == sim.events_processed
-    assert counts.get("Timeout", 0) >= 2
 
 
 def test_run_trace_is_picklable_plain_data(sim):

@@ -175,6 +175,7 @@ class TestInputErrors:
             ["trace-stats", "{tmp}/inf.trace"],
             ["compare", "--config", "{tmp}/missing.json"],
             ["--requests", "30", "compare", "--config", "{tmp}/removed-key.json"],
+            ["--requests", "30", "compare", "--config", "{tmp}/nan.json"],
             ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
             ["faults", "--fail-node", "node99"],
             ["bench"],
@@ -234,6 +235,7 @@ class TestInputErrors:
             "trace-stats-inf-time",
             "compare-missing-config",
             "compare-config-with-removed-field",
+            "compare-config-with-nan",
             "negative-requests",
             "faults-unknown-node",
             "removed-bench-command",
@@ -290,6 +292,8 @@ class TestInputErrors:
         (tmp_path / "removed-key.json").write_text(
             '{"policy": {"destage_check_interval_s": 10.0}}\n'
         )
+        # NaN passes every "< 0" check; the run would die mid-way.
+        (tmp_path / "nan.json").write_text('{"policy": {"idle_threshold_s": NaN}}\n')
         with pytest.raises(SystemExit) as exit_info:
             main([arg.format(tmp=tmp_path) for arg in argv])
         assert exit_info.value.code == 2
@@ -297,6 +301,8 @@ class TestInputErrors:
         assert "error: argument" in err
         if "removed-key.json" in argv[-1]:
             assert "unknown EEVFSConfig keys" in err
+        if "nan.json" in argv[-1]:
+            assert "non-finite number NaN" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.trace").exists()
 

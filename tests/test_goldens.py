@@ -403,8 +403,7 @@ def scenario_entry(key):
       event count and shape digest;
     * ``spans:<scenario>``: the ``obs=True`` run's span count and the
       sha256 of its ``repr(span.as_dict())`` lines, each ending in a
-      newline.  Spans only: the run's ``events_by_type`` counts engine
-      carriers, which a dispatch rewrite may rename.
+      newline.
     """
     if key.startswith("drill@"):
         outcomes, events, shape = device_drill(float(key[len("drill@"):]))

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traces.diurnal import (
-    DiurnalWorkload,
-    generate_diurnal_trace,
-    peak_trough_split,
-)
+from repro.traces.diurnal import DiurnalWorkload, generate_diurnal_trace
 
 
 class TestValidation:
@@ -57,11 +53,13 @@ class TestGeneration:
 
     def test_peak_phase_denser_than_trough(self, trace):
         workload = DiurnalWorkload(n_requests=2000)
-        peak, trough = peak_trough_split(trace, workload)
+        # The peak half-period is where the intensity's cosine is positive.
+        phase = np.cos(2.0 * np.pi * np.asarray(trace.times) / workload.period_s)
+        peak = int((phase > 0).sum())
+        trough = trace.n_requests - peak
         # Intensity swing 2.5 vs 0.5 Hz: the peak half-period must carry
         # clearly more traffic.
-        assert len(peak) > 1.5 * len(trough)
-        assert len(peak) + len(trough) == trace.n_requests
+        assert peak > 1.5 * trough
 
     def test_mean_rate_between_bounds(self, trace):
         workload = DiurnalWorkload(n_requests=2000)

@@ -1,10 +1,10 @@
-"""Tests for the MSR/SPC block-trace importers."""
+"""Tests for the MSR block-trace importer."""
 
 import io
 
 import pytest
 
-from repro.traces.importers import MB, read_msr_trace, read_spc_trace
+from repro.traces.importers import MB, read_msr_trace
 from repro.traces.model import RequestOp
 
 TICK = 10_000_000  # FILETIME ticks per second
@@ -87,43 +87,3 @@ class TestMSR:
         )
         assert trace.files[0].size_bytes == 5 * MB
         assert trace.meta["extent_bytes"] == 5 * MB
-
-
-class TestSPC:
-    def test_basic_import(self):
-        content = io.StringIO(
-            "0,0,4096,R,0.0\n"
-            "0,40960,4096,W,0.5\n"  # LBA 40960 * 512B = 20 MB -> extent 2
-            "1,0,4096,R,1.0\n"
-        )
-        trace = read_spc_trace(content, extent_bytes=10 * MB)
-        assert trace.n_requests == 3
-        assert trace.n_files == 3  # asu0/ext0, asu0/ext2, asu1/ext0
-        assert trace.requests[1].op is RequestOp.WRITE
-
-    def test_lba_to_bytes(self):
-        # LBA 20480 = 10 MiB exactly -> second extent at 10 MB extents.
-        content = io.StringIO("0,0,512,R,0.0\n0,20480,512,R,1.0\n")
-        trace = read_spc_trace(content, extent_bytes=10 * MB)
-        assert trace.n_files == 2
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError, match="unknown opcode"):
-            read_spc_trace(io.StringIO("0,0,512,X,0.0\n"))
-        with pytest.raises(ValueError):
-            read_spc_trace(io.StringIO("0,0,512\n"))
-
-    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
-    def test_non_finite_timestamp_rejected_at_parse(self, stamp):
-        content = io.StringIO(f"0,0,512,R,0.0\n0,8,512,R,{stamp}\n")
-        with pytest.raises(ValueError, match="line 2: malformed record"):
-            read_spc_trace(content)
-
-    def test_round_trip_through_eevfs(self):
-        """An imported trace must drive the full system."""
-        from repro.core import EEVFSConfig, run_eevfs
-
-        lines = [f"0,{(i % 7) * 20480},4096,R,{i * 0.5}" for i in range(60)]
-        trace = read_spc_trace(io.StringIO("\n".join(lines)), extent_bytes=10 * MB)
-        result = run_eevfs(trace, EEVFSConfig(prefetch_files=3))
-        assert result.requests_total == 60

@@ -15,8 +15,15 @@ from repro.traces import (
     TraceRequest,
     write_trace,
 )
-from repro.traces.logio import trace_round_trip
 from repro.traces.synthetic import SyntheticWorkload
+
+
+def trace_round_trip(trace):
+    """*trace* written to and read back from memory."""
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    buffer.seek(0)
+    return read_trace(buffer)
 
 
 def small_trace():

@@ -10,7 +10,6 @@ from repro.traces.stats import (
     access_counts,
     coverage_of_top_k,
     gini_coefficient,
-    histogram_of_counts,
     inter_arrival_times,
     popularity_ranking,
     summarize,
@@ -97,17 +96,6 @@ class TestMisc:
             "mean_inter_arrival_s",
         ):
             assert key in summary
-
-    def test_histogram_of_counts(self):
-        trace = trace_from_ids([0, 0, 1], n_files=3)
-        hist = histogram_of_counts(trace, bins=[0, 1, 2, 10])
-        assert hist == {"[0,1)": 1, "[1,2)": 1, "[2,10)": 1}
-
-    def test_histogram_bad_bins_rejected(self):
-        with pytest.raises(ValueError):
-            histogram_of_counts(trace_from_ids([0]), bins=[5])
-        with pytest.raises(ValueError):
-            histogram_of_counts(trace_from_ids([0]), bins=[5, 1])
 
 
 @settings(max_examples=50)

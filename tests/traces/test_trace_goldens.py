@@ -28,7 +28,6 @@ from repro.traces import (
     generate_drifting_trace,
     generate_synthetic_trace,
     read_msr_trace,
-    read_spc_trace,
     SyntheticWorkload,
     write_trace,
 )
@@ -84,18 +83,6 @@ MSR_CSV = "\n".join(
     ]
 )
 
-#: A non-zero start, fractional seconds, two ASUs and both opcodes.
-SPC_CSV = "\n".join(
-    [
-        "0,0,4096,R,12.25",
-        "0,40960,4096,W,12.5",
-        "1,0,512,R,12.5",
-        "0,20480,4096,R,11.75",
-        "1,61440,4096,W,13.1",
-        "0,1,512,R,14.0000001",
-    ]
-)
-
 
 def _generated(name, seed):
     generate, workload = GENERATED[name]
@@ -117,7 +104,6 @@ def _cases():
         for seed in SEEDS
     }
     cases["msr"] = lambda: read_msr_trace(io.StringIO(MSR_CSV), extent_bytes=2 * 1024 * 1024)
-    cases["spc"] = lambda: read_spc_trace(io.StringIO(SPC_CSV), extent_bytes=10 * 1024 * 1024)
     cases["head"] = lambda: _transformed(lambda trace: trace.head(120))
     cases["with_inter_arrival"] = lambda: _transformed(
         lambda trace: trace.with_inter_arrival(0.3)
