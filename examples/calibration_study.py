@@ -76,18 +76,19 @@ def main() -> None:
     sim = Simulator()
     disk = SimDisk(sim, ATA_80GB_TYPE1)
     responses = []
+    gaps = iter(np.random.default_rng(7).exponential(1.0 / rate, size=3000))
 
-    def watch(request, issued):
-        yield request.done
-        responses.append(sim.now - issued)
+    def arrive(_value=None):
+        # Submit one request, note its response time when it is done,
+        # and sleep until the next arrival.
+        issued = sim.now
+        done = disk.submit(size).done
+        done.callbacks.append(lambda _event: responses.append(sim.now - issued))
+        gap = next(gaps, None)
+        if gap is not None:
+            sim.call_later(gap, arrive)
 
-    def client():
-        rng = np.random.default_rng(7)
-        for gap in rng.exponential(1.0 / rate, size=3000):
-            yield sim.timeout(gap)
-            sim.process(watch(disk.submit(size), sim.now))
-
-    sim.process(client())
+    sim.call_later(next(gaps), arrive)
     sim.run()
     measured = float(np.mean(responses))
     expected = mg1_mean_response_s(rate, service, deterministic_second_moment(service))

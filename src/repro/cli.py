@@ -35,14 +35,15 @@ def _checked(
     parse: Callable[[str], Any], check: Callable[[Any], object]
 ) -> Callable[[str], Any]:
     """An argparse type: *parse* the text, then hand the value to *check*,
-    which builds the object that owns its bound.  A ``ValueError`` from
-    either becomes an argparse error, so the CLI repeats no bound."""
+    which builds the object that owns its bound, so the CLI repeats no
+    bound.  A ``ValueError`` or ``OverflowError`` (``int(inf)``) from
+    either becomes an argparse error."""
 
     def convert(text: str) -> Any:
         try:
             value = parse(text)
             check(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
@@ -737,14 +738,19 @@ def _cmd_trace_gen(args: argparse.Namespace) -> None:
     from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
     from repro.traces.synthetic import MB, SyntheticWorkload, generate_synthetic_trace
 
+    # The synthetic shape flags default to unset, so one given with a
+    # kind that does not read it is an error rather than silently ignored.
+    given = [flag for flag in ("mu", "size_mb", "inter_arrival_ms") if flag in vars(args)]
+    if given and args.kind != "synthetic":
+        args.parser.error(f"argument --{given[0].replace('_', '-')}: not allowed with {args.kind}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "synthetic":
         trace = generate_synthetic_trace(
             SyntheticWorkload(
                 n_requests=args.requests,
-                mu=args.mu,
-                data_size_bytes=int(args.size_mb * MB),
-                inter_arrival_s=args.inter_arrival_ms / 1000.0,
+                mu=getattr(args, "mu", 1000.0),
+                data_size_bytes=int(getattr(args, "size_mb", 10.0) * MB),
+                inter_arrival_s=getattr(args, "inter_arrival_ms", 700.0) / 1000.0,
             ),
             rng=rng,
         )
@@ -1070,23 +1076,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=["synthetic", "berkeley", "drifting"])
     gen.add_argument("path", type=_output_file, help="output trace file")
     gen.add_argument(
-        "--mu", type=_checked(float, lambda mu: SyntheticWorkload(mu=mu)), default=1000.0
+        "--mu", type=_checked(float, lambda mu: SyntheticWorkload(mu=mu)), default=argparse.SUPPRESS
     )
     gen.add_argument(
         "--size-mb",
         type=_checked(
             float, lambda mb: SyntheticWorkload(data_size_bytes=int(mb * MB))
         ),
-        default=10.0,
+        default=argparse.SUPPRESS,
     )
     gen.add_argument(
         "--inter-arrival-ms",
         type=_checked(
             float, lambda ms: SyntheticWorkload(inter_arrival_s=ms / 1000.0)
         ),
-        default=700.0,
+        default=argparse.SUPPRESS,
     )
-    gen.set_defaults(func=_cmd_trace_gen)
+    gen.set_defaults(func=_cmd_trace_gen, parser=gen)
     stats = sub.add_parser("trace-stats", help="summarise a trace file")
     stats.add_argument(
         "trace",

@@ -16,8 +16,8 @@ Module map (paper section in parentheses):
 * :mod:`repro.core.prediction` -- the §III-C sleep threshold
 * :mod:`repro.core.power`      -- the storage-node power manager (§III-C, §IV-C)
 * :mod:`repro.core.writebuffer`-- buffer-disk write buffering (§III-C)
-* :mod:`repro.core.server`     -- the storage server process (§III-A)
-* :mod:`repro.core.node`       -- the storage node process (§III-A/B/C)
+* :mod:`repro.core.server`     -- the storage server (§III-A)
+* :mod:`repro.core.node`       -- the storage node (§III-A/B/C)
 * :mod:`repro.core.client`     -- the trace-replaying client (Fig. 2, 5-6)
 * :mod:`repro.core.filesystem` -- :class:`EEVFSCluster`, the one-call facade
 """

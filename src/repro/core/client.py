@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -189,11 +189,11 @@ class ClientDriver:
                 f"epoch {epoch_s!r} is in the past (now={self.sim.now!r})"
             )
         if mode == "open":
-            return self.sim.process(self._replay(trace, epoch_s))
+            return _Replay(self, trace, epoch_s).done
         if mode == "paced":
             return _PacedReplay(self, trace, epoch_s).done
         if mode == "closed":
-            return self.sim.process(self._replay_closed(trace, epoch_s))
+            return _ClosedReplay(self, trace, epoch_s).done
         raise ValueError(f"unknown replay mode: {mode!r}")
 
     @property
@@ -202,40 +202,6 @@ class ClientDriver:
         return len(self._pending)
 
     # -- internals -------------------------------------------------------------------------
-
-    def _replay(
-        self, trace: Trace, epoch_s: float
-    ) -> Generator[Event, Any, TallyStat]:
-        for time_s, file_id, write in zip(trace.times, trace.file_ids, trace.writes):
-            target = epoch_s + time_s
-            if target > self.sim.now:
-                yield self.sim.timeout(target - self.sim.now)
-            # Open loop: fire and move on.
-            self._issue(next_request_id(), file_id, OPS[write])
-        self._replay_finished = True
-        if self._pending:
-            yield self._drained
-        return self.response_times
-
-    def _replay_closed(
-        self, trace: Trace, epoch_s: float
-    ) -> Generator[Event, Any, TallyStat]:
-        if epoch_s > self.sim.now:
-            yield self.sim.timeout(epoch_s - self.sim.now)
-        previous_t: Optional[float] = None
-        for time_s, file_id, write in zip(trace.times, trace.file_ids, trace.writes):
-            if previous_t is not None:
-                gap = time_s - previous_t
-                if gap > 0:
-                    yield self.sim.timeout(gap)
-            previous_t = time_s
-            request_id = next_request_id()
-            done = self.sim.event()
-            self._waiters[request_id] = done.succeed
-            self._issue(request_id, file_id, OPS[write])
-            yield done
-        self._replay_finished = True
-        return self.response_times
 
     # -- issue / retry machinery --------------------------------------------------------
 
@@ -413,22 +379,19 @@ class ClientDriver:
         self.endpoint.inbox.take(self._on_message)
 
 
-class _PacedReplay:
-    """The paced replayer (:meth:`ClientDriver.replay`, ``"paced"``) as
-    flat callbacks.
+class _Replay:
+    """A replayer (:meth:`ClientDriver.replay`) as flat callbacks; this
+    one is ``"open"``: it issues at the trace timestamps, whatever is
+    outstanding.
 
-    Each request waits for its trace timestamp, then for one of the
-    client's ``max_outstanding`` pacing slots, and is issued when the
-    slot is granted; its settlement frees the slot.  A free-slot count
-    stands in for a slot resource: the replayer is the slots' only
-    claimant, so at most one claim ever waits.  Every step runs in the
-    slot the generator replayer used -- kick-off URGENT, ``call_later``
-    where it slept, a ``call_soon`` where the resource granted or a
-    settled request's waiter event fired -- and :attr:`done` succeeds
-    where the replayer's process completed.
+    Every step runs in the slot the generator replayer used: kick-off
+    URGENT, ``call_later`` where it slept, a ``call_soon`` where a
+    settled request's waiter event or a pacing slot's grant fired.
+    :attr:`done` succeeds, with the client's response-time tally, where
+    the replayer's process completed: once every response has arrived.
     """
 
-    __slots__ = ("client", "trace", "epoch_s", "next", "free", "claiming", "done")
+    __slots__ = ("client", "trace", "epoch_s", "next", "done")
 
     def __init__(self, client: ClientDriver, trace: Trace, epoch_s: float) -> None:
         self.client = client
@@ -436,13 +399,104 @@ class _PacedReplay:
         self.epoch_s = epoch_s
         #: Index of the next request to issue.
         self.next = 0
+        self.done = client.sim.event()
+        client.sim.call_soon(self._pace, priority=URGENT)
+
+    def _pace(self, _value: Any = None) -> None:
+        """Issue every due request; sleep until the next is due."""
+        sim = self.client.sim
+        times = self.trace.times
+        while self.next < len(times):
+            target = self.epoch_s + times[self.next]
+            if target > sim.now:
+                sim.call_later(target - sim.now, self._wake)
+                return
+            self._send(None)
+        self._drain()
+
+    def _wake(self, _value: Any) -> None:
+        self._send(None)
+        self._pace()
+
+    def _send(self, waiter: Optional[Callable[[], None]]) -> None:
+        """Issue the next request; *waiter* runs when it settles."""
+        trace = self.trace
+        index = self.next
+        self.next += 1
+        request_id = next_request_id()
+        client = self.client
+        if waiter is not None:
+            client._waiters[request_id] = waiter
+        client._issue(request_id, trace.file_ids[index], OPS[trace.writes[index]])
+
+    def _drain(self) -> None:
+        """Every request is issued: finish once none is outstanding."""
+        client = self.client
+        client._replay_finished = True
+        if client._pending:
+            drained = client._drained
+            assert drained.callbacks is not None
+            drained.callbacks.append(self._finish)
+        else:
+            self._finish()
+
+    def _finish(self, _value: Any = None) -> None:
+        self.done.succeed(self.client.response_times)
+
+
+class _ClosedReplay(_Replay):
+    """``"closed"``: issue, wait for the response, sleep the trace's
+    inter-arrival gap, repeat."""
+
+    __slots__ = ()
+
+    def _pace(self, _value: Any = None) -> None:
+        """Kick-off: sleep until the epoch, then issue the first request."""
+        sim = self.client.sim
+        if self.epoch_s > sim.now:
+            sim.call_later(self.epoch_s - sim.now, self._next)
+        else:
+            self._next()
+
+    def _next(self, _value: Any = None) -> None:
+        """Issue the next request, or finish after the last response."""
+        if self.next < len(self.trace.times):
+            self._send(self._on_settled)
+        else:
+            self.client._replay_finished = True
+            self._finish()
+
+    def _on_settled(self) -> None:
+        self.client.sim.call_soon(self._settled)
+
+    def _settled(self, _value: Any) -> None:
+        """A response arrived: sleep the gap to the next request."""
+        times = self.trace.times
+        index = self.next
+        if index < len(times):
+            gap = times[index] - times[index - 1]
+            if gap > 0:
+                self.client.sim.call_later(gap, self._next)
+                return
+        self._next()
+
+
+class _PacedReplay(_Replay):
+    """``"paced"``: each request waits for its trace timestamp, then for
+    one of the client's ``max_outstanding`` pacing slots, and is issued
+    when the slot is granted; its settlement frees the slot.
+
+    A free-slot count stands in for a slot resource: the replayer is the
+    slots' only claimant, so at most one claim ever waits.
+    """
+
+    __slots__ = ("free", "claiming")
+
+    def __init__(self, client: ClientDriver, trace: Trace, epoch_s: float) -> None:
         self.free = client.max_outstanding
         #: The next request holds a claim that waits for a free slot.
         self.claiming = False
-        #: Succeeds with the client's response-time tally once every
-        #: response has arrived.
-        self.done = client.sim.event()
-        client.sim.call_soon(self._pace, priority=URGENT)
+        super().__init__(client, trace, epoch_s)
 
     def _pace(self, _value: Any = None) -> None:
         """Wait for the next request's timestamp, or finish."""
@@ -455,14 +509,7 @@ class _PacedReplay:
             else:
                 self._claim()
             return
-        client = self.client
-        client._replay_finished = True
-        if client._pending:
-            drained = client._drained
-            assert drained.callbacks is not None
-            drained.callbacks.append(self._finish)
-        else:
-            self._finish()
+        self._drain()
 
     def _claim(self, _value: Any = None) -> None:
         """Claim a pacing slot for the next request."""
@@ -493,6 +540,3 @@ class _PacedReplay:
             self.client.sim.call_soon(self._issue)
         else:
             self.free += 1
-
-    def _finish(self, _value: Any = None) -> None:
-        self.done.succeed(self.client.response_times)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.core.protocol import (
 )
 from repro.core.writebuffer import WriteBuffer
 from repro.disk.drive import (
-    DiskFailureError,
     PRIORITY_BACKGROUND,
     PRIORITY_PREFETCH,
     RequestKind,
@@ -59,6 +58,9 @@ from repro.net.message import Message
 from repro.sim.engine import hold_slot, Simulator
 from repro.sim.events import Event, URGENT
 from repro.traces.model import RequestOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Span
 
 #: Energy-aware destaging of buffered writes (§III-C): every check
 #: interval, dirty files whose data disks are already awake are written
@@ -72,7 +74,7 @@ DESTAGE_MAX_DIRTY_AGE_S = 60.0
 
 
 class StorageNode:
-    """One storage node process and its disk array."""
+    """One storage node and its disk array."""
 
     #: What a data disk's idle timer does on expiry; the DRPM baseline
     #: overrides this to "low_speed".
@@ -152,8 +154,15 @@ class StorageNode:
         # Kicked off URGENT now: the slot a main-loop process would
         # start in.
         self.sim.call_soon(self._await_message, priority=URGENT)
+        #: The destage pass in progress: the rest of its plan, and the
+        #: files aged past the durability bound.
+        self._destage_files: Iterator[Tuple[int, int]] = iter(())
+        self._destage_aged: Set[int] = set()
         if config.write_buffering:
-            sim.process(self._destage_loop())
+            sim.call_soon(
+                lambda _value: sim.call_later(DESTAGE_CHECK_INTERVAL_S, self._destage_pass),
+                priority=URGENT,
+            )
 
     # -- backend construction ----------------------------------------------------------
 
@@ -304,7 +313,7 @@ class StorageNode:
         # Everything else (hints, prefetch commands, silent write copies,
         # replica data) is simply lost with the node.
 
-    # -- the node process ----------------------------------------------------------------
+    # -- the inbox handler ---------------------------------------------------------------
 
     def _await_message(self, _value: Any = None) -> None:
         """Park :meth:`_on_message` on the inbox (kick-off, and resume
@@ -322,9 +331,7 @@ class StorageNode:
         elif isinstance(payload, PrefetchCommand):
             # Blocking on the copy loop is intentional: the server
             # does not release the workload until every node acks.
-            copy = self.sim.process(self._do_prefetch(payload))
-            assert copy.callbacks is not None
-            copy.callbacks.append(self._await_message)
+            self.sim.call_soon(self._prefetch, payload, priority=URGENT)
             return
         elif isinstance(payload, AccessHints):
             self._install_hints(payload)
@@ -332,18 +339,25 @@ class StorageNode:
             # Serve concurrently; different disks must overlap.
             _Serve(self, payload)
         elif isinstance(payload, RepairCommand):
-            self.sim.process(self._start_repair(payload))
+            self.sim.call_soon(self._start_repair, payload, priority=URGENT)
         elif isinstance(payload, ReplicaPull):
-            self.sim.process(self._serve_pull(payload))
+            self.sim.call_soon(self._serve_pull, payload, priority=URGENT)
         elif isinstance(payload, ReplicaData):
-            self.sim.process(self._finish_repair(payload))
+            self.sim.call_soon(self._finish_repair, payload, priority=URGENT)
         else:  # pragma: no cover - defensive
             raise TypeError(f"storage node cannot handle {payload!r}")
         self.endpoint.inbox.take(self._on_message)
 
     # -- prefetch (Fig. 2 step 3) -----------------------------------------------------------
 
-    def _do_prefetch(self, command: PrefetchCommand) -> Generator[Event, Any, None]:
+    def _prefetch(self, command: PrefetchCommand) -> None:
+        """Copy *command*'s files to the buffer disk, then ack.
+
+        Files copy one at a time: stripe reads from the data disks, then
+        one sequential write to the buffer disk.  The inbox handler is
+        parked meanwhile (the server releases the workload only once
+        every node has acked) and resumes where the copies end.
+        """
         started = self.sim.now
         if command.replace:
             # Dynamic re-prefetch: drop copies that fell out of the hot
@@ -355,104 +369,127 @@ class StorageNode:
                     self.files_evicted += 1
             self.reprefetch_rounds += 1
         self.prefetch_stats.files_requested += len(command.file_ids)
-        for file_id in command.file_ids:
-            if not self.metadata.can_prefetch(file_id):
-                self.prefetch_stats.skipped_capacity += 1
-                continue
-            size = self.metadata.size_of(file_id)
-            stripe = self.metadata.stripe_size_bytes(file_id)
-            tracer = self.sim.tracer
-            copy_span = None
-            if tracer is not None:
-                copy_span = tracer.begin(
-                    "prefetch.copy", self.spec.name, file_id=file_id, bytes=size
-                )
-            try:
-                reads = [
-                    self.data_disks[disk].submit(
-                        stripe,
-                        kind=RequestKind.READ,
-                        tag=("prefetch", file_id),
-                        priority=PRIORITY_PREFETCH,
-                    )
-                    for disk in self.metadata.stripe_disks(file_id)
-                ]
-                yield self.sim.all_of([r.done for r in reads])
-                write = self.buffer_disk.submit(
-                    size,
-                    kind=RequestKind.WRITE,
-                    sequential=True,
-                    tag=("prefetch", file_id),
-                    priority=PRIORITY_PREFETCH,
-                )
-                yield write.done
-            except DiskFailureError:
-                # A dead source (or buffer) disk costs this file its
-                # buffer copy, not the node its prefetch loop.
-                if copy_span is not None:
-                    tracer.end(copy_span, ok=False)
-                continue
-            if copy_span is not None:
-                tracer.end(copy_span, ok=True)
-            self.metadata.mark_prefetched(file_id)
-            self.prefetch_stats.files_copied += 1
-            self.prefetch_stats.bytes_copied += size
-        self.prefetch_stats.duration_s = self.sim.now - started
+        self._prefetch_next(command, iter(command.file_ids), started)
+
+    def _prefetch_next(
+        self, command: PrefetchCommand, files: Iterator[int], started: float
+    ) -> None:
+        """Copy the next of *files* that fits, or finish the command."""
+        for file_id in files:
+            if self.metadata.can_prefetch(file_id):
+                break
+            self.prefetch_stats.skipped_capacity += 1
+        else:
+            self._prefetched(command, started)
+            return
+        size = self.metadata.size_of(file_id)
+        stripe = self.metadata.stripe_size_bytes(file_id)
+        tracer = self.sim.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.begin("prefetch.copy", self.spec.name, file_id=file_id, bytes=size)
+
+        def copied(ok: bool) -> None:
+            # A dead source (or buffer) disk costs this file its buffer
+            # copy, not the node its copy loop.
+            if span is not None and tracer is not None:
+                tracer.end(span, ok=ok)
+            if ok:
+                self.metadata.mark_prefetched(file_id)
+                self.prefetch_stats.files_copied += 1
+                self.prefetch_stats.bytes_copied += size
+            self._prefetch_next(command, files, started)
+
+        def read(event: Event) -> None:
+            if not _survived(event):
+                copied(False)
+                return
+            write = self.buffer_disk.submit(
+                size,
+                kind=RequestKind.WRITE,
+                sequential=True,
+                tag=("prefetch", file_id),
+                priority=PRIORITY_PREFETCH,
+            )
+            _on(write.done, lambda event: copied(_survived(event)))
+
+        reads = [
+            self.data_disks[disk].submit(
+                stripe,
+                kind=RequestKind.READ,
+                tag=("prefetch", file_id),
+                priority=PRIORITY_PREFETCH,
+            )
+            for disk in self.metadata.stripe_disks(file_id)
+        ]
+        _on(self.sim.all_of([r.done for r in reads]), read)
+
+    def _prefetched(self, command: PrefetchCommand, started: float) -> None:
+        """The copies are over: ack if asked to; the inbox handler then
+        resumes in the slot of the copy process's completion event."""
+        stats = self.prefetch_stats
+        stats.duration_s = self.sim.now - started
         if command.replace:
             # The buffer's contents changed under the power manager:
             # rebuild the per-disk patterns from the remaining future.
             self._rebuild_patterns()
-        if command.ack:
-            yield self.fabric.send(
-                self.spec.name,
-                self.server_name,
-                PrefetchComplete(
-                    node=self.spec.name,
-                    files_copied=self.prefetch_stats.files_copied,
-                    bytes_copied=self.prefetch_stats.bytes_copied,
-                ),
-            )
+        if not command.ack:
+            self.sim.call_soon(self._await_message)
+            return
+        complete = PrefetchComplete(
+            node=self.spec.name,
+            files_copied=stats.files_copied,
+            bytes_copied=stats.bytes_copied,
+        )
+        _on(
+            self.fabric.send(self.spec.name, self.server_name, complete),
+            lambda _event: self.sim.call_soon(self._await_message),
+        )
 
     # -- destaging (energy-aware write-back) --------------------------------------------------
 
-    def _destage_loop(self) -> Generator[Event, Any, None]:
+    def _destage_pass(self, over_highwater: Optional[bool]) -> None:
         """Write dirty buffer data back to data disks, energy-aware.
 
         Opportunistic: a dirty file destages when every disk of its
         stripe is already awake (no wake-up charged to write-back).
         Forced: past the high-water mark the oldest dirty data destages
         regardless, waking disks if needed -- bounded staleness beats an
-        overflowing buffer.
+        overflowing buffer.  A timer starts each pass (*over_highwater*
+        None); the end of each copy, one file at a time, resumes it.
         """
-        interval = DESTAGE_CHECK_INTERVAL_S
-        max_age = DESTAGE_MAX_DIRTY_AGE_S
-        while True:
-            yield self.sim.timeout(interval)
+        if over_highwater is None:
             over_highwater = self._write_buffer_over_highwater()
-            aged = set(self.write_buffer.aged_files(self.sim.now, max_age))
-            for file_id, _size in self.write_buffer.destage_plan():
-                if file_id not in self.metadata:
-                    continue
-                disks = [self.data_disks[i] for i in self.metadata.stripe_disks(file_id)]
-                awake = all(d.state.can_serve and d.inflight == 0 for d in disks)
-                if awake or over_highwater or file_id in aged:
-                    tracer = self.sim.tracer
-                    span = None
-                    if tracer is not None:
-                        span = tracer.begin(
-                            "destage.copy", self.spec.name, file_id=file_id
-                        )
-                    try:
-                        yield self.sim.process(self._destage_one(file_id))
-                    except DiskFailureError:
-                        # Target disk died; the data stays (safely) dirty
-                        # on the buffer disk.
-                        if span is not None:
-                            tracer.end(span, ok=False)
-                        continue
-                    if span is not None:
-                        tracer.end(span, ok=True)
-                    over_highwater = self._write_buffer_over_highwater()
+            self._destage_aged = set(
+                self.write_buffer.aged_files(self.sim.now, DESTAGE_MAX_DIRTY_AGE_S)
+            )
+            self._destage_files = iter(self.write_buffer.destage_plan())
+        for file_id, _size in self._destage_files:
+            if file_id not in self.metadata:
+                continue
+            disks = [self.data_disks[i] for i in self.metadata.stripe_disks(file_id)]
+            awake = all(d.state.can_serve and d.inflight == 0 for d in disks)
+            if awake or over_highwater or file_id in self._destage_aged:
+                break
+        else:
+            self.sim.call_later(DESTAGE_CHECK_INTERVAL_S, self._destage_pass)
+            return
+        tracer = self.sim.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.begin("destage.copy", self.spec.name, file_id=file_id)
+        done = self.sim.event()
+        _on(done, lambda event: self._destaged(event, span, over_highwater))
+        self.sim.call_soon(lambda _value: self._destage_one(file_id, done), priority=URGENT)
+
+    def _destaged(self, done: Event, span: Optional[Span], over_highwater: bool) -> None:
+        """A copy is over; after a dead target disk the data stays
+        (safely) dirty on the buffer disk."""
+        ok = _survived(done)
+        tracer = self.sim.tracer
+        if span is not None and tracer is not None:
+            tracer.end(span, ok=ok)
+        self._destage_pass(self._write_buffer_over_highwater() if ok else over_highwater)
 
     def _write_buffer_over_highwater(self) -> bool:
         capacity = self.write_buffer.capacity_bytes
@@ -461,42 +498,57 @@ class StorageNode:
         fraction = self.write_buffer.dirty_bytes / capacity
         return fraction >= DESTAGE_HIGHWATER_FRACTION
 
-    def _destage_one(self, file_id: int) -> Generator[Event, Any, None]:
-        """Read staged data from the buffer log, write to the data disks.
+    def _destage_one(self, file_id: int, done: Event) -> None:
+        """Read staged data from the buffer log, write to the data disks;
+        *done* succeeds once they are written, or fails as a dead drive
+        did.
 
         The dirty entry is removed only once the data-disk writes have
         completed, so concurrent reads keep hitting the (still current)
         buffer copy throughout the write-back.
         """
         size = dict(self.write_buffer.destage_plan())[file_id]
-        read = self.buffer_disk.submit(
+
+        def read(event: Event) -> None:
+            if not _survived(event):
+                done.fail(event._value)
+                return
+            stripe = -(-size // self.metadata.stripe_width)
+            targets = self.metadata.stripe_disks(file_id)
+            writes = [
+                self.data_disks[i].submit(
+                    stripe,
+                    kind=RequestKind.WRITE,
+                    tag=("destage", file_id),
+                    priority=PRIORITY_BACKGROUND,
+                )
+                for i in targets
+            ]
+
+            def written(event: Event) -> None:
+                if not _survived(event):
+                    done.fail(event._value)
+                    return
+                # A fresh write may have re-dirtied the file mid-destage;
+                # in that case keep the newer staged data.
+                if dict(self.write_buffer.destage_plan()).get(file_id) == size:
+                    self.write_buffer.destage(file_id)
+                self.writes_destaged += 1
+                self.bytes_destaged += size
+                for i in targets:
+                    self.power.evaluate(i)
+                done.succeed()
+
+            _on(self.sim.all_of([w.done for w in writes]), written)
+
+        request = self.buffer_disk.submit(
             size,
             kind=RequestKind.READ,
             sequential=True,
             tag=("destage", file_id),
             priority=PRIORITY_BACKGROUND,
         )
-        yield read.done
-        stripe = -(-size // self.metadata.stripe_width)
-        targets = self.metadata.stripe_disks(file_id)
-        writes = [
-            self.data_disks[i].submit(
-                stripe,
-                kind=RequestKind.WRITE,
-                tag=("destage", file_id),
-                priority=PRIORITY_BACKGROUND,
-            )
-            for i in targets
-        ]
-        yield self.sim.all_of([w.done for w in writes])
-        # A fresh write may have re-dirtied the file mid-destage; in that
-        # case keep the newer staged data.
-        if dict(self.write_buffer.destage_plan()).get(file_id) == size:
-            self.write_buffer.destage(file_id)
-        self.writes_destaged += 1
-        self.bytes_destaged += size
-        for i in targets:
-            self.power.evaluate(i)
+        _on(request.done, read)
 
     # -- hints (Fig. 2 step 4) ---------------------------------------------------------------
 
@@ -584,17 +636,15 @@ class StorageNode:
 
     # -- repair data plane (repro.replication) ------------------------------------------
 
-    def _start_repair(self, command: RepairCommand) -> Generator[Event, Any, None]:
+    def _start_repair(self, command: RepairCommand) -> None:
         """RepairCommand handler (we are the repair *target*): pull the
         bytes from the surviving source holder."""
         self._pending_repairs[command.file_id] = command
-        yield self.fabric.send(
-            self.spec.name,
-            command.source,
-            ReplicaPull(file_id=command.file_id, requester=self.spec.name),
+        self._send_last(
+            command.source, ReplicaPull(file_id=command.file_id, requester=self.spec.name)
         )
 
-    def _serve_pull(self, pull: ReplicaPull) -> Generator[Event, Any, None]:
+    def _serve_pull(self, pull: ReplicaPull) -> None:
         """ReplicaPull handler (we are the *source*): read the file and
         ship it to the repair target.
 
@@ -604,54 +654,40 @@ class StorageNode:
         background priority behind client requests either way.
         """
         file_id = pull.file_id
-        ok = True
-        size = 0
         if file_id not in self.metadata:
-            ok = False
+            self._ship_replica(pull, 0, False)
+            return
+        size = self.metadata.size_of(file_id)
+        if self.metadata.is_prefetched(file_id) or file_id in self.write_buffer.dirty_files:
+            read = self.buffer_disk.submit(
+                size,
+                kind=RequestKind.READ,
+                sequential=True,
+                tag=("repair", file_id),
+                priority=PRIORITY_BACKGROUND,
+            ).done
         else:
-            size = self.metadata.size_of(file_id)
-            try:
-                if (
-                    self.metadata.is_prefetched(file_id)
-                    or file_id in self.write_buffer.dirty_files
-                ):
-                    io = self.buffer_disk.submit(
-                        size,
-                        kind=RequestKind.READ,
-                        sequential=True,
-                        tag=("repair", file_id),
-                        priority=PRIORITY_BACKGROUND,
-                    )
-                    yield io.done
-                else:
-                    stripe = self.metadata.stripe_size_bytes(file_id)
-                    ios = [
-                        self.data_disks[target].submit(
-                            stripe,
-                            kind=RequestKind.READ,
-                            tag=("repair", file_id),
-                            priority=PRIORITY_BACKGROUND,
-                        )
-                        for target in self.metadata.stripe_disks(file_id)
-                    ]
-                    yield self.sim.all_of([io.done for io in ios])
-            except DiskFailureError:
-                ok = False
-        if ok:
-            yield self.fabric.send(
-                self.spec.name,
-                pull.requester,
-                ReplicaData(file_id=file_id, size_bytes=size, ok=True),
-                size_bytes=size,
-            )
-        else:
-            yield self.fabric.send(
-                self.spec.name,
-                pull.requester,
-                ReplicaData(file_id=file_id, size_bytes=size, ok=False),
-            )
+            stripe = self.metadata.stripe_size_bytes(file_id)
+            ios = [
+                self.data_disks[target].submit(
+                    stripe,
+                    kind=RequestKind.READ,
+                    tag=("repair", file_id),
+                    priority=PRIORITY_BACKGROUND,
+                )
+                for target in self.metadata.stripe_disks(file_id)
+            ]
+            read = self.sim.all_of([io.done for io in ios])
+        _on(read, lambda event: self._ship_replica(pull, size, _survived(event)))
 
-    def _finish_repair(self, data: ReplicaData) -> Generator[Event, Any, None]:
+    def _ship_replica(self, pull: ReplicaPull, size: int, ok: bool) -> None:
+        self._send_last(
+            pull.requester,
+            ReplicaData(file_id=pull.file_id, size_bytes=size, ok=ok),
+            size if ok else None,
+        )
+
+    def _finish_repair(self, data: ReplicaData) -> None:
         """ReplicaData handler (we are the *target* again): write the new
         replica locally, then report to the server.
 
@@ -659,33 +695,38 @@ class StorageNode:
         when one exists (least queued first); only an all-asleep array
         falls back to the node's round-robin default and wakes a disk.
         """
-        command = self._pending_repairs.pop(data.file_id, None)
-        if command is None:
-            return  # crash() dropped the context; the manager will retry
-        ok = data.ok
-        if ok:
-            try:
-                if data.file_id not in self.metadata:
-                    self.metadata.create(
-                        data.file_id, data.size_bytes, disk=self._replica_disk()
-                    )
-                stripe = self.metadata.stripe_size_bytes(data.file_id)
-                ios = [
-                    self.data_disks[target].submit(
-                        stripe,
-                        kind=RequestKind.WRITE,
-                        tag=("repair", data.file_id),
-                        priority=PRIORITY_BACKGROUND,
-                    )
-                    for target in self.metadata.stripe_disks(data.file_id)
-                ]
-                yield self.sim.all_of([io.done for io in ios])
-            except DiskFailureError:
-                ok = False
-        yield self.fabric.send(
-            self.spec.name,
-            self.server_name,
-            RepairComplete(file_id=data.file_id, node=self.spec.name, ok=ok),
+        if self._pending_repairs.pop(data.file_id, None) is None:
+            # crash() dropped the context; the manager will retry.
+            self.sim.call_soon(hold_slot)
+        elif not data.ok:
+            self._report_repair(data.file_id, False)
+        else:
+            if data.file_id not in self.metadata:
+                self.metadata.create(data.file_id, data.size_bytes, disk=self._replica_disk())
+            stripe = self.metadata.stripe_size_bytes(data.file_id)
+            ios = [
+                self.data_disks[target].submit(
+                    stripe,
+                    kind=RequestKind.WRITE,
+                    tag=("repair", data.file_id),
+                    priority=PRIORITY_BACKGROUND,
+                )
+                for target in self.metadata.stripe_disks(data.file_id)
+            ]
+            written = self.sim.all_of([io.done for io in ios])
+            _on(written, lambda event: self._report_repair(data.file_id, _survived(event)))
+
+    def _report_repair(self, file_id: int, ok: bool) -> None:
+        self._send_last(
+            self.server_name, RepairComplete(file_id=file_id, node=self.spec.name, ok=ok)
+        )
+
+    def _send_last(self, dst: str, payload: object, size_bytes: Optional[int] = None) -> None:
+        """A repair step's last act: send *payload*; where it is
+        delivered, hold the slot of the step's completion event."""
+        _on(
+            self.fabric.send(self.spec.name, dst, payload, size_bytes=size_bytes),
+            lambda event: self.sim.call_soon(hold_slot),
         )
 
     def _replica_disk(self) -> Optional[int]:
@@ -697,6 +738,21 @@ class StorageNode:
         if not awake:
             return None
         return min(awake, key=lambda i: (self.data_disks[i].inflight, i))
+
+
+def _on(event: Event, fn: Callable[[Event], None]) -> None:
+    """Run ``fn(event)`` where *event* is dispatched."""
+    assert event.callbacks is not None
+    event.callbacks.append(fn)
+
+
+def _survived(event: Event) -> bool:
+    """Whether the drives behind an awaited *event* all survived.  A dead
+    drive's :class:`~repro.disk.drive.DiskFailureError` is handled here,
+    so it is defused."""
+    if not event._ok:
+        event._defused = True
+    return event._ok
 
 
 class _Serve:

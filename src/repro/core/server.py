@@ -15,13 +15,13 @@ as a load balancer and access point for all of the storage nodes".  It:
 When a run replans its buffers (online mode, or ``popularity_window_s``)
 the server also feeds every routed request to the replan loop's
 popularity source; the loop itself (:class:`~repro.online.replan.ReplanLoop`)
-runs beside the server, which starts no periodic process of its own.
+runs beside the server, which starts no periodic loop of its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.config import EEVFSConfig, SERVER_OVERHEAD_S
 from repro.core.metadata import ServerMetadata
@@ -50,7 +50,6 @@ from repro.replication.policy import plan_replicas
 from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, URGENT
-from repro.sim.process import Process
 from repro.traces.model import RequestOp, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,8 +134,8 @@ class StorageServer:
 
     # -- setup (Fig. 2 steps 1-4) ---------------------------------------------------
 
-    def setup(self, trace: Trace, history: Optional[Trace] = None) -> Process:
-        """Run initialisation; returns a process whose value is the epoch.
+    def setup(self, trace: Trace, history: Optional[Trace] = None) -> Event:
+        """Run initialisation; returns an event that succeeds with the epoch.
 
         *history* is the trace the popularity log was gathered from; by
         default the replay trace itself, which is what the prototype did
@@ -146,15 +145,22 @@ class StorageServer:
         The epoch is the simulation time at which trace replay may begin
         (all placement, prefetch copies and hints are in place).
         """
-        return self.sim.process(
-            self._setup(trace, history if history is not None else trace)
-        )
+        done = self.sim.event()
+        nodes = iter(self.node_names)
 
-    def _setup(self, trace: Trace, history: Trace) -> Generator[Event, Any, float]:
-        # Step 1: one thread + TCP connection per storage node.
-        for node in self.node_names:
-            yield self.fabric.connect(self.name, node)
+        def connect(_value: Any = None) -> None:
+            # Step 1: one thread + TCP connection per storage node.
+            node = next(nodes, None)
+            if node is not None:
+                self.fabric.connect(self.name, node, connect)
+            else:
+                self._place(trace, trace if history is None else history, done)
 
+        self.sim.call_soon(connect, priority=URGENT)
+        return done
+
+    def _place(self, trace: Trace, history: Trace, done: Event) -> None:
+        """Steps 2 and 3a: rank the files, place them and create them."""
         # Step 2: popularity.  Oracle mode ranks by the historical access
         # counts, once; online mode has no hindsight -- its streaming
         # estimator starts cold, so the initial ranking degenerates to
@@ -231,12 +237,17 @@ class StorageServer:
                         ),
                     )
                 )
-        yield self.sim.all_of(create_events)
+        created = self.sim.all_of(create_events)
+        assert created.callbacks is not None
+        created.callbacks.append(lambda _event: self._instruct(ranking, trace, done))
 
-        # Step 3b: instruct prefetching.  Online mode starts with cold
-        # buffers -- a cold estimator would only prefetch catalog-order
-        # files -- and lets the replan loop populate them once the
-        # stream has taught the estimator something.
+    def _instruct(self, ranking: List[int], trace: Trace, done: Event) -> None:
+        """Step 3b: instruct prefetching.
+
+        Online mode starts with cold buffers -- a cold estimator would
+        only prefetch catalog-order files -- and lets the replan loop
+        populate them once the stream has taught the estimator something.
+        """
         if (
             self.config.prefetch_enabled
             and self.config.prefetch_files > 0
@@ -246,45 +257,71 @@ class StorageServer:
                 ranking, self.config.prefetch_files, self.placement
             )
             commands = [
-                (node, self.prefetch_plan.files_for(node)) for node in self.node_names
+                (node, files)
+                for node in self.node_names
+                if (files := self.prefetch_plan.files_for(node))
             ]
-            to_ack = [node for node, files in commands if files]
-            self._prefetch_acks_pending = len(to_ack)
+            self._prefetch_acks_pending = len(commands)
             self._prefetch_all_acked = self.sim.event()
-            for node, files in commands:
-                if files:
-                    yield self.fabric.send(
-                        self.name, node, PrefetchCommand(file_ids=tuple(files))
-                    )
-            if self._prefetch_acks_pending:
-                yield self._prefetch_all_acked
+            self._command(iter(commands), trace, done)
+        else:
+            self._hint(trace, done)
 
-        # Step 4: application hints -- per node, the future arrival times
-        # of every file it hosts.  Sent regardless of PF/NPF mode (nodes
-        # decide whether to act on them, config.use_hints) -- but *not*
-        # in online mode, whose whole premise is that the future trace
-        # is unknown; nodes then power-manage on idle timers alone.
+    def _command(
+        self, commands: Iterator[Tuple[str, Tuple[int, ...]]], trace: Trace, done: Event
+    ) -> None:
+        """Send the prefetch commands one delivery at a time, then wait
+        for every node's ack."""
+        command = next(commands, None)
+        if command is not None:
+            node, files = command
+            sent = self.fabric.send(
+                self.name, node, PrefetchCommand(file_ids=tuple(files))
+            )
+            assert sent.callbacks is not None
+            sent.callbacks.append(lambda _event: self._command(commands, trace, done))
+        elif self._prefetch_acks_pending:
+            acked = self._prefetch_all_acked
+            assert acked is not None and acked.callbacks is not None
+            acked.callbacks.append(lambda _event: self._hint(trace, done))
+        else:
+            self._hint(trace, done)
+
+    def _hint(self, trace: Trace, done: Event) -> None:
+        """Step 4: application hints -- per node, the future arrival
+        times of every file it hosts.
+
+        Sent regardless of PF/NPF mode (nodes decide whether to act on
+        them, config.use_hints) -- but *not* in online mode, whose whole
+        premise is that the future trace is unknown; nodes then
+        power-manage on idle timers alone.
+        """
+        if self.config.online_mode:
+            self._ready(done)
+            return
         epoch = self.sim.now
-        if not self.config.online_mode:
-            arrivals: Dict[str, Dict[int, List[float]]] = defaultdict(dict)
-            placement = self.placement
-            for time_s, file_id in zip(trace.times, trace.file_ids):
-                arrivals[placement[file_id]].setdefault(file_id, []).append(time_s)
-            hint_events = []
-            for node in self.node_names:
-                payload = AccessHints(
-                    arrivals={
-                        fid: tuple(times) for fid, times in arrivals[node].items()
-                    },
-                    epoch_s=epoch,
-                )
-                hint_events.append(self.fabric.send(self.name, node, payload))
-            yield self.sim.all_of(hint_events)
+        arrivals: Dict[str, Dict[int, List[float]]] = defaultdict(dict)
+        placement = self.placement
+        for time_s, file_id in zip(trace.times, trace.file_ids):
+            arrivals[placement[file_id]].setdefault(file_id, []).append(time_s)
+        hint_events = []
+        for node in self.node_names:
+            payload = AccessHints(
+                arrivals={fid: tuple(times) for fid, times in arrivals[node].items()},
+                epoch_s=epoch,
+            )
+            hint_events.append(self.fabric.send(self.name, node, payload))
+        hinted = self.sim.all_of(hint_events)
+        assert hinted.callbacks is not None
+        hinted.callbacks.append(lambda _event: self._ready(done))
+
+    def _ready(self, done: Event) -> None:
+        """Setup is over: start re-replication and release the workload."""
         # Started only now: during setup every file is transiently
         # "under-replicated" and the repair loop must not chase ghosts.
         if self.config.replication_factor > 1:
             self.repairer = ReplicationManager(self)
-        return self.sim.now
+        done.succeed(self.sim.now)
 
     # -- request plane (steps 5-6) -----------------------------------------------------
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -113,11 +113,12 @@ class ScheduleShapeHasher(EventStreamHasher):
     sequence counter at dispatch and whether the event succeeded --
     never the event's type.  The counter is the number of events
     scheduled so far, so it moves with every added or dropped event,
-    and the timestamp moves with every shifted one; but a ``Timeout``,
-    grant or kick-off ``Event`` swapped for a ``Continuation`` in the
-    same ``(time, priority, sequence)`` slot digests equal.
-    That is the contract a dispatch rewrite must keep when it replaces
-    generator and grant machinery with flat callbacks.
+    and the timestamp moves with every shifted one; but an ``Event``
+    swapped for a ``Continuation`` in the same ``(time, priority,
+    sequence)`` slot digests equal, as long as both succeed.  That is
+    the contract the flat callbacks kept when they replaced generator
+    processes, timeouts and grants: a failed wait still dispatches a
+    failed ``Event``.
     """
 
     __slots__ = ()
@@ -357,17 +358,14 @@ def assert_schedule_invariant(
     return baseline.bucket_digest
 
 
+
 def _self_check() -> None:  # pragma: no cover - manual smoke hook
     """Tiny built-in smoke test (``python -m repro.devtools.sanitizer``)."""
 
     def build() -> Simulator:
         sim = Simulator()
-
-        def worker(sim: Simulator) -> Any:
-            for _ in range(10):
-                yield sim.timeout(1.0)
-
-        sim.process(worker(sim))
+        for delay in range(1, 11):
+            sim.call_later(float(delay), lambda _value: None)
         return sim
 
     digest = assert_deterministic(build, runs=3)

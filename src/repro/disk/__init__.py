@@ -10,7 +10,7 @@ of the disk model defined here:
   (seek + rotation + transfer, :meth:`DiskSpec.service_time`),
 * :mod:`repro.disk.energy` -- energy metering and break-even analysis,
 * :mod:`repro.disk.drive` -- :class:`StorageBackend`, what every device
-  model shares, and :class:`SimDisk`, the simulated drive process.
+  model shares, and :class:`SimDisk`, the simulated drive.
 """
 
 from repro.disk.drive import DiskRequest, RequestKind, SimDisk, StorageBackend

@@ -16,7 +16,7 @@ starts the injector only once setup (placement + prefetch) completed, so
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.faults.log import FaultLog
 from repro.faults.schedule import (
@@ -35,8 +35,8 @@ from repro.faults.schedule import (
     PARTITION,
     SPINUP_FLAKY,
 )
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import hold_slot, Simulator
+from repro.sim.events import URGENT
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,13 +69,16 @@ class FaultInjector:
         for action in self.actions:  # fail fast on typos, before the run
             self._resolve(action)
         self._started = False
+        #: Simulated time the schedule's offsets count from.
+        self._epoch_s = 0.0
 
     def start(self, epoch_s: float) -> None:
         """Begin injecting; schedule times are offsets from *epoch_s*."""
         if self._started:
             raise RuntimeError("fault injector already started")
         self._started = True
-        self.sim.process(self._run(epoch_s))
+        self._epoch_s = epoch_s
+        self.sim.call_soon(self._inject, 0, priority=URGENT)
 
     # -- internals ---------------------------------------------------------------
 
@@ -134,12 +137,21 @@ class FaultInjector:
             return plane
         return self._disk(action)
 
-    def _run(self, epoch_s: float) -> Generator[Event, Any, None]:
-        for action in self.actions:
-            at = epoch_s + action.time_s
+    def _inject(self, index: int) -> None:
+        """Apply every due action from *index* on and sleep until the
+        next; after the last, hold the slot of the injector's completion."""
+        while index < len(self.actions):
+            at = self._epoch_s + self.actions[index].time_s
             if at > self.sim.now:
-                yield self.sim.timeout(at - self.sim.now)
-            self._apply(action)
+                self.sim.call_later(at - self.sim.now, self._wake, index)
+                return
+            self._apply(self.actions[index])
+            index += 1
+        self.sim.call_soon(hold_slot)
+
+    def _wake(self, index: int) -> None:
+        self._apply(self.actions[index])
+        self._inject(index + 1)
 
     def _apply(self, action: FaultAction) -> None:
         t = self.sim.now

@@ -21,6 +21,7 @@ Two kinds of entries coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Iterable, List, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
@@ -73,8 +74,9 @@ class FaultAction:
     value2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.time_s!r}")
+        # `not x >= 0` also rejects NaN, and a fault time must be finite.
+        if not 0 <= self.time_s < math.inf:
+            raise ValueError(f"fault time must be finite and >= 0, got {self.time_s!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind: {self.kind!r}")
         if not self.target:
@@ -100,12 +102,12 @@ class ExponentialFaults:
     def __post_init__(self) -> None:
         if not self.targets:
             raise ValueError("need at least one target")
-        if self.mtbf_s <= 0:
-            raise ValueError(f"mtbf_s must be > 0, got {self.mtbf_s!r}")
-        if self.mttr_s is not None and self.mttr_s <= 0:
-            raise ValueError(f"mttr_s must be > 0, got {self.mttr_s!r}")
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be > 0, got {self.horizon_s!r}")
+        if not 0 < self.mtbf_s < math.inf:
+            raise ValueError(f"mtbf_s must be finite and > 0, got {self.mtbf_s!r}")
+        if self.mttr_s is not None and not 0 < self.mttr_s < math.inf:
+            raise ValueError(f"mttr_s must be finite and > 0, got {self.mttr_s!r}")
+        if not 0 < self.horizon_s < math.inf:
+            raise ValueError(f"horizon_s must be finite and > 0, got {self.horizon_s!r}")
         if self.kind not in ("disk", "node"):
             raise ValueError(f"kind must be 'disk' or 'node', got {self.kind!r}")
 
@@ -138,8 +140,9 @@ class FaultSchedule:
         self, start: FaultAction, end_kind: str, until: Optional[float]
     ) -> "FaultSchedule":
         """Add *start* and, when *until* is set, the *end_kind* action
-        that ends it then; an end at or before the start is rejected."""
-        if until is not None and until <= start.time_s:
+        that ends it then; an end not finite and after the start is
+        rejected before either is added."""
+        if until is not None and not start.time_s < until < math.inf:
             raise ValueError(f"until ({until!r}) must be after at ({start.time_s!r})")
         self.add(start)
         if until is not None:

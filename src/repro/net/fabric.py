@@ -10,7 +10,7 @@ backplane contention), which matches small dedicated cluster switches.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.link import DEFAULT_CONNECT_S, DEFAULT_LATENCY_S, Link
 from repro.net.message import Message
@@ -267,11 +267,11 @@ class Fabric:
         )
         _Delivery(self, sender, receiver, message, None)
 
-    def connect(self, src: str, dst: str) -> Event:
-        """Pay one connection-setup round trip (TCP handshake)."""
+    def connect(self, src: str, dst: str, then: Callable[[Any], None]) -> None:
+        """Pay one connection-setup round trip (TCP handshake), then ``then``."""
         self.endpoint(src)
         self.endpoint(dst)
-        return self.sim.timeout(self.connect_s)
+        self.sim.call_later(self.connect_s, then)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric endpoints={len(self._endpoints)} sent={self.messages_sent}>"

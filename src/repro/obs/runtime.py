@@ -5,8 +5,8 @@ uses.  On :meth:`attach` it
 
 * publishes the :class:`~repro.obs.tracer.Tracer` on ``sim.tracer``
   (instrumented components None-check that attribute), and
-* starts the telemetry sampler, a sim process that samples every
-  gauge each :data:`DEFAULT_SAMPLE_INTERVAL_S` of simulated time.
+* starts the telemetry sampler, a timer that samples every gauge
+  each :data:`DEFAULT_SAMPLE_INTERVAL_S` of simulated time.
 
 It installs no engine event hook, so a traced run dispatches through
 the same inlined loop as an untraced one.
@@ -21,12 +21,12 @@ run's metrics equal an untraced run's.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.obs.tracer import RunTrace, Tracer
 from repro.obs.telemetry import TelemetryRegistry
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import URGENT
 
 #: Simulated-time spacing between telemetry samples.
 DEFAULT_SAMPLE_INTERVAL_S = 1.0
@@ -49,16 +49,13 @@ class Observability:
         if self.sim.tracer is not None:
             raise RuntimeError("simulator already has a tracer attached")
         self.sim.tracer = self.tracer
-        self.sim.process(self._sample_loop())
+        self.sim.call_soon(self._sample, priority=URGENT)
         return self
 
-    def _sample_loop(self) -> Generator[Event, Any, None]:
-        """Sim process: sample all instruments every tick, forever."""
-        sim = self.sim
-        telemetry = self.telemetry
-        while True:
-            telemetry.sample(sim.now)
-            yield sim.timeout(DEFAULT_SAMPLE_INTERVAL_S)
+    def _sample(self, _value: Any = None) -> None:
+        """Sample all instruments, then again every tick, forever."""
+        self.telemetry.sample(self.sim.now)
+        self.sim.call_later(DEFAULT_SAMPLE_INTERVAL_S, self._sample)
 
     # -- output -------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The adaptive online controller (one sim process per cluster).
+"""The adaptive online controller (one control timer per cluster).
 
 Without the oracle there is nothing to tell the system the right
 prefetch depth or idle threshold, so online mode closes the loop on
@@ -28,12 +28,12 @@ series in reports) and traced as an ``online.control`` instant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.core.config import EEVFSConfig
 from repro.core.prediction import effective_threshold
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import URGENT
 
 if TYPE_CHECKING:
     from repro.core.node import StorageNode
@@ -143,49 +143,52 @@ class OnlineController:
         self._last_buffer_hits, self._last_data_hits, self._last_spinups = (
             self._counters()
         )
-        self.sim.process(self._loop())
+        self.sim.call_soon(
+            lambda _value: self.sim.call_later(CONTROL_INTERVAL_S, self._tick),
+            priority=URGENT,
+        )
 
-    def _loop(self) -> Generator[Event, Any, None]:
+    def _tick(self, _value: Any) -> None:
+        """One control tick: measure the last window, adjust, re-arm."""
         interval = CONTROL_INTERVAL_S
-        while True:
-            yield self.sim.timeout(interval)
-            buffer_hits, data_hits, spinups = self._counters()
-            window_hits = buffer_hits - self._last_buffer_hits
-            window_served = window_hits + (data_hits - self._last_data_hits)
-            window_spinups = spinups - self._last_spinups
-            self._last_buffer_hits = buffer_hits
-            self._last_data_hits = data_hits
-            self._last_spinups = spinups
+        buffer_hits, data_hits, spinups = self._counters()
+        window_hits = buffer_hits - self._last_buffer_hits
+        window_served = window_hits + (data_hits - self._last_data_hits)
+        window_spinups = spinups - self._last_spinups
+        self._last_buffer_hits = buffer_hits
+        self._last_data_hits = data_hits
+        self._last_spinups = spinups
 
-            hit_ratio = window_hits / window_served if window_served else None
-            n_disks = max(1, len(self._data_disks()))
-            spinup_rate = window_spinups / n_disks / (interval / 60.0)
+        hit_ratio = window_hits / window_served if window_served else None
+        n_disks = max(1, len(self._data_disks()))
+        spinup_rate = window_spinups / n_disks / (interval / 60.0)
 
-            self._adjust_k(hit_ratio)
-            self._adjust_idle_threshold(hit_ratio, spinup_rate)
+        self._adjust_k(hit_ratio)
+        self._adjust_idle_threshold(hit_ratio, spinup_rate)
 
-            self.stats.control_ticks += 1
-            self.stats.k_final = self.k
-            self.stats.idle_final_s = self.idle_threshold_s
-            self.stats.history.append(
-                ControlSample(
-                    time_s=self.sim.now,
-                    hit_ratio=hit_ratio,
-                    spinup_rate=spinup_rate,
-                    k=self.k,
-                    idle_threshold_s=self.idle_threshold_s,
-                )
+        self.stats.control_ticks += 1
+        self.stats.k_final = self.k
+        self.stats.idle_final_s = self.idle_threshold_s
+        self.stats.history.append(
+            ControlSample(
+                time_s=self.sim.now,
+                hit_ratio=hit_ratio,
+                spinup_rate=spinup_rate,
+                k=self.k,
+                idle_threshold_s=self.idle_threshold_s,
             )
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "online.control",
-                    "online",
-                    k=self.k,
-                    idle_threshold_s=self.idle_threshold_s,
-                    hit_ratio=hit_ratio,
-                    spinup_rate=spinup_rate,
-                )
+        )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
+                "online.control",
+                "online",
+                k=self.k,
+                idle_threshold_s=self.idle_threshold_s,
+                hit_ratio=hit_ratio,
+                spinup_rate=spinup_rate,
+            )
+        self.sim.call_later(interval, self._tick)
 
     def _adjust_k(self, hit_ratio: Optional[float]) -> None:
         """Step K toward the hit-ratio set-point, inside the dead-band."""

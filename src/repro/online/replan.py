@@ -47,7 +47,7 @@ replans that cannot break even even under the rosiest forecast.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Generator, List, Set, TYPE_CHECKING, Union
+from typing import Any, List, Set, TYPE_CHECKING, Union
 
 from repro.core.config import EEVFSConfig
 from repro.core.popularity import PopularitySource
@@ -55,7 +55,7 @@ from repro.core.prefetch import plan_prefetch
 from repro.core.protocol import PrefetchCommand
 from repro.online.controller import OnlineController, OnlineStats
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import URGENT
 
 if TYPE_CHECKING:
     from repro.core.node import StorageNode
@@ -105,7 +105,10 @@ class ReplanLoop:
         plan = self.server.prefetch_plan
         if plan is not None:
             self._planned = {fid for files in plan.per_node.values() for fid in files}
-        self.sim.process(self._loop())
+        self.sim.call_soon(
+            lambda _value: self.sim.call_later(self.config.online_replan_epoch_s, self._epoch),
+            priority=URGENT,
+        )
 
     def snapshot(self, stats: OnlineStats) -> OnlineStats:
         """*stats* (the controller's) with this loop's counters filled in."""
@@ -176,65 +179,69 @@ class ReplanLoop:
         read_s = data.positioning_s + mean_size / data.bandwidth_bps
         return epoch_accesses * drift * read_s * data.power_active_w
 
-    def _loop(self) -> Generator[Event, Any, None]:
+    def _epoch(self, _value: Any) -> None:
+        self._replan()
+        self.sim.call_later(self.config.online_replan_epoch_s, self._epoch)
+
+    def _replan(self) -> None:
+        """One epoch boundary: re-rank, and replace the buffers' contents
+        when the top-K drifted far enough to pay for the copies."""
         source = self.source
-        while True:
-            yield self.sim.timeout(self.config.online_replan_epoch_s)
-            self.epochs += 1
-            if source.recorded == 0:
-                self.skipped += 1
-                continue  # nothing observed yet: keep the buffers as they are
+        self.epochs += 1
+        if source.recorded == 0:
+            self.skipped += 1
+            return  # nothing observed yet: keep the buffers as they are
 
-            tracer = self.sim.tracer
-            estimate_span = (
-                tracer.begin("online.estimate", "online", estimator=self._source_name)
-                if tracer is not None
-                else None
+        tracer = self.sim.tracer
+        estimate_span = (
+            tracer.begin("online.estimate", "online", estimator=self._source_name)
+            if tracer is not None
+            else None
+        )
+        ranking = source.ranking(self.server.catalog)
+        if estimate_span is not None and tracer is not None:
+            tracer.end(estimate_span, observed=source.recorded)
+
+        k = self.k if isinstance(self.k, int) else self.k.k
+        top = ranking[:k]
+        drift = self.drift_fraction(top)
+        self.max_drift = max(self.max_drift, drift)
+        epoch_accesses = source.recorded - self._last_recorded
+        self._last_recorded = source.recorded
+        first_plan = not self._planned and bool(top)
+        if not first_plan and drift < self.config.online_drift_threshold:
+            self.skipped += 1
+            return
+
+        if self.config.online_replan_cost_gate and not first_plan:
+            new_files = [fid for fid in top if fid not in self._planned]
+            cost = self.migration_cost_j(new_files)
+            savings = self.projected_savings_j(new_files, drift, epoch_accesses)
+            if cost > savings:
+                self.skipped += 1
+                self.cost_vetoed += 1
+                if tracer is not None:
+                    tracer.instant(
+                        "online.replan_vetoed",
+                        "online",
+                        drift=drift,
+                        cost_j=cost,
+                        projected_savings_j=savings,
+                    )
+                return
+
+        plan = plan_prefetch(ranking, k, self.server.placement)
+        for node in self.server.node_names:
+            self.server.fabric.send_nowait(
+                self.server.name,
+                node,
+                PrefetchCommand(
+                    file_ids=plan.files_for(node), replace=True, ack=False
+                ),
             )
-            ranking = source.ranking(self.server.catalog)
-            if estimate_span is not None and tracer is not None:
-                tracer.end(estimate_span, observed=source.recorded)
-
-            k = self.k if isinstance(self.k, int) else self.k.k
-            top = ranking[:k]
-            drift = self.drift_fraction(top)
-            self.max_drift = max(self.max_drift, drift)
-            epoch_accesses = source.recorded - self._last_recorded
-            self._last_recorded = source.recorded
-            first_plan = not self._planned and bool(top)
-            if not first_plan and drift < self.config.online_drift_threshold:
-                self.skipped += 1
-                continue
-
-            if self.config.online_replan_cost_gate and not first_plan:
-                new_files = [fid for fid in top if fid not in self._planned]
-                cost = self.migration_cost_j(new_files)
-                savings = self.projected_savings_j(new_files, drift, epoch_accesses)
-                if cost > savings:
-                    self.skipped += 1
-                    self.cost_vetoed += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            "online.replan_vetoed",
-                            "online",
-                            drift=drift,
-                            cost_j=cost,
-                            projected_savings_j=savings,
-                        )
-                    continue
-
-            plan = plan_prefetch(ranking, k, self.server.placement)
-            for node in self.server.node_names:
-                self.server.fabric.send_nowait(
-                    self.server.name,
-                    node,
-                    PrefetchCommand(
-                        file_ids=plan.files_for(node), replace=True, ack=False
-                    ),
-                )
-            self._planned = set(top)
-            self.replans += 1
-            if tracer is not None:
-                tracer.instant(
-                    "online.replan", "online", k=k, drift=drift
-                )
+        self._planned = set(top)
+        self.replans += 1
+        if tracer is not None:
+            tracer.instant(
+                "online.replan", "online", k=k, drift=drift
+            )

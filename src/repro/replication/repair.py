@@ -21,10 +21,10 @@ trickles instead of stampeding every sleeping disk awake at once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.protocol import RepairCommand, RepairComplete
-from repro.sim.events import Event
+from repro.sim.events import URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.server import StorageServer
@@ -49,24 +49,23 @@ class ReplicationManager:
         self.repairs_completed = 0
         self.repairs_failed = 0
         self.bytes_recopied = 0
-        self.sim.process(self._loop())
+        self.sim.call_soon(
+            lambda _value: self.sim.call_later(REREPLICATION_CHECK_INTERVAL_S, self._scan),
+            priority=URGENT,
+        )
 
     # -- the repair loop -------------------------------------------------------
 
-    def _loop(self) -> Generator[Event, Any, None]:
-        interval = REREPLICATION_CHECK_INTERVAL_S
-        timeout = 10.0 * interval
-        while True:
-            yield self.sim.timeout(interval)
-            now = self.sim.now
-            # A repair whose node died mid-copy never completes; give the
-            # slot back so the file can be retried elsewhere.
-            for file_id, started in list(self._inflight.items()):
-                if now - started > timeout:
-                    del self._inflight[file_id]
-            budget = REREPLICATION_BATCH - len(self._inflight)
-            if budget <= 0:
-                continue
+    def _scan(self, _value: Any) -> None:
+        """Dispatch repairs for under-replicated files, within budget."""
+        now = self.sim.now
+        # A repair whose node died mid-copy never completes; give the
+        # slot back so the file can be retried elsewhere.
+        for file_id, started in list(self._inflight.items()):
+            if now - started > 10.0 * REREPLICATION_CHECK_INTERVAL_S:
+                del self._inflight[file_id]
+        budget = REREPLICATION_BATCH - len(self._inflight)
+        if budget > 0:
             for file_id in self.server.metadata.under_replicated(self.factor):
                 if budget <= 0:
                     break
@@ -74,6 +73,7 @@ class ReplicationManager:
                     continue
                 if self._dispatch(file_id):
                     budget -= 1
+        self.sim.call_later(REREPLICATION_CHECK_INTERVAL_S, self._scan)
 
     def _dispatch(self, file_id: int) -> bool:
         """Send one RepairCommand for *file_id*; False if impossible now."""

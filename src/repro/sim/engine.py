@@ -5,9 +5,9 @@ total order ``(time, priority, sequence)``:
 
 * a binary **heap** for events scheduled strictly into the future
   (``delay > 0``), and
-* three per-priority FIFO **lanes** (deques) for zero-delay events --
-  ``succeed()``/``fail()``, process kick-offs and completions,
-  :meth:`Simulator.call_soon` continuations.
+* three per-priority FIFO **lanes** (deques) for zero-delay entries --
+  ``succeed()``/``fail()``, kick-offs, :meth:`Simulator.call_soon`
+  continuations.
 
 Zero-delay traffic dominates the hot path (every grant, completion and
 continuation is scheduled "now"), and a deque append/popleft is O(1)
@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from collections import deque
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.sim.events import AllOf, Event, NORMAL, PENDING, Timeout, URGENT
-from repro.sim.process import Process
+from repro.sim.events import AllOf, Event, NORMAL, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -98,9 +97,9 @@ class LanePerturbation:
 def hold_slot(_value: Any = None) -> None:
     """The no-op continuation that holds a schedule slot nobody observes.
 
-    A flat callback chain that replaced a generator process schedules
-    this where the process's completion event went: nothing waited on
-    it, but dropping it would renumber every later event and move
+    The flat callback chains that replaced the generator processes
+    schedule this where a process's completion event went when nothing
+    waited on it: dropping it would renumber every later event and move
     ``sim.events``.  Every ``call_soon(hold_slot)`` is an event the
     engine could simply stop scheduling.
     """
@@ -137,17 +136,16 @@ class Simulator:
     sequence number guarantees a total, reproducible order even for
     simultaneous events of equal priority.
 
+    Everything it dispatches is a flat callback: a continuation
+    ``fn(arg)`` scheduled with :meth:`call_soon` or :meth:`call_later`,
+    or the callbacks of an :class:`Event` once it succeeds or fails.
     Typical use::
 
         sim = Simulator()
-
-        def worker(sim):
-            yield sim.timeout(3.0)
-            return "done"
-
-        proc = sim.process(worker(sim))
+        log = []
+        sim.call_later(3.0, log.append, "done")
         sim.run()
-        assert proc.value == "done"
+        assert (sim.now, log) == (3.0, ["done"])
     """
 
     #: When set (class-wide), every new Simulator starts with a lane
@@ -226,12 +224,8 @@ class Simulator:
     def call_later(
         self, delay: float, fn: Callable[[Any], None], value: Any = None
     ) -> None:
-        """Schedule ``fn(value)`` to run *delay* seconds from now.
-
-        The continuation analogue of ``yield sim.timeout(delay)``: one
-        schedule entry instead of a Timeout event, a generator frame and
-        a resume trampoline.
-        """
+        """Schedule ``fn(value)`` to run *delay* seconds from now: the
+        one way to wait on the clock."""
         if not delay >= 0:
             raise ValueError(f"negative call_later delay: {delay!r}")
         if delay == 0.0:
@@ -251,36 +245,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a fresh, untriggered event bound to this simulator."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that succeeds after *delay* seconds.
-
-        Generator processes sleep on these (control loops, the closed
-        replayer, connection set-up); flat callbacks use
-        :meth:`call_later` instead.  The event is assembled inline --
-        pre-triggered, without ``Timeout.__init__``'s constructor chain
-        and the extra :meth:`schedule` call.
-        """
-        if not delay >= 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        event = Timeout.__new__(Timeout)
-        event.sim = self
-        event.callbacks = []
-        event._value = value
-        event._exc = None
-        event._ok = True
-        event._defused = False
-        event.delay = delay
-        if delay == 0.0:
-            self._lanes[NORMAL].append((self._seq, None, event))
-        else:
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, None, event))
-        self._seq += 1
-        return event
-
-    def process(self, generator: Generator[Event, Any, Any]) -> Process:
-        """Start *generator* as a process; returns its completion event."""
-        return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that succeeds once all of *events* have succeeded, and
@@ -427,8 +391,8 @@ class Simulator:
         """Process exactly one event.
 
         Raises :class:`EmptySchedule` when no events remain, and re-raises
-        the exception of any *unhandled* failed event so errors in processes
-        cannot vanish silently.
+        the exception of any *unhandled* failed event so errors in
+        callbacks cannot vanish silently.
         """
         if self._perturb is not None:
             fn, arg = self._pop_next_perturbed()
@@ -555,17 +519,14 @@ class Simulator:
         except StopSimulation as end:
             return end.value
         except EmptySchedule:
-            if stop is not None and stop._value is PENDING:
-                # The caller's event never fired; advance the clock no
-                # further and report nothing happened.
-                return None
+            # Drained before an `until` event fired: nothing to report.
             return None
         finally:
             self._events_processed += dispatched
             self._stop_event = None
             # Defuse the stop event on every exit path so a later run()
             # cannot trip over it.  Without this, an exception escaping a
-            # process (or an `until` event that never fired) leaves
+            # callback (or an `until` event that never fired) leaves
             # _stop_callback armed: the *next* run() would either end
             # spuriously at the stale deadline or stop the moment the old
             # `until` event finally triggers.

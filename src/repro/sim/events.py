@@ -1,11 +1,11 @@
 """Event primitives for the simulation kernel.
 
-An :class:`Event` is the unit of coordination: processes yield events and
-are resumed when the event *triggers* (succeeds or fails).  Three scheduling
-priorities exist so that same-timestamp events process in a well-defined
-order; ties beyond priority break on a monotonically increasing sequence
-number, which makes the whole engine deterministic.  A :class:`Timeout`
-succeeds after a delay and an :class:`AllOf` once a set of events has.
+An :class:`Event` is the unit of coordination: callbacks subscribe to an
+event and run when it is processed, after it *triggers* (succeeds or
+fails).  Three scheduling priorities exist so that same-timestamp events
+process in a well-defined order; ties beyond priority break on a
+monotonically increasing sequence number, which makes the whole engine
+deterministic.  An :class:`AllOf` succeeds once a set of events has.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Event:
     1. *pending* -- created, value unset;
     2. *triggered* -- a value (or exception) has been set and the event sits
        in the simulator's heap waiting to be processed;
-    3. *processed* -- callbacks have run; late callbacks are invoked
-       immediately.
+    3. *processed* -- callbacks have run and :attr:`callbacks` is
+       ``None``: a waiter that finds it so consumes the event on the spot.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exc", "_ok", "_defused")
@@ -46,7 +46,7 @@ class Event:
         self._value: Any = PENDING
         self._exc: Optional[BaseException] = None
         self._ok: bool = True
-        #: Set when a process handled (or an AllOf absorbed) a failure so
+        #: Set when a callback handled (or an AllOf absorbed) a failure so
         #: the engine does not re-raise it at the top level.
         self._defused: bool = False
 
@@ -99,9 +99,10 @@ class Event:
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Trigger the event with an exception.
 
-        Any process waiting on the event will have *exception* thrown into
-        it.  If nothing waits on a failed event, the simulator re-raises the
-        exception from :meth:`Simulator.step` to avoid silent error loss.
+        A callback waiting on the event handles the failure by setting
+        ``_defused``.  If nothing defuses a failed event, the simulator
+        re-raises the exception from :meth:`Simulator.step` to avoid
+        silent error loss.
         """
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
@@ -124,21 +125,6 @@ class Event:
             "processed" if self.processed else "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class Timeout(Event):
-    """An event that succeeds after a fixed simulated delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = float(delay)
-        self._ok = True
-        self._value = value
-        sim.schedule(self, delay=self.delay)
 
 
 class AllOf(Event):

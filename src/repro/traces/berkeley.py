@@ -47,20 +47,20 @@ class BerkeleyWebWorkload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_files <= 0:
+        if not self.n_files > 0:
             raise ValueError(f"n_files must be > 0, got {self.n_files!r}")
-        if self.n_requests < 0:
+        if not self.n_requests >= 0:
             raise ValueError(f"n_requests must be >= 0")
         if not 0 < self.working_set_files <= self.n_files:
             raise ValueError(
                 f"working_set_files must be in (0, n_files], got "
                 f"{self.working_set_files!r}"
             )
-        if self.zipf_alpha <= 1.0:
-            raise ValueError(f"zipf_alpha must be > 1, got {self.zipf_alpha!r}")
-        if self.inter_arrival_s < 0:
-            raise ValueError("inter_arrival_s must be >= 0")
-        if self.data_size_bytes < 0:
+        if not 1.0 < self.zipf_alpha < np.inf:
+            raise ValueError(f"zipf_alpha must be finite and > 1, got {self.zipf_alpha!r}")
+        if not 0 <= self.inter_arrival_s < np.inf:
+            raise ValueError("inter_arrival_s must be finite and >= 0")
+        if not self.data_size_bytes >= 0:
             raise ValueError("data_size_bytes must be >= 0")
 
 

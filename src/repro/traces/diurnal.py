@@ -38,18 +38,18 @@ class DiurnalWorkload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_files <= 0:
+        if not self.n_files > 0:
             raise ValueError(f"n_files must be > 0, got {self.n_files!r}")
-        if self.n_requests < 0:
+        if not self.n_requests >= 0:
             raise ValueError("n_requests must be >= 0")
-        if self.data_size_bytes < 0:
+        if not self.data_size_bytes >= 0:
             raise ValueError("data_size_bytes must be >= 0")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if not 0 < self.trough_rate_hz <= self.peak_rate_hz:
-            raise ValueError("need 0 < trough_rate_hz <= peak_rate_hz")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be > 0")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+        if not 0 < self.trough_rate_hz <= self.peak_rate_hz < np.inf:
+            raise ValueError("need 0 < trough_rate_hz <= peak_rate_hz < inf")
+        if not 0 < self.period_s < np.inf:
+            raise ValueError("period_s must be finite and > 0")
 
     def rate_at(self, t_s: float) -> float:
         """Instantaneous arrival intensity (Hz); peak at t=0 mod period."""

@@ -40,18 +40,18 @@ class DriftingWorkload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_files <= 0:
+        if not self.n_files > 0:
             raise ValueError(f"n_files must be > 0, got {self.n_files!r}")
-        if self.n_requests < 0:
+        if not self.n_requests >= 0:
             raise ValueError("n_requests must be >= 0")
-        if self.data_size_bytes < 0:
+        if not self.data_size_bytes >= 0:
             raise ValueError("data_size_bytes must be >= 0")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if self.inter_arrival_s < 0:
-            raise ValueError("inter_arrival_s must be >= 0")
-        if self.drift_files_per_s < 0:
-            raise ValueError("drift_files_per_s must be >= 0")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+        if not 0 <= self.inter_arrival_s < np.inf:
+            raise ValueError("inter_arrival_s must be finite and >= 0")
+        if not 0 <= self.drift_files_per_s < np.inf:
+            raise ValueError("drift_files_per_s must be finite and >= 0")
 
 
 def generate_drifting_trace(

@@ -55,19 +55,20 @@ class SyntheticWorkload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_files <= 0:
+        # `not x >= 0` also rejects NaN; a mean or a gap must be finite too.
+        if not self.n_files > 0:
             raise ValueError(f"n_files must be > 0, got {self.n_files!r}")
-        if self.n_requests < 0:
+        if not self.n_requests >= 0:
             raise ValueError(f"n_requests must be >= 0, got {self.n_requests!r}")
-        if self.data_size_bytes < 0:
+        if not self.data_size_bytes >= 0:
             raise ValueError(f"data_size_bytes must be >= 0")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if self.inter_arrival_s < 0:
-            raise ValueError(f"inter_arrival_s must be >= 0")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+        if not 0 <= self.inter_arrival_s < np.inf:
+            raise ValueError(f"inter_arrival_s must be finite and >= 0")
         if self.arrival_process not in ("constant", "exponential"):
             raise ValueError(f"unknown arrival process: {self.arrival_process!r}")
-        if self.size_spread < 0:
+        if not self.size_spread >= 0:
             raise ValueError(f"size_spread must be >= 0")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError(f"write_fraction must be in [0, 1]")

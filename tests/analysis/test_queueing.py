@@ -72,17 +72,19 @@ class TestSimulatorAgreement:
         disk = SimDisk(sim, ATA_80GB_TYPE1)
         responses = []
 
-        def client():
-            for gap in rng.exponential(1.0 / rate, size=n):
-                yield sim.timeout(gap)
-                sim.process(watch(disk.submit(size)))
+        gaps = iter(rng.exponential(1.0 / rate, size=n))
 
-        def watch(req):
+        def arrive(_value=None):
+            # Submit one request, time its response, sleep until the next.
             t0 = sim.now
-            yield req.done
-            responses.append(sim.now - t0)
+            disk.submit(size).done.callbacks.append(
+                lambda _event: responses.append(sim.now - t0)
+            )
+            gap = next(gaps, None)
+            if gap is not None:
+                sim.call_later(gap, arrive)
 
-        sim.process(client())
+        sim.call_later(next(gaps), arrive)
         sim.run()
         measured = sum(responses) / len(responses)
         expected = mg1_mean_response_s(

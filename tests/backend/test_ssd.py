@@ -37,13 +37,12 @@ def _settle(sim, horizon=500.0):
 def _watch(sim, request):
     """Park a watcher on the request so a failure is not unhandled."""
 
-    def watcher():
-        try:
-            yield request.done
-        except DiskFailureError:
-            pass
+    def watcher(event):
+        if not event.ok:
+            assert isinstance(event.value, DiskFailureError)
+            event.defuse()
 
-    return sim.process(watcher())
+    request.done.callbacks.append(watcher)
 
 
 class TestServiceAndCache:

@@ -42,7 +42,6 @@ class TestConstruction:
         fabric = Fabric(sim)
         fabric.add_endpoint("server", 1e9)
         client = ClientDriver(sim, fabric, nic_bps=1e9)
-        sim.timeout(5.0)
         sim.run(until=5.0)
         with pytest.raises(ValueError, match="past"):
             client.replay(small_trace(), epoch_s=1.0)

@@ -119,19 +119,22 @@ class TestDestageUnderContention:
         node = StorageNode(sim, fabric, spec, config or EEVFSConfig())
         return sim, node
 
+    @staticmethod
+    def _destage(node, file_id=0):
+        """Start *file_id*'s write-back; returns the event that succeeds
+        when it is over."""
+        done = node.sim.event()
+        node._destage_one(file_id, done)
+        return done
+
     def _rewrite_mid_destage(self, size_bytes):
         """Destage a dirty 10 MB file while a rewrite of *size_bytes*
         lands during the destage's buffer read; returns the node."""
         sim, node = self._node()
         node.metadata.create(0, 10 * MB)
         node.write_buffer.stage(0, 10 * MB, sim.now)
-        destage = sim.process(node._destage_one(0))
-
-        def rewriter():
-            yield sim.timeout(0.01)
-            node.write_buffer.stage(0, size_bytes, sim.now)
-
-        sim.process(rewriter())
+        destage = self._destage(node)
+        sim.call_later(0.01, lambda _value: node.write_buffer.stage(0, size_bytes, sim.now))
         sim.run(until=destage)
         return node
 
@@ -158,7 +161,7 @@ class TestDestageUnderContention:
         sim, node = self._node()
         node.metadata.create(0, 10 * MB)
         node.write_buffer.stage(0, 10 * MB, sim.now)
-        destage = sim.process(node._destage_one(0))
+        destage = self._destage(node)
         sim.run(until=0.01)  # mid write-back
         assert not destage.triggered
         _, served_by = node._route_read(0)
@@ -176,17 +179,12 @@ class TestDestageUnderContention:
         node.write_buffer.stage(0, 10 * MB, sim.now)
         # Occupy the buffer disk so the destage's background read queues.
         blocker = node.buffer_disk.submit(8 * MB, kind=RequestKind.READ)
-        destage = sim.process(node._destage_one(0))
+        destage = self._destage(node)
         sim.run(until=0.001)
         assert not blocker.done.triggered  # still in service; destage queued
         demand = node.buffer_disk.submit(1 * MB, kind=RequestKind.READ)
         demand_done_at = []
-
-        def waiter():
-            yield demand.done
-            demand_done_at.append(sim.now)
-
-        sim.process(waiter())
+        demand.done.callbacks.append(lambda _event: demand_done_at.append(sim.now))
         sim.run(until=destage)
         # The demand read arrived *after* the destage read was queued,
         # yet its priority put it on the platters first: it completed

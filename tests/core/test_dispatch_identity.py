@@ -7,8 +7,10 @@ storage server, storage node, client and metadata server (all fed by
 :class:`~repro.sim.resources.Mailbox`), the node's per-request
 :class:`_Serve` chain, the paced replayer, device transitions (failed
 spin-ups included), the power manager's time-based waker and the idle
-watchdogs.  Each one replaced generator or grant machinery, and the
-replacement had to be *invisible*.
+watchdogs; so do server setup, the node's prefetch, destage and repair
+copies, the open and closed replayers and the periodic loops.  Each one
+replaced generator or grant machinery, and the replacement had to be
+*invisible*.
 
 This file once ran the replaced generators as test-only oracles next to
 the flat paths.  Those oracles yielded the ``Store`` events the engine no
@@ -35,14 +37,11 @@ import pytest
 
 from repro.backend.ssd import SSDBackend
 from repro.core import EEVFSConfig
-from repro.core.client import ClientDriver
 from repro.core.filesystem import canonical_json, EEVFSCluster
-from repro.core.node import _Serve
+from repro.core.node import _Serve, StorageNode
 from repro.devtools.sanitizer import EventStreamHasher
 from repro.disk.drive import SimDisk
 from repro.sim.events import Event
-from repro.sim.process import Process
-from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 from tests.test_goldens import (
     device_drill,
     FAIL_AT,
@@ -105,7 +104,7 @@ def test_loop_oracles_keep_every_event_in_its_slot(scenario):
     "scenario", ["prefetch", "ssd:buffer-faults", "replication", "drpm:time"]
 )
 def test_loop_oracles_export_the_same_spans(scenario):
-    spans = _assert_golden(f"spans:{scenario}", "count", "sha256")
+    spans = _assert_golden(f"spans:{scenario}", "count", "events", "sha256", "shape")
     assert spans["count"] > 100
 
 
@@ -147,28 +146,29 @@ def test_the_serve_chain_walks_every_failure_branch():
     }
 
 
-def test_replay_builds_no_process():
-    trace = generate_synthetic_trace(SyntheticWorkload(n_requests=1500))
-    built = []
-    replaying = []
-    build = Process.__init__
-    replay = ClientDriver.replay
+def test_copies_walk_their_failure_branches():
+    """A dead drive under a prefetch copy, a replica pull and a destage
+    copy: each flat chain takes the branch its generator's ``except
+    DiskFailureError`` took -- the copy's span ends failed, the pull
+    ships a negative :class:`ReplicaData` for a file it holds."""
+    pulls = []
+    ship = StorageNode._ship_replica
 
-    def counted(self, sim, generator, name=""):
-        if replaying:
-            built.append(generator.__qualname__)
-        build(self, sim, generator, name)
-
-    def started(self, *args, **kwargs):
-        replaying.append(True)
-        return replay(self, *args, **kwargs)
+    def ship_spy(self, pull, size, ok):
+        if not ok and size:  # the read failed, not the lookup
+            pulls.append(pull.file_id)
+        return ship(self, pull, size, ok)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Process, "__init__", counted)
-        patch.setattr(ClientDriver, "replay", started)
-        EEVFSCluster(config=EEVFSConfig(), seed=1).run(trace)
-    assert replaying
-    assert built == []
+        patch.setattr(StorageNode, "_ship_replica", ship_spy)
+        failed = {
+            span.kind
+            for scenario in ("online:dead-source", "replication")
+            for span in scenario_run(scenario, obs=True)[0].trace.spans
+            if span.tags and span.tags.get("ok") is False
+        }
+    assert {"prefetch.copy", "destage.copy"} <= failed
+    assert pulls
 
 
 # -- device faults mid-flight: the ``_defused`` paths ---------------------------------

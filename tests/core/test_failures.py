@@ -27,6 +27,21 @@ def _ssd(sim, auto_sleep_after=None):
     return SSDBackend(sim, SSD_SPEC, name="ssd", auto_sleep_after=auto_sleep_after)
 
 
+def _note_outcome(done, outcomes):
+    """Append ``"ok"`` or ``"failed"`` to *outcomes* when *done* is
+    processed, handling a :class:`DiskFailureError`."""
+
+    def note(event):
+        if event.ok:
+            outcomes.append("ok")
+        else:
+            assert isinstance(event.value, DiskFailureError)
+            event.defuse()
+            outcomes.append("failed")
+
+    done.callbacks.append(note)
+
+
 class _SharedFailureSurface:
     """Fault-surface behaviour every device model must show.
 
@@ -38,14 +53,9 @@ class _SharedFailureSurface:
     def test_failed_disk_draws_no_power(self):
         sim = Simulator()
         disk = self.make(sim)
-
-        def proc():
-            yield sim.timeout(10.0)
-            disk.fail()
-            yield sim.timeout(100.0)
-
-        sim.process(proc())
-        sim.run()
+        sim.run(until=10.0)
+        disk.fail()
+        sim.run(until=110.0)
         disk.finalize()
         assert disk.state is DiskState.FAILED
         assert disk.energy_j() == pytest.approx(10.0 * disk.spec.power_idle_w)
@@ -53,20 +63,13 @@ class _SharedFailureSurface:
     def test_submit_to_failed_disk_fails_fast(self):
         sim = Simulator()
         disk = self.make(sim)
-        outcomes = []
-
-        def proc():
-            disk.fail()
-            req = disk.submit(1 * MB)
-            assert req.done.triggered and not req.done.ok
-            try:
-                yield req.done
-            except DiskFailureError as exc:
-                outcomes.append(str(exc))
-
-        sim.process(proc())
+        disk.fail()
+        req = disk.submit(1 * MB)
+        assert req.done.triggered and not req.done.ok
+        req.done.defuse()
         sim.run()
-        assert outcomes and "failed" in outcomes[0]
+        assert isinstance(req.done.value, DiskFailureError)
+        assert "failed" in str(req.done.value)
         assert disk.inflight == 0
 
     def test_fail_is_idempotent(self):
@@ -81,21 +84,13 @@ class _SharedFailureSurface:
         disk = self.make(sim)
         spec = disk.spec
         outcomes = []
-
-        def proc():
-            assert disk.request_sleep()
-            yield sim.timeout(spec.spindown_s + 1.0)
-            req = disk.submit(1 * MB)  # triggers a spin-up
-            assert disk.state is DiskState.SPIN_UP
-            yield sim.timeout(spec.spinup_s / 2)  # mid-spin-up
-            disk.fail()
-            try:
-                yield req.done
-                outcomes.append("ok")
-            except DiskFailureError:
-                outcomes.append("failed")
-
-        sim.process(proc())
+        assert disk.request_sleep()
+        sim.run(until=spec.spindown_s + 1.0)
+        req = disk.submit(1 * MB)  # triggers a spin-up
+        _note_outcome(req.done, outcomes)
+        assert disk.state is DiskState.SPIN_UP
+        sim.run(until=sim.now + spec.spinup_s / 2)  # mid-spin-up
+        disk.fail()
         sim.run()
         assert outcomes == ["failed"]
         assert disk.state is DiskState.FAILED
@@ -124,15 +119,7 @@ class _SharedFailureSurface:
         disk.inject_spinup_failures(1, backoff_s=backoff_s)
         doomed = disk.submit(1 * MB)
         outcomes = []
-
-        def watch():
-            try:
-                yield doomed.done
-                outcomes.append("ok")
-            except DiskFailureError:
-                outcomes.append("failed")
-
-        sim.process(watch())
+        _note_outcome(doomed.done, outcomes)
         # The failed attempt spends a full spin-up, drops back to
         # STANDBY, and then waits out the back-off; fail inside it.
         sim.run(until=sim.now + spec.spinup_s + backoff_s / 2)
@@ -223,22 +210,11 @@ class TestDriveFailure(_SharedFailureSurface):
         sim = Simulator()
         disk = SimDisk(sim, SPEC)
         outcomes = []
-
-        def waiter(req):
-            try:
-                yield req.done
-                outcomes.append("ok")
-            except DiskFailureError:
-                outcomes.append("failed")
-
-        def proc():
-            # First request starts service; the rest queue behind it.
-            for _ in range(3):
-                sim.process(waiter(disk.submit(50 * MB)))
-            yield sim.timeout(0.1)  # mid-service of request 1
-            disk.fail()
-
-        sim.process(proc())
+        # First request starts service; the rest queue behind it.
+        for _ in range(3):
+            _note_outcome(disk.submit(50 * MB).done, outcomes)
+        sim.run(until=0.1)  # mid-service of request 1
+        disk.fail()
         sim.run()
         # The in-service request completes; the two queued ones fail.
         assert sorted(outcomes) == ["failed", "failed", "ok"]

@@ -135,11 +135,6 @@ class TestEnergyAccessors:
     def test_transition_count_sums_disks(self):
         # Power management off so the only transition is the explicit one.
         sim, node = make_node(config=EEVFSConfig(power_management_enabled=False))
-
-        def proc():
-            node.data_disks[0].request_sleep()
-            yield sim.timeout(5.0)
-
-        sim.process(proc())
+        node.data_disks[0].request_sleep()
         sim.run(until=10.0)
         assert node.transition_count() == 1

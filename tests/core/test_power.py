@@ -84,15 +84,10 @@ class TestTimePredictor:
 
     def test_window_shrinks_as_time_passes(self, sim):
         disks, pm = make(sim, n_disks=1, predictor="time")
-
-        def proc():
-            pm.set_hints([[20.0]])
-            assert pm.predicted_window_s(0) == pytest.approx(20.0)
-            yield sim.timeout(15.0)
-            assert pm.predicted_window_s(0) == pytest.approx(5.0)
-
-        sim.process(proc())
-        sim.run()
+        pm.set_hints([[20.0]])
+        assert pm.predicted_window_s(0) == pytest.approx(20.0)
+        sim.run(until=15.0)
+        assert pm.predicted_window_s(0) == pytest.approx(5.0)
 
     def test_wake_ahead_times_the_spinup(self, sim):
         disks, pm = make(sim, n_disks=1, predictor="time", wake_ahead=True)
@@ -130,19 +125,12 @@ class TestSequencePredictor:
 
     def test_ewma_tracks_drift(self, sim):
         _, pm = make(sim, n_disks=1)
-
-        def proc():
-            pm.set_hints([[100.0]], [[50]], hint_gap_s=0.1)
-            for _ in range(30):
-                yield sim.timeout(2.0)  # actual pace: 2 s, not 0.1 s
-                pm.note_node_arrival()
-            # Window estimate must reflect the observed 2 s pace.
-            assert pm.predicted_window_s(0) == pytest.approx(
-                (50 - 30) * 2.0, rel=0.2
-            )
-
-        sim.process(proc())
-        sim.run()
+        pm.set_hints([[100.0]], [[50]], hint_gap_s=0.1)
+        for _ in range(30):
+            sim.run(until=sim.now + 2.0)  # actual pace: 2 s, not 0.1 s
+            pm.note_node_arrival()
+        # Window estimate must reflect the observed 2 s pace.
+        assert pm.predicted_window_s(0) == pytest.approx((50 - 30) * 2.0, rel=0.2)
 
     def test_note_arrival_pops_both_queues(self, sim):
         _, pm = make(sim, n_disks=1)
@@ -155,13 +143,8 @@ class TestEvaluate:
     def test_busy_disk_never_slept(self, sim):
         disks, pm = make(sim, n_disks=1)
         pm.set_hints([[]], [[]])
-
-        def proc():
-            disks[0].submit(50 * MB)
-            assert pm.evaluate(0) is False
-            yield sim.timeout(0.0)
-
-        sim.process(proc())
+        disks[0].submit(50 * MB)
+        assert pm.evaluate(0) is False
         sim.run(until=0.5)
 
     def test_evaluate_all_excludes_target(self, sim):
@@ -184,19 +167,15 @@ class TestEvaluate:
 class TestSequenceWakeAhead:
     def test_wake_fires_by_sequence_count(self, sim):
         disks, pm = make(sim, n_disks=1, wake_ahead=True)
-
-        def proc():
-            # Next access for disk 0 is the 10th node request; pace 1 s.
-            pm.set_hints([[10.0]], [[10]], hint_gap_s=1.0)
-            yield sim.timeout(SPEC.spindown_s + 0.1)
-            assert disks[0].state is DiskState.STANDBY
-            # Feed node arrivals at the predicted pace.
-            for _ in range(9):
-                yield sim.timeout(1.0)
-                pm.note_node_arrival()
-            # Wake must have been triggered `lead` arrivals early.
-            assert disks[0].state in (DiskState.SPIN_UP, DiskState.IDLE)
-
-        sim.process(proc())
+        # Next access for disk 0 is the 10th node request; pace 1 s.
+        pm.set_hints([[10.0]], [[10]], hint_gap_s=1.0)
+        sim.run(until=SPEC.spindown_s + 0.1)
+        assert disks[0].state is DiskState.STANDBY
+        # Feed node arrivals at the predicted pace.
+        for _ in range(9):
+            sim.run(until=sim.now + 1.0)
+            pm.note_node_arrival()
+        # Wake must have been triggered `lead` arrivals early.
+        assert disks[0].state in (DiskState.SPIN_UP, DiskState.IDLE)
         sim.run()
         assert pm.wakeaheads_scheduled == 1

@@ -41,22 +41,17 @@ def test_manager_never_sleeps_a_busy_disk(pattern_a, pattern_b, threshold):
     sim = Simulator()
     disks = [SimDisk(sim, SPEC, name=f"d{i}") for i in range(2)]
     pm = PowerManager(sim, disks, idle_threshold_s=threshold, wake_ahead=False)
-
-    def proc():
-        # Both disks get a long job before hints arrive.
-        jobs = [d.submit(64 * MB) for d in disks]
-        pm.set_hints(
-            [pattern_a[0], pattern_b[0]],
-            [pattern_a[1], pattern_b[1]],
-            hint_gap_s=1.0,
-        )
-        # At hint time the disks are busy: neither may be transitioning
-        # down.
-        for d in disks:
-            assert d.state in (DiskState.ACTIVE, DiskState.IDLE)
-        yield sim.all_of([j.done for j in jobs])
-
-    sim.process(proc())
+    # Both disks get a long job before hints arrive.
+    for d in disks:
+        d.submit(64 * MB)
+    pm.set_hints(
+        [pattern_a[0], pattern_b[0]],
+        [pattern_a[1], pattern_b[1]],
+        hint_gap_s=1.0,
+    )
+    # At hint time the disks are busy: neither may be transitioning down.
+    for d in disks:
+        assert d.state in (DiskState.ACTIVE, DiskState.IDLE)
     sim.run(until=5.0)
 
 
@@ -96,12 +91,12 @@ def test_gap_ewma_stays_within_observed_range(gaps, lookahead):
     pm = PowerManager(sim, [disk], idle_threshold_s=5.0, wake_ahead=False)
     pm.set_hints([[1e9]], [[10_000]], hint_gap_s=gaps[0])
 
-    def proc():
-        for gap in gaps:
-            yield sim.timeout(gap)
-            pm.note_node_arrival()
+    def arrive(index):
+        pm.note_node_arrival()
+        if index + 1 < len(gaps):
+            sim.call_later(gaps[index + 1], arrive, index + 1)
 
-    sim.process(proc())
+    sim.call_later(gaps[0], arrive, 0)
     sim.run()
     assert min(gaps) - 1e-9 <= pm._gap_ewma_s <= max(gaps) + 1e-9
     window = pm.predicted_window_s(0)

@@ -58,7 +58,7 @@ def _racy_build():
         sim.call_soon(write, float(i + 1))
 
     def fire(_):
-        sim.timeout(cell[0])
+        sim.call_later(cell[0], lambda _: None)
 
     sim.call_later(1.0, fire)
     return sim

@@ -29,13 +29,16 @@ def disk_model(seed):
         disk = SimDisk(sim, ATA_80GB_TYPE1, auto_sleep_after=2.0)
         rng = np.random.default_rng(seed)
 
-        def client():
-            for _ in range(50):
-                yield sim.timeout(float(rng.exponential(1.0)))
-                request = disk.submit(int(rng.integers(1, 1 << 20)))
-                yield request.done
+        def sleep_then_submit(left):
+            # A closed-loop client: sleep, submit, wait for it, repeat.
+            if left:
+                sim.call_later(float(rng.exponential(1.0)), submit, left)
 
-        sim.process(client())
+        def submit(left):
+            request = disk.submit(int(rng.integers(1, 1 << 20)))
+            request.done.callbacks.append(lambda _event: sleep_then_submit(left - 1))
+
+        sleep_then_submit(50)
         return sim
 
     return build
@@ -64,26 +67,30 @@ def test_nondeterministic_model_is_caught():
         sim = Simulator()
         disk = SimDisk(sim, ATA_80GB_TYPE1)
 
-        def client():
-            for _ in range(len(calls)):
-                request = disk.submit(4096)
-                yield request.done
+        def submit(left):
+            if left:
+                disk.submit(4096).done.callbacks.append(lambda _event: submit(left - 1))
 
-        sim.process(client())
+        submit(len(calls))
         return sim
 
     with pytest.raises(DeterminismError, match="run 2 diverged"):
         assert_deterministic(build, runs=2, label="leaky")
 
 
+def _ticker(sim, ticks=5):
+    """A timer firing once a second, *ticks* times."""
+
+    def tick(left):
+        if left:
+            sim.call_later(1.0, tick, left - 1)
+
+    tick(ticks)
+
+
 def test_hasher_detaches_cleanly():
     sim = Simulator()
-
-    def ticker():
-        for _ in range(5):
-            yield sim.timeout(1.0)
-
-    sim.process(ticker())
+    _ticker(sim)
     hasher = EventStreamHasher().attach(sim)
     sim.run(until=2.5)
     mid = hasher.events_hashed
@@ -99,19 +106,14 @@ def test_hasher_coexists_with_other_hooks():
     # every event, and detaching the hasher leaves the other installed.
     sim = Simulator()
     seen = []
-
-    def ticker():
-        for _ in range(5):
-            yield sim.timeout(1.0)
-
-    sim.process(ticker())
+    _ticker(sim)
     hasher = EventStreamHasher().attach(sim)
     sim.add_event_hook(lambda now, event: seen.append(now))
     sim.run()
     assert hasher.events_hashed == len(seen) > 0
     hasher.detach(sim)
     hashed = hasher.events_hashed
-    sim.process(ticker())
+    _ticker(sim)
     sim.run()
     assert hasher.events_hashed == hashed
     assert len(seen) > hashed
@@ -135,18 +137,27 @@ def _shapes(build):
     return shape.hexdigest(), typed.hexdigest()
 
 
-def _generator_ticks(sim):
-    """Kick-off event, three timeouts, completion event."""
+def _event_ticks(sim):
+    """Kick-off, three timers and a completion, each an :class:`Event`
+    whose callback schedules the next."""
+    left = [3]
 
-    def ticker():
-        for _ in range(3):
-            yield sim.timeout(1.0)
+    def tick(_event):
+        event = sim.event()
+        if left[0]:
+            left[0] -= 1
+            event.callbacks.append(tick)
+            sim.schedule(event, delay=1.0)
+        else:
+            event.succeed()
 
-    sim.process(ticker())
+    kickoff = sim.event()
+    kickoff.callbacks.append(tick)
+    kickoff.succeed(priority=URGENT)
 
 
 def _callback_ticks(sim, delays=(1.0, 1.0, 1.0), finish=1):
-    """The same slots as :func:`_generator_ticks` from continuations;
+    """The same slots as :func:`_event_ticks` from continuations;
     *delays* and *finish* (completion events) let a test move, drop or
     add one."""
     left = list(delays)
@@ -162,9 +173,9 @@ def _callback_ticks(sim, delays=(1.0, 1.0, 1.0), finish=1):
 
 
 def test_shape_ignores_the_carrier_of_each_slot():
-    generator, callback = _shapes(_generator_ticks), _shapes(_callback_ticks)
-    assert generator[0] == callback[0]
-    assert generator[1] != callback[1]  # the typed stream does see it
+    events, callback = _shapes(_event_ticks), _shapes(_callback_ticks)
+    assert events[0] == callback[0]
+    assert events[1] != callback[1]  # the typed stream does see it
 
 
 def test_shape_equal_for_a_request_grant_and_a_link_grant():
@@ -211,7 +222,7 @@ def test_shape_equal_for_a_request_grant_and_a_link_grant():
     ids=["moved", "dropped", "added", "no-completion"],
 )
 def test_shape_sees_moved_dropped_and_added_events(change):
-    reference = _shapes(_generator_ticks)[0]
+    reference = _shapes(_event_ticks)[0]
     assert _shapes(lambda sim: _callback_ticks(sim, **change))[0] != reference
 
 

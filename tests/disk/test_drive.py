@@ -15,37 +15,22 @@ def sim():
     return Simulator()
 
 
-def run_client(sim, gen):
-    proc = sim.process(gen)
-    sim.run()
-    return proc
-
-
 class TestService:
     def test_single_request_latency(self, sim):
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def client():
-            req = disk.submit(10 * MB)
-            yield req.done
-            results["latency"] = sim.now - req.issued_at
-
-        run_client(sim, client())
+        req = disk.submit(10 * MB)
+        sim.run(until=req.done)
         expected = SPEC.positioning_s + 10 * MB / SPEC.bandwidth_bps
-        assert results["latency"] == pytest.approx(expected)
+        assert sim.now - req.issued_at == pytest.approx(expected)
 
     def test_requests_serve_fifo(self, sim):
         disk = SimDisk(sim, SPEC)
         finish = []
-
-        def client():
-            reqs = [disk.submit(1 * MB, tag=i) for i in range(3)]
-            for req in reqs:
-                result = yield req.done
-                finish.append((result.tag, sim.now))
-
-        run_client(sim, client())
+        for i in range(3):
+            disk.submit(1 * MB, tag=i).done.callbacks.append(
+                lambda event: finish.append((event.value.tag, sim.now))
+            )
+        sim.run()
         tags = [tag for tag, _ in finish]
         times = [t for _, t in finish]
         assert tags == [0, 1, 2]
@@ -53,29 +38,16 @@ class TestService:
 
     def test_sequential_write_faster_than_random(self, sim):
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def client():
-            r1 = disk.submit(1 * MB, kind=RequestKind.WRITE, sequential=True)
-            yield r1.done
-            t_seq = sim.now
-            r2 = disk.submit(1 * MB, kind=RequestKind.WRITE, sequential=False)
-            yield r2.done
-            results["seq"] = t_seq
-            results["rand"] = sim.now - t_seq
-
-        run_client(sim, client())
-        assert results["seq"] < results["rand"]
+        sim.run(until=disk.submit(1 * MB, kind=RequestKind.WRITE, sequential=True).done)
+        t_seq = sim.now
+        sim.run(until=disk.submit(1 * MB, kind=RequestKind.WRITE, sequential=False).done)
+        assert t_seq < sim.now - t_seq
 
     def test_counters(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            for _ in range(4):
-                req = disk.submit(2 * MB)
-                yield req.done
-
-        run_client(sim, client())
+        for _ in range(4):
+            sim.run(until=disk.submit(2 * MB).done)
+        sim.run()
         assert disk.requests_served == 4
         assert disk.bytes_served == 8 * MB
         assert disk.inflight == 0
@@ -83,136 +55,86 @@ class TestService:
 
     def test_state_returns_to_idle_after_service(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            req = disk.submit(1 * MB)
-            yield req.done
-
-        run_client(sim, client())
+        disk.submit(1 * MB)
+        sim.run()
         assert disk.state is DiskState.IDLE
 
     def test_utilization_between_zero_and_one(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            req = disk.submit(50 * MB)
-            yield req.done
-            yield sim.timeout(1.0)
-
-        run_client(sim, client())
+        sim.run(until=disk.submit(50 * MB).done)
+        sim.run(until=sim.now + 1.0)
         assert 0.0 < disk.utilization < 1.0
 
 
 class TestPowerManagement:
     def test_request_sleep_from_idle(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            assert disk.request_sleep() is True
-            yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        assert disk.request_sleep() is True
+        sim.run(until=SPEC.spindown_s + 0.01)
+        assert disk.state is DiskState.STANDBY
 
     def test_request_sleep_refused_with_inflight_work(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            disk.submit(50 * MB)
-            assert disk.request_sleep() is False
-            yield sim.timeout(0.0)
-
-        run_client(sim, client())
+        disk.submit(50 * MB)
+        assert disk.request_sleep() is False
+        sim.run()
 
     def test_request_sleep_refused_when_already_sleeping(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            assert disk.request_sleep() is True
-            assert disk.request_sleep() is False  # already spinning down
-            yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.request_sleep() is False  # already in standby
-
-        run_client(sim, client())
+        assert disk.request_sleep() is True
+        assert disk.request_sleep() is False  # already spinning down
+        sim.run(until=SPEC.spindown_s + 0.01)
+        assert disk.request_sleep() is False  # already in standby
 
     def test_wake_from_standby(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            disk.request_sleep()
-            yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.wake() is True
-            yield sim.timeout(SPEC.spinup_s + 0.01)
-            assert disk.state is DiskState.IDLE
-
-        run_client(sim, client())
+        disk.request_sleep()
+        sim.run(until=SPEC.spindown_s + 0.01)
+        assert disk.wake() is True
+        sim.run(until=sim.now + SPEC.spinup_s + 0.01)
+        assert disk.state is DiskState.IDLE
 
     def test_wake_noop_when_spinning(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            assert disk.wake() is False
-            yield sim.timeout(0.0)
-
-        run_client(sim, client())
+        assert disk.wake() is False
+        sim.run()
 
     def test_spinup_penalty_on_standby_hit(self, sim):
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def client():
-            disk.request_sleep()
-            yield sim.timeout(SPEC.spindown_s + 10.0)
-            req = disk.submit(1 * MB)
-            yield req.done
-            results["latency"] = sim.now - req.issued_at
-
-        run_client(sim, client())
+        disk.request_sleep()
+        sim.run(until=SPEC.spindown_s + 10.0)
+        req = disk.submit(1 * MB)
+        sim.run(until=req.done)
         base = SPEC.positioning_s + 1 * MB / SPEC.bandwidth_bps
-        assert results["latency"] == pytest.approx(base + SPEC.spinup_s)
+        assert sim.now - req.issued_at == pytest.approx(base + SPEC.spinup_s)
 
     def test_request_during_spindown_waits_full_round_trip(self, sim):
         """A request landing mid-spin-down pays the rest of the spin-down
         plus the full spin-up -- the §VI-C anomaly mechanism."""
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def client():
-            disk.request_sleep()
-            yield sim.timeout(SPEC.spindown_s / 2.0)
-            req = disk.submit(1 * MB)
-            yield req.done
-            results["latency"] = sim.now - req.issued_at
-
-        run_client(sim, client())
+        disk.request_sleep()
+        sim.run(until=SPEC.spindown_s / 2.0)
+        req = disk.submit(1 * MB)
+        sim.run(until=req.done)
         base = SPEC.positioning_s + 1 * MB / SPEC.bandwidth_bps
         expected = SPEC.spindown_s / 2.0 + SPEC.spinup_s + base
-        assert results["latency"] == pytest.approx(expected)
+        assert sim.now - req.issued_at == pytest.approx(expected)
 
     def test_transition_count_over_sleep_cycle(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            disk.request_sleep()
-            yield sim.timeout(SPEC.spindown_s + 5.0)
-            req = disk.submit(1 * MB)
-            yield req.done
-
-        run_client(sim, client())
+        disk.request_sleep()
+        sim.run(until=SPEC.spindown_s + 5.0)
+        disk.submit(1 * MB)
+        sim.run()
         assert disk.transition_count == 2  # one down, one up
 
     def test_standby_saves_energy_over_long_window(self, sim):
         def scenario(sleep):
             s = Simulator()
             disk = SimDisk(s, SPEC)
-
-            def client():
-                if sleep:
-                    disk.request_sleep()
-                yield s.timeout(600.0)
-
-            s.process(client())
-            s.run()
+            if sleep:
+                disk.request_sleep()
+            s.run(until=600.0)
             disk.finalize()
             return disk.energy_j()
 
@@ -225,15 +147,10 @@ class TestPowerManagement:
         def scenario(sleep):
             s = Simulator()
             disk = SimDisk(s, SPEC)
-
-            def client():
-                if sleep:
-                    disk.request_sleep()
-                    yield s.timeout(SPEC.spindown_s + 0.2)
-                    disk.wake()
-                yield s.timeout(10.0)
-
-            s.process(client())
+            if sleep:
+                disk.request_sleep()
+                s.run(until=SPEC.spindown_s + 0.2)
+                disk.wake()
             s.run(until=20.0)
             disk.finalize()
             return disk.energy_j()
@@ -244,30 +161,19 @@ class TestPowerManagement:
 class TestIdleWatchdog:
     def test_auto_sleep_fires_after_threshold(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
-
-        def client():
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(5.0 + SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        sim.run(until=disk.submit(1 * MB).done)
+        sim.run(until=sim.now + 5.0 + SPEC.spindown_s + 0.01)
+        assert disk.state is DiskState.STANDBY
 
     def test_activity_resets_idle_timer(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
-
-        def client():
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(3.0)
-            req = disk.submit(1 * MB)  # interrupts the countdown
-            yield req.done
-            yield sim.timeout(3.0)
-            assert disk.state is DiskState.IDLE  # timer restarted
-            yield sim.timeout(2.5 + SPEC.spindown_s)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        sim.run(until=disk.submit(1 * MB).done)
+        sim.run(until=sim.now + 3.0)
+        sim.run(until=disk.submit(1 * MB).done)  # interrupts the countdown
+        sim.run(until=sim.now + 3.0)
+        assert disk.state is DiskState.IDLE  # timer restarted
+        sim.run(until=sim.now + 2.5 + SPEC.spindown_s)
+        assert disk.state is DiskState.STANDBY
 
     @pytest.mark.parametrize("device", ["hdd", "ssd"])
     def test_same_instant_submits_retire_the_timer_once(self, sim, device):
@@ -299,14 +205,9 @@ class TestIdleWatchdog:
 
     def test_no_watchdog_without_threshold(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def client():
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(1000.0)
-            assert disk.state is DiskState.IDLE  # never slept
-
-        run_client(sim, client())
+        sim.run(until=disk.submit(1 * MB).done)
+        sim.run(until=sim.now + 1000.0)
+        assert disk.state is DiskState.IDLE  # never slept
 
 
 class TestSetIdleThreshold:
@@ -334,46 +235,33 @@ class TestSetIdleThreshold:
 
     def test_zero_threshold_sleeps_as_soon_as_idle(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
-
-        def client():
-            req = disk.submit(1 * MB)
-            disk.set_idle_threshold(0)  # retarget while in flight
-            yield req.done
-            yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        req = disk.submit(1 * MB)
+        disk.set_idle_threshold(0)  # retarget while in flight
+        sim.run(until=req.done)
+        sim.run(until=sim.now + SPEC.spindown_s + 0.01)
+        assert disk.state is DiskState.STANDBY
 
     def test_running_countdown_keeps_its_original_deadline(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
-
-        def client():
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(1.0)
-            disk.set_idle_threshold(0.5)  # 0.5 s already elapsed idle
-            yield sim.timeout(1.0 + SPEC.spindown_s)
-            # Were the new threshold applied retroactively the disk
-            # would be asleep by now; the armed 5.0 s countdown holds.
-            assert disk.state is DiskState.IDLE
-            yield sim.timeout(3.0 + SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        sim.run(until=disk.submit(1 * MB).done)
+        sim.run(until=sim.now + 1.0)
+        disk.set_idle_threshold(0.5)  # 0.5 s already elapsed idle
+        sim.run(until=sim.now + 1.0 + SPEC.spindown_s)
+        # Were the new threshold applied retroactively the disk would be
+        # asleep by now; the armed 5.0 s countdown holds.
+        assert disk.state is DiskState.IDLE
+        sim.run(until=sim.now + 3.0 + SPEC.spindown_s + 0.01)
+        assert disk.state is DiskState.STANDBY
 
     def test_new_threshold_governs_the_next_idle_period(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=0.5)
-
-        def client():
-            req = disk.submit(1 * MB)
-            disk.set_idle_threshold(3.0)
-            yield req.done
-            yield sim.timeout(2.9)
-            assert disk.state is DiskState.IDLE  # old 0.5 s is history
-            yield sim.timeout(0.2 + SPEC.spindown_s)
-            assert disk.state is DiskState.STANDBY
-
-        run_client(sim, client())
+        req = disk.submit(1 * MB)
+        disk.set_idle_threshold(3.0)
+        sim.run(until=req.done)
+        sim.run(until=sim.now + 2.9)
+        assert disk.state is DiskState.IDLE  # old 0.5 s is history
+        sim.run(until=sim.now + 0.2 + SPEC.spindown_s)
+        assert disk.state is DiskState.STANDBY
 
 
 class TestValidation:

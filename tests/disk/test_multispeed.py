@@ -69,33 +69,21 @@ class TestShifting:
 
     def test_shift_refused_with_inflight_work(self, sim):
         disk = SimDisk(sim, SPEC)
-
-        def proc():
-            disk.submit(50 * MB)
-            assert disk.shift_down() is False
-            yield sim.timeout(0.0)
-
-        sim.process(proc())
+        disk.submit(50 * MB)
+        assert disk.shift_down() is False
         sim.run()
 
     def test_service_slower_at_low_speed(self, sim):
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def proc():
-            req = disk.submit(10 * MB)
-            yield req.done
-            results["full"] = sim.now
-            disk.shift_down()
-            yield sim.timeout(SPEC.low_speed.shift_s + 0.01)
-            t0 = sim.now
-            req = disk.submit(10 * MB)
-            yield req.done
-            results["low"] = sim.now - t0
-
-        sim.process(proc())
+        sim.run(until=disk.submit(10 * MB).done)
+        full = sim.now
+        disk.shift_down()
+        sim.run(until=sim.now + SPEC.low_speed.shift_s + 0.01)
+        t0 = sim.now
+        sim.run(until=disk.submit(10 * MB).done)
+        low = sim.now - t0
         sim.run()
-        ratio = results["low"] / results["full"]
+        ratio = low / full
         # ~58/30 media-rate ratio, softened by positioning overhead.
         assert 1.5 < ratio < 2.2
         assert disk.state is DiskState.LOW_IDLE  # returns to low idle
@@ -103,32 +91,20 @@ class TestShifting:
     def test_low_idle_serves_without_spinup_penalty(self, sim):
         """The DRPM selling point: no 2 s stall on the next request."""
         disk = SimDisk(sim, SPEC)
-        results = {}
-
-        def proc():
-            disk.shift_down()
-            yield sim.timeout(10.0)
-            req = disk.submit(1 * MB)
-            yield req.done
-            results["latency"] = sim.now - req.issued_at
-
-        sim.process(proc())
-        sim.run()
+        disk.shift_down()
+        sim.run(until=10.0)
+        req = disk.submit(1 * MB)
+        sim.run(until=req.done)
         low_service = disk.low_spec.service_time(1 * MB)
-        assert results["latency"] == pytest.approx(low_service)
+        assert sim.now - req.issued_at == pytest.approx(low_service)
 
     def test_low_speed_idle_power_cheaper(self, sim):
         def energy(shift):
             s = Simulator()
             d = SimDisk(s, SPEC)
-
-            def proc():
-                if shift:
-                    d.shift_down()
-                yield s.timeout(600.0)
-
-            s.process(proc())
-            s.run()
+            if shift:
+                d.shift_down()
+            s.run(until=600.0)
             d.finalize()
             return d.energy_j()
 
@@ -138,28 +114,19 @@ class TestShifting:
         """A shifted drive stays at low speed: spin-down starts only from
         full-speed idle."""
         disk = SimDisk(sim, SPEC)
-
-        def proc():
-            disk.shift_down()
-            yield sim.timeout(SPEC.low_speed.shift_s + 0.01)
-            assert disk.request_sleep() is False
-            yield sim.timeout(SPEC.spindown_s + 0.01)
-            assert disk.state is DiskState.LOW_IDLE
-
-        sim.process(proc())
+        disk.shift_down()
+        sim.run(until=SPEC.low_speed.shift_s + 0.01)
+        assert disk.request_sleep() is False
+        sim.run(until=sim.now + SPEC.spindown_s + 0.01)
+        assert disk.state is DiskState.LOW_IDLE
         sim.run()
         assert disk.transition_count == 0
 
     def test_idle_action_low_speed_watchdog(self, sim):
         disk = SimDisk(sim, SPEC, auto_sleep_after=5.0, idle_action="low_speed")
-
-        def proc():
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(5.0 + SPEC.low_speed.shift_s + 0.05)
-            assert disk.state is DiskState.LOW_IDLE
-
-        sim.process(proc())
+        sim.run(until=disk.submit(1 * MB).done)
+        sim.run(until=sim.now + 5.0 + SPEC.low_speed.shift_s + 0.05)
+        assert disk.state is DiskState.LOW_IDLE
         sim.run()
         assert disk.shift_count == 1
         assert disk.transition_count == 0  # shifts are not standby cycles

@@ -9,28 +9,33 @@ MB = 1024 * 1024
 SPEC = ATA_80GB_TYPE1
 
 
+def _watch(order):
+    """``watch(request, tag)``: note *tag* in *order* when *request* is
+    done."""
+
+    def watch(req, tag):
+        req.done.callbacks.append(lambda _event: order.append(tag))
+
+    return watch
+
+
 def test_demand_overtakes_queued_background():
     sim = Simulator()
     disk = SimDisk(sim, SPEC)
     order = []
+    watch = _watch(order)
 
-    def watch(req, tag):
-        yield req.done
-        order.append(tag)
-
-    def client():
+    def client(_value):
         # First request occupies the disk; the rest queue.
-        sim.process(watch(disk.submit(20 * MB), "first"))
-        sim.process(
-            watch(disk.submit(20 * MB, priority=PRIORITY_BACKGROUND), "bg1")
+        watch(disk.submit(20 * MB), "first")
+        watch(disk.submit(20 * MB, priority=PRIORITY_BACKGROUND), "bg1")
+        watch(disk.submit(20 * MB, priority=PRIORITY_BACKGROUND), "bg2")
+        sim.call_later(
+            0.01,
+            lambda _value: watch(disk.submit(20 * MB, priority=PRIORITY_DEMAND), "demand"),
         )
-        sim.process(
-            watch(disk.submit(20 * MB, priority=PRIORITY_BACKGROUND), "bg2")
-        )
-        yield sim.timeout(0.01)
-        sim.process(watch(disk.submit(20 * MB, priority=PRIORITY_DEMAND), "demand"))
 
-    sim.process(client())
+    sim.call_soon(client)
     sim.run()
     assert order == ["first", "demand", "bg1", "bg2"]
 
@@ -39,19 +44,15 @@ def test_three_level_ordering():
     sim = Simulator()
     disk = SimDisk(sim, SPEC)
     order = []
+    watch = _watch(order)
 
-    def watch(req, tag):
-        yield req.done
-        order.append(tag)
+    def client(_value):
+        watch(disk.submit(10 * MB), "head")
+        watch(disk.submit(1 * MB, priority=PRIORITY_BACKGROUND), "bg")
+        watch(disk.submit(1 * MB, priority=PRIORITY_PREFETCH), "pf")
+        watch(disk.submit(1 * MB, priority=PRIORITY_DEMAND), "rd")
 
-    def client():
-        sim.process(watch(disk.submit(10 * MB), "head"))
-        sim.process(watch(disk.submit(1 * MB, priority=PRIORITY_BACKGROUND), "bg"))
-        sim.process(watch(disk.submit(1 * MB, priority=PRIORITY_PREFETCH), "pf"))
-        sim.process(watch(disk.submit(1 * MB, priority=PRIORITY_DEMAND), "rd"))
-        yield sim.timeout(0.0)
-
-    sim.process(client())
+    sim.call_soon(client)
     sim.run()
     assert order == ["head", "rd", "pf", "bg"]
 
@@ -60,17 +61,13 @@ def test_equal_priority_stays_fifo():
     sim = Simulator()
     disk = SimDisk(sim, SPEC)
     order = []
+    watch = _watch(order)
 
-    def watch(req, tag):
-        yield req.done
-        order.append(tag)
-
-    def client():
+    def client(_value):
         for tag in ("a", "b", "c"):
-            sim.process(watch(disk.submit(1 * MB), tag))
-        yield sim.timeout(0.0)
+            watch(disk.submit(1 * MB), tag)
 
-    sim.process(client())
+    sim.call_soon(client)
     sim.run()
     assert order == ["a", "b", "c"]
 

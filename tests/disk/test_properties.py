@@ -167,14 +167,18 @@ def test_drive_always_serves_everything(jobs, auto_sleep):
     disk = SimDisk(sim, SPEC, auto_sleep_after=auto_sleep)
     done = []
 
-    def client():
-        for gap, size in jobs:
-            yield sim.timeout(gap)
-            req = disk.submit(size)
-            yield req.done
-            done.append(req.request_id)
+    def sleep_then_submit(index):
+        # Sleep the job's gap, submit it, and go on once it is done.
+        if index < len(jobs):
+            sim.call_later(jobs[index][0], submit, index)
 
-    sim.process(client())
+    def submit(index):
+        req = disk.submit(jobs[index][1])
+        req.done.callbacks.append(
+            lambda _event: (done.append(req.request_id), sleep_then_submit(index + 1))
+        )
+
+    sleep_then_submit(0)
     sim.run()
     assert len(done) == len(jobs)
     assert disk.inflight == 0
@@ -190,13 +194,16 @@ def test_energy_account_never_negative_and_bounded(gaps):
     sim = Simulator()
     disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
 
-    def client():
-        for gap in gaps:
-            yield sim.timeout(gap)
-            req = disk.submit(4 * MB)
-            yield req.done
+    def sleep_then_submit(index):
+        if index < len(gaps):
+            sim.call_later(gaps[index], submit, index)
 
-    sim.process(client())
+    def submit(index):
+        disk.submit(4 * MB).done.callbacks.append(
+            lambda _event: sleep_then_submit(index + 1)
+        )
+
+    sleep_then_submit(0)
     sim.run()
     disk.finalize()
     total_t = sim.now
@@ -216,13 +223,13 @@ def test_transitions_come_in_balanced_pairs(gaps):
     sim = Simulator()
     disk = SimDisk(sim, SPEC, auto_sleep_after=5.0)
 
-    def client():
-        for gap in gaps:
-            req = disk.submit(1 * MB)
-            yield req.done
-            yield sim.timeout(gap)
+    def submit(index):
+        if index < len(gaps):
+            disk.submit(1 * MB).done.callbacks.append(
+                lambda _event: sim.call_later(gaps[index], submit, index + 1)
+            )
 
-    sim.process(client())
+    submit(0)
     sim.run()
     ups = disk.meter.spinup_count
     downs = disk.meter.spindown_count

@@ -1,4 +1,4 @@
-"""The cheap heartbeat path: block-drawn timeouts, reused payloads, no processes.
+"""The cheap heartbeat path: block-drawn timeouts and reused payloads.
 
 A follower redraws its election timeout on every heartbeat, and a
 leader in steady state sends the same ``AppendEntries`` every round.
@@ -11,9 +11,7 @@ draws, and every payload sent is the one the current state describes.
 import pytest
 
 from repro.core.config import EEVFSConfig
-from repro.core.filesystem import EEVFSCluster
 from repro.core.metadata import ServerMetadata
-from repro.experiments.metaplane import drill_config, drill_trace, leader_crash_schedule
 from repro.metaplane.messages import AppendEntries, AppendReply
 from repro.metaplane.plane import MetaPlane
 from repro.metaplane.server import (
@@ -24,7 +22,6 @@ from repro.metaplane.server import (
 )
 from repro.net.fabric import Fabric
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 
 GBPS = 125_000_000.0  # 1 Gb/s in bytes per second
@@ -182,22 +179,3 @@ class TestHeartbeatPayloads:
         ]
         assert len({id(p) for p in replies}) == 2  # one per follower
 
-
-def test_metadata_plane_builds_no_process(monkeypatch):
-    """The election timer and heartbeat rounds are flat callbacks: a
-    leader-crash drill builds no generator process from
-    ``repro.metaplane``."""
-    built = []
-    build = Process.__init__
-
-    def counted(self, sim, generator, name=""):
-        built.append(generator.gi_frame.f_globals["__name__"])
-        build(self, sim, generator, name)
-
-    monkeypatch.setattr(Process, "__init__", counted)
-    cluster = EEVFSCluster(config=drill_config(3), seed=1, faults=leader_crash_schedule(4))
-    result = cluster.run(drill_trace(n_requests=200))
-    # More elections than shards: at least one crash forced a re-election.
-    assert result.metaplane is not None and result.metaplane.elections > 4
-    assert built  # setup, prefetch copies, destage loops, the fault injector
-    assert [module for module in built if module.startswith("repro.metaplane")] == []

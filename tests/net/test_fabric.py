@@ -48,10 +48,7 @@ class TestTransfers:
         got = []
         fabric.endpoint("node1").inbox.take(lambda msg: got.append((msg.payload, sim.now)))
 
-        def sender():
-            yield fabric.send("server", "node1", payload="hello", size_bytes=0)
-
-        sim.process(sender())
+        fabric.send("server", "node1", payload="hello", size_bytes=0)
         sim.run()
         assert got == [("hello", 0.0)]
 
@@ -59,26 +56,16 @@ class TestTransfers:
         done = {}
         fabric.endpoint("node2").inbox.take(lambda msg: done.setdefault("rx", sim.now))
 
-        def sender():
-            # 12.5e6 B at the 100 Mb/s (12.5e6 B/s) node-2 NIC: 1 s.
-            yield fabric.send("server", "node2", payload=b"", size_bytes=125 * 10**5)
-            done["t"] = sim.now
-
-        sim.process(sender())
+        # 12.5e6 B at the 100 Mb/s (12.5e6 B/s) node-2 NIC: 1 s.
+        sim.run(until=fabric.send("server", "node2", payload=b"", size_bytes=125 * 10**5))
+        done["t"] = sim.now
         sim.run()
         assert done["t"] == pytest.approx(1.0)
         assert done["rx"] == pytest.approx(1.0)
 
     def test_gigabit_pair_runs_at_gigabit(self, sim, fabric):
-        done = {}
-
-        def sender():
-            yield fabric.send("server", "node1", payload=b"", size_bytes=125 * 10**6)
-            done["t"] = sim.now
-
-        sim.process(sender())
-        sim.run()
-        assert done["t"] == pytest.approx(1.0)
+        sim.run(until=fabric.send("server", "node1", payload=b"", size_bytes=125 * 10**6))
+        assert sim.now == pytest.approx(1.0)
 
     def test_self_send_rejected(self, fabric):
         with pytest.raises(ValueError):
@@ -88,58 +75,36 @@ class TestTransfers:
         f = Fabric(sim, latency_s=0.010)
         f.add_endpoint("a", 1e9)
         f.add_endpoint("b", 1e9)
-        done = {}
-
-        def sender():
-            yield f.send("a", "b", payload=None, size_bytes=0)
-            done["t"] = sim.now
-
-        sim.process(sender())
-        sim.run()
-        assert done["t"] == pytest.approx(0.010)
+        sim.run(until=f.send("a", "b", payload=None, size_bytes=0))
+        assert sim.now == pytest.approx(0.010)
 
     def test_sender_tx_serialises_two_receivers(self, sim, fabric):
         """One gigabit sender feeding two nodes cannot exceed its NIC."""
         times = []
-
-        def sender(dst):
-            yield fabric.send("server", dst, payload=b"", size_bytes=125 * 10**6)
-            times.append(sim.now)
-
-        sim.process(sender("node1"))
-        sim.process(sender("node1"))
+        for _ in range(2):
+            sent = fabric.send("server", "node1", payload=b"", size_bytes=125 * 10**6)
+            sent.callbacks.append(lambda _event: times.append(sim.now))
         sim.run()
         assert sorted(times) == [pytest.approx(1.0), pytest.approx(2.0)]
 
     def test_distinct_pairs_transfer_in_parallel(self, sim, fabric):
         times = []
-
-        def flow(src, dst):
-            yield fabric.send(src, dst, payload=b"", size_bytes=125 * 10**6)
-            times.append(sim.now)
-
-        sim.process(flow("server", "node1"))
-        sim.process(flow("node1", "server"))  # full duplex: opposite direction
+        # Full duplex: the second flow runs in the opposite direction.
+        for src, dst in (("server", "node1"), ("node1", "server")):
+            sent = fabric.send(src, dst, payload=b"", size_bytes=125 * 10**6)
+            sent.callbacks.append(lambda _event: times.append(sim.now))
         sim.run()
         assert times == [pytest.approx(1.0), pytest.approx(1.0)]
 
     def test_connect_costs_handshake(self, sim, fabric):
         done = {}
-
-        def dialer():
-            yield fabric.connect("server", "node1")
-            done["t"] = sim.now
-
-        sim.process(dialer())
+        fabric.connect("server", "node1", lambda _value: done.setdefault("t", sim.now))
         sim.run()
         assert done["t"] == pytest.approx(0.0005)
 
     def test_accounting(self, sim, fabric):
-        def sender():
-            yield fabric.send("server", "node1", payload=None, size_bytes=100)
-            yield fabric.send("server", "node2", payload=None, size_bytes=50)
-
-        sim.process(sender())
+        sim.run(until=fabric.send("server", "node1", payload=None, size_bytes=100))
+        fabric.send("server", "node2", payload=None, size_bytes=50)
         sim.run()
         assert fabric.messages_sent == 2
         assert fabric.bytes_sent == 150
@@ -157,12 +122,8 @@ class TestTransfers:
                 inbox.take(handle)
 
         inbox.take(handle)
-
-        def sender():
-            yield fabric.send("server", "node1", payload="other", size_bytes=0)
-            yield fabric.send("server", "node1", payload="wanted", size_bytes=0)
-
-        sim.process(sender())
+        sim.run(until=fabric.send("server", "node1", payload="other", size_bytes=0))
+        fabric.send("server", "node1", payload="wanted", size_bytes=0)
         sim.run()
         assert got == ["wanted"]
 
@@ -196,16 +157,12 @@ def test_fabric_conserves_messages(transfers):
 
         inbox.take(handle)
 
-    def sender():
-        events = [
-            fabric.send(src, dst, payload=i, size_bytes=size)
-            for i, (src, dst, size) in enumerate(transfers)
-        ]
-        yield sim.all_of(events)
-
     for name in "abc":
         receiver(name)
-    done = sim.process(sender())
-    sim.run(until=done)
+    events = [
+        fabric.send(src, dst, payload=i, size_bytes=size)
+        for i, (src, dst, size) in enumerate(transfers)
+    ]
+    sim.run(until=sim.all_of(events))
     sim.run(until=sim.now + 1.0)  # drain inbox consumers
     assert sorted(delivered) == list(range(len(transfers)))

@@ -19,16 +19,12 @@ def sample_trace():
     tracer = Tracer(sim)
     root = tracer.begin_request(1, "client", file_id=9)
 
-    def proc():
-        span = tracer.begin("disk.service", "data0", parent=root, bytes=4096)
-        yield sim.timeout(2.0)
-        tracer.end(span)
-        tracer.instant("power.sleep", "data1", window_s=3.0)
-        yield sim.timeout(1.0)
-        tracer.end_request(1, ok=True)
-
-    sim.process(proc())
-    sim.run()
+    span = tracer.begin("disk.service", "data0", parent=root, bytes=4096)
+    sim.run(until=2.0)
+    tracer.end(span)
+    tracer.instant("power.sleep", "data1", window_s=3.0)
+    sim.run(until=3.0)
+    tracer.end_request(1, ok=True)
     series = Series("queue_depth")
     series.append(0.0, 1.0)
     series.append(1.0, 2.0)

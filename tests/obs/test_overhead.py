@@ -123,13 +123,16 @@ def test_assert_deterministic_still_passes_on_plain_disk_model():
         disk = SimDisk(sim, ATA_80GB_TYPE1, auto_sleep_after=2.0)
         rng = np.random.default_rng(5)
 
-        def client():
-            for _ in range(30):
-                yield sim.timeout(float(rng.exponential(1.0)))
-                request = disk.submit(int(rng.integers(1, 1 << 20)))
-                yield request.done
+        def sleep_then_submit(left):
+            # A closed-loop client: sleep, submit, wait for it, repeat.
+            if left:
+                sim.call_later(float(rng.exponential(1.0)), submit, left)
 
-        sim.process(client())
+        def submit(left):
+            request = disk.submit(int(rng.integers(1, 1 << 20)))
+            request.done.callbacks.append(lambda _event: sleep_then_submit(left - 1))
+
+        sleep_then_submit(30)
         return sim
 
     digest = assert_deterministic(build, runs=2, label="obs-era disk model")

@@ -29,19 +29,14 @@ class TestMergedBusyTime:
 def traced_run():
     sim = Simulator()
     tracer = Tracer(sim)
-
-    def proc():
-        root = tracer.begin_request(1, "client")
-        lookup = tracer.begin("server.lookup", "server", parent=root)
-        yield sim.timeout(1.0)
-        tracer.end(lookup)
-        service = tracer.begin("disk.service", "data0", parent=root)
-        yield sim.timeout(3.0)
-        tracer.end(service)
-        tracer.end_request(1)
-
-    sim.process(proc())
-    sim.run()
+    root = tracer.begin_request(1, "client")
+    lookup = tracer.begin("server.lookup", "server", parent=root)
+    sim.run(until=1.0)
+    tracer.end(lookup)
+    service = tracer.begin("disk.service", "data0", parent=root)
+    sim.run(until=4.0)
+    tracer.end(service)
+    tracer.end_request(1)
     return tracer.snapshot()
 
 

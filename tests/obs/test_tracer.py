@@ -21,14 +21,9 @@ def test_span_vocabulary_covers_the_required_kinds():
 
 def test_begin_end_records_interval(sim):
     tracer = Tracer(sim)
-
-    def proc():
-        span = tracer.begin("disk.service", "data0", io="read")
-        yield sim.timeout(2.5)
-        tracer.end(span, ok=True)
-
-    sim.process(proc())
-    sim.run()
+    span = tracer.begin("disk.service", "data0", io="read")
+    sim.run(until=2.5)
+    tracer.end(span, ok=True)
     (span,) = tracer.spans
     assert span.start_s == 0.0
     assert span.end_s == 2.5
@@ -40,15 +35,10 @@ def test_begin_end_records_interval(sim):
 def test_end_is_idempotent(sim):
     tracer = Tracer(sim)
     span = tracer.begin("spinup", "data0")
-
-    def proc():
-        yield sim.timeout(1.0)
-        tracer.end(span)
-        yield sim.timeout(1.0)
-        tracer.end(span)  # second end must not move end_s
-
-    sim.process(proc())
-    sim.run()
+    sim.run(until=1.0)
+    tracer.end(span)
+    sim.run(until=2.0)
+    tracer.end(span)  # second end must not move end_s
     assert span.end_s == 1.0
 
 
@@ -83,12 +73,7 @@ def test_request_correlation_round_trip(sim):
 def test_snapshot_clamps_open_spans(sim):
     tracer = Tracer(sim)
     open_span = tracer.begin("spinup", "data0")
-
-    def proc():
-        yield sim.timeout(3.0)
-
-    sim.process(proc())
-    sim.run()
+    sim.run(until=3.0)
     trace = tracer.snapshot()
     assert open_span.end_s == 3.0
     assert open_span.tags == {"incomplete": True}

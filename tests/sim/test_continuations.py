@@ -80,7 +80,8 @@ def test_schedule_entries_carry_their_dispatch():
     sim.call_soon(fn, "now", priority=URGENT)
     sim.call_later(2.0, fn, "later")
     event = sim.event().succeed("done")
-    timer = sim.timeout(1.0)
+    timer = sim.event()
+    sim.schedule(timer, delay=1.0)
     assert list(sim._lanes[URGENT]) == [(0, fn, "now")]
     assert list(sim._lanes[NORMAL]) == [(2, None, event)]
     assert sorted(sim._heap) == [(1.0, NORMAL, 3, None, timer), (2.0, NORMAL, 1, fn, "later")]
@@ -166,13 +167,13 @@ def test_hooks_observe_continuations_in_dispatch_order():
     ran = []
     sim.call_soon(lambda v: ran.append("soon"))
     sim.call_later(1.0, lambda v: ran.append("later"))
-    sim.timeout(1.0)
+    sim.schedule(sim.event(), delay=1.0)
     sim.run()
     assert ran == ["soon", "later"]
     assert hooked == [
         (0.0, "Continuation"),
         (1.0, "Continuation"),
-        (1.0, "Timeout"),
+        (1.0, "Event"),
     ]
     # The view a hook sees: a succeeded event on this simulator whose
     # value is the continuation's argument.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 from repro.sim.engine import EmptySchedule
 
 
@@ -14,13 +14,13 @@ def test_clock_custom_start():
     assert Simulator(start_time=5.0).now == 5.0
 
 
+def _nothing(_value):
+    pass
+
+
 def test_timeout_advances_clock():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(3.5)
-
-    sim.process(proc())
+    sim.call_later(3.5, _nothing)
     sim.run()
     assert sim.now == 3.5
 
@@ -28,20 +28,9 @@ def test_timeout_advances_clock():
 def test_zero_timeout_is_legal():
     sim = Simulator()
     seen = []
-
-    def proc():
-        yield sim.timeout(0.0)
-        seen.append(sim.now)
-
-    sim.process(proc())
+    sim.call_later(0.0, lambda _value: seen.append(sim.now))
     sim.run()
     assert seen == [0.0]
-
-
-def test_negative_timeout_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
 
 
 def test_negative_schedule_delay_rejected():
@@ -54,8 +43,6 @@ def test_negative_schedule_delay_rejected():
 NAN_ENTRY_POINTS = {
     "schedule": lambda sim: sim.schedule(sim.event(), delay=float("nan")),
     "call_later": lambda sim: sim.call_later(float("nan"), lambda _: None),
-    "timeout": lambda sim: sim.timeout(float("nan")),
-    "Timeout": lambda sim: Timeout(sim, float("nan")),
     "run-until": lambda sim: sim.run(until=float("nan")),
 }
 
@@ -73,14 +60,18 @@ def test_nan_delay_rejected(entry):
     assert sim.now == 1.0
 
 
+def _ticker(sim):
+    """A timer that re-arms itself every second, forever."""
+
+    def tick(_value=None):
+        sim.call_later(1.0, tick)
+
+    tick()
+
+
 def test_run_until_time_stops_exactly():
     sim = Simulator()
-
-    def ticker():
-        while True:
-            yield sim.timeout(1.0)
-
-    sim.process(ticker())
+    _ticker(sim)
     sim.run(until=10.5)
     assert sim.now == 10.5
 
@@ -88,12 +79,7 @@ def test_run_until_time_stops_exactly():
 def test_run_until_time_excludes_events_at_that_time():
     sim = Simulator()
     fired = []
-
-    def proc():
-        yield sim.timeout(5.0)
-        fired.append(sim.now)
-
-    sim.process(proc())
+    sim.call_later(5.0, lambda _value: fired.append(sim.now))
     sim.run(until=5.0)
     # The stop event is URGENT so run(until=5) does not execute the t=5 work.
     assert fired == []
@@ -103,11 +89,7 @@ def test_run_until_time_excludes_events_at_that_time():
 
 def test_run_until_past_raises():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(10.0)
-
-    sim.process(proc())
+    sim.call_later(10.0, _nothing)
     sim.run()
     with pytest.raises(ValueError):
         sim.run(until=5.0)
@@ -115,35 +97,23 @@ def test_run_until_past_raises():
 
 def test_run_until_event_returns_its_value():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(2.0)
-        return "payload"
-
-    p = sim.process(proc())
-    assert sim.run(until=p) == "payload"
+    done = sim.event()
+    sim.call_later(2.0, done.succeed, "payload")
+    assert sim.run(until=done) == "payload"
     assert sim.now == 2.0
 
 
 def test_run_until_event_that_never_fires_returns_none():
     sim = Simulator()
     never = sim.event()
-
-    def proc():
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
+    sim.call_later(1.0, _nothing)
     assert sim.run(until=never) is None
     assert sim.now == 1.0
 
 
 def test_run_to_exhaustion_returns_none():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
+    sim.call_later(1.0, _nothing)
     assert sim.run() is None
 
 
@@ -158,7 +128,7 @@ def test_peek_reports_next_event_time():
     # one step dispatches the next event at its time.
     sim = Simulator()
     assert sim.queue_size == 0
-    sim.timeout(4.0)
+    sim.call_later(4.0, _nothing)
     assert sim.queue_size == 1
     sim.step()
     assert sim.now == 4.0
@@ -168,35 +138,18 @@ def test_peek_reports_next_event_time():
 def test_queue_size_counts_scheduled_events():
     sim = Simulator()
     assert sim.queue_size == 0
-    sim.timeout(1.0)
-    sim.timeout(2.0)
+    sim.call_later(1.0, _nothing)
+    sim.schedule(sim.event(), delay=2.0)
     assert sim.queue_size == 2
 
 
 def test_simultaneous_events_process_in_creation_order():
     sim = Simulator()
     order = []
-
-    def proc(tag):
-        yield sim.timeout(1.0)
-        order.append(tag)
-
     for tag in "abcde":
-        sim.process(proc(tag))
+        sim.call_later(1.0, order.append, tag)
     sim.run()
     assert order == list("abcde")
-
-
-def test_unhandled_process_exception_surfaces_from_run():
-    sim = Simulator()
-
-    def boom():
-        yield sim.timeout(1.0)
-        raise RuntimeError("kaboom")
-
-    sim.process(boom())
-    with pytest.raises(RuntimeError, match="kaboom"):
-        sim.run()
 
 
 def test_failed_event_with_no_waiter_surfaces():
@@ -215,64 +168,39 @@ def test_defused_failure_does_not_surface():
     sim.run()  # no raise
 
 
-def test_nested_processes_wait_on_each_other():
-    sim = Simulator()
-
-    def inner():
-        yield sim.timeout(2.0)
-        return 42
-
-    def outer():
-        value = yield sim.process(inner())
-        return value + 1
-
-    p = sim.process(outer())
-    sim.run()
-    assert p.value == 43
-    assert sim.now == 2.0
-
-
 def test_many_events_keep_heap_order(rng_values=200):
     sim = Simulator()
     seen = []
-
-    def proc(at):
-        yield sim.timeout(at)
-        seen.append(sim.now)
 
     import random
 
     r = random.Random(7)
     delays = [r.uniform(0, 100) for _ in range(rng_values)]
     for d in delays:
-        sim.process(proc(d))
+        sim.call_later(d, lambda _value: seen.append(sim.now))
     sim.run()
     assert seen == sorted(delays)
 
 
 def test_run_until_time_leaves_no_stale_stop_after_exception():
-    # An exception escaping a process during run(until=<float>) used to
-    # leave the armed deadline event in the heap; the next run() would
-    # silently stop at the stale deadline instead of running to
+    # An exception escaping an event callback during run(until=<float>)
+    # used to leave the armed deadline event in the heap; the next run()
+    # would silently stop at the stale deadline instead of running to
     # exhaustion.
     sim = Simulator()
 
-    def boom():
-        yield sim.timeout(1.0)
+    def boom(_event):
         raise RuntimeError("boom")
 
-    sim.process(boom())
+    failing = sim.event()
+    failing.callbacks.append(boom)
+    sim.call_later(1.0, failing.succeed)
     with pytest.raises(RuntimeError):
         sim.run(until=100.0)
     assert sim.queue_size == 0  # stale stop event must be gone
 
     done = []
-
-    def late():
-        yield sim.timeout(5.0)
-        done.append(sim.now)
-
-    sim.process(late())
+    sim.call_later(5.0, lambda _value: done.append(sim.now))
     sim.run()
     assert done == [6.0]
     assert sim.now == 6.0  # not dragged forward to the stale until=100
@@ -284,32 +212,29 @@ def test_run_until_event_never_fired_does_not_stop_later_run():
     # abort an unrelated run() mid-flight.
     sim = Simulator()
     gate = sim.event()
-
-    def worker():
-        yield sim.timeout(1.0)
-
-    sim.process(worker())
+    sim.call_later(1.0, _nothing)
     assert sim.run(until=gate) is None  # heap drained, gate never fired
 
     ticks = []
 
-    def ticker():
-        for _ in range(3):
-            yield sim.timeout(1.0)
-            ticks.append(sim.now)
-        gate.succeed("late")  # must NOT stop the run below
+    def tick(_value):
+        ticks.append(sim.now)
+        if len(ticks) < 3:
+            sim.call_later(1.0, tick)
+        else:
+            gate.succeed("late")  # must NOT stop the run below
 
-    sim.process(ticker())
+    sim.call_later(1.0, tick)
     sim.run()
     assert ticks == [2.0, 3.0, 4.0]
 
 
 def _tick(sim, n=3):
-    def ticker():
-        for _ in range(n):
-            yield sim.timeout(1.0)
+    def tick(left):
+        if left:
+            sim.call_later(1.0, tick, left - 1)
 
-    sim.process(ticker())
+    tick(n)
 
 
 def test_multiple_event_hooks_all_fire():
@@ -363,12 +288,7 @@ def test_single_slot_hook_shim_is_gone():
 
 def test_run_until_time_reusable_after_clean_stop():
     sim = Simulator()
-
-    def ticker():
-        while True:
-            yield sim.timeout(1.0)
-
-    sim.process(ticker())
+    _ticker(sim)
     sim.run(until=3.0)
     assert sim.now == 3.0
     sim.run(until=7.0)

@@ -51,26 +51,30 @@ class TestEventLifecycle:
         assert ev.processed
 
 
+def _timer(sim, delay, value=None):
+    """An event that succeeds with *value* after *delay* seconds."""
+    event = sim.event()
+    sim.call_later(delay, event.succeed, value)
+    return event
+
+
+def _on(event, fn):
+    """Subscribe *fn* to *event*; returns the event."""
+    event.callbacks.append(fn)
+    return event
+
+
 class TestTimeout:
     def test_timeout_carries_value(self, sim):
         got = []
-
-        def proc():
-            got.append((yield sim.timeout(1.0, value="hello")))
-
-        sim.process(proc())
+        sim.call_later(1.0, got.append, "hello")
         sim.run()
         assert got == ["hello"]
 
     def test_timeout_ordering_at_same_instant_is_fifo(self, sim):
         order = []
-
-        def proc(tag):
-            yield sim.timeout(2.0)
-            order.append(tag)
-
-        sim.process(proc(1))
-        sim.process(proc(2))
+        sim.call_later(2.0, order.append, 1)
+        sim.call_later(2.0, order.append, 2)
         sim.run()
         assert order == [1, 2]
 
@@ -78,72 +82,61 @@ class TestTimeout:
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
         results = []
-
-        def proc():
-            a = sim.timeout(1.0, "a")
-            b = sim.timeout(3.0, "b")
-            value = yield sim.all_of([a, b])
-            results.append((sim.now, value, a.processed, b.processed))
-
-        sim.process(proc())
+        a = _timer(sim, 1.0, "a")
+        b = _timer(sim, 3.0, "b")
+        _on(
+            sim.all_of([a, b]),
+            lambda event: results.append((sim.now, event.value, a.processed, b.processed)),
+        )
         sim.run()
         assert results == [(3.0, None, True, True)]
 
     def test_empty_all_of_succeeds_immediately(self, sim):
         done = []
-
-        def proc():
-            yield sim.all_of([])
-            done.append(sim.now)
-
-        sim.process(proc())
+        _on(sim.all_of([]), lambda event: done.append(sim.now))
         sim.run()
         assert done == [0.0]
 
     def test_condition_over_already_processed_events(self, sim):
-        def proc():
-            t = sim.timeout(1.0, "x")
-            yield t
-            # t is processed now; a condition over it resolves immediately.
-            value = yield sim.all_of([t])
-            return sim.now, value
-
-        p = sim.process(proc())
+        t = _timer(sim, 1.0, "x")
+        got = []
+        # Once t is processed, a condition over it resolves immediately.
+        _on(
+            t,
+            lambda _event: _on(
+                sim.all_of([t]), lambda event: got.append((sim.now, event.value))
+            ),
+        )
         sim.run()
-        assert p.value == (1.0, None)
+        assert got == [(1.0, None)]
 
     def test_child_failure_propagates_through_condition(self, sim):
-        def failer():
-            yield sim.timeout(1.0)
-            raise ValueError("child died")
+        child = sim.event()
+        sim.call_later(1.0, child.fail, ValueError("child died"))
+        caught = []
 
-        def proc():
-            child = sim.process(failer())
-            other = sim.timeout(10.0)
-            try:
-                yield sim.all_of([child, other])
-            except ValueError as exc:
-                return f"caught {exc}"
+        def handle(event):
+            event.defuse()
+            caught.append(f"caught {event.value}")
 
-        p = sim.process(proc())
+        _on(sim.all_of([child, _timer(sim, 10.0)]), handle)
         sim.run()
-        assert p.value == "caught child died"
+        assert caught == ["caught child died"]
 
     def test_later_child_failure_is_absorbed_by_decided_condition(self, sim):
         first, second = sim.event(), sim.event()
+        caught = []
 
-        def proc():
-            try:
-                yield sim.all_of([first, second])
-            except ValueError as exc:
-                return str(exc)
+        def handle(event):
+            event.defuse()
+            caught.append(str(event.value))
 
-        p = sim.process(proc())
+        _on(sim.all_of([first, second]), handle)
         first.fail(ValueError("first"))
         sim.run()
         second.fail(ValueError("second"))
         sim.run()  # the condition is second's waiter: nothing surfaces
-        assert p.value == "first"
+        assert caught == ["first"]
         assert second.processed and second._defused
 
     def test_events_from_different_simulators_rejected(self, sim):

@@ -12,13 +12,8 @@ from repro.sim import Simulator, TallyStat
 def test_events_always_process_in_time_order(delays):
     sim = Simulator()
     seen = []
-
-    def proc(delay):
-        yield sim.timeout(delay)
-        seen.append(sim.now)
-
     for d in delays:
-        sim.process(proc(d))
+        sim.call_later(d, lambda _value: seen.append(sim.now))
     sim.run()
     assert seen == sorted(delays)
     assert sim.now == max(delays)
@@ -38,14 +33,12 @@ def test_clock_never_moves_backwards(jobs):
     sim = Simulator()
     timestamps = []
 
-    def proc(start, hold):
-        yield sim.timeout(start)
+    def started(hold):
         timestamps.append(sim.now)
-        yield sim.timeout(hold)
-        timestamps.append(sim.now)
+        sim.call_later(hold, lambda _value: timestamps.append(sim.now))
 
     for start, hold in jobs:
-        sim.process(proc(start, hold))
+        sim.call_later(start, started, hold)
     sim.run()
     assert timestamps == sorted(timestamps)
 

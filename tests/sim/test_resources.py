@@ -19,16 +19,12 @@ class TestResource:
         link = Link(sim, bandwidth_bps=1.0)
         order = []
 
-        def worker(tag, hold):
-            granted = sim.event()
-            link.acquire(granted.succeed)
-            yield granted
+        def granted(tag):
             order.append((tag, sim.now))
-            yield sim.timeout(hold)
-            link.release()
+            sim.call_later(2.0, lambda _value: link.release())
 
         for tag in "abc":
-            sim.process(worker(tag, 2.0))
+            link.acquire(lambda _value, tag=tag: granted(tag))
         sim.run()
         assert order == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
 

@@ -226,6 +226,17 @@ class TestInputErrors:
             ],
             ["--requests", "30", "meanfield", "--json", "{tmp}/missing/m.json"],
             ["--requests", "30", "figures", "6", "--out", "{tmp}/notes.md/figures"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--mu", "nan"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--mu", "inf"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--size-mb", "inf"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--inter-arrival-ms", "nan"],
+            ["trace-gen", "synthetic", "{tmp}/x.trace", "--inter-arrival-ms", "inf"],
+            ["--requests", "20", "faults", "--at", "nan"],
+            ["--requests", "20", "faults", "--at", "5", "--repair-at", "nan"],
+            ["--requests", "20", "faults", "--mtbf", "nan"],
+            ["trace-gen", "berkeley", "{tmp}/x.trace", "--mu", "50"],
+            ["trace-gen", "drifting", "{tmp}/x.trace", "--size-mb", "5"],
+            ["trace-gen", "berkeley", "{tmp}/x.trace", "--inter-arrival-ms", "100"],
         ],
         ids=[
             "lint-missing-path",
@@ -280,6 +291,17 @@ class TestInputErrors:
             "drill-json-in-missing-dir",
             "meanfield-json-in-missing-dir",
             "figures-out-under-a-file",
+            "trace-gen-nan-mu",
+            "trace-gen-inf-mu",
+            "trace-gen-inf-size",
+            "trace-gen-nan-inter-arrival",
+            "trace-gen-inf-inter-arrival",
+            "faults-nan-crash-time",
+            "faults-nan-repair-time",
+            "faults-nan-mtbf",
+            "trace-gen-berkeley-with-mu",
+            "trace-gen-drifting-with-size",
+            "trace-gen-berkeley-with-inter-arrival",
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):

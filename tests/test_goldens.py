@@ -38,7 +38,10 @@ was written at the commit before ``Mailbox`` replaced ``Store``, where
 the oracles and the flat paths agreed event for event.
 ``metaplane:replicated``, the one scenario whose plane commits log
 entries, was pinned later, at the commit before consensus payloads were
-reused across heartbeats.
+reused across heartbeats.  ``replay:open``, ``replay:closed``,
+``online:dead-source`` and the event counts and shape digests of the
+span exports were pinned at the commit before the last generator
+processes became flat callbacks.
 
 ``--jobs 1`` keeps the run in this process; ``tests/parallel`` pins that
 the worker count never changes a result.  To re-pin after a deliberate
@@ -68,6 +71,8 @@ from repro.experiments.metaplane import drill_config, leader_crash_schedule
 from repro.faults import FaultSchedule
 from repro.parallel import JobSpec, TraceSpec
 from repro.sim import Simulator
+from repro.sim.engine import hold_slot
+from repro.sim.events import URGENT
 from repro.traces.berkeley import BerkeleyWebWorkload
 from repro.traces.nonstationary import DriftingWorkload
 from repro.traces.synthetic import SyntheticWorkload
@@ -318,6 +323,18 @@ SCENARIOS = {
         seed=7,
         node_class=DRPMNode,
     ),
+    # The open and closed replayers (every other scenario replays paced).
+    "replay:open": JobSpec(trace=scenario_trace(), seed=7, replay_mode="open"),
+    "replay:closed": JobSpec(trace=scenario_trace(), seed=7, replay_mode="closed"),
+    # Online replans copy files off a dead data disk, and re-replication
+    # after the node crash pulls files from that disk: the failure
+    # branches of the node's prefetch copy and replica pull.
+    "online:dead-source": JobSpec(
+        trace=scenario_trace(),
+        config=EEVFSConfig(online_mode=True, replication_factor=2),
+        seed=7,
+        faults=FaultSchedule().disk_fail("node6/data0", at=30).node_fail("node5", at=50),
+    ),
 }
 
 
@@ -360,26 +377,33 @@ def device_drill(fail_at):
 
         request.done.callbacks.append(settle)
 
-    def client():
-        for index in range(60):
-            kind = RequestKind.WRITE if index % 3 else RequestKind.READ
-            watch("ssd", index, ssd.submit(2 * MB, kind=kind, tag=("io", index % 7)))
-            if index % 10 == 0:
-                watch("hdd", index, hdd.submit(4 * MB))
-            yield sim.timeout(0.004 if index % 20 else 3.5)
+    # The client and the fault script each start URGENT, sleep through
+    # ``call_later`` and hold their completion's slot when done: the
+    # slots the generator processes they replaced used.
+    def client(index):
+        if index == 60:
+            sim.call_soon(hold_slot)
+            return
+        kind = RequestKind.WRITE if index % 3 else RequestKind.READ
+        watch("ssd", index, ssd.submit(2 * MB, kind=kind, tag=("io", index % 7)))
+        if index % 10 == 0:
+            watch("hdd", index, hdd.submit(4 * MB))
+        sim.call_later(0.004 if index % 20 else 3.5, client, index + 1)
 
-    def faults():
-        yield sim.timeout(fail_at)
+    def fail(_value):
         hdd.fail()
         ssd.fail()
-        yield sim.timeout(3.0)
+        sim.call_later(3.0, repair)
+
+    def repair(_value):
         hdd.repair()
         ssd.repair()
         hdd.inject_spinup_failures(2, backoff_s=0.2)
         ssd.inject_spinup_failures(1, backoff_s=0.01)
+        sim.call_soon(hold_slot)
 
-    sim.process(client())
-    sim.process(faults())
+    sim.call_soon(client, 0, priority=URGENT)
+    sim.call_soon(lambda _value: sim.call_later(fail_at, fail), priority=URGENT)
     sim.run(until=40.0)
     return outcomes, sim.events_processed, shape.hexdigest()
 
@@ -401,18 +425,19 @@ def scenario_entry(key):
       shape digest;
     * ``drill@<t>``: the device drill failing at *t*: its outcomes,
       event count and shape digest;
-    * ``spans:<scenario>``: the ``obs=True`` run's span count and the
+    * ``spans:<scenario>``: the ``obs=True`` run's span count, the
       sha256 of its ``repr(span.as_dict())`` lines, each ending in a
-      newline.
+      newline, and its event count and shape digest (the telemetry
+      sampler's ticks among them).
     """
     if key.startswith("drill@"):
         outcomes, events, shape = device_drill(float(key[len("drill@"):]))
         return {"events": events, "outcomes": outcomes, "shape": shape}
     if key.startswith("spans:"):
-        result = scenario_run(key[len("spans:"):], obs=True)[0]
+        result, events, shape = scenario_run(key[len("spans:"):], obs=True)
         lines = [repr(span.as_dict()) + "\n" for span in result.trace.spans]
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        return {"count": len(lines), "sha256": digest}
+        return {"count": len(lines), "events": events, "sha256": digest, "shape": shape}
     result, events, shape = scenario_run(key)
     return {"events": events, "record": result.record(), "shape": shape}
 
