@@ -44,7 +44,7 @@ from repro.disk.drive import (
 from repro.disk.specs import LowSpeedProfile
 from repro.disk.states import DiskState
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.events import AllOf, Event, URGENT
 from repro.sim.resources import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -211,27 +211,30 @@ SATA_SSD_8GB = SSDSpec(
 
 
 class _ChannelJob:
-    """One NAND operation batch bound for a single channel."""
+    """One NAND operation batch bound for a single channel, with its NAND
+    time (before any slowdown) and energy, worked out once when issued."""
 
-    __slots__ = ("op", "channel", "pages", "erases", "priority", "done", "tag")
+    __slots__ = ("op", "channel", "pages", "priority", "done", "tag", "nand_s", "energy_j")
 
     def __init__(
         self,
         op: str,
         channel: int,
         pages: int,
-        erases: int,
         priority: int,
         done: Event,
-        tag: object = None,
+        tag: object,
+        nand_s: float,
+        energy_j: float,
     ) -> None:
         self.op = op  # "read" | "program" | "gc"
         self.channel = channel
         self.pages = pages
-        self.erases = erases
         self.priority = priority
         self.done = done
         self.tag = tag
+        self.nand_s = nand_s
+        self.energy_j = energy_j
 
 
 class _CacheEntry:
@@ -385,12 +388,12 @@ class SSDBackend(StorageBackend):
 
     def _busy_enter(self) -> None:
         self._busy += 1
-        if self._busy == 1 and self.state is DiskState.IDLE:
+        if self._busy == 1 and self.meter.state is DiskState.IDLE:
             self._set_state(DiskState.ACTIVE)
 
     def _busy_exit(self) -> None:
         self._busy -= 1
-        if self._busy == 0 and self.state is DiskState.ACTIVE:
+        if self._busy == 0 and self.meter.state is DiskState.ACTIVE:
             self._set_state(DiskState.IDLE)
             if self.inflight == 0:
                 self._signal_idle()
@@ -399,10 +402,11 @@ class SSDBackend(StorageBackend):
         """True when the device can serve now.  Otherwise leave DEVSLP if
         asleep, subscribe *resume* to the pending transition and return
         False.  Raises :class:`DiskFailureError` on a dead device."""
-        while not self.state.can_serve and self.state is not DiskState.ACTIVE:
-            if self.state is DiskState.FAILED:
+        meter = self.meter
+        while not meter.state.can_serve and meter.state is not DiskState.ACTIVE:
+            if meter.state is DiskState.FAILED:
                 raise DiskFailureError(self.name)
-            if self.state is DiskState.STANDBY:
+            if meter.state is DiskState.STANDBY:
                 self.wake()
             pending = self._transition_done
             if pending.callbacks is not None:
@@ -419,7 +423,7 @@ class SSDBackend(StorageBackend):
         ``auto_sleep_after``): time a fully quiescent period, or park
         until the device drains."""
         if (
-            self.state is DiskState.IDLE
+            self.meter.state is DiskState.IDLE
             and self.inflight == 0
             and self._busy == 0
             and not self._dirty
@@ -490,7 +494,7 @@ class SSDBackend(StorageBackend):
         than the whole cache pass once it is empty -- the cache then acts
         as a staging window, not a bound.
         """
-        if drained is not None and self.state is DiskState.FAILED:
+        if drained is not None and self.meter.state is DiskState.FAILED:
             self._finish(DiskFailureError(self.name))
             return
         request = self._request
@@ -508,7 +512,7 @@ class SSDBackend(StorageBackend):
 
     def _cached(self, request: DiskRequest) -> None:
         """The held write has crossed the host interface into the cache."""
-        if self.state is DiskState.FAILED:
+        if self.meter.state is DiskState.FAILED:
             # The device died mid-transfer: the data never became durable
             # (unlike a drive, where an in-service request is already on
             # the platters at simulation granularity).
@@ -554,7 +558,7 @@ class SSDBackend(StorageBackend):
             if count > 0
         ]
         # A read covers at least one page, so there is always a job.
-        read = self.sim.all_of([job.done for job in jobs])
+        read = AllOf(self.sim, [job.done for job in jobs])
         assert read.callbacks is not None
         read.callbacks.append(self._flash_read)
 
@@ -582,11 +586,11 @@ class SSDBackend(StorageBackend):
     # -- destage + GC ----------------------------------------------------------------
 
     def _fire_dirty_staged(self) -> None:
-        event, self._dirty_staged = self._dirty_staged, self.sim.event()
+        event, self._dirty_staged = self._dirty_staged, Event(self.sim)
         event.succeed()
 
     def _fire_cache_drained(self) -> None:
-        event, self._cache_drained = self._cache_drained, self.sim.event()
+        event, self._cache_drained = self._cache_drained, Event(self.sim)
         event.succeed()
 
     def _destage_next(self, event: Optional[Event] = None) -> None:
@@ -690,7 +694,7 @@ class SSDBackend(StorageBackend):
             for channel, count in enumerate(plan.programs)
             if count > 0
         )
-        return self.sim.all_of([job.done for job in jobs])
+        return AllOf(self.sim, [job.done for job in jobs])
 
     # -- channels --------------------------------------------------------------------
 
@@ -703,33 +707,22 @@ class SSDBackend(StorageBackend):
         priority: int,
         tag: object = None,
     ) -> _ChannelJob:
-        job = _ChannelJob(op, channel, pages, erases, priority, self.sim.event(), tag)
+        spec = self.spec
+        if op == "read":
+            nand_s = pages * spec.page_read_s
+            energy_j = pages * spec.page_read_energy_j
+        elif op == "program":
+            nand_s = pages * spec.page_program_s
+            energy_j = pages * spec.page_program_energy_j
+        else:  # gc: relocation reads + programs, then the erase
+            nand_s = pages * (spec.page_read_s + spec.page_program_s) + erases * spec.block_erase_s
+            energy_j = (
+                pages * (spec.page_read_energy_j + spec.page_program_energy_j)
+                + erases * spec.block_erase_energy_j
+            )
+        job = _ChannelJob(op, channel, pages, priority, Event(self.sim), tag, nand_s, energy_j)
         self._channel_queues[channel].put(job)
         return job
-
-    def _job_duration_s(self, job: _ChannelJob) -> float:
-        spec = self.spec
-        if job.op == "read":
-            nand = job.pages * spec.page_read_s
-        elif job.op == "program":
-            nand = job.pages * spec.page_program_s
-        else:  # gc: relocation reads + programs, then the erase
-            nand = (
-                job.pages * (spec.page_read_s + spec.page_program_s)
-                + job.erases * spec.block_erase_s
-            )
-        return self.slowdown * nand
-
-    def _job_energy_j(self, job: _ChannelJob) -> float:
-        spec = self.spec
-        if job.op == "read":
-            return job.pages * spec.page_read_energy_j
-        if job.op == "program":
-            return job.pages * spec.page_program_energy_j
-        return (
-            job.pages * (spec.page_read_energy_j + spec.page_program_energy_j)
-            + job.erases * spec.block_erase_energy_j
-        )
 
     def _await_job(self, channel: int) -> None:
         """Channel kick-off: park :meth:`_run_job` on *channel*'s queue."""
@@ -737,7 +730,8 @@ class SSDBackend(StorageBackend):
 
     def _run_job(self, job: _ChannelJob) -> None:
         self._busy_enter()
-        duration = self._job_duration_s(job)
+        # Slowdown is read when the job starts, not when it was issued.
+        duration = self.slowdown * job.nand_s
         tracer = self.sim.tracer
         if tracer is not None:
             kind = "ssd.gc" if job.op == "gc" else "ssd.channel"
@@ -753,7 +747,7 @@ class SSDBackend(StorageBackend):
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.end(span)
-        self._op_energy_j += self._job_energy_j(job)
+        self._op_energy_j += job.energy_j
         self._busy_exit()
         if not job.done.triggered:
             job.done.succeed(job)

@@ -745,15 +745,18 @@ def _cmd_trace_gen(args: argparse.Namespace) -> None:
         args.parser.error(f"argument --{given[0].replace('_', '-')}: not allowed with {args.kind}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "synthetic":
-        trace = generate_synthetic_trace(
-            SyntheticWorkload(
+        # Each flag was checked alone; the arrival span also needs the
+        # real --requests.
+        try:
+            workload = SyntheticWorkload(
                 n_requests=args.requests,
                 mu=getattr(args, "mu", 1000.0),
                 data_size_bytes=int(getattr(args, "size_mb", 10.0) * MB),
                 inter_arrival_s=getattr(args, "inter_arrival_ms", 700.0) / 1000.0,
-            ),
-            rng=rng,
-        )
+            )
+        except ValueError as exc:
+            args.parser.error(f"argument --inter-arrival-ms: {exc}")
+        trace = generate_synthetic_trace(workload, rng=rng)
     elif args.kind == "berkeley":
         trace = generate_berkeley_like_trace(
             BerkeleyWebWorkload(n_requests=args.requests), rng=rng

@@ -211,7 +211,7 @@ class ClientDriver:
         self._requests[request_id] = (file_id, op)
         self._attempts[request_id] = 1
         self._issued.append(request_id)
-        self._trace_issue(request_id, file_id, op.name)
+        self._trace_issue(request_id, file_id, op)
         self._send_attempt(request_id)
 
     def _send_attempt(self, request_id: int) -> None:
@@ -219,13 +219,9 @@ class ClientDriver:
         self.fabric.send_nowait(
             self.name,
             self.router.route(file_id),
-            FileRequest(
-                request_id=request_id,
-                file_id=file_id,
-                op=op,
-                client=self.name,
-                issued_at=self.sim.now,
-            ),
+            # (request_id, file_id, op, client, issued_at), positional:
+            # keywords would cost a dict per request.
+            FileRequest(request_id, file_id, op, self.name, self.sim.now),
         )
         if self.retry.timeout_s is not None:
             # Two-step continuation mirroring the schedule slots the old
@@ -321,11 +317,11 @@ class ClientDriver:
         if self._replay_finished and not self._pending:
             self._drained.succeed()
 
-    def _trace_issue(self, request_id: int, file_id: int, op: str) -> None:
+    def _trace_issue(self, request_id: int, file_id: int, op: RequestOp) -> None:
         """Open the root ``request`` span when observability is attached."""
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.begin_request(request_id, self.name, file_id=file_id, op=op)
+            tracer.begin_request(request_id, self.name, file_id=file_id, op=op.name)
 
     # -- the response plane ----------------------------------------------------------------
 

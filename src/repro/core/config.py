@@ -15,6 +15,7 @@ Table I), each node with one buffer disk and two data disks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 from typing import List, Optional
 
 from repro.disk.specs import ATA_80GB_TYPE1, ATA_80GB_TYPE2, DiskSpec
@@ -63,7 +64,7 @@ class NodeSpec:
             raise ValueError("node name must be non-empty")
         if self.n_data_disks < 1:
             raise ValueError(f"{self.name}: need at least 1 data disk")
-        if self.nic_bps <= 0:
+        if not self.nic_bps > 0:  # also rejects NaN
             raise ValueError(f"{self.name}: nic_bps must be > 0")
         if self.base_power_w < 0:
             raise ValueError(f"{self.name}: base_power_w must be >= 0")
@@ -99,8 +100,10 @@ class ClusterSpec:
         names = [n.name for n in self.storage_nodes]
         if len(names) != len(set(names)):
             raise ValueError("storage node names must be unique")
-        if self.server_nic_bps <= 0 or self.client_nic_bps <= 0:
+        if not (self.server_nic_bps > 0 and self.client_nic_bps > 0):  # also rejects NaN
             raise ValueError("NIC rates must be > 0")
+        if not (0 <= self.fabric_latency_s < math.inf and 0 <= self.connect_s < math.inf):
+            raise ValueError("fabric_latency_s and connect_s must be finite and >= 0")
         if self.spinup_jitter < 0:
             raise ValueError("spinup_jitter must be >= 0")
         if self.client_max_outstanding < 1:

@@ -56,7 +56,7 @@ from repro.disk.drive import (
 from repro.net.fabric import Fabric
 from repro.net.message import Message
 from repro.sim.engine import hold_slot, Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.events import AllOf, Event, URGENT
 from repro.traces.model import RequestOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -324,6 +324,9 @@ class StorageNode:
         payload = message.payload
         if self.crashed:
             self._refuse(payload)
+        elif isinstance(payload, ForwardedRequest):
+            # Serve concurrently; different disks must overlap.
+            _Serve(self, payload)
         elif isinstance(payload, CreateFile):
             self.metadata.create(
                 payload.file_id, payload.size_bytes, disk=payload.target_disk
@@ -335,9 +338,6 @@ class StorageNode:
             return
         elif isinstance(payload, AccessHints):
             self._install_hints(payload)
-        elif isinstance(payload, ForwardedRequest):
-            # Serve concurrently; different disks must overlap.
-            _Serve(self, payload)
         elif isinstance(payload, RepairCommand):
             self.sim.call_soon(self._start_repair, payload, priority=URGENT)
         elif isinstance(payload, ReplicaPull):
@@ -478,7 +478,7 @@ class StorageNode:
         span = None
         if tracer is not None:
             span = tracer.begin("destage.copy", self.spec.name, file_id=file_id)
-        done = self.sim.event()
+        done = Event(self.sim)
         _on(done, lambda event: self._destaged(event, span, over_highwater))
         self.sim.call_soon(lambda _value: self._destage_one(file_id, done), priority=URGENT)
 
@@ -844,7 +844,7 @@ class _Serve:
                 )
                 for target in targets
             ]
-            written = node.sim.all_of([io.done for io in ios])
+            written = AllOf(node.sim, [io.done for io in ios])
             assert written.callbacks is not None
             written.callbacks.append(self._written)
             return
@@ -855,7 +855,7 @@ class _Serve:
         # across all disks *at request entry* (§VI-A).
         for target in targets:
             node.power.note_arrival(target)
-        node.power.evaluate_all(exclude=targets or None)
+        node.power.evaluate_all(exclude=targets)
         self.disk_started = now
         if disk_index is None:
             read = node.buffer_disk.submit(
@@ -871,7 +871,7 @@ class _Serve:
                 )
                 for target in targets
             ]
-            read = node.sim.all_of([io.done for io in ios])
+            read = AllOf(node.sim, [io.done for io in ios])
         assert read.callbacks is not None
         read.callbacks.append(self._read)
 
@@ -916,13 +916,15 @@ class _Serve:
         disk_index = self.disk_index
         node._after_read(request.file_id, disk_index)
         now = node.sim.now
+        # Positional, as FileData's fields are ordered: (request_id,
+        # file_id, size_bytes, served_by, node_time_s, disk_time_s).
         reply = FileData(
-            request_id=request.request_id,
-            file_id=request.file_id,
-            size_bytes=self.size,
-            served_by=self.served_by,
-            node_time_s=now - self.entered_at + NODE_OVERHEAD_S,
-            disk_time_s=now - self.disk_started,
+            request.request_id,
+            request.file_id,
+            self.size,
+            self.served_by,
+            now - self.entered_at + NODE_OVERHEAD_S,
+            now - self.disk_started,
         )
         self._reply(reply, self.size, disk_index)
 

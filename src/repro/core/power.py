@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 import math
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.prediction import effective_threshold
 from repro.disk.drive import StorageBackend
@@ -186,23 +186,17 @@ class PowerManager:
             self._future_seqs[disk_index].popleft()
         self._wake_seq[disk_index] = None
 
-    def evaluate_all(self, exclude: "int | Iterable[int] | None" = None) -> None:
+    def evaluate_all(self, exclude: Collection[int] = ()) -> None:
         """Check every disk for a sleep opportunity (on request entry).
 
-        *exclude* (an index or an iterable of indices) skips the disks the
-        entering request targets -- their work has not been submitted yet,
-        so they must not be judged idle.
+        *exclude* (disk indices) skips the disks the entering request
+        targets -- their work has not been submitted yet, so they must not
+        be judged idle.
         """
         if not self._enabled:
             return
-        if exclude is None:
-            excluded = frozenset()
-        elif isinstance(exclude, int):
-            excluded = frozenset((exclude,))
-        else:
-            excluded = frozenset(exclude)
         for i in range(len(self.disks)):
-            if i not in excluded:
+            if i not in exclude:
                 self.evaluate(i)
 
     def evaluate(self, disk_index: int) -> bool:
@@ -213,7 +207,7 @@ class PowerManager:
         if not self._enabled:
             return False
         disk = self.disks[disk_index]
-        if disk.state is not DiskState.IDLE or disk.inflight > 0:
+        if disk.meter.state is not DiskState.IDLE or disk.inflight > 0:
             return False
         window = self.predicted_window_s(disk_index)
         if window < self._thresholds[disk_index]:

@@ -5,17 +5,53 @@ and storage nodes is one of these dataclasses.  Control messages ride at
 the default control size; only :class:`FileData` carries a real payload
 size (set by the sender to the file size).  One is built per message, so
 each is slotted (no per-instance ``__dict__``; simlint's SIM002 holds it).
+The five built per request also set their slots directly
+(:func:`_sets_slots_directly`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, MISSING
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.traces.model import RequestOp
 
 _request_ids = itertools.count()
+
+
+def _sets_slots_directly(cls: Any) -> Any:
+    """Give frozen slotted dataclass *cls* an ``__init__`` that sets each
+    slot through its member descriptor.
+
+    The ``__init__`` that ``dataclass(frozen=True)`` writes sets every
+    field with ``object.__setattr__(self, name, value)``, a lookup by
+    name per field; the slot's own ``__set__`` skips it, which takes
+    about 40% off building a record (docs/performance.md, "Host
+    memory").  The signature and its defaults are the dataclass one;
+    equality, hashing, repr, pickling and the ``FrozenInstanceError`` on
+    assignment stay ``dataclass``'s own.  Like ``dataclass``, this
+    compiles the constructor from source it writes, so the constructor
+    has no source file, and profiles charge it to no module, as they
+    did the one it replaces.
+    """
+    names = [field.name for field in fields(cls)]
+    namespace: Dict[str, Any] = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    params = []
+    for field in fields(cls):
+        if field.default is MISSING:
+            params.append(field.name)
+        else:
+            namespace[f"_default_{field.name}"] = field.default
+            params.append(f"{field.name}=_default_{field.name}")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "".join(
+        f"    _set_{name}(self, {name})\n" for name in names
+    )
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    setattr(cls, "__init__", init)
+    return cls
 
 
 def next_request_id() -> int:
@@ -78,6 +114,7 @@ class AccessHints:
     epoch_s: float
 
 
+@_sets_slots_directly
 @dataclass(frozen=True, slots=True)
 class FileRequest:
     """Client -> server: read/write a file (step 5)."""
@@ -89,6 +126,7 @@ class FileRequest:
     issued_at: float
 
 
+@_sets_slots_directly
 @dataclass(frozen=True, slots=True)
 class ForwardedRequest:
     """Server -> node: serve this client's request (step 5->6).
@@ -108,6 +146,7 @@ class ForwardedRequest:
     silent: bool = False
 
 
+@_sets_slots_directly
 @dataclass(frozen=True, slots=True)
 class FileData:
     """Node -> client: the file contents (step 6)."""
@@ -124,6 +163,7 @@ class FileData:
     disk_time_s: float = 0.0
 
 
+@_sets_slots_directly
 @dataclass(frozen=True, slots=True)
 class RequestFailed:
     """Node/server -> client: the request could not be served.
@@ -139,6 +179,7 @@ class RequestFailed:
     hint: Optional[str] = None
 
 
+@_sets_slots_directly
 @dataclass(frozen=True, slots=True)
 class WriteAck:
     """Node -> client: write durably buffered/applied (step 6, writes)."""

@@ -386,7 +386,7 @@ class StorageServer:
             self.fabric.send_nowait(
                 self.name,
                 primary,
-                ForwardedRequest(request=payload, failover=backups),
+                ForwardedRequest(payload, backups),  # (request, failover)
             )
             self.requests_forwarded += 1
             if lookup is not None and tracer is not None:

@@ -10,8 +10,11 @@ another module.
 :class:`ProjectModel` is the answer: every function and method of every
 parsed file, summarised once as a :class:`FunctionInfo` --
 
-* does the body call a schedule primitive directly
-  (:attr:`~repro.devtools.rules.LintConfig.schedule_primitives`)?
+* does the body schedule directly: call a schedule primitive
+  (:attr:`~repro.devtools.rules.LintConfig.schedule_primitives`), or
+  write an entry onto the engine's schedule itself, appending to
+  ``<sim>._lanes[...]`` or pushing onto ``<sim>._heap`` the way
+  ``Mailbox.put`` and the fabric's grants do?
 * which positional parameters are forwarded into a callback sink
   (``call_soon(param)``, ``call_later(delay, param)``)?
 * which positional parameters are *retained* -- stored on ``self``,
@@ -44,6 +47,12 @@ _RETAINING_METHODS = frozenset(
     {"append", "appendleft", "add", "register", "setdefault", "add_event_hook"}
 )
 
+#: The engine's schedule, and the calls that add to it: a function that
+#: appends to one of its lanes or pushes onto its heap writes a schedule
+#: entry in place.
+_SCHEDULE_ATTRS = frozenset({"_lanes", "_heap"})
+_SCHEDULE_WRITES = frozenset({"append", "appendleft", "heappush"})
+
 
 def module_name_for_path(path: str) -> str:
     """Dotted module name of *path*, anchored at the ``repro`` package.
@@ -73,7 +82,7 @@ class FunctionInfo:
     name: str
     #: Positional parameter names, ``self``/``cls`` dropped for methods.
     params: tuple[str, ...]
-    #: Body contains a direct call to a schedule primitive.
+    #: Body calls a schedule primitive or writes a schedule entry in place.
     schedules_directly: bool
     #: Indices into :attr:`params` forwarded into a callback sink.
     scheduled_params: frozenset[int]
@@ -193,6 +202,11 @@ def _summarise(
     primitives = set(schedule_primitives)
 
     schedules_directly = False
+    # A schedule entry written in place: the body reads `<x>._lanes` or
+    # `<x>._heap` and appends or pushes.  The append's receiver is not
+    # traced (`Mailbox.put` appends to a lane it bound to a local), which
+    # over-approximates, as bare-name call resolution does.
+    reads_schedule = writes_entry = False
     scheduled: set[int] = set()
     retained: set[int] = set()
     calls: set[str] = set()
@@ -210,6 +224,7 @@ def _summarise(
             calls.add(bare)
             if bare in primitives:
                 schedules_directly = True
+            writes_entry = writes_entry or bare in _SCHEDULE_WRITES
             pos = sink_pos.get(bare)
             if pos is not None and pos < len(node.args):
                 arg = node.args[pos]
@@ -229,13 +244,15 @@ def _summarise(
             )
             if stores and isinstance(value, ast.Name):
                 note_param(value.id, retained)
+        elif isinstance(node, ast.Attribute) and node.attr in _SCHEDULE_ATTRS:
+            reads_schedule = True
 
     return FunctionInfo(
         module=module,
         qualname=qualname,
         name=fn.name,
         params=params,
-        schedules_directly=schedules_directly,
+        schedules_directly=schedules_directly or (reads_schedule and writes_entry),
         scheduled_params=frozenset(scheduled),
         retained_params=frozenset(retained),
         calls=frozenset(calls),

@@ -22,7 +22,7 @@ from repro.disk.specs import (
     DiskSpec,
     SATA_120GB_SERVER,
 )
-from repro.disk.states import DiskState, LEGAL_TRANSITIONS, validate_transition
+from repro.disk.states import DiskState, LEGAL_TRANSITIONS
 
 __all__ = [
     "ATA_80GB_TYPE1",
@@ -39,5 +39,4 @@ __all__ = [
     "StorageBackend",
     "break_even_time",
     "standby_power_savings",
-    "validate_transition",
 ]

@@ -25,7 +25,7 @@ Power-management entry points used by the EEVFS storage node:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import enum
 import itertools
 from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
@@ -70,7 +70,12 @@ PRIORITY_BACKGROUND = 2
 
 @dataclass(slots=True)
 class DiskRequest:
-    """One I/O request against a single drive."""
+    """One I/O request against a single drive.
+
+    One is built per disk I/O, so the constructor is written out: it
+    draws the id from the module's counter and checks the size in one
+    frame.
+    """
 
     size_bytes: int
     kind: RequestKind = RequestKind.READ
@@ -81,13 +86,32 @@ class DiskRequest:
     #: Opaque caller tag (file id, trace index, ...).
     tag: object = None
     issued_at: float = 0.0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Drawn from a process-wide counter unless given.
+    request_id: int = -1
     #: Succeeds (with the request) when service completes.
     done: Optional[Event] = None
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative request size: {self.size_bytes!r}")
+    def __init__(
+        self,
+        size_bytes: int,
+        kind: RequestKind = RequestKind.READ,
+        sequential: bool = False,
+        priority: int = PRIORITY_DEMAND,
+        tag: object = None,
+        issued_at: float = 0.0,
+        request_id: Optional[int] = None,
+        done: Optional[Event] = None,
+    ) -> None:
+        self.size_bytes = size_bytes
+        self.kind = kind
+        self.sequential = sequential
+        self.priority = priority
+        self.tag = tag
+        self.issued_at = issued_at
+        self.request_id = next(_request_ids) if request_id is None else request_id
+        self.done = done
+        if size_bytes < 0:
+            raise ValueError(f"negative request size: {size_bytes!r}")
 
 
 class StorageBackend:
@@ -211,16 +235,14 @@ class StorageBackend:
 
         Lower ``priority`` serves first: demand I/O overtakes queued
         prefetch copies and destage write-back."""
+        sim = self.sim
+        # Positional, in field order (a keyword call builds a dict); the
+        # None request id draws the next one.
         request = DiskRequest(
-            size_bytes=size_bytes,
-            kind=kind,
-            sequential=sequential,
-            priority=priority,
-            tag=tag,
-            issued_at=self.sim.now,
-            done=self.sim.event(),
+            size_bytes, kind, sequential, priority, tag, sim.now, None, Event(sim)
         )
-        if self.state is DiskState.FAILED:
+        meter = self.meter
+        if meter.state is DiskState.FAILED:
             request.done.fail(DiskFailureError(self.name))
             return request
         self.inflight += 1
@@ -230,7 +252,7 @@ class StorageBackend:
             self._watchdog_timing = False
             self._interrupt_watchdog()
         self.queue.put(request)
-        if self.state is DiskState.STANDBY:
+        if meter.state is DiskState.STANDBY:
             self.wake()
         return request
 
@@ -241,7 +263,7 @@ class StorageBackend:
 
     def wake(self) -> bool:
         """Spin up from standby.  Returns True if a spin-up began."""
-        if self.state is not DiskState.STANDBY:
+        if self.meter.state is not DiskState.STANDBY:
             return False
         duration = self.spec.spinup_s
         if self.spinup_jitter > 0:
@@ -267,7 +289,7 @@ class StorageBackend:
             self._transition_span = tracer.begin(
                 "spinup", self.name, injected_failure=True
             )
-        done = self._transition_done = self.sim.event()
+        done = self._transition_done = Event(self.sim)
         self.sim.call_later(duration, self._failed_spinup_spent, done)
 
     def _failed_spinup_spent(self, done: Event) -> None:
@@ -412,9 +434,9 @@ class StorageBackend:
     # -- internals ----------------------------------------------------------------
 
     def _set_state(self, new_state: DiskState) -> None:
-        if new_state is self.state:
-            return
-        self.meter.transition(self.sim.now, new_state)
+        meter = self.meter
+        if new_state is not meter.state:
+            meter.transition(self.sim.now, new_state)
 
     def _begin_transition(
         self, via: DiskState, target: DiskState, duration: float
@@ -431,7 +453,7 @@ class StorageBackend:
             self._transition_span = tracer.begin(
                 span_kind, self.name, target=target.value
             )
-        self._transition_done = self.sim.event()
+        self._transition_done = Event(self.sim)
         self.sim.call_soon(self._time_transition, (target, duration), priority=URGENT)
 
     def _end_transition_span(self, **tags: object) -> None:
@@ -466,7 +488,7 @@ class StorageBackend:
         self.sim.call_soon(hold_slot)
 
     def _signal_idle(self) -> None:
-        event, self._idle_started = self._idle_started, self.sim.event()
+        event, self._idle_started = self._idle_started, Event(self.sim)
         event.succeed()
 
     # -- the idle watchdog ------------------------------------------------------------
@@ -566,7 +588,7 @@ class SimDisk(StorageBackend):
     def request_sleep(self) -> bool:
         """Spin down if idle at full speed with nothing in flight.
         Returns True if begun."""
-        if self.state is not DiskState.IDLE or self.inflight > 0:
+        if self.meter.state is not DiskState.IDLE or self.inflight > 0:
             return False
         self._begin_transition(DiskState.SPIN_DOWN, DiskState.STANDBY, self.spec.spindown_s)
         return True
@@ -610,11 +632,12 @@ class SimDisk(StorageBackend):
             self._fail_held(arg._exc)
             return
         # Wait out any transition in progress, then leave standby.
-        while not self.state.can_serve:
-            if self.state is DiskState.FAILED:
+        meter = self.meter
+        while not meter.state.can_serve:
+            if meter.state is DiskState.FAILED:
                 self._fail_held(DiskFailureError(self.name))
                 return
-            if self.state is DiskState.STANDBY:
+            if meter.state is DiskState.STANDBY:
                 self.wake()
             pending = self._transition_done
             if pending.callbacks is not None:
@@ -625,7 +648,7 @@ class SimDisk(StorageBackend):
                 assert pending._exc is not None
                 self._fail_held(pending._exc)
                 return
-        low = self._low = self.state.is_low_speed
+        low = self._low = meter.state.is_low_speed
         self._set_state(DiskState.LOW_ACTIVE if low else DiskState.ACTIVE)
         spec = self.low_spec if low else self.spec
         assert spec is not None  # low implies a multi-speed spec
@@ -654,7 +677,7 @@ class SimDisk(StorageBackend):
         self.requests_served += 1
         self.bytes_served += request.size_bytes
         self.service_times.record(self._service_s)
-        if self.state is not DiskState.FAILED and not self.queue.items:
+        if self.meter.state is not DiskState.FAILED and not self.queue.items:
             self._set_state(DiskState.LOW_IDLE if self._low else DiskState.IDLE)
             if self.inflight == 0:
                 self._signal_idle()
@@ -677,7 +700,7 @@ class SimDisk(StorageBackend):
         """One turn of the idle timer's loop: time a full-speed idle
         period, or park until the drive drains.  Activity retires a
         running timer and runs the turn again."""
-        if self.state is DiskState.IDLE and self.inflight == 0:
+        if self.meter.state is DiskState.IDLE and self.inflight == 0:
             # Re-read each idle period: set_idle_threshold may retune the
             # timer mid-run (the online controller's knob).
             auto_sleep_after = self.auto_sleep_after

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NoReturn, Optional, Protocol, runtime_checkable
 
 from repro.disk.specs import LowSpeedProfile
-from repro.disk.states import COUNTED_TRANSITIONS, DiskState, validate_transition
+from repro.disk.states import COUNTED_TRANSITIONS, DiskState, IllegalTransition, LEGAL_TRANSITIONS
 
 
 @runtime_checkable
@@ -109,7 +109,7 @@ def _state_powers(spec: PowerEnvelope) -> dict[DiskState, float]:
 
     LOW_*/SHIFT_* states exist only for multi-speed specs; a
     single-speed spec's meter simply has no entry for them (and
-    ``validate_transition`` keeps it out of those states anyway).
+    :data:`LEGAL_TRANSITIONS` keeps it out of those states anyway).
     """
     powers = {
         DiskState.ACTIVE: spec.power_active_w,
@@ -162,16 +162,22 @@ class EnergyMeter:
         self.time_in_state: dict[DiskState, float] = {s: 0.0 for s in DiskState}
 
     def transition(self, time: float, new_state: DiskState) -> None:
-        """Move to *new_state* at *time*, accruing energy for the interval."""
-        validate_transition(self.state, new_state)
+        """Move to *new_state* at *time*, accruing energy for the interval.
+
+        Raises :class:`IllegalTransition` unless :data:`LEGAL_TRANSITIONS`
+        allows the move."""
+        state = self.state
+        if new_state not in LEGAL_TRANSITIONS[state]:
+            raise IllegalTransition(state, new_state)
         time = float(time)
-        if time < self._last_time:
+        last = self._last_time
+        if time < last:
             self._moved_backwards(time)
-        elapsed = time - self._last_time
-        self.time_in_state[self.state] += elapsed
+        elapsed = time - last
+        self.time_in_state[state] += elapsed
         self._energy_j += self._power_w * elapsed
         self._power_w = self._power_w_by_state[new_state]
-        if (self.state, new_state) in COUNTED_TRANSITIONS:
+        if (state, new_state) in COUNTED_TRANSITIONS:
             self.transition_count += 1
             if new_state is DiskState.SPIN_DOWN:
                 self.spindown_count += 1

@@ -127,12 +127,6 @@ class DiskSpec:
         """Mean positioning overhead (seek + rotational latency)."""
         return self.avg_seek_s + self.avg_rotation_s
 
-    def transfer_time(self, size_bytes: float) -> float:
-        """Media transfer time for *size_bytes* (no positioning)."""
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size: {size_bytes!r}")
-        return size_bytes / self.bandwidth_bps
-
     def service_time(self, size_bytes: float, sequential: bool = False) -> float:
         """Seconds to serve one request of *size_bytes*: media transfer,
         plus positioning (seek + rotational latency) unless *sequential*.
@@ -143,9 +137,11 @@ class DiskSpec:
         spin-up jitter of :class:`~repro.disk.drive.StorageBackend` is
         the only mechanical variability simulated.
         """
-        base = self.transfer_time(size_bytes)
+        if size_bytes < 0:
+            raise ValueError(f"negative transfer size: {size_bytes!r}")
+        base = size_bytes / self.bandwidth_bps
         if not sequential:
-            base += self.positioning_s
+            base += self.avg_seek_s + self.avg_rotation_s
         return base
 
     def with_overrides(self, **kwargs: Any) -> "DiskSpec":

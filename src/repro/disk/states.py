@@ -108,12 +108,6 @@ class IllegalTransition(RuntimeError):
         self.target = target
 
 
-def validate_transition(source: DiskState, target: DiskState) -> None:
-    """Raise :class:`IllegalTransition` unless ``source -> target`` is legal."""
-    if target not in LEGAL_TRANSITIONS[source]:
-        raise IllegalTransition(source, target)
-
-
 #: Transitions counted by the paper's "number of power state transitions"
 #: metric (Fig. 4): entering and leaving standby, i.e. each spin-down and
 #: each spin-up counts as one.

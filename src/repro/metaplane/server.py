@@ -351,17 +351,19 @@ class MetadataServer:
     def _on_message(self, message: Message) -> None:
         if self.alive:  # a crashed process answers nothing
             payload = message.payload
-            if isinstance(payload, FileRequest):
+            # Heartbeats and their replies first: they are most of the
+            # traffic.
+            if isinstance(payload, AppendEntries):
+                self._on_append(payload)
+            elif isinstance(payload, AppendReply):
+                self._on_append_reply(payload)
+            elif isinstance(payload, FileRequest):
                 if self._handle_request(payload):
                     return
             elif isinstance(payload, VoteRequest):
                 self._on_vote_request(payload)
             elif isinstance(payload, VoteReply):
                 self._on_vote_reply(payload)
-            elif isinstance(payload, AppendEntries):
-                self._on_append(payload)
-            elif isinstance(payload, AppendReply):
-                self._on_append_reply(payload)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"metadata server cannot handle {payload!r}")
         self.endpoint.inbox.take(self._on_message)
@@ -513,7 +515,7 @@ class MetadataServer:
         self.fabric.send_nowait(
             self.name,
             primary,
-            ForwardedRequest(request=payload, failover=backups),
+            ForwardedRequest(payload, backups),  # (request, failover)
         )
         if lookup is not None and tracer is not None:
             tracer.end(lookup, routed=True, node=primary)

@@ -10,25 +10,35 @@ backplane contention), which matches small dedicated cluster switches.
 
 from __future__ import annotations
 
+from heapq import heappush
+from math import inf
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.link import DEFAULT_CONNECT_S, DEFAULT_LATENCY_S, Link
 from repro.net.message import Message
 from repro.sim.engine import hold_slot, Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.events import Event, NORMAL, URGENT
 from repro.sim.resources import Mailbox
 
 
 class _Delivery:
     """Continuation state machine for one message transfer.
 
-    Each stage is a plain bound method granted a link by
-    :meth:`Link.acquire`, scheduled via ``call_later`` or run in the
-    inbox put's slot, so a delivery builds no Process object, no grant
-    event and no generator frame.
-    Every stage runs in exactly the event slot where a per-message
-    generator process would have resumed (pinned by the goldens in
-    tests/golden/).
+    A delivery claims the sender's TX wire, then the receiver's RX wire,
+    holds RX for the bytes' time at RX's line rate, and frees TX once the
+    latency and the rate-capped transfer are over; the message then goes
+    into the receiver's inbox.  Each stage is a plain bound method and
+    runs in exactly the event slot where a per-message generator process
+    would have resumed (pinned by the goldens in tests/golden/).
+
+    Every stage writes its own schedule entry, the way ``Event.succeed``
+    and ``Mailbox.put`` do, in the slot ``call_soon`` or ``call_later``
+    would have used: the kick-off goes onto the URGENT lane, the
+    :class:`Link` grants onto the NORMAL lane, and the RX hold and the
+    rest of the transfer onto the heap (a zero-length hold onto the
+    NORMAL lane).  Sizes, rates and latencies are checked where they
+    enter (:class:`Message`, :class:`Link`, :class:`Fabric`), so no delay
+    here is negative or non-finite.
 
     ``done`` is the completion event handed back to ``Fabric.send``
     callers; ``Fabric.send_nowait`` passes ``None`` and skips the final
@@ -50,19 +60,32 @@ class _Delivery:
     def __init__(
         self,
         fabric: "Fabric",
-        sender: "Endpoint",
-        receiver: "Endpoint",
-        message: Message,
+        src: str,
+        dst: str,
+        payload: Any,
+        size_bytes: Optional[int],
         done: Optional[Event],
     ) -> None:
+        endpoints = fabric._endpoints
+        try:
+            self.sender = endpoints[src]
+            self.receiver = endpoints[dst]
+        except KeyError as missing:
+            raise KeyError(f"unknown endpoint: {missing.args[0]!r}") from None
+        if src == dst:
+            raise ValueError(f"endpoint {src!r} cannot send to itself")
+        self.message = (
+            Message(src, dst, payload)
+            if size_bytes is None
+            else Message(src, dst, payload, size_bytes)
+        )
         self.fabric = fabric
-        self.sender = sender
-        self.receiver = receiver
-        self.message = message
         self.done = done
         # Kicked off URGENT at the current time -- the same schedule slot
         # a Process kick-off event would occupy.
-        fabric.sim.call_soon(self._start, priority=URGENT)
+        sim = fabric.sim
+        sim._lanes[URGENT].append((sim._seq, self._start, None))
+        sim._seq += 1
 
     def _start(self, _value: Any) -> None:
         fabric = self.fabric
@@ -99,12 +122,23 @@ class _Delivery:
         self.receiver.rx.acquire(self._rx_granted)
 
     def _rx_granted(self, _value: Any) -> None:
-        self.fabric.sim.call_later(self.rx_hold, self._rx_done)
+        sim = self.fabric.sim
+        hold = self.rx_hold
+        if hold == 0.0:
+            sim._lanes[NORMAL].append((sim._seq, self._rx_done, None))
+        else:
+            heappush(sim._heap, (sim.now + hold, NORMAL, sim._seq, self._rx_done, None))
+        sim._seq += 1
 
     def _rx_done(self, _value: Any) -> None:
         self.receiver.rx.release()
-        if self.remaining > 0:
-            self.fabric.sim.call_later(self.remaining, self._tx_done)
+        remaining = self.remaining
+        if remaining > 0:
+            sim = self.fabric.sim
+            heappush(
+                sim._heap, (sim.now + remaining, NORMAL, sim._seq, self._tx_done, None)
+            )
+            sim._seq += 1
         else:
             self._tx_done(None)
 
@@ -168,8 +202,10 @@ class Fabric:
         latency_s: float = DEFAULT_LATENCY_S,
         connect_s: float = DEFAULT_CONNECT_S,
     ) -> None:
-        if latency_s < 0 or connect_s < 0:
-            raise ValueError("latencies must be >= 0")
+        if not (0 <= latency_s < inf and 0 <= connect_s < inf):  # also rejects NaN
+            raise ValueError(
+                f"latencies must be finite and >= 0, got {latency_s!r} and {connect_s!r}"
+            )
         self.sim = sim
         self.latency_s = float(latency_s)
         self.connect_s = float(connect_s)
@@ -226,17 +262,8 @@ class Fabric:
         Returns an event that succeeds (with the :class:`Message`) once the
         message has been appended to the destination inbox.
         """
-        sender = self.endpoint(src)
-        receiver = self.endpoint(dst)
-        if src == dst:
-            raise ValueError(f"endpoint {src!r} cannot send to itself")
-        message = (
-            Message(src, dst, payload)
-            if size_bytes is None
-            else Message(src, dst, payload, size_bytes)
-        )
         done = Event(self.sim)
-        _Delivery(self, sender, receiver, message, done)
+        _Delivery(self, src, dst, payload, size_bytes, done)
         return done
 
     def send_nowait(
@@ -256,16 +283,7 @@ class Fabric:
         unchanged, so metrics are identical to ``send`` with the result
         ignored.
         """
-        sender = self.endpoint(src)
-        receiver = self.endpoint(dst)
-        if src == dst:
-            raise ValueError(f"endpoint {src!r} cannot send to itself")
-        message = (
-            Message(src, dst, payload)
-            if size_bytes is None
-            else Message(src, dst, payload, size_bytes)
-        )
-        _Delivery(self, sender, receiver, message, None)
+        _Delivery(self, src, dst, payload, size_bytes, None)
 
     def connect(self, src: str, dst: str, then: Callable[[Any], None]) -> None:
         """Pay one connection-setup round trip (TCP handshake), then ``then``."""

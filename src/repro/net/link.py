@@ -13,6 +13,7 @@ from collections import deque
 from typing import Any, Callable, Deque
 
 from repro.sim.engine import Simulator
+from repro.sim.events import NORMAL
 
 #: Table I NIC rates, in *bytes* per second (the table quotes megabits).
 GIGABIT_ETHERNET_BPS = 1000e6 / 8
@@ -30,15 +31,17 @@ class Link:
 
     One frame holds the wire at a time.  :meth:`acquire` grants it to a
     callback and :meth:`release` passes it to the next waiter in arrival
-    order.  Each grant is a :meth:`Simulator.call_soon` continuation, so
-    a grant costs no event object; the fabric's deliveries
-    (:class:`repro.net.fabric.Fabric`) are its only users.
+    order.  Each grant is a continuation entry that the link appends to
+    the NORMAL lane itself, in the slot :meth:`Simulator.call_soon`
+    would give it, so a grant costs no event object and no further call;
+    the fabric's deliveries (:class:`repro.net.fabric.Fabric`) are its
+    only users.
     """
 
     __slots__ = ("sim", "name", "bandwidth_bps", "_busy", "_waiting")
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, name: str = "link") -> None:
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:  # also rejects NaN
             raise ValueError(f"bandwidth must be > 0, got {bandwidth_bps!r}")
         self.sim = sim
         self.name = name
@@ -52,12 +55,16 @@ class Link:
             self._waiting.append(fn)
         else:
             self._busy = True
-            self.sim.call_soon(fn)
+            sim = self.sim
+            sim._lanes[NORMAL].append((sim._seq, fn, None))
+            sim._seq += 1
 
     def release(self) -> None:
         """Free the wire, granting it to the longest waiter if any."""
         if self._waiting:
-            self.sim.call_soon(self._waiting.popleft())
+            sim = self.sim
+            sim._lanes[NORMAL].append((sim._seq, self._waiting.popleft(), None))
+            sim._seq += 1
         else:
             self._busy = False
 

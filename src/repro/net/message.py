@@ -8,6 +8,7 @@ the network layer only cares about size and addressing.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any
 
 #: Wire size charged for small control messages (request forwarding,
@@ -32,8 +33,8 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.size_bytes = size_bytes
-        if size_bytes < 0:
-            raise ValueError(f"negative message size: {size_bytes!r}")
+        if not 0 <= size_bytes < inf:  # also rejects NaN
+            raise ValueError(f"message size must be finite and >= 0, got {size_bytes!r}")
         if not src or not dst:
             raise ValueError("messages need non-empty src and dst addresses")
 

@@ -156,7 +156,10 @@ class Simulator:
     default_lane_perturbation_seed: Optional[int] = None
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, read
+        #: on every hop of the request path; only the run loop (``run``,
+        #: ``step`` and their pops) writes it.
+        self.now = float(start_time)
         #: Future entries ``(time, priority, seq, fn, arg)``.
         self._heap: list[tuple[float, int, int, Any, Any]] = []
         #: Zero-delay lanes, indexed by priority (URGENT/NORMAL/LOW).
@@ -186,11 +189,6 @@ class Simulator:
     # -- clock ---------------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Total events processed by :meth:`step` (throughput metric)."""
         return self._events_processed
@@ -205,7 +203,7 @@ class Simulator:
         if delay == 0.0:
             self._lanes[priority].append((self._seq, None, event))
         else:
-            heapq.heappush(self._heap, (self._now + delay, priority, self._seq, None, event))
+            heapq.heappush(self._heap, (self.now + delay, priority, self._seq, None, event))
         self._seq += 1
 
     def call_soon(
@@ -231,7 +229,7 @@ class Simulator:
         if delay == 0.0:
             self._lanes[NORMAL].append((self._seq, fn, value))
         else:
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, fn, value))
+            heapq.heappush(self._heap, (self.now + delay, NORMAL, self._seq, fn, value))
         self._seq += 1
 
     @property
@@ -326,14 +324,14 @@ class Simulator:
             priority, lane = 2, lanes[2]
         else:
             try:
-                self._now, _, _, fn, arg = heapq.heappop(self._heap)
+                self.now, _, _, fn, arg = heapq.heappop(self._heap)
             except IndexError:
                 raise EmptySchedule() from None
             return fn, arg
         heap = self._heap
         if heap:
             top = heap[0]
-            if top[0] == self._now and top[1] < priority:
+            if top[0] == self.now and top[1] < priority:
                 return heapq.heappop(heap)[3:]
         window = len(lane)
         stop = self._stop_event
@@ -374,14 +372,14 @@ class Simulator:
             priority, lane = 2, lanes[2]
         else:
             try:
-                self._now, _, _, fn, arg = heapq.heappop(self._heap)
+                self.now, _, _, fn, arg = heapq.heappop(self._heap)
             except IndexError:
                 raise EmptySchedule() from None
             return fn, arg
         heap = self._heap
         if heap:
             top = heap[0]
-            if top[0] == self._now and (
+            if top[0] == self.now and (
                 top[1] < priority or (top[1] == priority and top[2] < lane[0][0])
             ):
                 return heapq.heappop(heap)[3:]
@@ -404,12 +402,12 @@ class Simulator:
             if hooks:
                 view = Continuation(self, fn, arg)
                 for hook in hooks:
-                    hook(self._now, view)
+                    hook(self.now, view)
             fn(arg)
             return
         event: Event = arg
         for hook in hooks:
-            hook(self._now, event)
+            hook(self.now, event)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - defensive; never rescheduled
             return
@@ -437,9 +435,9 @@ class Simulator:
                 stop = until
             else:
                 at = float(until)
-                if not at >= self._now:  # also rejects NaN
+                if not at >= self.now:  # also rejects NaN
                     raise ValueError(
-                        f"until={at!r} is not a time at or after now={self._now!r}"
+                        f"until={at!r} is not a time at or after now={self.now!r}"
                     )
                 # An URGENT event at `at` beats all normal events at `at`,
                 # giving run(until=t) exclusive-of-t semantics.
@@ -447,7 +445,7 @@ class Simulator:
                 stop._ok = True
                 stop._value = None
                 internal_stop = True
-                self.schedule(stop, delay=at - self._now, priority=URGENT)
+                self.schedule(stop, delay=at - self.now, priority=URGENT)
             assert stop.callbacks is not None
             stop.callbacks.append(self._stop_callback)
             # Chaos mode must not permute other events past the stop
@@ -484,7 +482,7 @@ class Simulator:
                         priority, lane = 2, lane_l
                     if heap:
                         top = heap[0]
-                        if top[0] == self._now and (
+                        if top[0] == self.now and (
                             top[1] < priority
                             or (top[1] == priority and top[2] < lane[0][0])
                         ):
@@ -495,7 +493,7 @@ class Simulator:
                         _, fn, arg = lane.popleft()
                 else:
                     try:
-                        self._now, _, _, fn, arg = heappop(heap)
+                        self.now, _, _, fn, arg = heappop(heap)
                     except IndexError:
                         raise EmptySchedule() from None
                 dispatched += 1
@@ -561,4 +559,4 @@ class Simulator:
         raise event._exc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator now={self._now!r} queued={self.queue_size}>"
+        return f"<Simulator now={self.now!r} queued={self.queue_size}>"

@@ -34,6 +34,11 @@ DEFAULT_DATA_SIZE_BYTES = 10 * MB
 DEFAULT_MU = 1000.0
 DEFAULT_INTER_ARRIVAL_S = 0.700
 
+#: The largest mean ``Generator.poisson`` accepts (numpy's own bound:
+#: the int64 maximum less ten of its square roots); a larger ``mu`` fails
+#: at generation with "lam value too large".
+POISSON_MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass
 class SyntheticWorkload:
@@ -62,10 +67,17 @@ class SyntheticWorkload:
             raise ValueError(f"n_requests must be >= 0, got {self.n_requests!r}")
         if not self.data_size_bytes >= 0:
             raise ValueError(f"data_size_bytes must be >= 0")
-        if not 0 < self.mu < np.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+        if not 0 < self.mu <= POISSON_MU_MAX:
+            raise ValueError(
+                f"mu must be > 0 and at most {POISSON_MU_MAX:.6g}, got {self.mu!r}"
+            )
         if not 0 <= self.inter_arrival_s < np.inf:
             raise ValueError(f"inter_arrival_s must be finite and >= 0")
+        if not max(self.n_requests - 1, 0) * self.inter_arrival_s < np.inf:
+            raise ValueError(
+                f"the arrival span ({self.n_requests} - 1) x {self.inter_arrival_s!r} s "
+                "overflows"
+            )
         if self.arrival_process not in ("constant", "exponential"):
             raise ValueError(f"unknown arrival process: {self.arrival_process!r}")
         if not self.size_spread >= 0:

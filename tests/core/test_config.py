@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 
 import pytest
 
@@ -47,6 +48,7 @@ class TestNodeSpec:
             {"n_data_disks": 0},
             {"nic_bps": 0},
             {"base_power_w": -1},
+            {"nic_bps": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
@@ -108,7 +110,21 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(storage_nodes=(node,), client_max_outstanding=0)
 
-    @pytest.mark.parametrize("kwargs", [{"server_nic_bps": 0}, {"client_nic_bps": -1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"server_nic_bps": 0},
+            {"client_nic_bps": -1},
+            {"server_nic_bps": math.nan},
+            {"client_nic_bps": math.nan},
+            {"fabric_latency_s": -1e-6},
+            {"fabric_latency_s": math.nan},
+            {"fabric_latency_s": math.inf},
+            {"connect_s": -1e-6},
+            {"connect_s": math.nan},
+            {"connect_s": math.inf},
+        ],
+    )
     def test_invalid(self, kwargs):
         node = NodeSpec(name="x", disk_spec=ATA_80GB_TYPE1)
         with pytest.raises(ValueError):

@@ -154,7 +154,7 @@ class TestEvaluate:
         disks_, pm2 = make(sim, n_disks=2)
         pm2._enabled = True
         pm2._future_seqs = [pm2._future_seqs[0], pm2._future_seqs[1]]
-        pm2.evaluate_all(exclude=0)
+        pm2.evaluate_all(exclude=(0,))
         assert disks_[0].state is DiskState.IDLE
 
     def test_disable_stops_decisions(self, sim):

@@ -180,6 +180,15 @@ class TestContinuationRules:
             ("SIM003", 18),  # via kick(), one interprocedural hop
         ]
 
+    def test_sim003_sees_schedule_entries_written_in_place(self):
+        # A function that appends to `<sim>._lanes` or pushes onto
+        # `<sim>._heap` schedules as surely as one calling `call_soon`.
+        assert findings_for(fixture("repro", "xsched", "sim003_inplace.py")) == [
+            ("SIM003", 29),  # box.put(item): a lane append
+            ("SIM003", 34),  # box.later(...): a heap push
+            ("SIM003", 39),  # sim.call_soon(box.put, item)
+        ]
+
     def test_det004_flags_unordered_stream_derivation(self):
         assert findings_for(fixture("repro", "sim", "det004_bad.py")) == [
             ("DET004", 5),  # set(...)

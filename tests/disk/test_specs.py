@@ -63,14 +63,15 @@ class TestValidation:
 
 class TestDerived:
     def test_transfer_time(self):
+        # A sequential request pays the media transfer alone.
         spec = DiskSpec(**_valid_kwargs(bandwidth_bps=50 * MB))
-        assert spec.transfer_time(50 * MB) == pytest.approx(1.0)
-        assert spec.transfer_time(0) == 0.0
+        assert spec.service_time(50 * MB, sequential=True) == pytest.approx(1.0)
+        assert spec.service_time(0, sequential=True) == 0.0
 
     def test_negative_transfer_size_rejected(self):
         spec = DiskSpec(**_valid_kwargs())
-        with pytest.raises(ValueError):
-            spec.transfer_time(-1)
+        with pytest.raises(ValueError, match="negative transfer size"):
+            spec.service_time(-1, sequential=True)
 
     def test_positioning_is_seek_plus_rotation(self):
         spec = DiskSpec(**_valid_kwargs(avg_seek_s=0.01, avg_rotation_s=0.005))

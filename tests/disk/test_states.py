@@ -1,14 +1,23 @@
-"""Unit tests for the disk power-state machine."""
+"""Unit tests for the disk power-state machine.
+
+Legality is checked where every move is made, in
+:meth:`EnergyMeter.transition`, so these tests move a meter.
+"""
 
 import pytest
 
+from repro.disk.energy import EnergyMeter
+from repro.disk.specs import ATA_80GB_TYPE1
 from repro.disk.states import (
     COUNTED_TRANSITIONS,
     DiskState,
     IllegalTransition,
     LEGAL_TRANSITIONS,
-    validate_transition,
 )
+
+
+def _move(source, target):
+    EnergyMeter(ATA_80GB_TYPE1, initial_state=source).transition(1.0, target)
 
 
 def test_every_state_has_transition_entry():
@@ -30,7 +39,7 @@ def test_every_state_has_transition_entry():
     ],
 )
 def test_legal_transitions_pass(source, target):
-    validate_transition(source, target)  # no raise
+    _move(source, target)  # no raise
 
 
 @pytest.mark.parametrize(
@@ -46,12 +55,12 @@ def test_legal_transitions_pass(source, target):
 )
 def test_illegal_transitions_raise(source, target):
     with pytest.raises(IllegalTransition):
-        validate_transition(source, target)
+        _move(source, target)
 
 
 def test_illegal_transition_message_names_states():
     with pytest.raises(IllegalTransition, match="active -> standby"):
-        validate_transition(DiskState.ACTIVE, DiskState.STANDBY)
+        _move(DiskState.ACTIVE, DiskState.STANDBY)
 
 
 def test_can_serve_classification():

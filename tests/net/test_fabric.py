@@ -1,5 +1,7 @@
 """Unit and property tests for the switching fabric."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -41,6 +43,34 @@ class TestTopology:
     def test_negative_latency_rejected(self, sim):
         with pytest.raises(ValueError):
             Fabric(sim, latency_s=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"latency_s": math.nan},
+            {"latency_s": math.inf},
+            {"connect_s": math.nan},
+            {"connect_s": math.inf},
+        ],
+        ids=["nan-latency", "inf-latency", "nan-connect", "inf-connect"],
+    )
+    def test_non_finite_latency_rejected(self, sim, kwargs):
+        # `latency_s < 0` passes NaN, and an infinite latency sends the
+        # clock to inf on the first delivery.
+        with pytest.raises(ValueError):
+            Fabric(sim, **kwargs)
+
+    @pytest.mark.parametrize("send", ["send", "send_nowait"])
+    @pytest.mark.parametrize("size", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_size_rejected(self, sim, fabric, send, size):
+        # Rejected by the send itself, before anything is scheduled.
+        with pytest.raises(ValueError, match="message size"):
+            getattr(fabric, send)("server", "node1", None, size_bytes=size)
+        assert sim.queue_size == 0
+
+    def test_nan_line_rate_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Fabric(sim).add_endpoint("a", math.nan)
 
 
 class TestTransfers:

@@ -49,6 +49,12 @@ def test_validation(sim):
         Link(sim, bandwidth_bps=-1e6)
 
 
+def test_nan_bandwidth_rejected(sim):
+    # `bandwidth_bps <= 0` passes NaN; every transfer time would be NaN.
+    with pytest.raises(ValueError):
+        Link(sim, bandwidth_bps=float("nan"))
+
+
 def test_transmission_time(sim):
     # One transfer takes the fixed latency plus size over line rate.
     fabric, delivered = _pair(sim, 1e6, 1e6, latency_s=0.001)

@@ -1,9 +1,12 @@
 """Unit tests for the simulation engine (clock, heap, run loop)."""
 
+import ast
+
 import pytest
 
 from repro.sim import Simulator
 from repro.sim.engine import EmptySchedule
+from tests.programs import PACKAGE
 
 
 def test_clock_starts_at_zero():
@@ -12,6 +15,27 @@ def test_clock_starts_at_zero():
 
 def test_clock_custom_start():
     assert Simulator(start_time=5.0).now == 5.0
+
+
+def test_only_the_engine_sets_the_clock():
+    # `Simulator.now` is a plain attribute that the run loop writes; a
+    # model that assigned it would move time behind the schedule's back.
+    writers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "sim" / "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Attribute) and leaf.attr == "now":
+                        writers.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert writers == []
 
 
 def _nothing(_value):

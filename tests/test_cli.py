@@ -237,6 +237,11 @@ class TestInputErrors:
             ["trace-gen", "berkeley", "{tmp}/x.trace", "--mu", "50"],
             ["trace-gen", "drifting", "{tmp}/x.trace", "--size-mb", "5"],
             ["trace-gen", "berkeley", "{tmp}/x.trace", "--inter-arrival-ms", "100"],
+            ["--requests", "20", "trace-gen", "synthetic", "{tmp}/x.trace", "--mu", "1e19"],
+            [
+                "--requests", "2000", "trace-gen", "synthetic", "{tmp}/x.trace",
+                "--inter-arrival-ms", "1e308",
+            ],
         ],
         ids=[
             "lint-missing-path",
@@ -302,6 +307,8 @@ class TestInputErrors:
             "trace-gen-berkeley-with-mu",
             "trace-gen-drifting-with-size",
             "trace-gen-berkeley-with-inter-arrival",
+            "trace-gen-mu-above-poisson-limit",
+            "trace-gen-arrival-span-overflows",
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
