@@ -14,7 +14,7 @@ from conftest import N_REQUESTS
 import numpy as np
 
 from repro.core import EEVFSConfig
-from repro.core.filesystem import EEVFSCluster, run_eevfs
+from repro.core.filesystem import EEVFSCluster
 from repro.faults import FaultSchedule
 from repro.metrics.report import summary_table
 from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
@@ -35,12 +35,10 @@ def test_availability_vs_energy(benchmark):
     trace = _trace()
 
     def run_pair():
-        plain = run_eevfs(trace, EEVFSConfig(), faults=_node_crash(trace))
-        replicated = run_eevfs(
-            trace,
-            EEVFSConfig(replication_factor=2),
-            faults=_node_crash(trace),
-        )
+        plain = EEVFSCluster(config=EEVFSConfig(), faults=_node_crash(trace)).run(trace)
+        replicated = EEVFSCluster(
+            config=EEVFSConfig(replication_factor=2), faults=_node_crash(trace)
+        ).run(trace)
         return plain, replicated
 
     plain, replicated = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -26,7 +26,7 @@ def test_headline_savings_with_confidence(benchmark):
     savings = result.savings_pct
     # The paper's band, now with error bars: the whole 95 % CI must sit
     # inside 5-20 %, and the estimate must be tight (not seed-luck).
-    lo, hi = savings.ci95
+    lo, hi = savings.mean - savings.ci95_halfwidth, savings.mean + savings.ci95_halfwidth
     assert 5.0 < lo and hi < 20.0
     assert savings.ci95_halfwidth < 3.0
     # Response penalty stays "tolerable" (§VI-C) across seeds.

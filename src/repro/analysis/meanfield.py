@@ -1,7 +1,7 @@
 """Closed-form mean-field backend for large-fleet energy estimates.
 
 The discrete simulator resolves every message and disk request; at fleet
-scale (ROADMAP items 1 and 5) that is the throughput bottleneck.  This
+scale that is the throughput bottleneck.  This
 module computes the same headline quantities -- buffer-hit ratio,
 per-state disk occupancy, state transitions, and PF/NPF energy -- in
 closed form from the workload law and the power-state parameters,

@@ -171,13 +171,6 @@ class PageMappedFTL:
     def max_erase_count(self) -> int:
         return max(self.erase_counts)
 
-    def channel_of(self, logical_page: int) -> Optional[int]:
-        """Channel currently holding a logical page (None = unmapped)."""
-        physical = self._l2p[logical_page]
-        if physical == UNMAPPED:
-            return None
-        return (physical // self.pages_per_block) % self.n_channels
-
     # -- host writes -------------------------------------------------------------
 
     def write_pages(self, logical_pages: Sequence[int]) -> ProgramPlan:

@@ -308,8 +308,8 @@ class SSDBackend(StorageBackend):
         #: :meth:`fail`); a destage that straddles a wipe must not
         #: subtract its bytes from the already-zeroed counter.
         self._cache_wipes = 0
-        self._cache_drained: Event = sim.event()
-        self._dirty_staged: Event = sim.event()
+        self._cache_drained: Event = Event(sim)
+        self._dirty_staged: Event = Event(sim)
         #: Concurrent internal activities (host service, destage, GC);
         #: drives the ACTIVE/IDLE meter state.
         self._busy = 0
@@ -480,7 +480,6 @@ class SSDBackend(StorageBackend):
         self._busy_exit()
         if failure is None:
             self.requests_served += 1
-            self.bytes_served += request.size_bytes
             self.service_times.record(self.sim.now - self._started)
             request.done.succeed(request)
         elif not request.done.triggered:

@@ -9,12 +9,9 @@ transition count at zero by construction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 from repro.core.config import EEVFSConfig
 
 
-def alwayson_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
+def alwayson_config() -> EEVFSConfig:
     """Prefetch on, every disk permanently spinning."""
-    return replace(base or EEVFSConfig(), prefetch_enabled=True, power_management_enabled=False)
+    return EEVFSConfig(prefetch_enabled=True, power_management_enabled=False)

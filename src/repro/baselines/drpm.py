@@ -17,11 +17,10 @@ transfers rather than 2 s spin-up stalls.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
 from repro.core.node import StorageNode
-from repro.disk.specs import DiskSpec, MULTISPEED_80GB
+from repro.disk.specs import MULTISPEED_80GB
 
 
 class DRPMNode(StorageNode):
@@ -30,29 +29,23 @@ class DRPMNode(StorageNode):
     DISK_IDLE_ACTION = "low_speed"
 
 
-def drpm_cluster(
-    base: Optional[ClusterSpec] = None,
-    disk: DiskSpec = MULTISPEED_80GB,
-) -> ClusterSpec:
-    """The base cluster with multi-speed data disks.
+def drpm_cluster() -> ClusterSpec:
+    """The default cluster with multi-speed data disks.
 
     Buffer disks stay single-speed: they are never power-managed, so a
     multi-speed buffer would be wasted capability.
     """
-    if not disk.is_multi_speed:
-        raise ValueError(f"{disk.name} is not a multi-speed drive")
-    base = base or default_cluster()
+    base = default_cluster()
     nodes = tuple(
-        replace(node, disk_spec=disk, buffer_disk_spec=node.buffer_spec)
+        replace(node, disk_spec=MULTISPEED_80GB, buffer_disk_spec=node.buffer_spec)
         for node in base.storage_nodes
     )
     return replace(base, storage_nodes=nodes)
 
 
-def drpm_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
+def drpm_config() -> EEVFSConfig:
     """DRPM policy: idle timers only, no prefetching, no hints."""
-    return replace(
-        base or EEVFSConfig(),
+    return EEVFSConfig(
         prefetch_enabled=False,
         power_manage_without_prefetch=True,
         use_hints=False,

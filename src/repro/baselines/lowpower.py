@@ -16,20 +16,17 @@ on the original disks shows the energy/performance/procurement triangle.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.core.config import ClusterSpec, default_cluster
-from repro.disk.specs import DiskSpec, LOWPOWER_25IN_160GB
+from repro.disk.specs import LOWPOWER_25IN_160GB
 
 
-def lowpower_cluster(
-    base: Optional[ClusterSpec] = None,
-    disk: DiskSpec = LOWPOWER_25IN_160GB,
-) -> ClusterSpec:
-    """The base cluster with every node's disks replaced by *disk*."""
-    base = base or default_cluster()
+def lowpower_cluster() -> ClusterSpec:
+    """The default cluster with every node's disks replaced by the
+    2.5-inch mobile drive."""
+    base = default_cluster()
     nodes = tuple(
-        replace(node, disk_spec=disk, buffer_disk_spec=disk)
+        replace(node, disk_spec=LOWPOWER_25IN_160GB, buffer_disk_spec=LOWPOWER_25IN_160GB)
         for node in base.storage_nodes
     )
     return replace(base, storage_nodes=nodes)

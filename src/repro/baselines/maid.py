@@ -15,7 +15,6 @@ look-ahead window beats reactive LRU caching for energy purposes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.core.config import EEVFSConfig
@@ -31,9 +30,6 @@ class LRUFileCache:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes!r}")
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, int]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @property
     def used_bytes(self) -> int:
@@ -49,9 +45,7 @@ class LRUFileCache:
         """Record an access; returns True on hit (and refreshes recency)."""
         if file_id in self._entries:
             self._entries.move_to_end(file_id)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def insert(self, file_id: int, size_bytes: int) -> List[int]:
@@ -74,13 +68,8 @@ class LRUFileCache:
         ):
             victim, _ = self._entries.popitem(last=False)
             evicted.append(victim)
-            self.evictions += 1
         self._entries[file_id] = size_bytes
         return evicted
-
-    def contents(self) -> List[int]:
-        """Cached file ids, least-recently-used first."""
-        return list(self._entries)
 
 
 class MAIDNode(StorageNode):
@@ -117,19 +106,13 @@ class MAIDNode(StorageNode):
         )
 
 
-def maid_config(
-    base: Optional[EEVFSConfig] = None,
-    cache_bytes: Optional[int] = None,
-) -> EEVFSConfig:
-    """MAID policy: timers only, no prefetch plan, LRU cache budget."""
-    base = base or EEVFSConfig()
-    return replace(
-        base,
+def maid_config(cache_bytes: int) -> EEVFSConfig:
+    """MAID policy: timers only, no prefetch plan, an LRU cache of
+    *cache_bytes*."""
+    return EEVFSConfig(
         prefetch_enabled=False,
         power_manage_without_prefetch=True,
         use_hints=False,
         wake_ahead=False,
-        buffer_capacity_bytes=cache_bytes
-        if cache_bytes is not None
-        else base.buffer_capacity_bytes,
+        buffer_capacity_bytes=cache_bytes,
     )

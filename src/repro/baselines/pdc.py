@@ -15,16 +15,12 @@ copy-only prefetch).
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 from repro.core.config import EEVFSConfig
 
 
-def pdc_config(base: Optional[EEVFSConfig] = None) -> EEVFSConfig:
+def pdc_config() -> EEVFSConfig:
     """PDC policy: concentrated layout, idle-timer power management."""
-    return replace(
-        base or EEVFSConfig(),
+    return EEVFSConfig(
         prefetch_enabled=False,
         power_manage_without_prefetch=True,
         use_hints=False,

@@ -16,6 +16,7 @@ from repro.experiments.study import records, run_study
 from repro.experiments.tables import table1, table2
 from repro.metrics.report import format_table, summary_table
 from repro.parallel import TraceSpec
+from repro.sim.rng import RandomStreams
 
 
 # -- argument types: bad input becomes an argparse error (exit 2) -------------
@@ -553,9 +554,12 @@ def _cmd_faults(args: argparse.Namespace) -> None:
             for i in range(node.n_data_disks)
         ]
         horizon_s = _default_trace(args.requests).generate().duration_s
-        schedule.exponential_faults(
-            targets, mtbf_s=args.mtbf, horizon_s=horizon_s, mttr_s=args.mttr or 120.0
-        )
+        # A one-request trace lasts 0 s and has no time to draw a fault
+        # in: the drill runs on the empty schedule and warns.
+        if horizon_s > 0:
+            schedule.exponential_faults(
+                targets, mtbf_s=args.mtbf, horizon_s=horizon_s, mttr_s=args.mttr or 120.0
+            )
     else:
         try:
             schedule.node_fail(
@@ -795,7 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--requests", type=_positive_int, default=1000, help="trace length"
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
+    parser.add_argument(
+        "--seed", type=_checked(int, RandomStreams), default=0, help="simulation seed (>= 0)"
+    )
     parser.add_argument(
         "--jobs",
         type=_checked(int, lambda jobs: resolve_jobs(jobs, 1)),

@@ -45,6 +45,9 @@ from repro.traces.model import OPS, RequestOp, Trace
 #: data-plane one (retry the same place and hope the fault healed).
 NOT_LEADER = "not leader"
 
+#: The client's fabric endpoint.
+CLIENT_NAME = "client"
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -96,7 +99,6 @@ class ClientDriver:
         sim: Simulator,
         fabric: Fabric,
         nic_bps: float,
-        name: str = "client",
         server_name: str = "server",
         max_outstanding: int = 2,
         retry: Optional[RetryPolicy] = None,
@@ -108,7 +110,7 @@ class ClientDriver:
         self.max_outstanding = max_outstanding
         self.sim = sim
         self.fabric = fabric
-        self.name = name
+        self.name = CLIENT_NAME
         self.server_name = server_name
         self.retry = retry if retry is not None else RetryPolicy()
         #: Where to send each request; pluggable so the metadata plane's
@@ -116,8 +118,8 @@ class ClientDriver:
         self.router = router if router is not None else StaticRouter(server_name)
         #: Jitter source for retry backoff (None = deterministic backoff).
         self.rng = rng
-        self.endpoint = fabric.add_endpoint(name, nic_bps)
-        self.response_times = TallyStat(name=f"{name}:response_s", keep_samples=True)
+        self.endpoint = fabric.add_endpoint(CLIENT_NAME, nic_bps)
+        self.response_times = TallyStat(name=f"{CLIENT_NAME}:response_s", keep_samples=True)
         #: Response-time decomposition over FileData replies: time on the
         #: disk, the rest of the node's handling, and everything outside
         #: the node (client->server->node control path + data transfer).
@@ -148,7 +150,7 @@ class ClientDriver:
         #: closed-loop replay only).
         self._waiters: Dict[int, Callable[[], Any]] = {}
         self._replay_finished = False
-        self._drained = sim.event()
+        self._drained = Event(sim)
         #: (request_id, file_id, reason) per terminally failed request.
         self.failures: list[tuple[int, int, str]] = []
         # -- retry-path counters (ride onto RunResult) ------------------------
@@ -395,7 +397,7 @@ class _Replay:
         self.epoch_s = epoch_s
         #: Index of the next request to issue.
         self.next = 0
-        self.done = client.sim.event()
+        self.done = Event(client.sim)
         client.sim.call_soon(self._pace, priority=URGENT)
 
     def _pace(self, _value: Any = None) -> None:

@@ -40,6 +40,10 @@ from repro.sim.monitor import TallyStat
 from repro.sim.rng import RandomStreams
 from repro.traces.model import Trace
 
+#: Simulated seconds past the epoch after which a finished replay is an
+#: error: a guard rail against a run that never drains.
+RUN_TIMEOUT_S = 1e7
+
 #: Stable numeric code per disk power state, for the per-disk state
 #: occupancy series (CSV export needs numbers, not enum names).
 DISK_STATE_CODES = {state: code for code, state in enumerate(DiskState)}
@@ -458,7 +462,6 @@ class EEVFSCluster:
     def run(
         self,
         trace: Trace,
-        timeout_s: float = 1e7,
         replay_mode: str = "paced",
         history: Optional[Trace] = None,
     ) -> RunResult:
@@ -512,7 +515,7 @@ class EEVFSCluster:
         end = self.sim.now
         if replay_span is not None and tracer is not None:
             tracer.end(replay_span)
-        if end - epoch > timeout_s:  # pragma: no cover - guard rail
+        if end - epoch > RUN_TIMEOUT_S:  # pragma: no cover - guard rail
             raise RuntimeError(f"run exceeded timeout ({end - epoch:.0f}s simulated)")
         if self.metaplane is not None:
             self.metaplane.finalize(end)
@@ -665,15 +668,13 @@ def run_eevfs(
     config: Optional[EEVFSConfig] = None,
     cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    replay_mode: str = "paced",
-    faults: Optional[FaultSchedule] = None,
     obs: bool = False,
 ) -> RunResult:
-    """One-call helper: build a cluster, run *trace*, return the result.
+    """One-call helper: build a cluster, run *trace* paced, return the
+    result.  Faults and other replay modes go through
+    :class:`EEVFSCluster` or a :class:`~repro.parallel.jobs.JobSpec`.
 
     Pass ``obs=True`` to attach span tracing + telemetry and get
     ``result.trace``.
     """
-    return EEVFSCluster(
-        cluster=cluster, config=config, seed=seed, faults=faults, obs=obs
-    ).run(trace, replay_mode=replay_mode)
+    return EEVFSCluster(cluster=cluster, config=config, seed=seed, obs=obs).run(trace)

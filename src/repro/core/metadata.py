@@ -68,10 +68,6 @@ class ServerMetadata:
     def __len__(self) -> int:
         return len(self._files)
 
-    def files_on(self, node: str) -> List[int]:
-        """All file ids placed on *node* (sorted for determinism)."""
-        return sorted(e.file_id for e in self._files.values() if e.node == node)
-
     def bytes_on(self, node: str) -> int:
         """Total bytes held by *node*, primaries and replicas alike
         (load-balance and repair-target diagnostics)."""
@@ -93,11 +89,6 @@ class ServerMetadata:
             raise ValueError(f"node {node!r} already holds file {file_id}")
         holders.append(node)
         self._live_cache.pop(file_id, None)
-
-    def replica_count(self, file_id: int) -> int:
-        """Total holders of a file (primary included)."""
-        self.lookup(file_id)
-        return 1 + len(self._replicas.get(file_id, ()))
 
     def holders(self, file_id: int) -> List[str]:
         """All nodes holding the file, primary first."""
@@ -255,15 +246,7 @@ class NodeMetadata:
         """All local file ids, sorted."""
         return sorted(self._disk_of)
 
-    def files_on_disk(self, disk: int) -> List[int]:
-        """Local files living on a given data disk."""
-        return sorted(f for f, d in self._disk_of.items() if d == disk)
-
     # -- buffer-disk copies --------------------------------------------------------
-
-    @property
-    def buffer_used_bytes(self) -> int:
-        return self._buffer_used
 
     def buffer_free_bytes(self) -> Optional[int]:
         """Free buffer space (None = unbounded)."""

@@ -130,8 +130,6 @@ class StorageNode:
         #: times and the file ids as two parallel typed arrays.
         self._hint_times: Optional[array[float]] = None
         self._hint_files: array[int] = array("q")
-        self.reprefetch_rounds = 0
-        self.files_evicted = 0
 
         # Request-plane counters (the RunResult raw material).
         self.buffer_hits = 0
@@ -139,9 +137,6 @@ class StorageNode:
         self.writes_buffered = 0
         self.writes_direct = 0
         self.writes_destaged = 0
-        self.bytes_destaged = 0
-        self.requests_served = 0
-        self.requests_failed = 0
 
         # Fault/replication plane (repro.faults, repro.replication).
         #: Whole-node failure flag; a crashed node answers nothing except
@@ -286,7 +281,6 @@ class StorageNode:
                     ),
                 )
             else:
-                self.requests_failed += 1
                 self.fabric.send_nowait(
                     self.spec.name,
                     request.client,
@@ -366,8 +360,6 @@ class StorageNode:
             for file_id in self.metadata.prefetched_files():
                 if file_id not in wanted:
                     self.metadata.unmark_prefetched(file_id)
-                    self.files_evicted += 1
-            self.reprefetch_rounds += 1
         self.prefetch_stats.files_requested += len(command.file_ids)
         self._prefetch_next(command, iter(command.file_ids), started)
 
@@ -422,7 +414,7 @@ class StorageNode:
             )
             for disk in self.metadata.stripe_disks(file_id)
         ]
-        _on(self.sim.all_of([r.done for r in reads]), read)
+        _on(AllOf(self.sim, [r.done for r in reads]), read)
 
     def _prefetched(self, command: PrefetchCommand, started: float) -> None:
         """The copies are over: ack if asked to; the inbox handler then
@@ -534,12 +526,11 @@ class StorageNode:
                 if dict(self.write_buffer.destage_plan()).get(file_id) == size:
                     self.write_buffer.destage(file_id)
                 self.writes_destaged += 1
-                self.bytes_destaged += size
                 for i in targets:
                     self.power.evaluate(i)
                 done.succeed()
 
-            _on(self.sim.all_of([w.done for w in writes]), written)
+            _on(AllOf(self.sim, [w.done for w in writes]), written)
 
         request = self.buffer_disk.submit(
             size,
@@ -677,7 +668,7 @@ class StorageNode:
                 )
                 for target in self.metadata.stripe_disks(file_id)
             ]
-            read = self.sim.all_of([io.done for io in ios])
+            read = AllOf(self.sim, [io.done for io in ios])
         _on(read, lambda event: self._ship_replica(pull, size, _survived(event)))
 
     def _ship_replica(self, pull: ReplicaPull, size: int, ok: bool) -> None:
@@ -713,7 +704,7 @@ class StorageNode:
                 )
                 for target in self.metadata.stripe_disks(data.file_id)
             ]
-            written = self.sim.all_of([io.done for io in ios])
+            written = AllOf(self.sim, [io.done for io in ios])
             _on(written, lambda event: self._report_repair(data.file_id, _survived(event)))
 
     def _report_repair(self, file_id: int, ok: bool) -> None:
@@ -934,7 +925,6 @@ class _Serve:
         node = self.node
         forwarded = self.forwarded
         request = forwarded.request
-        node.requests_failed += 1
         if forwarded.silent:
             # A lost fan-out write copy is the repair loop's problem,
             # not the client's: the primary already acked.
@@ -968,7 +958,6 @@ class _Serve:
             self._end()
             return
         request = self.forwarded.request
-        node.requests_served += 1
         # A drained disk is a fresh sleep opportunity.
         if disk_index is not None:
             for target in node.metadata.stripe_disks(request.file_id):

@@ -24,7 +24,7 @@ def place_round_robin(ranking: Sequence[int], nodes: Sequence[str]) -> Dict[int,
     ----------
     ranking:
         File ids in descending popularity order (a total order over the
-        catalog, from :meth:`PopularityEstimator.ranking`).
+        catalog, from :func:`repro.core.popularity.ranked`).
     nodes:
         Storage node names, in server order.
     """

@@ -84,13 +84,8 @@ class PowerManager:
         self._wake_seq: List[Optional[int]] = [None for _ in self.disks]
         #: Diagnostics.
         self.sleeps_initiated = 0
-        self.wakeaheads_scheduled = 0
 
     # -- setup ---------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
 
     def set_hints(
         self,
@@ -250,7 +245,6 @@ class PowerManager:
     def _mark_wake_point(self, disk_index: int) -> None:
         """Mark the §III-C wake-up transition point for a sleeping disk."""
         disk = self.disks[disk_index]
-        self.wakeaheads_scheduled += 1
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant("power.wake_ahead", disk.name, predictor=self.predictor)

@@ -24,10 +24,6 @@ class PrefetchPlan:
     per_node: Mapping[str, Tuple[int, ...]]
     requested_k: int
 
-    @property
-    def total_files(self) -> int:
-        return sum(len(files) for files in self.per_node.values())
-
     def files_for(self, node: str) -> Tuple[int, ...]:
         """The prefetch list for one node (empty if none)."""
         return self.per_node.get(node, ())
@@ -72,11 +68,3 @@ class PrefetchStats:
     bytes_copied: int = 0
     duration_s: float = 0.0
     skipped_capacity: int = 0
-
-    def merge(self, other: "PrefetchStats") -> None:
-        """Accumulate a node's stats into a cluster-wide total."""
-        self.files_requested += other.files_requested
-        self.files_copied += other.files_copied
-        self.bytes_copied += other.bytes_copied
-        self.duration_s = max(self.duration_s, other.duration_s)
-        self.skipped_capacity += other.skipped_capacity

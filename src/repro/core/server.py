@@ -49,7 +49,7 @@ from repro.net.message import Message
 from repro.replication.policy import plan_replicas
 from repro.replication.repair import ReplicationManager
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, URGENT
+from repro.sim.events import AllOf, Event, URGENT
 from repro.traces.model import RequestOp, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,7 +68,6 @@ class StorageServer:
         node_names: List[str],
         config: EEVFSConfig,
         nic_bps: float,
-        name: str = SERVER_NAME,
         node_disk_counts: Optional[Dict[str, int]] = None,
         node_weights: Optional[Dict[str, float]] = None,
         replan_source: Optional[PopularitySource] = None,
@@ -82,7 +81,7 @@ class StorageServer:
             )
         self.sim = sim
         self.fabric = fabric
-        self.name = name
+        self.name = SERVER_NAME
         self.node_names = list(node_names)
         self.config = config
         #: Data-disk count per node -- only consulted by centralised
@@ -90,7 +89,7 @@ class StorageServer:
         self.node_disk_counts = dict(node_disk_counts or {})
         #: Relative node capability (NIC rate) for weighted placement.
         self.node_weights = dict(node_weights or {})
-        self.endpoint = fabric.add_endpoint(name, nic_bps)
+        self.endpoint = fabric.add_endpoint(SERVER_NAME, nic_bps)
         if config.online_mode and replan_source is None:
             raise ValueError(
                 "online_mode drops the oracle: the server needs an injected "
@@ -104,7 +103,6 @@ class StorageServer:
         self.replan_source = replan_source
         self.placement: Dict[int, str] = {}
         self.prefetch_plan: Optional[PrefetchPlan] = None
-        self.requests_forwarded = 0
         #: Requests with no live holder at forward time (dropped with a
         #: RequestFailed straight back to the client).
         self.requests_unroutable = 0
@@ -145,7 +143,7 @@ class StorageServer:
         The epoch is the simulation time at which trace replay may begin
         (all placement, prefetch copies and hints are in place).
         """
-        done = self.sim.event()
+        done = Event(self.sim)
         nodes = iter(self.node_names)
 
         def connect(_value: Any = None) -> None:
@@ -237,7 +235,7 @@ class StorageServer:
                         ),
                     )
                 )
-        created = self.sim.all_of(create_events)
+        created = AllOf(self.sim, create_events)
         assert created.callbacks is not None
         created.callbacks.append(lambda _event: self._instruct(ranking, trace, done))
 
@@ -262,7 +260,7 @@ class StorageServer:
                 if (files := self.prefetch_plan.files_for(node))
             ]
             self._prefetch_acks_pending = len(commands)
-            self._prefetch_all_acked = self.sim.event()
+            self._prefetch_all_acked = Event(self.sim)
             self._command(iter(commands), trace, done)
         else:
             self._hint(trace, done)
@@ -311,7 +309,7 @@ class StorageServer:
                 epoch_s=epoch,
             )
             hint_events.append(self.fabric.send(self.name, node, payload))
-        hinted = self.sim.all_of(hint_events)
+        hinted = AllOf(self.sim, hint_events)
         assert hinted.callbacks is not None
         hinted.callbacks.append(lambda _event: self._ready(done))
 
@@ -388,7 +386,6 @@ class StorageServer:
                 primary,
                 ForwardedRequest(payload, backups),  # (request, failover)
             )
-            self.requests_forwarded += 1
             if lookup is not None and tracer is not None:
                 tracer.end(lookup, routed=True, node=primary)
             # Replicated writes fan out silently to the other holders so

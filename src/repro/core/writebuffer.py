@@ -24,8 +24,6 @@ class WriteBuffer:
         self.capacity_bytes = capacity_bytes
         self._dirty: Dict[int, int] = {}
         self._staged_at: Dict[int, float] = {}
-        self.writes_staged = 0
-        self.bytes_staged = 0
         self.writes_destaged = 0
 
     @property
@@ -65,15 +63,6 @@ class WriteBuffer:
             raise ValueError(f"write of {size_bytes} bytes does not fit")
         self._dirty[file_id] = size_bytes
         self._staged_at[file_id] = float(time_s)
-        self.writes_staged += 1
-        self.bytes_staged += size_bytes
-
-    def staged_at(self, file_id: int) -> float:
-        """When a dirty file's newest data was staged."""
-        try:
-            return self._staged_at[file_id]
-        except KeyError:
-            raise KeyError(f"file {file_id} has no staged data") from None
 
     def aged_files(self, now_s: float, max_age_s: float) -> List[int]:
         """Dirty files staged more than *max_age_s* ago (sorted by age)."""

@@ -116,13 +116,6 @@ class FunctionCFG:
             block = self.blocks[pending.pop()]
             yield from scan(block.stmts, block.succs)
 
-    def happens_after(self, first: ast.stmt, later: ast.stmt) -> bool:
-        """Whether *later* can execute after *first* on some path."""
-        for stmt in self.walk_after(first, kill=lambda s: False):
-            if stmt is later:
-                return True
-        return False
-
 
 class _Builder:
     """Recursive-descent lowering of a statement suite into blocks."""

@@ -146,7 +146,7 @@ def default_scenarios(n_requests: int = DEFAULT_N_REQUESTS) -> List[JobSpec]:
     scenarios.append(
         scenario(
             "metaplane:leader-crash",
-            TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=n_requests)),
+            TraceSpec(workload=BerkeleyWebWorkload(n_requests=n_requests)),
             meta_config,
             # Compressed relative to the stock drill so all four crashes
             # and repairs land inside the shorter race-suite replay.

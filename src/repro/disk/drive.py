@@ -187,7 +187,6 @@ class StorageBackend:
         #: Requests submitted but not yet completed (queued + in service).
         self.inflight = 0
         self.requests_served = 0
-        self.bytes_served = 0
         #: Transient degradation: service times are multiplied by this
         #: factor (1.0 = healthy; set via :meth:`set_slowdown`).
         self.slowdown = 1.0
@@ -195,13 +194,12 @@ class StorageBackend:
         #: device observes after each failed attempt before it may retry.
         self._flaky_spinups = 0
         self._flaky_backoff_s = 0.0
-        self.spinup_failures = 0
         self.service_times = TallyStat(name=f"{name}:service")
         #: Re-armed event that fires when a spin-up/down completes.
-        self._transition_done: Event = sim.event()
+        self._transition_done: Event = Event(sim)
         #: Open spinup/spindown span (observability only; None otherwise).
         self._transition_span: Optional["Span"] = None
-        self._idle_started: Event = sim.event()
+        self._idle_started: Event = Event(sim)
         #: An idle timer is running and no activity has retired it yet.
         self._watchdog_timing = False
         #: Identifies the running idle timer; activity bumps it, so the
@@ -272,7 +270,6 @@ class StorageBackend:
             duration *= min(2.0, max(0.5, factor))
         if self._flaky_spinups > 0:
             self._flaky_spinups -= 1
-            self.spinup_failures += 1
             # The attempt begins in its own URGENT slot, after this call.
             self.sim.call_soon(self._failed_spinup, duration, priority=URGENT)
             return True
@@ -675,7 +672,6 @@ class SimDisk(StorageBackend):
                 tracer.end(span)
         self.inflight -= 1
         self.requests_served += 1
-        self.bytes_served += request.size_bytes
         self.service_times.record(self._service_s)
         if self.meter.state is not DiskState.FAILED and not self.queue.items:
             self._set_state(DiskState.LOW_IDLE if self._low else DiskState.IDLE)

@@ -105,11 +105,6 @@ class DiskSpec:
             if self.low_speed.power_idle_w <= self.power_standby_w:
                 raise ValueError(f"{self.name}: low-speed idle above standby")
 
-    @property
-    def is_multi_speed(self) -> bool:
-        """Whether the drive supports a reduced-RPM operating point."""
-        return self.low_speed is not None
-
     # -- derived quantities ----------------------------------------------------
 
     @property

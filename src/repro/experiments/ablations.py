@@ -90,10 +90,10 @@ def _arrivals(pattern: object, n_requests: int) -> JobSpec:
 
     diurnal = DiurnalWorkload(n_requests=n_requests)
     if pattern == "diurnal":
-        return JobSpec(trace=TraceSpec(kind="diurnal", workload=diurnal, seed=4))
+        return JobSpec(trace=TraceSpec(workload=diurnal, seed=4))
     # The constant comparator's inter-arrival is the diurnal trace's mean
     # (cached, so an in-process diurnal job reuses the generated trace).
-    trace = cached_trace("diurnal", diurnal, 4)
+    trace = cached_trace(diurnal, 4)
     mean_ia = trace.duration_s / max(1, trace.n_requests - 1)
     workload = SyntheticWorkload(n_requests=n_requests, inter_arrival_s=mean_ia)
     return JobSpec(trace=TraceSpec(workload=workload, seed=4))

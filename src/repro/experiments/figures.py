@@ -129,7 +129,7 @@ def figure6_study(n_requests: int = 1000, seed: int = 0) -> Study:
     Berkeley-web-like trace of rng seed 2 (§VI-D setup: 10 MB data size,
     K=70, re-spaced inter-arrival)."""
     workload = BerkeleyWebWorkload(n_requests=n_requests)
-    trace = TraceSpec(kind="berkeley", workload=workload, seed=2)
+    trace = TraceSpec(workload=workload, seed=2)
     return {FIG6: pair(JobSpec(trace=trace, seed=seed))}
 
 

@@ -103,7 +103,7 @@ def metaplane_study(
     and :func:`leader_crash_schedule`, so only ``metadata_replicas``
     varies within a point.
     """
-    trace = TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=n_requests))
+    trace = TraceSpec(workload=BerkeleyWebWorkload(n_requests=n_requests))
     return {
         shards: {
             f"{replicas}-replica": JobSpec(

@@ -81,7 +81,7 @@ def online_study(
         for value in TRACE_STUDIES if sweep == "traces" else SWEEPS[sweep][1]:
             if sweep == "traces":
                 workload = TRACE_STUDIES[value](n_requests=n_requests)
-                trace, oracle = TraceSpec(kind=value, workload=workload), base
+                trace, oracle = TraceSpec(workload=workload), base
             else:
                 trace = TraceSpec(workload=_workload_for(sweep, value, n_requests))
                 oracle = _config_for(sweep, value, base)

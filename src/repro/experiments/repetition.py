@@ -69,11 +69,6 @@ class RepeatedMetric:
             return float("nan")
         return t_critical_95(self.n - 1) * self.std / math.sqrt(self.n)
 
-    @property
-    def ci95(self) -> tuple:
-        half = self.ci95_halfwidth
-        return (self.mean - half, self.mean + half)
-
     def __str__(self) -> str:
         if self.n < 2:
             return f"{self.name}: {self.mean:.4g} (n=1)"

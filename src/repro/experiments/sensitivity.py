@@ -12,7 +12,7 @@ a single-digit-to-twenties band) across the whole grid.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import ClusterSpec, default_cluster
 from repro.disk.specs import DiskSpec
@@ -38,12 +38,11 @@ def scale_disk_power(spec: DiskSpec, factor: float) -> DiskSpec:
 def perturbed_cluster(
     base_power_factor: float = 1.0,
     disk_power_factor: float = 1.0,
-    base: Optional[ClusterSpec] = None,
 ) -> ClusterSpec:
-    """The testbed with its power model scaled."""
+    """The default testbed with its power model scaled."""
     if base_power_factor <= 0 or disk_power_factor <= 0:
         raise ValueError("factors must be > 0")
-    base = base or default_cluster()
+    base = default_cluster()
     nodes = tuple(
         replace(
             node,

@@ -89,16 +89,14 @@ def run_pair(
     config: Optional[EEVFSConfig] = None,
     cluster: Optional[ClusterSpec] = None,
     seed: int = 0,
-    obs: bool = False,
 ) -> PairedComparison:
     """Run PF and NPF over an in-memory *trace*, here and now, and compare.
 
     For the paths that cannot be a study: a search whose next probe
     depends on the last, a caller that times its own runs, or a trace
-    that no :class:`~repro.parallel.jobs.TraceSpec` describes.  ``obs``
-    attaches observability (span traces on both runs' results).
+    that no :class:`~repro.parallel.jobs.TraceSpec` describes.
     """
     config = config or EEVFSConfig()
-    pf = run_eevfs(trace, config.as_pf(), cluster, seed, obs=obs)
-    npf = run_eevfs(trace, config.as_npf(), cluster, seed, obs=obs)
+    pf = run_eevfs(trace, config.as_pf(), cluster, seed)
+    npf = run_eevfs(trace, config.as_npf(), cluster, seed)
     return compare(pf, npf)

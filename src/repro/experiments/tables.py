@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.config import ClusterSpec, default_cluster, PARAMETER_GRID
+from repro.core.config import default_cluster, PARAMETER_GRID
 from repro.disk.specs import MB, SATA_120GB_SERVER
 from repro.metrics.report import format_table
 
 
-def table1(cluster: ClusterSpec = None) -> str:
-    """Table I: configuration of the testbed."""
-    cluster = cluster if cluster is not None else default_cluster()
+def table1() -> str:
+    """Table I: configuration of the default testbed."""
+    cluster = default_cluster()
     # Group storage nodes by (disk spec, nic) into "types".
     types: Dict[tuple, List[str]] = {}
     for node in cluster.storage_nodes:

@@ -39,10 +39,6 @@ class FaultLog:
     def records(self) -> Tuple[FaultRecord, ...]:
         return tuple(self._records)
 
-    def of_kind(self, kind: str) -> Tuple[FaultRecord, ...]:
-        """All records of one kind, in order."""
-        return tuple(r for r in self._records if r.kind == kind)
-
     def __len__(self) -> int:
         return len(self._records)
 

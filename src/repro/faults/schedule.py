@@ -85,19 +85,18 @@ class FaultAction:
 
 @dataclass(frozen=True)
 class ExponentialFaults:
-    """An alternating exponential fail/repair process over *targets*.
+    """An alternating exponential fail/repair process over the disks
+    *targets*.
 
     Each target independently fails after ``Exp(mtbf_s)`` and repairs
     after ``Exp(mttr_s)`` (no repair events if ``mttr_s`` is None),
-    repeating until ``horizon_s``.  ``kind`` selects disk- or node-level
-    failures.
+    repeating until ``horizon_s``.
     """
 
     targets: Tuple[str, ...]
     mtbf_s: float
     mttr_s: Optional[float]
     horizon_s: float
-    kind: str = "disk"
 
     def __post_init__(self) -> None:
         if not self.targets:
@@ -108,8 +107,6 @@ class ExponentialFaults:
             raise ValueError(f"mttr_s must be finite and > 0, got {self.mttr_s!r}")
         if not 0 < self.horizon_s < math.inf:
             raise ValueError(f"horizon_s must be finite and > 0, got {self.horizon_s!r}")
-        if self.kind not in ("disk", "node"):
-            raise ValueError(f"kind must be 'disk' or 'node', got {self.kind!r}")
 
 
 @dataclass
@@ -255,25 +252,20 @@ class FaultSchedule:
         mtbf_s: float,
         horizon_s: float,
         mttr_s: Optional[float] = None,
-        kind: str = "disk",
     ) -> "FaultSchedule":
-        """Add an exponential fail/repair renewal process over *targets*."""
+        """Add an exponential fail/repair renewal process over the disks
+        *targets*."""
         self._stochastic.append(
             ExponentialFaults(
                 targets=tuple(targets),
                 mtbf_s=mtbf_s,
                 mttr_s=mttr_s,
                 horizon_s=horizon_s,
-                kind=kind,
             )
         )
         return self
 
     # -- materialisation -------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._actions and not self._stochastic
 
     def actions(self) -> Tuple[FaultAction, ...]:
         """The deterministic actions, time-sorted (stochastic specs excluded)."""
@@ -298,14 +290,12 @@ class FaultSchedule:
                     "needs a RandomStreams registry"
                 )
             for spec in self._stochastic:
-                fail_kind = DISK_FAIL if spec.kind == "disk" else NODE_FAIL
-                repair_kind = DISK_REPAIR if spec.kind == "disk" else NODE_REPAIR
                 for target in spec.targets:
                     rng = streams.fault_stream(target)
                     t = float(rng.exponential(spec.mtbf_s))
                     while t < spec.horizon_s:
                         actions.append(
-                            FaultAction(time_s=t, kind=fail_kind, target=target)
+                            FaultAction(time_s=t, kind=DISK_FAIL, target=target)
                         )
                         if spec.mttr_s is None:
                             break  # no repair: the target stays down
@@ -313,7 +303,7 @@ class FaultSchedule:
                         if t >= spec.horizon_s:
                             break
                         actions.append(
-                            FaultAction(time_s=t, kind=repair_kind, target=target)
+                            FaultAction(time_s=t, kind=DISK_REPAIR, target=target)
                         )
                         t += float(rng.exponential(spec.mtbf_s))
         return tuple(sorted(actions))

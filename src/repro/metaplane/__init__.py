@@ -1,4 +1,4 @@
-"""The sharded, consensus-backed metadata plane (ROADMAP item 1).
+"""The sharded, consensus-backed metadata plane.
 
 The paper's storage server is a single thin metadata process; one fault
 anywhere in the metadata path takes the whole cluster offline.  This

@@ -1,9 +1,9 @@
 """Consistent hashing of file ids onto metadata shards.
 
-A :class:`ShardRing` places ``vnodes`` virtual points per shard on a
+A :class:`ShardRing` places :data:`VNODES` virtual points per shard on a
 64-bit hash ring; a file id is hashed onto the ring and owned by the
 first shard point clockwise from it.  The mapping is a pure function of
-``(n_shards, vnodes, file_id)`` -- no randomness, no insertion-order
+``(n_shards, file_id)`` -- no randomness, no insertion-order
 dependence -- so every component (client router, metadata servers, the
 placement controller) derives the identical shard map independently, and
 two same-seed runs agree byte for byte.
@@ -19,6 +19,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 
+#: Virtual points per shard on the ring.
+VNODES = 64
+
 
 def stable_hash64(key: str) -> int:
     """A stable (process- and run-independent) 64-bit hash of *key*.
@@ -31,21 +34,18 @@ def stable_hash64(key: str) -> int:
 
 
 class ShardRing:
-    """A fixed ring of ``n_shards`` shards with ``vnodes`` points each."""
+    """A fixed ring of ``n_shards`` shards with :data:`VNODES` points each."""
 
-    __slots__ = ("n_shards", "vnodes", "_points", "_owners")
+    __slots__ = ("n_shards", "_points", "_owners")
 
-    def __init__(self, n_shards: int, vnodes: int = 64) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes!r}")
         self.n_shards = n_shards
-        self.vnodes = vnodes
         pairs = sorted(
             (stable_hash64(f"shard{shard}:{v}"), shard)
             for shard in range(n_shards)
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
         self._points = [h for h, _ in pairs]
         self._owners = [shard for _, shard in pairs]
@@ -61,4 +61,4 @@ class ShardRing:
         return self._owners[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ShardRing shards={self.n_shards} vnodes={self.vnodes}>"
+        return f"<ShardRing shards={self.n_shards}>"

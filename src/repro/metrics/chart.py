@@ -18,7 +18,6 @@ def grouped_bar_chart(
     series: Mapping[str, Sequence[float]],
     width: int = 50,
     title: Optional[str] = None,
-    unit: str = "",
 ) -> str:
     """Grouped horizontal bars: for each label, one bar per series.
 
@@ -51,17 +50,17 @@ def grouped_bar_chart(
             prefix = str(label) if j == 0 else ""
             lines.append(
                 f"{prefix:>{label_w}} {name:<{name_w}} |{bar:<{width}}| "
-                f"{value:,.4g}{unit}"
+                f"{value:,.4g}"
             )
         if len(series) > 1 and i < len(labels) - 1:
             lines.append("")
     return "\n".join(lines)
 
 
-def panel_chart(panel, series_names: Optional[Sequence[str]] = None, width: int = 40) -> str:
-    """Chart a :class:`repro.experiments.figures.Panel`."""
+def panel_chart(panel, series_names: Optional[Sequence[str]] = None) -> str:
+    """Chart a :class:`repro.experiments.figures.Panel`, 40 columns wide."""
     names = list(series_names) if series_names else list(panel.series)
     series = {name: panel.series[name] for name in names}
     return grouped_bar_chart(
-        panel.x_values, series, width=width, title=f"[{panel.x_label}]"
+        panel.x_values, series, width=40, title=f"[{panel.x_label}]"
     )

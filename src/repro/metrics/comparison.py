@@ -30,16 +30,6 @@ class PairedComparison:
         return 100.0 * (self.pf.mean_response_s / self.npf.mean_response_s - 1.0)
 
     @property
-    def response_penalty_s(self) -> float:
-        """Absolute mean response-time increase in seconds."""
-        return self.pf.mean_response_s - self.npf.mean_response_s
-
-    @property
-    def extra_transitions(self) -> int:
-        """Transitions PF performs beyond NPF (NPF is normally 0)."""
-        return self.pf.transitions - self.npf.transitions
-
-    @property
     def energy_saved_j(self) -> float:
         return self.npf.energy_j - self.pf.energy_j
 

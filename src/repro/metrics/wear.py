@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.filesystem import RunResult
-from repro.disk.specs import DiskSpec
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
+
+#: Start/stop cycles a drive is rated for: the default
+#: ``DiskSpec.rated_start_stop_cycles``.
+RATED_START_STOP_CYCLES = 50_000
 
 
 def cycles_per_year(spinups: int, duration_s: float) -> float:
@@ -63,10 +66,6 @@ class WearReport:
             return None
         return min(wearing, key=lambda d: d.years_to_limit)
 
-    @property
-    def total_spinups(self) -> int:
-        return sum(d.spinups for d in self.disks)
-
     def rows(self) -> List[List[object]]:
         """Table rows: name, spin-ups, cycles/year, years to limit."""
         return [
@@ -75,15 +74,14 @@ class WearReport:
         ]
 
 
-def wear_report(result: RunResult, spec: Optional[DiskSpec] = None) -> WearReport:
+def wear_report(result: RunResult) -> WearReport:
     """Project drive wear from a run's per-disk spin-up counts.
 
-    *spec* overrides the rated cycles for every drive; by default each
-    disk report is matched against the default 50k-cycle rating (the
-    RunResult does not carry specs, so per-type ratings require passing
-    the spec explicitly -- the catalog drives all share the default).
+    Every disk is matched against :data:`RATED_START_STOP_CYCLES` (the
+    RunResult does not carry specs, and the testbed's drives all share
+    that rating).
     """
-    rated = (spec.rated_start_stop_cycles if spec is not None else 50_000)
+    rated = RATED_START_STOP_CYCLES
     duration = result.duration_s
     disks = [
         DiskWear(

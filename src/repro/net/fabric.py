@@ -266,14 +266,9 @@ class Fabric:
         _Delivery(self, src, dst, payload, size_bytes, done)
         return done
 
-    def send_nowait(
-        self,
-        src: str,
-        dst: str,
-        payload: Any,
-        size_bytes: Optional[int] = None,
-    ) -> None:
-        """Fire-and-forget :meth:`send`: no completion event is created.
+    def send_nowait(self, src: str, dst: str, payload: Any) -> None:
+        """Fire-and-forget :meth:`send` of a control-sized message
+        (``CONTROL_MESSAGE_BYTES``): no completion event is created.
 
         Most protocol sends never wait on delivery (the reply arriving in
         the inbox *is* the acknowledgement), so skipping the completion
@@ -283,7 +278,7 @@ class Fabric:
         unchanged, so metrics are identical to ``send`` with the result
         ignored.
         """
-        _Delivery(self, src, dst, payload, size_bytes, None)
+        _Delivery(self, src, dst, payload, None, None)
 
     def connect(self, src: str, dst: str, then: Callable[[Any], None]) -> None:
         """Pay one connection-setup round trip (TCP handshake), then ``then``."""

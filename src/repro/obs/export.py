@@ -21,6 +21,9 @@ from repro.obs.tracer import RunTrace, Span
 
 _US_PER_S = 1_000_000.0
 
+#: The process row every Chrome trace names.
+PROCESS_NAME = "eevfs"
+
 
 def _track_ids(trace: RunTrace) -> Dict[str, int]:
     """Stable track-name -> integer thread id mapping (sorted by name)."""
@@ -37,7 +40,7 @@ def _span_args(span: Span) -> Dict[str, object]:
     return args
 
 
-def to_chrome_trace(trace: RunTrace, process_name: str = "eevfs") -> Dict[str, object]:
+def to_chrome_trace(trace: RunTrace) -> Dict[str, object]:
     """Render *trace* as a Chrome trace-event JSON object.
 
     The result is a plain dict ready for ``json.dump``; load the file in
@@ -50,7 +53,7 @@ def to_chrome_trace(trace: RunTrace, process_name: str = "eevfs") -> Dict[str, o
             "ph": "M",
             "pid": 1,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": PROCESS_NAME},
         }
     ]
     for track, tid in tids.items():
@@ -101,9 +104,9 @@ def to_chrome_trace(trace: RunTrace, process_name: str = "eevfs") -> Dict[str, o
     }
 
 
-def write_chrome_trace(trace: RunTrace, path: str, process_name: str = "eevfs") -> int:
+def write_chrome_trace(trace: RunTrace, path: str) -> int:
     """Write the Chrome trace JSON to *path*; returns the event count."""
-    document = to_chrome_trace(trace, process_name=process_name)
+    document = to_chrome_trace(trace)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, separators=(",", ":"))
         fh.write("\n")

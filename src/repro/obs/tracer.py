@@ -77,7 +77,6 @@ class Span:
         kind: str,
         track: str,
         start_s: float,
-        end_s: Optional[float] = None,
         parent_id: Optional[int] = None,
         tags: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -86,7 +85,7 @@ class Span:
         self.kind = kind
         self.track = track
         self.start_s = start_s
-        self.end_s = end_s
+        self.end_s: Optional[float] = None
         self.tags = tags
 
     @property

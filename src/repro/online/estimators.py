@@ -4,9 +4,9 @@ The paper derives its popularity ranking from a *complete* access trace
 known in advance (§IV-A).  Online mode replaces that oracle with
 estimators that learn from the observed request stream only, while
 satisfying the same :class:`~repro.core.popularity.PopularitySource`
-ranking/top-K protocol, and ranking by the same
-:func:`~repro.core.popularity.ranked` rule, so placement, prefetch
-planning and replanning can consume either interchangeably:
+ranking protocol, and ranking by the same
+:func:`~repro.core.popularity.ranked` rule, so replanning can consume
+either interchangeably:
 
 * :class:`EMAEstimator` -- exact per-file exponentially-decayed counts.
   Memory is O(distinct files observed); the decay half-life makes the
@@ -31,6 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.config import EEVFSConfig
 from repro.core.popularity import ranked
 
+#: Both estimators halve an access's weight every this many seconds of
+#: stream time.
+HALFLIFE_S = 120.0
+
+#: Files the Count-Min estimator's top-set ranks exactly.
+TOP_SET_CAPACITY = 256
+
 #: Renormalise EMA weights once the shared exponent passes this many
 #: half-lives, keeping scores in floating-point range over arbitrarily
 #: long runs without changing their ratios (hence never the ranking).
@@ -41,17 +48,14 @@ class EMAEstimator:
     """Exact exponentially-decayed access scores, one per observed file.
 
     Each access at time ``t`` contributes weight ``2**((t - t_now) /
-    halflife)`` when read at ``t_now``: an access loses half its weight
+    HALFLIFE_S)`` when read at ``t_now``: an access loses half its weight
     every half-life.  Internally scores share a common time origin so
     ``record`` is O(1) and no per-read decay sweep is needed; the origin
     is shifted (rescaling every score by the same factor) before the
     shared exponent can overflow.
     """
 
-    def __init__(self, halflife_s: float = 120.0) -> None:
-        if halflife_s <= 0:
-            raise ValueError(f"halflife_s must be > 0, got {halflife_s!r}")
-        self.halflife_s = halflife_s
+    def __init__(self) -> None:
         self._scores: Dict[int, float] = {}
         self._origin_s = 0.0
         self._last_s = 0.0
@@ -64,7 +68,7 @@ class EMAEstimator:
                 f"accesses must arrive in time order: {time_s} < {self._last_s}"
             )
         self._last_s = time_s
-        exponent = (time_s - self._origin_s) / self.halflife_s
+        exponent = (time_s - self._origin_s) / HALFLIFE_S
         if exponent > _EMA_RESCALE_HALFLIVES:
             factor = 2.0 ** (-exponent)
             for fid in list(self._scores):
@@ -77,7 +81,7 @@ class EMAEstimator:
     def estimate(self, file_id: int) -> float:
         """Decayed score of *file_id* as of the last recorded access."""
         score = self._scores.get(file_id, 0.0)
-        decay = 2.0 ** ((self._origin_s - self._last_s) / self.halflife_s)
+        decay = 2.0 ** ((self._origin_s - self._last_s) / HALFLIFE_S)
         return score * decay
 
     def counts(self) -> Dict[int, float]:
@@ -86,11 +90,6 @@ class EMAEstimator:
 
     def ranking(self, catalog: Optional[Sequence[int]] = None) -> List[int]:
         return ranked(self._scores, catalog)
-
-    def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k!r}")
-        return self.ranking(catalog)[:k]
 
 
 class CountMinSketch:
@@ -131,19 +130,18 @@ class CountMinSketch:
             for mult in self._multipliers
         )
 
-    def update(self, key: int, amount: float = 1.0) -> float:
-        """Add *amount* (conservative update) and return the new estimate."""
-        if amount < 0:
-            raise ValueError(f"amount must be >= 0, got {amount!r}")
+    def update(self, key: int) -> float:
+        """Count one occurrence (conservative update) and return the new
+        estimate."""
         indices = self._cell_indices(key)
         current = min(
             self._cells[row][idx] for row, idx in enumerate(indices)
         )
-        target = current + amount
+        target = current + 1.0
         for row, idx in enumerate(indices):
             if self._cells[row][idx] < target:
                 self._cells[row][idx] = target
-        self.total += amount
+        self.total += 1.0
         return target
 
     def estimate(self, key: int) -> float:
@@ -167,11 +165,12 @@ class CountMinEstimator:
     """Count-Min Sketch + a bounded decaying top-set.
 
     The sketch answers "how often was this file accessed (roughly)?" in
-    O(1) memory per counter; the top-set keeps the ``capacity``
-    highest-estimate files exactly, which is all the ranking protocol
-    needs for prefetch-sized K.  Every ``halflife_s`` of stream time
-    both structures are halved, so a file that stops being accessed
-    decays out of the top-set and drifted-onto files displace it.
+    O(1) memory per counter; the top-set keeps the
+    :data:`TOP_SET_CAPACITY` highest-estimate files exactly, which is
+    all the ranking protocol needs for prefetch-sized K.  Every
+    :data:`HALFLIFE_S` of stream time both structures are halved, so a
+    file that stops being accessed decays out of the top-set and
+    drifted-onto files displace it.
 
     Ranking semantics match :class:`EMAEstimator`: top-set files by
     estimate desc (ties: lower id), then the rest of the catalog
@@ -180,25 +179,12 @@ class CountMinEstimator:
     with.
     """
 
-    def __init__(
-        self,
-        width: int = 512,
-        depth: int = 4,
-        capacity: int = 256,
-        halflife_s: float = 120.0,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        if halflife_s <= 0:
-            raise ValueError(f"halflife_s must be > 0, got {halflife_s!r}")
-        self.sketch = CountMinSketch(width=width, depth=depth)
-        self.capacity = capacity
-        self.halflife_s = halflife_s
+    def __init__(self) -> None:
+        self.sketch = CountMinSketch()
         self._top: Dict[int, float] = {}
         self._next_age_s: Optional[float] = None
         self._last_s = 0.0
         self.recorded = 0
-        self.evictions = 0
 
     def record(self, time_s: float, file_id: int) -> None:
         """Ingest one observed access (times must be non-decreasing)."""
@@ -208,14 +194,14 @@ class CountMinEstimator:
             )
         self._last_s = time_s
         if self._next_age_s is None:
-            self._next_age_s = time_s + self.halflife_s
+            self._next_age_s = time_s + HALFLIFE_S
         while time_s >= self._next_age_s:
             self.sketch.age(0.5)
             for fid in list(self._top):
                 self._top[fid] *= 0.5
-            self._next_age_s += self.halflife_s
+            self._next_age_s += HALFLIFE_S
         estimate = self.sketch.update(file_id)
-        if file_id in self._top or len(self._top) < self.capacity:
+        if file_id in self._top or len(self._top) < TOP_SET_CAPACITY:
             self._top[file_id] = estimate
         else:
             # Evict the weakest candidate (ties: higher id goes first so
@@ -224,7 +210,6 @@ class CountMinEstimator:
             if estimate > self._top[weakest]:
                 del self._top[weakest]
                 self._top[file_id] = estimate
-                self.evictions += 1
         self.recorded += 1
 
     def estimate(self, file_id: int) -> float:
@@ -236,11 +221,6 @@ class CountMinEstimator:
 
     def ranking(self, catalog: Optional[Sequence[int]] = None) -> List[int]:
         return ranked(self._top, catalog)
-
-    def top_k(self, k: int, catalog: Optional[Sequence[int]] = None) -> List[int]:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k!r}")
-        return self.ranking(catalog)[:k]
 
 
 #: Either streaming estimator (both satisfy PopularitySource).

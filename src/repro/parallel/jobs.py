@@ -20,24 +20,20 @@ from repro.core.filesystem import EEVFSCluster, RunResult
 from repro.core.node import StorageNode
 from repro.faults.schedule import FaultSchedule
 from repro.traces.cache import cached_trace
+from repro.traces.synthetic import SyntheticWorkload
 
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """How to (re)generate a trace: kind + workload dataclass + rng seed."""
+    """How to (re)generate a trace: workload dataclass + rng seed (the
+    workload's type picks the generator)."""
 
-    kind: str = "synthetic"
-    workload: Any = None
+    workload: Any = field(default_factory=SyntheticWorkload)
     seed: int = 1
 
     def generate(self) -> Any:
         """Materialise the trace (memoised per process)."""
-        workload = self.workload
-        if workload is None:
-            from repro.traces.synthetic import SyntheticWorkload
-
-            workload = SyntheticWorkload()
-        return cached_trace(self.kind, workload, self.seed)
+        return cached_trace(self.workload, self.seed)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class JobFailed(RuntimeError):
     def __init__(self, spec: JobSpec, cause: BaseException) -> None:
         super().__init__(
             f"job {spec.label!r} failed "
-            f"(seed={spec.seed}, trace={spec.trace.kind}"
+            f"(seed={spec.seed}, trace={type(spec.trace.workload).__name__}"
             f"/{spec.trace.seed}): {type(cause).__name__}: {cause}"
         )
         self.spec = spec

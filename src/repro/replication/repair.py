@@ -45,9 +45,7 @@ class ReplicationManager:
         self.factor = server.config.replication_factor
         #: file_id -> dispatch time of repairs awaiting completion.
         self._inflight: Dict[int, float] = {}
-        self.repairs_started = 0
         self.repairs_completed = 0
-        self.repairs_failed = 0
         self.bytes_recopied = 0
         self.sim.call_soon(
             lambda _value: self.sim.call_later(REREPLICATION_CHECK_INTERVAL_S, self._scan),
@@ -86,7 +84,6 @@ class ReplicationManager:
             return False  # no live node has room for another holder
         entry = metadata.lookup(file_id)
         self._inflight[file_id] = self.sim.now
-        self.repairs_started += 1
         self.server.fabric.send_nowait(
             self.server.name,
             target,
@@ -114,7 +111,6 @@ class ReplicationManager:
     def on_complete(self, payload: RepairComplete) -> None:
         self._inflight.pop(payload.file_id, None)
         if not payload.ok:
-            self.repairs_failed += 1
             return
         metadata = self.server.metadata
         if payload.node not in metadata.holders(payload.file_id):

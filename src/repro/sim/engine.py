@@ -5,9 +5,9 @@ total order ``(time, priority, sequence)``:
 
 * a binary **heap** for events scheduled strictly into the future
   (``delay > 0``), and
-* three per-priority FIFO **lanes** (deques) for zero-delay entries --
-  ``succeed()``/``fail()``, kick-offs, :meth:`Simulator.call_soon`
-  continuations.
+* two per-priority FIFO **lanes** (deques), URGENT and NORMAL, for
+  zero-delay entries -- ``succeed()``/``fail()``, kick-offs,
+  :meth:`Simulator.call_soon` continuations.
 
 Zero-delay traffic dominates the hot path (every grant, completion and
 continuation is scheduled "now"), and a deque append/popleft is O(1)
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections import deque
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
-from repro.sim.events import AllOf, Event, NORMAL, URGENT
+from repro.sim.events import Event, NORMAL, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -155,19 +155,19 @@ class Simulator:
     #: leaves it ``None`` and pays nothing.
     default_lane_perturbation_seed: Optional[int] = None
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current simulated time in seconds.  A plain attribute, read
         #: on every hop of the request path; only the run loop (``run``,
         #: ``step`` and their pops) writes it.
-        self.now = float(start_time)
+        self.now = 0.0
         #: Future entries ``(time, priority, seq, fn, arg)``.
         self._heap: list[tuple[float, int, int, Any, Any]] = []
-        #: Zero-delay lanes, indexed by priority (URGENT/NORMAL/LOW).
+        #: Zero-delay lanes, indexed by priority (URGENT/NORMAL).
         #: Entries are ``(seq, fn, arg)``; every entry's implicit
         #: timestamp is the current clock.  The deque objects are created
         #: once and only ever mutated in place, so the run loop may cache
         #: them.
-        self._lanes: tuple[deque, deque, deque] = (deque(), deque(), deque())
+        self._lanes: tuple[deque, deque] = (deque(), deque())
         self._seq = 0
         self._events_processed = 0
         #: Observers called as ``hook(now, event)`` for every processed
@@ -236,18 +236,7 @@ class Simulator:
     def queue_size(self) -> int:
         """Number of events currently scheduled (diagnostic)."""
         lanes = self._lanes
-        return len(self._heap) + len(lanes[0]) + len(lanes[1]) + len(lanes[2])
-
-    # -- event factories -----------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh, untriggered event bound to this simulator."""
-        return Event(self)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that succeeds once all of *events* have succeeded, and
-        fails with the first of them that fails."""
-        return AllOf(self, events)
+        return len(self._heap) + len(lanes[0]) + len(lanes[1])
 
     # -- run loop ------------------------------------------------------------
 
@@ -320,8 +309,6 @@ class Simulator:
             priority, lane = 0, lanes[0]
         elif lanes[1]:
             priority, lane = 1, lanes[1]
-        elif lanes[2]:
-            priority, lane = 2, lanes[2]
         else:
             try:
                 self.now, _, _, fn, arg = heapq.heappop(self._heap)
@@ -368,8 +355,6 @@ class Simulator:
             priority, lane = 0, lanes[0]
         elif lanes[1]:
             priority, lane = 1, lanes[1]
-        elif lanes[2]:
-            priority, lane = 2, lanes[2]
         else:
             try:
                 self.now, _, _, fn, arg = heapq.heappop(self._heap)
@@ -457,7 +442,7 @@ class Simulator:
         heap = self._heap
         # The lane deques are stable objects (mutated in place, never
         # reassigned), so caching them in locals is safe.
-        lane_u, lane_n, lane_l = self._lanes
+        lane_u, lane_n = self._lanes
         #: Events dispatched by this inlined loop; flushed to
         #: ``_events_processed`` in the finally block so the hot path pays
         #: one local increment instead of two attribute operations.
@@ -473,13 +458,11 @@ class Simulator:
             # event is the single largest fixed cost of the run loop.
             while True:
                 # -- pop next in (time, priority, seq) order ---------------
-                if lane_u or lane_n or lane_l:
+                if lane_u or lane_n:
                     if lane_u:
                         priority, lane = 0, lane_u
-                    elif lane_n:
-                        priority, lane = 1, lane_n
                     else:
-                        priority, lane = 2, lane_l
+                        priority, lane = 1, lane_n
                     if heap:
                         top = heap[0]
                         if top[0] == self.now and (

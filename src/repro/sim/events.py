@@ -2,7 +2,7 @@
 
 An :class:`Event` is the unit of coordination: callbacks subscribe to an
 event and run when it is processed, after it *triggers* (succeeds or
-fails).  Three scheduling priorities exist so that same-timestamp events
+fails).  Two scheduling priorities exist so that same-timestamp events
 process in a well-defined order; ties beyond priority break on a
 monotonically increasing sequence number, which makes the whole engine
 deterministic.  An :class:`AllOf` succeeds once a set of events has.
@@ -21,7 +21,6 @@ PENDING: Any = object()
 #: Scheduling priorities (lower value processes first at equal timestamps).
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 
 class Event:
@@ -76,14 +75,15 @@ class Event:
 
     # -- triggering ---------------------------------------------------------
 
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value*.
 
-        The event is scheduled to process at the current simulation time.
-        (The lane append is inlined -- this is one of the engine's hottest
-        calls and the extra :meth:`Simulator.schedule` frame showed up in
-        profiles.  Zero-delay events go to the engine's per-priority FIFO
-        lanes instead of the heap: O(1) instead of O(log n), with the
+        The event is scheduled to process at the current simulation time,
+        at NORMAL priority.  (The lane append is inlined -- this is one
+        of the engine's hottest calls and the extra
+        :meth:`Simulator.schedule` frame showed up in profiles.
+        Zero-delay events go to the engine's per-priority FIFO lanes
+        instead of the heap: O(1) instead of O(log n), with the
         ``(time, priority, seq)`` total order preserved by the run loop's
         lane/heap merge.)
         """
@@ -92,12 +92,12 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        sim._lanes[priority].append((sim._seq, None, self))
+        sim._lanes[NORMAL].append((sim._seq, None, self))
         sim._seq += 1
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event with an exception.
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event with an exception, at NORMAL priority.
 
         A callback waiting on the event handles the failure by setting
         ``_defused``.  If nothing defuses a failed event, the simulator
@@ -112,7 +112,7 @@ class Event:
         self._exc = exception
         self._value = exception
         sim = self.sim
-        sim._lanes[priority].append((sim._seq, None, self))
+        sim._lanes[NORMAL].append((sim._seq, None, self))
         sim._seq += 1
         return self
 

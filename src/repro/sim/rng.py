@@ -30,6 +30,8 @@ class RandomStreams:
     def __init__(self, seed: int = 0) -> None:
         if not isinstance(seed, int):
             raise TypeError(f"seed must be an int, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
         self.seed = seed
         self._streams: dict[str, np.random.Generator] = {}
 
@@ -39,7 +41,9 @@ class RandomStreams:
             raise ValueError("stream name must be non-empty")
         gen = self._streams.get(name)
         if gen is None:
-            seq = np.random.SeedSequence([self.seed & 0xFFFFFFFF, *_name_entropy(name)])
+            # The whole seed: a seed below 2**32 is one entropy word, a
+            # larger one several, so distinct seeds never share a stream.
+            seq = np.random.SeedSequence([self.seed, *_name_entropy(name)])
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen

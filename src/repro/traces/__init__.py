@@ -10,10 +10,9 @@ provides:
   (Poisson-MU file popularity, fixed inter-arrival delay, data sizes),
 * :mod:`repro.traces.berkeley`  -- a Berkeley-web-trace-like generator
   (documented substitution for the 1998 UCB trace used in Fig. 6),
-* :mod:`repro.traces.logio`     -- the append-only access log and trace
-  file round-tripping,
+* :mod:`repro.traces.logio`     -- trace file round-tripping,
 * :mod:`repro.traces.cache`     -- deterministic trace memoisation (one
-  generation per (kind, workload, seed) per process),
+  generation per (workload, seed) per process),
 * :mod:`repro.traces.stats`     -- popularity and skew statistics.
 """
 
@@ -21,7 +20,7 @@ from repro.traces.berkeley import BerkeleyWebWorkload, generate_berkeley_like_tr
 from repro.traces.cache import cached_trace, TraceCache
 from repro.traces.diurnal import DiurnalWorkload, generate_diurnal_trace
 from repro.traces.importers import read_msr_trace
-from repro.traces.logio import AccessLog, read_trace, write_trace
+from repro.traces.logio import read_trace, write_trace
 from repro.traces.model import FileSpec, RequestOp, Trace, TraceRequest
 from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
 from repro.traces.stats import (
@@ -33,7 +32,6 @@ from repro.traces.stats import (
 from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
 __all__ = [
-    "AccessLog",
     "BerkeleyWebWorkload",
     "DiurnalWorkload",
     "DriftingWorkload",

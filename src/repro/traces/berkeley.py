@@ -17,7 +17,7 @@ working set, shuffled so hot files are not correlated with catalog order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ class BerkeleyWebWorkload:
     working_set_files: int = 50
     #: Zipf exponent over the working set (>1 for a proper distribution).
     zipf_alpha: float = 1.4
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.n_files > 0:
@@ -98,6 +97,5 @@ def generate_berkeley_like_trace(
         "substitution": (
             "synthetic stand-in for UCB/CSD-98-1029 web trace; see DESIGN.md"
         ),
-        **workload.meta,
     }
     return Trace(files, meta=meta, times=times, file_ids=file_ids)

@@ -1,8 +1,8 @@
 """Deterministic trace caching.
 
-Trace generation is pure: a (workload kind, workload parameters, rng
-seed) triple always yields the same :class:`~repro.traces.model.Trace`.
-Experiment drivers exploit that in two ways:
+Trace generation is pure: a workload dataclass and an rng seed always
+yield the same :class:`~repro.traces.model.Trace`, and the workload's
+type picks the generator.  Experiment drivers exploit that in two ways:
 
 * repetition and ablation loops reuse one trace across many runs
   instead of regenerating it per point;
@@ -19,52 +19,30 @@ sharing one object is safe.
 
 from __future__ import annotations
 
-from dataclasses import astuple, is_dataclass
+from dataclasses import astuple
 from typing import Any, Callable, Dict, Tuple
 
+import numpy as np
+
+from repro.traces.berkeley import BerkeleyWebWorkload, generate_berkeley_like_trace
+from repro.traces.diurnal import DiurnalWorkload, generate_diurnal_trace
 from repro.traces.model import Trace
+from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
+from repro.traces.synthetic import generate_synthetic_trace, SyntheticWorkload
 
-#: Workload kind -> generator taking ``(workload, rng)``.  Resolved
-#: lazily so importing the cache does not pull every workload module.
-_KINDS = ("synthetic", "drifting", "diurnal", "berkeley")
-
-
-def _generator_for(kind: str) -> Callable:
-    if kind == "synthetic":
-        from repro.traces.synthetic import generate_synthetic_trace
-
-        return generate_synthetic_trace
-    if kind == "drifting":
-        from repro.traces.nonstationary import generate_drifting_trace
-
-        return generate_drifting_trace
-    if kind == "diurnal":
-        from repro.traces.diurnal import generate_diurnal_trace
-
-        return generate_diurnal_trace
-    if kind == "berkeley":
-        from repro.traces.berkeley import generate_berkeley_like_trace
-
-        return generate_berkeley_like_trace
-    raise ValueError(f"unknown trace kind {kind!r}; options: {_KINDS}")
+#: Workload type -> generator taking ``(workload, rng)``.
+_GENERATORS: Dict[type, Callable[..., Trace]] = {
+    SyntheticWorkload: generate_synthetic_trace,
+    DriftingWorkload: generate_drifting_trace,
+    DiurnalWorkload: generate_diurnal_trace,
+    BerkeleyWebWorkload: generate_berkeley_like_trace,
+}
 
 
-def _freeze(value: Any) -> Any:
-    """Recursively convert containers to hashable equivalents."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, set):
-        return frozenset(_freeze(v) for v in value)
-    return value
-
-
-def trace_key(kind: str, workload: Any, seed: int) -> Tuple:
-    """Hashable identity of a generated trace."""
-    if not is_dataclass(workload):
-        raise TypeError(f"workload must be a dataclass, got {workload!r}")
-    return (kind, type(workload).__name__, _freeze(astuple(workload)), int(seed))
+def trace_key(workload: Any, seed: int) -> Tuple:
+    """Hashable identity of a generated trace (every workload field is a
+    scalar, so the dataclass's tuple is hashable)."""
+    return (type(workload).__name__, astuple(workload), int(seed))
 
 
 class TraceCache:
@@ -79,17 +57,19 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, kind: str, workload: Any, seed: int = 1) -> Trace:
-        """Return the trace for (kind, workload, seed), generating once."""
-        key = trace_key(kind, workload, seed)
+    def get(self, workload: Any, seed: int = 1) -> Trace:
+        """Return the trace for (workload, seed), generating once."""
+        key = trace_key(workload, seed)
         trace = self._traces.get(key)
         if trace is not None:
             self.hits += 1
             return trace
-        import numpy as np
-
         self.misses += 1
-        trace = _generator_for(kind)(workload, rng=np.random.default_rng(seed))
+        try:
+            generate = _GENERATORS[type(workload)]
+        except KeyError:
+            raise TypeError(f"no trace generator for {type(workload).__name__}") from None
+        trace = generate(workload, rng=np.random.default_rng(seed))
         self._traces[key] = trace
         return trace
 
@@ -107,6 +87,6 @@ class TraceCache:
 GLOBAL_TRACE_CACHE = TraceCache()
 
 
-def cached_trace(kind: str, workload: Any, seed: int = 1) -> Trace:
+def cached_trace(workload: Any, seed: int = 1) -> Trace:
     """Fetch (or generate once) a trace from the process-wide cache."""
-    return GLOBAL_TRACE_CACHE.get(kind, workload, seed)
+    return GLOBAL_TRACE_CACHE.get(workload, seed)

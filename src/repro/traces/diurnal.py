@@ -8,7 +8,7 @@ thinning, with the paper's Poisson-MU file popularity on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class DiurnalWorkload:
     peak_rate_hz: float = 2.5
     trough_rate_hz: float = 0.5
     period_s: float = 1200.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.n_files > 0:
@@ -85,6 +84,5 @@ def generate_diurnal_trace(
         "peak_rate_hz": workload.peak_rate_hz,
         "trough_rate_hz": workload.trough_rate_hz,
         "period_s": workload.period_s,
-        **workload.meta,
     }
     return Trace(files, meta=meta, times=times, file_ids=file_ids)

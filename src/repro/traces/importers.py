@@ -65,12 +65,8 @@ def _extents_to_trace(
 def read_msr_trace(
     source: Union[str, Path, TextIO],
     extent_bytes: int = 10 * MB,
-    max_records: int = 0,
 ) -> Trace:
-    """Import an MSR-Cambridge-format CSV block trace.
-
-    ``max_records`` truncates long traces (0 = no limit).
-    """
+    """Import an MSR-Cambridge-format CSV block trace."""
     if extent_bytes <= 0:
         raise ValueError(f"extent_bytes must be > 0, got {extent_bytes!r}")
     handle, owned = _open(source)
@@ -96,8 +92,6 @@ def read_msr_trace(
             time_s = ticks / _FILETIME_TICKS_PER_S
             key = (hostname, disk, offset // extent_bytes)
             events.append((time_s, key, kind == "write"))
-            if max_records and len(events) >= max_records:
-                break
         return _extents_to_trace(events, extent_bytes, "msr-import")
     finally:
         if owned:

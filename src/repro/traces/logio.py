@@ -1,25 +1,13 @@
-"""Trace persistence and the append-only access log.
-
-Two concerns live here:
-
-* **Trace files** -- a plain-text format so traces can be generated once,
-  inspected, and replayed across experiments (:func:`write_trace` /
-  :func:`read_trace`).
-* **The access log** -- §IV: "The implementation uses an append-only log
-  of requests to keep track of file access patterns, which assists the
-  storage server in determining the needs for prefetching."
-  :class:`AccessLog` is that structure: record-only during operation,
-  with access-count queries over any time window.
+"""Trace files: a plain-text format so traces can be generated once,
+inspected, and replayed across experiments (:func:`write_trace` /
+:func:`read_trace`).
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
-from collections import Counter
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, List, TextIO, Union
 
 from repro.traces.model import FileSpec, OPS, RequestOp, Trace
 
@@ -96,45 +84,3 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
         if owned:
             handle.close()
 
-
-class AccessLog:
-    """Append-only record of file accesses with windowed count queries.
-
-    Appends must be time-ordered (the log is written as requests arrive at
-    the storage server).  Queries never mutate the log.  Times and file ids
-    are two parallel typed arrays: a whole-run log costs 16 bytes an entry.
-    """
-
-    def __init__(self) -> None:
-        self._times = array("d")
-        self._file_ids = array("q")
-
-    def append(self, time_s: float, file_id: int) -> None:
-        """Record one access."""
-        if self._times and time_s < self._times[-1]:
-            raise ValueError(
-                f"access log must be appended in time order "
-                f"({time_s!r} < {self._times[-1]!r})"
-            )
-        if file_id < 0:
-            raise ValueError(f"file_id must be >= 0, got {file_id!r}")
-        self._times.append(float(time_s))
-        self._file_ids.append(int(file_id))
-
-    def record_trace(self, trace: Trace) -> None:
-        """Bulk-append every request of *trace* (Fig. 2 step 2 bootstrap)."""
-        for time_s, file_id in zip(trace.times, trace.file_ids):
-            self.append(time_s, file_id)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def counts(
-        self,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Counter:
-        """Access counts per file over ``[since, until]`` (inclusive)."""
-        lo = 0 if since is None else bisect_left(self._times, since)
-        hi = len(self._times) if until is None else bisect_right(self._times, until)
-        return Counter(self._file_ids[lo:hi])

@@ -7,7 +7,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 import enum
 import math
-from typing import Any, Dict, Iterable, Iterator, List, Optional, overload, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, overload, Sequence, Union
 
 import numpy as np
 
@@ -63,12 +63,10 @@ class Trace:
     The requests are three typed columns, 17 bytes a request: ``times``
     (``array('d')``), ``file_ids`` (``array('q')``) and ``writes``
     (``array('B')``, 1 for a write; :data:`OPS` maps the flag to the
-    op).  Generators pass their draws as ``times=``/``file_ids=``/
-    ``writes=`` (no ``writes`` means all reads); a hand-built trace
-    passes ``requests=[TraceRequest(...), ...]``, which converts to the
-    same columns.  Either way the columns are validated once.  Iterating
-    a trace, or :attr:`requests`, yields a :class:`TraceRequest` built
-    per access.
+    op).  Generators and readers pass them as ``times=``/``file_ids=``/
+    ``writes=`` (no ``writes`` means all reads), and they are validated
+    once.  Iterating a trace, or :attr:`requests`, yields a
+    :class:`TraceRequest` built per access.
     """
 
     __slots__ = ("files", "meta", "times", "file_ids", "writes", "_by_id")
@@ -76,20 +74,12 @@ class Trace:
     def __init__(
         self,
         files: List[FileSpec],
-        requests: Optional[Iterable[TraceRequest]] = None,
         meta: Optional[Dict[str, object]] = None,
         *,
         times: Any = None,
         file_ids: Any = None,
         writes: Any = None,
     ) -> None:
-        if requests is not None:
-            if times is not None or file_ids is not None or writes is not None:
-                raise TypeError("pass requests or request columns, not both")
-            records = list(requests)
-            times = [r.time_s for r in records]
-            file_ids = [r.file_id for r in records]
-            writes = [r.op is RequestOp.WRITE for r in records]
         t = np.ascontiguousarray(() if times is None else times, dtype=np.float64)
         ids = np.ascontiguousarray(() if file_ids is None else file_ids, dtype=np.int64)
         w = (
@@ -123,15 +113,6 @@ class Trace:
         self.file_ids: array[int] = array("q", ids.tobytes())
         self.writes: array[int] = array("B", w.tobytes())
         self._by_id: Dict[int, FileSpec] = by_id
-
-    # -- catalog access ------------------------------------------------------------
-
-    def file(self, file_id: int) -> FileSpec:
-        """Catalog lookup."""
-        try:
-            return self._by_id[file_id]
-        except KeyError:
-            raise KeyError(f"unknown file_id: {file_id!r}") from None
 
     @property
     def n_files(self) -> int:
@@ -180,36 +161,6 @@ class Trace:
     __hash__ = None  # type: ignore[assignment]
 
     # -- transforms ------------------------------------------------------------------
-
-    def with_inter_arrival(self, delay_s: float) -> "Trace":
-        """Re-time the trace to a constant inter-arrival spacing.
-
-        §VI-D does exactly this to the Berkeley trace ("we modified ... the
-        inter-arrival delay for requests to prevent a large amount of
-        queuing").  Access order and file identity are preserved.
-        """
-        if not 0.0 <= delay_s < math.inf:
-            raise ValueError(f"delay_s must be finite and >= 0, got {delay_s!r}")
-        meta = dict(self.meta)
-        meta["inter_arrival_s"] = delay_s
-        return Trace(
-            list(self.files),
-            meta=meta,
-            times=np.arange(len(self.times)) * float(delay_s),
-            file_ids=self.file_ids,
-            writes=self.writes,
-        )
-
-    def with_file_size(self, size_bytes: int) -> "Trace":
-        """Override every file's size (the §VI-D 10 MB normalisation)."""
-        if size_bytes < 0:
-            raise ValueError(f"size must be >= 0, got {size_bytes!r}")
-        files = [FileSpec(f.file_id, size_bytes) for f in self.files]
-        meta = dict(self.meta)
-        meta["file_size_bytes"] = size_bytes
-        return Trace(
-            files, meta=meta, times=self.times, file_ids=self.file_ids, writes=self.writes
-        )
 
     def head(self, n: int) -> "Trace":
         """The first *n* requests (catalog unchanged)."""

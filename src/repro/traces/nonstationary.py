@@ -11,7 +11,7 @@ replan loop of :mod:`repro.online.replan` in oracle mode) can track it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ class DriftingWorkload:
     mu: float = 100.0
     inter_arrival_s: float = 0.700
     drift_files_per_s: float = 0.5
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.n_files > 0:
@@ -76,7 +75,6 @@ def generate_drifting_trace(
         "mu": workload.mu,
         "inter_arrival_s": workload.inter_arrival_s,
         "drift_files_per_s": workload.drift_files_per_s,
-        **workload.meta,
     }
     return Trace(files, meta=meta, times=times, file_ids=file_ids)
 

@@ -13,12 +13,12 @@ the trace itself are:
   over roughly ±3*sqrt(1000) ≈ 190 files.
 * **Inter-arrival delay** -- "we have added 0 to 1000 ms of inter-arrival
   delay between requests": a *constant* spacing, which we reproduce
-  exactly (an exponential option exists for sensitivity studies).
+  exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,8 @@ POISSON_MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) 
 class SyntheticWorkload:
     """Parameter bundle for :func:`generate_synthetic_trace`.
 
-    Attributes mirror Table II.  ``size_spread`` optionally turns the
-    per-file size from a constant into a lognormal with the given relative
-    sigma (0 keeps the paper's fixed-size behaviour).
+    Attributes mirror Table II: every file has the same size, and
+    requests arrive at a constant spacing.
     """
 
     n_files: int = DEFAULT_N_FILES
@@ -54,10 +53,7 @@ class SyntheticWorkload:
     data_size_bytes: int = DEFAULT_DATA_SIZE_BYTES
     mu: float = DEFAULT_MU
     inter_arrival_s: float = DEFAULT_INTER_ARRIVAL_S
-    arrival_process: str = "constant"  # or "exponential"
-    size_spread: float = 0.0
     write_fraction: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # `not x >= 0` also rejects NaN; a mean or a gap must be finite too.
@@ -78,10 +74,6 @@ class SyntheticWorkload:
                 f"the arrival span ({self.n_requests} - 1) x {self.inter_arrival_s!r} s "
                 "overflows"
             )
-        if self.arrival_process not in ("constant", "exponential"):
-            raise ValueError(f"unknown arrival process: {self.arrival_process!r}")
-        if not self.size_spread >= 0:
-            raise ValueError(f"size_spread must be >= 0")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError(f"write_fraction must be in [0, 1]")
 
@@ -91,18 +83,6 @@ def _sample_file_ids(
 ) -> np.ndarray:
     """Draw file indices as Poisson(MU) folded into the catalog."""
     return rng.poisson(lam=mu, size=n_requests) % n_files
-
-
-def _sample_sizes(
-    rng: np.random.Generator, mean_bytes: int, spread: float, n_files: int
-) -> np.ndarray:
-    if spread == 0.0 or mean_bytes == 0:
-        return np.full(n_files, mean_bytes, dtype=np.int64)
-    # Lognormal with the requested relative sigma, mean preserved.
-    sigma = np.sqrt(np.log1p(spread**2))
-    mu_log = np.log(mean_bytes) - sigma**2 / 2.0
-    sizes = rng.lognormal(mean=mu_log, sigma=sigma, size=n_files)
-    return np.maximum(1, sizes.round()).astype(np.int64)
 
 
 def generate_synthetic_trace(
@@ -116,21 +96,9 @@ def generate_synthetic_trace(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    sizes = _sample_sizes(
-        rng, workload.data_size_bytes, workload.size_spread, workload.n_files
-    )
-    files = make_catalog(workload.n_files, sizes.tolist())
-
+    files = make_catalog(workload.n_files, [workload.data_size_bytes] * workload.n_files)
     file_ids = _sample_file_ids(rng, workload.mu, workload.n_files, workload.n_requests)
-
-    if workload.arrival_process == "constant":
-        times = np.arange(workload.n_requests) * workload.inter_arrival_s
-    else:
-        if workload.inter_arrival_s == 0.0:
-            times = np.zeros(workload.n_requests)
-        else:
-            gaps = rng.exponential(workload.inter_arrival_s, size=workload.n_requests)
-            times = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    times = np.arange(workload.n_requests) * workload.inter_arrival_s
 
     if workload.write_fraction > 0.0:
         is_write = rng.random(workload.n_requests) < workload.write_fraction
@@ -144,15 +112,6 @@ def generate_synthetic_trace(
         "data_size_bytes": workload.data_size_bytes,
         "mu": workload.mu,
         "inter_arrival_s": workload.inter_arrival_s,
-        "arrival_process": workload.arrival_process,
-        **workload.meta,
+        "arrival_process": "constant",
     }
-    # With no requests the exponential branch still yields the first
-    # arrival, at 0; the slice keeps the trace empty.
-    return Trace(
-        files,
-        meta=meta,
-        times=times[: workload.n_requests],
-        file_ids=file_ids,
-        writes=is_write,
-    )
+    return Trace(files, meta=meta, times=times, file_ids=file_ids, writes=is_write)

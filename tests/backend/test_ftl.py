@@ -27,7 +27,8 @@ class TestPageMappedFTL:
         ftl = _ftl(channels=2)
         plan = ftl.write_pages(list(range(6)))
         assert plan.programs == [3, 3]
-        assert [ftl.channel_of(lp) for lp in range(6)] == [0, 1, 0, 1, 0, 1]
+        channels = [(ftl._l2p[lp] // ftl.pages_per_block) % ftl.n_channels for lp in range(6)]
+        assert channels == [0, 1, 0, 1, 0, 1]
 
     def test_rewrite_invalidates_the_old_copy(self):
         ftl = _ftl()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import drpm_cluster, drpm_config
 from repro.core import EEVFSConfig, run_eevfs
-from repro.disk.specs import ATA_80GB_TYPE1, MULTISPEED_80GB
+from repro.disk.specs import MULTISPEED_80GB
 from repro.experiments.baseline_suite import SUITE
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import SyntheticWorkload
@@ -24,12 +24,7 @@ def test_drpm_cluster_swaps_data_disks_only():
     cluster = drpm_cluster()
     for node in cluster.storage_nodes:
         assert node.disk_spec is MULTISPEED_80GB
-        assert not node.buffer_spec.is_multi_speed
-
-
-def test_drpm_cluster_rejects_single_speed_disk():
-    with pytest.raises(ValueError):
-        drpm_cluster(disk=ATA_80GB_TYPE1)
+        assert node.buffer_spec.low_speed is None  # single-speed
 
 
 def test_drpm_config_is_timer_driven():

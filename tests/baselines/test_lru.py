@@ -13,8 +13,6 @@ class TestBasics:
         assert cache.access(1) is False
         cache.insert(1, 50)
         assert cache.access(1) is True
-        assert cache.hits == 1
-        assert cache.misses == 1
 
     def test_eviction_is_lru_order(self):
         cache = LRUFileCache(capacity_bytes=100)
@@ -32,7 +30,7 @@ class TestBasics:
         cache.insert(3, 30)
         evicted = cache.insert(4, 90)
         assert evicted == [1, 2, 3]
-        assert cache.contents() == [4]
+        assert len(cache) == 1 and 4 in cache
 
     def test_oversized_file_not_admitted(self):
         cache = LRUFileCache(capacity_bytes=100)
@@ -45,7 +43,7 @@ class TestBasics:
         cache.insert(2, 40)
         cache.insert(1, 60)  # refresh + grow
         assert cache.used_bytes == 100
-        assert cache.contents() == [2, 1]
+        assert cache.insert(3, 40) == [2]  # 1 was refreshed, so 2 is LRU
 
     def test_unbounded_cache_never_evicts(self):
         cache = LRUFileCache()
@@ -78,4 +76,3 @@ def test_capacity_invariant_and_hit_consistency(capacity, operations):
         if not expected_hit:
             cache.insert(file_id, size)
         assert cache.used_bytes <= capacity
-    assert cache.hits + cache.misses == len(operations)

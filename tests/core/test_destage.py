@@ -6,6 +6,7 @@ import pytest
 from repro.core import EEVFSConfig, run_eevfs
 from repro.core import node as node_module
 from repro.core.filesystem import EEVFSCluster
+from repro.sim.events import Event
 from repro.traces import generate_synthetic_trace
 from repro.traces.synthetic import MB, SyntheticWorkload
 
@@ -51,22 +52,18 @@ class TestDestaging:
         trace = write_trace(n_requests=100, inter_arrival_s=1.0)
         cluster = EEVFSCluster(config=EEVFSConfig())
         result = cluster.run(trace)
-        total_staged = sum(n.write_buffer.writes_staged for n in cluster.nodes)
-        assert result.writes_destaged >= total_staged * 0.3
+        assert result.writes_destaged >= result.writes_buffered * 0.3
 
     def test_destage_io_lands_on_data_disks(self, monkeypatch):
         set_destage(monkeypatch, check_interval_s=5.0, max_dirty_age_s=20.0)
         trace = write_trace()
-        cluster = EEVFSCluster(config=EEVFSConfig())
-        cluster.run(trace)
-        destaged_bytes = sum(n.bytes_destaged for n in cluster.nodes)
-        data_written = sum(
-            d.bytes_served for n in cluster.nodes for d in n.data_disks
+        result = EEVFSCluster(config=EEVFSConfig()).run(trace)
+        data_requests = sum(
+            d.requests_served for n in result.nodes for d in n.disks if "/data" in d.name
         )
-        assert destaged_bytes > 0
-        # All data-disk traffic in an all-write run comes from destaging
-        # (prefetch reads excluded by using write_fraction=1).
-        assert data_written >= destaged_bytes * 0.99
+        assert result.writes_destaged > 0
+        # Every destage writes its file to the data disks.
+        assert data_requests >= result.writes_destaged
 
     def test_reads_still_served_from_buffer_while_dirty(self, monkeypatch):
         """A read of a dirty file must hit the buffer copy."""
@@ -123,7 +120,7 @@ class TestDestageUnderContention:
     def _destage(node, file_id=0):
         """Start *file_id*'s write-back; returns the event that succeeds
         when it is over."""
-        done = node.sim.event()
+        done = Event(node.sim)
         node._destage_one(file_id, done)
         return done
 
@@ -149,7 +146,7 @@ class TestDestageUnderContention:
         strict=True,
         reason="_destage_one tells a newer write apart by its size, and the "
         "node stages every write of a file at the same size, so the rewrite "
-        "is marked clean; WriteBuffer.staged_at would tell them apart",
+        "is marked clean; the stage time WriteBuffer keeps would tell them apart",
     )
     def test_redirty_at_the_same_size_keeps_the_newer_copy(self):
         # The size every staged write of this file has in a run.

@@ -81,7 +81,7 @@ class TestUnmarkPrefetched:
         meta.mark_prefetched(1)
         assert not meta.can_prefetch(2)
         meta.unmark_prefetched(1)
-        assert meta.buffer_used_bytes == 0
+        assert meta.buffer_free_bytes() == 100
         assert meta.can_prefetch(2)
 
     def test_unmark_unknown_raises(self):
@@ -126,7 +126,6 @@ class TestDynamicPrefetchEndToEnd:
         cluster = EEVFSCluster(config=DYNAMIC)
         result = cluster.run(drifting_trace, history=history)
         assert cluster.replanner.replans > 3
-        assert sum(n.reprefetch_rounds for n in cluster.nodes) > 0
         assert result.prefetch_files_copied > 70  # copies beyond the initial set
 
     def test_window_alone_replans(self, drifting_trace, history):
@@ -134,7 +133,7 @@ class TestDynamicPrefetchEndToEnd:
         and drift gate (0.1) then decide when the buffers move."""
         cluster = EEVFSCluster(config=EEVFSConfig(popularity_window_s=60.0))
         result = cluster.run(drifting_trace, history=history)
-        assert sum(n.reprefetch_rounds for n in cluster.nodes) > 0
+        assert cluster.replanner.replans > 0
         assert result.prefetch_files_copied > 70
         assert result.online is None  # the oracle arm reports no OnlineStats
 
@@ -154,10 +153,11 @@ class TestDynamicPrefetchEndToEnd:
 
         config = replace(DYNAMIC, buffer_capacity_bytes=700 * MB)  # 70 x 10 MB
         cluster = EEVFSCluster(config=config)
-        cluster.run(drifting_trace, history=history)
+        result = cluster.run(drifting_trace, history=history)
         for node in cluster.nodes:
-            assert node.metadata.buffer_used_bytes <= 700 * MB
-        assert sum(n.files_evicted for n in cluster.nodes) > 0
+            assert node.metadata.buffer_free_bytes() >= 0
+        held = sum(len(n.metadata.prefetched_files()) for n in cluster.nodes)
+        assert result.prefetch_files_copied > held  # later rounds evicted copies
 
     def test_dynamic_beats_static_hit_rate_under_drift(self, drifting_trace, history):
         """The extension's headline: tracking popularity beats a one-shot
@@ -178,5 +178,4 @@ class TestDynamicPrefetchEndToEnd:
         cluster = EEVFSCluster(config=EEVFSConfig())
         result = cluster.run(trace)
         assert cluster.replanner is None
-        assert sum(n.reprefetch_rounds for n in cluster.nodes) == 0
         assert result.prefetch_files_copied == 70

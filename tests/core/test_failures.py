@@ -116,6 +116,7 @@ class _SharedFailureSurface:
         # The idle timer puts the device to sleep first.
         sim.run(until=idle_s + spec.spindown_s + 0.5)
         assert disk.state is DiskState.STANDBY
+        spinups = disk.meter.spinup_count
         disk.inject_spinup_failures(1, backoff_s=backoff_s)
         doomed = disk.submit(1 * MB)
         outcomes = []
@@ -124,7 +125,7 @@ class _SharedFailureSurface:
         # STANDBY, and then waits out the back-off; fail inside it.
         sim.run(until=sim.now + spec.spinup_s + backoff_s / 2)
         assert disk.state is DiskState.STANDBY
-        assert disk.spinup_failures == 1
+        assert disk.meter.spinup_count == spinups + 1  # the failed attempt
         disk.fail()
         sim.run(until=sim.now + backoff_s)  # the back-off window closes
         assert outcomes == ["failed"]
@@ -136,7 +137,8 @@ class _SharedFailureSurface:
         sim.run(until=served.done)
         assert served.done.ok
         assert disk.requests_served == 1
-        assert disk.spinup_failures == 1  # the injected failure was used up
+        # The injected failure was used up: the next spin-up succeeded.
+        assert disk.meter.spinup_count == spinups + 2
         # Back to idle: the re-armed timer sleeps the device again.
         sim.run(until=sim.now + idle_s + spec.spindown_s + 0.5)
         assert disk.state is DiskState.STANDBY

@@ -1,5 +1,7 @@
 """Integration tests: the full EEVFS cluster end to end."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -103,16 +105,16 @@ class TestPlacementIntegration:
         trace = small_trace()
         cluster = EEVFSCluster(config=EEVFSConfig())
         cluster.run(trace)
-        per_node = [len(cluster.server.metadata.files_on(n.spec.name)) for n in cluster.nodes]
+        placed = Counter(node for _, node, _, _ in cluster.server.metadata.snapshot())
+        per_node = [placed[n.spec.name] for n in cluster.nodes]
         assert min(per_node) > 0
         assert max(per_node) - min(per_node) <= 1
 
     def test_request_load_balanced(self):
         """§III-B's purpose: popularity round-robin balances request load."""
         trace = small_trace(n_requests=400)
-        cluster = EEVFSCluster(config=EEVFSConfig(prefetch_enabled=False))
-        cluster.run(trace)
-        served = [n.requests_served for n in cluster.nodes]
+        result = EEVFSCluster(config=EEVFSConfig(prefetch_enabled=False)).run(trace)
+        served = [n.buffer_hits + n.data_disk_hits for n in result.nodes]
         assert max(served) <= 2.5 * (sum(served) / len(served))
 
     def test_node_local_metadata_consistent_with_server(self):
@@ -185,6 +187,13 @@ class TestDeterminism:
         b = run_eevfs(trace, EEVFSConfig(), seed=2)
         # Spin-up jitter differs, so response samples differ somewhere.
         assert a.response_times.samples != b.response_times.samples
+
+    def test_seeds_a_multiple_of_two_to_the_32_apart_differ(self):
+        """The whole seed picks the streams, not its low 32 bits."""
+        trace = small_trace(n_requests=300, mu=1000, n_files=1000)
+        a = run_eevfs(trace, EEVFSConfig(), seed=0)
+        b = run_eevfs(trace, EEVFSConfig(), seed=2**32)
+        assert a.record() != b.record()
 
 
 class TestConfigurationVariants:

@@ -37,15 +37,6 @@ class TestServerMetadata:
         assert 2 not in meta
         assert len(meta) == 1
 
-    def test_files_on_node(self):
-        meta = ServerMetadata()
-        meta.register(3, "a", 10)
-        meta.register(1, "a", 10)
-        meta.register(2, "b", 10)
-        assert meta.files_on("a") == [1, 3]
-        assert meta.files_on("b") == [2]
-        assert meta.files_on("c") == []
-
     def test_bytes_on_node(self):
         meta = ServerMetadata()
         meta.register(1, "a", 10)
@@ -95,20 +86,19 @@ class TestNodeMetadataPlacement:
         for fid in (5, 3, 8):
             meta.create(fid, 1)
         assert meta.files() == [3, 5, 8]
-        assert meta.files_on_disk(0) == [5, 8]
-        assert meta.files_on_disk(1) == [3]
+        assert [meta.disk_of(fid) for fid in (5, 3, 8)] == [0, 1, 0]
 
 
 class TestNodeMetadataPrefetch:
     def test_mark_and_query(self):
-        meta = NodeMetadata(n_data_disks=1)
+        meta = NodeMetadata(n_data_disks=1, buffer_capacity_bytes=1000)
         meta.create(1, 100)
         assert not meta.is_prefetched(1)
         assert meta.can_prefetch(1)
         meta.mark_prefetched(1)
         assert meta.is_prefetched(1)
         assert meta.prefetched_files() == [1]
-        assert meta.buffer_used_bytes == 100
+        assert meta.buffer_free_bytes() == 900
 
     def test_cannot_prefetch_unknown_file(self):
         meta = NodeMetadata(n_data_disks=1)

@@ -110,7 +110,7 @@ class TestInstallHints:
         sim, node = make_node(config=EEVFSConfig(prefetch_enabled=False))
         create_files(node)
         node._install_hints(AccessHints(arrivals={1: (5.0,)}, epoch_s=0.0))
-        assert not node.power.enabled
+        assert not node.power._enabled
 
     def test_striped_file_hints_cover_all_stripe_disks(self):
         sim, node = make_node(

@@ -1,66 +1,72 @@
 """Unit tests for popularity estimation from the access log (§IV-A)."""
 
+from collections import Counter
+import math
+
 import pytest
 
-from repro.core.popularity import PopularityEstimator, WindowEstimator
-from repro.traces import FileSpec, Trace, TraceRequest
+from repro.core.popularity import ranked, WindowEstimator
+from repro.traces import FileSpec, Trace
 
 
-def trace_from_ids(ids, n_files=10):
-    return Trace(
-        files=[FileSpec(i, 100) for i in range(n_files)],
-        requests=[TraceRequest(float(i), fid) for i, fid in enumerate(ids)],
+def log_of(ids):
+    """A whole-log estimator (an unbounded window) that has recorded
+    *ids*, one access a second."""
+    est = WindowEstimator(window_s=math.inf, clock=lambda: float(len(ids)))
+    for time_s, file_id in enumerate(ids):
+        est.record(float(time_s), file_id)
+    return est
+
+
+def test_from_trace_counts():
+    """Oracle setup ranks the history trace's file-id column by count."""
+    trace = Trace(
+        files=[FileSpec(i, 100) for i in range(4)],
+        times=[0.0, 1.0, 2.0],
+        file_ids=[1, 1, 2],
     )
-
-
-def test_from_trace_counts(self=None):
-    est = PopularityEstimator.from_trace(trace_from_ids([1, 1, 2]))
-    assert est.counts() == {1: 2, 2: 1}
+    counts = Counter(trace.file_ids)
+    assert counts == {1: 2, 2: 1}
+    assert ranked(counts, catalog=range(4)) == [1, 2, 0, 3]
 
 
 def test_online_recording():
-    est = PopularityEstimator()
-    est.record(0.0, 5)
-    est.record(1.0, 5)
+    est = log_of([5, 5])
+    assert est.recorded == 2
     assert est.counts() == {5: 2}
 
 
+def test_record_out_of_order_rejected():
+    est = WindowEstimator(window_s=math.inf, clock=lambda: 0.0)
+    est.record(5.0, 0)
+    with pytest.raises(ValueError, match="time order"):
+        est.record(4.0, 0)
+
+
+def test_negative_file_id_rejected():
+    est = WindowEstimator(window_s=math.inf, clock=lambda: 0.0)
+    with pytest.raises(ValueError, match="file_id"):
+        est.record(0.0, -1)
+
+
 def test_ranking_observed_only():
-    est = PopularityEstimator.from_trace(trace_from_ids([2, 2, 7]))
-    assert est.ranking() == [2, 7]
+    assert log_of([2, 2, 7]).ranking() == [2, 7]
 
 
 def test_ranking_rejects_log_outside_catalog():
-    est = PopularityEstimator()
-    est.record(0.0, 2)
-    est.record(1.0, 7)  # 7 is outside the catalog below
+    est = log_of([2, 7])  # 7 is outside the catalog below
     with pytest.raises(ValueError):
         est.ranking(catalog=[0, 1, 2, 3])
 
 
 def test_ranking_catalog_total_order():
-    est = PopularityEstimator.from_trace(trace_from_ids([2, 2, 1], n_files=5))
-    ranking = est.ranking(catalog=range(5))
+    ranking = log_of([2, 2, 1]).ranking(catalog=range(5))
     assert ranking == [2, 1, 0, 3, 4]
     assert len(ranking) == 5
 
 
-def test_top_k():
-    est = PopularityEstimator.from_trace(trace_from_ids([3, 3, 3, 1, 1, 4]))
-    assert est.top_k(2) == [3, 1]
-    assert est.top_k(0) == []
-    with pytest.raises(ValueError):
-        est.top_k(-1)
-
-
-def test_top_k_with_catalog_padding():
-    est = PopularityEstimator.from_trace(trace_from_ids([3, 3], n_files=5))
-    assert est.top_k(3, catalog=range(5)) == [3, 0, 1]
-
-
 def test_tie_break_is_lower_id_first():
-    est = PopularityEstimator.from_trace(trace_from_ids([9, 4, 9, 4]))
-    assert est.ranking() == [4, 9]
+    assert log_of([9, 4, 9, 4]).ranking() == [4, 9]
 
 
 def test_window_counts_only_recent_accesses():
@@ -72,3 +78,13 @@ def test_window_counts_only_recent_accesses():
     assert est.recorded == 5
     assert est.counts() == {2: 1, 3: 2}
     assert est.ranking(catalog=range(5)) == [3, 2, 0, 1, 4]
+
+
+def test_window_includes_its_left_edge():
+    now = [2.0]
+    est = WindowEstimator(window_s=1.0, clock=lambda: now[0])
+    for time_s, file_id in [(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 3)]:
+        est.record(time_s, file_id)
+    assert est.counts() == {2: 1, 1: 1, 3: 1}  # an access at now - window counts
+    now[0] = 3.5
+    assert est.counts() == {3: 1}

@@ -34,7 +34,7 @@ class TestConstruction:
 
     def test_disabled_until_hints(self, sim):
         _, pm = make(sim)
-        assert not pm.enabled
+        assert not pm._enabled
         assert pm.evaluate(0) is False
 
 
@@ -178,4 +178,4 @@ class TestSequenceWakeAhead:
         # Wake must have been triggered `lead` arrivals early.
         assert disks[0].state in (DiskState.SPIN_UP, DiskState.IDLE)
         sim.run()
-        assert pm.wakeaheads_scheduled == 1
+        assert disks[0].meter.spinup_count == 1  # one wake, ahead of the access

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.prefetch import plan_prefetch, PrefetchStats
+from repro.core.prefetch import plan_prefetch
+
+
+def total_files(plan):
+    return sum(len(files) for files in plan.per_node.values())
 
 
 def placement_for(ranking, nodes):
@@ -18,17 +22,17 @@ class TestPlanPrefetch:
         plan = plan_prefetch(ranking, 4, placement)
         assert plan.files_for("a") == (5, 8)
         assert plan.files_for("b") == (3, 1)
-        assert plan.total_files == 4
+        assert total_files(plan) == 4
         assert plan.requested_k == 4
 
     def test_k_zero_is_empty(self):
         plan = plan_prefetch([1, 2], 0, {1: "a", 2: "a"})
-        assert plan.total_files == 0
+        assert total_files(plan) == 0
         assert plan.files_for("a") == ()
 
     def test_k_larger_than_catalog(self):
         plan = plan_prefetch([1, 2], 10, {1: "a", 2: "b"})
-        assert plan.total_files == 2
+        assert total_files(plan) == 2
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -44,16 +48,3 @@ class TestPlanPrefetch:
         plan = plan_prefetch(ranking, 6, placement)
         assert plan.files_for("a") == (10, 40)  # rank order within node
 
-
-class TestPrefetchStats:
-    def test_merge_accumulates(self):
-        total = PrefetchStats()
-        a = PrefetchStats(files_requested=3, files_copied=2, bytes_copied=200, duration_s=5.0)
-        b = PrefetchStats(files_requested=1, files_copied=1, bytes_copied=50, duration_s=9.0, skipped_capacity=1)
-        total.merge(a)
-        total.merge(b)
-        assert total.files_requested == 4
-        assert total.files_copied == 3
-        assert total.bytes_copied == 250
-        assert total.duration_s == 9.0  # max, not sum (nodes run in parallel)
-        assert total.skipped_capacity == 1

@@ -7,7 +7,8 @@ import numpy as np
 
 from repro.core import EEVFSConfig
 from repro.core.filesystem import EEVFSCluster
-from repro.traces import AccessLog, generate_synthetic_trace, popularity_ranking
+from repro.core.popularity import WindowEstimator
+from repro.traces import generate_synthetic_trace, popularity_ranking
 from repro.traces.synthetic import SyntheticWorkload
 
 
@@ -27,8 +28,8 @@ def build_and_run(config=None, n_requests=120, seed=1, **workload_kwargs):
 
 class TestForwarding:
     def test_every_request_forwarded_exactly_once(self):
-        trace, cluster, _ = build_and_run()
-        assert cluster.server.requests_forwarded == trace.n_requests
+        trace, _, result = build_and_run()
+        assert result.buffer_hits + result.data_disk_hits == trace.n_requests
 
     def test_replan_source_log_mirrors_the_request_stream(self):
         """§IV's append-only log must record every arrival, in order,
@@ -38,10 +39,9 @@ class TestForwarding:
         trace, cluster, _ = build_and_run(
             config=EEVFSConfig(popularity_window_s=60.0, **DYNAMIC)
         )
-        log = cluster.server.replan_source.log
-        assert len(log) == trace.n_requests
-        logged = [fid for fid in log.counts().elements()]
-        assert sorted(logged) == sorted(r.file_id for r in trace.requests)
+        source = cluster.server.replan_source
+        assert source.recorded == trace.n_requests
+        assert sorted(source._file_ids) == sorted(trace.file_ids)
 
     def test_server_metadata_covers_catalog(self):
         trace, cluster, _ = build_and_run()
@@ -65,7 +65,7 @@ class TestForwarding:
         finished run's server holds no per-request log of it."""
         _, cluster, _ = build_and_run(n_requests=400)
         assert cluster.server.replan_source is None
-        held = [obj for obj in instance_graph(cluster.server) if isinstance(obj, AccessLog)]
+        held = [obj for obj in instance_graph(cluster.server) if isinstance(obj, WindowEstimator)]
         assert held == []
 
 
@@ -97,7 +97,8 @@ class TestPrefetchPlanAtServer:
     def test_plan_covers_k_files(self):
         _, cluster, result = build_and_run(config=EEVFSConfig(prefetch_files=40))
         assert cluster.server.prefetch_plan is not None
-        assert cluster.server.prefetch_plan.total_files == 40
+        plan = cluster.server.prefetch_plan
+        assert sum(len(files) for files in plan.per_node.values()) == 40
         assert result.prefetch_files_copied == 40
 
     def test_no_plan_under_npf(self):
@@ -112,17 +113,15 @@ class TestPrefetchPlanAtServer:
 
 class TestReprefetchLoop:
     def test_loop_only_runs_when_configured(self):
-        _, cluster, _ = build_and_run()
+        _, cluster, result = build_and_run()
         assert cluster.replanner is None
-        assert sum(n.reprefetch_rounds for n in cluster.nodes) == 0
+        assert result.prefetch_files_copied == 70  # the setup plan only
 
     def test_loop_rounds_scale_with_duration(self):
         config = EEVFSConfig(popularity_window_s=60.0, **DYNAMIC)
         trace, cluster, _ = build_and_run(config=config, inter_arrival_s=0.7)
         expected_rounds = trace.duration_s / 30.0
         assert cluster.replanner.replans >= int(expected_rounds) - 1
-        for node in cluster.nodes:
-            assert node.reprefetch_rounds >= int(expected_rounds) - 1
 
     def test_windowed_popularity_uses_recent_accesses(self):
         """With a short window, the re-prefetch plan reflects recency."""

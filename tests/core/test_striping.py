@@ -96,14 +96,14 @@ class TestStripingEndToEnd:
         """Stripes must add up: data disks serve ceil(size/width) each."""
         from repro.core.filesystem import EEVFSCluster
 
-        deployment = EEVFSCluster(
-            cluster=cluster, config=EEVFSConfig(stripe_width=4, prefetch_files=0)
-        )
-        deployment.run(trace)
+        result = EEVFSCluster(
+            cluster=cluster, config=EEVFSConfig(stripe_width=4, prefetch_files=0), obs=True
+        ).run(trace)
         total_served = sum(
-            d.bytes_served for n in deployment.nodes for d in n.data_disks
+            span.tags["bytes"]
+            for span in result.trace.spans
+            if span.kind == "disk.service" and "/data" in span.track
         )
-        expected = sum(
-            4 * -(-trace.file(r.file_id).size_bytes // 4) for r in trace.requests
-        )
+        size = {spec.file_id: spec.size_bytes for spec in trace.files}
+        expected = sum(4 * -(-size[file_id] // 4) for file_id in trace.file_ids)
         assert total_served == expected

@@ -11,8 +11,6 @@ class TestStaging:
         wb.stage(1, 100)
         assert wb.dirty_bytes == 100
         assert wb.dirty_files == [1]
-        assert wb.writes_staged == 1
-        assert wb.bytes_staged == 100
 
     def test_restage_replaces_not_accumulates(self):
         """Log semantics: only the newest version must destage."""
@@ -20,8 +18,7 @@ class TestStaging:
         wb.stage(1, 100)
         wb.stage(1, 60)
         assert wb.dirty_bytes == 60
-        assert wb.writes_staged == 2
-        assert wb.bytes_staged == 160  # I/O volume counts both writes
+        assert wb.dirty_files == [1]
 
     def test_capacity_enforced(self):
         wb = WriteBuffer(capacity_bytes=150)

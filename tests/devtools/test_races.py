@@ -27,6 +27,7 @@ from repro.devtools.sanitizer import (
 )
 from repro.obs import Tracer
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 
 
 def _race_free_build():
@@ -66,7 +67,7 @@ def _racy_build():
 
 class TestTimeBucketHasher:
     def _event(self, sim, ok=True):
-        event = sim.event()
+        event = Event(sim)
         event._ok = ok
         return event
 

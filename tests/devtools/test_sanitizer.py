@@ -18,7 +18,7 @@ from repro.devtools.sanitizer import (
 from repro.disk import ATA_80GB_TYPE1, SimDisk
 from repro.net import Link
 from repro.sim import Simulator
-from repro.sim.events import URGENT
+from repro.sim.events import Event
 
 
 def disk_model(seed):
@@ -143,7 +143,7 @@ def _event_ticks(sim):
     left = [3]
 
     def tick(_event):
-        event = sim.event()
+        event = Event(sim)
         if left[0]:
             left[0] -= 1
             event.callbacks.append(tick)
@@ -151,9 +151,9 @@ def _event_ticks(sim):
         else:
             event.succeed()
 
-    kickoff = sim.event()
+    kickoff = Event(sim)
     kickoff.callbacks.append(tick)
-    kickoff.succeed(priority=URGENT)
+    kickoff.succeed()
 
 
 def _callback_ticks(sim, delays=(1.0, 1.0, 1.0), finish=1):
@@ -167,9 +167,9 @@ def _callback_ticks(sim, delays=(1.0, 1.0, 1.0), finish=1):
             sim.call_later(left.pop(0), tick)
         else:
             for _ in range(finish):
-                sim.event().succeed()
+                Event(sim).succeed()
 
-    sim.call_soon(tick, priority=URGENT)
+    sim.call_soon(tick)
 
 
 def test_shape_ignores_the_carrier_of_each_slot():
@@ -192,7 +192,7 @@ def test_shape_equal_for_a_request_grant_and_a_link_grant():
             sim.call_later(1.0, release)
 
         for index in range(3):
-            request = sim.event()
+            request = Event(sim)
             request.callbacks.append(granted)
             if index == 0:
                 request.succeed()
@@ -229,7 +229,7 @@ def test_shape_sees_moved_dropped_and_added_events(change):
 def test_shape_sees_an_outcome_flip():
     def outcome(ok):
         def build(sim):
-            event = sim.event()
+            event = Event(sim)
             if ok:
                 event.succeed()
             else:

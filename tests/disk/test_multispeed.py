@@ -56,10 +56,6 @@ class TestLowSpeedProfile:
                 )
             )
 
-    def test_is_multi_speed(self):
-        assert SPEC.is_multi_speed
-        assert not ATA_80GB_TYPE1.is_multi_speed
-
 
 class TestShifting:
     def test_shift_on_single_speed_drive_raises(self, sim):

@@ -36,11 +36,6 @@ class TestRepeatedMetric:
         assert m.std == pytest.approx(1.0)
         assert m.ci95_halfwidth == pytest.approx(4.303 / math.sqrt(3))
 
-    def test_ci_bounds(self):
-        m = RepeatedMetric("x", (10.0, 12.0, 14.0, 16.0))
-        lo, hi = m.ci95
-        assert lo < m.mean < hi
-
 
 class TestRepeatPair:
     @pytest.fixture(scope="class")

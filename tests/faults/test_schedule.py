@@ -57,13 +57,6 @@ class TestBuilder:
         with pytest.raises(ValueError):
             FaultSchedule().flaky_spinups("d", at=1.0, count=1, backoff_s=-1.0)
 
-    def test_is_empty(self):
-        assert FaultSchedule().is_empty
-        assert not FaultSchedule().disk_fail("d", at=1.0).is_empty
-        assert not FaultSchedule().exponential_faults(
-            ["d"], mtbf_s=10.0, horizon_s=100.0
-        ).is_empty
-
 
 class TestExponentialFaults:
     def test_spec_validation(self):
@@ -74,9 +67,7 @@ class TestExponentialFaults:
                 targets=("d",), mtbf_s=0.0, mttr_s=None, horizon_s=1.0
             )
         with pytest.raises(ValueError):
-            ExponentialFaults(
-                targets=("d",), mtbf_s=1.0, mttr_s=None, horizon_s=1.0, kind="rack"
-            )
+            ExponentialFaults(targets=("d",), mtbf_s=1.0, mttr_s=None, horizon_s=0.0)
 
     def test_materialize_requires_streams(self):
         schedule = FaultSchedule().exponential_faults(

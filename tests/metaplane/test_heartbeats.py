@@ -83,7 +83,7 @@ class TestHeartbeatPayloads:
         sent = []
         send = fabric.send_nowait
 
-        def checked(src, dst, payload, size_bytes=None):
+        def checked(src, dst, payload):
             server = plane.server(src)
             if isinstance(payload, AppendEntries):
                 next_index = server.next_index[dst]
@@ -103,7 +103,7 @@ class TestHeartbeatPayloads:
                 assert payload.match_index == (len(server.log) - 1 if payload.ok else -1)
             if isinstance(payload, (AppendEntries, AppendReply)):
                 sent.append((sim.now, src, dst, payload))
-            send(src, dst, payload, size_bytes)
+            send(src, dst, payload)
 
         fabric.send_nowait = checked
         sim.run(until=6.0)

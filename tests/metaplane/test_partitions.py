@@ -18,7 +18,7 @@ from repro.traces.berkeley import BerkeleyWebWorkload
 
 #: The 200-request metadata drill: four shards of three replicas, seed 7.
 DRILL = JobSpec(
-    trace=TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=200)),
+    trace=TraceSpec(workload=BerkeleyWebWorkload(n_requests=200)),
     config=drill_config(3),
     seed=7,
 )

@@ -60,5 +60,3 @@ class TestShardRing:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ShardRing(0)
-        with pytest.raises(ValueError):
-            ShardRing(2, vnodes=0)

@@ -58,24 +58,24 @@ def test_nan_bandwidth_rejected(sim):
 def test_transmission_time(sim):
     # One transfer takes the fixed latency plus size over line rate.
     fabric, delivered = _pair(sim, 1e6, 1e6, latency_s=0.001)
-    fabric.send_nowait("a", "b", "x", size_bytes=int(1e6))
+    fabric.send("a", "b", "x", size_bytes=int(1e6))
     sim.run()
     assert delivered == [("x", pytest.approx(1.001))]
     with pytest.raises(ValueError):
-        fabric.send_nowait("a", "b", None, size_bytes=-1)
+        fabric.send("a", "b", None, size_bytes=-1)
 
 
 def test_transfer_takes_wire_time(sim):
     fabric, delivered = _pair(sim, 10 * MB, 10 * MB)
-    fabric.send_nowait("a", "b", "x", size_bytes=10 * MB)
+    fabric.send("a", "b", "x", size_bytes=10 * MB)
     sim.run()
     assert delivered == [("x", pytest.approx(1.0))]
 
 
 def test_transfers_serialise(sim):
     fabric, delivered = _pair(sim, 10 * MB, 10 * MB)
-    fabric.send_nowait("a", "b", "first", size_bytes=10 * MB)
-    fabric.send_nowait("a", "b", "second", size_bytes=10 * MB)
+    fabric.send("a", "b", "first", size_bytes=10 * MB)
+    fabric.send("a", "b", "second", size_bytes=10 * MB)
     sim.run()
     assert delivered == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
 
@@ -83,7 +83,7 @@ def test_transfers_serialise(sim):
 def test_rate_cap_slows_transfer(sim):
     # The slower receiving NIC caps the rate of a fast sender.
     fabric, delivered = _pair(sim, 100 * MB, 10 * MB)
-    fabric.send_nowait("a", "b", "x", size_bytes=10 * MB)
+    fabric.send("a", "b", "x", size_bytes=10 * MB)
     sim.run()
     assert delivered == [("x", pytest.approx(1.0))]
 
@@ -91,7 +91,7 @@ def test_rate_cap_slows_transfer(sim):
 def test_rate_cap_above_bandwidth_is_ignored(sim):
     # A faster receiving NIC does not speed up a slow sender.
     fabric, delivered = _pair(sim, 10 * MB, 1000 * MB)
-    fabric.send_nowait("a", "b", "x", size_bytes=10 * MB)
+    fabric.send("a", "b", "x", size_bytes=10 * MB)
     sim.run()
     assert delivered == [("x", pytest.approx(1.0))]
 
@@ -111,8 +111,8 @@ def test_negative_transfer_rejected(sim):
 
 def test_bytes_and_stats_accounted(sim):
     fabric, delivered = _pair(sim, 10 * MB, 10 * MB)
-    fabric.send_nowait("a", "b", 1, size_bytes=5 * MB)
-    fabric.send_nowait("a", "b", 2, size_bytes=5 * MB)
+    fabric.send("a", "b", 1, size_bytes=5 * MB)
+    fabric.send("a", "b", 2, size_bytes=5 * MB)
     sim.run()
     assert fabric.bytes_sent == 10 * MB
     assert fabric.messages_sent == 2

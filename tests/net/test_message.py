@@ -33,6 +33,6 @@ def test_latency_is_delivery_minus_send():
     fabric.add_endpoint("b", 1000.0)
     delivered = []
     fabric.endpoint("b").inbox.take(lambda msg: delivered.append((msg.payload, sim.now)))
-    sim.call_later(1.0, lambda _value: fabric.send_nowait("a", "b", "x", size_bytes=2000))
+    sim.call_later(1.0, lambda _value: fabric.send("a", "b", "x", size_bytes=2000))
     sim.run()
     assert delivered == [("x", pytest.approx(1.0 + 0.5 + 2.0))]

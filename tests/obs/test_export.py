@@ -32,13 +32,13 @@ def sample_trace():
 
 
 def test_chrome_trace_structure():
-    document = to_chrome_trace(sample_trace(), process_name="test")
+    document = to_chrome_trace(sample_trace())
     events = document["traceEvents"]
 
     meta = [e for e in events if e["ph"] == "M"]
     names = {e["args"]["name"] for e in meta if e["name"] == "thread_name"}
     assert names == {"client", "data0", "data1"}
-    assert any(e["name"] == "process_name" and e["args"]["name"] == "test"
+    assert any(e["name"] == "process_name" and e["args"]["name"] == "eevfs"
                for e in meta)
 
     complete = {e["name"]: e for e in events if e["ph"] == "X"}

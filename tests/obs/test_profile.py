@@ -5,8 +5,9 @@ from repro.sim import Simulator
 
 
 def span(span_id, kind, track, start, end, parent_id=None):
-    return Span(span_id=span_id, kind=kind, track=track,
-                start_s=start, end_s=end, parent_id=parent_id)
+    closed = Span(span_id=span_id, kind=kind, track=track, start_s=start, parent_id=parent_id)
+    closed.end_s = end
+    return closed
 
 
 class TestMergedBusyTime:

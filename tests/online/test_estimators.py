@@ -5,7 +5,7 @@ EMA decay tracks drift without ever reordering ties nondeterministically,
 the Count-Min Sketch never undercounts and stays inside the classic
 ``e/width * N`` overshoot bound on a Zipf stream, and both estimators
 satisfy the :class:`~repro.core.popularity.PopularitySource` protocol
-the oracle estimator defines.
+the oracle window estimator shares.
 """
 
 import collections
@@ -21,7 +21,7 @@ from repro.online import (
     CountMinSketch,
     EMAEstimator,
 )
-from repro.online.estimators import CMS_EPSILON_FACTOR
+from repro.online.estimators import CMS_EPSILON_FACTOR, HALFLIFE_S, TOP_SET_CAPACITY
 
 
 def zipf_stream(n, n_files=400, a=1.8, seed=42):
@@ -33,32 +33,32 @@ def zipf_stream(n, n_files=400, a=1.8, seed=42):
 
 class TestEMADecay:
     def test_access_weight_halves_every_halflife(self):
-        est = EMAEstimator(halflife_s=10.0)
+        est = EMAEstimator()
         est.record(0.0, 1)
         assert est.estimate(1) == pytest.approx(1.0)
-        est.record(10.0, 2)  # advances the clock one half-life
+        est.record(HALFLIFE_S, 2)  # advances the clock one half-life
         assert est.estimate(1) == pytest.approx(0.5)
         assert est.estimate(2) == pytest.approx(1.0)
 
     def test_recency_beats_stale_volume(self):
         """A burst of old accesses loses to a smaller recent burst."""
-        est = EMAEstimator(halflife_s=5.0)
+        est = EMAEstimator()
         for _ in range(8):
             est.record(0.0, 1)  # 8 hits, long ago
         for t in range(3):
-            est.record(30.0 + t, 2)  # 3 hits, now (6 half-lives later)
+            est.record(6 * HALFLIFE_S + t, 2)  # 3 hits, now (6 half-lives later)
         assert est.ranking()[0] == 2
 
     def test_ranking_survives_origin_rescale(self):
         """Scores renormalise long before float range runs out, and the
         rescale never changes relative order."""
-        est = EMAEstimator(halflife_s=1.0)
+        est = EMAEstimator()
         est.record(0.0, 1)
         est.record(0.0, 1)
         est.record(0.0, 2)
         before = est.ranking()
         # 300 half-lives > _EMA_RESCALE_HALFLIVES forces the rescale.
-        est.record(300.0, 3)
+        est.record(300 * HALFLIFE_S, 3)
         assert est.ranking()[-2:] == before[:2]  # old order preserved
         assert est.estimate(1) > est.estimate(2) > 0.0
 
@@ -135,7 +135,8 @@ class TestCountMinSketch:
 
     def test_aging_halves_counts(self):
         sketch = CountMinSketch(width=32, depth=2)
-        sketch.update(7, 8.0)
+        for _ in range(8):
+            sketch.update(7)
         sketch.age(0.5)
         assert sketch.estimate(7) == pytest.approx(4.0)
         assert sketch.total == pytest.approx(4.0)
@@ -151,26 +152,29 @@ class TestCountMinSketch:
 
 class TestCountMinEstimator:
     def test_top_set_respects_capacity(self):
-        est = CountMinEstimator(width=256, depth=4, capacity=10)
-        for i, fid in enumerate(zipf_stream(3000, n_files=500)):
-            est.record(i * 0.01, fid)
-        assert len(est.counts()) <= 10
+        est = CountMinEstimator()
+        for fid in range(2 * TOP_SET_CAPACITY):
+            est.record(fid * 0.01, fid)
+        assert len(est.counts()) == TOP_SET_CAPACITY
 
     def test_heavy_hitters_survive_eviction(self):
-        est = CountMinEstimator(width=512, depth=4, capacity=20)
+        est = CountMinEstimator()
+        # A Zipf stream beside a tail of one-off files that overflows the
+        # top-set, so weak candidates are evicted.
         stream = zipf_stream(5000, n_files=500)
+        stream += list(range(1000, 1000 + 2 * TOP_SET_CAPACITY))
         truth = collections.Counter(stream)
         for i, fid in enumerate(stream):
             est.record(i * 0.001, fid)
         top_true = [fid for fid, _ in truth.most_common(5)]
-        assert set(top_true) <= set(est.top_k(20))
-        assert est.evictions > 0
+        assert set(top_true) <= set(est.ranking()[:20])
+        assert set(truth) - set(est.counts())  # evicted files left the top-set
 
     def test_halflife_ages_the_top_set(self):
-        est = CountMinEstimator(width=64, depth=4, capacity=8, halflife_s=10.0)
+        est = CountMinEstimator()
         est.record(0.0, 1)
         est.record(0.0, 1)
-        est.record(25.0, 2)  # two half-lives elapse -> counts quartered
+        est.record(2.5 * HALFLIFE_S, 2)  # two half-lives elapse -> counts quartered
         counts = est.counts()
         assert counts[1] == pytest.approx(0.5)
         assert counts[2] == pytest.approx(1.0)
@@ -195,19 +199,19 @@ class TestProtocolAndFactory:
         assert isinstance(cms, CountMinEstimator)
         # Each estimator runs at its own defaults: a 120 s half-life and
         # a 512 x 4 sketch beside a 256-file top-set.
-        assert ema.halflife_s == cms.halflife_s == 120.0
-        assert (cms.sketch.width, cms.sketch.depth, cms.capacity) == (512, 4, 256)
+        assert (HALFLIFE_S, TOP_SET_CAPACITY) == (120.0, 256)
+        assert (cms.sketch.width, cms.sketch.depth) == (512, 4)
 
     def test_agreement_with_exact_counts_on_stationary_stream(self):
         """On a stationary Zipf stream both estimators put the same heavy
         hitters up top; that is the property prefetch planning needs."""
-        ema = EMAEstimator(halflife_s=1e9)  # effectively no decay
-        cms = CountMinEstimator(width=1024, depth=4, capacity=100, halflife_s=1e9)
+        ema = EMAEstimator()
+        cms = CountMinEstimator()
         stream = zipf_stream(8000, n_files=300)
-        for i, fid in enumerate(stream):
-            ema.record(i * 0.001, fid)
-            cms.record(i * 0.001, fid)
+        for fid in stream:  # all at one instant: no decay
+            ema.record(0.0, fid)
+            cms.record(0.0, fid)
         counts = collections.Counter(stream)
         truth = sorted(counts, key=lambda fid: (-counts[fid], fid))[:10]
-        assert ema.top_k(10) == truth
-        assert set(truth) <= set(cms.top_k(20))
+        assert ema.ranking()[:10] == truth
+        assert set(truth) <= set(cms.ranking()[:20])

@@ -1,5 +1,7 @@
 """JobSpec construction, execution, and failure attribution."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.baselines.drpm import drpm_cluster, DRPMNode
@@ -16,6 +18,13 @@ from repro.parallel import (
 from repro.traces.synthetic import SyntheticWorkload
 
 SMALL = TraceSpec(workload=SyntheticWorkload(n_requests=30))
+
+
+@dataclass
+class GhostWorkload:
+    """A workload no trace generator knows."""
+
+    n_requests: int = 30
 
 
 def test_eevfs_mode_returns_run_result():
@@ -44,12 +53,12 @@ def test_faults_travel_with_the_spec():
 def test_failing_job_names_the_spec(jobs):
     specs = [
         JobSpec(label="fine", trace=SMALL),
-        JobSpec(label="doomed", trace=TraceSpec(kind="ghost")),
+        JobSpec(label="doomed", trace=TraceSpec(workload=GhostWorkload())),
     ]
     with pytest.raises(JobFailed, match="doomed") as info:
         run_jobs(specs, jobs=jobs)
     assert info.value.spec.label == "doomed"
-    assert "ghost" in str(info.value)
+    assert "trace=GhostWorkload/1" in str(info.value)
 
 
 def test_resolve_jobs_clamps_to_work():

@@ -18,8 +18,8 @@ def fresh_global_cache():
 def test_cache_returns_same_object_and_counts_hits():
     cache = TraceCache()
     workload = SyntheticWorkload(n_requests=40)
-    first = cache.get("synthetic", workload, 1)
-    second = cache.get("synthetic", workload, 1)
+    first = cache.get(workload, 1)
+    second = cache.get(workload, 1)
     assert first is second
     assert (cache.hits, cache.misses) == (1, 1)
     assert len(cache) == 1
@@ -28,16 +28,16 @@ def test_cache_returns_same_object_and_counts_hits():
 def test_cache_distinguishes_seed_and_parameters():
     cache = TraceCache()
     workload = SyntheticWorkload(n_requests=40)
-    a = cache.get("synthetic", workload, 1)
-    b = cache.get("synthetic", workload, 2)
-    c = cache.get("synthetic", SyntheticWorkload(n_requests=50), 1)
+    a = cache.get(workload, 1)
+    b = cache.get(workload, 2)
+    c = cache.get(SyntheticWorkload(n_requests=50), 1)
     assert a is not b and a is not c
     assert cache.misses == 3
 
 
 def test_cached_trace_matches_direct_generation():
     workload = SyntheticWorkload(n_requests=40)
-    cached = TraceCache().get("synthetic", workload, 7)
+    cached = TraceCache().get(workload, 7)
     direct = generate_synthetic_trace(workload, rng=np.random.default_rng(7))
     assert cached.n_requests == direct.n_requests
     assert [r.file_id for r in cached.requests] == [r.file_id for r in direct.requests]
@@ -46,7 +46,7 @@ def test_cached_trace_matches_direct_generation():
 
 def test_trace_key_requires_dataclass():
     with pytest.raises(TypeError):
-        trace_key("synthetic", {"n_requests": 10}, 1)
+        trace_key({"n_requests": 10}, 1)
 
 
 def test_repetition_fixed_trace_generated_once():

@@ -12,7 +12,7 @@ stream.
 import pytest
 
 from repro.sim.engine import Continuation, Simulator
-from repro.sim.events import LOW, NORMAL, URGENT
+from repro.sim.events import Event, NORMAL, URGENT
 
 
 def test_call_soon_runs_at_current_time_in_fifo_order():
@@ -33,16 +33,16 @@ def test_call_soon_value_is_passed_through():
 
 
 def test_priority_lanes_order_same_timestamp_batch():
-    # A same-timestamp batch drains URGENT before NORMAL before LOW,
-    # FIFO within each lane, regardless of submission order.
+    # A same-timestamp batch drains URGENT before NORMAL, FIFO within
+    # each lane, regardless of submission order.
     sim = Simulator()
     order = []
-    sim.call_soon(lambda v: order.append("low"), priority=LOW)
     sim.call_soon(lambda v: order.append("normal-1"), priority=NORMAL)
-    sim.call_soon(lambda v: order.append("urgent"), priority=URGENT)
+    sim.call_soon(lambda v: order.append("urgent-1"), priority=URGENT)
     sim.call_soon(lambda v: order.append("normal-2"), priority=NORMAL)
+    sim.call_soon(lambda v: order.append("urgent-2"), priority=URGENT)
     sim.run()
-    assert order == ["urgent", "normal-1", "normal-2", "low"]
+    assert order == ["urgent-1", "urgent-2", "normal-1", "normal-2"]
 
 
 def test_call_later_advances_clock_and_rejects_negative_delay():
@@ -79,8 +79,8 @@ def test_schedule_entries_carry_their_dispatch():
 
     sim.call_soon(fn, "now", priority=URGENT)
     sim.call_later(2.0, fn, "later")
-    event = sim.event().succeed("done")
-    timer = sim.event()
+    event = Event(sim).succeed("done")
+    timer = Event(sim)
     sim.schedule(timer, delay=1.0)
     assert list(sim._lanes[URGENT]) == [(0, fn, "now")]
     assert list(sim._lanes[NORMAL]) == [(2, None, event)]
@@ -167,7 +167,7 @@ def test_hooks_observe_continuations_in_dispatch_order():
     ran = []
     sim.call_soon(lambda v: ran.append("soon"))
     sim.call_later(1.0, lambda v: ran.append("later"))
-    sim.schedule(sim.event(), delay=1.0)
+    sim.schedule(Event(sim), delay=1.0)
     sim.run()
     assert ran == ["soon", "later"]
     assert hooked == [
@@ -199,7 +199,7 @@ def test_hooked_and_unhooked_runs_dispatch_identically():
         sim.call_soon(lambda v: order.append("u"), priority=URGENT)
         sim.call_later(0.5, lambda v: order.append("timer"))
         sim.call_soon(lambda v: (order.append("n"), sim.call_soon(lambda w: order.append("nested"))))
-        done = sim.event()
+        done = Event(sim)
         done.callbacks.append(lambda e: order.append("event"))
         done.succeed(None)
         return order

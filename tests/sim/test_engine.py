@@ -6,15 +6,12 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.engine import EmptySchedule
+from repro.sim.events import Event
 from tests.programs import PACKAGE
 
 
 def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
-
-
-def test_clock_custom_start():
-    assert Simulator(start_time=5.0).now == 5.0
 
 
 def test_only_the_engine_sets_the_clock():
@@ -60,12 +57,12 @@ def test_zero_timeout_is_legal():
 def test_negative_schedule_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.schedule(sim.event(), delay=-0.1)
+        sim.schedule(Event(sim), delay=-0.1)
 
 
 #: Every entry point that takes a delay or a deadline, called with NaN.
 NAN_ENTRY_POINTS = {
-    "schedule": lambda sim: sim.schedule(sim.event(), delay=float("nan")),
+    "schedule": lambda sim: sim.schedule(Event(sim), delay=float("nan")),
     "call_later": lambda sim: sim.call_later(float("nan"), lambda _: None),
     "run-until": lambda sim: sim.run(until=float("nan")),
 }
@@ -121,7 +118,7 @@ def test_run_until_past_raises():
 
 def test_run_until_event_returns_its_value():
     sim = Simulator()
-    done = sim.event()
+    done = Event(sim)
     sim.call_later(2.0, done.succeed, "payload")
     assert sim.run(until=done) == "payload"
     assert sim.now == 2.0
@@ -129,7 +126,7 @@ def test_run_until_event_returns_its_value():
 
 def test_run_until_event_that_never_fires_returns_none():
     sim = Simulator()
-    never = sim.event()
+    never = Event(sim)
     sim.call_later(1.0, _nothing)
     assert sim.run(until=never) is None
     assert sim.now == 1.0
@@ -163,7 +160,7 @@ def test_queue_size_counts_scheduled_events():
     sim = Simulator()
     assert sim.queue_size == 0
     sim.call_later(1.0, _nothing)
-    sim.schedule(sim.event(), delay=2.0)
+    sim.schedule(Event(sim), delay=2.0)
     assert sim.queue_size == 2
 
 
@@ -178,7 +175,7 @@ def test_simultaneous_events_process_in_creation_order():
 
 def test_failed_event_with_no_waiter_surfaces():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.fail(ValueError("lost"))
     with pytest.raises(ValueError, match="lost"):
         sim.run()
@@ -186,7 +183,7 @@ def test_failed_event_with_no_waiter_surfaces():
 
 def test_defused_failure_does_not_surface():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.fail(ValueError("handled"))
     ev.defuse()
     sim.run()  # no raise
@@ -216,7 +213,7 @@ def test_run_until_time_leaves_no_stale_stop_after_exception():
     def boom(_event):
         raise RuntimeError("boom")
 
-    failing = sim.event()
+    failing = Event(sim)
     failing.callbacks.append(boom)
     sim.call_later(1.0, failing.succeed)
     with pytest.raises(RuntimeError):
@@ -235,7 +232,7 @@ def test_run_until_event_never_fired_does_not_stop_later_run():
     # leave _stop_callback subscribed; triggering the event later would
     # abort an unrelated run() mid-flight.
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     sim.call_later(1.0, _nothing)
     assert sim.run(until=gate) is None  # heap drained, gate never fired
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.events import AllOf, Event
 
 
 @pytest.fixture
@@ -12,29 +13,29 @@ def sim():
 
 class TestEventLifecycle:
     def test_fresh_event_is_pending(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         assert not ev.triggered
         assert not ev.processed
 
     def test_value_before_trigger_raises(self, sim):
         with pytest.raises(RuntimeError):
-            sim.event().value
+            Event(sim).value
 
     def test_succeed_sets_value(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("v")
         assert ev.triggered
         assert ev.ok
         assert ev.value == "v"
 
     def test_double_succeed_raises(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         with pytest.raises(RuntimeError):
             ev.succeed()
 
     def test_fail_then_succeed_raises(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(ValueError("x"))
         ev.defuse()
         with pytest.raises(RuntimeError):
@@ -42,10 +43,10 @@ class TestEventLifecycle:
 
     def test_fail_requires_exception_instance(self, sim):
         with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
+            Event(sim).fail("not an exception")
 
     def test_processed_after_run(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         sim.run()
         assert ev.processed
@@ -53,7 +54,7 @@ class TestEventLifecycle:
 
 def _timer(sim, delay, value=None):
     """An event that succeeds with *value* after *delay* seconds."""
-    event = sim.event()
+    event = Event(sim)
     sim.call_later(delay, event.succeed, value)
     return event
 
@@ -85,7 +86,7 @@ class TestConditions:
         a = _timer(sim, 1.0, "a")
         b = _timer(sim, 3.0, "b")
         _on(
-            sim.all_of([a, b]),
+            AllOf(sim, [a, b]),
             lambda event: results.append((sim.now, event.value, a.processed, b.processed)),
         )
         sim.run()
@@ -93,7 +94,7 @@ class TestConditions:
 
     def test_empty_all_of_succeeds_immediately(self, sim):
         done = []
-        _on(sim.all_of([]), lambda event: done.append(sim.now))
+        _on(AllOf(sim, []), lambda event: done.append(sim.now))
         sim.run()
         assert done == [0.0]
 
@@ -104,14 +105,14 @@ class TestConditions:
         _on(
             t,
             lambda _event: _on(
-                sim.all_of([t]), lambda event: got.append((sim.now, event.value))
+                AllOf(sim, [t]), lambda event: got.append((sim.now, event.value))
             ),
         )
         sim.run()
         assert got == [(1.0, None)]
 
     def test_child_failure_propagates_through_condition(self, sim):
-        child = sim.event()
+        child = Event(sim)
         sim.call_later(1.0, child.fail, ValueError("child died"))
         caught = []
 
@@ -119,19 +120,19 @@ class TestConditions:
             event.defuse()
             caught.append(f"caught {event.value}")
 
-        _on(sim.all_of([child, _timer(sim, 10.0)]), handle)
+        _on(AllOf(sim, [child, _timer(sim, 10.0)]), handle)
         sim.run()
         assert caught == ["caught child died"]
 
     def test_later_child_failure_is_absorbed_by_decided_condition(self, sim):
-        first, second = sim.event(), sim.event()
+        first, second = Event(sim), Event(sim)
         caught = []
 
         def handle(event):
             event.defuse()
             caught.append(str(event.value))
 
-        _on(sim.all_of([first, second]), handle)
+        _on(AllOf(sim, [first, second]), handle)
         first.fail(ValueError("first"))
         sim.run()
         second.fail(ValueError("second"))
@@ -142,4 +143,4 @@ class TestConditions:
     def test_events_from_different_simulators_rejected(self, sim):
         other = Simulator()
         with pytest.raises(ValueError):
-            sim.all_of([sim.event(), other.event()])
+            AllOf(sim, [Event(sim), Event(other)])

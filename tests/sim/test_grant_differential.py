@@ -208,7 +208,7 @@ def _drive_all_of(condition_class, children, order, errors):
     schedules from a callback subscribed after the condition's."""
     sim = Simulator()
     shape = ScheduleShapeHasher().attach(sim)
-    events = [sim.event() for _ in children]
+    events = [Event(sim) for _ in children]
 
     def trigger(index):
         if children[index][1]:

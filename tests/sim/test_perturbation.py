@@ -9,7 +9,7 @@ never leapfrog a run's stop event, and be bit-reproducible for a seed.
 import pytest
 
 from repro.sim.engine import EmptySchedule, LanePerturbation, Simulator
-from repro.sim.events import URGENT
+from repro.sim.events import Event, URGENT
 
 
 def _orders(seed, n=8):
@@ -111,7 +111,7 @@ class TestStopEventBarrier:
         log = []
         for i in range(5):
             sim.call_soon(log.append, i)
-        stop = sim.event()
+        stop = Event(sim)
         stop.succeed()
         for i in range(5, 10):
             sim.call_soon(log.append, i)
@@ -130,7 +130,7 @@ class TestStopEventBarrier:
 
     def test_barrier_clears_after_the_run(self):
         sim = Simulator()
-        stop = sim.event()
+        stop = Event(sim)
         stop.succeed()
         sim.set_lane_perturbation(4)
         sim.run(until=stop)

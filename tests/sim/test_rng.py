@@ -27,6 +27,17 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+def test_seeds_that_share_their_low_32_bits_differ():
+    a = RandomStreams(seed=0).stream("client:retry").random(100)
+    b = RandomStreams(seed=2**32).stream("client:retry").random(100)
+    assert not np.array_equal(a, b)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RandomStreams(seed=-1)
+
+
 def test_stream_is_cached():
     streams = RandomStreams(seed=0)
     assert streams.stream("s") is streams.stream("s")

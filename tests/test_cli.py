@@ -67,6 +67,32 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert "node_fail" in out and "node3" in out
         assert "warning" not in err
+        # One request spans 0 s: no time to draw a random failure in.
+        assert main(["--requests", "1", "--jobs", "1", "faults", "--mtbf", "100"]) == 0
+        assert capsys.readouterr().err.startswith("warning: no fault fired: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults"],
+            ["faults", "--mtbf", "100"],
+            ["faults", "--metadata-drill"],
+            ["compare"],
+            ["wear"],
+            ["profile"],
+            ["trace"],
+            ["metaplane", "--shards", "1", "--replicas", "1"],
+            ["online", "--sweeps", "traces"],
+            ["ssd", "--capacities-mb", "16", "--channels", "1"],
+        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
+    )
+    def test_one_request_trace_runs(self, argv, tmp_path, monkeypatch, capsys):
+        """Commands whose inputs depend on the trace's length or duration
+        finish on the shortest trace there is."""
+        monkeypatch.chdir(tmp_path)  # `trace` writes its file here
+        assert main(["--requests", "1", "--jobs", "1", *argv]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_trace_stats(self, tmp_path, capsys):
         from repro.traces import generate_synthetic_trace, write_trace
@@ -177,6 +203,7 @@ class TestInputErrors:
             ["--requests", "30", "compare", "--config", "{tmp}/removed-key.json"],
             ["--requests", "30", "compare", "--config", "{tmp}/nan.json"],
             ["--requests", "-5", "trace-gen", "synthetic", "{tmp}/x.trace"],
+            ["--seed", "-1", "--requests", "20", "trace-gen", "synthetic", "{tmp}/x.trace"],
             ["faults", "--fail-node", "node99"],
             ["bench"],
             ["--jobs", "0", "baselines"],
@@ -253,6 +280,7 @@ class TestInputErrors:
             "compare-config-with-removed-field",
             "compare-config-with-nan",
             "negative-requests",
+            "negative-seed",
             "faults-unknown-node",
             "removed-bench-command",
             "zero-jobs",

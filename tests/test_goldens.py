@@ -195,9 +195,9 @@ SHAPE_REQUESTS = 1500
 SHAPE_SEED = 1
 
 
-def _shape_job(kind, workload, **fields):
-    """The seed-1 run over the seed-1 *kind* trace of *workload*."""
-    trace = TraceSpec(kind=kind, workload=workload, seed=SHAPE_SEED)
+def _shape_job(workload, **fields):
+    """The seed-1 run over the seed-1 trace of *workload*."""
+    trace = TraceSpec(workload=workload, seed=SHAPE_SEED)
     return JobSpec(trace=trace, seed=SHAPE_SEED, **fields)
 
 
@@ -205,19 +205,16 @@ def _shape_job(kind, workload, **fields):
 #: rebuilt here so the benchmark's files stay free to move independently
 #: of this pin.
 SHAPE_WORKLOADS = {
-    "paper_default": _shape_job("synthetic", SyntheticWorkload(n_requests=SHAPE_REQUESTS)),
+    "paper_default": _shape_job(SyntheticWorkload(n_requests=SHAPE_REQUESTS)),
     "ssd_write": _shape_job(
-        "synthetic",
         SyntheticWorkload(n_requests=SHAPE_REQUESTS, write_fraction=0.4),
         config=EEVFSConfig(buffer_backend="ssd", ssd_capacity_mb=32, ssd_buffer_idle_s=2.0),
     ),
     "online_drift": _shape_job(
-        "drifting",
         DriftingWorkload(n_requests=SHAPE_REQUESTS),
         config=EEVFSConfig(online_mode=True),
     ),
     "metaplane_chaos": _shape_job(
-        "berkeley",
         BerkeleyWebWorkload(n_requests=SHAPE_REQUESTS),
         config=drill_config(3),
         faults=leader_crash_schedule(4),
@@ -273,7 +270,7 @@ SCENARIOS = {
     # updates in the plane's log, so entries replicate and commit
     # across the leader crashes.
     "metaplane:replicated": JobSpec(
-        trace=TraceSpec(kind="berkeley", workload=BerkeleyWebWorkload(n_requests=300)),
+        trace=TraceSpec(workload=BerkeleyWebWorkload(n_requests=300)),
         config=replace(drill_config(3), replication_factor=2),
         seed=7,
         faults=(

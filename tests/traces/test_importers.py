@@ -56,11 +56,6 @@ class TestMSR:
         trace = read_msr_trace(msr_csv(rows))
         assert trace.n_files == 2
 
-    def test_max_records_truncates(self):
-        rows = [[i * TICK, "h", 0, "Read", 0, 512, 1] for i in range(10)]
-        trace = read_msr_trace(msr_csv(rows), max_records=4)
-        assert trace.n_requests == 4
-
     def test_comments_and_blank_lines_skipped(self):
         content = io.StringIO("# header\n\n0,h,0,Read,0,512,1\n")
         assert read_msr_trace(content).n_requests == 1

@@ -1,18 +1,17 @@
 """Unit tests for trace persistence and the access log."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
+from repro.core.popularity import WindowEstimator
 from repro.traces import (
-    AccessLog,
     FileSpec,
     generate_synthetic_trace,
     read_trace,
-    RequestOp,
     Trace,
-    TraceRequest,
     write_trace,
 )
 from repro.traces.synthetic import SyntheticWorkload
@@ -29,12 +28,10 @@ def trace_round_trip(trace):
 def small_trace():
     return Trace(
         files=[FileSpec(0, 100), FileSpec(1, 200)],
-        requests=[
-            TraceRequest(0.0, 0),
-            TraceRequest(0.25, 1, op=RequestOp.WRITE),
-            TraceRequest(1.0, 0),
-        ],
         meta={"origin": "unit-test"},
+        times=[0.0, 0.25, 1.0],
+        file_ids=[0, 1, 0],
+        writes=[False, True, False],
     )
 
 
@@ -64,10 +61,8 @@ class TestTraceFiles:
 
     def test_timestamps_survive_exactly(self):
         """repr round-tripping keeps float timestamps bit-exact."""
-        trace = Trace(
-            files=[FileSpec(0, 1)],
-            requests=[TraceRequest(0.1 + 0.2, 0)],  # classic non-representable sum
-        )
+        # 0.1 + 0.2 is the classic non-representable sum.
+        trace = Trace(files=[FileSpec(0, 1)], times=[0.1 + 0.2], file_ids=[0])
         restored = trace_round_trip(trace)
         assert restored.requests[0].time_s == trace.requests[0].time_s
 
@@ -92,34 +87,13 @@ class TestTraceFiles:
 
 
 class TestAccessLog:
+    """The storage server's append-only access log, kept by
+    :class:`WindowEstimator`; an unbounded window counts all of it."""
+
     def test_append_and_count(self):
-        log = AccessLog()
-        log.append(0.0, 5)
-        log.append(1.0, 5)
-        log.append(2.0, 7)
-        assert len(log) == 3
+        log = WindowEstimator(window_s=math.inf, clock=lambda: 2.0)
+        log.record(0.0, 5)
+        log.record(1.0, 5)
+        log.record(2.0, 7)
+        assert log.recorded == 3
         assert log.counts() == {5: 2, 7: 1}
-
-    def test_append_out_of_order_rejected(self):
-        log = AccessLog()
-        log.append(5.0, 0)
-        with pytest.raises(ValueError):
-            log.append(4.0, 0)
-
-    def test_negative_file_id_rejected(self):
-        with pytest.raises(ValueError):
-            AccessLog().append(0.0, -1)
-
-    def test_window_queries(self):
-        log = AccessLog()
-        for t, f in [(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 3)]:
-            log.append(t, f)
-        assert log.counts(since=1.0, until=2.0) == {2: 1, 1: 1}
-        assert log.counts(since=2.5) == {3: 1}
-        assert log.counts(until=0.5) == {1: 1}
-
-    def test_record_trace_bulk_append(self):
-        log = AccessLog()
-        log.record_trace(small_trace())
-        assert len(log) == 3
-        assert log.counts()[0] == 2

@@ -13,13 +13,13 @@ MB = 1024 * 1024
 
 def small_trace():
     files = [FileSpec(0, 1 * MB), FileSpec(1, 2 * MB), FileSpec(2, 3 * MB)]
-    requests = [
-        TraceRequest(0.0, 0),
-        TraceRequest(1.0, 1),
-        TraceRequest(2.0, 0),
-        TraceRequest(3.5, 2, op=RequestOp.WRITE),
-    ]
-    return Trace(files=files, requests=requests, meta={"origin": "test"})
+    return Trace(
+        files,
+        meta={"origin": "test"},
+        times=[0.0, 1.0, 2.0, 3.5],
+        file_ids=[0, 1, 0, 2],
+        writes=[False, False, False, True],
+    )
 
 
 class TestFileSpec:
@@ -70,29 +70,20 @@ class TestTrace:
         # file 0 accessed twice (1 MB), file 1 once (2 MB), file 2 once (3 MB)
         assert trace.total_bytes == (1 + 1 + 2 + 3) * MB
 
-    def test_file_lookup(self):
-        trace = small_trace()
-        assert trace.file(1).size_bytes == 2 * MB
-        with pytest.raises(KeyError):
-            trace.file(99)
-
     def test_duplicate_file_ids_rejected(self):
         with pytest.raises(ValueError):
-            Trace(files=[FileSpec(0, 1), FileSpec(0, 2)], requests=[])
+            Trace(files=[FileSpec(0, 1), FileSpec(0, 2)])
 
     def test_unknown_request_file_rejected(self):
         with pytest.raises(ValueError):
-            Trace(files=[FileSpec(0, 1)], requests=[TraceRequest(0.0, 5)])
+            Trace(files=[FileSpec(0, 1)], times=[0.0], file_ids=[5])
 
     def test_out_of_order_requests_rejected(self):
         with pytest.raises(ValueError):
-            Trace(
-                files=[FileSpec(0, 1)],
-                requests=[TraceRequest(2.0, 0), TraceRequest(1.0, 0)],
-            )
+            Trace(files=[FileSpec(0, 1)], times=[2.0, 1.0], file_ids=[0, 0])
 
     def test_empty_trace_duration_zero(self):
-        trace = Trace(files=[FileSpec(0, 1)], requests=[])
+        trace = Trace(files=[FileSpec(0, 1)])
         assert trace.duration_s == 0.0
         assert trace.total_bytes == 0
 
@@ -104,7 +95,7 @@ class TestTrace:
 
 class TestColumns:
     def test_records_convert_to_typed_columns(self):
-        trace = small_trace()
+        trace = small_trace()  # built from lists
         assert (trace.times.typecode, trace.file_ids.typecode, trace.writes.typecode) == (
             "d",
             "q",
@@ -123,15 +114,16 @@ class TestColumns:
             writes=np.array([False, False, False, True]),
         )
         assert columns == small_trace()
-        assert list(columns) == list(small_trace())
+        assert list(columns) == [
+            TraceRequest(0.0, 0),
+            TraceRequest(1.0, 1),
+            TraceRequest(2.0, 0),
+            TraceRequest(3.5, 2, op=RequestOp.WRITE),
+        ]
 
     def test_missing_write_flags_mean_reads(self):
         trace = Trace([FileSpec(0, 1)], times=[0.0, 1.0], file_ids=[0, 0])
         assert [r.op for r in trace] == [RequestOp.READ, RequestOp.READ]
-
-    def test_requests_and_columns_are_exclusive(self):
-        with pytest.raises(TypeError):
-            Trace([FileSpec(0, 1)], requests=[TraceRequest(0.0, 0)], times=[0.0])
 
     def test_column_lengths_must_match(self):
         with pytest.raises(ValueError, match="length"):
@@ -165,47 +157,10 @@ class TestColumns:
 
     def test_transforms_keep_write_flags(self):
         trace = small_trace()
-        for derived in (
-            trace.head(4),
-            trace.with_inter_arrival(1.0),
-            trace.with_file_size(5),
-        ):
-            assert [r.op for r in derived] == [r.op for r in trace]
+        assert [r.op for r in trace.head(4)] == [r.op for r in trace]
 
 
 class TestTransforms:
-    def test_with_inter_arrival_respaces(self):
-        trace = small_trace().with_inter_arrival(0.5)
-        assert [r.time_s for r in trace] == [0.0, 0.5, 1.0, 1.5]
-        # Order and identity preserved.
-        assert [r.file_id for r in trace] == [0, 1, 0, 2]
-        assert trace.meta["inter_arrival_s"] == 0.5
-
-    def test_with_inter_arrival_zero(self):
-        trace = small_trace().with_inter_arrival(0.0)
-        assert all(r.time_s == 0.0 for r in trace)
-
-    def test_with_inter_arrival_negative_rejected(self):
-        with pytest.raises(ValueError):
-            small_trace().with_inter_arrival(-1.0)
-
-    @pytest.mark.parametrize("delay_s", [float("nan"), float("inf")])
-    def test_with_inter_arrival_non_finite_rejected_as_its_argument(self, delay_s):
-        # NaN passed a ``delay_s < 0`` check, and 0 * inf is NaN: both
-        # used to fail later as a bad request time.
-        with pytest.raises(ValueError, match="delay_s must be finite"):
-            small_trace().with_inter_arrival(delay_s)
-
-    def test_with_file_size_overrides_catalog(self):
-        trace = small_trace().with_file_size(10 * MB)
-        assert all(f.size_bytes == 10 * MB for f in trace.files)
-        assert trace.total_bytes == 4 * 10 * MB
-
-    def test_with_file_size_preserves_requests(self):
-        original = small_trace()
-        trace = original.with_file_size(10 * MB)
-        assert [r.file_id for r in trace] == [r.file_id for r in original]
-
     def test_head_truncates_requests_only(self):
         trace = small_trace().head(2)
         assert trace.n_requests == 2
@@ -217,10 +172,9 @@ class TestTransforms:
 
     def test_transforms_do_not_mutate_original(self):
         original = small_trace()
-        original.with_file_size(99)
-        original.with_inter_arrival(9.0)
-        assert original.file(0).size_bytes == 1 * MB
-        assert original.requests[1].time_s == 1.0
+        original.head(1)
+        assert original.n_requests == 4
+        assert original.meta == {"origin": "test"}
 
 
 class TestMakeCatalog:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.traces import FileSpec, generate_synthetic_trace, Trace, TraceRequest
+from repro.traces import FileSpec, generate_synthetic_trace, Trace
 from repro.traces.stats import (
     access_counts,
     coverage_of_top_k,
@@ -20,8 +20,7 @@ from repro.traces.synthetic import SyntheticWorkload
 
 def trace_from_ids(file_ids, n_files=10):
     files = [FileSpec(i, 100) for i in range(n_files)]
-    requests = [TraceRequest(float(i), fid) for i, fid in enumerate(file_ids)]
-    return Trace(files=files, requests=requests)
+    return Trace(files=files, times=[float(i) for i in range(len(file_ids))], file_ids=file_ids)
 
 
 class TestCountsAndRanking:
@@ -52,7 +51,7 @@ class TestCoverage:
         assert coverage_of_top_k(trace, 1) == pytest.approx(0.75)
 
     def test_coverage_empty_trace(self):
-        trace = Trace(files=[FileSpec(0, 1)], requests=[])
+        trace = Trace(files=[FileSpec(0, 1)])
         assert coverage_of_top_k(trace, 5) == 0.0
 
     def test_negative_k_rejected(self):
@@ -70,7 +69,7 @@ class TestGini:
         assert gini_coefficient(trace) > 0.95
 
     def test_no_accesses_is_zero(self):
-        trace = Trace(files=[FileSpec(0, 1)], requests=[])
+        trace = Trace(files=[FileSpec(0, 1)])
         assert gini_coefficient(trace) == 0.0
 
 

@@ -24,8 +24,8 @@ class TestValidation:
             {"data_size_bytes": -1},
             {"mu": 0},
             {"inter_arrival_s": -0.1},
-            {"arrival_process": "weibull"},
-            {"size_spread": -0.1},
+            {"mu": float("nan")},
+            {"write_fraction": -0.1},
             {"write_fraction": 1.5},
         ],
     )
@@ -62,12 +62,6 @@ class TestStructure:
         trace = gen(data_size_bytes=25 * MB)
         assert all(f.size_bytes == 25 * MB for f in trace.files)
 
-    def test_size_spread_produces_variation_with_right_mean(self):
-        trace = gen(data_size_bytes=10 * MB, size_spread=0.5, n_files=5000)
-        sizes = np.array([f.size_bytes for f in trace.files], dtype=float)
-        assert len(np.unique(sizes)) > 100
-        assert sizes.mean() == pytest.approx(10 * MB, rel=0.05)
-
     def test_all_reads_by_default(self):
         trace = gen()
         assert all(r.op is RequestOp.READ for r in trace)
@@ -82,16 +76,7 @@ class TestStructure:
         assert trace.meta["mu"] == 10
         assert trace.meta["inter_arrival_s"] == 0.35
         assert trace.meta["generator"] == "synthetic"
-
-    def test_exponential_arrivals_start_at_zero(self):
-        trace = gen(arrival_process="exponential", n_requests=100)
-        assert trace.requests[0].time_s == 0.0
-        gaps = np.diff([r.time_s for r in trace])
-        assert gaps.mean() == pytest.approx(0.7, rel=0.5)
-
-    def test_exponential_with_zero_delay(self):
-        trace = gen(arrival_process="exponential", inter_arrival_s=0.0, n_requests=10)
-        assert all(r.time_s == 0.0 for r in trace)
+        assert trace.meta["arrival_process"] == "constant"
 
 
 class TestMuSemantics:

@@ -40,23 +40,9 @@ SEEDS = (1, 3)
 #: name -> (generator, workload); each is pinned at every seed of SEEDS.
 GENERATED = {
     "synthetic": (generate_synthetic_trace, SyntheticWorkload(n_requests=N_REQUESTS)),
-    "synthetic:exponential": (
-        generate_synthetic_trace,
-        SyntheticWorkload(n_requests=N_REQUESTS, arrival_process="exponential"),
-    ),
     "synthetic:writes": (
         generate_synthetic_trace,
         SyntheticWorkload(n_requests=N_REQUESTS, write_fraction=0.4),
-    ),
-    "synthetic:size-spread": (
-        generate_synthetic_trace,
-        SyntheticWorkload(n_requests=N_REQUESTS, size_spread=0.5),
-    ),
-    # The exponential gaps yield one more timestamp than there are
-    # requests; the trace must still be empty.
-    "synthetic:exponential-empty": (
-        generate_synthetic_trace,
-        SyntheticWorkload(n_requests=0, arrival_process="exponential"),
     ),
     "drifting": (generate_drifting_trace, DriftingWorkload(n_requests=N_REQUESTS)),
     "diurnal": (generate_diurnal_trace, DiurnalWorkload(n_requests=N_REQUESTS)),
@@ -105,12 +91,6 @@ def _cases():
     }
     cases["msr"] = lambda: read_msr_trace(io.StringIO(MSR_CSV), extent_bytes=2 * 1024 * 1024)
     cases["head"] = lambda: _transformed(lambda trace: trace.head(120))
-    cases["with_inter_arrival"] = lambda: _transformed(
-        lambda trace: trace.with_inter_arrival(0.3)
-    )
-    cases["with_file_size"] = lambda: _transformed(
-        lambda trace: trace.with_file_size(3 * 1024 * 1024)
-    )
     return cases
 
 
