@@ -4,13 +4,12 @@ A1 idle threshold; A2 application hints; A3 disks per node (the §VII
 conjecture); A4 window predictor; A5 client replay discipline.
 """
 
+from pathlib import Path
+import runpy
+
 from conftest import N_REQUESTS
 
-from repro.experiments.ablations import (
-    ablate_dynamic_prefetch,
-    ablation_study,
-    render_ablation,
-)
+from repro.experiments.ablations import ablation_study, render_ablation
 from repro.experiments.study import compared, group, run_study
 from repro.metrics.report import format_table
 
@@ -107,8 +106,12 @@ def test_diurnal_arrivals(benchmark):
 
 
 def test_dynamic_prefetch_under_drift(benchmark):
+    """E3: the three 1,000-request runs of examples/dynamic_prefetching.py."""
+    example = runpy.run_path(
+        str(Path(__file__).parent.parent / "examples" / "dynamic_prefetching.py")
+    )
     out = benchmark.pedantic(
-        lambda: ablate_dynamic_prefetch(n_requests=N_REQUESTS), rounds=1, iterations=1
+        lambda: example["runs"](example["drifting_trace"]()), rounds=1, iterations=1
     )
     rows = [
         [name, r.energy_j, r.buffer_hit_rate, r.mean_response_s, r.prefetch_files_copied]

@@ -5,7 +5,7 @@ The paper never publishes its drives' power figures; DESIGN.md documents
 the calibration this reproduction chose.  This study shows the analysis
 toolkit earning its keep:
 
-1. the closed-form energy model predicting the simulator's totals,
+1. the mean-field model predicting the simulator's PF and NPF totals,
 2. the savings grid under power-model perturbation,
 3. the M/G/1 check on a single disk's response time.
 
@@ -14,14 +14,8 @@ Run:  python examples/calibration_study.py
 
 import numpy as np
 
-from repro import EEVFSConfig, default_cluster, run_eevfs
-from repro.analysis import (
-    mg1_mean_response_s,
-    predicted_npf_energy_j,
-    predicted_pf_energy_j,
-)
-from repro.analysis.energymodel import observed_sleep_fraction
-from repro.analysis.queueing import deterministic_second_moment
+from repro import EEVFSConfig, run_eevfs
+from repro.analysis import analyze, mg1_mean_response_s
 from repro.experiments.sensitivity import (
     power_model_sensitivity,
     render_sensitivity,
@@ -31,26 +25,16 @@ from repro.traces.synthetic import SyntheticWorkload
 
 
 def main() -> None:
-    trace = generate_synthetic_trace(
-        SyntheticWorkload(n_requests=600), rng=np.random.default_rng(1)
-    )
-    cluster = default_cluster()
+    workload = SyntheticWorkload(n_requests=600)
+    trace = generate_synthetic_trace(workload, rng=np.random.default_rng(1))
 
     print("--- 1. closed-form energy vs simulator ---")
     npf = run_eevfs(trace, EEVFSConfig(prefetch_enabled=False))
     pf = run_eevfs(trace, EEVFSConfig())
-    predicted_npf = predicted_npf_energy_j(cluster, trace, duration_s=npf.duration_s)
-    predicted_pf = predicted_pf_energy_j(
-        cluster,
-        trace,
-        hit_rate=pf.buffer_hit_rate,
-        sleep_fraction=observed_sleep_fraction(pf),
-        transitions_per_disk=pf.transitions / cluster.n_data_disks,
-        duration_s=pf.duration_s,
-    )
+    model = analyze(workload)
     for label, measured, predicted in (
-        ("NPF", npf.energy_j, predicted_npf.total_j),
-        ("PF", pf.energy_j, predicted_pf.total_j),
+        ("NPF", npf.energy_j, model.npf_energy_j),
+        ("PF", pf.energy_j, model.pf_energy_j),
     ):
         error = 100 * (predicted / measured - 1)
         print(
@@ -91,7 +75,7 @@ def main() -> None:
     sim.call_later(next(gaps), arrive)
     sim.run()
     measured = float(np.mean(responses))
-    expected = mg1_mean_response_s(rate, service, deterministic_second_moment(service))
+    expected = mg1_mean_response_s(rate, service, service**2)  # M/D/1: E[S^2] = E[S]^2
     print(
         f"rho=0.5 M/D/1: measured {measured * 1000:.1f} ms, "
         f"Pollaczek-Khinchine {expected * 1000:.1f} ms "

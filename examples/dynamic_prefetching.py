@@ -11,44 +11,66 @@ oracle mode: every `online_replan_epoch_s` it ranks the last
 `popularity_window_s` seconds of requests, and with
 `online_drift_threshold=0` it replaces the buffer contents every epoch.
 
+This is E3 of EXPERIMENTS.md; `runs()` returns its three runs.
+
 Run:  python examples/dynamic_prefetching.py
 """
 
+from typing import Dict
+
 import numpy as np
 
-from repro import EEVFSConfig
-from repro.core.filesystem import EEVFSCluster
+from repro import default_cluster, EEVFSConfig
+from repro.core.filesystem import EEVFSCluster, RunResult
 from repro.metrics import format_table
 from repro.metrics.wear import wear_report
+from repro.traces.model import Trace
 from repro.traces.nonstationary import (
     DriftingWorkload,
     generate_drifting_trace,
     hot_set_displacement,
 )
 
+WORKLOAD = DriftingWorkload(n_requests=1000)
+#: The head of the trace the operator knew before the run.
+HISTORY_REQUESTS = 150
 
-def main() -> None:
-    workload = DriftingWorkload(n_requests=1000)
-    trace = generate_drifting_trace(workload, rng=np.random.default_rng(3))
-    history = trace.head(150)  # all the operator knew before the run
-    print(
-        f"hotspot moves {hot_set_displacement(workload):.0f} files over the "
-        f"{trace.duration_s:.0f} s run; popularity snapshot taken from the "
-        f"first {history.n_requests} requests"
-    )
+
+def drifting_trace() -> Trace:
+    """The drifting trace E3 replays (rng seed 3)."""
+    return generate_drifting_trace(WORKLOAD, rng=np.random.default_rng(3))
+
+
+def runs(trace: Trace) -> Dict[str, RunResult]:
+    """NPF, static prefetch and dynamic re-prefetch over *trace*, each
+    planned from the same history."""
+    history = trace.head(HISTORY_REQUESTS)
 
     def run(config):
         return EEVFSCluster(config=config).run(trace, history=history)
 
-    npf = run(EEVFSConfig(prefetch_enabled=False))
-    static = run(EEVFSConfig())
-    dynamic = run(
-        EEVFSConfig(
-            popularity_window_s=60.0,
-            online_replan_epoch_s=30.0,
-            online_drift_threshold=0.0,
-        )
+    return {
+        "npf": run(EEVFSConfig(prefetch_enabled=False)),
+        "static": run(EEVFSConfig()),
+        "dynamic": run(
+            EEVFSConfig(
+                popularity_window_s=60.0,
+                online_replan_epoch_s=30.0,
+                online_drift_threshold=0.0,
+            )
+        ),
+    }
+
+
+def main() -> None:
+    trace = drifting_trace()
+    print(
+        f"hotspot moves {hot_set_displacement(WORKLOAD):.0f} files over the "
+        f"{trace.duration_s:.0f} s run; popularity snapshot taken from the "
+        f"first {HISTORY_REQUESTS} requests"
     )
+    results = runs(trace)
+    npf, static, dynamic = results["npf"], results["static"], results["dynamic"]
 
     rows = []
     for name, result in (
@@ -56,7 +78,7 @@ def main() -> None:
         ("static prefetch", static),
         ("dynamic re-prefetch", dynamic),
     ):
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         worst_years = (
             report.worst.years_to_limit if report.worst is not None else float("inf")
         )

@@ -1,19 +1,15 @@
-"""Analytic models: closed-form cross-checks of the simulator.
+"""Analytic model: the closed-form cross-check of the simulator.
 
 A simulator whose outputs cannot be sanity-checked is a random-number
-generator with extra steps.  This package derives the paper's metrics
-from first principles -- M/G/1 queueing for response time, a renewal
-model for sleep/wake energy -- and the test suite requires the simulator
-to agree with the analytics in the regimes where the analytics hold.
+generator with extra steps.  :mod:`repro.analysis.meanfield` is the one
+closed form: it derives the paper's metrics from the workload law and the
+power-state parameters -- a renewal model of each disk's sleep/wake
+cycles, priced in one place, and mean-value analysis of the request path
+bounded by the Pollaczek-Khinchine M/D/1 and M/M/1 cases -- and the test
+suite requires the simulator to agree with it in the regimes where it
+holds.
 """
 
-from repro.analysis.energymodel import predicted_npf_energy_j, predicted_pf_energy_j
-from repro.analysis.queueing import mg1_mean_response_s, mg1_mean_wait_s, utilization
+from repro.analysis.meanfield import analyze, mg1_mean_response_s
 
-__all__ = [
-    "mg1_mean_response_s",
-    "mg1_mean_wait_s",
-    "predicted_npf_energy_j",
-    "predicted_pf_energy_j",
-    "utilization",
-]
+__all__ = ["analyze", "mg1_mean_response_s"]

@@ -30,11 +30,19 @@ Model summary
   gap clears the effective threshold; tail sums of the geometric give the
   expected number of sleep cycles and the expected standby residence in
   closed form.  The final gap (hints exhausted) always sleeps.
-* **Energy.**  Per-disk occupancies feed the same accounting as
-  :mod:`repro.analysis.energymodel`; node base power and buffer-disk
-  activity complete the cluster total.
+* **Energy.**  One function, :func:`_priced`, turns every disk's
+  occupancy into joules: ``P_idle x idle + P_standby x standby +
+  P_active x active`` plus each spin-down's and spin-up's energy.  A
+  buffer disk never sleeps, so it is priced as an NPF disk carrying the
+  node's hit mass (none under NPF).  Node base power completes the
+  cluster total.
+* **Response.**  Mean-value analysis of the request path's stations,
+  with queued work weighted between the M/D/1 and M/M/1 cases of the
+  Pollaczek-Khinchine formula (:func:`mg1_mean_response_s`).
 
-The backend is validated against the discrete simulator over the four
+This is the package's one closed form: the energy, transition and
+response predictions all come from :func:`analyze`.  The backend is
+validated against the discrete simulator over the four
 Table-II sweeps by :func:`cross_validate`; docs/performance.md records
 the measured accuracy envelope.  Outside that envelope (heavy-tailed
 arrival processes, fault schedules, write-dominated mixes) use the
@@ -99,6 +107,30 @@ class DiskOccupancy:
     #: Expected counted transitions (spin-downs + spin-ups).
     transitions: float
     energy_j: float
+
+
+def _priced(
+    spec: DiskSpec,
+    idle_s: float,
+    standby_s: float,
+    active_s: float,
+    transition_s: float,
+    spindowns: float,
+    spinups: float,
+) -> DiskOccupancy:
+    """One disk's expected occupancy, priced: ``P_idle x idle +
+    P_standby x standby + P_active x active`` plus ``E_down`` per
+    spin-down and ``E_up`` per spin-up.  Every disk of both runs, data
+    or buffer, is priced here and nowhere else."""
+    energy_j = (
+        spec.power_idle_w * idle_s
+        + spec.power_standby_w * standby_s
+        + spec.power_active_w * active_s
+        + spindowns * spec.spindown_energy_j
+        + spinups * spec.spinup_energy_j
+    )
+    transitions = spindowns + spinups
+    return DiskOccupancy(idle_s, standby_s, active_s, transition_s, transitions, energy_j)
 
 
 @dataclass(frozen=True)
@@ -180,19 +212,7 @@ def _disk_occupancy_pf(
         standby_s = max(0.0, duration_s - spec.spindown_s)
         transition_s = min(duration_s, spec.spindown_s)
         idle_s = max(0.0, duration_s - standby_s - transition_s)
-        energy = (
-            spec.power_idle_w * idle_s
-            + spec.power_standby_w * standby_s
-            + spec.spindown_energy_j
-        )
-        return DiskOccupancy(
-            idle_s=idle_s,
-            standby_s=standby_s,
-            active_s=0.0,
-            transition_s=transition_s,
-            transitions=1.0,
-            energy_j=energy,
-        )
+        return _priced(spec, idle_s, standby_s, 0.0, transition_s, 1.0, 0.0)
 
     ia_node_s = ia_eff_s / node_mass
     q = miss_mass / node_mass
@@ -207,25 +227,11 @@ def _disk_occupancy_pf(
     final_standby_s = max(0.0, final_gap_s - spec.spindown_s)
     standby_s += final_standby_s
 
-    transitions = 2.0 * cycles + 1.0
     transition_s = cycles * t_pair + spec.spindown_s
     standby_s = min(standby_s, max(0.0, duration_s - busy_s - transition_s))
     idle_s = max(0.0, duration_s - busy_s - standby_s - transition_s)
-    energy = (
-        spec.power_idle_w * idle_s
-        + spec.power_standby_w * standby_s
-        + spec.power_active_w * busy_s
-        + cycles * (spec.spindown_energy_j + spec.spinup_energy_j)
-        + spec.spindown_energy_j
-    )
-    return DiskOccupancy(
-        idle_s=idle_s,
-        standby_s=standby_s,
-        active_s=busy_s,
-        transition_s=transition_s,
-        transitions=transitions,
-        energy_j=energy,
-    )
+    # Every sleep cycle spins down and up; the final gap only spins down.
+    return _priced(spec, idle_s, standby_s, busy_s, transition_s, cycles + 1.0, cycles)
 
 
 def _disk_occupancy_npf(
@@ -235,33 +241,12 @@ def _disk_occupancy_npf(
     duration_s: float,
     size_bytes: float,
 ) -> DiskOccupancy:
-    """NPF data disk: idles between services, never sleeps."""
-    busy_s = n_requests * mass * spec.service_time(size_bytes)
-    busy_s = min(busy_s, duration_s)
-    idle_s = duration_s - busy_s
-    energy = spec.power_idle_w * idle_s + spec.power_active_w * busy_s
-    return DiskOccupancy(
-        idle_s=idle_s,
-        standby_s=0.0,
-        active_s=busy_s,
-        transition_s=0.0,
-        transitions=0.0,
-        energy_j=energy,
-    )
+    """A disk that never sleeps: idle between the services of its *mass*.
 
-
-def _buffer_energy_j(
-    spec: DiskSpec,
-    hit_mass: float,
-    n_requests: int,
-    duration_s: float,
-    size_bytes: float,
-) -> float:
-    """Buffer disk: never sleeps; active for its hit services."""
-    busy_s = min(
-        duration_s, n_requests * hit_mass * spec.service_time(size_bytes)
-    )
-    return spec.power_idle_w * (duration_s - busy_s) + spec.power_active_w * busy_s
+    Every NPF data disk, and every buffer disk with its node's hit mass.
+    """
+    busy_s = min(n_requests * mass * spec.service_time(size_bytes), duration_s)
+    return _priced(spec, duration_s - busy_s, 0.0, busy_s, 0.0, 0.0, 0.0)
 
 
 def _per_disk_masses(
@@ -293,11 +278,37 @@ def _per_disk_masses(
 #: Weight on queued work in the MVA recursion.  Product-form MVA (weight
 #: 1.0) assumes exponential service and overestimates saturated response;
 #: the data path's big holds are deterministic transfers, which queue
-#: about half as much (M/D/1 wait is half the M/M/1 wait, weight 0.5).
-#: The mix of deterministic transfers and variable disk/routing stages
-#: lands in between -- 0.7 is calibrated against the discrete simulator
-#: and holds all four paper sweeps within the documented error envelope.
+#: about half as much (weight 0.5).  The two cases of
+#: :func:`mg1_mean_response_s` bound it: the M/D/1 wait is half the M/M/1
+#: wait at any load.  The mix of deterministic transfers and variable
+#: disk/routing stages lands in between -- 0.7 is calibrated against the
+#: discrete simulator and holds all four paper sweeps within the
+#: documented error envelope.
 _MVA_QUEUE_WEIGHT = 0.7
+
+
+def mg1_mean_response_s(
+    arrival_rate_hz: float,
+    mean_service_s: float,
+    second_moment_s2: float,
+) -> float:
+    """Pollaczek-Khinchine mean response time of an M/G/1 queue.
+
+    Poisson arrivals at rate λ to one server with service time S wait
+    ``W = λ E[S²] / (2 (1 - ρ))`` on average, with ``ρ = λ E[S]``; the
+    response is ``W + E[S]``.  The caller passes E[S²]: ``E[S]²`` for
+    deterministic service (M/D/1), ``2 E[S]²`` for exponential (M/M/1).
+    Raises on a negative rate or service time, on an E[S²] below E[S]²,
+    and on an unstable queue (ρ >= 1).
+    """
+    if arrival_rate_hz < 0 or mean_service_s < 0:
+        raise ValueError("rate and service time must be >= 0")
+    if second_moment_s2 < mean_service_s**2:
+        raise ValueError("E[S^2] cannot be below (E[S])^2")
+    rho = arrival_rate_hz * mean_service_s
+    if rho >= 1.0:
+        raise ValueError(f"unstable queue: rho = {rho:.3f} >= 1")
+    return arrival_rate_hz * second_moment_s2 / (2.0 * (1.0 - rho)) + mean_service_s
 
 
 def _mva(stations: List[Tuple[float, float]], customers: int, delay_s: float) -> Tuple[float, float]:
@@ -480,10 +491,12 @@ def analyze(
         total_masses = per_node_disk_total[i]
         pf_energy += node.base_power_w * pf_duration
         npf_energy += node.base_power_w * npf_duration
-        pf_energy += _buffer_energy_j(
+        pf_energy += _disk_occupancy_npf(
             node.buffer_spec, hit_mass, n, pf_duration, size
-        )
-        npf_energy += node.buffer_spec.power_idle_w * npf_duration
+        ).energy_j
+        npf_energy += _disk_occupancy_npf(
+            node.buffer_spec, 0.0, n, npf_duration, size
+        ).energy_j
         for d in range(node.n_data_disks):
             if config.power_management_enabled and k > 0:
                 occ = _disk_occupancy_pf(

@@ -223,11 +223,13 @@ def _cmd_ablations(args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> None:
     """Deep-dive PF vs NPF at the defaults: totals, breakdowns, wear."""
+    from repro.core.config import default_cluster
     from repro.experiments.study import run_pair
     from repro.metrics.breakdown import breakdown_table, compare_breakdowns
     from repro.metrics.wear import wear_report
 
     config, cluster = args.config or (None, None)
+    cluster = cluster or default_cluster()
     trace = _default_trace(args.requests).generate()
     comparison = run_pair(trace, config, cluster, seed=args.seed)
     pf, npf = comparison.pf, comparison.npf
@@ -239,7 +241,7 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     print(compare_breakdowns(pf, npf))
     print()
     print(breakdown_table(pf))
-    worst = wear_report(pf).worst
+    worst = wear_report(pf, cluster).worst
     if worst is not None:
         print(
             f"\nwear: worst drive {worst.name} reaches its rated start/stop "
@@ -325,12 +327,12 @@ def _cmd_lint(args: argparse.Namespace) -> None:
 
 
 def _cmd_wear(args: argparse.Namespace) -> None:
-    from repro.core import EEVFSConfig, run_eevfs
+    from repro.core import default_cluster, EEVFSConfig, run_eevfs
     from repro.metrics.wear import wear_report
 
     trace = _default_trace(args.requests).generate()
     result = run_eevfs(trace, EEVFSConfig(prefetch_files=args.prefetch), seed=args.seed)
-    report = wear_report(result)
+    report = wear_report(result, default_cluster())
     print(
         format_table(
             ["disk", "spin-ups", "cycles/year", "years to rated limit"],

@@ -14,7 +14,6 @@ package turns those conventions into tooling:
 * :mod:`repro.devtools.rules`       -- the rule engine and registry,
 * :mod:`repro.devtools.checks`      -- the DET/PAR/SIM rule implementations,
 * :mod:`repro.devtools.runner`      -- file walking, rendering, fixing,
-* :mod:`repro.devtools.cfg`         -- per-function control-flow graphs,
 * :mod:`repro.devtools.symbols`     -- the cross-module scheduling symbol table,
 * :mod:`repro.devtools.checks_sched` -- the CONT/SIM003/DET004/LNT001 rules,
 * :mod:`repro.devtools.sanitizer`   -- runtime event-stream digests and the

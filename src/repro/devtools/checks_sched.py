@@ -1,19 +1,15 @@
 """Continuation-safety and scheduling-order rules (simlint v2).
 
-PR 8 moved the hot path onto pooled ``call_soon``/``call_later``
-continuations, which created hazard classes the per-node v1 rules
-cannot see: a closure scheduled *now* but run *later* observes the
-loop variable's final value, a pooled carrier referenced after its
-free-list ``append`` is someone else's event by the time it is read,
-and two callbacks at the same ``(time, priority)`` run in whatever
-order a ``set`` hashed them.  These rules use the v2 machinery -- the
-per-function CFG (:mod:`repro.devtools.cfg`) and the cross-module
-symbol table (:mod:`repro.devtools.symbols`) -- to reason about
-*when* code runs, not just what it says:
+The hot path runs on ``call_soon``/``call_later`` continuations, which
+create hazard classes the per-node v1 rules cannot see: a closure
+scheduled *now* but run *later* observes the loop variable's final
+value, and two callbacks at the same ``(time, priority)`` run in
+whatever order a ``set`` hashed them.  These rules use the cross-module
+symbol table (:mod:`repro.devtools.symbols`) to reason about *when*
+code runs, not just what it says:
 
 ========  ==============================================================
 CONT001   loop variable late-bound into a scheduled callback
-CONT002   pooled carrier retained past its recycle point
 SIM003    same-(time, priority) scheduling driven by set/dict order
 DET004    RNG stream derived from an unordered collection
 LNT001    suppression pragma that silences nothing (engine-computed)
@@ -32,21 +28,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
-from repro.devtools.cfg import build_cfg
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.rules import Edit, LintContext, register, Rule
 from repro.devtools.symbols import callee_bare_name
 
 # -- shared AST plumbing -------------------------------------------------------
-
-
-def _parents(root: ast.AST) -> dict[int, ast.AST]:
-    """Child-id -> parent map (ast has no parent links)."""
-    parents: dict[int, ast.AST] = {}
-    for node in ast.walk(root):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
 
 
 def _target_names(target: ast.expr) -> set[str]:
@@ -184,185 +170,6 @@ class Cont001LateBoundLoopVar(Rule):
                 targets = _target_names(node.target)
                 if targets:
                     yield from scan_loop(node, targets)
-
-
-# -- CONT002: pooled carrier retained past recycle -----------------------------
-
-
-@register
-class Cont002RetainedAfterRecycle(Rule):
-    """CONT002: a pooled object is used after being returned to its
-    free list.
-
-    An object recycled by appending it to a pool
-    (``self._free.append(obj)``) may be handed to someone else by the
-    next allocation.  Any reference retained past the recycle point --
-    passed to a call, stored, returned, or put in a container --
-    aliases an object whose slots will be overwritten.  (The engine
-    once pooled its ``Continuation`` carriers this way; its schedule
-    entries are plain tuples now, so the rule guards any pool that
-    comes back.)
-
-    The rule finds recycle statements (an ``append`` whose receiver's
-    dotted chain mentions a pool marker from
-    :attr:`LintConfig.pool_markers`, or a local name bound to such a
-    bound method) and walks the function's CFG forward from each.  The
-    scan is kill-aware: rebinding the name (``event = ...`` at the top
-    of the dispatch loop, a ``for`` target) ends the hazard on that
-    path, which is how a dispatch loop that recycles at its top stays
-    clean.  Plain attribute reads (``event._fn``) do not extend the
-    object's lifetime and are allowed.
-    """
-
-    id = "CONT002"
-    summary = "pooled object retained past its recycle point"
-    rationale = (
-        "A recycled object is the pool's to reuse; any retained "
-        "reference is a use-after-free that reads the *next* "
-        "user's state and corrupts it silently."
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        markers = ctx.config.pool_markers
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node, markers)
-
-    def _check_function(
-        self,
-        ctx: LintContext,
-        fn: "ast.FunctionDef | ast.AsyncFunctionDef",
-        markers: tuple[str, ...],
-    ) -> Iterator[Diagnostic]:
-        def is_pool_chain(expr: ast.expr) -> bool:
-            # `self._free.append` -> receiver chain mentions a marker.
-            if not (isinstance(expr, ast.Attribute) and expr.attr == "append"):
-                return False
-            parts: list[str] = []
-            value = expr.value
-            while isinstance(value, ast.Attribute):
-                parts.append(value.attr)
-                value = value.value
-            if isinstance(value, ast.Name):
-                parts.append(value.id)
-            return any(m in part.lower() for part in parts for m in markers)
-
-        # Local names bound to a pool's append (`recycle = self._free.append`).
-        recycler_names: set[str] = set()
-        for node in _own_statements(fn.body):
-            if isinstance(node, ast.Assign) and is_pool_chain(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        recycler_names.add(target.id)
-
-        # Recycle statements: Expr(Call) through either form, arg a Name.
-        recycles: list[tuple[ast.stmt, str]] = []
-        for stmt in _own_statements(fn.body):
-            if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
-                continue
-            call = stmt.value
-            direct = is_pool_chain(call.func)
-            via_name = (
-                isinstance(call.func, ast.Name) and call.func.id in recycler_names
-            )
-            if not (direct or via_name):
-                continue
-            if len(call.args) == 1 and isinstance(call.args[0], ast.Name):
-                recycles.append((stmt, call.args[0].id))
-
-        if not recycles:
-            return
-
-        cfg = build_cfg(fn)
-
-        def rebinds(stmt: ast.stmt, name: str) -> bool:
-            if isinstance(stmt, ast.Assign):
-                return any(name in _target_names(t) for t in stmt.targets)
-            if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                return name in _target_names(stmt.target)
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                return name in _target_names(stmt.target)
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                return any(
-                    item.optional_vars is not None
-                    and name in _target_names(item.optional_vars)
-                    for item in stmt.items
-                )
-            if isinstance(stmt, ast.Delete):
-                return any(name in _target_names(t) for t in stmt.targets)
-            return False
-
-        for recycle_stmt, name in recycles:
-            if cfg.locate(recycle_stmt) is None:
-                continue
-            reported: set[int] = set()
-            for later in cfg.walk_after(recycle_stmt, kill=lambda s: rebinds(s, name)):
-                for use in self._retentions(later, name):
-                    if use.lineno not in reported:
-                        reported.add(use.lineno)
-                        yield self.diagnostic(
-                            ctx,
-                            use,
-                            f"`{name}` was recycled into its pool at line "
-                            f"{recycle_stmt.lineno} and is still referenced "
-                            "here; copy what you need into locals before the "
-                            "append",
-                        )
-
-    @staticmethod
-    def _header_exprs(stmt: ast.stmt) -> list[ast.AST]:
-        """What *stmt* evaluates at its own CFG position.  Compound
-        statements are yielded by ``walk_after`` as headers -- their
-        suites arrive as separate statements -- so only the header
-        expressions belong to this visit."""
-        if isinstance(stmt, (ast.If, ast.While)):
-            return [stmt.test]
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return [stmt.iter]
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return [item.context_expr for item in stmt.items]
-        if isinstance(stmt, ast.Try):
-            return []
-        if isinstance(stmt, ast.Match):
-            return [stmt.subject]
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return []
-        return [stmt]
-
-    @classmethod
-    def _retentions(cls, stmt: ast.stmt, name: str) -> Iterator[ast.AST]:
-        """Uses of *name* evaluated at *stmt* that extend the object's
-        lifetime: call argument, assignment value, container element,
-        return/yield.  Attribute reads (`name.attr`) are not retention."""
-        roots = cls._header_exprs(stmt)
-        for root in roots:
-            yield from cls._retentions_in(root, name)
-
-    @staticmethod
-    def _retentions_in(root: ast.AST, name: str) -> Iterator[ast.AST]:
-        parents = _parents(root)
-        for node in ast.walk(root):
-            if not (
-                isinstance(node, ast.Name)
-                and node.id == name
-                and isinstance(node.ctx, ast.Load)
-            ):
-                continue
-            parent = parents.get(id(node))
-            if isinstance(parent, ast.Attribute) and parent.value is node:
-                continue
-            if isinstance(parent, ast.Call) and node in parent.args:
-                yield node
-            elif isinstance(parent, ast.keyword):
-                yield node
-            elif isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
-                yield node
-            elif isinstance(parent, (ast.List, ast.Tuple, ast.Set)):
-                yield node
-            elif isinstance(parent, ast.Dict):
-                yield node
-            elif isinstance(parent, (ast.Assign, ast.AnnAssign)) and parent.value is node:
-                yield node
 
 
 # -- SIM003: scheduling order from unordered iteration -------------------------

@@ -405,17 +405,6 @@ class StorageBackend:
         """Counted power-state transitions (spin-downs + spin-ups)."""
         return self.meter.transition_count
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of elapsed time spent in ACTIVE."""
-        elapsed = self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        active = self.meter.time_in_state[DiskState.ACTIVE]
-        if self.state is DiskState.ACTIVE:
-            active += elapsed - self.meter._last_time
-        return active / elapsed
-
     # -- subclass hooks -----------------------------------------------------------
 
     def _on_fail(self) -> None:

@@ -11,8 +11,9 @@ These exercise the design choices DESIGN.md calls out:
 * **Window predictor** -- sequence vs time (DESIGN.md §5.4).
 * **Replay discipline** -- open vs paced vs closed client behaviour.
 
-Every ablation but E3 is one row of :data:`ABLATIONS`: a PF/NPF pair per
-x value.  :func:`ablation_study` turns a row into study points keyed
+Each ablation is one row of :data:`ABLATIONS`: a PF/NPF pair per x
+value.  E3, dynamic re-prefetching under drift, replays with a history
+that no job carries; ``examples/dynamic_prefetching.py`` runs it.  :func:`ablation_study` turns a row into study points keyed
 ``(name, x)``, and :func:`render_ablation` prints its table.
 """
 
@@ -21,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.config import ClusterSpec, default_cluster, EEVFSConfig
-from repro.core.filesystem import EEVFSCluster
 from repro.experiments.study import compared, group, pair, Results, Study
 from repro.metrics.report import format_series
 from repro.parallel import JobSpec, TraceSpec
@@ -205,36 +203,3 @@ def render_ablation(name: str, results: Results) -> str:
         },
         title=f"=== Ablation: {ablation.title} ===",
     )
-
-
-def ablate_dynamic_prefetch(
-    n_requests: int = 1000,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """E3: static vs dynamic prefetching on a drifting workload.
-
-    Both policies get the same limited history (the trace's first 15 %);
-    the dynamic policy then re-prefetches from the live request log every
-    30 s over a 60 s popularity window, with no drift gate.  Returns the
-    three runs.  They replay with ``history=``, which no job carries, so
-    they run here rather than as a study.
-    """
-    from repro.traces.nonstationary import DriftingWorkload, generate_drifting_trace
-
-    trace = generate_drifting_trace(
-        DriftingWorkload(n_requests=n_requests), rng=np.random.default_rng(3)
-    )
-    history = trace.head(max(1, n_requests * 15 // 100))
-    npf = EEVFSCluster(config=EEVFSConfig().as_npf(), seed=seed).run(
-        trace, history=history
-    )
-    static = EEVFSCluster(config=EEVFSConfig(), seed=seed).run(trace, history=history)
-    dynamic = EEVFSCluster(
-        config=EEVFSConfig(
-            popularity_window_s=60.0,
-            online_replan_epoch_s=30.0,
-            online_drift_threshold=0.0,
-        ),
-        seed=seed,
-    ).run(trace, history=history)
-    return {"npf": npf, "static": static, "dynamic": dynamic}

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core.config import ClusterSpec
 from repro.core.filesystem import RunResult
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
-
-#: Start/stop cycles a drive is rated for: the default
-#: ``DiskSpec.rated_start_stop_cycles``.
-RATED_START_STOP_CYCLES = 50_000
 
 
 def cycles_per_year(spinups: int, duration_s: float) -> float:
@@ -74,23 +71,28 @@ class WearReport:
         ]
 
 
-def wear_report(result: RunResult) -> WearReport:
+def wear_report(result: RunResult, cluster: ClusterSpec) -> WearReport:
     """Project drive wear from a run's per-disk spin-up counts.
 
-    Every disk is matched against :data:`RATED_START_STOP_CYCLES` (the
-    RunResult does not carry specs, and the testbed's drives all share
-    that rating).
+    Each disk is matched against the ``rated_start_stop_cycles`` of the
+    spec *cluster* (the run's cluster) gives its slot: the node's
+    ``buffer_spec`` for ``nodeN/buffer``, its ``disk_spec`` for a data
+    disk.
     """
-    rated = RATED_START_STOP_CYCLES
+    specs = {node.name: node for node in cluster.storage_nodes}
     duration = result.duration_s
-    disks = [
-        DiskWear(
-            name=disk.name,
-            spinups=disk.spinups,
-            cycles_per_year=cycles_per_year(disk.spinups, duration),
-            years_to_limit=years_to_rated_limit(disk.spinups, duration, rated),
-        )
-        for node in result.nodes
-        for disk in node.disks
-    ]
+    disks = []
+    for node in result.nodes:
+        spec = specs[node.name]
+        for disk in node.disks:
+            drive = spec.buffer_spec if disk.name.endswith("/buffer") else spec.disk_spec
+            rated = drive.rated_start_stop_cycles
+            disks.append(
+                DiskWear(
+                    name=disk.name,
+                    spinups=disk.spinups,
+                    cycles_per_year=cycles_per_year(disk.spinups, duration),
+                    years_to_limit=years_to_rated_limit(disk.spinups, duration, rated),
+                )
+            )
     return WearReport(disks=disks, duration_s=duration)

@@ -46,8 +46,8 @@ class JobSpec:
     one spec (:mod:`repro.baselines` builds the configs, clusters and
     node classes).
 
-    ``label`` exists purely for humans: progress lines and error
-    messages quote it so a failure points at the exact experiment point
+    ``label`` exists purely for humans: error messages quote it so a
+    failure points at the exact experiment point
     (:func:`~repro.experiments.study.run_study` sets it to the point and
     run names).
     """

@@ -17,12 +17,9 @@ The contract :func:`run_jobs` keeps, regardless of worker count:
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.parallel.jobs import execute_job, JobFailed, JobSpec
-
-#: Signature of the optional progress hook: (done, total, spec).
-ProgressFn = Callable[[int, int, JobSpec], None]
 
 
 def default_jobs() -> int:
@@ -38,38 +35,27 @@ def resolve_jobs(jobs: Optional[int], n_specs: int) -> int:
     return max(1, min(jobs, n_specs))
 
 
-def _run_serial(
-    specs: List[JobSpec], progress: Optional[ProgressFn]
-) -> List[object]:
+def _run_serial(specs: List[JobSpec]) -> List[object]:
     results: List[object] = []
-    total = len(specs)
-    for done, spec in enumerate(specs, start=1):
+    for spec in specs:
         try:
             results.append(execute_job(spec))
         except Exception as exc:
             raise JobFailed(spec, exc) from exc
-        if progress is not None:
-            progress(done, total, spec)
     return results
 
 
-def run_jobs(
-    specs: Sequence[JobSpec],
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[object]:
+def run_jobs(specs: Sequence[JobSpec], jobs: Optional[int] = None) -> List[object]:
     """Execute every spec and return results in spec order.
 
-    ``jobs=None`` uses one worker per CPU; ``jobs=1`` runs inline.  The
-    optional *progress* callback fires after each completion with
-    ``(done, total, spec)`` (for the parallel path, completion order).
+    ``jobs=None`` uses one worker per CPU; ``jobs=1`` runs inline.
     """
     specs = list(specs)
     if not specs:
         return []
     jobs = resolve_jobs(jobs, len(specs))
     if jobs == 1:
-        return _run_serial(specs, progress)
+        return _run_serial(specs)
 
     try:
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -79,11 +65,9 @@ def run_jobs(
     except (ImportError, NotImplementedError, OSError, PermissionError):
         # No usable multiprocessing here (restricted environment):
         # degrade to the inline path rather than failing the experiment.
-        return _run_serial(specs, progress)
+        return _run_serial(specs)
 
     results: List[object] = [None] * len(specs)
-    total = len(specs)
-    done = 0
     with pool:
         try:
             futures = {
@@ -92,7 +76,7 @@ def run_jobs(
             }
         except BrokenProcessPool:
             pool.shutdown(wait=False, cancel_futures=True)
-            return _run_serial(specs, progress)
+            return _run_serial(specs)
         try:
             for future in as_completed(futures):
                 index = futures[future]
@@ -100,9 +84,6 @@ def run_jobs(
                     results[index] = future.result()
                 except Exception as exc:
                     raise JobFailed(specs[index], exc) from exc
-                done += 1
-                if progress is not None:
-                    progress(done, total, specs[index])
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise

@@ -15,7 +15,7 @@ from repro.traces.nonstationary import (
 )
 from repro.traces.stats import working_set_size
 
-#: E3's oracle-mode re-prefetch config (``ablate_dynamic_prefetch``):
+#: E3's oracle-mode re-prefetch config (``examples/dynamic_prefetching.py``):
 #: rank the last 60 s every 30 s, with no drift gate.
 DYNAMIC = EEVFSConfig(
     popularity_window_s=60.0, online_replan_epoch_s=30.0, online_drift_threshold=0.0

@@ -12,7 +12,7 @@ from repro.traces import generate_synthetic_trace, popularity_ranking
 from repro.traces.synthetic import SyntheticWorkload
 
 
-#: E3's oracle-mode re-prefetch settings (``ablate_dynamic_prefetch``).
+#: E3's oracle-mode re-prefetch settings (``examples/dynamic_prefetching.py``).
 DYNAMIC = dict(online_replan_epoch_s=30.0, online_drift_threshold=0.0)
 
 

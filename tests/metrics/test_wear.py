@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EEVFSConfig, run_eevfs
+from repro.baselines.lowpower import lowpower_cluster
+from repro.core import default_cluster, EEVFSConfig, run_eevfs
 from repro.metrics.wear import (
     cycles_per_year,
     SECONDS_PER_YEAR,
@@ -48,17 +49,17 @@ class TestWearReport:
         return run_eevfs(trace, EEVFSConfig())
 
     def test_one_row_per_disk(self, result):
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         n_disks = sum(len(n.disks) for n in result.nodes)
         assert len(report.disks) == n_disks
 
     def test_total_spinups_match_run(self, result):
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         spinups = sum(d.spinups for n in result.nodes for d in n.disks)
         assert sum(d.spinups for d in report.disks) == spinups
 
     def test_worst_disk_is_fastest_wearing(self, result):
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         worst = report.worst
         assert worst is not None
         assert worst.years_to_limit == min(
@@ -67,7 +68,7 @@ class TestWearReport:
 
     def test_buffer_disks_never_wear(self, result):
         """Buffer disks never sleep, so they consume no start/stop budget."""
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         for disk in report.disks:
             if "buffer" in disk.name:
                 assert disk.spinups == 0
@@ -78,12 +79,12 @@ class TestWearReport:
             SyntheticWorkload(n_requests=100), rng=np.random.default_rng(1)
         )
         result = run_eevfs(trace, EEVFSConfig(prefetch_enabled=False))
-        report = wear_report(result)
+        report = wear_report(result, default_cluster())
         assert report.worst is None
         assert all(d.spinups == 0 for d in report.disks)
 
     def test_rows_shape(self, result):
-        rows = wear_report(result).rows()
+        rows = wear_report(result, default_cluster()).rows()
         assert all(len(row) == 4 for row in rows)
 
     def test_k10_wears_faster_than_k100(self):
@@ -92,6 +93,20 @@ class TestWearReport:
         trace = generate_synthetic_trace(
             SyntheticWorkload(n_requests=400), rng=np.random.default_rng(1)
         )
-        k10 = wear_report(run_eevfs(trace, EEVFSConfig(prefetch_files=10)))
-        k100 = wear_report(run_eevfs(trace, EEVFSConfig(prefetch_files=100)))
+        k10 = wear_report(run_eevfs(trace, EEVFSConfig(prefetch_files=10)), default_cluster())
+        k100 = wear_report(run_eevfs(trace, EEVFSConfig(prefetch_files=100)), default_cluster())
         assert k10.worst.years_to_limit < k100.worst.years_to_limit
+
+    def test_each_disk_is_rated_by_its_own_spec(self):
+        """The 2.5-inch mobile drive is rated 300,000 cycles, not the
+        3.5-inch default's 50,000: the worst disk of a lowpower run lasts
+        six times longer than a default-rated projection says."""
+        trace = generate_synthetic_trace(
+            SyntheticWorkload(n_requests=300), rng=np.random.default_rng(1)
+        )
+        cluster = lowpower_cluster()
+        report = wear_report(run_eevfs(trace, EEVFSConfig(), cluster), cluster)
+        worst = report.worst
+        assert (worst.name, worst.spinups) == ("node2/data1", 5)
+        assert worst.years_to_limit == pytest.approx(0.40, abs=0.005)
+        assert worst.years_to_limit == years_to_rated_limit(5, report.duration_s, 300_000)

@@ -67,19 +67,3 @@ def test_result_order_matches_spec_order_not_completion_order():
     ]
     results = run_jobs(specs, jobs=4)
     assert [r.response_times.count for r in results] == sizes
-
-
-def test_progress_callback_reports_every_job():
-    specs = [
-        JobSpec(
-            label=f"seed={seed}",
-            trace=TraceSpec(workload=SyntheticWorkload(n_requests=30)),
-            seed=seed,
-        )
-        for seed in range(3)
-    ]
-    seen = []
-    run_jobs(specs, jobs=2, progress=lambda done, total, spec: seen.append((done, total, spec.label)))
-    assert [d for d, _, _ in seen] == [1, 2, 3]
-    assert all(total == 3 for _, total, _ in seen)
-    assert {label for _, _, label in seen} == {"seed=0", "seed=1", "seed=2"}

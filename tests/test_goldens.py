@@ -15,10 +15,10 @@ studies, so a change to how runs are batched, compared or rendered that
 moves a printed digit fails here.
 
 ``tests/golden/dynamic.json`` is not a smoke command's output: it holds
-the records of the three E3 runs of
-:func:`~repro.experiments.ablations.ablate_dynamic_prefetch` (NPF,
-static prefetch, and oracle-mode dynamic re-prefetch) through
-``canonical_json``.  To re-pin it, write that dict into the golden path.
+the records of E3's three runs, ``runs()`` of
+``examples/dynamic_prefetching.py`` (NPF, static prefetch, and
+oracle-mode dynamic re-prefetch), through ``canonical_json``.  To re-pin
+it, write that dict into the golden path.
 
 ``tests/golden/shape.json`` pins the *schedule* rather than the
 outcome: for a 1,500-request seed-1 run of each benchmark workload's
@@ -53,6 +53,7 @@ from dataclasses import replace
 import hashlib
 import json
 from pathlib import Path
+import runpy
 
 import pytest
 
@@ -66,7 +67,6 @@ from repro.devtools.racesuite import default_scenarios
 from repro.devtools.sanitizer import ScheduleShapeHasher
 from repro.disk import ATA_80GB_TYPE1
 from repro.disk.drive import RequestKind, SimDisk
-from repro.experiments.ablations import ablate_dynamic_prefetch
 from repro.experiments.metaplane import drill_config, leader_crash_schedule
 from repro.faults import FaultSchedule
 from repro.parallel import JobSpec, TraceSpec
@@ -78,6 +78,7 @@ from repro.traces.nonstationary import DriftingWorkload
 from repro.traces.synthetic import SyntheticWorkload
 
 GOLDEN = Path(__file__).parent / "golden"
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
 #: name -> the CI smoke job's command line; ``{out}`` is the --json path,
 #: and a command without one prints its JSON to stdout.
@@ -173,7 +174,8 @@ def test_cli_output_matches_its_golden(name, tmp_path, capsys):
 def test_dynamic_prefetch_ablation_matches_its_golden():
     """E3's three runs (NPF, static, dynamic re-prefetch); the only
     golden that replans in oracle mode."""
-    runs = ablate_dynamic_prefetch()
+    example = runpy.run_path(str(EXAMPLES / "dynamic_prefetching.py"))
+    runs = example["runs"](example["drifting_trace"]())
     _assert_matches_golden(
         "dynamic", canonical_json({name: run.record() for name, run in runs.items()})
     )

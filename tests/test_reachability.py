@@ -49,9 +49,6 @@ NOT_CALLED_BY_A_PROGRAM = {
     "repro.disk.energy:standby_energy_saved": (
         "the closed form the break-even tests check against"
     ),
-    "repro.experiments.ablations:ablate_dynamic_prefetch": (
-        "E3 of EXPERIMENTS.md, pinned by tests/golden/dynamic.json"
-    ),
     "repro.experiments.repetition:RepeatedMetric": _REPETITION,
     "repro.experiments.repetition:RepeatedMetric.ci95_halfwidth": _REPETITION,
     "repro.experiments.repetition:RepetitionResult": _REPETITION,
