@@ -163,6 +163,14 @@ class TestPollaczekKhinchine:
         so the response W + E[S] is 2."""
         assert mg1_mean_response_s(0.5, 1.0, 2.0) == pytest.approx(2.0)
 
+    def test_response_is_wait_plus_service(self):
+        """M/M/1 at rho=0.5 waits W = E[S] at any service time; the
+        response adds one more E[S]."""
+        for service_s in (0.01, 1.0, 7.0):
+            rate_hz = 0.5 / service_s
+            response = mg1_mean_response_s(rate_hz, service_s, 2.0 * service_s**2)
+            assert response == pytest.approx(2.0 * service_s)
+
     def test_zero_load_means_zero_wait(self):
         assert mg1_mean_response_s(0.0, 1.0, 1.0) == 1.0
 
